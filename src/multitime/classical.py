@@ -10,6 +10,8 @@ with D_j = d/dt_j + v_j . grad_{x_j} + w_j . grad_{p_j}.  The module also
 builds n-paths by equal-time integration, tests their validity at
 spacelike off-diagonal time choices, integrates the two-time full-grid
 variant, and runs the no-interaction demonstration over a field family.
+Every integration here and in the HJ module advances a flat state vector
+with the one RK4 stepper ``rk4_step``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import Expression, evaluate, free_variables, parse_expression
+from .expr import (Expression, evaluate, free_variables, parse_expression,
+                   variable_bindings)
 from .numdiff import diff_callable, partial_derivative
 from .paths import NPath, WorldLine
 from .reports import DefectReport, ResidualReport
@@ -40,6 +43,7 @@ __all__ = [
     "evolve_full_grid",
     "grid_path_independence",
     "cjs_demo",
+    "rk4_step",
 ]
 
 
@@ -100,13 +104,12 @@ class PhasePoint:
         return self.x.shape[1]
 
     def bindings(self) -> dict[str, float]:
-        b: dict[str, float] = {}
-        for j in range(self.n):
-            b[f"t{j + 1}"] = float(self.times[j])
-            for dd in range(self.d):
-                b[f"x{j + 1}_{dd + 1}"] = float(self.x[j, dd])
-                b[f"p{j + 1}_{dd + 1}"] = float(self.p[j, dd])
-        return b
+        return variable_bindings(self.times, self.x, self.p)
+
+    def state(self) -> np.ndarray:
+        """The flat state (x, p) the RK4 stepper advances; ``reshape(2, n, d)``
+        gives x and p back."""
+        return np.concatenate([self.x.ravel(), self.p.ravel()])
 
 
 # A field component maps variable bindings to a real value.
@@ -240,13 +243,30 @@ def classical_consistency_defect(field: PhaseVectorField, point: PhasePoint,
     return DefectReport(pairs=pairs, max_defect=max(pairs.values(), default=0.0), h=h)
 
 
-def _field_rhs(field: PhaseVectorField, t: float, x: np.ndarray,
-               p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    point = PhasePoint(times=np.full(field.n, t), x=x, p=p)
-    b = point.bindings()
-    dx = np.stack([field.eval_v(j, b) for j in range(1, field.n + 1)])
-    dp = np.stack([field.eval_w(j, b) for j in range(1, field.n + 1)])
-    return dx, dp
+def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float,
+             y: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of dy/dt = f(t, y) from (t, y) to t + h.
+
+    Raises FloatingPointError if the new state is not finite.
+    """
+    k1 = f(t, y)
+    k2 = f(t + h / 2, y + h / 2 * k1)
+    k3 = f(t + h / 2, y + h / 2 * k2)
+    k4 = f(t + h, y + h * k3)
+    y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    if not np.all(np.isfinite(y)):
+        raise FloatingPointError(f"non-finite state at t = {t + h}")
+    return y
+
+
+def _field_rhs(field: PhaseVectorField, times: np.ndarray,
+               y: np.ndarray) -> np.ndarray:
+    """(v_1..v_n, w_1..w_n) at the time tuple and flat state y = (x, p)."""
+    n, d = field.n, field.d
+    x, p = y.reshape(2, n, d)
+    b = variable_bindings(times, x, p)
+    return np.concatenate([field.eval_v(j, b) for j in range(1, n + 1)]
+                          + [field.eval_w(j, b) for j in range(1, n + 1)])
 
 
 def evolve_equal_time(field: PhaseVectorField, init: PhasePoint,
@@ -256,45 +276,33 @@ def evolve_equal_time(field: PhaseVectorField, init: PhasePoint,
     (lab-frame foliation).  Returns the sampled n-path."""
     if not np.allclose(init.times, init.times[0]):
         raise ValueError("equal-time evolution needs t_1 = ... = t_n initially")
+    n, d = field.n, field.d
     t0, t1 = t_span
     steps = max(1, int(round((t1 - t0) / dt)))
     dt = (t1 - t0) / steps
-    x = init.x.copy()
-    p = init.p.copy()
-    ts = [t0]
-    xs, ps = [x.copy()], [p.copy()]
-    dxs, dps = [], []
-    k1 = _field_rhs(field, t0, x, p)
-    dxs.append(k1[0])
-    dps.append(k1[1])
-    t = t0
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        return _field_rhs(field, np.full(n, t), y)
+
+    t, y = t0, init.state()
+    ts, ys, rates = [t], [y], [rhs(t, y)]
     for _ in range(steps):
-        k1 = _field_rhs(field, t, x, p)
-        k2 = _field_rhs(field, t + dt / 2, x + dt / 2 * k1[0], p + dt / 2 * k1[1])
-        k3 = _field_rhs(field, t + dt / 2, x + dt / 2 * k2[0], p + dt / 2 * k2[1])
-        k4 = _field_rhs(field, t + dt, x + dt * k3[0], p + dt * k3[1])
-        x = x + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        p = p + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        y = rk4_step(rhs, t, y, dt)
         t += dt
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
-            raise FloatingPointError(f"non-finite state at t = {t}")
-        deriv = _field_rhs(field, t, x, p)
         ts.append(t)
-        xs.append(x.copy())
-        ps.append(p.copy())
-        dxs.append(deriv[0])
-        dps.append(deriv[1])
+        ys.append(y)
+        rates.append(rhs(t, y))
+
+    def per_particle(rows: list[np.ndarray]) -> np.ndarray:
+        # (samples, 2n*d) -> contiguous (x|p, particle, samples, d)
+        arr = np.array(rows).reshape(len(rows), 2, n, d)
+        return np.ascontiguousarray(arr.transpose(1, 2, 0, 3))
+
     t_arr = np.array(ts)
-    lines = []
-    for j in range(field.n):
-        lines.append(WorldLine(
-            t=t_arr,
-            x=np.stack([s[j] for s in xs]),
-            p=np.stack([s[j] for s in ps]),
-            dxdt=np.stack([s[j] for s in dxs]),
-            dpdt=np.stack([s[j] for s in dps]),
-        ))
-    path = NPath(lines)
+    states, derivs = per_particle(ys), per_particle(rates)
+    path = NPath([WorldLine(t=t_arr, x=states[0, j], p=states[1, j],
+                            dxdt=derivs[0, j], dpdt=derivs[1, j])
+                  for j in range(n)])
     if timelike_warning and path.max_speed() >= 1.0:
         warnings.warn(
             f"world line reaches |dx/dt| = {path.max_speed():.3g} >= 1 "
@@ -343,7 +351,11 @@ def validity_residual(field: PhaseVectorField, npath: NPath,
 
 class HamiltonianPair:
     """Two partial Hamiltonians H_1, H_2 of the two-time full-grid system
-    dx_j/dt_k = grad_{p_j} H_k, dp_j/dt_k = -grad_{x_j} H_k."""
+    dx_j/dt_k = grad_{p_j} H_k, dp_j/dt_k = -grad_{x_j} H_k.
+
+    ``fields[k - 1]`` is the single-Hamiltonian field of H_k (every
+    particle moves under H_k), the rate of change along time k.
+    """
 
     def __init__(self, h_exprs: Sequence[str | Expression], n: int, d: int,
                  h: float | None = None):
@@ -352,21 +364,9 @@ class HamiltonianPair:
         self.n, self.d, self.h = n, d, h
         self.exprs = [parse_expression(e) if isinstance(e, str) else e
                       for e in h_exprs]
-        for e in self.exprs:
-            _check_vars(e, n, d)
-
-    def flow(self, k: int, times: np.ndarray, x: np.ndarray,
-             p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rate of change of all (x_j, p_j) along time coordinate k."""
-        b = PhasePoint(times=times, x=x, p=p).bindings()
-        expr = self.exprs[k - 1]
-        dx = np.zeros_like(x)
-        dp = np.zeros_like(p)
-        for j in range(self.n):
-            for dd in range(self.d):
-                dx[j, dd] = partial_derivative(expr, f"p{j + 1}_{dd + 1}", b, h=self.h)
-                dp[j, dd] = -partial_derivative(expr, f"x{j + 1}_{dd + 1}", b, h=self.h)
-        return dx, dp
+        # the masses of a Hamiltonian field are carried by H itself
+        self.fields = [hamiltonian_vector_field(e, n, d, [1.0] * n, h=h)
+                       for e in self.exprs]
 
 
 @dataclass
@@ -380,29 +380,22 @@ class GridSolution:
 
 
 def _rk4_grid_leg(hpair: HamiltonianPair, k: int, times: np.ndarray,
-                  x: np.ndarray, p: np.ndarray, duration: float,
-                  substeps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Advance time coordinate ``k`` by ``duration`` with RK4."""
+                  y: np.ndarray, duration: float, substeps: int) -> np.ndarray:
+    """Advance time coordinate ``k`` of the flat state ``y`` by ``duration``
+    in ``substeps`` RK4 steps."""
     dt = duration / substeps
     ax = k - 1
-    t = times.copy()
-    for _ in range(substeps):
-        def rhs(frac_t, xx, pp):
-            tt = t.copy()
-            tt[ax] = frac_t
-            return hpair.flow(k, tt, xx, pp)
+    t = np.array(times, float)
 
-        t0 = t[ax]
-        k1 = rhs(t0, x, p)
-        k2 = rhs(t0 + dt / 2, x + dt / 2 * k1[0], p + dt / 2 * k1[1])
-        k3 = rhs(t0 + dt / 2, x + dt / 2 * k2[0], p + dt / 2 * k2[1])
-        k4 = rhs(t0 + dt, x + dt * k3[0], p + dt * k3[1])
-        x = x + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        p = p + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        t[ax] = t0 + dt
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
-            raise FloatingPointError("non-finite state on grid leg")
-    return x, p
+    def rhs(tk: float, yy: np.ndarray) -> np.ndarray:
+        tt = t.copy()
+        tt[ax] = tk
+        return _field_rhs(hpair.fields[ax], tt, yy)
+
+    for _ in range(substeps):
+        y = rk4_step(rhs, t[ax], y, dt)
+        t[ax] += dt
+    return y
 
 
 def evolve_full_grid(hpair: HamiltonianPair, init: PhasePoint,
@@ -416,23 +409,21 @@ def evolve_full_grid(hpair: HamiltonianPair, init: PhasePoint,
     n1, n2 = len(t1_grid), len(t2_grid)
     xg = np.zeros((n, n1, n2, d))
     pg = np.zeros((n, n1, n2, d))
-    x, p = init.x.copy(), init.p.copy()
+    y = init.state()
     column_states = []
     for i2 in range(n2):
         if i2 > 0:
             times = np.array([t1_grid[0], t2_grid[i2 - 1]])
-            x, p = _rk4_grid_leg(hpair, 2, times, x, p,
-                                 t2_grid[i2] - t2_grid[i2 - 1], substeps)
-        column_states.append((x.copy(), p.copy()))
-    for i2 in range(n2):
-        x, p = column_states[i2]
+            y = _rk4_grid_leg(hpair, 2, times, y,
+                              t2_grid[i2] - t2_grid[i2 - 1], substeps)
+        column_states.append(y)
+    for i2, y in enumerate(column_states):
         for i1 in range(n1):
             if i1 > 0:
                 times = np.array([t1_grid[i1 - 1], t2_grid[i2]])
-                x, p = _rk4_grid_leg(hpair, 1, times, x, p,
-                                     t1_grid[i1] - t1_grid[i1 - 1], substeps)
-            xg[:, i1, i2, :] = x
-            pg[:, i1, i2, :] = p
+                y = _rk4_grid_leg(hpair, 1, times, y,
+                                  t1_grid[i1] - t1_grid[i1 - 1], substeps)
+            xg[:, i1, i2, :], pg[:, i1, i2, :] = y.reshape(2, n, d)
     return GridSolution(t1=t1_grid, t2=t2_grid, x=xg, p=pg)
 
 
@@ -446,18 +437,20 @@ def grid_path_independence(hpair: HamiltonianPair, init: PhasePoint,
     m1 = max(1, int(math.ceil(abs(dt1) / dt)))
     m2 = max(1, int(math.ceil(abs(dt2) / dt)))
     t0 = np.asarray(init.times, float)
+    y0 = init.state()
 
-    xa, pa = _rk4_grid_leg(hpair, 1, t0.copy(), init.x, init.p, dt1, m1)
+    ya = _rk4_grid_leg(hpair, 1, t0, y0, dt1, m1)
     ta = t0.copy()
     ta[0] += dt1
-    xa, pa = _rk4_grid_leg(hpair, 2, ta, xa, pa, dt2, m2)
+    ya = _rk4_grid_leg(hpair, 2, ta, ya, dt2, m2)
 
-    xb, pb = _rk4_grid_leg(hpair, 2, t0.copy(), init.x, init.p, dt2, m2)
+    yb = _rk4_grid_leg(hpair, 2, t0, y0, dt2, m2)
     tb = t0.copy()
     tb[1] += dt2
-    xb, pb = _rk4_grid_leg(hpair, 1, tb, xb, pb, dt1, m1)
+    yb = _rk4_grid_leg(hpair, 1, tb, yb, dt1, m1)
 
-    return float(np.sqrt(np.sum((xa - xb) ** 2) + np.sum((pa - pb) ** 2)))
+    gx, gp = (ya - yb).reshape(2, hpair.n, hpair.d)
+    return float(np.sqrt(np.sum(gx ** 2) + np.sum(gp ** 2)))
 
 
 def _chord_deviation(npath: NPath) -> float:

@@ -21,7 +21,6 @@ Exit codes: 0 success, 2 config error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv as csv_mod
 import json
 import os
 import sys
@@ -34,7 +33,8 @@ import numpy as np
 from . import classical, hj, linops, quantum
 from .configs import write_examples
 from .expr import DomainError, ExpressionError
-from .hj import FoliationDegeneracyError
+from .hj import FoliationError
+from .reports import write_csv
 
 CSV_FORMAT_VERSION = 1
 
@@ -103,8 +103,23 @@ def _list(value, path: str, length: int | None = None) -> list:
     return value
 
 
+def _positive(value, path: str) -> float:
+    value = _num(value, path)
+    if not value > 0.0:
+        raise ConfigError(path, f"expected a number > 0, got {value}")
+    return value
+
+
 def _num_list(value, path: str, length: int | None = None) -> list[float]:
     return [_num(v, f"{path}/{i}") for i, v in enumerate(_list(value, path, length))]
+
+
+def _span(value, path: str) -> tuple[float, float]:
+    lo, hi = _num_list(value, path, 2)
+    if not lo < hi:
+        raise ConfigError(path, f"expected a strictly increasing pair, "
+                                f"got [{lo}, {hi}]")
+    return lo, hi
 
 
 def _matrix(value, path: str, rows: int, cols: int) -> np.ndarray:
@@ -336,13 +351,6 @@ def _pmap(fn, items, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _write_csv(path: str, columns: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv_mod.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
-
-
 # --------------------------------------------------------------- experiments
 
 
@@ -378,7 +386,7 @@ def run_quantum(cfg: dict, exp: dict, jobs: int, csv_path: str | None):
                "diagonal_steps"])
         start = _num_list(exp["start"], f"{epath}/start", sys_q.n)
         end = _num_list(exp["end"], f"{epath}/end", sys_q.n)
-        max_dt = _num(exp.get("max_dt", 1e-2), f"{epath}/max_dt")
+        max_dt = _positive(exp.get("max_dt", 1e-2), f"{epath}/max_dt")
         exp.setdefault("max_dt", max_dt)
         order = None
         if "order" in exp:
@@ -416,7 +424,7 @@ def run_quantum(cfg: dict, exp: dict, jobs: int, csv_path: str | None):
         axes = [_int(v, f"{epath}/axes/{i}", 1)
                 for i, v in enumerate(_list(exp["axes"], f"{epath}/axes", 2))]
         sizes = _num_list(exp["sizes"], f"{epath}/sizes")
-        max_dt = _num(exp.get("max_dt", 1e-2), f"{epath}/max_dt")
+        max_dt = _positive(exp.get("max_dt", 1e-2), f"{epath}/max_dt")
         exp.setdefault("max_dt", max_dt)
         phi0 = _initial_state(exp.get("initial_state"),
                               f"{epath}/initial_state", sys_q.dim)
@@ -436,24 +444,6 @@ def run_quantum(cfg: dict, exp: dict, jobs: int, csv_path: str | None):
             "defect_norm_inf": linops.norm_inf(c),
         }, None
     raise ConfigError("/experiment/kind", f"unsupported quantum kind {kind!r}")
-
-
-def _npath_csv(npath) -> tuple[list[str], list[list]]:
-    d = npath.d
-    columns = (["particle", "t"]
-               + [f"x_{i + 1}" for i in range(d)]
-               + [f"p_{i + 1}" for i in range(d)]
-               + [f"dxdt_{i + 1}" for i in range(d)]
-               + [f"dpdt_{i + 1}" for i in range(d)])
-    rows = []
-    for j, line in enumerate(npath.lines, start=1):
-        for i in range(len(line.t)):
-            rows.append([j, repr(float(line.t[i]))]
-                        + [repr(float(v)) for v in line.x[i]]
-                        + [repr(float(v)) for v in line.p[i]]
-                        + [repr(float(v)) for v in line.dxdt[i]]
-                        + [repr(float(v)) for v in line.dpdt[i]])
-    return columns, rows
 
 
 def run_classical(cfg: dict, exp: dict, jobs: int, csv_path: str | None,
@@ -481,9 +471,9 @@ def run_classical(cfg: dict, exp: dict, jobs: int, csv_path: str | None,
     if kind == "equal-time-evolve":
         _keys(exp, epath, ["kind", "init", "t_span", "dt"])
         init = _phase_point(exp["init"], f"{epath}/init", n, d)
-        span = _num_list(exp["t_span"], f"{epath}/t_span", 2)
-        dt = _num(exp["dt"], f"{epath}/dt")
-        npath = classical.evolve_equal_time(field, init, (span[0], span[1]), dt,
+        span = _span(exp["t_span"], f"{epath}/t_span")
+        dt = _positive(exp["dt"], f"{epath}/dt")
+        npath = classical.evolve_equal_time(field, init, span, dt,
                                             timelike_warning=False)
         results = {
             "samples_per_line": len(npath.lines[0].t),
@@ -491,23 +481,29 @@ def run_classical(cfg: dict, exp: dict, jobs: int, csv_path: str | None,
             "final_x": [line.x[-1].tolist() for line in npath.lines],
             "final_p": [line.p[-1].tolist() for line in npath.lines],
         }
-        payload = _npath_csv(npath) if csv_path else None
+        payload = npath.csv_table() if csv_path else None
         return results, payload
     if kind == "validity":
         _keys(exp, epath, ["kind", "init", "t_span", "dt", "samples"])
         init = _phase_point(exp["init"], f"{epath}/init", n, d)
-        span = _num_list(exp["t_span"], f"{epath}/t_span", 2)
-        dt = _num(exp["dt"], f"{epath}/dt")
+        span = _span(exp["t_span"], f"{epath}/t_span")
+        dt = _positive(exp["dt"], f"{epath}/dt")
         samples_cfg = _obj(exp["samples"], f"{epath}/samples")
         _keys(samples_cfg, f"{epath}/samples", ["count", "window"])
         count = _int(samples_cfg["count"], f"{epath}/samples/count", 1)
         window = _num(samples_cfg["window"], f"{epath}/samples/window")
-        npath = classical.evolve_equal_time(field, init, (span[0], span[1]), dt,
+        if not 0.0 <= 2 * window <= span[1] - span[0]:
+            raise ConfigError(f"{epath}/samples/window",
+                              f"expected 0 <= 2 * window <= t_span length, "
+                              f"got window {window}")
+        npath = classical.evolve_equal_time(field, init, span, dt,
                                             timelike_warning=False)
         lo, hi = npath.common_time_range()
+        # the path may end a rounding error short of t_span[1]
+        base_hi = max(hi - window, lo + window)
         tuples = []
         for _ in range(count):
-            base = rng.uniform(lo + window, hi - window)
+            base = rng.uniform(lo + window, base_hi)
             tup = base + rng.uniform(-window, window, size=n)
             tuples.append(np.clip(tup, lo, hi))
         report = classical.validity_residual(field, npath, tuples)
@@ -557,7 +553,7 @@ def run_classical(cfg: dict, exp: dict, jobs: int, csv_path: str | None,
         hpair = _hpair_from_system(cfg["system"], n, d)
         init = _phase_point(exp["init"], f"{epath}/init", n, d)
         rect = _num_list(exp["rectangle"], f"{epath}/rectangle", 2)
-        dt = _num(exp["dt"], f"{epath}/dt")
+        dt = _positive(exp["dt"], f"{epath}/dt")
         refinements = _int(exp.get("refinements", 0), f"{epath}/refinements", 0)
         exp.setdefault("refinements", refinements)
         table = []
@@ -585,9 +581,9 @@ def run_classical(cfg: dict, exp: dict, jobs: int, csv_path: str | None,
             family.append((_str(member["id"], f"{mpath}/id"), fld))
         points = _sample_phase_points(exp["samples"], f"{epath}/samples", n, d, rng)
         init = _phase_point(exp["init"], f"{epath}/init", n, d)
-        span = _num_list(exp["t_span"], f"{epath}/t_span", 2)
-        dt = _num(exp["dt"], f"{epath}/dt")
-        rows = classical.cjs_demo(family, points, init, (span[0], span[1]), dt, h=h)
+        span = _span(exp["t_span"], f"{epath}/t_span")
+        dt = _positive(exp["dt"], f"{epath}/dt")
+        rows = classical.cjs_demo(family, points, init, span, dt, h=h)
         return {"table": rows}, None
     raise ConfigError("/experiment/kind", f"unsupported classical kind {kind!r}")
 
@@ -675,15 +671,15 @@ def run_hj(cfg: dict, exp: dict, jobs: int, csv_path: str | None,
             raise ConfigError(f"{epath}/foliation/u", str(exc)) from None
         init = _matrix(exp["init_positions"], f"{epath}/init_positions",
                        s.n, s.d)
-        span = _num_list(exp["s_span"], f"{epath}/s_span", 2)
-        ds = _num(exp["ds"], f"{epath}/ds")
-        npath = hj.hj_trajectories_foliation(s, fol, init, (span[0], span[1]), ds)
+        span = _span(exp["s_span"], f"{epath}/s_span")
+        ds = _positive(exp["ds"], f"{epath}/ds")
+        npath = hj.hj_trajectories_foliation(s, fol, init, span, ds)
         results = {
             "foliation": fol.label(),
             "time_ranges": [[line.t_min, line.t_max] for line in npath.lines],
             "max_speed": npath.max_speed(),
         }
-        payload = _npath_csv(npath) if csv_path else None
+        payload = npath.csv_table() if csv_path else None
         return results, payload
     if kind == "foliation-compare":
         _keys(exp, epath, ["kind", "foliations", "init_positions",
@@ -701,13 +697,12 @@ def run_hj(cfg: dict, exp: dict, jobs: int, csv_path: str | None,
             raise ConfigError(f"{epath}/foliations", "need >= 2 foliations")
         init = _matrix(exp["init_positions"], f"{epath}/init_positions",
                        s.n, s.d)
-        span = _num_list(exp["s_span"], f"{epath}/s_span", 2)
-        ds = _num(exp["ds"], f"{epath}/ds")
+        span = _span(exp["s_span"], f"{epath}/s_span")
+        ds = _positive(exp["ds"], f"{epath}/ds")
         tol = _num(exp.get("tolerance", hj.FOLIATION_INDEPENDENCE_TOL),
                    f"{epath}/tolerance")
         exp.setdefault("tolerance", tol)
-        report = hj.foliation_compare(s, fols, init, (span[0], span[1]), ds,
-                                      tolerance=tol)
+        report = hj.foliation_compare(s, fols, init, span, ds, tolerance=tol)
         return report.to_dict(), None
     raise ConfigError("/experiment/kind", f"unsupported hj kind {kind!r}")
 
@@ -768,7 +763,7 @@ def run_config(cfg: dict, subcommand: str, jobs: int,
             raise ConfigError("/experiment/kind",
                               f"kind {kind!r} produces no CSV output")
         columns, rows = csv_payload
-        _write_csv(csv_path, columns, rows)
+        write_csv(csv_path, columns, rows)
         report["csv"] = {
             "path": csv_path,
             "columns": columns,
@@ -811,7 +806,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FloatingPointError, OverflowError, FoliationDegeneracyError,
+    except (FloatingPointError, OverflowError, FoliationError,
             DomainError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -15,7 +15,9 @@ Known functions: sin, cos, exp, log, sqrt, abs, tanh.
 Variable naming convention used throughout the package: time variables
 ``t1..tn``; position components ``xJ_D`` and momentum components ``pJ_D``
 for particle ``J`` in 1..n and dimension ``D`` in 1..d.  The single-time
-forms additionally use the bare variable ``t``.
+forms additionally use the bare variable ``t``.  ``variable_bindings``
+builds the bindings of this convention from time tuples and (n, d)
+position and momentum arrays.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
     "Expression",
@@ -41,6 +45,7 @@ __all__ = [
     "evaluate",
     "free_variables",
     "to_string",
+    "variable_bindings",
 ]
 
 
@@ -243,6 +248,25 @@ def free_variables(expr: Expression) -> frozenset[str]:
         case Call(_, arg):
             return free_variables(arg)
     raise TypeError(f"not an Expression: {expr!r}")
+
+
+def variable_bindings(times: Sequence[float] | np.ndarray = (),
+                      x: Sequence[Sequence[float]] | np.ndarray | None = None,
+                      p: Sequence[Sequence[float]] | np.ndarray | None = None,
+                      constants: Mapping[str, float] | None = None,
+                      ) -> dict[str, float]:
+    """Bindings ``tJ`` from the time tuple and ``xJ_D``/``pJ_D`` from (n, d)
+    position and momentum arrays (row J-1 is particle J), on top of
+    ``constants``."""
+    b = dict(constants or {})
+    for j, t in enumerate(np.asarray(times, float).tolist(), start=1):
+        b[f"t{j}"] = t
+    for name, rows in (("x", x), ("p", p)):
+        if rows is not None:
+            for j, row in enumerate(np.asarray(rows, float).tolist(), start=1):
+                for dd, v in enumerate(row, start=1):
+                    b[f"{name}{j}_{dd}"] = v
+    return b
 
 
 def evaluate(expr: Expression, bindings: Mapping[str, float]) -> float:

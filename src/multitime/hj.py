@@ -17,8 +17,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classical import PhasePoint
-from .expr import Expression, evaluate, parse_expression
+from .classical import PhasePoint, rk4_step
+from .expr import Expression, evaluate, parse_expression, variable_bindings
 from .numdiff import diff_callable, mixed_partial, partial_derivative
 from .paths import NPath, WorldLine
 from .reports import DefectReport, DivergenceReport
@@ -26,6 +26,7 @@ from .reports import DefectReport, DivergenceReport
 __all__ = [
     "HJFunction",
     "Foliation",
+    "FoliationError",
     "FoliationDegeneracyError",
     "poisson_bracket",
     "hj_residual_single",
@@ -40,7 +41,12 @@ FOLIATION_INDEPENDENCE_TOL = 1e-6
 SMOOTHNESS_TOL = 1e-4
 
 
-class FoliationDegeneracyError(RuntimeError):
+class FoliationError(RuntimeError):
+    """Trajectories on a foliation could not be extracted or compared:
+    anchoring did not converge, or two families share no time window."""
+
+
+class FoliationDegeneracyError(FoliationError):
     """A world line became tangent to the foliation leaves (1 - u.V <= 0)."""
 
 
@@ -71,13 +77,8 @@ class HJFunction:
         self.constants = dict(constants or {})
 
     def bindings(self, times: Sequence[float], x: np.ndarray) -> dict[str, float]:
-        x = np.atleast_2d(np.asarray(x, float))
-        b = dict(self.constants)
-        for j in range(self.n):
-            b[f"t{j + 1}"] = float(times[j])
-            for dd in range(self.d):
-                b[f"x{j + 1}_{dd + 1}"] = float(x[j, dd])
-        return b
+        return variable_bindings(times, np.atleast_2d(np.asarray(x, float)),
+                                 constants=self.constants)
 
     def value(self, times: Sequence[float], x: np.ndarray) -> float:
         return evaluate(self.expr, self.bindings(times, x))
@@ -139,19 +140,12 @@ def hj_residual_single(s_expr: str | Expression, h_expr: str | Expression,
                        time_var: str = "t") -> float:
     """|dS/dt + H(t, x, grad_x S)| for the single-time HJ equation."""
     se, he = _as_expr(s_expr), _as_expr(h_expr)
-    x = np.atleast_2d(np.asarray(x, float))
-    b: dict[str, float] = dict(constants or {})
-    b[time_var] = float(t)
-    for j in range(n):
-        for dd in range(d):
-            b[f"x{j + 1}_{dd + 1}"] = float(x[j, dd])
+    x = np.atleast_2d(np.asarray(x, float))[:n, :d]
+    b = variable_bindings(x=x, constants={**(constants or {}), time_var: float(t)})
     dsdt = partial_derivative(se, time_var, b, h=h)
-    hb = dict(b)
-    for j in range(n):
-        for dd in range(d):
-            hb[f"p{j + 1}_{dd + 1}"] = partial_derivative(
-                se, f"x{j + 1}_{dd + 1}", b, h=h)
-    return abs(dsdt + evaluate(he, hb))
+    grad = [[partial_derivative(se, f"x{j}_{dd}", b, h=h) for dd in range(1, d + 1)]
+            for j in range(1, n + 1)]
+    return abs(dsdt + evaluate(he, variable_bindings(p=grad, constants=b)))
 
 
 def hj_residual_multi(s: HJFunction, h_exprs: Sequence[str | Expression],
@@ -161,11 +155,8 @@ def hj_residual_multi(s: HJFunction, h_exprs: Sequence[str | Expression],
     if len(h_exprs) != s.n:
         raise ValueError(f"need {s.n} partial Hamiltonian functions")
     b = s.bindings(times, x)
-    hb = dict(b)
-    for j in range(1, s.n + 1):
-        grad = s.grad_x(j, times, x, h=h)
-        for dd in range(s.d):
-            hb[f"p{j}_{dd + 1}"] = float(grad[dd])
+    hb = variable_bindings(
+        p=[s.grad_x(j, times, x, h=h) for j in range(1, s.n + 1)], constants=b)
     out = []
     for j, he in enumerate(h_exprs, start=1):
         dsdt = partial_derivative(s.expr, f"t{j}", b, h=h)
@@ -180,8 +171,7 @@ def hj_consistency_defect(h_exprs: Sequence[str | Expression], point: PhasePoint
     """|P_jk| with P_jk = dH_k/dt_j - dH_j/dt_k - {H_j, H_k}, all j < k."""
     exprs = [_as_expr(e) for e in h_exprs]
     n, d = point.n, point.d
-    b = dict(constants or {})
-    b.update(point.bindings())
+    b = variable_bindings(point.times, point.x, point.p, constants)
     pairs = {}
     for j in range(1, n + 1):
         for k in range(j + 1, n + 1):
@@ -203,8 +193,7 @@ def equal_time_sum_gap(h_exprs: Sequence[str | Expression],
     Hamiltonian functions must add up to the single-time one there)."""
     if not np.allclose(point.times, point.times[0]):
         raise ValueError("sum rule applies at equal times")
-    b = dict(constants or {})
-    b.update(point.bindings())
+    b = variable_bindings(point.times, point.x, point.p, constants)
     b[time_var] = float(point.times[0])
     total = sum(evaluate(_as_expr(e), b) for e in h_exprs)
     return abs(total - evaluate(_as_expr(h_total), b))
@@ -254,7 +243,8 @@ def _integrate_on_foliation(s: HJFunction, fol: Foliation, x_leaf: np.ndarray,
     over [s_lo, s_hi]; on leaf s particle j sits at t_j = s + u.x_j."""
     u = fol.u_vec
 
-    def rhs(s_par: float, x: np.ndarray) -> np.ndarray:
+    def rhs(s_par: float, y: np.ndarray) -> np.ndarray:
+        x = y.reshape(s.n, s.d)
         times = s_par + x @ u
         dx = np.zeros_like(x)
         for j in range(1, s.n + 1):
@@ -264,21 +254,13 @@ def _integrate_on_foliation(s: HJFunction, fol: Foliation, x_leaf: np.ndarray,
                 raise FoliationDegeneracyError(
                     f"1 - u.V_{j} = {gamma:.3g} <= 0 at leaf s = {s_par:.6g}")
             dx[j - 1] = vj / gamma
-        return dx
+        return dx.ravel()
 
     def sweep(s_vals: np.ndarray, x0: np.ndarray) -> list[np.ndarray]:
-        out = [x0.copy()]
-        x = x0.copy()
+        ys = [x0.ravel()]
         for i in range(len(s_vals) - 1):
-            hstep = s_vals[i + 1] - s_vals[i]
-            sp = s_vals[i]
-            k1 = rhs(sp, x)
-            k2 = rhs(sp + hstep / 2, x + hstep / 2 * k1)
-            k3 = rhs(sp + hstep / 2, x + hstep / 2 * k2)
-            k4 = rhs(sp + hstep, x + hstep * k3)
-            x = x + hstep / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            out.append(x.copy())
-        return out
+            ys.append(rk4_step(rhs, s_vals[i], ys[-1], s_vals[i + 1] - s_vals[i]))
+        return [y.reshape(s.n, s.d) for y in ys]
 
     n_fw = max(1, int(math.ceil((s_hi - 0.0) / ds))) if s_hi > 0 else 0
     n_bw = max(1, int(math.ceil((0.0 - s_lo) / ds))) if s_lo < 0 else 0
@@ -338,7 +320,9 @@ def hj_trajectories_foliation(s: HJFunction, fol: Foliation,
             break
         x_leaf = x_leaf + gap
     else:
-        raise RuntimeError("world-line anchoring did not converge")
+        raise FoliationError(
+            f"world-line anchoring did not converge in {max_anchor_iters} "
+            f"iterations on the foliation {fol.label()}")
     return npath
 
 
@@ -363,7 +347,7 @@ def foliation_compare(s: HJFunction, foliations: Sequence[Foliation],
                 lo = max(la.t_min, lb.t_min)
                 hi = min(la.t_max, lb.t_max)
                 if hi <= lo:
-                    raise RuntimeError(
+                    raise FoliationError(
                         f"no common time window for particle {j}")
                 grid = np.linspace(lo, hi, grid_points)
                 for t in grid:

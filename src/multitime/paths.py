@@ -6,11 +6,12 @@ cubic Hermite interpolation (third-order accurate without re-integration).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
+
+from .reports import write_csv
 
 __all__ = ["WorldLine", "NPath", "PathRangeError"]
 
@@ -104,24 +105,19 @@ class NPath:
             float(np.max(np.linalg.norm(line.dxdt, axis=1))) for line in self.lines
         )
 
+    def csv_table(self) -> tuple[list[str], list[list]]:
+        """The n-path CSV layout: columns, then one row per sample of each
+        world line with floats written by ``repr`` (exact round trip)."""
+        names = ("x", "p", "dxdt", "dpdt")
+        columns = ["particle", "t"] + [f"{name}_{i + 1}" for name in names
+                                       for i in range(self.d)]
+        rows = []
+        for j, line in enumerate(self.lines, start=1):
+            arrays = [getattr(line, name) for name in names]
+            for i in range(len(line.t)):
+                rows.append([j, repr(float(line.t[i]))]
+                            + [repr(float(v)) for arr in arrays for v in arr[i]])
+        return columns, rows
+
     def export_csv(self, path: str) -> None:
-        d = self.d
-        header = (
-            ["particle", "t"]
-            + [f"x_{i + 1}" for i in range(d)]
-            + [f"p_{i + 1}" for i in range(d)]
-            + [f"dxdt_{i + 1}" for i in range(d)]
-            + [f"dpdt_{i + 1}" for i in range(d)]
-        )
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for j, line in enumerate(self.lines, start=1):
-                for i in range(len(line.t)):
-                    writer.writerow(
-                        [j, repr(float(line.t[i]))]
-                        + [repr(float(v)) for v in line.x[i]]
-                        + [repr(float(v)) for v in line.p[i]]
-                        + [repr(float(v)) for v in line.dxdt[i]]
-                        + [repr(float(v)) for v in line.dpdt[i]]
-                    )
+        write_csv(path, *self.csv_table())

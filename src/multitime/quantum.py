@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linops
-from .expr import Expression, evaluate, parse_expression
+from .expr import Expression, evaluate, parse_expression, variable_bindings
 from .reports import DefectReport
 
 __all__ = [
@@ -39,10 +39,6 @@ __all__ = [
 ]
 
 HERMITICITY_TOL = 1e-10
-
-
-def _times_bindings(times: Sequence[float]) -> dict[str, float]:
-    return {f"t{j + 1}": float(t) for j, t in enumerate(times)}
 
 
 class PartialHamiltonianSet:
@@ -100,7 +96,7 @@ class PartialHamiltonianSet:
 
         def make(row):
             def build(times):
-                b = _times_bindings(times)
+                b = variable_bindings(times)
                 dim = local_dim**n
                 h = np.zeros((dim, dim), dtype=np.complex128)
                 for op, coeff in row:

@@ -1,10 +1,20 @@
-"""Small result containers shared by the quantum, classical and HJ sectors."""
+"""Small result containers shared by the quantum, classical and HJ sectors,
+and the CSV writer for tabular output."""
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
 
-__all__ = ["DefectReport", "ResidualReport", "DivergenceReport"]
+__all__ = ["DefectReport", "ResidualReport", "DivergenceReport", "write_csv"]
+
+
+def write_csv(path: str, columns: list[str], rows: list[list]) -> None:
+    """Write a header row and the data rows as CSV."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 @dataclass

@@ -6,7 +6,9 @@ output capture, so they appear even without ``-s``).
 
 import copy
 import json
+import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +52,35 @@ from multitime.quantum import (
 )
 
 G = 0.5  # coupling of the inconsistent two-qubit system
+
+#: ``results`` of every shipped config at seed 0; any change to this file
+#: is explained in CHANGES.md
+GOLDEN = json.loads((Path(__file__).parent / "golden_results.json").read_text())
+#: Tolerance of the golden comparison.  On one machine the results repeat
+#: bit for bit, and a refactor that keeps the numerics reproduces them
+#: exactly.  The slack is for another machine's libm, LAPACK and numpy
+#: builds, whose last-bit differences the 1e-4 finite-difference steps
+#: amplify: relative 1e-9 for figures of order one, absolute 1e-10 for
+#: figures at the round-off floor (free-field defects and residuals near
+#: 1e-14, free foliation distances near 5e-11 under the 1e-10 anchoring
+#: tolerance).  A change of method, step or order moves the figures by
+#: far more than that.
+GOLDEN_REL, GOLDEN_ABS = 1e-9, 1e-10
+
+
+def _golden_drift(got, want, pointer: str = "") -> list[str]:
+    """JSON pointers of the values of ``got`` that are off ``want``."""
+    if isinstance(want, dict) and isinstance(got, dict) and got.keys() == want.keys():
+        return [p for k in want
+                for p in _golden_drift(got[k], want[k], f"{pointer}/{k}")]
+    if isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
+        return [p for i, (g, w) in enumerate(zip(got, want))
+                for p in _golden_drift(g, w, f"{pointer}/{i}")]
+    if isinstance(want, float) and isinstance(got, float):
+        ok = math.isclose(got, want, rel_tol=GOLDEN_REL, abs_tol=GOLDEN_ABS)
+    else:
+        ok = got == want and type(got) is type(want)
+    return [] if ok else [pointer or "/"]
 
 
 def _report(capsys, num: int, checks: list[tuple[bool, str]],
@@ -359,6 +390,8 @@ def test_criterion_10_determinism_and_convergence(capsys):
     kind_to_sub = {k: sub for sub, kinds in _SUBCOMMAND_KINDS.items()
                    for k in kinds}
     mismatched = []
+    drifted = [f"{name} (no golden results)"
+               for name in EXAMPLE_CONFIGS if name not in GOLDEN]
     for name, cfg in EXAMPLE_CONFIGS.items():
         sub = kind_to_sub[cfg["experiment"]["kind"]]
         texts = []
@@ -368,6 +401,9 @@ def test_criterion_10_determinism_and_convergence(capsys):
             texts.append(json.dumps(rep, sort_keys=True))
         if texts[0] != texts[1]:
             mismatched.append(name)
+        if name in GOLDEN:
+            drift = _golden_drift(json.loads(texts[0])["results"], GOLDEN[name])
+            drifted += [f"{name}{p}" for p in drift[:1]]
 
     harm = harmonic_field()
     init = PhasePoint(times=[0.0, 0.0], x=[[-0.5], [0.5]], p=[[0.3], [-0.1]])
@@ -398,6 +434,10 @@ def test_criterion_10_determinism_and_convergence(capsys):
         (not mismatched,
          f"all {len(EXAMPLE_CONFIGS)} shipped configs reproduce "
          f"byte-for-byte (mismatched: {mismatched or 'none'})"),
+        (not drifted,
+         f"their results match tests/golden_results.json within "
+         f"rel {GOLDEN_REL:g} / abs {GOLDEN_ABS:g} "
+         f"(drifted: {drifted or 'none'})"),
         (10.0 < rk4_ratio < 25.0,
          f"halving dt shrinks equal-time error {rk4_ratio:.1f}x (~16x)"),
         (2.5 < stair_ratio < 6.0,

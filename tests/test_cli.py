@@ -1,8 +1,10 @@
+import functools
 import json
 import os
 
 import pytest
 
+from multitime import hj
 from multitime.cli import main
 from multitime.configs import EXAMPLE_CONFIGS, write_examples
 
@@ -235,6 +237,47 @@ class TestConfigErrors:
         assert self.run_expect_error(tmp_path, cfg) == 2
         assert "/formalism" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,subcommand,pointer,value", [
+        ("classical_free_evolve", "evolve", "/experiment/dt", 0.0),
+        ("classical_free_evolve", "evolve", "/experiment/dt", -0.001),
+        ("classical_free_evolve", "evolve", "/experiment/t_span", [5.0, 0.0]),
+        ("classical_free_validity", "validity", "/experiment/dt", 0),
+        ("classical_free_validity", "validity", "/experiment/t_span", [1.0, 1.0]),
+        ("classical_free_validity", "validity", "/experiment/samples/window", -0.1),
+        ("classical_free_validity", "validity", "/experiment/samples/window", 1.5),
+        ("grid_coupled_pathindep", "grid", "/experiment/dt", 0.0),
+        ("grid_coupled_pathindep", "grid", "/experiment/dt", -0.01),
+        ("cjs_family", "cjs", "/experiment/dt", -0.001),
+        ("cjs_family", "cjs", "/experiment/t_span", [2.0, 0.0]),
+        ("hj_free_trajectories", "foliation", "/experiment/ds", 0.0),
+        ("hj_free_trajectories", "foliation", "/experiment/s_span", [0.0, 0.0]),
+        ("hj_free_foliations", "foliation", "/experiment/ds", -0.01),
+        ("hj_free_foliations", "foliation", "/experiment/s_span", [1.0, -1.0]),
+        ("interaction_picture_staircase", "evolve", "/experiment/max_dt", 0.0),
+        ("coupled_qubits", "holonomy", "/experiment/max_dt", -0.01),
+    ])
+    def test_bad_step_or_span(self, config_dir, tmp_path, capsys, name,
+                              subcommand, pointer, value):
+        cfg = json.loads((config_dir / f"{name}.json").read_text())
+        *parents, key = pointer.strip("/").split("/")
+        node = cfg
+        for part in parents:
+            node = node[part]
+        node[key] = value
+        assert self.run_expect_error(tmp_path, cfg, subcommand) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {pointer}: " in err
+        assert "Traceback" not in err
+
+    def test_window_of_half_the_span_runs(self, config_dir, tmp_path):
+        # the sampled path ends a rounding error short of t_span[1]
+        cfg = json.loads((config_dir / "classical_free_validity.json").read_text())
+        cfg["experiment"]["samples"]["window"] = 1.0
+        code, rep = run_cli(["validity", "--config", self.write(tmp_path, cfg)],
+                            tmp_path)
+        assert code == 0
+        assert rep["results"]["accepted_samples"] > 0
+
     def test_superluminal_foliation(self, config_dir, tmp_path, capsys):
         cfg = json.loads((config_dir / "hj_free_foliations.json").read_text())
         cfg["experiment"]["foliations"][1]["u"] = [1.5]
@@ -259,3 +302,14 @@ class TestNumericalFailures:
         p.write_text(json.dumps(cfg))
         assert main(["foliation", "--config", str(p)]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_anchoring_failure_exit_code(self, config_dir, capsys, monkeypatch):
+        # one anchoring iteration cannot reach the t = 0 anchors on the
+        # boosted foliations of this config
+        monkeypatch.setattr(hj, "hj_trajectories_foliation", functools.partial(
+            hj.hj_trajectories_foliation, max_anchor_iters=1))
+        code = main(["foliation", "--config",
+                     str(config_dir / "hj_coupled_foliations.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: world-line anchoring did not converge" in err

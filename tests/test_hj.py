@@ -5,6 +5,7 @@ from multitime.classical import PhasePoint
 from multitime.hj import (
     Foliation,
     FoliationDegeneracyError,
+    FoliationError,
     HJFunction,
     equal_time_sum_gap,
     foliation_compare,
@@ -170,6 +171,14 @@ class TestFoliations:
         with pytest.raises(FoliationDegeneracyError):
             hj_trajectories_foliation(s, Foliation([0.6]),
                                       [[0.0]], (-0.5, 0.5), 0.01)
+
+    def test_anchoring_failure_is_a_foliation_error(self):
+        # on a boosted foliation the leaf-0 positions differ from the t = 0
+        # anchors, so one anchoring iteration cannot close the gap
+        with pytest.raises(FoliationError, match="did not converge"):
+            hj_trajectories_foliation(free_hj(), Foliation([0.3]),
+                                      [[-1.0], [1.0]], (-1.0, 1.0), 0.01,
+                                      max_anchor_iters=1)
 
     def test_compare_needs_two(self):
         with pytest.raises(ValueError):
