@@ -23,9 +23,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import (Expression, evaluate, free_variables, parse_expression,
-                   variable_bindings)
-from .numdiff import diff_callable, partial_derivative
+from .expr import (Expression, compile_expression, free_variables,
+                   parse_expression, variable_bindings)
+from .numdiff import diff_callable
 from .paths import NPath, WorldLine
 from .reports import DefectReport, ResidualReport
 
@@ -117,11 +117,12 @@ Component = Callable[[Mapping[str, float]], float]
 
 
 def _expr_component(expr: Expression) -> Component:
-    return lambda b: evaluate(expr, b)
+    return compile_expression(expr)
 
 
 def _grad_component(expr: Expression, var: str, sign: float, h: float | None) -> Component:
-    return lambda b: sign * partial_derivative(expr, var, b, h=h)
+    f = compile_expression(expr)
+    return lambda b: sign * diff_callable(f, var, b, h=h)
 
 
 @dataclass
@@ -244,12 +245,14 @@ def classical_consistency_defect(field: PhaseVectorField, point: PhasePoint,
 
 
 def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float,
-             y: np.ndarray, h: float) -> np.ndarray:
+             y: np.ndarray, h: float, k1: np.ndarray | None = None) -> np.ndarray:
     """One classical RK4 step of dy/dt = f(t, y) from (t, y) to t + h.
 
-    Raises FloatingPointError if the new state is not finite.
+    ``k1`` is ``f(t, y)`` when the caller already has it.  Raises
+    FloatingPointError if the new state is not finite.
     """
-    k1 = f(t, y)
+    if k1 is None:
+        k1 = f(t, y)
     k2 = f(t + h / 2, y + h / 2 * k1)
     k3 = f(t + h / 2, y + h / 2 * k2)
     k4 = f(t + h, y + h * k3)
@@ -259,7 +262,7 @@ def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float,
     return y
 
 
-def _field_rhs(field: PhaseVectorField, times: np.ndarray,
+def _field_rhs(field: PhaseVectorField, times: Sequence[float],
                y: np.ndarray) -> np.ndarray:
     """(v_1..v_n, w_1..w_n) at the time tuple and flat state y = (x, p)."""
     n, d = field.n, field.d
@@ -282,12 +285,12 @@ def evolve_equal_time(field: PhaseVectorField, init: PhasePoint,
     dt = (t1 - t0) / steps
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return _field_rhs(field, np.full(n, t), y)
+        return _field_rhs(field, [t] * n, y)
 
     t, y = t0, init.state()
     ts, ys, rates = [t], [y], [rhs(t, y)]
     for _ in range(steps):
-        y = rk4_step(rhs, t, y, dt)
+        y = rk4_step(rhs, t, y, dt, rates[-1])
         t += dt
         ts.append(t)
         ys.append(y)

@@ -114,6 +114,25 @@ def _num_list(value, path: str, length: int | None = None) -> list[float]:
     return [_num(v, f"{path}/{i}") for i, v in enumerate(_list(value, path, length))]
 
 
+def _axes(value, path: str, n: int, length: int) -> list[int]:
+    """``length`` distinct 1-based time axes in 1..n."""
+    axes = []
+    for i, v in enumerate(_list(value, path, length)):
+        ax = _int(v, f"{path}/{i}", 1)
+        if ax > n:
+            raise ConfigError(f"{path}/{i}", f"expected an axis in 1..{n}, got {ax}")
+        if ax in axes:
+            raise ConfigError(f"{path}/{i}", f"axis {ax} repeated")
+        axes.append(ax)
+    return axes
+
+
+def _optional_positive(obj: dict, key: str, path: str) -> float | None:
+    """``obj[key]`` as a number > 0, or None when the key is absent."""
+    value = obj.get(key)
+    return _positive(value, f"{path}/{key}") if value is not None else None
+
+
 def _span(value, path: str) -> tuple[float, float]:
     lo, hi = _num_list(value, path, 2)
     if not lo < hi:
@@ -222,16 +241,14 @@ def _build_field(field_cfg: dict, path: str, n: int, d: int,
             return classical.PhaseVectorField.from_expressions(n, d, masses, v, w)
         if ftype == "hamiltonian":
             _keys(field_cfg, path, ["type", "h"], ["h_step"])
-            step = field_cfg.get("h_step")
-            step = _num(step, f"{path}/h_step") if step is not None else None
+            step = _optional_positive(field_cfg, "h_step", path)
             return classical.hamiltonian_vector_field(
                 _str(field_cfg["h"], f"{path}/h"), n, d, masses, h=step)
         if ftype == "partial_hamiltonians":
             _keys(field_cfg, path, ["type", "h_list"], ["h_step"])
             hs = [_str(e, f"{path}/h_list/{j}") for j, e in
                   enumerate(_list(field_cfg["h_list"], f"{path}/h_list", n))]
-            step = field_cfg.get("h_step")
-            step = _num(step, f"{path}/h_step") if step is not None else None
+            step = _optional_positive(field_cfg, "h_step", path)
             return classical.hamiltonian_vector_field(hs, n, d, masses, h=step)
     except (ValueError, ExpressionError) as exc:
         raise ConfigError(path, str(exc)) from None
@@ -365,7 +382,7 @@ def run_quantum(cfg: dict, exp: dict, jobs: int, csv_path: str | None):
         t_min = _num(grid["t_min"], f"{epath}/grid/t_min")
         t_max = _num(grid["t_max"], f"{epath}/grid/t_max")
         pts = _int(grid["points_per_axis"], f"{epath}/grid/points_per_axis", 1)
-        h = _num(exp.get("h", 1e-4), f"{epath}/h")
+        h = _positive(exp.get("h", 1e-4), f"{epath}/h")
         exp.setdefault("h", h)
         axes = [np.linspace(t_min, t_max, pts)] * sys_q.n
         tuples = [np.array(tt) for tt in
@@ -390,8 +407,8 @@ def run_quantum(cfg: dict, exp: dict, jobs: int, csv_path: str | None):
         exp.setdefault("max_dt", max_dt)
         order = None
         if "order" in exp:
-            order = [_int(v, f"{epath}/order/{i}", 1)
-                     for i, v in enumerate(_list(exp["order"], f"{epath}/order"))]
+            # a permutation of 1..n, so that the staircase ends at ``end``
+            order = _axes(exp["order"], f"{epath}/order", sys_q.n, sys_q.n)
         phi0 = _initial_state(exp.get("initial_state"),
                               f"{epath}/initial_state", sys_q.dim)
         exp.setdefault("initial_state", {"kind": "basis", "index": 0})
@@ -421,9 +438,9 @@ def run_quantum(cfg: dict, exp: dict, jobs: int, csv_path: str | None):
         _keys(exp, epath, ["kind", "base_times", "axes", "sizes"],
               ["max_dt", "initial_state"])
         base = _num_list(exp["base_times"], f"{epath}/base_times", sys_q.n)
-        axes = [_int(v, f"{epath}/axes/{i}", 1)
-                for i, v in enumerate(_list(exp["axes"], f"{epath}/axes", 2))]
-        sizes = _num_list(exp["sizes"], f"{epath}/sizes")
+        axes = _axes(exp["axes"], f"{epath}/axes", sys_q.n, 2)
+        sizes = [_positive(v, f"{epath}/sizes/{i}")
+                 for i, v in enumerate(_list(exp["sizes"], f"{epath}/sizes"))]
         max_dt = _positive(exp.get("max_dt", 1e-2), f"{epath}/max_dt")
         exp.setdefault("max_dt", max_dt)
         phi0 = _initial_state(exp.get("initial_state"),
@@ -455,7 +472,7 @@ def run_classical(cfg: dict, exp: dict, jobs: int, csv_path: str | None,
         cfg["system"], "/system", field_required=field_required)
     if kind == "defect-grid":
         _keys(exp, epath, ["kind", "samples"], ["h"])
-        h = _num(exp.get("h", 1e-4), f"{epath}/h")
+        h = _positive(exp.get("h", 1e-4), f"{epath}/h")
         exp.setdefault("h", h)
         points = _sample_phase_points(exp["samples"], f"{epath}/samples", n, d, rng)
         reports = _pmap(
@@ -570,7 +587,7 @@ def run_classical(cfg: dict, exp: dict, jobs: int, csv_path: str | None,
     if kind == "cjs-demo":
         _keys(exp, epath,
               ["kind", "family", "samples", "init", "t_span", "dt"], ["h"])
-        h = _num(exp.get("h", 1e-4), f"{epath}/h")
+        h = _positive(exp.get("h", 1e-4), f"{epath}/h")
         exp.setdefault("h", h)
         family = []
         for i, member in enumerate(_list(exp["family"], f"{epath}/family")):
@@ -615,8 +632,7 @@ def run_hj(cfg: dict, exp: dict, jobs: int, csv_path: str | None,
             raise ConfigError("/system",
                               "hj-residual needs system.hamiltonians")
         h_list, h_total = hams
-        step = exp.get("h")
-        step = _num(step, f"{epath}/h") if step is not None else None
+        step = _optional_positive(exp, "h", epath)
         rows = []
         worst = 0.0
         for i, pt in enumerate(_list(exp["points"], f"{epath}/points")):
@@ -645,8 +661,7 @@ def run_hj(cfg: dict, exp: dict, jobs: int, csv_path: str | None,
             raise ConfigError("/system",
                               "the HJ defect grid needs system.hamiltonians")
         h_list, _ = hams
-        step = exp.get("h")
-        step = _num(step, f"{epath}/h") if step is not None else None
+        step = _optional_positive(exp, "h", epath)
         points = _sample_phase_points(exp["samples"], f"{epath}/samples",
                                       s.n, s.d, rng)
         reports = _pmap(

@@ -18,14 +18,20 @@ for particle ``J`` in 1..n and dimension ``D`` in 1..d.  The single-time
 forms additionally use the bare variable ``t``.  ``variable_bindings``
 builds the bindings of this convention from time tuples and (n, d)
 position and momentum arrays.
+
+Each AST is lowered once, on first use, to a Python function
+``bindings -> float`` (``compile_expression``); ``evaluate`` calls it.
+The function performs the IEEE operations of the tree in evaluation
+order, left operand before right, with no folding or rewriting.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -42,6 +48,7 @@ __all__ = [
     "UnboundVariableError",
     "DomainError",
     "parse_expression",
+    "compile_expression",
     "evaluate",
     "free_variables",
     "to_string",
@@ -74,30 +81,41 @@ class DomainError(ExpressionError):
     negative, division by zero, overflow)."""
 
 
+class _Node:
+    """Base of the AST node classes.  ``function`` is the tree's compiled
+    evaluator, built on first access and kept in the instance ``__dict__``
+    (outside the dataclass fields, so eq, hash and repr ignore it); it is
+    freed with the tree."""
+
+    @functools.cached_property
+    def function(self) -> Callable[[Mapping[str, float]], float]:
+        return _compile(self)
+
+
 @dataclass(frozen=True)
-class Num:
+class Num(_Node):
     value: float
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     arg: "Expression"
 
 
 @dataclass(frozen=True)
-class BinOp:
+class BinOp(_Node):
     op: str  # one of + - * / ^
     left: "Expression"
     right: "Expression"
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     func: str
     arg: "Expression"
 
@@ -250,6 +268,15 @@ def free_variables(expr: Expression) -> frozenset[str]:
     raise TypeError(f"not an Expression: {expr!r}")
 
 
+@functools.lru_cache(maxsize=32)
+def _binding_names(prefix: str, n: int, d: int) -> tuple[str, ...]:
+    """``prefix1..prefixn`` for d = 0, else ``prefixJ_D`` row by row."""
+    if d == 0:
+        return tuple(f"{prefix}{j}" for j in range(1, n + 1))
+    return tuple(f"{prefix}{j}_{dd}" for j in range(1, n + 1)
+                 for dd in range(1, d + 1))
+
+
 def variable_bindings(times: Sequence[float] | np.ndarray = (),
                       x: Sequence[Sequence[float]] | np.ndarray | None = None,
                       p: Sequence[Sequence[float]] | np.ndarray | None = None,
@@ -259,63 +286,127 @@ def variable_bindings(times: Sequence[float] | np.ndarray = (),
     position and momentum arrays (row J-1 is particle J), on top of
     ``constants``."""
     b = dict(constants or {})
-    for j, t in enumerate(np.asarray(times, float).tolist(), start=1):
-        b[f"t{j}"] = t
+    times = np.asarray(times, float).tolist()
+    b.update(zip(_binding_names("t", len(times), 0), times))
     for name, rows in (("x", x), ("p", p)):
         if rows is not None:
-            for j, row in enumerate(np.asarray(rows, float).tolist(), start=1):
-                for dd, v in enumerate(row, start=1):
-                    b[f"{name}{j}_{dd}"] = v
+            rows = np.asarray(rows, float)
+            n, d = rows.shape
+            b.update(zip(_binding_names(name, n, d), rows.ravel().tolist()))
     return b
 
 
-def evaluate(expr: Expression, bindings: Mapping[str, float]) -> float:
-    """Evaluate ``expr`` with the given variable bindings (IEEE doubles).
+def _domain_error(template: str, *args) -> NoReturn:
+    """The error path of a compiled expression: raise DomainError with
+    ``template.format(*args)`` (kept out of the generated source, which
+    then compiles faster)."""
+    raise DomainError(template.format(*args)) from None
 
-    Unbound variables and real-domain violations raise instead of silently
-    producing NaN.  Extra bindings are allowed.
+
+def _compile(expr: Expression) -> Callable[[Mapping[str, float]], float]:
+    """Generate and compile the straight-line Python source of ``expr``.
+
+    Every inner node becomes one statement, emitted in post-order, so the
+    operations run in the order of a left-to-right recursive evaluation.
+    A variable is read and converted with ``float(bindings[name])`` at its
+    first occurrence in that order and reused afterwards; the ``KeyError``
+    of a missing one (its ``args[0]`` is the name) becomes
+    UnboundVariableError.
     """
-    match expr:
-        case Num(value):
-            return value
-        case Var(name):
-            try:
-                return float(bindings[name])
-            except KeyError:
-                raise UnboundVariableError(f"variable {name!r} is not bound") from None
-        case Neg(arg):
-            return -evaluate(arg, bindings)
-        case BinOp(op, left, right):
-            a = evaluate(left, bindings)
-            b = evaluate(right, bindings)
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "/":
-                if b == 0.0:
-                    raise DomainError("division by zero")
-                return a / b
-            try:
-                r = a**b
-            except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise DomainError(f"invalid power {a}^{b}: {exc}") from None
-            if isinstance(r, complex):
-                raise DomainError(f"power {a}^{b} leaves the real domain")
-            return r
-        case Call(func, arg):
-            x = evaluate(arg, bindings)
-            if func == "log" and x <= 0.0:
-                raise DomainError(f"log of non-positive value {x}")
-            if func == "sqrt" and x < 0.0:
-                raise DomainError(f"sqrt of negative value {x}")
-            try:
-                return FUNCTIONS[func](x)
-            except (ValueError, OverflowError) as exc:
-                raise DomainError(f"{func}({x}): {exc}") from None
-    raise TypeError(f"not an Expression: {expr!r}")
+    namespace: dict[str, object] = {
+        "_domain_error": _domain_error,
+        "_UnboundVariableError": UnboundVariableError,
+    }
+    lines: list[str] = []
+    variables: dict[str, str] = {}
+
+    def temp() -> str:
+        # unique: a statement is appended after every new temporary
+        return f"r{len(lines)}"
+
+    def emit(node: Expression) -> str:
+        """Emit the statements of ``node``; return the name holding its
+        value (a constant, a variable or a temporary)."""
+        match node:
+            case Num(value):
+                # a global, never a literal, so that CPython cannot fold it
+                name = f"c{len(namespace)}"
+                namespace[name] = value
+                return name
+            case Var(name):
+                if name not in variables:
+                    local = variables[name] = f"v{len(variables)}"
+                    lines.append(f"{local} = float(b[{name!r}])")
+                return variables[name]
+            case Neg(arg):
+                a = emit(arg)
+                out = temp()
+                lines.append(f"{out} = -{a}")
+                return out
+            case BinOp(op, left, right):
+                a = emit(left)
+                c = emit(right)
+                out = temp()
+                if op in "+-*":
+                    lines.append(f"{out} = {a} {op} {c}")
+                elif op == "/":
+                    lines.append(f"if {c} == 0.0:\n _domain_error('division by zero')\n"
+                                 f"{out} = {a} / {c}")
+                else:
+                    lines.append(
+                        f"try:\n {out} = {a} ** {c}\n"
+                        "except (ValueError, ZeroDivisionError, OverflowError) as exc:\n"
+                        f" _domain_error('invalid power {{}}^{{}}: {{}}', {a}, {c}, exc)\n"
+                        f"if isinstance({out}, complex):\n"
+                        f" _domain_error('power {{}}^{{}} leaves the real domain', {a}, {c})")
+                return out
+            case Call(func, arg):
+                namespace[f"_{func}"] = FUNCTIONS[func]
+                x = emit(arg)
+                out = temp()
+                if func == "log":
+                    lines.append(f"if {x} <= 0.0:\n"
+                                 f" _domain_error('log of non-positive value {{}}', {x})")
+                elif func == "sqrt":
+                    lines.append(f"if {x} < 0.0:\n"
+                                 f" _domain_error('sqrt of negative value {{}}', {x})")
+                lines.append(f"try:\n {out} = _{func}({x})\n"
+                             "except (ValueError, OverflowError) as exc:\n"
+                             f" _domain_error('{func}({{}}): {{}}', {x}, exc)")
+                return out
+        raise TypeError(f"not an Expression: {node!r}")
+
+    result = emit(expr)
+    body = "\n".join(lines or ["pass"])
+    source = "\n".join([
+        "def expression(b):",
+        " try:",
+        *("  " + line for line in body.splitlines()),
+        " except KeyError as exc:",
+        "  raise _UnboundVariableError("
+        "f'variable {exc.args[0]!r} is not bound') from None",
+        f" return {result}",
+    ])
+    exec(compile(source, "<multitime expression>", "exec"), namespace)
+    return namespace["expression"]
+
+
+def compile_expression(expr: Expression) -> Callable[[Mapping[str, float]], float]:
+    """The function ``bindings -> float`` that evaluates ``expr``.
+
+    It is compiled once per AST object and cached on it.  Unbound variables
+    raise UnboundVariableError and real-domain violations DomainError
+    instead of silently producing NaN.  Extra bindings are allowed.
+    """
+    if not isinstance(expr, _Node):
+        raise TypeError(f"not an Expression: {expr!r}")
+    return expr.function
+
+
+def evaluate(expr: Expression, bindings: Mapping[str, float]) -> float:
+    """Evaluate ``expr`` with the given variable bindings (IEEE doubles);
+    see ``compile_expression``."""
+    return compile_expression(expr)(bindings)
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}

@@ -18,7 +18,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .classical import PhasePoint, rk4_step
-from .expr import Expression, evaluate, parse_expression, variable_bindings
+from .expr import (Expression, compile_expression, evaluate, parse_expression,
+                   variable_bindings)
 from .numdiff import diff_callable, mixed_partial, partial_derivative
 from .paths import NPath, WorldLine
 from .reports import DefectReport, DivergenceReport
@@ -81,14 +82,19 @@ class HJFunction:
                                  constants=self.constants)
 
     def value(self, times: Sequence[float], x: np.ndarray) -> float:
-        return evaluate(self.expr, self.bindings(times, x))
+        return compile_expression(self.expr)(self.bindings(times, x))
 
     def grad_x(self, j: int, times: Sequence[float], x: np.ndarray,
                h: float | None = None) -> np.ndarray:
         """grad_{x_j} S (1-based j)."""
-        b = self.bindings(times, x)
+        return self.grad_x_at(j, self.bindings(times, x), h=h)
+
+    def grad_x_at(self, j: int, bindings: Mapping[str, float],
+                  h: float | None = None) -> np.ndarray:
+        """grad_{x_j} S at ``bindings`` from ``self.bindings(times, x)``;
+        one set serves every particle at the same times and positions."""
         return np.array([
-            partial_derivative(self.expr, f"x{j}_{dd + 1}", b, h=h)
+            partial_derivative(self.expr, f"x{j}_{dd + 1}", bindings, h=h)
             for dd in range(self.d)
         ])
 
@@ -210,9 +216,7 @@ def hj_velocity_consistency_defect(s: HJFunction, times: Sequence[float],
     First derivatives use step ``h``, second mixed partials step ``h2``.
     """
     b = s.bindings(times, x)
-
-    def s_of(bind):
-        return evaluate(s.expr, bind)
+    s_of = compile_expression(s.expr)
 
     worst = 0.0
     for j in range(1, s.n + 1):
@@ -243,12 +247,16 @@ def _integrate_on_foliation(s: HJFunction, fol: Foliation, x_leaf: np.ndarray,
     over [s_lo, s_hi]; on leaf s particle j sits at t_j = s + u.x_j."""
     u = fol.u_vec
 
-    def rhs(s_par: float, y: np.ndarray) -> np.ndarray:
+    def velocities(s_par: float, y: np.ndarray) -> list[np.ndarray]:
+        """V_1..V_n on leaf ``s_par`` at the flat state ``y``."""
         x = y.reshape(s.n, s.d)
-        times = s_par + x @ u
-        dx = np.zeros_like(x)
-        for j in range(1, s.n + 1):
-            vj = s.velocity(j, times, x)
+        b = s.bindings(s_par + x @ u, x)
+        return [s.grad_x_at(j, b) / s.masses[j - 1] for j in range(1, s.n + 1)]
+
+    def rate(s_par: float, vs: list[np.ndarray]) -> np.ndarray:
+        """dx/ds = V_j / (1 - u.V_j) for every particle j."""
+        dx = np.zeros((s.n, s.d))
+        for j, vj in enumerate(vs, start=1):
             gamma = 1.0 - float(u @ vj)
             if gamma <= 0.0:
                 raise FoliationDegeneracyError(
@@ -256,30 +264,38 @@ def _integrate_on_foliation(s: HJFunction, fol: Foliation, x_leaf: np.ndarray,
             dx[j - 1] = vj / gamma
         return dx.ravel()
 
-    def sweep(s_vals: np.ndarray, x0: np.ndarray) -> list[np.ndarray]:
-        ys = [x0.ravel()]
+    def rhs(s_par: float, y: np.ndarray) -> np.ndarray:
+        return rate(s_par, velocities(s_par, y))
+
+    def sweep(s_vals: np.ndarray, x0: np.ndarray):
+        """States on the leaves ``s_vals``, and the velocities on every
+        leaf but the last (each step's k1 is made from them)."""
+        ys, vs = [x0.ravel()], []
         for i in range(len(s_vals) - 1):
-            ys.append(rk4_step(rhs, s_vals[i], ys[-1], s_vals[i + 1] - s_vals[i]))
-        return [y.reshape(s.n, s.d) for y in ys]
+            vs.append(velocities(s_vals[i], ys[-1]))
+            ys.append(rk4_step(rhs, s_vals[i], ys[-1], s_vals[i + 1] - s_vals[i],
+                               rate(s_vals[i], vs[-1])))
+        return ys, vs
 
     n_fw = max(1, int(math.ceil((s_hi - 0.0) / ds))) if s_hi > 0 else 0
     n_bw = max(1, int(math.ceil((0.0 - s_lo) / ds))) if s_lo < 0 else 0
     s_fw = np.linspace(0.0, s_hi, n_fw + 1) if n_fw else np.array([0.0])
     s_bw = np.linspace(0.0, s_lo, n_bw + 1) if n_bw else np.array([0.0])
-    xs_fw = sweep(s_fw, x_leaf)
-    xs_bw = sweep(s_bw, x_leaf)
+    ys_fw, vs_fw = sweep(s_fw, x_leaf)
+    ys_bw, vs_bw = sweep(s_bw, x_leaf)
+    vs_bw.append(velocities(s_bw[-1], ys_bw[-1]))
+    if n_fw:
+        vs_fw.append(velocities(s_fw[-1], ys_fw[-1]))
     s_all = np.concatenate([s_bw[::-1], s_fw[1:]])
-    xs_all = xs_bw[::-1] + xs_fw[1:]
+    xs_all = [y.reshape(s.n, s.d) for y in ys_bw[::-1] + ys_fw[1:]]
+    vs_all = vs_bw[::-1] + vs_fw[1:]
 
     lines = []
     for j in range(1, s.n + 1):
         t_arr = np.array([s_all[i] + float(u @ xs_all[i][j - 1])
                           for i in range(len(s_all))])
         x_arr = np.stack([xs_all[i][j - 1] for i in range(len(s_all))])
-        v_arr = np.stack([
-            s.velocity(j, s_all[i] + xs_all[i] @ u, xs_all[i])
-            for i in range(len(s_all))
-        ])
+        v_arr = np.stack([vs_all[i][j - 1] for i in range(len(s_all))])
         p_arr = v_arr * s.masses[j - 1]
         dp_arr = np.gradient(p_arr, t_arr, axis=0)
         lines.append(WorldLine(t=t_arr, x=x_arr, p=p_arr, dxdt=v_arr, dpdt=dp_arr))

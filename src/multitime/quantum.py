@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linops
-from .expr import Expression, evaluate, parse_expression, variable_bindings
+from .expr import Expression, compile_expression, parse_expression, variable_bindings
 from .reports import DefectReport
 
 __all__ = [
@@ -84,13 +84,16 @@ class PartialHamiltonianSet:
                    ) -> "PartialHamiltonianSet":
         """``terms[j]`` is a list of (operator, coefficient) pairs; a
         coefficient is a number, an expression string or an Expression in
-        the variables t1..tn."""
+        the variables t1..tn.  Expression coefficients are compiled here,
+        once, and numbers converted with ``float``."""
         compiled: list[list[tuple[np.ndarray, object]]] = []
         for per_j in terms:
             row = []
             for op, coeff in per_j:
                 if isinstance(coeff, str):
                     coeff = parse_expression(coeff)
+                coeff = (compile_expression(coeff) if isinstance(coeff, Expression)
+                         else float(coeff))
                 row.append((linops.as_matrix(op), coeff))
             compiled.append(row)
 
@@ -100,8 +103,7 @@ class PartialHamiltonianSet:
                 dim = local_dim**n
                 h = np.zeros((dim, dim), dtype=np.complex128)
                 for op, coeff in row:
-                    c = evaluate(coeff, b) if isinstance(
-                        coeff, (Expression,)) else float(coeff)
+                    c = coeff(b) if callable(coeff) else coeff
                     h = h + c * op
                 return h
 

@@ -16,6 +16,14 @@ def config_dir(tmp_path_factory):
     return d
 
 
+def set_pointer(cfg, pointer, value):
+    """Set the config entry at a JSON pointer of object keys."""
+    *parents, key = pointer.strip("/").split("/")
+    for part in parents:
+        cfg = cfg[part]
+    cfg[key] = value
+
+
 def run_cli(args, tmp_path, name="report.json"):
     out = tmp_path / name
     code = main(list(args) + ["--out", str(out)])
@@ -259,15 +267,64 @@ class TestConfigErrors:
     def test_bad_step_or_span(self, config_dir, tmp_path, capsys, name,
                               subcommand, pointer, value):
         cfg = json.loads((config_dir / f"{name}.json").read_text())
-        *parents, key = pointer.strip("/").split("/")
-        node = cfg
-        for part in parents:
-            node = node[part]
-        node[key] = value
+        set_pointer(cfg, pointer, value)
         assert self.run_expect_error(tmp_path, cfg, subcommand) == 2
         err = capsys.readouterr().err
         assert f"config error: {pointer}: " in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name,subcommand,key,value,pointer", [
+        ("free_quantum_holonomy", "holonomy", "/experiment/sizes", [0.0],
+         "/experiment/sizes/0"),
+        ("coupled_qubits", "holonomy", "/experiment/sizes", [0.01, -0.01],
+         "/experiment/sizes/1"),
+        ("coupled_qubits", "holonomy", "/experiment/axes", [1, 3],
+         "/experiment/axes/1"),
+        ("coupled_qubits", "holonomy", "/experiment/axes", [2, 2],
+         "/experiment/axes/1"),
+        ("interaction_picture_staircase", "evolve", "/experiment/order", [3, 1],
+         "/experiment/order/0"),
+        ("interaction_picture_staircase", "evolve", "/experiment/order", [0, 1],
+         "/experiment/order/0"),
+        ("interaction_picture_staircase", "evolve", "/experiment/order", [1, 1],
+         "/experiment/order/1"),
+        ("interaction_picture_staircase", "evolve", "/experiment/order", [2],
+         "/experiment/order"),
+        ("free_quantum", "check", "/experiment/h", 0.0, "/experiment/h"),
+        ("classical_free_check", "check", "/experiment/h", 0.0, "/experiment/h"),
+        ("classical_harmonic_check", "check", "/experiment/h", -1e-4,
+         "/experiment/h"),
+        ("cjs_family", "cjs", "/experiment/h", 0.0, "/experiment/h"),
+        ("hj_free_residual", "hj", "/experiment/h", 0.0, "/experiment/h"),
+        ("hj_free_residual", "hj", "/experiment/h", -1e-3, "/experiment/h"),
+        ("hj_free_residual", "check", "/experiment",
+         {"kind": "defect-grid", "h": 0.0,
+          "samples": {"count": 2, "t_box": [0.0, 1.0], "x_box": [-1.0, 1.0],
+                      "p_box": [-1.0, 1.0]}},
+         "/experiment/h"),
+        ("classical_free_check", "check", "/system/field",
+         {"type": "hamiltonian", "h": "p1_1^2/2 + p2_1^2/2", "h_step": 0.0},
+         "/system/field/h_step"),
+    ])
+    def test_bad_axis_size_or_fd_step(self, config_dir, tmp_path, capsys, name,
+                                      subcommand, key, value, pointer):
+        # each of these used to escape main() as an uncaught exception
+        cfg = json.loads((config_dir / f"{name}.json").read_text())
+        set_pointer(cfg, key, value)
+        assert self.run_expect_error(tmp_path, cfg, subcommand) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {pointer}: " in err
+        assert "Traceback" not in err
+
+    def test_permuted_staircase_order_runs(self, config_dir, tmp_path):
+        cfg = json.loads(
+            (config_dir / "interaction_picture_staircase.json").read_text())
+        cfg["experiment"]["order"] = [2, 1]
+        cfg["experiment"]["compare_diagonal"] = False
+        out = tmp_path / "r.json"
+        assert main(["evolve", "--config", str(self.write(tmp_path, cfg)),
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["results"]["final_times"] == [0.5, 0.5]
 
     def test_window_of_half_the_span_runs(self, config_dir, tmp_path):
         # the sampled path ends a rounding error short of t_span[1]

@@ -1,21 +1,32 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from multitime import expr as expr_module
+from multitime.classical import (PhasePoint, PhaseVectorField, evolve_equal_time,
+                                 hamiltonian_vector_field)
 from multitime.expr import (
+    FUNCTIONS,
     BinOp,
+    Call,
     DomainError,
     ExpressionSyntaxError,
+    Neg,
     Num,
     UnboundVariableError,
     UnknownFunctionError,
     Var,
+    compile_expression,
     evaluate,
     free_variables,
     parse_expression,
     to_string,
 )
+from multitime.quantum import (MultiTimeState, PartialHamiltonianSet,
+                               evolve_staircase, staircase_between)
 from multitime.numdiff import (
     central_difference,
     default_step,
@@ -157,3 +168,157 @@ class TestDerivatives:
             if gap_coarse < 1e-10:
                 continue  # third derivative vanished at this point
             assert gap_coarse / gap_fine >= 10.0
+
+
+def reference_evaluate(expr, bindings):
+    """The recursive tree-walking evaluator that compiled expressions
+    replace; the oracle of the property test."""
+    match expr:
+        case Num(value):
+            return value
+        case Var(name):
+            try:
+                return float(bindings[name])
+            except KeyError:
+                raise UnboundVariableError(f"variable {name!r} is not bound") from None
+        case Neg(arg):
+            return -reference_evaluate(arg, bindings)
+        case BinOp(op, left, right):
+            a = reference_evaluate(left, bindings)
+            b = reference_evaluate(right, bindings)
+            if op == "+":
+                return a + b
+            if op == "-":
+                return a - b
+            if op == "*":
+                return a * b
+            if op == "/":
+                if b == 0.0:
+                    raise DomainError("division by zero")
+                return a / b
+            try:
+                r = a**b
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise DomainError(f"invalid power {a}^{b}: {exc}") from None
+            if isinstance(r, complex):
+                raise DomainError(f"power {a}^{b} leaves the real domain")
+            return r
+        case Call(func, arg):
+            x = reference_evaluate(arg, bindings)
+            if func == "log" and x <= 0.0:
+                raise DomainError(f"log of non-positive value {x}")
+            if func == "sqrt" and x < 0.0:
+                raise DomainError(f"sqrt of negative value {x}")
+            try:
+                return FUNCTIONS[func](x)
+            except (ValueError, OverflowError) as exc:
+                raise DomainError(f"{func}({x}): {exc}") from None
+    raise TypeError(f"not an Expression: {expr!r}")
+
+
+NAMES = ("x", "y", "z")
+EDGE_VALUES = (0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -3.0, 1e308, -1e308, 1e-308,
+               5e-324)
+values = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(width=64))
+trees = st.recursive(
+    st.one_of(st.builds(Num, values), st.builds(Var, st.sampled_from(NAMES))),
+    lambda sub: st.one_of(
+        st.builds(Neg, sub),
+        st.builds(BinOp, st.sampled_from("+-*/^"), sub, sub),
+        st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), sub),
+    ),
+    max_leaves=12,
+)
+# a name left out of the dictionary is unbound
+bindings = st.dictionaries(st.sampled_from(NAMES), values)
+
+
+def outcome(fn):
+    try:
+        return "value", struct.pack("d", fn())
+    except Exception as exc:  # the class and message are compared
+        return type(exc), str(exc)
+
+
+class TestCompiledExpressions:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(tree=trees, b=bindings)
+    def test_matches_reference_interpreter(self, tree, b):
+        compiled = compile_expression(tree)
+        assert outcome(lambda: compiled(b)) == outcome(
+            lambda: reference_evaluate(tree, b))
+
+    @pytest.mark.parametrize("source,b", [
+        ("x^2 - 3*x + 1/(y + 2)", {"x": 1.7, "y": -0.3}),
+        ("exp(-(x1_1 - x2_1)^2) * tanh(t1)", {"x1_1": 0.2, "x2_1": -1.1, "t1": 3.0}),
+        ("log(x)", {"x": 0.0}),
+        ("(-8)^(1/3)", {}),
+        ("exp(x)", {"x": 1e308}),
+        ("x + y", {"x": 1.0}),
+        ("2^3^2 - -x", {"x": -0.0}),
+    ])
+    def test_shipped_shapes_match_reference(self, source, b):
+        tree = parse_expression(source)
+        assert outcome(lambda: evaluate(tree, b)) == outcome(
+            lambda: reference_evaluate(tree, b))
+
+    def test_not_an_expression(self):
+        with pytest.raises(TypeError):
+            compile_expression("x + 1")
+        with pytest.raises(TypeError):
+            evaluate(BinOp("+", Num(1.0), "x"), {})
+
+    @pytest.fixture
+    def compiles(self, monkeypatch):
+        """The trees compiled while the test runs, in order."""
+        seen = []
+        real = expr_module._compile
+
+        def counting(tree):
+            seen.append(tree)
+            return real(tree)
+
+        monkeypatch.setattr(expr_module, "_compile", counting)
+        return seen
+
+    def test_compiled_once_per_tree(self, compiles):
+        tree = parse_expression("x^2 + sin(y)")
+        for i in range(50):
+            evaluate(tree, {"x": float(i), "y": 1.0})
+        assert len(compiles) == 1 and compiles[0] is tree
+        twin = parse_expression("x^2 + sin(y)")
+        assert evaluate(twin, {"x": 2.0, "y": 0.0}) == 4.0
+        assert len(compiles) == 2 and compiles[1] is twin
+        # the compiled function stays out of the dataclass fields
+        assert tree == twin and hash(tree) == hash(twin)
+        assert repr(tree) == repr(twin)
+
+    def test_field_compiled_once_over_rk4_run(self, compiles, monkeypatch):
+        free = PhaseVectorField.free(2, 1, [1.0, 2.0])
+        coupled = hamiltonian_vector_field(
+            ["p1_1^2/2 + (x1_1 - x2_1)^2/2", "p2_1^2/2 + (x1_1 - x2_1)^2/2"],
+            2, 1, [1.0, 1.0])
+        assert len(compiles) == 4 + 2
+        rhs_calls = []
+        real_eval_v = PhaseVectorField.eval_v
+
+        def counting_eval_v(field, j, b):
+            rhs_calls.append(j)
+            return real_eval_v(field, j, b)
+
+        monkeypatch.setattr(PhaseVectorField, "eval_v", counting_eval_v)
+        init = PhasePoint(times=[0.0, 0.0], x=[[-1.0], [1.0]], p=[[0.1], [-0.1]])
+        for field in (free, coupled):
+            evolve_equal_time(field, init, (0.0, 0.2), 0.01,
+                              timelike_warning=False)
+        assert len(rhs_calls) > 300
+        assert len(compiles) == 4 + 2
+
+    def test_quantum_coefficients_compiled_at_construction(self, compiles):
+        z = np.diag([1.0, -1.0])
+        system = PartialHamiltonianSet.from_terms(
+            1, 2, [[(z, "sin(2*t1)"), (z, 0.5)]])
+        assert len(compiles) == 1
+        path = staircase_between([0.0], [1.0], max_dt=0.01)
+        evolve_staircase(system, MultiTimeState(np.array([1.0, 0.0]), [0.0]), path)
+        assert len(compiles) == 1
