@@ -237,11 +237,15 @@ class _Parser:
         raise ExpressionSyntaxError(f"unexpected {shown!r}", col)
 
 
+@functools.lru_cache(maxsize=1024)
 def parse_expression(source: str) -> Expression:
     """Parse ``source`` into an immutable AST.
 
     Raises ExpressionSyntaxError (with 1-based column) on malformed input
     and UnknownFunctionError on calls outside the supported function set.
+    The ASTs of the last 1024 sources are cached, so a string parsed again
+    returns the same tree, already compiled once it has been evaluated;
+    errors are not cached.
     """
     if not source or not source.strip():
         raise ExpressionSyntaxError("empty expression", 1)

@@ -1,15 +1,15 @@
 """Dense complex linear algebra for the quantum sector.
 
-Thin wrappers over numpy/scipy with the conventions used by the rest of
-the package: matrices are square ``complex128`` arrays, states are 1-d
+Thin wrappers over numpy with the conventions used by the rest of the
+package: matrices are square ``complex128`` arrays, states are 1-d
 ``complex128`` arrays, and the tensor-product ordering puts particle 1 in
-the leftmost Kronecker factor.
+the leftmost Kronecker factor.  Only ``matrix_exponential`` uses scipy
+(``scipy.linalg.expm``), and imports it when first called.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "SIGMA_X",
@@ -81,6 +81,8 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def matrix_exponential(a: np.ndarray) -> np.ndarray:
+    import scipy.linalg
+
     a = as_matrix(a)
     if a.shape[0] > MAX_DENSE_DIM:
         raise ValueError(f"dense matrix exponential limited to dim {MAX_DENSE_DIM}")

@@ -2,6 +2,8 @@
 
 Samples carry the state derivatives, so queries between sample times use
 cubic Hermite interpolation (third-order accurate without re-integration).
+``scipy.interpolate`` is imported when the first world line is built, not
+with this module, so runs that build none start with numpy alone.
 """
 
 from __future__ import annotations
@@ -9,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .reports import write_csv
 
@@ -32,6 +33,8 @@ class WorldLine:
     dpdt: np.ndarray
 
     def __post_init__(self):
+        from scipy.interpolate import CubicHermiteSpline
+
         self.t = np.asarray(self.t, float)
         for name in ("x", "p", "dxdt", "dpdt"):
             arr = np.atleast_2d(np.asarray(getattr(self, name), float))

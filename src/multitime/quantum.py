@@ -41,6 +41,15 @@ __all__ = [
 HERMITICITY_TOL = 1e-10
 
 
+def _require_hermitian(m, what: str) -> np.ndarray:
+    """``m`` as a complex matrix; ValueError naming ``what`` if it is not
+    Hermitian."""
+    m = linops.as_matrix(m)
+    if not linops.is_hermitian(m, HERMITICITY_TOL):
+        raise ValueError(f"{what} is not Hermitian")
+    return m
+
+
 class PartialHamiltonianSet:
     """n matrix-valued partial Hamiltonians H_j(t1..tn).
 
@@ -50,6 +59,9 @@ class PartialHamiltonianSet:
         coefficients depending on t1..tn,
       * the interaction-picture form H_j = U K_j U^dagger with
         U(t) = exp(-i * base * t1) for constant matrices base, K_j.
+
+    The three constructors check their matrices and operators once; builders
+    passed straight to ``__init__`` are checked on every ``hamiltonian`` call.
     """
 
     def __init__(self, n: int, local_dim: int,
@@ -60,6 +72,17 @@ class PartialHamiltonianSet:
         self.local_dim = local_dim
         self.dim = local_dim**n
         self._builders = list(builders)
+        self._check_calls = True
+
+    @classmethod
+    def _checked(cls, n: int, local_dim: int,
+                 builders: Sequence[Callable[[Sequence[float]], np.ndarray]],
+                 ) -> "PartialHamiltonianSet":
+        """A set whose builders make Hermitian matrices by construction, so
+        ``hamiltonian`` skips the per-call check."""
+        system = cls(n, local_dim, builders)
+        system._check_calls = False
+        return system
 
     def hamiltonian(self, j: int, times: Sequence[float]) -> np.ndarray:
         """H_j at the time tuple; ``j`` is 1-based."""
@@ -68,15 +91,16 @@ class PartialHamiltonianSet:
         if len(times) != self.n:
             raise ValueError(f"time tuple length {len(times)} != n = {self.n}")
         h = self._builders[j - 1](times)
-        if linops.norm_inf(h - linops.dagger(h)) >= HERMITICITY_TOL:
-            raise ValueError(f"H_{j} is not Hermitian at t = {tuple(times)}")
+        if self._check_calls:
+            _require_hermitian(h, f"H_{j} at t = {tuple(times)}")
         return h
 
     @classmethod
     def from_constant(cls, matrices: Sequence[np.ndarray],
                       local_dim: int) -> "PartialHamiltonianSet":
-        mats = [linops.as_matrix(m) for m in matrices]
-        return cls(len(mats), local_dim, [lambda _t, m=m: m for m in mats])
+        mats = [_require_hermitian(m, f"H_{j}")
+                for j, m in enumerate(matrices, start=1)]
+        return cls._checked(len(mats), local_dim, [lambda _t, m=m: m for m in mats])
 
     @classmethod
     def from_terms(cls, n: int, local_dim: int,
@@ -85,16 +109,18 @@ class PartialHamiltonianSet:
         """``terms[j]`` is a list of (operator, coefficient) pairs; a
         coefficient is a number, an expression string or an Expression in
         the variables t1..tn.  Expression coefficients are compiled here,
-        once, and numbers converted with ``float``."""
+        once, and numbers converted with ``float``.  Each operator must be
+        Hermitian; with real coefficients, so is every H_j."""
         compiled: list[list[tuple[np.ndarray, object]]] = []
-        for per_j in terms:
+        for j, per_j in enumerate(terms):
             row = []
-            for op, coeff in per_j:
+            for i, (op, coeff) in enumerate(per_j):
                 if isinstance(coeff, str):
                     coeff = parse_expression(coeff)
                 coeff = (compile_expression(coeff) if isinstance(coeff, Expression)
                          else float(coeff))
-                row.append((linops.as_matrix(op), coeff))
+                row.append((_require_hermitian(op, f"operator of terms[{j}][{i}]"),
+                             coeff))
             compiled.append(row)
 
         def make(row):
@@ -109,15 +135,16 @@ class PartialHamiltonianSet:
 
             return build
 
-        return cls(n, local_dim, [make(row) for row in compiled])
+        return cls._checked(n, local_dim, [make(row) for row in compiled])
 
     @classmethod
     def from_interaction_picture(cls, base: np.ndarray, ks: Sequence[np.ndarray],
                                  local_dim: int) -> "PartialHamiltonianSet":
-        base = linops.as_matrix(base)
+        base = _require_hermitian(base, "base")
         w, v = np.linalg.eigh(base)
         vd = linops.dagger(v)
-        mats = [linops.as_matrix(k) for k in ks]
+        mats = [_require_hermitian(k, f"K_{j}")
+                for j, k in enumerate(ks, start=1)]
 
         def make(k):
             def build(times):
@@ -127,7 +154,7 @@ class PartialHamiltonianSet:
 
             return build
 
-        return cls(len(mats), local_dim, [make(k) for k in mats])
+        return cls._checked(len(mats), local_dim, [make(k) for k in mats])
 
 
 @dataclass

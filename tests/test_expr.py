@@ -25,6 +25,7 @@ from multitime.expr import (
     parse_expression,
     to_string,
 )
+from multitime.hj import hj_consistency_defect
 from multitime.quantum import (MultiTimeState, PartialHamiltonianSet,
                                evolve_staircase, staircase_between)
 from multitime.numdiff import (
@@ -270,7 +271,10 @@ class TestCompiledExpressions:
 
     @pytest.fixture
     def compiles(self, monkeypatch):
-        """The trees compiled while the test runs, in order."""
+        """The trees compiled while the test runs, in order.  The parse
+        cache is emptied first, so sources parsed by earlier tests are
+        parsed and compiled again here."""
+        parse_expression.cache_clear()
         seen = []
         real = expr_module._compile
 
@@ -286,7 +290,11 @@ class TestCompiledExpressions:
         for i in range(50):
             evaluate(tree, {"x": float(i), "y": 1.0})
         assert len(compiles) == 1 and compiles[0] is tree
-        twin = parse_expression("x^2 + sin(y)")
+        # the same source gives the same tree; another spelling of it gives
+        # an equal tree that is compiled on its own
+        assert parse_expression("x^2 + sin(y)") is tree
+        twin = parse_expression("x^2+sin(y)")
+        assert twin is not tree
         assert evaluate(twin, {"x": 2.0, "y": 0.0}) == 4.0
         assert len(compiles) == 2 and compiles[1] is twin
         # the compiled function stays out of the dataclass fields
@@ -298,7 +306,8 @@ class TestCompiledExpressions:
         coupled = hamiltonian_vector_field(
             ["p1_1^2/2 + (x1_1 - x2_1)^2/2", "p2_1^2/2 + (x1_1 - x2_1)^2/2"],
             2, 1, [1.0, 1.0])
-        assert len(compiles) == 4 + 2
+        # free: two velocities and one tree for both zero forces ("0")
+        assert len(compiles) == 3 + 2
         rhs_calls = []
         real_eval_v = PhaseVectorField.eval_v
 
@@ -312,7 +321,7 @@ class TestCompiledExpressions:
             evolve_equal_time(field, init, (0.0, 0.2), 0.01,
                               timelike_warning=False)
         assert len(rhs_calls) > 300
-        assert len(compiles) == 4 + 2
+        assert len(compiles) == 3 + 2
 
     def test_quantum_coefficients_compiled_at_construction(self, compiles):
         z = np.diag([1.0, -1.0])
@@ -322,3 +331,21 @@ class TestCompiledExpressions:
         path = staircase_between([0.0], [1.0], max_dt=0.01)
         evolve_staircase(system, MultiTimeState(np.array([1.0, 0.0]), [0.0]), path)
         assert len(compiles) == 1
+
+    def test_strings_parsed_and_compiled_once_over_hj_defect_calls(self, compiles):
+        h_exprs = ["p1_1^2/2 + (x1_1 - x2_1)^2/2", "p2_1^2/2 + (x1_1 - x2_1)^2/2"]
+        point = PhasePoint(times=[0.0, 0.0], x=[[-1.0], [1.0]], p=[[0.1], [-0.1]])
+        first = hj_consistency_defect(h_exprs, point)
+        assert len(compiles) == 2
+        for _ in range(20):
+            assert hj_consistency_defect(h_exprs, point) == first
+        assert len(compiles) == 2
+        assert {id(tree) for tree in compiles} == {
+            id(parse_expression(e)) for e in h_exprs}
+
+    def test_parse_errors_not_cached(self):
+        parse_expression.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ExpressionSyntaxError):
+                parse_expression("x +")
+        assert parse_expression.cache_info().currsize == 0

@@ -82,10 +82,37 @@ class TestDefect:
             quantum_consistency_defect(free_qubits(), [0.0, 0.0], h=0.0)
 
     def test_non_hermitian_rejected(self):
-        bad = PartialHamiltonianSet.from_constant(
-            [np.array([[0, 1], [0, 0]], dtype=complex), np.eye(2, dtype=complex)], 2)
-        with pytest.raises(ValueError):
-            bad.hamiltonian(1, [0.0, 0.0])
+        # constant matrices are checked once, at construction
+        with pytest.raises(ValueError, match="H_1 is not Hermitian"):
+            PartialHamiltonianSet.from_constant(
+                [np.array([[0, 1], [0, 0]], dtype=complex),
+                 np.eye(2, dtype=complex)], 2)
+
+    def test_non_hermitian_term_operator_rejected(self):
+        raising = np.array([[0, 1], [0, 0]], dtype=complex)
+        with pytest.raises(ValueError, match=r"operator of terms\[1\]\[1\]"):
+            PartialHamiltonianSet.from_terms(
+                2, 2, [[(pauli_string("ZI"), 1.0)],
+                       [(pauli_string("IX"), "t1"), (kron(np.eye(2), raising), 0.5)]])
+
+    def test_non_hermitian_interaction_picture_rejected(self):
+        raising = np.array([[0, 1], [0, 0]], dtype=complex)
+        with pytest.raises(ValueError, match="base is not Hermitian"):
+            PartialHamiltonianSet.from_interaction_picture(
+                raising, [SIGMA_Z, SIGMA_Z], 2)
+        with pytest.raises(ValueError, match="K_2 is not Hermitian"):
+            PartialHamiltonianSet.from_interaction_picture(
+                SIGMA_Z, [SIGMA_Y, raising], 2)
+
+    def test_non_hermitian_builder_rejected_at_call(self):
+        # a builder passed straight to the constructor is checked per call
+        def h2(times):
+            return np.array([[0, times[0]], [0, 0]], dtype=complex)
+
+        system = PartialHamiltonianSet(2, 2, [lambda _t: SIGMA_Z, h2])
+        assert np.array_equal(system.hamiltonian(2, [0.0, 0.0]), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=r"H_2 at t = \(1.0, 0.0\) is not"):
+            system.hamiltonian(2, [1.0, 0.0])
 
     def test_from_terms_time_dependence(self):
         sys = PartialHamiltonianSet.from_terms(
