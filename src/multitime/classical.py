@@ -185,14 +185,12 @@ def _check_vars(expr: Expression, n: int, d: int) -> None:
 
 def hamiltonian_vector_field(h_exprs: str | Expression | Sequence[str | Expression],
                              n: int, d: int, masses: Sequence[float],
-                             h: float | None = None,
-                             gradients: dict | None = None) -> PhaseVectorField:
+                             h: float | None = None) -> PhaseVectorField:
     """Field with v_j = grad_{p_j} H, w_j = -grad_{x_j} H.
 
     ``h_exprs`` is either a single Hamiltonian (every particle moves under
     it) or one partial Hamiltonian per particle (particle j moves under
-    H_j).  Gradients are central differences unless explicit expressions
-    are supplied in ``gradients`` as {"v": [[..]], "w": [[..]]}.
+    H_j).  Gradients are central differences.
     """
     if isinstance(h_exprs, (str, Expression)):
         exprs = [h_exprs] * n
@@ -203,10 +201,6 @@ def hamiltonian_vector_field(h_exprs: str | Expression | Sequence[str | Expressi
     parsed = [parse_expression(e) if isinstance(e, str) else e for e in exprs]
     for e in parsed:
         _check_vars(e, n, d)
-
-    if gradients is not None:
-        return PhaseVectorField.from_expressions(
-            n, d, masses, gradients["v"], gradients["w"], label="hamiltonian")
 
     v = [[_grad_component(parsed[j], f"p{j + 1}_{dd + 1}", 1.0, h)
           for dd in range(d)] for j in range(n)]
@@ -380,6 +374,22 @@ class GridSolution:
     t2: np.ndarray
     x: np.ndarray  # (n, N1, N2, d)
     p: np.ndarray
+
+    def csv_table(self) -> tuple[list[str], list[list]]:
+        """The full-grid CSV layout: columns t1, t2, then x and p of every
+        particle, one row per grid node with floats written by ``repr``."""
+        n, _, _, d = self.x.shape
+        columns = ["t1", "t2"] + [f"{name}{j + 1}_{dd + 1}" for name in ("x", "p")
+                                  for j in range(n) for dd in range(d)]
+        rows = []
+        for i1, t1 in enumerate(self.t1):
+            for i2, t2 in enumerate(self.t2):
+                row = [repr(float(t1)), repr(float(t2))]
+                for arr in (self.x, self.p):
+                    for j in range(n):
+                        row += [repr(float(v)) for v in arr[j, i1, i2]]
+                rows.append(row)
+        return columns, rows
 
 
 def _rk4_grid_leg(hpair: HamiltonianPair, k: int, times: np.ndarray,

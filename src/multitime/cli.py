@@ -1,19 +1,11 @@
 """Command-line front end.
 
-Reads a strict JSON config, runs one experiment, and writes a
-deterministic JSON report (plus optional CSV for tabular data).
-
-Subcommands and experiment kinds:
-
-    check      defect-grid (quantum | classical | hj)
-    evolve     staircase | equal-time-evolve
-    holonomy   holonomy
-    validity   validity
-    grid       full-grid | path-independence
-    hj         hj-residual
-    foliation  trajectories | foliation-compare
-    cjs        cjs-demo
-    examples   write the shipped example configs
+Reads a strict JSON config, checks all of it, then runs one experiment
+and writes a deterministic JSON report (plus optional CSV for tabular
+data).  ``_KINDS`` is the one table of experiment kinds: for each
+(formalism, kind) it names the subcommand that runs it, whether it writes
+CSV, and the function that checks its config and builds its system.
+That function returns a closure that does only the numerics.
 
 Exit codes: 0 success, 2 config error, 3 numerical failure.
 """
@@ -22,11 +14,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,17 +30,6 @@ from .hj import FoliationError
 from .reports import write_csv
 
 CSV_FORMAT_VERSION = 1
-
-_SUBCOMMAND_KINDS = {
-    "check": {"defect-grid"},
-    "evolve": {"staircase", "equal-time-evolve"},
-    "holonomy": {"holonomy"},
-    "validity": {"validity"},
-    "grid": {"full-grid", "path-independence"},
-    "hj": {"hj-residual"},
-    "foliation": {"trajectories", "foliation-compare"},
-    "cjs": {"cjs-demo"},
-}
 
 
 class ConfigError(Exception):
@@ -78,7 +60,13 @@ def _keys(obj: dict, path: str, required: Sequence[str],
 def _num(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(path, f"expected a finite number, got {value}")
+    return value
 
 
 def _int(value, path: str, minimum: int | None = None) -> int:
@@ -86,6 +74,12 @@ def _int(value, path: str, minimum: int | None = None) -> int:
         raise ConfigError(path, f"expected an integer, got {type(value).__name__}")
     if minimum is not None and value < minimum:
         raise ConfigError(path, f"expected >= {minimum}, got {value}")
+    return value
+
+
+def _bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(path, f"expected a boolean, got {type(value).__name__}")
     return value
 
 
@@ -127,10 +121,15 @@ def _axes(value, path: str, n: int, length: int) -> list[int]:
     return axes
 
 
-def _optional_positive(obj: dict, key: str, path: str) -> float | None:
-    """``obj[key]`` as a number > 0, or None when the key is absent."""
-    value = obj.get(key)
-    return _positive(value, f"{path}/{key}") if value is not None else None
+def _option(obj: dict, key: str, path: str, default, read, *args):
+    """``obj[key]`` checked by ``read(value, pointer, *args)``.  An absent
+    key takes ``default``, which is recorded in ``obj`` so that the report
+    echoes it; a None default means "absent" and is returned unread."""
+    if key not in obj:
+        if default is None:
+            return None
+        obj[key] = default
+    return read(obj[key], f"{path}/{key}", *args)
 
 
 def _span(value, path: str) -> tuple[float, float]:
@@ -138,6 +137,14 @@ def _span(value, path: str) -> tuple[float, float]:
     if not lo < hi:
         raise ConfigError(path, f"expected a strictly increasing pair, "
                                 f"got [{lo}, {hi}]")
+    return lo, hi
+
+
+def _box(value, path: str) -> tuple[float, float]:
+    lo, hi = _num_list(value, path, 2)
+    if not (lo <= hi and math.isfinite(hi - lo)):
+        raise ConfigError(path, f"expected a pair lo <= hi with a finite "
+                                f"hi - lo, got [{lo}, {hi}]")
     return lo, hi
 
 
@@ -186,9 +193,12 @@ def _parse_expr(source: str, path: str):
         raise ConfigError(path, f"bad expression: {exc}") from None
 
 
-def _const_matrix_from_terms(terms: list) -> np.ndarray:
-    m = sum(float(c) * op for op, c in terms)
-    return np.asarray(m, dtype=np.complex128)
+def _numeric_pauli_sum(value, path: str, n: int) -> np.ndarray:
+    """A Pauli sum with numeric coefficients as a matrix; an empty sum is
+    the 2^n-dimensional zero matrix."""
+    terms = _pauli_op_sum(value, path, n, numeric_only=True)
+    return sum((float(c) * op for op, c in terms),
+               np.zeros((2**n, 2**n), dtype=np.complex128))
 
 
 def build_quantum_system(cfg: dict, path: str) -> quantum.PartialHamiltonianSet:
@@ -199,26 +209,19 @@ def build_quantum_system(cfg: dict, path: str) -> quantum.PartialHamiltonianSet:
     ham = _obj(cfg["hamiltonians"], f"{path}/hamiltonians")
     hpath = f"{path}/hamiltonians"
     htype = _str(ham.get("type", ""), f"{hpath}/type")
+    if htype in ("pauli_terms", "interaction_picture") and k != 2:
+        raise ConfigError(f"{path}/local_dim", f"{htype} requires local_dim = 2")
     if htype == "pauli_terms":
         _keys(ham, hpath, ["type", "terms"])
-        if k != 2:
-            raise ConfigError(f"{path}/local_dim",
-                              "pauli_terms requires local_dim = 2")
         rows = _list(ham["terms"], f"{hpath}/terms", length=n)
         terms = [_pauli_op_sum(row, f"{hpath}/terms/{j}", n, numeric_only=False)
                  for j, row in enumerate(rows)]
         return quantum.PartialHamiltonianSet.from_terms(n, k, terms)
     if htype == "interaction_picture":
         _keys(ham, hpath, ["type", "base", "k"])
-        if k != 2:
-            raise ConfigError(f"{path}/local_dim",
-                              "interaction_picture examples use local_dim = 2")
-        base = _const_matrix_from_terms(
-            _pauli_op_sum(ham["base"], f"{hpath}/base", n, numeric_only=True))
-        rows = _list(ham["k"], f"{hpath}/k", length=n)
-        ks = [_const_matrix_from_terms(
-            _pauli_op_sum(row, f"{hpath}/k/{j}", n, numeric_only=True))
-            for j, row in enumerate(rows)]
+        base = _numeric_pauli_sum(ham["base"], f"{hpath}/base", n)
+        ks = [_numeric_pauli_sum(row, f"{hpath}/k/{j}", n)
+              for j, row in enumerate(_list(ham["k"], f"{hpath}/k", length=n))]
         return quantum.PartialHamiltonianSet.from_interaction_picture(base, ks, k)
     raise ConfigError(f"{hpath}/type",
                       f"unknown Hamiltonian type {htype!r} "
@@ -226,38 +229,48 @@ def build_quantum_system(cfg: dict, path: str) -> quantum.PartialHamiltonianSet:
 
 
 def _build_field(field_cfg: dict, path: str, n: int, d: int,
-                 masses: list[float]) -> classical.PhaseVectorField:
+                 masses: list[float], grid: bool = False):
+    """The system's phase-space field.  With ``grid`` the field must be
+    ``partial_hamiltonians``, and the two-time ``HamiltonianPair`` of its
+    H_1, H_2 is built instead, with the same ``h_step``."""
     field_cfg = _obj(field_cfg, path)
     ftype = _str(field_cfg.get("type", ""), f"{path}/type")
+    if grid and ftype != "partial_hamiltonians":
+        raise ConfigError(f"{path}/type", "the grid experiments need field "
+                                          "type 'partial_hamiltonians'")
     try:
         if ftype == "expressions":
             _keys(field_cfg, path, ["type", "v", "w"])
-            v = [[_str(c, f"{path}/v/{j}/{i}") for i, c in
-                  enumerate(_list(row, f"{path}/v/{j}", length=d))]
-                 for j, row in enumerate(_list(field_cfg["v"], f"{path}/v", n))]
-            w = [[_str(c, f"{path}/w/{j}/{i}") for i, c in
-                  enumerate(_list(row, f"{path}/w/{j}", length=d))]
-                 for j, row in enumerate(_list(field_cfg["w"], f"{path}/w", n))]
+            v, w = ([[_str(c, f"{path}/{key}/{j}/{i}") for i, c in
+                      enumerate(_list(row, f"{path}/{key}/{j}", length=d))]
+                     for j, row in enumerate(_list(field_cfg[key], f"{path}/{key}", n))]
+                    for key in ("v", "w"))
             return classical.PhaseVectorField.from_expressions(n, d, masses, v, w)
         if ftype == "hamiltonian":
             _keys(field_cfg, path, ["type", "h"], ["h_step"])
-            step = _optional_positive(field_cfg, "h_step", path)
+            step = _option(field_cfg, "h_step", path, None, _positive)
             return classical.hamiltonian_vector_field(
                 _str(field_cfg["h"], f"{path}/h"), n, d, masses, h=step)
         if ftype == "partial_hamiltonians":
             _keys(field_cfg, path, ["type", "h_list"], ["h_step"])
             hs = [_str(e, f"{path}/h_list/{j}") for j, e in
                   enumerate(_list(field_cfg["h_list"], f"{path}/h_list", n))]
-            step = _optional_positive(field_cfg, "h_step", path)
+            step = _option(field_cfg, "h_step", path, None, _positive)
+            if grid:
+                return classical.HamiltonianPair(hs, n, d, h=step)
             return classical.hamiltonian_vector_field(hs, n, d, masses, h=step)
     except (ValueError, ExpressionError) as exc:
         raise ConfigError(path, str(exc)) from None
     raise ConfigError(f"{path}/type", f"unknown field type {ftype!r}")
 
 
-def build_classical_system(cfg: dict, path: str, field_required: bool = True):
+def _classical_system(cfg: dict, path: str, field_required: bool = True,
+                      grid: bool = False):
+    """n, d, masses and the checked field (None when absent and not
+    required; the ``HamiltonianPair`` for the grid kinds)."""
     cfg = _obj(cfg, path)
-    _keys(cfg, path, ["n", "d", "masses"], ["field"])
+    _keys(cfg, path, ["n", "d", "masses"] + (["field"] if field_required else []),
+          ["field"])
     n = _int(cfg["n"], f"{path}/n", minimum=1)
     d = _int(cfg["d"], f"{path}/d", minimum=1)
     if d > 3:
@@ -265,10 +278,8 @@ def build_classical_system(cfg: dict, path: str, field_required: bool = True):
     masses = _num_list(cfg["masses"], f"{path}/masses", length=n)
     field = None
     if "field" in cfg:
-        field = _build_field(cfg["field"], f"{path}/field", n, d, masses)
-    elif field_required:
-        raise ConfigError(path, "missing required key 'field'")
-    return n, d, masses, field, cfg
+        field = _build_field(cfg["field"], f"{path}/field", n, d, masses, grid)
+    return n, d, masses, field
 
 
 def build_hj_system(cfg: dict, path: str):
@@ -299,13 +310,11 @@ def build_hj_system(cfg: dict, path: str):
 
 
 def _initial_state(cfg, path: str, dim: int) -> np.ndarray:
-    if cfg is None:
-        cfg = {"kind": "basis", "index": 0}
     cfg = _obj(cfg, path)
     kind = _str(cfg.get("kind", ""), f"{path}/kind")
     if kind == "basis":
         _keys(cfg, path, ["kind"], ["index"])
-        idx = _int(cfg.get("index", 0), f"{path}/index", minimum=0)
+        idx = _option(cfg, "index", path, 0, _int, 0)
         if idx >= dim:
             raise ConfigError(f"{path}/index", f"index {idx} >= dim {dim}")
         v = np.zeros(dim, dtype=np.complex128)
@@ -331,17 +340,21 @@ def _sample_phase_points(cfg, path: str, n: int, d: int,
     cfg = _obj(cfg, path)
     _keys(cfg, path, ["count", "t_box", "x_box", "p_box"])
     count = _int(cfg["count"], f"{path}/count", minimum=1)
-    t_box = _num_list(cfg["t_box"], f"{path}/t_box", 2)
-    x_box = _num_list(cfg["x_box"], f"{path}/x_box", 2)
-    p_box = _num_list(cfg["p_box"], f"{path}/p_box", 2)
-    points = []
-    for _ in range(count):
-        points.append(classical.PhasePoint(
-            times=rng.uniform(t_box[0], t_box[1], size=n),
-            x=rng.uniform(x_box[0], x_box[1], size=(n, d)),
-            p=rng.uniform(p_box[0], p_box[1], size=(n, d)),
-        ))
-    return points
+    t_box, x_box, p_box = (_box(cfg[key], f"{path}/{key}")
+                           for key in ("t_box", "x_box", "p_box"))
+    return [classical.PhasePoint(times=rng.uniform(*t_box, size=n),
+                                 x=rng.uniform(*x_box, size=(n, d)),
+                                 p=rng.uniform(*p_box, size=(n, d)))
+            for _ in range(count)]
+
+
+def _foliation(cfg, path: str, d: int) -> hj.Foliation:
+    cfg = _obj(cfg, path)
+    _keys(cfg, path, ["u"])
+    try:
+        return hj.Foliation(_num_list(cfg["u"], f"{path}/u", d))
+    except ValueError as exc:
+        raise ConfigError(f"{path}/u", str(exc)) from None
 
 
 # ------------------------------------------------------------------- helpers
@@ -369,49 +382,57 @@ def _pmap(fn, items, jobs: int) -> list:
 
 
 # --------------------------------------------------------------- experiments
+#
+# A kind function checks its system and experiment blocks in full, builds the
+# system and draws its random samples.  It returns ``run``, which does the
+# numerics and returns the results and, for a kind that writes CSV, the
+# function that builds the table.
+
+_E = "/experiment"
 
 
-def run_quantum(cfg: dict, exp: dict, jobs: int, csv_path: str | None):
-    sys_q = build_quantum_system(cfg["system"], "/system")
-    kind = exp["kind"]
-    epath = "/experiment"
-    if kind == "defect-grid":
-        _keys(exp, epath, ["kind", "grid"], ["h"])
-        grid = _obj(exp["grid"], f"{epath}/grid")
-        _keys(grid, f"{epath}/grid", ["t_min", "t_max", "points_per_axis"])
-        t_min = _num(grid["t_min"], f"{epath}/grid/t_min")
-        t_max = _num(grid["t_max"], f"{epath}/grid/t_max")
-        pts = _int(grid["points_per_axis"], f"{epath}/grid/points_per_axis", 1)
-        h = _positive(exp.get("h", 1e-4), f"{epath}/h")
-        exp.setdefault("h", h)
+def _quantum_defect_grid(system: dict, exp: dict, jobs: int, rng):
+    sys_q = build_quantum_system(system, "/system")
+    _keys(exp, _E, ["kind", "grid"], ["h"])
+    grid = _obj(exp["grid"], f"{_E}/grid")
+    _keys(grid, f"{_E}/grid", ["t_min", "t_max", "points_per_axis"])
+    t_min = _num(grid["t_min"], f"{_E}/grid/t_min")
+    t_max = _num(grid["t_max"], f"{_E}/grid/t_max")
+    pts = _int(grid["points_per_axis"], f"{_E}/grid/points_per_axis", 1)
+    h = _option(exp, "h", _E, 1e-4, _positive)
+
+    def run():
         axes = [np.linspace(t_min, t_max, pts)] * sys_q.n
         tuples = [np.array(tt) for tt in
                   np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, sys_q.n)]
-        reports = _pmap(
-            lambda tt: quantum.quantum_consistency_defect(sys_q, tt, h=h),
-            tuples, jobs)
+        reports = _pmap(lambda tt: quantum.quantum_consistency_defect(sys_q, tt, h=h),
+                        tuples, jobs)
         points = [{"times": tt.tolist(), **rep.to_dict()}
                   for tt, rep in zip(tuples, reports)]
-        return {
-            "points": points,
-            "max_defect": max(r.max_defect for r in reports),
-            "h": h,
-        }, None
-    if kind == "staircase":
-        _keys(exp, epath, ["kind", "start", "end"],
-              ["order", "max_dt", "initial_state", "compare_diagonal",
-               "diagonal_steps"])
-        start = _num_list(exp["start"], f"{epath}/start", sys_q.n)
-        end = _num_list(exp["end"], f"{epath}/end", sys_q.n)
-        max_dt = _positive(exp.get("max_dt", 1e-2), f"{epath}/max_dt")
-        exp.setdefault("max_dt", max_dt)
-        order = None
-        if "order" in exp:
-            # a permutation of 1..n, so that the staircase ends at ``end``
-            order = _axes(exp["order"], f"{epath}/order", sys_q.n, sys_q.n)
-        phi0 = _initial_state(exp.get("initial_state"),
-                              f"{epath}/initial_state", sys_q.dim)
-        exp.setdefault("initial_state", {"kind": "basis", "index": 0})
+        return {"points": points, "max_defect": max(r.max_defect for r in reports),
+                "h": h}, None
+
+    return run
+
+
+def _staircase(system: dict, exp: dict, jobs: int, rng):
+    sys_q = build_quantum_system(system, "/system")
+    _keys(exp, _E, ["kind", "start", "end"], ["order", "max_dt", "initial_state",
+                                              "compare_diagonal", "diagonal_steps"])
+    start = _num_list(exp["start"], f"{_E}/start", sys_q.n)
+    end = _num_list(exp["end"], f"{_E}/end", sys_q.n)
+    max_dt = _option(exp, "max_dt", _E, 1e-2, _positive)
+    # a permutation of 1..n, so that the staircase ends at ``end``
+    order = _option(exp, "order", _E, None, _axes, sys_q.n, sys_q.n)
+    phi0 = _option(exp, "initial_state", _E, {"kind": "basis", "index": 0},
+                   _initial_state, sys_q.dim)
+    compare = _option(exp, "compare_diagonal", _E, False, _bool)
+    steps = _option(exp, "diagonal_steps", _E, 1000, _int, 1)
+    if compare and not (np.allclose(start, start[0]) and np.allclose(end, end[0])):
+        raise ConfigError(f"{_E}/compare_diagonal", "diagonal comparison needs "
+                                                    "equal-time start and end tuples")
+
+    def run():
         path = quantum.staircase_between(start, end, order=order, max_dt=max_dt)
         state0 = quantum.MultiTimeState(vector=phi0, times=np.array(start))
         final = quantum.evolve_staircase(sys_q, state0, path)
@@ -421,100 +442,95 @@ def run_quantum(cfg: dict, exp: dict, jobs: int, csv_path: str | None):
             "final_state_re": final.vector.real.tolist(),
             "final_state_im": final.vector.imag.tolist(),
         }
-        if exp.get("compare_diagonal", False):
-            exp.setdefault("compare_diagonal", False)
-            steps = _int(exp.get("diagonal_steps", 1000),
-                         f"{epath}/diagonal_steps", 1)
-            exp.setdefault("diagonal_steps", steps)
-            if not (np.allclose(start, start[0]) and np.allclose(end, end[0])):
-                raise ConfigError(f"{epath}/compare_diagonal",
-                                  "diagonal comparison needs equal-time "
-                                  "start and end tuples")
+        if compare:
             psi = quantum.diagonal_evolution(sys_q, phi0, start[0], end[0], steps)
-            results["diagonal_distance"] = float(
-                np.linalg.norm(psi - final.vector))
+            results["diagonal_distance"] = float(np.linalg.norm(psi - final.vector))
         return results, None
-    if kind == "holonomy":
-        _keys(exp, epath, ["kind", "base_times", "axes", "sizes"],
-              ["max_dt", "initial_state"])
-        base = _num_list(exp["base_times"], f"{epath}/base_times", sys_q.n)
-        axes = _axes(exp["axes"], f"{epath}/axes", sys_q.n, 2)
-        sizes = [_positive(v, f"{epath}/sizes/{i}")
-                 for i, v in enumerate(_list(exp["sizes"], f"{epath}/sizes"))]
-        max_dt = _positive(exp.get("max_dt", 1e-2), f"{epath}/max_dt")
-        exp.setdefault("max_dt", max_dt)
-        phi0 = _initial_state(exp.get("initial_state"),
-                              f"{epath}/initial_state", sys_q.dim)
-        exp.setdefault("initial_state", {"kind": "basis", "index": 0})
 
-        def one(size: float) -> dict:
-            hol = quantum.rectangle_holonomy(
-                sys_q, base, axes[0], axes[1], size, size, phi0, max_dt=max_dt)
-            return {"size": size, "area": size * size, "holonomy": hol,
-                    "holonomy_per_area": hol / (size * size)}
+    return run
 
+
+def _holonomy(system: dict, exp: dict, jobs: int, rng):
+    sys_q = build_quantum_system(system, "/system")
+    _keys(exp, _E, ["kind", "base_times", "axes", "sizes"], ["max_dt", "initial_state"])
+    base = _num_list(exp["base_times"], f"{_E}/base_times", sys_q.n)
+    axes = _axes(exp["axes"], f"{_E}/axes", sys_q.n, 2)
+    sizes = [_positive(v, f"{_E}/sizes/{i}")
+             for i, v in enumerate(_list(exp["sizes"], f"{_E}/sizes"))]
+    for i, size in enumerate(sizes):
+        if not size * size > 0.0:  # the holonomy is divided by this area
+            raise ConfigError(f"{_E}/sizes/{i}", f"size {size} has an area of 0")
+    max_dt = _option(exp, "max_dt", _E, 1e-2, _positive)
+    phi0 = _option(exp, "initial_state", _E, {"kind": "basis", "index": 0},
+                   _initial_state, sys_q.dim)
+
+    def one(size: float) -> dict:
+        hol = quantum.rectangle_holonomy(
+            sys_q, base, axes[0], axes[1], size, size, phi0, max_dt=max_dt)
+        return {"size": size, "area": size * size, "holonomy": hol,
+                "holonomy_per_area": hol / (size * size)}
+
+    def run():
         table = _pmap(one, sizes, jobs)
         c = quantum.consistency_defect_matrix(sys_q, base, axes[0], axes[1])
-        return {
-            "table": table,
-            "defect_vector_norm": float(np.linalg.norm(c @ phi0)),
-            "defect_norm_inf": linops.norm_inf(c),
-        }, None
-    raise ConfigError("/experiment/kind", f"unsupported quantum kind {kind!r}")
+        return {"table": table, "defect_vector_norm": float(np.linalg.norm(c @ phi0)),
+                "defect_norm_inf": linops.norm_inf(c)}, None
+
+    return run
 
 
-def run_classical(cfg: dict, exp: dict, jobs: int, csv_path: str | None,
-                  rng: np.random.Generator):
-    kind = exp["kind"]
-    epath = "/experiment"
-    field_required = kind != "cjs-demo"
-    n, d, masses, field, _ = build_classical_system(
-        cfg["system"], "/system", field_required=field_required)
-    if kind == "defect-grid":
-        _keys(exp, epath, ["kind", "samples"], ["h"])
-        h = _positive(exp.get("h", 1e-4), f"{epath}/h")
-        exp.setdefault("h", h)
-        points = _sample_phase_points(exp["samples"], f"{epath}/samples", n, d, rng)
-        reports = _pmap(
-            lambda pt: classical.classical_consistency_defect(field, pt, h=h),
-            points, jobs)
-        values = [r.max_defect for r in reports]
-        return {
-            "sample_count": len(values),
-            "max_defect": max(values),
-            "min_defect": min(values),
-            "h": h,
-        }, None
-    if kind == "equal-time-evolve":
-        _keys(exp, epath, ["kind", "init", "t_span", "dt"])
-        init = _phase_point(exp["init"], f"{epath}/init", n, d)
-        span = _span(exp["t_span"], f"{epath}/t_span")
-        dt = _positive(exp["dt"], f"{epath}/dt")
-        npath = classical.evolve_equal_time(field, init, span, dt,
-                                            timelike_warning=False)
-        results = {
-            "samples_per_line": len(npath.lines[0].t),
-            "max_speed": npath.max_speed(),
-            "final_x": [line.x[-1].tolist() for line in npath.lines],
-            "final_p": [line.p[-1].tolist() for line in npath.lines],
-        }
-        payload = npath.csv_table() if csv_path else None
-        return results, payload
-    if kind == "validity":
-        _keys(exp, epath, ["kind", "init", "t_span", "dt", "samples"])
-        init = _phase_point(exp["init"], f"{epath}/init", n, d)
-        span = _span(exp["t_span"], f"{epath}/t_span")
-        dt = _positive(exp["dt"], f"{epath}/dt")
-        samples_cfg = _obj(exp["samples"], f"{epath}/samples")
-        _keys(samples_cfg, f"{epath}/samples", ["count", "window"])
-        count = _int(samples_cfg["count"], f"{epath}/samples/count", 1)
-        window = _num(samples_cfg["window"], f"{epath}/samples/window")
-        if not 0.0 <= 2 * window <= span[1] - span[0]:
-            raise ConfigError(f"{epath}/samples/window",
-                              f"expected 0 <= 2 * window <= t_span length, "
-                              f"got window {window}")
-        npath = classical.evolve_equal_time(field, init, span, dt,
-                                            timelike_warning=False)
+def _defect_summary(reports) -> dict:
+    values = [r.max_defect for r in reports]
+    return {"sample_count": len(values), "max_defect": max(values),
+            "min_defect": min(values)}
+
+
+def _classical_defect_grid(system: dict, exp: dict, jobs: int, rng):
+    n, d, _, field = _classical_system(system, "/system")
+    _keys(exp, _E, ["kind", "samples"], ["h"])
+    h = _option(exp, "h", _E, 1e-4, _positive)
+    points = _sample_phase_points(exp["samples"], f"{_E}/samples", n, d, rng)
+
+    def run():
+        reports = _pmap(lambda pt: classical.classical_consistency_defect(field, pt, h=h),
+                        points, jobs)
+        return {**_defect_summary(reports), "h": h}, None
+
+    return run
+
+
+def _equal_time_evolve(system: dict, exp: dict, jobs: int, rng):
+    n, d, _, field = _classical_system(system, "/system")
+    _keys(exp, _E, ["kind", "init", "t_span", "dt"])
+    init = _phase_point(exp["init"], f"{_E}/init", n, d)
+    span = _span(exp["t_span"], f"{_E}/t_span")
+    dt = _positive(exp["dt"], f"{_E}/dt")
+
+    def run():
+        npath = classical.evolve_equal_time(field, init, span, dt, timelike_warning=False)
+        return {"samples_per_line": len(npath.lines[0].t), "max_speed": npath.max_speed(),
+                "final_x": [line.x[-1].tolist() for line in npath.lines],
+                "final_p": [line.p[-1].tolist() for line in npath.lines]}, npath.csv_table
+
+    return run
+
+
+def _validity(system: dict, exp: dict, jobs: int, rng):
+    n, d, _, field = _classical_system(system, "/system")
+    _keys(exp, _E, ["kind", "init", "t_span", "dt", "samples"])
+    init = _phase_point(exp["init"], f"{_E}/init", n, d)
+    span = _span(exp["t_span"], f"{_E}/t_span")
+    dt = _positive(exp["dt"], f"{_E}/dt")
+    samples_cfg = _obj(exp["samples"], f"{_E}/samples")
+    _keys(samples_cfg, f"{_E}/samples", ["count", "window"])
+    count = _int(samples_cfg["count"], f"{_E}/samples/count", 1)
+    window = _num(samples_cfg["window"], f"{_E}/samples/window")
+    if not 0.0 <= 2 * window <= span[1] - span[0]:
+        raise ConfigError(f"{_E}/samples/window", f"expected 0 <= 2 * window <= "
+                                                  f"t_span length, got window {window}")
+
+    def run():
+        npath = classical.evolve_equal_time(field, init, span, dt, timelike_warning=False)
         lo, hi = npath.common_time_range()
         # the path may end a rounding error short of t_span[1]
         base_hi = max(hi - window, lo + window)
@@ -524,55 +540,43 @@ def run_classical(cfg: dict, exp: dict, jobs: int, csv_path: str | None,
             tup = base + rng.uniform(-window, window, size=n)
             tuples.append(np.clip(tup, lo, hi))
         report = classical.validity_residual(field, npath, tuples)
-        return {
-            "max_residual": report.max_residual,
-            "rejected_samples": report.rejected,
-            "accepted_samples": len(report.rows) - report.rejected,
-            "rows": report.rows,
-        }, None
-    if kind == "full-grid":
-        _keys(exp, epath, ["kind", "init", "t1_max", "t2_max", "points"],
-              ["substeps"])
-        hpair = _hpair_from_system(cfg["system"], n, d)
-        init = _phase_point(exp["init"], f"{epath}/init", n, d)
-        t1m = _num(exp["t1_max"], f"{epath}/t1_max")
-        t2m = _num(exp["t2_max"], f"{epath}/t2_max")
-        pts = _int(exp["points"], f"{epath}/points", 2)
-        sub = _int(exp.get("substeps", 4), f"{epath}/substeps", 1)
-        exp.setdefault("substeps", sub)
+        return {"max_residual": report.max_residual, "rejected_samples": report.rejected,
+                "accepted_samples": len(report.rows) - report.rejected,
+                "rows": report.rows}, None
+
+    return run
+
+
+def _full_grid(system: dict, exp: dict, jobs: int, rng):
+    n, d, _, hpair = _classical_system(system, "/system", grid=True)
+    _keys(exp, _E, ["kind", "init", "t1_max", "t2_max", "points"], ["substeps"])
+    init = _phase_point(exp["init"], f"{_E}/init", n, d)
+    t1m = _num(exp["t1_max"], f"{_E}/t1_max")
+    t2m = _num(exp["t2_max"], f"{_E}/t2_max")
+    pts = _int(exp["points"], f"{_E}/points", 2)
+    sub = _option(exp, "substeps", _E, 4, _int, 1)
+
+    def run():
         t1g = np.linspace(init.times[0], init.times[0] + t1m, pts)
         t2g = np.linspace(init.times[1], init.times[1] + t2m, pts)
         sol = classical.evolve_full_grid(hpair, init, t1g, t2g, substeps=sub)
         cross = np.gradient(sol.x[0], t2g, axis=1)
-        results = {
-            "grid_shape": [pts, pts],
-            "max_dx1_dt2": float(np.max(np.abs(cross))),
-            "corner_x": sol.x[:, -1, -1, :].tolist(),
-            "corner_p": sol.p[:, -1, -1, :].tolist(),
-        }
-        payload = None
-        if csv_path:
-            columns = ["t1", "t2"] + [
-                f"{name}{j + 1}_{dd + 1}" for name in ("x", "p")
-                for j in range(n) for dd in range(d)]
-            rows = []
-            for i1, t1v in enumerate(t1g):
-                for i2, t2v in enumerate(t2g):
-                    row = [repr(float(t1v)), repr(float(t2v))]
-                    for arr in (sol.x, sol.p):
-                        for j in range(n):
-                            row += [repr(float(v)) for v in arr[j, i1, i2]]
-                    rows.append(row)
-            payload = (columns, rows)
-        return results, payload
-    if kind == "path-independence":
-        _keys(exp, epath, ["kind", "init", "rectangle", "dt"], ["refinements"])
-        hpair = _hpair_from_system(cfg["system"], n, d)
-        init = _phase_point(exp["init"], f"{epath}/init", n, d)
-        rect = _num_list(exp["rectangle"], f"{epath}/rectangle", 2)
-        dt = _positive(exp["dt"], f"{epath}/dt")
-        refinements = _int(exp.get("refinements", 0), f"{epath}/refinements", 0)
-        exp.setdefault("refinements", refinements)
+        return {"grid_shape": [pts, pts], "max_dx1_dt2": float(np.max(np.abs(cross))),
+                "corner_x": sol.x[:, -1, -1, :].tolist(),
+                "corner_p": sol.p[:, -1, -1, :].tolist()}, sol.csv_table
+
+    return run
+
+
+def _path_independence(system: dict, exp: dict, jobs: int, rng):
+    n, d, _, hpair = _classical_system(system, "/system", grid=True)
+    _keys(exp, _E, ["kind", "init", "rectangle", "dt"], ["refinements"])
+    init = _phase_point(exp["init"], f"{_E}/init", n, d)
+    rect = _num_list(exp["rectangle"], f"{_E}/rectangle", 2)
+    dt = _positive(exp["dt"], f"{_E}/dt")
+    refinements = _option(exp, "refinements", _E, 0, _int, 0)
+
+    def run():
         table = []
         for level in range(refinements + 1):
             scale = 0.5**level
@@ -584,142 +588,138 @@ def run_classical(cfg: dict, exp: dict, jobs: int, csv_path: str | None,
             cur["gap_ratio_vs_previous"] = (
                 prev["gap"] / cur["gap"] if cur["gap"] > 0 else None)
         return {"table": table}, None
-    if kind == "cjs-demo":
-        _keys(exp, epath,
-              ["kind", "family", "samples", "init", "t_span", "dt"], ["h"])
-        h = _positive(exp.get("h", 1e-4), f"{epath}/h")
-        exp.setdefault("h", h)
-        family = []
-        for i, member in enumerate(_list(exp["family"], f"{epath}/family")):
-            mpath = f"{epath}/family/{i}"
-            member = _obj(member, mpath)
-            _keys(member, mpath, ["id", "field"])
-            fld = _build_field(member["field"], f"{mpath}/field", n, d, masses)
-            family.append((_str(member["id"], f"{mpath}/id"), fld))
-        points = _sample_phase_points(exp["samples"], f"{epath}/samples", n, d, rng)
-        init = _phase_point(exp["init"], f"{epath}/init", n, d)
-        span = _span(exp["t_span"], f"{epath}/t_span")
-        dt = _positive(exp["dt"], f"{epath}/dt")
-        rows = classical.cjs_demo(family, points, init, span, dt, h=h)
-        return {"table": rows}, None
-    raise ConfigError("/experiment/kind", f"unsupported classical kind {kind!r}")
+
+    return run
 
 
-def _hpair_from_system(sys_cfg: dict, n: int, d: int) -> classical.HamiltonianPair:
-    field_cfg = _obj(sys_cfg, "/system").get("field")
-    field_cfg = _obj(field_cfg, "/system/field")
-    if field_cfg.get("type") != "partial_hamiltonians":
-        raise ConfigError("/system/field/type",
-                          "the grid experiments need field type "
-                          "'partial_hamiltonians'")
-    hs = [_str(e, f"/system/field/h_list/{j}")
-          for j, e in enumerate(_list(field_cfg["h_list"],
-                                      "/system/field/h_list", n))]
-    try:
-        return classical.HamiltonianPair(hs, n, d)
-    except (ValueError, ExpressionError) as exc:
-        raise ConfigError("/system/field", str(exc)) from None
+def _cjs_demo(system: dict, exp: dict, jobs: int, rng):
+    # a system field is not used by this kind, but checked
+    n, d, masses, _ = _classical_system(system, "/system", field_required=False)
+    _keys(exp, _E, ["kind", "family", "samples", "init", "t_span", "dt"], ["h"])
+    h = _option(exp, "h", _E, 1e-4, _positive)
+    family = []
+    for i, member in enumerate(_list(exp["family"], f"{_E}/family")):
+        mpath = f"{_E}/family/{i}"
+        member = _obj(member, mpath)
+        _keys(member, mpath, ["id", "field"])
+        fld = _build_field(member["field"], f"{mpath}/field", n, d, masses)
+        family.append((_str(member["id"], f"{mpath}/id"), fld))
+    points = _sample_phase_points(exp["samples"], f"{_E}/samples", n, d, rng)
+    init = _phase_point(exp["init"], f"{_E}/init", n, d)
+    span = _span(exp["t_span"], f"{_E}/t_span")
+    dt = _positive(exp["dt"], f"{_E}/dt")
+    return lambda: ({"table": classical.cjs_demo(family, points, init, span, dt,
+                                                 h=h)}, None)
 
 
-def run_hj(cfg: dict, exp: dict, jobs: int, csv_path: str | None,
-           rng: np.random.Generator):
-    s, hams = build_hj_system(cfg["system"], "/system")
-    kind = exp["kind"]
-    epath = "/experiment"
-    if kind == "hj-residual":
-        _keys(exp, epath, ["kind", "points"], ["h"])
-        if hams is None:
-            raise ConfigError("/system",
-                              "hj-residual needs system.hamiltonians")
-        h_list, h_total = hams
-        step = _optional_positive(exp, "h", epath)
+def _hj_residual(system: dict, exp: dict, jobs: int, rng):
+    s, hams = build_hj_system(system, "/system")
+    if hams is None:
+        raise ConfigError("/system", "hj-residual needs system.hamiltonians")
+    h_list, h_total = hams
+    _keys(exp, _E, ["kind", "points"], ["h"])
+    step = _option(exp, "h", _E, None, _positive)
+    points = []
+    for i, pt in enumerate(_list(exp["points"], f"{_E}/points")):
+        ppath = f"{_E}/points/{i}"
+        pt = _obj(pt, ppath)
+        _keys(pt, ppath, ["times", "x"])
+        points.append((_num_list(pt["times"], f"{ppath}/times", s.n),
+                       _matrix(pt["x"], f"{ppath}/x", s.n, s.d)))
+
+    def run():
         rows = []
-        worst = 0.0
-        for i, pt in enumerate(_list(exp["points"], f"{epath}/points")):
-            ppath = f"{epath}/points/{i}"
-            pt = _obj(pt, ppath)
-            _keys(pt, ppath, ["times", "x"])
-            times = _num_list(pt["times"], f"{ppath}/times", s.n)
-            x = _matrix(pt["x"], f"{ppath}/x", s.n, s.d)
+        for times, x in points:
             residuals = hj.hj_residual_multi(s, h_list, times, x, h=step)
             row = {"times": times, "residuals": residuals}
             if h_total is not None and np.allclose(times, times[0]):
-                point = classical.PhasePoint(
-                    times=np.asarray(times),
-                    x=x,
-                    p=np.stack([s.grad_x(j, times, x)
-                                for j in range(1, s.n + 1)]),
-                )
+                p = np.stack([s.grad_x(j, times, x) for j in range(1, s.n + 1)])
+                point = classical.PhasePoint(times=np.asarray(times), x=x, p=p)
                 row["sum_rule_gap"] = hj.equal_time_sum_gap(
                     h_list, h_total, point, constants=s.constants)
             rows.append(row)
-            worst = max(worst, max(residuals))
+        worst = max([0.0] + [max(row["residuals"]) for row in rows])
         return {"points": rows, "max_residual": worst}, None
-    if kind == "defect-grid":
-        _keys(exp, epath, ["kind", "samples"], ["h"])
-        if hams is None:
-            raise ConfigError("/system",
-                              "the HJ defect grid needs system.hamiltonians")
-        h_list, _ = hams
-        step = _optional_positive(exp, "h", epath)
-        points = _sample_phase_points(exp["samples"], f"{epath}/samples",
-                                      s.n, s.d, rng)
-        reports = _pmap(
-            lambda pt: hj.hj_consistency_defect(h_list, pt, h=step,
-                                                constants=s.constants),
-            points, jobs)
-        values = [r.max_defect for r in reports]
-        return {
-            "sample_count": len(values),
-            "max_defect": max(values),
-            "min_defect": min(values),
-        }, None
-    if kind == "trajectories":
-        _keys(exp, epath, ["kind", "foliation", "init_positions",
-                           "s_span", "ds"])
-        fol_cfg = _obj(exp["foliation"], f"{epath}/foliation")
-        _keys(fol_cfg, f"{epath}/foliation", ["u"])
-        try:
-            fol = hj.Foliation(_num_list(fol_cfg["u"], f"{epath}/foliation/u",
-                                         s.d))
-        except ValueError as exc:
-            raise ConfigError(f"{epath}/foliation/u", str(exc)) from None
-        init = _matrix(exp["init_positions"], f"{epath}/init_positions",
-                       s.n, s.d)
-        span = _span(exp["s_span"], f"{epath}/s_span")
-        ds = _positive(exp["ds"], f"{epath}/ds")
+
+    return run
+
+
+def _hj_defect_grid(system: dict, exp: dict, jobs: int, rng):
+    s, hams = build_hj_system(system, "/system")
+    if hams is None:
+        raise ConfigError("/system", "the HJ defect grid needs system.hamiltonians")
+    _keys(exp, _E, ["kind", "samples"], ["h"])
+    step = _option(exp, "h", _E, None, _positive)
+    points = _sample_phase_points(exp["samples"], f"{_E}/samples", s.n, s.d, rng)
+
+    def run():
+        reports = _pmap(lambda pt: hj.hj_consistency_defect(
+            hams[0], pt, h=step, constants=s.constants), points, jobs)
+        return _defect_summary(reports), None
+
+    return run
+
+
+def _trajectories(system: dict, exp: dict, jobs: int, rng):
+    s, _ = build_hj_system(system, "/system")
+    _keys(exp, _E, ["kind", "foliation", "init_positions", "s_span", "ds"])
+    fol = _foliation(exp["foliation"], f"{_E}/foliation", s.d)
+    init = _matrix(exp["init_positions"], f"{_E}/init_positions", s.n, s.d)
+    span = _span(exp["s_span"], f"{_E}/s_span")
+    ds = _positive(exp["ds"], f"{_E}/ds")
+
+    def run():
         npath = hj.hj_trajectories_foliation(s, fol, init, span, ds)
-        results = {
-            "foliation": fol.label(),
-            "time_ranges": [[line.t_min, line.t_max] for line in npath.lines],
-            "max_speed": npath.max_speed(),
-        }
-        payload = npath.csv_table() if csv_path else None
-        return results, payload
-    if kind == "foliation-compare":
-        _keys(exp, epath, ["kind", "foliations", "init_positions",
-                           "s_span", "ds"], ["tolerance"])
-        fols = []
-        for i, fc in enumerate(_list(exp["foliations"], f"{epath}/foliations")):
-            fpath = f"{epath}/foliations/{i}"
-            fc = _obj(fc, fpath)
-            _keys(fc, fpath, ["u"])
-            try:
-                fols.append(hj.Foliation(_num_list(fc["u"], f"{fpath}/u", s.d)))
-            except ValueError as exc:
-                raise ConfigError(f"{fpath}/u", str(exc)) from None
-        if len(fols) < 2:
-            raise ConfigError(f"{epath}/foliations", "need >= 2 foliations")
-        init = _matrix(exp["init_positions"], f"{epath}/init_positions",
-                       s.n, s.d)
-        span = _span(exp["s_span"], f"{epath}/s_span")
-        ds = _positive(exp["ds"], f"{epath}/ds")
-        tol = _num(exp.get("tolerance", hj.FOLIATION_INDEPENDENCE_TOL),
-                   f"{epath}/tolerance")
-        exp.setdefault("tolerance", tol)
-        report = hj.foliation_compare(s, fols, init, span, ds, tolerance=tol)
-        return report.to_dict(), None
-    raise ConfigError("/experiment/kind", f"unsupported hj kind {kind!r}")
+        ranges = [[line.t_min, line.t_max] for line in npath.lines]
+        return {"foliation": fol.label(), "time_ranges": ranges,
+                "max_speed": npath.max_speed()}, npath.csv_table
+
+    return run
+
+
+def _foliation_compare(system: dict, exp: dict, jobs: int, rng):
+    s, _ = build_hj_system(system, "/system")
+    _keys(exp, _E, ["kind", "foliations", "init_positions", "s_span", "ds"],
+          ["tolerance"])
+    fols = [_foliation(fc, f"{_E}/foliations/{i}", s.d)
+            for i, fc in enumerate(_list(exp["foliations"], f"{_E}/foliations"))]
+    if len(fols) < 2:
+        raise ConfigError(f"{_E}/foliations", "need >= 2 foliations")
+    init = _matrix(exp["init_positions"], f"{_E}/init_positions", s.n, s.d)
+    span = _span(exp["s_span"], f"{_E}/s_span")
+    ds = _positive(exp["ds"], f"{_E}/ds")
+    tol = _option(exp, "tolerance", _E, hj.FOLIATION_INDEPENDENCE_TOL, _num)
+    return lambda: (hj.foliation_compare(s, fols, init, span, ds,
+                                         tolerance=tol).to_dict(), None)
+
+
+class _Kind(NamedTuple):
+    subcommand: str
+    csv: bool  # whether ``--csv`` is supported
+    prepare: Callable  # (system, experiment, jobs, rng) -> run
+
+
+_KINDS: dict[tuple[str, str], _Kind] = {
+    ("quantum", "defect-grid"): _Kind("check", False, _quantum_defect_grid),
+    ("classical", "defect-grid"): _Kind("check", False, _classical_defect_grid),
+    ("hj", "defect-grid"): _Kind("check", False, _hj_defect_grid),
+    ("quantum", "staircase"): _Kind("evolve", False, _staircase),
+    ("classical", "equal-time-evolve"): _Kind("evolve", True, _equal_time_evolve),
+    ("quantum", "holonomy"): _Kind("holonomy", False, _holonomy),
+    ("classical", "validity"): _Kind("validity", False, _validity),
+    ("classical", "full-grid"): _Kind("grid", True, _full_grid),
+    ("classical", "path-independence"): _Kind("grid", False, _path_independence),
+    ("hj", "hj-residual"): _Kind("hj", False, _hj_residual),
+    ("hj", "trajectories"): _Kind("foliation", True, _trajectories),
+    ("hj", "foliation-compare"): _Kind("foliation", False, _foliation_compare),
+    ("classical", "cjs-demo"): _Kind("cjs", False, _cjs_demo),
+}
+
+_FORMALISMS = tuple(dict.fromkeys(f for f, _ in _KINDS))
+
+_SUBCOMMAND_KINDS: dict[str, set[str]] = {
+    sub: {kind for (_, kind), entry in _KINDS.items() if entry.subcommand == sub}
+    for sub in dict.fromkeys(entry.subcommand for entry in _KINDS.values())}
 
 
 # ------------------------------------------------------------------ plumbing
@@ -731,16 +731,15 @@ def _load_config(path: str) -> dict:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError("", f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, undecodable bytes, huge ints
         raise ConfigError("", f"invalid JSON: {exc}")
     cfg = _obj(raw, "")
     _keys(cfg, "", ["formalism", "system", "experiment"], ["seed"])
     formalism = _str(cfg["formalism"], "/formalism")
-    if formalism not in ("quantum", "classical", "hj"):
-        raise ConfigError("/formalism",
-                          f"expected quantum | classical | hj, got {formalism!r}")
-    cfg.setdefault("seed", 0)
-    _int(cfg["seed"], "/seed", 0)
+    if formalism not in _FORMALISMS:
+        raise ConfigError("/formalism", f"expected {' | '.join(_FORMALISMS)}, "
+                                        f"got {formalism!r}")
+    _option(cfg, "seed", "", 0, _int, 0)
     exp = _obj(cfg["experiment"], "/experiment")
     if "kind" not in exp:
         raise ConfigError("/experiment", "missing required key 'kind'")
@@ -750,40 +749,28 @@ def _load_config(path: str) -> dict:
 
 def run_config(cfg: dict, subcommand: str, jobs: int,
                csv_path: str | None) -> dict:
-    kind = cfg["experiment"]["kind"]
+    formalism, kind = cfg["formalism"], cfg["experiment"]["kind"]
     allowed = _SUBCOMMAND_KINDS[subcommand]
     if kind not in allowed:
-        raise ConfigError("/experiment/kind",
-                          f"kind {kind!r} not valid for subcommand "
+        raise ConfigError("/experiment/kind", f"kind {kind!r} not valid for subcommand "
                           f"{subcommand!r} (expected one of {sorted(allowed)})")
-    rng = np.random.default_rng(cfg["seed"])
+    entry = _KINDS.get((formalism, kind))
+    if entry is None:
+        raise ConfigError("/experiment/kind", f"unsupported {formalism} kind {kind!r}")
+    if csv_path and not entry.csv:
+        raise ConfigError("/experiment/kind", f"kind {kind!r} produces no CSV output")
     start = time.monotonic()
-    formalism = cfg["formalism"]
-    if formalism == "quantum":
-        results, csv_payload = run_quantum(cfg, cfg["experiment"], jobs, csv_path)
-    elif formalism == "classical":
-        results, csv_payload = run_classical(cfg, cfg["experiment"], jobs,
-                                             csv_path, rng)
-    else:
-        results, csv_payload = run_hj(cfg, cfg["experiment"], jobs, csv_path, rng)
-    duration = time.monotonic() - start
-    report = {
-        "config": cfg,
-        "results": results,
-        "jobs": jobs,
-        "duration_seconds": duration,
-    }
+    rng = np.random.default_rng(cfg["seed"])
+    # every config error is raised here, before any numerics run
+    run = entry.prepare(cfg["system"], cfg["experiment"], jobs, rng)
+    results, csv_table = run()
+    report = {"config": cfg, "results": results, "jobs": jobs,
+              "duration_seconds": time.monotonic() - start}
     if csv_path:
-        if csv_payload is None:
-            raise ConfigError("/experiment/kind",
-                              f"kind {kind!r} produces no CSV output")
-        columns, rows = csv_payload
+        columns, rows = csv_table()
         write_csv(csv_path, columns, rows)
-        report["csv"] = {
-            "path": csv_path,
-            "columns": columns,
-            "format_version": CSV_FORMAT_VERSION,
-        }
+        report["csv"] = {"path": csv_path, "columns": columns,
+                         "format_version": CSV_FORMAT_VERSION}
     return report
 
 
@@ -818,14 +805,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = _load_config(args.config)
         jobs = _resolve_jobs(args.jobs)
         report = run_config(cfg, args.subcommand, jobs, args.csv)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (FloatingPointError, OverflowError, FoliationError,
             DomainError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ExpressionError as exc:
+    except (ConfigError, ExpressionError) as exc:  # DomainError is caught above
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,12 +1,22 @@
+import copy
 import functools
 import json
+import math
 import os
+import re
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from multitime import hj
-from multitime.cli import main
+from multitime import classical, hj, quantum
+from multitime.cli import _SUBCOMMAND_KINDS, main, run_config
 from multitime.configs import EXAMPLE_CONFIGS, write_examples
+
+KIND_SUBCOMMAND = {kind: sub for sub, kinds in _SUBCOMMAND_KINDS.items()
+                   for kind in kinds}
 
 
 @pytest.fixture(scope="module")
@@ -17,11 +27,33 @@ def config_dir(tmp_path_factory):
 
 
 def set_pointer(cfg, pointer, value):
-    """Set the config entry at a JSON pointer of object keys."""
-    *parents, key = pointer.strip("/").split("/")
+    """Set the config entry at a JSON pointer (array indices as digits)."""
+    *parents, key = [int(p) if p.isdigit() else p
+                     for p in pointer.strip("/").split("/")]
     for part in parents:
         cfg = cfg[part]
     cfg[key] = value
+
+
+@pytest.fixture
+def no_numerics(monkeypatch):
+    """Make every numerical routine the CLI calls fail, so that a test
+    passes only if its config error is raised before any numerics run."""
+    def fail(*args, **kwargs):
+        raise AssertionError("numerics ran before the config was checked")
+
+    for module, names in [
+        (quantum, ["quantum_consistency_defect", "evolve_staircase",
+                   "diagonal_evolution", "rectangle_holonomy",
+                   "consistency_defect_matrix"]),
+        (classical, ["classical_consistency_defect", "evolve_equal_time",
+                     "validity_residual", "evolve_full_grid",
+                     "grid_path_independence", "cjs_demo"]),
+        (hj, ["hj_residual_multi", "hj_consistency_defect",
+              "hj_trajectories_foliation", "foliation_compare"]),
+    ]:
+        for name in names:
+            monkeypatch.setattr(module, name, fail)
 
 
 def run_cli(args, tmp_path, name="report.json"):
@@ -88,6 +120,22 @@ class TestSubcommands:
             ["grid", "--config", str(config_dir / "grid_coupled.json")], tmp_path)
         assert code == 0
         assert rep["results"]["max_dx1_dt2"] > 0.05
+
+    def test_grid_honours_h_step(self):
+        cfg = copy.deepcopy(EXAMPLE_CONFIGS["grid_coupled"])
+        hs = ["p1_1^2/2 + cos(x1_1 - x2_1)", "p2_1^2/2 + cos(x1_1 - x2_1)"]
+        cfg["system"]["field"]["h_list"] = hs
+        cfg["experiment"]["points"] = 3
+        plain = run_config(copy.deepcopy(cfg), "grid", 1, None)["results"]
+        cfg["system"]["field"]["h_step"] = 0.1
+        stepped = run_config(cfg, "grid", 1, None)["results"]
+        init = classical.PhasePoint(times=[0.0, 0.0], x=[[0.0], [1.0]],
+                                    p=[[0.3], [-0.2]])
+        grid = np.linspace(0.0, 1.0, 3)
+        sol = classical.evolve_full_grid(classical.HamiltonianPair(hs, 2, 1, h=0.1),
+                                         init, grid, grid, substeps=2)
+        assert stepped["corner_p"] == sol.p[:, -1, -1, :].tolist()
+        assert stepped["corner_p"] != plain["corner_p"]
 
     def test_grid_path_independence_scaling(self, config_dir, tmp_path):
         code, rep = run_cli(
@@ -187,8 +235,22 @@ class TestCsv:
         assert lines[0] == "particle,t,x_1,p_1,dxdt_1,dpdt_1"
         assert len(lines) == 1 + 2 * rep["results"]["samples_per_line"]
 
+    def test_grid_csv(self, config_dir, tmp_path):
+        out, csv_path = tmp_path / "r.json", tmp_path / "grid.csv"
+        code = main(["grid", "--config", str(config_dir / "grid_free.json"),
+                     "--out", str(out), "--csv", str(csv_path)])
+        assert code == 0
+        lines = csv_path.read_text().splitlines()
+        assert lines[0] == "t1,t2,x1_1,x2_1,p1_1,p2_1"
+        assert len(lines) == 1 + 50 * 50
+        # the t2 column is innermost; the first node is the initial state
+        assert lines[1] == "0.0,0.0,0.0,1.0,0.3,-0.2"
+        assert lines[2].startswith("0.0,0.02040816326530612,")
+        rep = json.loads(out.read_text())
+        assert rep["csv"]["columns"] == lines[0].split(",")
+
     def test_csv_rejected_for_scalar_experiments(self, config_dir, tmp_path,
-                                                 capsys):
+                                                 capsys, no_numerics):
         code = main(["check", "--config",
                      str(config_dir / "free_quantum.json"),
                      "--csv", str(tmp_path / "x.csv")])
@@ -205,6 +267,15 @@ class TestConfigErrors:
     def run_expect_error(self, tmp_path, cfg, subcommand="check"):
         path = self.write(tmp_path, cfg)
         return main([subcommand, "--config", path])
+
+    def expect_error(self, config_dir, tmp_path, capsys, name, subcommand,
+                     key, value, pointer, message=""):
+        cfg = json.loads((config_dir / f"{name}.json").read_text())
+        set_pointer(cfg, key, value)
+        assert self.run_expect_error(tmp_path, cfg, subcommand) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {pointer}: {message}" in err
+        assert "Traceback" not in err
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["check", "--config", str(tmp_path / "nope.json")]) == 2
@@ -264,19 +335,17 @@ class TestConfigErrors:
         ("interaction_picture_staircase", "evolve", "/experiment/max_dt", 0.0),
         ("coupled_qubits", "holonomy", "/experiment/max_dt", -0.01),
     ])
-    def test_bad_step_or_span(self, config_dir, tmp_path, capsys, name,
-                              subcommand, pointer, value):
-        cfg = json.loads((config_dir / f"{name}.json").read_text())
-        set_pointer(cfg, pointer, value)
-        assert self.run_expect_error(tmp_path, cfg, subcommand) == 2
-        err = capsys.readouterr().err
-        assert f"config error: {pointer}: " in err
-        assert "Traceback" not in err
+    def test_bad_step_or_span(self, config_dir, tmp_path, capsys, no_numerics,
+                              name, subcommand, pointer, value):
+        self.expect_error(config_dir, tmp_path, capsys, name, subcommand,
+                          pointer, value, pointer)
 
     @pytest.mark.parametrize("name,subcommand,key,value,pointer", [
         ("free_quantum_holonomy", "holonomy", "/experiment/sizes", [0.0],
          "/experiment/sizes/0"),
         ("coupled_qubits", "holonomy", "/experiment/sizes", [0.01, -0.01],
+         "/experiment/sizes/1"),
+        ("coupled_qubits", "holonomy", "/experiment/sizes", [0.01, 1e-300],
          "/experiment/sizes/1"),
         ("coupled_qubits", "holonomy", "/experiment/axes", [1, 3],
          "/experiment/axes/1"),
@@ -306,15 +375,12 @@ class TestConfigErrors:
          {"type": "hamiltonian", "h": "p1_1^2/2 + p2_1^2/2", "h_step": 0.0},
          "/system/field/h_step"),
     ])
-    def test_bad_axis_size_or_fd_step(self, config_dir, tmp_path, capsys, name,
-                                      subcommand, key, value, pointer):
+    def test_bad_axis_size_or_fd_step(self, config_dir, tmp_path, capsys,
+                                      no_numerics, name, subcommand, key, value,
+                                      pointer):
         # each of these used to escape main() as an uncaught exception
-        cfg = json.loads((config_dir / f"{name}.json").read_text())
-        set_pointer(cfg, key, value)
-        assert self.run_expect_error(tmp_path, cfg, subcommand) == 2
-        err = capsys.readouterr().err
-        assert f"config error: {pointer}: " in err
-        assert "Traceback" not in err
+        self.expect_error(config_dir, tmp_path, capsys, name, subcommand,
+                          key, value, pointer)
 
     def test_permuted_staircase_order_runs(self, config_dir, tmp_path):
         cfg = json.loads(
@@ -335,11 +401,124 @@ class TestConfigErrors:
         assert code == 0
         assert rep["results"]["accepted_samples"] > 0
 
-    def test_superluminal_foliation(self, config_dir, tmp_path, capsys):
+    def test_superluminal_foliation(self, config_dir, tmp_path, capsys,
+                                    no_numerics):
         cfg = json.loads((config_dir / "hj_free_foliations.json").read_text())
         cfg["experiment"]["foliations"][1]["u"] = [1.5]
         assert self.run_expect_error(tmp_path, cfg, subcommand="foliation") == 2
         assert "foliations/1/u" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,subcommand,pointer,value", [
+        ("classical_free_evolve", "evolve", "/experiment/init/t", math.nan),
+        ("grid_coupled_pathindep", "grid", "/experiment/rectangle/1", math.nan),
+        ("interaction_picture_staircase", "evolve", "/experiment/start/0", math.nan),
+        ("interaction_picture_staircase", "evolve", "/experiment/end/1", math.nan),
+        ("coupled_qubits_check", "check", "/system/hamiltonians/terms/1/1/coeff",
+         math.nan),
+        ("hj_free_trajectories", "foliation", "/experiment/ds", math.inf),
+        ("classical_free_check", "check", "/system/masses/0", math.inf),
+        ("hj_free_residual", "hj", "/system/masses/1", -math.inf),
+        ("free_quantum", "check", "/system/hamiltonians/terms/0/0/coeff", math.inf),
+        ("interaction_picture_check", "check",
+         "/system/hamiltonians/base/0/coeff", -math.inf),
+        pytest.param("free_quantum", "check", "/experiment/grid/t_max", 10**400,
+                     id="integer-beyond-float"),
+    ])
+    def test_non_finite_number(self, config_dir, tmp_path, capsys, no_numerics,
+                               name, subcommand, pointer, value):
+        # json reads NaN and Infinity literals; each of these escaped main()
+        self.expect_error(config_dir, tmp_path, capsys, name, subcommand,
+                          pointer, value, pointer, "expected a finite number")
+
+    @pytest.mark.parametrize("name,subcommand,pointer,value", [
+        ("classical_free_check", "check", "/experiment/samples/t_box", [3.0, 1.0]),
+        ("classical_harmonic_check", "check", "/experiment/samples/x_box",
+         [-1.0, -1e308]),
+        ("classical_free_check", "check", "/experiment/samples/p_box",
+         [-1e308, 1e308]),
+        ("cjs_family", "cjs", "/experiment/samples/t_box", [3.0, 1.0]),
+        ("cjs_family", "cjs", "/experiment/samples/p_box", [-1.0, -1e308]),
+    ])
+    def test_bad_sample_box(self, config_dir, tmp_path, capsys, no_numerics,
+                            name, subcommand, pointer, value):
+        self.expect_error(config_dir, tmp_path, capsys, name, subcommand,
+                          pointer, value, pointer, "expected a pair lo <= hi")
+
+    @pytest.mark.parametrize("box,value", [("t_box", [3.0, 1.0]),
+                                           ("x_box", [-1.0, -1e308])])
+    def test_bad_hj_sample_box(self, config_dir, tmp_path, capsys, no_numerics,
+                               box, value):
+        samples = {"count": 2, "t_box": [0.0, 1.0], "x_box": [-1.0, 1.0],
+                   "p_box": [-1.0, 1.0], box: value}
+        self.expect_error(config_dir, tmp_path, capsys, "hj_free_residual",
+                          "check", "/experiment",
+                          {"kind": "defect-grid", "samples": samples},
+                          f"/experiment/samples/{box}", "expected a pair lo <= hi")
+
+    @pytest.mark.parametrize("value", ["no", 0, None])
+    def test_compare_diagonal_must_be_boolean(self, config_dir, tmp_path, capsys,
+                                              no_numerics, value):
+        self.expect_error(config_dir, tmp_path, capsys,
+                          "interaction_picture_staircase", "evolve",
+                          "/experiment/compare_diagonal", value,
+                          "/experiment/compare_diagonal", "expected a boolean")
+
+    def test_diagonal_comparison_needs_equal_times(self, config_dir, tmp_path,
+                                                   capsys, no_numerics):
+        self.expect_error(config_dir, tmp_path, capsys,
+                          "interaction_picture_staircase", "evolve",
+                          "/experiment/start", [0.0, 0.1],
+                          "/experiment/compare_diagonal", "diagonal comparison")
+
+    def test_bad_third_hj_point(self, config_dir, tmp_path, capsys, no_numerics):
+        cfg = json.loads((config_dir / "hj_free_residual.json").read_text())
+        cfg["experiment"]["points"].append({"times": [0.0], "x": [[0.0], [1.0]]})
+        assert self.run_expect_error(tmp_path, cfg, "hj") == 2
+        assert ("config error: /experiment/points/2/times: expected 2 entries"
+                in capsys.readouterr().err)
+
+    def test_csv_checked_before_the_run(self, config_dir, tmp_path, capsys,
+                                        no_numerics):
+        code = main(["cjs", "--config", str(config_dir / "cjs_family.json"),
+                     "--csv", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert ("config error: /experiment/kind: kind 'cjs-demo' produces no CSV "
+                "output" in capsys.readouterr().err)
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_kind_of_another_formalism(self, config_dir, tmp_path, capsys,
+                                       no_numerics):
+        cfg = json.loads((config_dir / "free_quantum.json").read_text())
+        cfg["experiment"]["kind"] = "validity"
+        assert self.run_expect_error(tmp_path, cfg, "validity") == 2
+        assert ("config error: /experiment/kind: unsupported quantum kind "
+                "'validity'" in capsys.readouterr().err)
+
+    def test_integer_beyond_parser_limit(self, tmp_path, capsys):
+        p = tmp_path / "big.json"
+        p.write_text('{"formalism": "quantum", "seed": 1' + "0" * 5000 + "}")
+        assert main(["check", "--config", str(p)]) == 2
+        assert "config error: /: invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pointer", ["/system/hamiltonians/base",
+                                         "/system/hamiltonians/k/1"])
+    def test_empty_pauli_sum_is_zero(self, config_dir, pointer):
+        cfg = copy.deepcopy(EXAMPLE_CONFIGS["interaction_picture_check"])
+        set_pointer(cfg, pointer, [])
+        results = run_config(cfg, "check", 1, None)["results"]
+        if pointer.endswith("base"):
+            # no base rotation: H_j = K_j, as the same terms give directly
+            same = copy.deepcopy(EXAMPLE_CONFIGS["coupled_qubits_check"])
+            same["system"]["hamiltonians"]["terms"] = (
+                EXAMPLE_CONFIGS["interaction_picture_check"]
+                ["system"]["hamiltonians"]["k"])
+            same["experiment"] = cfg["experiment"]
+            want = run_config(same, "check", 1, None)["results"]["max_defect"]
+            assert results["max_defect"] == pytest.approx(want, abs=1e-12)
+            assert want > 0.1
+        else:
+            # H_2 = 0 commutes with everything
+            assert results["max_defect"] < 1e-12
 
 
 class TestNumericalFailures:
@@ -370,3 +549,54 @@ class TestNumericalFailures:
         assert code == 3
         err = capsys.readouterr().err
         assert "numerical failure: world-line anchoring did not converge" in err
+
+
+# One leaf of a shipped config is replaced by one of these.  Magnitudes stay
+# within 2: a legitimately huge value (a 1e9-wide staircase or t_span, 1e9
+# samples) makes a huge run rather than a failure, so none is in the pool.
+MUTATION_POOL = [None, True, "x", [], {}, [1.0, 2.0], 0, -1, 2, 0.5, -0.5,
+                 math.nan, math.inf, -math.inf]
+
+
+def leaf_pointers(obj, pointer=""):
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return [pointer]
+    return [p for key, value in items for p in leaf_pointers(value, f"{pointer}/{key}")]
+
+
+LEAVES = {name: leaf_pointers(cfg) for name, cfg in EXAMPLE_CONFIGS.items()}
+
+mutations = st.sampled_from(sorted(LEAVES)).flatmap(
+    lambda name: st.tuples(st.just(name), st.sampled_from(LEAVES[name]),
+                           st.sampled_from(MUTATION_POOL)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(mutations)
+def test_mutated_config_exits_cleanly(mutation):
+    """Exit 0, 2 or 3; an exception escaping main() fails the test."""
+    name, pointer, value = mutation
+    cfg = copy.deepcopy(EXAMPLE_CONFIGS[name])
+    set_pointer(cfg, pointer, value)
+    subcommand = KIND_SUBCOMMAND[EXAMPLE_CONFIGS[name]["experiment"]["kind"]]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main([subcommand, "--config", str(path),
+                     "--out", str(Path(tmp) / "report.json")])
+    assert code in (0, 2, 3)
+
+
+def test_docs_table_matches_subcommand_kinds():
+    text = (Path(__file__).parents[1] / "docs" / "config.md").read_text()
+    section = text.split("## Subcommands and kinds", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        row = re.fullmatch(r"\|\s*`([\w-]+)`\s*\|(.*)\|", line.strip())
+        if row:
+            table[row[1]] = set(re.findall(r"`([\w-]+)`", row[2]))
+    assert table == _SUBCOMMAND_KINDS
