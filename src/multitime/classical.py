@@ -10,12 +10,16 @@ with D_j = d/dt_j + v_j . grad_{x_j} + w_j . grad_{p_j}.  The module also
 builds n-paths by equal-time integration, tests their validity at
 spacelike off-diagonal time choices, integrates the two-time full-grid
 variant, and runs the no-interaction demonstration over a field family.
-Every integration here and in the HJ module advances a flat state vector
-with the one RK4 stepper ``rk4_step``.
+Every integration here and in the HJ module advances a flat state (a
+list of floats) with the one RK4 stepper ``rk4_step``; the field's
+right-hand side ``PhaseVectorField.rhs`` is, for fields given by
+expressions, one compiled function of the time tuple and that state.
+Numpy arrays are built once a run is done.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,8 +27,9 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import (Expression, compile_expression, free_variables,
-                   parse_expression, variable_bindings)
+from .expr import (Expression, Neg, binding_names, compile_expression,
+                   compile_function, diff, free_variables, parse_expression,
+                   variable_bindings)
 from .numdiff import diff_callable
 from .paths import NPath, WorldLine
 from .reports import DefectReport, ResidualReport
@@ -114,20 +119,22 @@ class PhasePoint:
 
 # A field component maps variable bindings to a real value.
 Component = Callable[[Mapping[str, float]], float]
+# A right-hand side maps a time tuple and a flat state (x, p) to the rates.
+RHS = Callable[[Sequence[float], Sequence[float]], tuple[float, ...]]
 
 
-def _expr_component(expr: Expression) -> Component:
-    return compile_expression(expr)
-
-
-def _grad_component(expr: Expression, var: str, sign: float, h: float | None) -> Component:
-    f = compile_expression(expr)
-    return lambda b: sign * diff_callable(f, var, b, h=h)
+def _state_names(n: int, d: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The names of a time tuple and of a flat state (x rows, p rows)."""
+    return binding_names("t", n), binding_names("x", n, d) + binding_names("p", n, d)
 
 
 @dataclass
 class PhaseVectorField:
-    """The fields (v_1, w_1, .., v_n, w_n) as per-component callables."""
+    """The fields (v_1, w_1, .., v_n, w_n) as per-component callables.
+
+    ``exprs`` holds the components as expressions, the v rows and then
+    the w rows, when the field was built from expressions.
+    """
 
     n: int
     d: int
@@ -135,6 +142,7 @@ class PhaseVectorField:
     v: list[list[Component]]  # n lists of d components
     w: list[list[Component]]
     label: str = "field"
+    exprs: tuple[Expression, ...] | None = None
 
     def eval_v(self, j: int, bindings: Mapping[str, float]) -> np.ndarray:
         """v_j (1-based) at the bound phase-space point."""
@@ -143,26 +151,47 @@ class PhaseVectorField:
     def eval_w(self, j: int, bindings: Mapping[str, float]) -> np.ndarray:
         return np.array([c(bindings) for c in self.w[j - 1]])
 
+    @functools.cached_property
+    def rhs(self) -> RHS:
+        """The right-hand side ``(times, y) -> (v_1..v_n, w_1..w_n)``: a
+        time tuple and a flat state y = (x, p) of floats in, the 2·n·d
+        rates out as one tuple of floats.
+
+        For a field given by expressions this is one compiled function of
+        all components (``expr.compile_function``), built on first use;
+        each rate is bit for bit the component's value.  Otherwise the
+        components are called on the bindings of the time tuple and
+        state.
+        """
+        names = _state_names(self.n, self.d)
+        if self.exprs is not None:
+            return compile_function(self.exprs, names)
+        keys = names[0] + names[1]
+        components = [c for rows in (self.v, self.w) for row in rows for c in row]
+
+        def rhs(times: Sequence[float], y: Sequence[float]) -> tuple[float, ...]:
+            b = dict(zip(keys, [*times, *y]))
+            return tuple([c(b) for c in components])
+
+        return rhs
+
     @classmethod
     def from_expressions(cls, n: int, d: int, masses: Sequence[float],
                          v_exprs: Sequence[Sequence[str | Expression]],
                          w_exprs: Sequence[Sequence[str | Expression]],
                          label: str = "field") -> "PhaseVectorField":
-        def compile_rows(rows):
-            out = []
-            for row in rows:
-                comps = []
-                for e in row:
-                    expr = parse_expression(e) if isinstance(e, str) else e
-                    _check_vars(expr, n, d)
-                    comps.append(_expr_component(expr))
-                out.append(comps)
-            return out
-
         if len(v_exprs) != n or len(w_exprs) != n:
             raise ValueError(f"need {n} rows of v and w expressions")
-        return cls(n, d, tuple(float(m) for m in masses),
-                   compile_rows(v_exprs), compile_rows(w_exprs), label=label)
+        if any(len(row) != d for row in (*v_exprs, *w_exprs)):
+            raise ValueError(f"need {d} expressions in every row of v and w")
+        rows = [[parse_expression(e) if isinstance(e, str) else e for e in row]
+                for row in (*v_exprs, *w_exprs)]
+        for row in rows:
+            for expr in row:
+                _check_vars(expr, n, d)
+        comps = [[compile_expression(e) for e in row] for row in rows]
+        return cls(n, d, tuple(float(m) for m in masses), comps[:n], comps[n:],
+                   label=label, exprs=tuple(e for row in rows for e in row))
 
     @classmethod
     def free(cls, n: int, d: int, masses: Sequence[float]) -> "PhaseVectorField":
@@ -173,12 +202,8 @@ class PhaseVectorField:
 
 
 def _check_vars(expr: Expression, n: int, d: int) -> None:
-    allowed = {f"t{j + 1}" for j in range(n)}
-    for j in range(n):
-        for dd in range(d):
-            allowed.add(f"x{j + 1}_{dd + 1}")
-            allowed.add(f"p{j + 1}_{dd + 1}")
-    extra = free_variables(expr) - allowed
+    times, state = _state_names(n, d)
+    extra = free_variables(expr) - set(times) - set(state)
     if extra:
         raise ValueError(f"undeclared variables {sorted(extra)} in field expression")
 
@@ -190,7 +215,10 @@ def hamiltonian_vector_field(h_exprs: str | Expression | Sequence[str | Expressi
 
     ``h_exprs`` is either a single Hamiltonian (every particle moves under
     it) or one partial Hamiltonian per particle (particle j moves under
-    H_j).  Gradients are central differences.
+    H_j).  Without a step ``h`` the gradients are exact: each component is
+    the expression ``expr.diff`` builds, and the field's right-hand side
+    is one compiled function of them.  With a step ``h`` each component is
+    the central difference of H at that step.
     """
     if isinstance(h_exprs, (str, Expression)):
         exprs = [h_exprs] * n
@@ -201,11 +229,20 @@ def hamiltonian_vector_field(h_exprs: str | Expression | Sequence[str | Expressi
     parsed = [parse_expression(e) if isinstance(e, str) else e for e in exprs]
     for e in parsed:
         _check_vars(e, n, d)
+    p_vars = [[f"p{j + 1}_{dd + 1}" for dd in range(d)] for j in range(n)]
+    x_vars = [[f"x{j + 1}_{dd + 1}" for dd in range(d)] for j in range(n)]
+    if h is None:
+        v = [[diff(parsed[j], var) for var in p_vars[j]] for j in range(n)]
+        w = [[Neg(diff(parsed[j], var)) for var in x_vars[j]] for j in range(n)]
+        return PhaseVectorField.from_expressions(n, d, masses, v, w,
+                                                 label="hamiltonian")
 
-    v = [[_grad_component(parsed[j], f"p{j + 1}_{dd + 1}", 1.0, h)
-          for dd in range(d)] for j in range(n)]
-    w = [[_grad_component(parsed[j], f"x{j + 1}_{dd + 1}", -1.0, h)
-          for dd in range(d)] for j in range(n)]
+    def central(f: Component, var: str, sign: float) -> Component:
+        return lambda b: sign * diff_callable(f, var, b, h=h)
+
+    fs = [compile_expression(e) for e in parsed]
+    v = [[central(fs[j], var, 1.0) for var in p_vars[j]] for j in range(n)]
+    w = [[central(fs[j], var, -1.0) for var in x_vars[j]] for j in range(n)]
     return PhaseVectorField(n, d, tuple(float(m) for m in masses), v, w,
                             label="hamiltonian")
 
@@ -238,32 +275,29 @@ def classical_consistency_defect(field: PhaseVectorField, point: PhasePoint,
     return DefectReport(pairs=pairs, max_defect=max(pairs.values(), default=0.0), h=h)
 
 
-def rk4_step(f: Callable[[float, np.ndarray], np.ndarray], t: float,
-             y: np.ndarray, h: float, k1: np.ndarray | None = None) -> np.ndarray:
-    """One classical RK4 step of dy/dt = f(t, y) from (t, y) to t + h.
+def rk4_step(f: Callable[[float, Sequence[float]], Sequence[float]], t: float,
+             y: Sequence[float], h: float,
+             k1: Sequence[float] | None = None) -> list[float]:
+    """One classical RK4 step of dy/dt = f(t, y) from (t, y) to t + h, on
+    a state of floats (a list or tuple; ``f`` returns one too).
 
-    ``k1`` is ``f(t, y)`` when the caller already has it.  Raises
-    FloatingPointError if the new state is not finite.
+    The arithmetic is that of the vector formula ``y + h/2*k`` for the
+    stages and ``y + h/6*(((k1 + 2*k2) + 2*k3) + k4)`` for the step,
+    element by element.  ``k1`` is ``f(t, y)`` when the caller already
+    has it.  Raises FloatingPointError if the new state is not finite.
     """
     if k1 is None:
         k1 = f(t, y)
-    k2 = f(t + h / 2, y + h / 2 * k1)
-    k3 = f(t + h / 2, y + h / 2 * k2)
-    k4 = f(t + h, y + h * k3)
-    y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    if not np.all(np.isfinite(y)):
+    h2 = h / 2
+    k2 = f(t + h2, [a + h2 * k for a, k in zip(y, k1)])
+    k3 = f(t + h2, [a + h2 * k for a, k in zip(y, k2)])
+    k4 = f(t + h, [a + h * k for a, k in zip(y, k3)])
+    h6 = h / 6
+    y = [a + h6 * (((b1 + 2 * b2) + 2 * b3) + b4)
+         for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, y)):
         raise FloatingPointError(f"non-finite state at t = {t + h}")
     return y
-
-
-def _field_rhs(field: PhaseVectorField, times: Sequence[float],
-               y: np.ndarray) -> np.ndarray:
-    """(v_1..v_n, w_1..w_n) at the time tuple and flat state y = (x, p)."""
-    n, d = field.n, field.d
-    x, p = y.reshape(2, n, d)
-    b = variable_bindings(times, x, p)
-    return np.concatenate([field.eval_v(j, b) for j in range(1, n + 1)]
-                          + [field.eval_w(j, b) for j in range(1, n + 1)])
 
 
 def evolve_equal_time(field: PhaseVectorField, init: PhasePoint,
@@ -274,14 +308,15 @@ def evolve_equal_time(field: PhaseVectorField, init: PhasePoint,
     if not np.allclose(init.times, init.times[0]):
         raise ValueError("equal-time evolution needs t_1 = ... = t_n initially")
     n, d = field.n, field.d
-    t0, t1 = t_span
+    t0, t1 = float(t_span[0]), float(t_span[1])
     steps = max(1, int(round((t1 - t0) / dt)))
     dt = (t1 - t0) / steps
+    field_rhs = field.rhs
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return _field_rhs(field, [t] * n, y)
+    def rhs(t: float, y: Sequence[float]) -> tuple[float, ...]:
+        return field_rhs((t,) * n, y)
 
-    t, y = t0, init.state()
+    t, y = t0, init.state().tolist()
     ts, ys, rates = [t], [y], [rhs(t, y)]
     for _ in range(steps):
         y = rk4_step(rhs, t, y, dt, rates[-1])
@@ -290,7 +325,7 @@ def evolve_equal_time(field: PhaseVectorField, init: PhasePoint,
         ys.append(y)
         rates.append(rhs(t, y))
 
-    def per_particle(rows: list[np.ndarray]) -> np.ndarray:
+    def per_particle(rows: list) -> np.ndarray:
         # (samples, 2n*d) -> contiguous (x|p, particle, samples, d)
         arr = np.array(rows).reshape(len(rows), 2, n, d)
         return np.ascontiguousarray(arr.transpose(1, 2, 0, 3))
@@ -392,18 +427,19 @@ class GridSolution:
         return columns, rows
 
 
-def _rk4_grid_leg(hpair: HamiltonianPair, k: int, times: np.ndarray,
-                  y: np.ndarray, duration: float, substeps: int) -> np.ndarray:
+def _rk4_grid_leg(hpair: HamiltonianPair, k: int, times: Sequence[float],
+                  y: list[float], duration: float, substeps: int) -> list[float]:
     """Advance time coordinate ``k`` of the flat state ``y`` by ``duration``
     in ``substeps`` RK4 steps."""
     dt = duration / substeps
     ax = k - 1
-    t = np.array(times, float)
+    t = list(times)
+    field_rhs = hpair.fields[ax].rhs
 
-    def rhs(tk: float, yy: np.ndarray) -> np.ndarray:
+    def rhs(tk: float, yy: Sequence[float]) -> tuple[float, ...]:
         tt = t.copy()
         tt[ax] = tk
-        return _field_rhs(hpair.fields[ax], tt, yy)
+        return field_rhs(tt, yy)
 
     for _ in range(substeps):
         y = rk4_step(rhs, t[ax], y, dt)
@@ -418,25 +454,26 @@ def evolve_full_grid(hpair: HamiltonianPair, init: PhasePoint,
     along every t1 row (RK4 per leg)."""
     t1_grid = np.asarray(t1_grid, float)
     t2_grid = np.asarray(t2_grid, float)
+    t1s, t2s = t1_grid.tolist(), t2_grid.tolist()
     n, d = hpair.n, hpair.d
-    n1, n2 = len(t1_grid), len(t2_grid)
-    xg = np.zeros((n, n1, n2, d))
-    pg = np.zeros((n, n1, n2, d))
-    y = init.state()
-    column_states = []
-    for i2 in range(n2):
+    y = init.state().tolist()
+    column = []
+    for i2 in range(len(t2s)):
         if i2 > 0:
-            times = np.array([t1_grid[0], t2_grid[i2 - 1]])
-            y = _rk4_grid_leg(hpair, 2, times, y,
-                              t2_grid[i2] - t2_grid[i2 - 1], substeps)
-        column_states.append(y)
-    for i2, y in enumerate(column_states):
-        for i1 in range(n1):
-            if i1 > 0:
-                times = np.array([t1_grid[i1 - 1], t2_grid[i2]])
-                y = _rk4_grid_leg(hpair, 1, times, y,
-                                  t1_grid[i1] - t1_grid[i1 - 1], substeps)
-            xg[:, i1, i2, :], pg[:, i1, i2, :] = y.reshape(2, n, d)
+            y = _rk4_grid_leg(hpair, 2, [t1s[0], t2s[i2 - 1]], y,
+                              t2s[i2] - t2s[i2 - 1], substeps)
+        column.append(y)
+    rows = []  # rows[i2][i1] is the state at (t1s[i1], t2s[i2])
+    for i2, y in enumerate(column):
+        row = [y]
+        for i1 in range(1, len(t1s)):
+            y = _rk4_grid_leg(hpair, 1, [t1s[i1 - 1], t2s[i2]], y,
+                              t1s[i1] - t1s[i1 - 1], substeps)
+            row.append(y)
+        rows.append(row)
+    # (t2, t1, x|p, particle, d) -> contiguous (x|p, particle, t1, t2, d)
+    states = np.array(rows).reshape(len(t2s), len(t1s), 2, n, d)
+    xg, pg = np.ascontiguousarray(states.transpose(2, 3, 1, 0, 4))
     return GridSolution(t1=t1_grid, t2=t2_grid, x=xg, p=pg)
 
 
@@ -449,20 +486,16 @@ def grid_path_independence(hpair: HamiltonianPair, init: PhasePoint,
         return 0.0
     m1 = max(1, int(math.ceil(abs(dt1) / dt)))
     m2 = max(1, int(math.ceil(abs(dt2) / dt)))
-    t0 = np.asarray(init.times, float)
-    y0 = init.state()
+    t0 = init.times.tolist()
+    y0 = init.state().tolist()
 
     ya = _rk4_grid_leg(hpair, 1, t0, y0, dt1, m1)
-    ta = t0.copy()
-    ta[0] += dt1
-    ya = _rk4_grid_leg(hpair, 2, ta, ya, dt2, m2)
+    ya = _rk4_grid_leg(hpair, 2, [t0[0] + dt1, t0[1]], ya, dt2, m2)
 
     yb = _rk4_grid_leg(hpair, 2, t0, y0, dt2, m2)
-    tb = t0.copy()
-    tb[1] += dt2
-    yb = _rk4_grid_leg(hpair, 1, tb, yb, dt1, m1)
+    yb = _rk4_grid_leg(hpair, 1, [t0[0], t0[1] + dt2], yb, dt1, m1)
 
-    gx, gp = (ya - yb).reshape(2, hpair.n, hpair.d)
+    gx, gp = np.subtract(ya, yb).reshape(2, hpair.n, hpair.d)
     return float(np.sqrt(np.sum(gx ** 2) + np.sum(gp ** 2)))
 
 

@@ -357,6 +357,29 @@ def _foliation(cfg, path: str, d: int) -> hj.Foliation:
         raise ConfigError(f"{path}/u", str(exc)) from None
 
 
+def _leaves(exp: dict, fols: list[hj.Foliation], n: int, d: int):
+    """``init_positions``, ``s_span`` and ``ds`` of a foliation kind.  A run
+    on one of ``fols`` that would take more than ``hj.MAX_LEAVES`` leaves is
+    refused, with the pointer at ``ds`` when the leaves are finer than the
+    range is wide, else at the key that sets the range: ``init_positions``
+    when the anchor events stretch it beyond ``s_span``."""
+    init = _matrix(exp["init_positions"], f"{_E}/init_positions", n, d)
+    span = _span(exp["s_span"], f"{_E}/s_span")
+    ds = _positive(exp["ds"], f"{_E}/ds")
+    for fol in fols:
+        lo, hi, steps = hj.foliation_leaves(fol, init, span, ds)
+        if steps > hj.MAX_LEAVES:
+            if (hi - lo) * ds < 1.0:
+                key = "ds"
+            else:
+                key = "init_positions" if (lo, hi) != span else "s_span"
+            raise ConfigError(f"{_E}/{key}", (
+                f"the run on the foliation {fol.label()} takes {steps:.3g} leaves "
+                f"(s from {lo:.6g} to {hi:.6g} in steps of {ds:g}); at most "
+                f"{hj.MAX_LEAVES} are allowed"))
+    return init, span, ds
+
+
 # ------------------------------------------------------------------- helpers
 
 
@@ -664,9 +687,7 @@ def _trajectories(system: dict, exp: dict, jobs: int, rng):
     s, _ = build_hj_system(system, "/system")
     _keys(exp, _E, ["kind", "foliation", "init_positions", "s_span", "ds"])
     fol = _foliation(exp["foliation"], f"{_E}/foliation", s.d)
-    init = _matrix(exp["init_positions"], f"{_E}/init_positions", s.n, s.d)
-    span = _span(exp["s_span"], f"{_E}/s_span")
-    ds = _positive(exp["ds"], f"{_E}/ds")
+    init, span, ds = _leaves(exp, [fol], s.n, s.d)
 
     def run():
         npath = hj.hj_trajectories_foliation(s, fol, init, span, ds)
@@ -685,9 +706,7 @@ def _foliation_compare(system: dict, exp: dict, jobs: int, rng):
             for i, fc in enumerate(_list(exp["foliations"], f"{_E}/foliations"))]
     if len(fols) < 2:
         raise ConfigError(f"{_E}/foliations", "need >= 2 foliations")
-    init = _matrix(exp["init_positions"], f"{_E}/init_positions", s.n, s.d)
-    span = _span(exp["s_span"], f"{_E}/s_span")
-    ds = _positive(exp["ds"], f"{_E}/ds")
+    init, span, ds = _leaves(exp, fols, s.n, s.d)
     tol = _option(exp, "tolerance", _E, hj.FOLIATION_INDEPENDENCE_TOL, _num)
     return lambda: (hj.foliation_compare(s, fols, init, span, ds,
                                          tolerance=tol).to_dict(), None)

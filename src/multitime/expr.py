@@ -22,7 +22,11 @@ position and momentum arrays.
 Each AST is lowered once, on first use, to a Python function
 ``bindings -> float`` (``compile_expression``); ``evaluate`` calls it.
 The function performs the IEEE operations of the tree in evaluation
-order, left operand before right, with no folding or rewriting.
+order, left operand before right, with no folding or rewriting.  The
+same code generator lowers a whole system of ASTs to one function of
+positional float sequences that returns all their values and computes
+shared subtrees once (``compile_function``).  ``diff`` builds the exact
+partial derivative of an AST as another AST.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import struct
 from dataclasses import dataclass
 from typing import Callable, Mapping, NoReturn, Sequence
 
@@ -53,6 +58,9 @@ __all__ = [
     "free_variables",
     "to_string",
     "variable_bindings",
+    "binding_names",
+    "compile_function",
+    "diff",
 ]
 
 
@@ -272,9 +280,118 @@ def free_variables(expr: Expression) -> frozenset[str]:
     raise TypeError(f"not an Expression: {expr!r}")
 
 
+_ZERO = Num(0.0)
+_ONE = Num(1.0)
+
+
+def _is_num(node: Expression, value: float) -> bool:
+    return isinstance(node, Num) and node.value == value
+
+
+def _add(a: Expression, b: Expression) -> Expression:
+    if _is_num(a, 0.0):
+        return b
+    return a if _is_num(b, 0.0) else BinOp("+", a, b)
+
+
+def _sub(a: Expression, b: Expression) -> Expression:
+    if _is_num(b, 0.0):
+        return a
+    return _neg(b) if _is_num(a, 0.0) else BinOp("-", a, b)
+
+
+def _neg(a: Expression) -> Expression:
+    return _ZERO if _is_num(a, 0.0) else Neg(a)
+
+
+def _mul(a: Expression, b: Expression) -> Expression:
+    if _is_num(a, 0.0) or _is_num(b, 0.0):
+        return _ZERO
+    if _is_num(a, 1.0):
+        return b
+    return a if _is_num(b, 1.0) else BinOp("*", a, b)
+
+
+def _div(a: Expression, b: Expression) -> Expression:
+    if _is_num(a, 0.0):
+        return _ZERO
+    return a if _is_num(b, 1.0) else BinOp("/", a, b)
+
+
+def _pow(a: Expression, b: Expression) -> Expression:
+    if _is_num(b, 0.0):
+        return _ONE  # x ** 0.0 is 1.0 for every float x
+    return a if _is_num(b, 1.0) else BinOp("^", a, b)
+
+
+def diff(expr: Expression, var: str) -> Expression:
+    """The exact partial derivative of ``expr`` with respect to ``var``, as
+    an expression (symbolic forward-mode differentiation).
+
+    Products with 0 and 1, sums with 0 and powers 0 and 1 are folded, so
+    a subtree that does not contain ``var`` has the derivative 0.  A power
+    ``u^c`` whose exponent does not contain ``var`` uses the rule
+    ``c * u^(c-1) * u'``; any other power ``u^v`` is differentiated as
+    ``exp(v log u)``.  Where the derivative does not exist the derivative
+    expression raises DomainError when evaluated, like the expression
+    does outside its domain: ``abs(u)'`` is ``u / abs(u) * u'`` (division
+    by zero at 0), ``sqrt(u)'`` is ``u' / (2 sqrt(u))`` (division by zero
+    at 0), and ``(u^c)'`` with c < 1 raises at u = 0 because ``0^(c-1)``
+    does.
+    """
+    match expr:
+        case Num():
+            return _ZERO
+        case Var(name):
+            return _ONE if name == var else _ZERO
+        case Neg(arg):
+            return _neg(diff(arg, var))
+        case BinOp(op, u, v):
+            du, dv = diff(u, var), diff(v, var)
+            if op == "+":
+                return _add(du, dv)
+            if op == "-":
+                return _sub(du, dv)
+            if op == "*":
+                return _add(_mul(du, v), _mul(u, dv))
+            if op == "/":
+                if _is_num(dv, 0.0):
+                    return _div(du, v)
+                return _div(_sub(_mul(du, v), _mul(u, dv)), _mul(v, v))
+            if _is_num(dv, 0.0):
+                if _is_num(v, 0.0):
+                    return _ZERO
+                c1 = Num(v.value - 1.0) if isinstance(v, Num) else _sub(v, _ONE)
+                return _mul(_mul(v, _pow(u, c1)), du)
+            return _mul(expr, _add(_mul(dv, Call("log", u)), _mul(v, _div(du, u))))
+        case Call(func, u):
+            du = diff(u, var)
+            if _is_num(du, 0.0):
+                return _ZERO
+            match func:
+                case "sin":
+                    return _mul(Call("cos", u), du)
+                case "cos":
+                    return _mul(Neg(Call("sin", u)), du)
+                case "exp":
+                    return _mul(expr, du)
+                case "log":
+                    return _div(du, u)
+                case "sqrt":
+                    return _div(du, _mul(Num(2.0), expr))
+                case "abs":
+                    return _mul(_div(u, expr), du)
+                case "tanh":
+                    return _mul(_sub(_ONE, _pow(expr, Num(2.0))), du)
+            raise TypeError(f"no derivative for function {func!r}")
+    raise TypeError(f"not an Expression: {expr!r}")
+
+
 @functools.lru_cache(maxsize=32)
-def _binding_names(prefix: str, n: int, d: int) -> tuple[str, ...]:
-    """``prefix1..prefixn`` for d = 0, else ``prefixJ_D`` row by row."""
+def binding_names(prefix: str, n: int, d: int = 0) -> tuple[str, ...]:
+    """``prefix1..prefixn`` for d = 0, else ``prefixJ_D`` row by row: the
+    variable names of a time tuple (``t``) and of flat (n, d) position
+    (``x``) and momentum (``p``) arrays."""
     if d == 0:
         return tuple(f"{prefix}{j}" for j in range(1, n + 1))
     return tuple(f"{prefix}{j}_{dd}" for j in range(1, n + 1)
@@ -291,12 +408,12 @@ def variable_bindings(times: Sequence[float] | np.ndarray = (),
     ``constants``."""
     b = dict(constants or {})
     times = np.asarray(times, float).tolist()
-    b.update(zip(_binding_names("t", len(times), 0), times))
+    b.update(zip(binding_names("t", len(times), 0), times))
     for name, rows in (("x", x), ("p", p)):
         if rows is not None:
             rows = np.asarray(rows, float)
             n, d = rows.shape
-            b.update(zip(_binding_names(name, n, d), rows.ravel().tolist()))
+            b.update(zip(binding_names(name, n, d), rows.ravel().tolist()))
     return b
 
 
@@ -307,50 +424,63 @@ def _domain_error(template: str, *args) -> NoReturn:
     raise DomainError(template.format(*args)) from None
 
 
-def _compile(expr: Expression) -> Callable[[Mapping[str, float]], float]:
-    """Generate and compile the straight-line Python source of ``expr``.
+def _emit(outputs: Sequence[Expression], read: Callable[[str], str],
+          namespace: dict[str, object], lines: list[str]) -> list[str]:
+    """Append to ``lines`` the straight-line statements that compute every
+    tree of ``outputs``; return the name holding each output's value.
 
-    Every inner node becomes one statement, emitted in post-order, so the
-    operations run in the order of a left-to-right recursive evaluation.
-    A variable is read and converted with ``float(bindings[name])`` at its
-    first occurrence in that order and reused afterwards; the ``KeyError``
-    of a missing one (its ``args[0]`` is the name) becomes
-    UnboundVariableError.
+    Every inner node becomes one statement, emitted in post-order, output
+    after output, so the operations run in the order of a left-to-right
+    recursive evaluation of the outputs in turn.  Numbers are bound as
+    globals in ``namespace``, never as literals, so that CPython cannot
+    fold them.  ``read(name)`` returns the name that holds a variable; it
+    is called once per variable, at its first occurrence, and may append
+    the statement that reads it to ``lines``.
+
+    A subtree that occurs again, in the same output or a later one, reuses
+    the name computed at its first occurrence: nodes are numbered by their
+    operator and the names of their operands, numbers by their bits.  The
+    reused value is the one the repeated operations would give, and the
+    first error raised is the one of evaluating the outputs one by one,
+    because a repeat only skips statements that already ran.
     """
-    namespace: dict[str, object] = {
-        "_domain_error": _domain_error,
-        "_UnboundVariableError": UnboundVariableError,
-    }
-    lines: list[str] = []
-    variables: dict[str, str] = {}
-
-    def temp() -> str:
-        # unique: a statement is appended after every new temporary
-        return f"r{len(lines)}"
+    names: dict[tuple, str] = {}
 
     def emit(node: Expression) -> str:
-        """Emit the statements of ``node``; return the name holding its
-        value (a constant, a variable or a temporary)."""
         match node:
             case Num(value):
-                # a global, never a literal, so that CPython cannot fold it
+                key = ("num", struct.pack("d", value))
+            case Var(name):
+                key = ("var", name)
+            case Neg(arg):
+                key = ("neg", emit(arg))
+            case BinOp(op, left, right):
+                key = (op, emit(left), emit(right))
+            case Call(func, arg):
+                key = (func, emit(arg))
+            case _:
+                raise TypeError(f"not an Expression: {node!r}")
+        if key not in names:
+            names[key] = statement(node, key)
+        return names[key]
+
+    def statement(node: Expression, key: tuple) -> str:
+        """Emit a node first seen under ``key``, whose operands are
+        emitted already; return the name holding its value."""
+        match node:
+            case Num(value):
                 name = f"c{len(namespace)}"
                 namespace[name] = value
                 return name
             case Var(name):
-                if name not in variables:
-                    local = variables[name] = f"v{len(variables)}"
-                    lines.append(f"{local} = float(b[{name!r}])")
-                return variables[name]
-            case Neg(arg):
-                a = emit(arg)
-                out = temp()
-                lines.append(f"{out} = -{a}")
-                return out
-            case BinOp(op, left, right):
-                a = emit(left)
-                c = emit(right)
-                out = temp()
+                return read(name)
+        # unique: a statement is appended after every new temporary
+        out = f"r{len(lines)}"
+        match node:
+            case Neg():
+                lines.append(f"{out} = -{key[1]}")
+            case BinOp(op):
+                a, c = key[1], key[2]
                 if op in "+-*":
                     lines.append(f"{out} = {a} {op} {c}")
                 elif op == "/":
@@ -363,11 +493,9 @@ def _compile(expr: Expression) -> Callable[[Mapping[str, float]], float]:
                         f" _domain_error('invalid power {{}}^{{}}: {{}}', {a}, {c}, exc)\n"
                         f"if isinstance({out}, complex):\n"
                         f" _domain_error('power {{}}^{{}} leaves the real domain', {a}, {c})")
-                return out
-            case Call(func, arg):
+            case Call(func):
                 namespace[f"_{func}"] = FUNCTIONS[func]
-                x = emit(arg)
-                out = temp()
+                x = key[1]
                 if func == "log":
                     lines.append(f"if {x} <= 0.0:\n"
                                  f" _domain_error('log of non-positive value {{}}', {x})")
@@ -377,22 +505,92 @@ def _compile(expr: Expression) -> Callable[[Mapping[str, float]], float]:
                 lines.append(f"try:\n {out} = _{func}({x})\n"
                              "except (ValueError, OverflowError) as exc:\n"
                              f" _domain_error('{func}({{}}): {{}}', {x}, exc)")
-                return out
-        raise TypeError(f"not an Expression: {node!r}")
+        return out
 
-    result = emit(expr)
-    body = "\n".join(lines or ["pass"])
-    source = "\n".join([
+    return [emit(node) for node in outputs]
+
+
+def _indent(lines: list[str]) -> list[str]:
+    """``lines`` (statements, some of several lines) one level deeper."""
+    return [" " + line for line in "\n".join(lines or ["pass"]).splitlines()]
+
+
+def _define(source: list[str], name: str, namespace: dict[str, object]) -> Callable:
+    exec(compile("\n".join(source), "<multitime expression>", "exec"), namespace)
+    return namespace[name]
+
+
+def _compile(expr: Expression) -> Callable[[Mapping[str, float]], float]:
+    """The function ``bindings -> float`` of ``expr``: the one-output case
+    of ``_emit``, in a ``try`` block, with each variable read and converted
+    by ``float(b[name])`` at its first occurrence.  The ``KeyError`` of a
+    missing one (its ``args[0]`` is the name) becomes UnboundVariableError.
+    """
+    namespace: dict[str, object] = {
+        "_domain_error": _domain_error,
+        "_UnboundVariableError": UnboundVariableError,
+    }
+    lines: list[str] = []
+
+    def read(name: str) -> str:
+        local = f"v{len(lines)}"
+        lines.append(f"{local} = float(b[{name!r}])")
+        return local
+
+    (result,) = _emit([expr], read, namespace, lines)
+    return _define([
         "def expression(b):",
         " try:",
-        *("  " + line for line in body.splitlines()),
+        *_indent(_indent(lines)),
         " except KeyError as exc:",
         "  raise _UnboundVariableError("
         "f'variable {exc.args[0]!r} is not bound') from None",
         f" return {result}",
-    ])
-    exec(compile(source, "<multitime expression>", "exec"), namespace)
-    return namespace["expression"]
+    ], "expression", namespace)
+
+
+def compile_function(outputs: Sequence[Expression],
+                     arguments: Sequence[Sequence[str]],
+                     constants: Mapping[str, float] | None = None,
+                     ) -> Callable[..., tuple[float, ...]]:
+    """One compiled function that evaluates all of ``outputs`` at once.
+
+    It takes one positional argument per group of ``arguments``: a
+    sequence of floats, bound in order to the group's variable names.  It
+    returns the tuple of the outputs' values.  Variables named in
+    ``constants`` (and not in ``arguments``) are bound as globals, with
+    their values converted by ``float``; any other variable raises
+    UnboundVariableError here, when the function is compiled.  A subtree
+    shared between outputs is computed once.  Each output's value is that
+    of ``compile_expression`` on the same bindings, bit for bit, and a
+    failing call raises the DomainError that evaluating the outputs one
+    after another would raise first.
+    """
+    namespace: dict[str, object] = {"_domain_error": _domain_error}
+    params = [f"a{i}" for i in range(len(arguments))]
+    lines: list[str] = []
+    bound: dict[str, str] = {}
+    for param, group in zip(params, arguments):
+        locals_ = [f"v{len(bound) + i}" for i in range(len(group))]
+        lines.append(f"({''.join(v + ', ' for v in locals_)}) = {param}")
+        bound.update(zip(group, locals_))
+    constants = constants or {}
+
+    def read(name: str) -> str:
+        if name in bound:
+            return bound[name]
+        if name in constants:
+            glob = f"k{len(namespace)}"
+            namespace[glob] = float(constants[name])
+            return glob
+        raise UnboundVariableError(f"variable {name!r} is not bound")
+
+    results = _emit(outputs, read, namespace, lines)
+    return _define([
+        f"def function({', '.join(params)}):",
+        *_indent(lines),
+        f" return ({''.join(r + ', ' for r in results)})",
+    ], "function", namespace)
 
 
 def compile_expression(expr: Expression) -> Callable[[Mapping[str, float]], float]:

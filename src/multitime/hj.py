@@ -6,22 +6,29 @@ the Poisson-bracket consistency defect of partial Hamiltonian functions,
 the velocity-consistency defect of the multi-time velocity law
 dx_j/dt_j = grad_{x_j} S / m_j, and extracts trajectory families under
 flat spacelike foliations t = s + u.x to exhibit foliation dependence.
+Residuals and defects use central differences; the trajectory sweeps
+use the exact gradients of S, compiled into one function
+(``HJFunction.gradients``), and step a list of floats with the RK4
+stepper of the classical module.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .classical import PhasePoint, rk4_step
-from .expr import (Expression, compile_expression, evaluate, parse_expression,
+from .expr import (Expression, binding_names, compile_expression,
+                   compile_function, diff, evaluate, parse_expression,
                    variable_bindings)
-from .numdiff import diff_callable, mixed_partial, partial_derivative
-from .paths import NPath, WorldLine
+from .numdiff import mixed_partial, partial_derivative
+from .paths import NPath, PathRangeError, WorldLine
 from .reports import DefectReport, DivergenceReport
 
 __all__ = [
@@ -35,11 +42,14 @@ __all__ = [
     "hj_consistency_defect",
     "hj_velocity_consistency_defect",
     "hj_trajectories_foliation",
+    "foliation_leaves",
     "foliation_compare",
 ]
 
 FOLIATION_INDEPENDENCE_TOL = 1e-6
 SMOOTHNESS_TOL = 1e-4
+#: the most RK4 steps (leaves) one trajectory run may take
+MAX_LEAVES = 10 ** 6
 
 
 class FoliationError(RuntimeError):
@@ -86,17 +96,22 @@ class HJFunction:
 
     def grad_x(self, j: int, times: Sequence[float], x: np.ndarray,
                h: float | None = None) -> np.ndarray:
-        """grad_{x_j} S (1-based j)."""
-        return self.grad_x_at(j, self.bindings(times, x), h=h)
+        """grad_{x_j} S (1-based j), by central differences."""
+        b = self.bindings(times, x)
+        return np.array([partial_derivative(self.expr, f"x{j}_{dd + 1}", b, h=h)
+                         for dd in range(self.d)])
 
-    def grad_x_at(self, j: int, bindings: Mapping[str, float],
-                  h: float | None = None) -> np.ndarray:
-        """grad_{x_j} S at ``bindings`` from ``self.bindings(times, x)``;
-        one set serves every particle at the same times and positions."""
-        return np.array([
-            partial_derivative(self.expr, f"x{j}_{dd + 1}", bindings, h=h)
-            for dd in range(self.d)
-        ])
+    @functools.cached_property
+    def gradients(self) -> Callable[[Sequence[float], Sequence[float]],
+                                    tuple[float, ...]]:
+        """The exact gradients ``(times, x) -> (grad_{x_1} S, .., grad_{x_n}
+        S)``: the time tuple and the flat (n, d) positions in, the n·d
+        partial derivatives out, as one compiled function of the
+        ``expr.diff`` derivatives with the constants bound in it.  Built
+        on first use."""
+        names = binding_names("x", self.n, self.d)
+        return compile_function([diff(self.expr, v) for v in names],
+                                [binding_names("t", self.n), names], self.constants)
 
     def velocity(self, j: int, times: Sequence[float], x: np.ndarray,
                  h: float | None = None) -> np.ndarray:
@@ -241,65 +256,85 @@ def hj_velocity_consistency_defect(s: HJFunction, times: Sequence[float],
     return worst
 
 
-def _integrate_on_foliation(s: HJFunction, fol: Foliation, x_leaf: np.ndarray,
+def _integrate_on_foliation(s: HJFunction, fol: Foliation, x_leaf: Sequence[float],
                             s_lo: float, s_hi: float, ds: float) -> NPath:
-    """RK4 in the leaf parameter from leaf ``s = 0`` (state ``x_leaf``)
-    over [s_lo, s_hi]; on leaf s particle j sits at t_j = s + u.x_j."""
-    u = fol.u_vec
+    """RK4 in the leaf parameter from leaf ``s = 0`` (flat state
+    ``x_leaf``) over [s_lo, s_hi]; on leaf s particle j sits at
+    t_j = s + u.x_j.  The velocities come from ``s.gradients``."""
+    n, d, u = s.n, s.d, fol.u
+    grad = s.gradients
+    # the flat index of each particle's first component, and the mass of
+    # each flat component's particle
+    starts = range(0, n * d, d)
+    masses = [m for m in s.masses for _ in range(d)]
 
-    def velocities(s_par: float, y: np.ndarray) -> list[np.ndarray]:
-        """V_1..V_n on leaf ``s_par`` at the flat state ``y``."""
-        x = y.reshape(s.n, s.d)
-        b = s.bindings(s_par + x @ u, x)
-        return [s.grad_x_at(j, b) / s.masses[j - 1] for j in range(1, s.n + 1)]
+    def velocities(s_par: float, y: Sequence[float]) -> list[float]:
+        """V_1..V_n, flat, on leaf ``s_par`` at the flat state ``y``."""
+        times = [s_par + sum(map(operator.mul, u, y[i:i + d])) for i in starts]
+        return [g / m for g, m in zip(grad(times, y), masses)]
 
-    def rate(s_par: float, vs: list[np.ndarray]) -> np.ndarray:
+    def rate(s_par: float, vs: list[float]) -> list[float]:
         """dx/ds = V_j / (1 - u.V_j) for every particle j."""
-        dx = np.zeros((s.n, s.d))
-        for j, vj in enumerate(vs, start=1):
-            gamma = 1.0 - float(u @ vj)
+        dx = []
+        for j, i in enumerate(starts, start=1):
+            vj = vs[i:i + d]
+            gamma = 1.0 - sum(map(operator.mul, u, vj))
             if gamma <= 0.0:
                 raise FoliationDegeneracyError(
                     f"1 - u.V_{j} = {gamma:.3g} <= 0 at leaf s = {s_par:.6g}")
-            dx[j - 1] = vj / gamma
-        return dx.ravel()
+            dx += [v / gamma for v in vj]
+        return dx
 
-    def rhs(s_par: float, y: np.ndarray) -> np.ndarray:
+    def rhs(s_par: float, y: Sequence[float]) -> list[float]:
         return rate(s_par, velocities(s_par, y))
 
-    def sweep(s_vals: np.ndarray, x0: np.ndarray):
-        """States on the leaves ``s_vals``, and the velocities on every
-        leaf but the last (each step's k1 is made from them)."""
-        ys, vs = [x0.ravel()], []
+    def sweep(s_vals: list[float]):
+        """States and velocities on the leaves ``s_vals`` (each step's k1
+        is made from the velocities)."""
+        ys, vs = [list(x_leaf)], [velocities(s_vals[0], x_leaf)]
         for i in range(len(s_vals) - 1):
-            vs.append(velocities(s_vals[i], ys[-1]))
             ys.append(rk4_step(rhs, s_vals[i], ys[-1], s_vals[i + 1] - s_vals[i],
                                rate(s_vals[i], vs[-1])))
+            vs.append(velocities(s_vals[i + 1], ys[-1]))
         return ys, vs
 
     n_fw = max(1, int(math.ceil((s_hi - 0.0) / ds))) if s_hi > 0 else 0
     n_bw = max(1, int(math.ceil((0.0 - s_lo) / ds))) if s_lo < 0 else 0
-    s_fw = np.linspace(0.0, s_hi, n_fw + 1) if n_fw else np.array([0.0])
-    s_bw = np.linspace(0.0, s_lo, n_bw + 1) if n_bw else np.array([0.0])
-    ys_fw, vs_fw = sweep(s_fw, x_leaf)
-    ys_bw, vs_bw = sweep(s_bw, x_leaf)
-    vs_bw.append(velocities(s_bw[-1], ys_bw[-1]))
-    if n_fw:
-        vs_fw.append(velocities(s_fw[-1], ys_fw[-1]))
-    s_all = np.concatenate([s_bw[::-1], s_fw[1:]])
-    xs_all = [y.reshape(s.n, s.d) for y in ys_bw[::-1] + ys_fw[1:]]
-    vs_all = vs_bw[::-1] + vs_fw[1:]
+    s_fw = np.linspace(0.0, s_hi, n_fw + 1).tolist() if n_fw else [0.0]
+    s_bw = np.linspace(0.0, s_lo, n_bw + 1).tolist() if n_bw else [0.0]
+    ys_fw, vs_fw = sweep(s_fw)
+    ys_bw, vs_bw = sweep(s_bw)
+    s_all = np.array(s_bw[::-1] + s_fw[1:])
+    xs_all = np.array(ys_bw[::-1] + ys_fw[1:]).reshape(len(s_all), n, d)
+    vs_all = np.array(vs_bw[::-1] + vs_fw[1:]).reshape(len(s_all), n, d)
 
     lines = []
-    for j in range(1, s.n + 1):
-        t_arr = np.array([s_all[i] + float(u @ xs_all[i][j - 1])
-                          for i in range(len(s_all))])
-        x_arr = np.stack([xs_all[i][j - 1] for i in range(len(s_all))])
-        v_arr = np.stack([vs_all[i][j - 1] for i in range(len(s_all))])
-        p_arr = v_arr * s.masses[j - 1]
+    for j in range(n):
+        t_arr = s_all + xs_all[:, j] @ fol.u_vec
+        if np.any(np.diff(t_arr) <= 0):
+            raise FoliationError(
+                f"the times of world line {j + 1} do not increase along the "
+                f"leaves of the foliation {fol.label()}")
+        p_arr = vs_all[:, j] * s.masses[j]
         dp_arr = np.gradient(p_arr, t_arr, axis=0)
-        lines.append(WorldLine(t=t_arr, x=x_arr, p=p_arr, dxdt=v_arr, dpdt=dp_arr))
+        lines.append(WorldLine(t=t_arr, x=xs_all[:, j], p=p_arr,
+                               dxdt=vs_all[:, j], dpdt=dp_arr))
     return NPath(lines)
+
+
+def foliation_leaves(fol: Foliation, init_positions: np.ndarray,
+                     s_span: tuple[float, float], ds: float,
+                     ) -> tuple[float, float, float]:
+    """``(s_lo, s_hi, steps)`` of a trajectory run: the leaf parameters it
+    integrates over, ``s_span`` widened to cover the t = 0 anchor events
+    of ``init_positions``, and its number of RK4 steps at ``ds`` (a float,
+    infinite when the range is)."""
+    x = np.atleast_2d(np.asarray(init_positions, float))
+    u = fol.u_vec
+    pad = float(np.max(np.abs(x @ u))) * 1.5 + ds if np.any(u) else 0.0
+    s_lo = min(float(s_span[0]), -pad)
+    s_hi = max(float(s_span[1]), pad)
+    return s_lo, s_hi, max(s_hi, 0.0) / ds + max(-s_lo, 0.0) / ds
 
 
 def hj_trajectories_foliation(s: HJFunction, fol: Foliation,
@@ -315,23 +350,29 @@ def hj_trajectories_foliation(s: HJFunction, fol: Foliation,
     describe the same initial spacetime configuration, so their
     divergence (or agreement) is attributable to the foliation alone.
     The anchoring solves a small fixed-point problem for the leaf-0
-    configuration.
+    configuration.  A run of more than ``MAX_LEAVES`` steps (see
+    ``foliation_leaves``) raises ValueError before it starts; a world line
+    that misses t = 0 or whose time does not increase along the leaves
+    raises FoliationError.
     """
     x_target = np.atleast_2d(np.asarray(init_positions, float))
-    u = fol.u_vec
-    s_lo, s_hi = float(s_span[0]), float(s_span[1])
-    # the s-range must cover the t = 0 anchor events
-    pad = float(np.max(np.abs(x_target @ u))) * 1.5 + ds if np.any(u) else 0.0
-    s_lo = min(s_lo, -pad)
-    s_hi = max(s_hi, pad)
-
-    x_leaf = x_target.copy()
+    s_lo, s_hi, steps = foliation_leaves(fol, x_target, s_span, ds)
+    if steps > MAX_LEAVES:
+        raise ValueError(f"{steps:.3g} leaves for s in [{s_lo:.6g}, {s_hi:.6g}] "
+                         f"at ds = {ds:g}; at most {MAX_LEAVES} are allowed")
+    x_leaf = x_target.ravel()
     npath = None
     for _ in range(max_anchor_iters):
-        npath = _integrate_on_foliation(s, fol, x_leaf, s_lo, s_hi, ds)
-        gap = np.stack([
-            x_target[j] - npath.line(j + 1).x_at(0.0) for j in range(s.n)
-        ])
+        npath = _integrate_on_foliation(s, fol, x_leaf.tolist(), s_lo, s_hi, ds)
+        at_zero = []
+        for j in range(1, s.n + 1):
+            try:
+                at_zero.append(npath.line(j).x_at(0.0))
+            except PathRangeError as exc:
+                raise FoliationError(
+                    f"world line {j} misses the anchor time t = 0 on the "
+                    f"foliation {fol.label()}: {exc}") from None
+        gap = (x_target - np.stack(at_zero)).ravel()
         if float(np.max(np.abs(gap))) < anchor_tol:
             break
         x_leaf = x_leaf + gap

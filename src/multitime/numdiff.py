@@ -24,7 +24,7 @@ __all__ = [
 
 #: relative step used when the caller does not pass one
 DEFAULT_REL_STEP = 1e-4
-#: absolute floor on the step size
+#: absolute floor on the default step and on the steps of ``mixed_partial``
 MIN_ABS_STEP = 1e-6
 
 
@@ -51,7 +51,10 @@ def diff_callable(
     h: float | None = None,
     richardson: bool = False,
 ):
-    """Partial derivative of a bindings->value callable at ``bindings``.
+    """Partial derivative of a bindings->value callable at ``bindings``,
+    by central differences (Richardson-extrapolated with ``richardson``)
+    at the step ``h``, taken as given, or ``default_step`` when it is
+    None.
 
     ``f`` may return a float or a numpy array (matrix-valued functions).
     """
@@ -60,7 +63,6 @@ def diff_callable(
         h = default_step(x0)
     if h <= 0.0:
         raise ValueError(f"step must be positive, got {h}")
-    h = max(h, MIN_ABS_STEP)
     b = dict(bindings)
 
     def g(x: float):

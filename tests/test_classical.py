@@ -1,5 +1,8 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from multitime.classical import (
     HamiltonianPair,
@@ -14,8 +17,10 @@ from multitime.classical import (
     grid_path_independence,
     hamiltonian_vector_field,
     is_spacelike,
+    rk4_step,
     validity_residual,
 )
+from multitime.expr import DomainError
 from multitime.paths import NPath, PathRangeError, WorldLine
 
 
@@ -75,19 +80,43 @@ class TestDefect:
             assert rep.pairs["2,1"] == pytest.approx(abs(p2), abs=1e-8)
 
     def test_hamiltonian_field_matches_explicit(self):
-        # FD gradients of H reproduce the hand-written harmonic field
-        fd = hamiltonian_vector_field(
-            "p1_1^2/2 + p2_1^2/2 + (x1_1 - x2_1)^2/2", 2, 1, [1.0, 1.0])
+        # exact gradients of H reproduce the hand-written harmonic field,
+        # and central differences at an explicit step come close to it
+        h = "p1_1^2/2 + p2_1^2/2 + (x1_1 - x2_1)^2/2"
+        exact = hamiltonian_vector_field(h, 2, 1, [1.0, 1.0])
+        fd = hamiltonian_vector_field(h, 2, 1, [1.0, 1.0], h=1e-4)
         explicit = harmonic_field()
-        b = phase_point(0.2, 0.4, -0.3, 0.7, -0.1).bindings()
+        point = phase_point(0.2, 0.4, -0.3, 0.7, -0.1)
+        b = point.bindings()
         for j in (1, 2):
+            assert list(exact.eval_v(j, b)) == list(explicit.eval_v(j, b))
+            assert list(exact.eval_w(j, b)) == list(explicit.eval_w(j, b))
             assert fd.eval_v(j, b) == pytest.approx(explicit.eval_v(j, b), abs=1e-8)
             assert fd.eval_w(j, b) == pytest.approx(explicit.eval_w(j, b), abs=1e-8)
+        # one right-hand side serves both kinds of field
+        times, y = point.times.tolist(), point.state().tolist()
+        assert exact.rhs(times, y) == explicit.rhs(times, y)
+        assert fd.rhs(times, y) == pytest.approx(explicit.rhs(times, y), abs=1e-8)
+
+    def test_exact_derivative_domain_error(self):
+        # |x1 - x2| has no derivative where the particles meet
+        fld = hamiltonian_vector_field("p1_1^2/2 + p2_1^2/2 + abs(x1_1 - x2_1)",
+                                       2, 1, [1.0, 1.0])
+        with pytest.raises(DomainError, match="division by zero"):
+            fld.rhs([0.0, 0.0], [0.5, 0.5, 0.0, 0.0])
+        assert fld.rhs([0.0, 0.0], [0.5, 1.5, 0.0, 0.0])[2:] == (1.0, -1.0)
 
     def test_undeclared_variable_rejected(self):
         with pytest.raises(ValueError):
             PhaseVectorField.from_expressions(
                 2, 1, [1.0, 1.0], [["q1"], ["p2_1"]], [["0"], ["0"]])
+
+    def test_row_length_checked(self):
+        # a short row would leave the flat state without its rate
+        with pytest.raises(ValueError, match="need 2 expressions in every row"):
+            PhaseVectorField.from_expressions(
+                2, 2, [1.0, 1.0], [["p1_1", "p1_2"], ["p2_1"]],
+                [["0", "0"], ["0", "0"]])
 
 
 class TestEqualTimeEvolution:
@@ -293,3 +322,52 @@ class TestCjsDemo:
         assert by_id["free"]["straightness_deviation"] < 1e-10
         assert by_id["harmonic"]["max_defect"] > 1e-3
         assert by_id["harmonic"]["straightness_deviation"] > 1e-3
+
+
+def numpy_rk4_step(f, t, y, h):
+    """The vector RK4 step on numpy arrays that ``rk4_step`` reproduces."""
+    k1 = f(t, y)
+    k2 = f(t + h / 2, y + h / 2 * k1)
+    k3 = f(t + h / 2, y + h / 2 * k2)
+    k4 = f(t + h, y + h * k3)
+    return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def bits(values):
+    return [struct.pack("d", v) for v in values]
+
+
+class TestRk4Step:
+    FIELDS = [
+        free_field(),
+        harmonic_field(),
+        # the Gaussian member of the cjs family, and a time-dependent force
+        PhaseVectorField.from_expressions(
+            2, 1, [1.0, 1.0], [["p1_1"], ["p2_1"]],
+            [["-(x1_1 - x2_1)*exp(-(x1_1 - x2_1)^2)"],
+             ["(x1_1 - x2_1)*exp(-(x1_1 - x2_1)^2)"]]),
+        PhaseVectorField.from_expressions(
+            2, 1, [1.0, 3.0], [["p1_1"], ["p2_1 / 3"]],
+            [["-x1_1*cos(t1)"], ["-sin(x2_1 - t2)"]]),
+    ]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(field=st.sampled_from(range(len(FIELDS))),
+           y=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+           t=st.floats(-5.0, 5.0), h=st.floats(1e-6, 1.0))
+    def test_matches_numpy_step(self, field, y, t, h):
+        rhs = self.FIELDS[field].rhs
+
+        def f(tt, yy):
+            return rhs((tt, tt), yy)
+
+        def f_array(tt, yy):
+            return np.array(rhs((tt, tt), yy.tolist()))
+
+        assert bits(rk4_step(f, t, y, h)) == bits(numpy_rk4_step(f_array, t, np.array(y), h))
+        k1 = f(t, y)
+        assert bits(rk4_step(f, t, tuple(y), h, k1)) == bits(rk4_step(f, t, y, h))
+
+    def test_non_finite_state(self):
+        with pytest.raises(FloatingPointError, match="non-finite state at t = 0.5"):
+            rk4_step(lambda t, y: [1e308, 0.0], 0.0, [1e308, 0.0], 0.5)

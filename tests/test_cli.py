@@ -520,6 +520,22 @@ class TestConfigErrors:
             # H_2 = 0 commutes with everything
             assert results["max_defect"] < 1e-12
 
+    @pytest.mark.parametrize("name,key,value,pointer", [
+        ("hj_free_foliations", "/experiment/ds", 1e-300, "/experiment/ds"),
+        ("hj_free_trajectories", "/experiment/ds", 1e-300, "/experiment/ds"),
+        ("hj_coupled_foliations", "/experiment/s_span/0", -1e300, "/experiment/s_span"),
+        ("hj_free_trajectories", "/experiment/s_span/1", 1e300, "/experiment/s_span"),
+        ("hj_free_foliations", "/experiment/init_positions/0/0", 1e300,
+         "/experiment/init_positions"),
+        ("hj_coupled_foliations", "/experiment/init_positions/1/0", -1e300,
+         "/experiment/init_positions"),
+    ])
+    def test_too_many_foliation_leaves(self, config_dir, tmp_path, capsys,
+                                       no_numerics, name, key, value, pointer):
+        # numpy used to fail on the leaf array: "Maximum allowed size exceeded"
+        self.expect_error(config_dir, tmp_path, capsys, name, "foliation", key,
+                          value, pointer, "the run on the foliation")
+
 
 class TestNumericalFailures:
     def test_degenerate_foliation_exit_code(self, tmp_path, capsys):
@@ -549,6 +565,25 @@ class TestNumericalFailures:
         assert code == 3
         err = capsys.readouterr().err
         assert "numerical failure: world-line anchoring did not converge" in err
+
+    @pytest.mark.parametrize("name,mass,message", [
+        # a light particle outruns the leaves and never reaches t = 0
+        ("hj_free_foliations", 1e-3, "misses the anchor time t = 0"),
+        ("hj_coupled_foliations", 1e-3, "misses the anchor time t = 0"),
+        # its times round to one value on every leaf
+        ("hj_free_foliations", 1e-300, "do not increase along the leaves"),
+        ("hj_coupled_foliations", 1e-300, "non-finite state"),
+    ])
+    def test_light_particle_exit_code(self, config_dir, tmp_path, capsys,
+                                      name, mass, message):
+        cfg = json.loads((config_dir / f"{name}.json").read_text())
+        cfg["system"]["masses"][1] = mass
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["foliation", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: " in err and message in err
+        assert "Traceback" not in err
 
 
 # One leaf of a shipped config is replaced by one of these.  Magnitudes stay

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multitime import expr as expr_module
+from multitime import classical, expr as expr_module
 from multitime.classical import (PhasePoint, PhaseVectorField, evolve_equal_time,
                                  hamiltonian_vector_field)
 from multitime.expr import (
@@ -20,6 +20,8 @@ from multitime.expr import (
     UnknownFunctionError,
     Var,
     compile_expression,
+    compile_function,
+    diff,
     evaluate,
     free_variables,
     parse_expression,
@@ -31,6 +33,7 @@ from multitime.quantum import (MultiTimeState, PartialHamiltonianSet,
 from multitime.numdiff import (
     central_difference,
     default_step,
+    diff_callable,
     partial_derivative,
     richardson_difference,
 )
@@ -147,6 +150,17 @@ class TestDerivatives:
     def test_default_step(self):
         assert default_step(0.0) == 1e-4
         assert default_step(100.0) == 1e-2
+
+    def test_explicit_step_used_as_given(self):
+        # a step below default_step's 1e-6 floor is not raised to it
+        probes = []
+
+        def f(b):
+            probes.append(b["x"])
+            return b["x"] ** 2
+
+        diff_callable(f, "x", {"x": 1.0}, h=1e-9)
+        assert probes == [1.0 + 1e-9, 1.0 - 1e-9]
 
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -302,26 +316,34 @@ class TestCompiledExpressions:
         assert repr(tree) == repr(twin)
 
     def test_field_compiled_once_over_rk4_run(self, compiles, monkeypatch):
+        fused = []
+        real = classical.compile_function
+
+        def counting(outputs, *args):
+            fused.append(outputs)
+            return real(outputs, *args)
+
+        monkeypatch.setattr(classical, "compile_function", counting)
         free = PhaseVectorField.free(2, 1, [1.0, 2.0])
         coupled = hamiltonian_vector_field(
             ["p1_1^2/2 + (x1_1 - x2_1)^2/2", "p2_1^2/2 + (x1_1 - x2_1)^2/2"],
             2, 1, [1.0, 1.0])
-        # free: two velocities and one tree for both zero forces ("0")
-        assert len(compiles) == 3 + 2
-        rhs_calls = []
-        real_eval_v = PhaseVectorField.eval_v
+        # the components, at construction: the free field's two velocities
+        # and one tree for both zero forces ("0"), and the coupled field's
+        # four exact derivatives; the fused right-hand sides wait for use
+        assert len(compiles) == 3 + 4
+        assert fused == []
 
-        def counting_eval_v(field, j, b):
-            rhs_calls.append(j)
-            return real_eval_v(field, j, b)
+        def no_eval_v(field, j, b):
+            raise AssertionError("an RK4 run evaluated a component on bindings")
 
-        monkeypatch.setattr(PhaseVectorField, "eval_v", counting_eval_v)
+        monkeypatch.setattr(PhaseVectorField, "eval_v", no_eval_v)
         init = PhasePoint(times=[0.0, 0.0], x=[[-1.0], [1.0]], p=[[0.1], [-0.1]])
-        for field in (free, coupled):
+        for field in (free, coupled, free, coupled):
             evolve_equal_time(field, init, (0.0, 0.2), 0.01,
                               timelike_warning=False)
-        assert len(rhs_calls) > 300
-        assert len(compiles) == 3 + 2
+        assert fused == [free.exprs, coupled.exprs]
+        assert len(compiles) == 3 + 4
 
     def test_quantum_coefficients_compiled_at_construction(self, compiles):
         z = np.diag([1.0, -1.0])
@@ -349,3 +371,208 @@ class TestCompiledExpressions:
             with pytest.raises(ExpressionSyntaxError):
                 parse_expression("x +")
         assert parse_expression.cache_info().currsize == 0
+
+
+# ------------------------------------------------------- exact derivatives
+
+SMALL = (0.5, 1.0, 1.5, 2.0, 3.0)
+# x, the variable of differentiation, is drawn twice as often as y or a number
+smooth_trees = st.recursive(
+    st.one_of(st.builds(Var, st.just("x")), st.builds(Var, st.just("x")),
+              st.builds(Var, st.just("y")), st.builds(Num, st.sampled_from(SMALL))),
+    lambda sub: st.one_of(
+        st.builds(Neg, sub),
+        st.builds(BinOp, st.sampled_from("+-*/^"), sub, sub),
+        st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), sub),
+    ),
+    max_leaves=8,
+)
+points = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+def exact_derivative(tree, x, y):
+    """d tree / dx at (x, y), or None where it is not defined."""
+    try:
+        value = evaluate(diff(tree, "x"), {"x": x, "y": y})
+    except DomainError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def to_sympy(sp, node, symbols):
+    match node:
+        case Num(value):
+            return sp.Float(value)
+        case Var(name):
+            return symbols[name]
+        case Neg(arg):
+            return -to_sympy(sp, arg, symbols)
+        case BinOp(op, left, right):
+            a, b = to_sympy(sp, left, symbols), to_sympy(sp, right, symbols)
+            return {"+": a + b, "-": a - b, "*": a * b,
+                    "/": a / b if b != 0 else sp.nan, "^": a ** b}[op]
+        case Call(func, arg):
+            return (sp.Abs if func == "abs" else getattr(sp, func))(
+                to_sympy(sp, arg, symbols))
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+class TestDiff:
+    @pytest.mark.parametrize("source,var,want", [
+        ("3", "x", "0"),
+        ("y", "x", "0"),
+        ("x", "x", "1"),
+        ("x * y", "x", "y"),
+        ("x + 2*y", "x", "1"),
+        ("-(y - x)", "x", "--1"),
+        ("x^3", "x", "3 * x ^ 2"),
+        ("x^1", "x", "1"),
+        ("y^x", "x", "y ^ x * log(y)"),
+        ("sin(x)", "x", "cos(x)"),
+        ("exp(y)", "x", "0"),
+    ])
+    def test_folding(self, source, var, want):
+        got = diff(parse_expression(source), var)
+        assert got == parse_expression(want) or to_string(got) == want
+
+    @pytest.mark.parametrize("source,x", [
+        ("abs(x)", 0.0),
+        ("abs(x)", -0.0),
+        ("sqrt(x)", 0.0),
+        ("x^0.5", 0.0),
+        ("x^(1/3)", 0.0),
+        ("(x - 1)^0.25 + x", 1.0),
+    ])
+    def test_no_derivative_raises(self, source, x):
+        with pytest.raises(DomainError):
+            evaluate(diff(parse_expression(source), "x"), {"x": x})
+
+    @pytest.mark.parametrize("source,x,want", [
+        ("abs(x)", -2.0, -1.0),
+        ("sqrt(x)", 4.0, 0.25),
+        ("x^1.5", 0.0, 0.0),
+        ("x^2", 0.0, 0.0),
+        ("x^0", 0.0, 0.0),
+        ("tanh(x)", 0.0, 1.0),
+        ("log(x)", 4.0, 0.25),
+    ])
+    def test_values(self, source, x, want):
+        assert evaluate(diff(parse_expression(source), "x"), {"x": x}) == want
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(tree=smooth_trees, at=points)
+    def test_matches_richardson(self, tree, at):
+        x, y = at
+        exact = exact_derivative(tree, x, y)
+        f = compile_expression(tree)
+
+        def g(u):
+            return f({"x": u, "y": y})
+
+        def one_sided(h):  # second order, from x to x + 2h
+            return (4.0 * g(x + h) - 3.0 * g(x) - g(x + 2.0 * h)) / (2.0 * h)
+
+        try:
+            fine, coarse = (richardson_difference(g, x, h) for h in (1e-3, 2e-3))
+            sides = [one_sided(1e-3), one_sided(-1e-3)]
+        except DomainError:
+            return
+        scale = max(1.0, abs(fine))
+        # defined, and smooth enough near x that halving the step barely
+        # moves the fourth-order estimate and the one-sided estimates
+        # agree with it (a central difference does not see a kink at x)
+        if exact is None or not (abs(fine - coarse) < 1e-7 * scale and all(
+                abs(side - fine) < 1e-4 * scale for side in sides)):
+            return
+        assert abs(exact - fine) <= 1e-6 * scale
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(tree=smooth_trees, at=points)
+    def test_matches_sympy(self, sympy, tree, at):
+        x, y = at
+        exact = exact_derivative(tree, x, y)
+        if exact is None:
+            return
+        symbols = {name: sympy.Symbol(name, real=True) for name in ("x", "y")}
+        want = sympy.diff(to_sympy(sympy, tree, symbols), symbols["x"]).evalf(
+            40, subs={symbols["x"]: sympy.Float(x), symbols["y"]: sympy.Float(y)})
+        try:
+            want = complex(want)
+        except (TypeError, ZeroDivisionError):
+            return  # not a number there (sympy's y*x^y/x at x = 0)
+        # a real derivative; (-a)^(y-1) is complex in exact arithmetic when
+        # y - 1 only rounds to an integer in floats
+        if want.imag != 0.0 or not math.isfinite(want.real):
+            return
+        assert abs(exact - want.real) <= 1e-8 * max(1.0, abs(want.real))
+
+    def test_not_an_expression(self):
+        with pytest.raises(TypeError):
+            diff("x", "x")
+
+
+# ------------------------------------------------------- fused functions
+
+FUSED_NAMES = ("x", "y", "z", "k")
+
+
+@st.composite
+def systems(draw):
+    """One to four trees over x, y, z and the constant k that share a
+    common subtree."""
+    shared = draw(trees)
+    leaves = st.one_of(st.builds(Num, values),
+                       st.builds(Var, st.sampled_from(FUSED_NAMES)),
+                       st.just(shared))
+    outputs = st.recursive(leaves, lambda sub: st.one_of(
+        st.builds(Neg, sub),
+        st.builds(BinOp, st.sampled_from("+-*/^"), sub, sub),
+        st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), sub),
+    ), max_leaves=6)
+    return draw(st.lists(outputs, min_size=1, max_size=4))
+
+
+def outcomes(fn):
+    try:
+        return "values", [struct.pack("d", v) for v in fn()]
+    except Exception as exc:  # the class and message are compared
+        return type(exc), str(exc)
+
+
+class TestFusedFunctions:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(outputs=systems(), vals=st.tuples(values, values, values, values))
+    def test_matches_components(self, outputs, vals):
+        x, y, z, k = vals
+        fused = compile_function(outputs, [("x",), ("y", "z")], {"k": k})
+        b = {"x": x, "y": y, "z": z, "k": k}
+        assert outcomes(lambda: fused((x,), [y, z])) == outcomes(
+            lambda: [compile_expression(tree)(b) for tree in outputs])
+
+    def test_shared_subtree_computed_once(self, monkeypatch):
+        calls = []
+
+        def counting_exp(u):
+            calls.append(u)
+            return math.exp(u)
+
+        monkeypatch.setitem(FUNCTIONS, "exp", counting_exp)
+        forces = [parse_expression("-(x1_1 - x2_1)*exp(-(x1_1 - x2_1)^2)"),
+                  parse_expression("(x1_1 - x2_1)*exp(-(x1_1 - x2_1)^2)")]
+        fused = compile_function(forces, [("x1_1", "x2_1")])
+        assert fused([0.5, -0.25]) == (-0.75 * math.exp(-0.5625),
+                                       0.75 * math.exp(-0.5625))
+        assert len(calls) == 1
+
+    def test_constants_and_unbound_variables(self):
+        tree = parse_expression("k*x + t")
+        f = compile_function([tree, Var("k")], [("t",), ("x",)], {"k": 2, "t": 9.0})
+        assert f((1.0,), (3.0,)) == (7.0, 2.0)  # the argument t wins
+        with pytest.raises(UnboundVariableError, match="'k' is not bound"):
+            compile_function([tree], [("t", "x")])
+        with pytest.raises(ValueError):
+            f((1.0, 2.0), (3.0,))  # one time too many

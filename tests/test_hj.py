@@ -13,6 +13,8 @@ from multitime.hj import (
     hj_residual_multi,
     hj_residual_single,
     hj_trajectories_foliation,
+    MAX_LEAVES,
+    foliation_leaves,
     hj_velocity_consistency_defect,
     poisson_bracket,
 )
@@ -179,6 +181,43 @@ class TestFoliations:
             hj_trajectories_foliation(free_hj(), Foliation([0.3]),
                                       [[-1.0], [1.0]], (-1.0, 1.0), 0.01,
                                       max_anchor_iters=1)
+
+    def test_light_particle_is_a_foliation_error(self):
+        # particle 2 outruns the boosted leaves and never reaches t = 0
+        s = HJFunction(FREE_S, 2, 1, [1.0, 1e-3], CONSTS)
+        with pytest.raises(FoliationError, match="misses the anchor time t = 0"):
+            hj_trajectories_foliation(s, Foliation([0.3]), [[-1.0], [1.0]],
+                                      (-1.0, 1.0), 0.01)
+        # its times round to the same value on every leaf
+        s = HJFunction(FREE_S, 2, 1, [1.0, 1e-300], CONSTS)
+        with pytest.raises(FoliationError, match="do not increase along the leaves"):
+            hj_trajectories_foliation(s, Foliation([0.3]), [[-1.0], [1.0]],
+                                      (-1.0, 1.0), 0.01)
+
+    def test_leaf_count_bounded_before_the_run(self):
+        fol = Foliation([0.3])
+        # the range covers the anchors at t = 0: |u.x| * 1.5 + ds
+        assert foliation_leaves(fol, [[-1.0], [4.0]], (-1.0, 1.0), 0.5) == (
+            -2.3, 2.3, 2.3 / 0.5 + 2.3 / 0.5)
+        assert foliation_leaves(Foliation([0.0]), [[1e300]], (-1.0, 1.0), 0.01)[:2] == (
+            -1.0, 1.0)
+        for init, span, ds in [([[0.0]], (-1.0, 1.0), 1e-300),
+                               ([[0.0]], (-1e300, 1.0), 0.01),
+                               ([[1e300]], (-1.0, 1.0), 0.01)]:
+            assert foliation_leaves(fol, init, span, ds)[2] > MAX_LEAVES
+            with pytest.raises(ValueError, match="at most"):
+                hj_trajectories_foliation(HJFunction("x1_1", 1, 1, [1.0]), fol,
+                                          init, span, ds)
+
+    def test_exact_gradients(self):
+        s = coupled_hj()
+        times, x = [0.2, -0.1], [[-0.7], [0.9]]
+        got = s.gradients(times, [-0.7, 0.9])
+        # d/dx1 of the coupling 0.05 (x1 - x2)^2 (t1 + t2) is 0.1 (x1 - x2)(t1 + t2)
+        assert got == pytest.approx((K1 + 2 * G * (-1.6) * 0.1,
+                                     K2 - 2 * G * (-1.6) * 0.1), abs=1e-15)
+        for j in (1, 2):
+            assert s.grad_x(j, times, x)[0] == pytest.approx(got[j - 1], abs=1e-9)
 
     def test_compare_needs_two(self):
         with pytest.raises(ValueError):
