@@ -11,10 +11,10 @@ builds n-paths by equal-time integration, tests their validity at
 spacelike off-diagonal time choices, integrates the two-time full-grid
 variant, and runs the no-interaction demonstration over a field family.
 Every integration here and in the HJ module advances a flat state (a
-list of floats) with the one RK4 stepper ``rk4_step``; the field's
-right-hand side ``PhaseVectorField.rhs`` is, for fields given by
-expressions, one compiled function of the time tuple and that state.
-Numpy arrays are built once a run is done.
+list of floats) with the one RK4 stepper ``rk4_step``; a field's
+right-hand side ``PhaseVectorField.rhs`` is one compiled function of
+its expressions, of the time tuple and that state.  Numpy arrays are
+built once a run is done.
 """
 
 from __future__ import annotations
@@ -23,13 +23,13 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .expr import (Expression, Neg, binding_names, compile_expression,
-                   compile_function, diff, free_variables, parse_expression,
-                   variable_bindings)
+from .expr import (Expression, Neg, binding_names, central_difference,
+                   compile_expression, compile_function, diff, free_variables,
+                   parse_expression, variable_bindings)
 from .numdiff import diff_callable
 from .paths import NPath, WorldLine
 from .reports import DefectReport, ResidualReport
@@ -117,8 +117,6 @@ class PhasePoint:
         return np.concatenate([self.x.ravel(), self.p.ravel()])
 
 
-# A field component maps variable bindings to a real value.
-Component = Callable[[Mapping[str, float]], float]
 # A right-hand side maps a time tuple and a flat state (x, p) to the rates.
 RHS = Callable[[Sequence[float], Sequence[float]], tuple[float, ...]]
 
@@ -130,50 +128,25 @@ def _state_names(n: int, d: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 @dataclass
 class PhaseVectorField:
-    """The fields (v_1, w_1, .., v_n, w_n) as per-component callables.
-
-    ``exprs`` holds the components as expressions, the v rows and then
-    the w rows, when the field was built from expressions.
-    """
+    """The fields (v_1, w_1, .., v_n, w_n): ``exprs`` holds the components
+    of v_1..v_n and then of w_1..w_n, d each, as expressions in t1..tn,
+    xJ_D and pJ_D."""
 
     n: int
     d: int
     masses: tuple[float, ...]
-    v: list[list[Component]]  # n lists of d components
-    w: list[list[Component]]
+    exprs: tuple[Expression, ...]
     label: str = "field"
-    exprs: tuple[Expression, ...] | None = None
-
-    def eval_v(self, j: int, bindings: Mapping[str, float]) -> np.ndarray:
-        """v_j (1-based) at the bound phase-space point."""
-        return np.array([c(bindings) for c in self.v[j - 1]])
-
-    def eval_w(self, j: int, bindings: Mapping[str, float]) -> np.ndarray:
-        return np.array([c(bindings) for c in self.w[j - 1]])
 
     @functools.cached_property
     def rhs(self) -> RHS:
         """The right-hand side ``(times, y) -> (v_1..v_n, w_1..w_n)``: a
         time tuple and a flat state y = (x, p) of floats in, the 2·n·d
-        rates out as one tuple of floats.
-
-        For a field given by expressions this is one compiled function of
+        rates out as one tuple of floats.  It is one compiled function of
         all components (``expr.compile_function``), built on first use;
-        each rate is bit for bit the component's value.  Otherwise the
-        components are called on the bindings of the time tuple and
-        state.
+        each rate is bit for bit the component's value.
         """
-        names = _state_names(self.n, self.d)
-        if self.exprs is not None:
-            return compile_function(self.exprs, names)
-        keys = names[0] + names[1]
-        components = [c for rows in (self.v, self.w) for row in rows for c in row]
-
-        def rhs(times: Sequence[float], y: Sequence[float]) -> tuple[float, ...]:
-            b = dict(zip(keys, [*times, *y]))
-            return tuple([c(b) for c in components])
-
-        return rhs
+        return compile_function(self.exprs, _state_names(self.n, self.d))
 
     @classmethod
     def from_expressions(cls, n: int, d: int, masses: Sequence[float],
@@ -186,12 +159,10 @@ class PhaseVectorField:
             raise ValueError(f"need {d} expressions in every row of v and w")
         rows = [[parse_expression(e) if isinstance(e, str) else e for e in row]
                 for row in (*v_exprs, *w_exprs)]
-        for row in rows:
-            for expr in row:
-                _check_vars(expr, n, d)
-        comps = [[compile_expression(e) for e in row] for row in rows]
-        return cls(n, d, tuple(float(m) for m in masses), comps[:n], comps[n:],
-                   label=label, exprs=tuple(e for row in rows for e in row))
+        exprs = tuple(e for row in rows for e in row)
+        for expr in exprs:
+            _check_vars(expr, n, d)
+        return cls(n, d, tuple(float(m) for m in masses), exprs, label)
 
     @classmethod
     def free(cls, n: int, d: int, masses: Sequence[float]) -> "PhaseVectorField":
@@ -216,9 +187,9 @@ def hamiltonian_vector_field(h_exprs: str | Expression | Sequence[str | Expressi
     ``h_exprs`` is either a single Hamiltonian (every particle moves under
     it) or one partial Hamiltonian per particle (particle j moves under
     H_j).  Without a step ``h`` the gradients are exact: each component is
-    the expression ``expr.diff`` builds, and the field's right-hand side
-    is one compiled function of them.  With a step ``h`` each component is
-    the central difference of H at that step.
+    the expression ``expr.diff`` builds.  With a step ``h`` each component
+    is the central difference of H at that step
+    (``expr.central_difference``).
     """
     if isinstance(h_exprs, (str, Expression)):
         exprs = [h_exprs] * n
@@ -231,20 +202,10 @@ def hamiltonian_vector_field(h_exprs: str | Expression | Sequence[str | Expressi
         _check_vars(e, n, d)
     p_vars = [[f"p{j + 1}_{dd + 1}" for dd in range(d)] for j in range(n)]
     x_vars = [[f"x{j + 1}_{dd + 1}" for dd in range(d)] for j in range(n)]
-    if h is None:
-        v = [[diff(parsed[j], var) for var in p_vars[j]] for j in range(n)]
-        w = [[Neg(diff(parsed[j], var)) for var in x_vars[j]] for j in range(n)]
-        return PhaseVectorField.from_expressions(n, d, masses, v, w,
-                                                 label="hamiltonian")
-
-    def central(f: Component, var: str, sign: float) -> Component:
-        return lambda b: sign * diff_callable(f, var, b, h=h)
-
-    fs = [compile_expression(e) for e in parsed]
-    v = [[central(fs[j], var, 1.0) for var in p_vars[j]] for j in range(n)]
-    w = [[central(fs[j], var, -1.0) for var in x_vars[j]] for j in range(n)]
-    return PhaseVectorField(n, d, tuple(float(m) for m in masses), v, w,
-                            label="hamiltonian")
+    grad = diff if h is None else functools.partial(central_difference, h=h)
+    v = [[grad(parsed[j], var) for var in p_vars[j]] for j in range(n)]
+    w = [[Neg(grad(parsed[j], var)) for var in x_vars[j]] for j in range(n)]
+    return PhaseVectorField.from_expressions(n, d, masses, v, w, label="hamiltonian")
 
 
 def classical_consistency_defect(field: PhaseVectorField, point: PhasePoint,
@@ -254,14 +215,16 @@ def classical_consistency_defect(field: PhaseVectorField, point: PhasePoint,
         raise ValueError(f"step must be positive, got {h}")
     b = point.bindings()
     n, d = field.n, field.d
-    vj = [field.eval_v(j, b) for j in range(1, n + 1)]
-    wj = [field.eval_w(j, b) for j in range(1, n + 1)]
+    nd = n * d
+    rates = field.rhs(point.times.tolist(), point.state().tolist())
+    comps = [compile_expression(e) for e in field.exprs]
 
-    def apply_dj(j: int, comp: Component) -> float:
+    def apply_dj(j: int, comp) -> float:
         val = diff_callable(comp, f"t{j}", b, h=h)
         for dd in range(d):
-            val += vj[j - 1][dd] * diff_callable(comp, f"x{j}_{dd + 1}", b, h=h)
-            val += wj[j - 1][dd] * diff_callable(comp, f"p{j}_{dd + 1}", b, h=h)
+            i = (j - 1) * d + dd  # rates[i] is in v_j, rates[nd + i] in w_j
+            val += rates[i] * diff_callable(comp, f"x{j}_{dd + 1}", b, h=h)
+            val += rates[nd + i] * diff_callable(comp, f"p{j}_{dd + 1}", b, h=h)
         return float(val)
 
     pairs = {}
@@ -269,9 +232,9 @@ def classical_consistency_defect(field: PhaseVectorField, point: PhasePoint,
         for k in range(1, n + 1):
             if j == k:
                 continue
-            vals = [apply_dj(j, c) for c in field.v[k - 1]]
-            vals += [apply_dj(j, c) for c in field.w[k - 1]]
-            pairs[f"{j},{k}"] = max(abs(v) for v in vals)
+            at = (k - 1) * d  # v_k and w_k
+            pairs[f"{j},{k}"] = max(abs(apply_dj(j, c)) for c in
+                                    comps[at:at + d] + comps[nd + at:nd + at + d])
     return DefectReport(pairs=pairs, max_defect=max(pairs.values(), default=0.0), h=h)
 
 
@@ -365,12 +328,13 @@ def validity_residual(field: PhaseVectorField, npath: NPath,
             report.rows.append({"times": times.tolist(), "spacelike": False})
             report.rejected += 1
             continue
-        b = PhasePoint(times=times, x=xs, p=ps).bindings()
+        y = np.concatenate([xs.ravel(), ps.ravel()]).tolist()
+        rates = np.reshape(field.rhs(times.tolist(), y), (2, field.n, field.d))
         residuals = []
         for j in range(1, field.n + 1):
             line = npath.line(j)
-            rx = np.linalg.norm(line.dxdt_at(times[j - 1]) - field.eval_v(j, b))
-            rp = np.linalg.norm(line.dpdt_at(times[j - 1]) - field.eval_w(j, b))
+            rx = np.linalg.norm(line.dxdt_at(times[j - 1]) - rates[0, j - 1])
+            rp = np.linalg.norm(line.dpdt_at(times[j - 1]) - rates[1, j - 1])
             residuals.append(float(rx + rp))
         report.rows.append({
             "times": times.tolist(),

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import classical, hj, linops, quantum
 from .configs import write_examples
-from .expr import DomainError, ExpressionError
+from .expr import DomainError, ExpressionError, binding_names, free_variables
 from .hj import FoliationError
 from .reports import write_csv
 
@@ -177,20 +177,26 @@ def _pauli_op_sum(value, path: str, n: int, numeric_only: bool) -> list:
             if numeric_only:
                 raise ConfigError(f"{ipath}/coeff",
                                   "expected a numeric coefficient here")
-            _parse_expr(coeff, f"{ipath}/coeff")
+            coeff = _expr(coeff, f"{ipath}/coeff", binding_names("t", n))
         else:
             coeff = _num(coeff, f"{ipath}/coeff")
         terms.append((mat, coeff))
     return terms
 
 
-def _parse_expr(source: str, path: str):
+def _expr(value, path: str, names: Sequence[str]):
+    """The expression of the string ``value``; each of its variables must
+    be one of ``names``."""
     from .expr import parse_expression
 
     try:
-        return parse_expression(source)
+        expr = parse_expression(_str(value, path))
     except ExpressionError as exc:
         raise ConfigError(path, f"bad expression: {exc}") from None
+    extra = free_variables(expr) - set(names)
+    if extra:
+        raise ConfigError(path, f"undeclared variables {sorted(extra)}")
+    return expr
 
 
 def _numeric_pauli_sum(value, path: str, n: int) -> np.ndarray:
@@ -238,10 +244,12 @@ def _build_field(field_cfg: dict, path: str, n: int, d: int,
     if grid and ftype != "partial_hamiltonians":
         raise ConfigError(f"{path}/type", "the grid experiments need field "
                                           "type 'partial_hamiltonians'")
+    names = (binding_names("t", n) + binding_names("x", n, d)
+             + binding_names("p", n, d))
     try:
         if ftype == "expressions":
             _keys(field_cfg, path, ["type", "v", "w"])
-            v, w = ([[_str(c, f"{path}/{key}/{j}/{i}") for i, c in
+            v, w = ([[_expr(c, f"{path}/{key}/{j}/{i}", names) for i, c in
                       enumerate(_list(row, f"{path}/{key}/{j}", length=d))]
                      for j, row in enumerate(_list(field_cfg[key], f"{path}/{key}", n))]
                     for key in ("v", "w"))
@@ -250,10 +258,10 @@ def _build_field(field_cfg: dict, path: str, n: int, d: int,
             _keys(field_cfg, path, ["type", "h"], ["h_step"])
             step = _option(field_cfg, "h_step", path, None, _positive)
             return classical.hamiltonian_vector_field(
-                _str(field_cfg["h"], f"{path}/h"), n, d, masses, h=step)
+                _expr(field_cfg["h"], f"{path}/h", names), n, d, masses, h=step)
         if ftype == "partial_hamiltonians":
             _keys(field_cfg, path, ["type", "h_list"], ["h_step"])
-            hs = [_str(e, f"{path}/h_list/{j}") for j, e in
+            hs = [_expr(e, f"{path}/h_list/{j}", names) for j, e in
                   enumerate(_list(field_cfg["h_list"], f"{path}/h_list", n))]
             step = _option(field_cfg, "h_step", path, None, _positive)
             if grid:
@@ -287,24 +295,28 @@ def build_hj_system(cfg: dict, path: str):
     _keys(cfg, path, ["n", "d", "masses", "S"], ["constants", "hamiltonians"])
     n = _int(cfg["n"], f"{path}/n", minimum=1)
     d = _int(cfg["d"], f"{path}/d", minimum=1)
-    masses = _num_list(cfg["masses"], f"{path}/masses", length=n)
+    # the velocity law divides by the masses
+    masses = [_positive(m, f"{path}/masses/{j}")
+              for j, m in enumerate(_list(cfg["masses"], f"{path}/masses", n))]
     constants = {}
     if "constants" in cfg:
         for key, val in _obj(cfg["constants"], f"{path}/constants").items():
             constants[key] = _num(val, f"{path}/constants/{key}")
-    expr = _parse_expr(_str(cfg["S"], f"{path}/S"), f"{path}/S")
-    s = hj.HJFunction(expr, n, d, masses, constants)
+    # S is a function of t1..tn, the positions and the constants; the
+    # Hamiltonians also of the momenta, and h_total of the single time t
+    names = [*binding_names("t", n), *binding_names("x", n, d), *constants]
+    s = hj.HJFunction(_expr(cfg["S"], f"{path}/S", names), n, d, masses, constants)
     hams = None
     if "hamiltonians" in cfg:
         hpath = f"{path}/hamiltonians"
         ham = _obj(cfg["hamiltonians"], hpath)
         _keys(ham, hpath, ["h_list"], ["h_total"])
-        h_list = [_parse_expr(_str(e, f"{hpath}/h_list/{j}"), f"{hpath}/h_list/{j}")
+        names += binding_names("p", n, d)
+        h_list = [_expr(e, f"{hpath}/h_list/{j}", names)
                   for j, e in enumerate(_list(ham["h_list"], f"{hpath}/h_list", n))]
         h_total = None
         if "h_total" in ham:
-            h_total = _parse_expr(_str(ham["h_total"], f"{hpath}/h_total"),
-                                  f"{hpath}/h_total")
+            h_total = _expr(ham["h_total"], f"{hpath}/h_total", [*names, "t"])
         hams = (h_list, h_total)
     return s, hams
 
@@ -766,6 +778,19 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _check_finite(value, path: str) -> None:
+    """FloatingPointError naming the first non-finite number in ``value``,
+    a nest of dicts and lists (JSON has no such numbers)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise FloatingPointError(f"non-finite result at {path}: {value}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{path}/{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_finite(item, f"{path}/{i}")
+
+
 def run_config(cfg: dict, subcommand: str, jobs: int,
                csv_path: str | None) -> dict:
     formalism, kind = cfg["formalism"], cfg["experiment"]["kind"]
@@ -783,6 +808,7 @@ def run_config(cfg: dict, subcommand: str, jobs: int,
     # every config error is raised here, before any numerics run
     run = entry.prepare(cfg["system"], cfg["experiment"], jobs, rng)
     results, csv_table = run()
+    _check_finite(results, "/results")
     report = {"config": cfg, "results": results, "jobs": jobs,
               "duration_seconds": time.monotonic() - start}
     if csv_path:

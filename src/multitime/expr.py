@@ -26,7 +26,8 @@ order, left operand before right, with no folding or rewriting.  The
 same code generator lowers a whole system of ASTs to one function of
 positional float sequences that returns all their values and computes
 shared subtrees once (``compile_function``).  ``diff`` builds the exact
-partial derivative of an AST as another AST.
+partial derivative of an AST as another AST, and ``central_difference``
+its central difference at a given step.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import functools
 import math
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NoReturn, Sequence
 
 import numpy as np
@@ -61,6 +62,7 @@ __all__ = [
     "binding_names",
     "compile_function",
     "diff",
+    "central_difference",
 ]
 
 
@@ -385,6 +387,32 @@ def diff(expr: Expression, var: str) -> Expression:
                     return _mul(_sub(_ONE, _pow(expr, Num(2.0))), du)
             raise TypeError(f"no derivative for function {func!r}")
     raise TypeError(f"not an Expression: {expr!r}")
+
+
+def _substitute(expr: Expression, var: str, value: Expression) -> Expression:
+    """``expr`` with the variable ``var`` replaced by ``value``."""
+    match expr:
+        case Var(name) if name == var:
+            return value
+        case Neg(arg) | Call(_, arg):
+            return replace(expr, arg=_substitute(arg, var, value))
+        case BinOp(_, left, right):
+            return replace(expr, left=_substitute(left, var, value),
+                           right=_substitute(right, var, value))
+    return expr
+
+
+def central_difference(expr: Expression, var: str, h: float) -> Expression:
+    """``(expr[var := var + h] - expr[var := var - h]) / (2h)``: the central
+    difference at the step ``h`` as an expression.  It evaluates to the
+    value of ``numdiff.diff_callable`` on ``expr`` bit for bit, or raises
+    the same first error."""
+    if h <= 0.0:
+        raise ValueError(f"step must be positive, got {h}")
+    step = Num(float(h))
+    return BinOp("/", BinOp("-", _substitute(expr, var, BinOp("+", Var(var), step)),
+                            _substitute(expr, var, BinOp("-", Var(var), step))),
+                 Num(2.0 * h))
 
 
 @functools.lru_cache(maxsize=32)

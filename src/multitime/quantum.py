@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linops
-from .expr import Expression, compile_expression, parse_expression, variable_bindings
+from .expr import Expression, Num, binding_names, compile_function, parse_expression
 from .reports import DefectReport
 
 __all__ = [
@@ -108,34 +108,29 @@ class PartialHamiltonianSet:
                    ) -> "PartialHamiltonianSet":
         """``terms[j]`` is a list of (operator, coefficient) pairs; a
         coefficient is a number, an expression string or an Expression in
-        the variables t1..tn.  Expression coefficients are compiled here,
-        once, and numbers converted with ``float``.  Each operator must be
-        Hermitian; with real coefficients, so is every H_j."""
-        compiled: list[list[tuple[np.ndarray, object]]] = []
+        the variables t1..tn; those of each H_j are compiled here into one
+        function of the time tuple, numbers as ``Num``.  Each operator must
+        be Hermitian; with real coefficients, so is every H_j."""
+        rows = []
         for j, per_j in enumerate(terms):
-            row = []
-            for i, (op, coeff) in enumerate(per_j):
-                if isinstance(coeff, str):
-                    coeff = parse_expression(coeff)
-                coeff = (compile_expression(coeff) if isinstance(coeff, Expression)
-                         else float(coeff))
-                row.append((_require_hermitian(op, f"operator of terms[{j}][{i}]"),
-                             coeff))
-            compiled.append(row)
+            ops = [_require_hermitian(op, f"operator of terms[{j}][{i}]")
+                   for i, (op, _) in enumerate(per_j)]
+            coeffs = [parse_expression(c) if isinstance(c, str)
+                      else c if isinstance(c, Expression) else Num(float(c))
+                      for _, c in per_j]
+            rows.append((ops, compile_function(coeffs, [binding_names("t", n)])))
 
-        def make(row):
+        def make(ops, coefficients):
             def build(times):
-                b = variable_bindings(times)
                 dim = local_dim**n
                 h = np.zeros((dim, dim), dtype=np.complex128)
-                for op, coeff in row:
-                    c = coeff(b) if callable(coeff) else coeff
+                for op, c in zip(ops, coefficients(np.asarray(times, float).tolist())):
                     h = h + c * op
                 return h
 
             return build
 
-        return cls._checked(n, local_dim, [make(row) for row in compiled])
+        return cls._checked(n, local_dim, [make(*row) for row in rows])
 
     @classmethod
     def from_interaction_picture(cls, base: np.ndarray, ks: Sequence[np.ndarray],

@@ -137,6 +137,27 @@ class TestSubcommands:
         assert stepped["corner_p"] == sol.p[:, -1, -1, :].tolist()
         assert stepped["corner_p"] != plain["corner_p"]
 
+    # Results of central-difference fields, pinned bit for bit: they were
+    # computed when each component called numdiff.diff_callable on the
+    # bindings, before the steps became expressions.
+    def test_h_step_grid_pinned(self):
+        cfg = copy.deepcopy(EXAMPLE_CONFIGS["grid_coupled"])
+        cfg["system"]["field"]["h_step"] = 0.1
+        assert run_config(cfg, "grid", 1, None)["results"] == {
+            "corner_p": [[0.8800982902174099], [-0.7800982902174107]],
+            "corner_x": [[1.0541615292300017], [0.3720081089920589]],
+            "grid_shape": [50, 50], "max_dx1_dt2": 0.743071559734111}
+
+    def test_h_step_check_pinned(self):
+        cfg = copy.deepcopy(EXAMPLE_CONFIGS["classical_harmonic_check"])
+        cfg["system"]["field"] = {
+            "type": "hamiltonian", "h_step": 0.05,
+            "h": "p1_1^2/2 + p2_1^2/2 + (x1_1 - x2_1)^4/4 + t1*p2_1^3/3"}
+        cfg["experiment"]["samples"]["count"] = 10
+        assert run_config(cfg, "check", 1, None)["results"] == {
+            "h": 0.0001, "max_defect": 2.9444207964931923,
+            "min_defect": 0.08749234260335273, "sample_count": 10}
+
     def test_grid_path_independence_scaling(self, config_dir, tmp_path):
         code, rep = run_cli(
             ["grid", "--config",
@@ -536,6 +557,36 @@ class TestConfigErrors:
         self.expect_error(config_dir, tmp_path, capsys, name, "foliation", key,
                           value, pointer, "the run on the foliation")
 
+    @pytest.mark.parametrize("name,pointer,value", [
+        ("coupled_qubits_check", "/system/hamiltonians/terms/1/1/coeff", "0.25*t3"),
+        ("free_quantum", "/system/hamiltonians/terms/0/0/coeff", "cos(t)"),
+        ("hj_free_residual", "/system/S", "k1*x1_1 + t3"),
+        ("hj_free_trajectories", "/system/S", "k1*x1_2"),
+        ("hj_free_foliations", "/system/S", "k3*x1_1"),
+        ("hj_coupled_foliations", "/system/S", "p1_1*x1_1"),
+        ("hj_free_residual", "/system/hamiltonians/h_list/0", "p1_1^2/2 + t"),
+        ("hj_free_residual", "/system/hamiltonians/h_list/1", "p3_1^2/2"),
+        ("hj_free_residual", "/system/hamiltonians/h_total", "p1_1^2/2 + t0"),
+        ("classical_free_check", "/system/field/v/1/0", "p2_1 + q"),
+        ("cjs_family", "/experiment/family/2/field/w/0/0", "t3"),
+        ("grid_coupled", "/system/field/h_list/1", "p2_1^2/2 + t"),
+    ])
+    def test_undeclared_variable(self, config_dir, tmp_path, capsys, no_numerics,
+                                 name, pointer, value):
+        # each of these used to fail only once the numerics ran
+        subcommand = KIND_SUBCOMMAND[EXAMPLE_CONFIGS[name]["experiment"]["kind"]]
+        self.expect_error(config_dir, tmp_path, capsys, name, subcommand,
+                          pointer, value, pointer, "undeclared variables")
+
+    def test_declared_variables_run(self, config_dir, tmp_path):
+        # the constants in every HJ expression, the single time t in h_total
+        cfg = json.loads((config_dir / "hj_free_residual.json").read_text())
+        ham = cfg["system"]["hamiltonians"]
+        ham["h_list"][0] += " + 0*k1*t2*x2_1"
+        ham["h_total"] += " + 0*t*k2"
+        code, rep = run_cli(["hj", "--config", self.write(tmp_path, cfg)], tmp_path)
+        assert code == 0 and rep["results"]["max_residual"] < 1e-8
+
 
 class TestNumericalFailures:
     def test_degenerate_foliation_exit_code(self, tmp_path, capsys):
@@ -573,6 +624,9 @@ class TestNumericalFailures:
         # its times round to one value on every leaf
         ("hj_free_foliations", 1e-300, "do not increase along the leaves"),
         ("hj_coupled_foliations", 1e-300, "non-finite state"),
+        # its speed overflows when squared; JSON has no Infinity
+        ("hj_free_trajectories", 1e-300,
+         "non-finite result at /results/max_speed: inf"),
     ])
     def test_light_particle_exit_code(self, config_dir, tmp_path, capsys,
                                       name, mass, message):
@@ -624,6 +678,30 @@ def test_mutated_config_exits_cleanly(mutation):
         code = main([subcommand, "--config", str(path),
                      "--out", str(Path(tmp) / "report.json")])
     assert code in (0, 2, 3)
+
+
+MASS_LEAVES = [(name, pointer) for name, pointers in LEAVES.items()
+               for pointer in pointers if "/masses/" in pointer]
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("name,pointer", MASS_LEAVES)
+def test_mass_leaf_exits_cleanly(name, pointer, value, tmp_path, capsys, request):
+    """Exit 0, 2 or 3 for every mass; an HJ mass must be > 0, and is checked
+    before any numerics (the velocity law divides by it)."""
+    cfg = copy.deepcopy(EXAMPLE_CONFIGS[name])
+    set_pointer(cfg, pointer, value)
+    if cfg["formalism"] == "hj":
+        request.getfixturevalue("no_numerics")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = main([KIND_SUBCOMMAND[cfg["experiment"]["kind"]], "--config", str(path),
+                 "--out", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3) and "Traceback" not in err
+    if cfg["formalism"] == "hj":
+        assert code == 2
+        assert f"config error: {pointer}: expected a number > 0, got {value}" in err
 
 
 def test_docs_table_matches_subcommand_kinds():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multitime import classical, expr as expr_module
+from multitime import classical, expr as expr_module, quantum
 from multitime.classical import (PhasePoint, PhaseVectorField, evolve_equal_time,
                                  hamiltonian_vector_field)
 from multitime.expr import (
@@ -315,44 +315,52 @@ class TestCompiledExpressions:
         assert tree == twin and hash(tree) == hash(twin)
         assert repr(tree) == repr(twin)
 
-    def test_field_compiled_once_over_rk4_run(self, compiles, monkeypatch):
-        fused = []
-        real = classical.compile_function
+    @pytest.fixture
+    def fused(self, monkeypatch):
+        """The outputs of every ``compile_function`` call that the
+        classical and quantum modules make while the test runs."""
+        seen = []
+        real = expr_module.compile_function
 
         def counting(outputs, *args):
-            fused.append(outputs)
+            seen.append(tuple(outputs))
             return real(outputs, *args)
 
-        monkeypatch.setattr(classical, "compile_function", counting)
+        for module in (classical, quantum):
+            monkeypatch.setattr(module, "compile_function", counting)
+        return seen
+
+    def test_field_compiled_once_over_rk4_run(self, compiles, fused):
         free = PhaseVectorField.free(2, 1, [1.0, 2.0])
         coupled = hamiltonian_vector_field(
             ["p1_1^2/2 + (x1_1 - x2_1)^2/2", "p2_1^2/2 + (x1_1 - x2_1)^2/2"],
             2, 1, [1.0, 1.0])
-        # the components, at construction: the free field's two velocities
-        # and one tree for both zero forces ("0"), and the coupled field's
-        # four exact derivatives; the fused right-hand sides wait for use
-        assert len(compiles) == 3 + 4
-        assert fused == []
-
-        def no_eval_v(field, j, b):
-            raise AssertionError("an RK4 run evaluated a component on bindings")
-
-        monkeypatch.setattr(PhaseVectorField, "eval_v", no_eval_v)
+        # a field is its expressions: nothing is compiled at construction
+        assert compiles == [] and fused == []
         init = PhasePoint(times=[0.0, 0.0], x=[[-1.0], [1.0]], p=[[0.1], [-0.1]])
         for field in (free, coupled, free, coupled):
             evolve_equal_time(field, init, (0.0, 0.2), 0.01,
                               timelike_warning=False)
+        # one fused function per field, and no component on its own
         assert fused == [free.exprs, coupled.exprs]
-        assert len(compiles) == 3 + 4
+        assert compiles == []
 
-    def test_quantum_coefficients_compiled_at_construction(self, compiles):
+    def test_quantum_coefficients_compiled_at_construction(self, compiles, fused):
         z = np.diag([1.0, -1.0])
         system = PartialHamiltonianSet.from_terms(
-            1, 2, [[(z, "sin(2*t1)"), (z, 0.5)]])
-        assert len(compiles) == 1
-        path = staircase_between([0.0], [1.0], max_dt=0.01)
-        evolve_staircase(system, MultiTimeState(np.array([1.0, 0.0]), [0.0]), path)
-        assert len(compiles) == 1
+            2, 2, [[(np.kron(z, z), "sin(2*t1)"), (np.kron(z, z), 0.5)],
+                   [(np.kron(z, z), Var("t2"))]])
+        # one function of the time tuple per H_j, numbers as Num
+        assert fused == [(parse_expression("sin(2*t1)"), Num(0.5)), (Var("t2"),)]
+        path = staircase_between([0.0, 0.0], [1.0, 1.0], max_dt=0.01)
+        evolve_staircase(system, MultiTimeState(np.eye(4)[0], [0.0, 0.0]), path)
+        assert len(fused) == 2 and compiles == []
+        assert np.array_equal(system.hamiltonian(1, np.array([0.25, 3.0])),
+                              (math.sin(0.5) + 0.5) * np.kron(z, z))
+
+    def test_quantum_coefficient_variables_checked_at_construction(self):
+        with pytest.raises(UnboundVariableError, match="'t3' is not bound"):
+            PartialHamiltonianSet.from_terms(2, 2, [[(np.eye(4), "t3")], []])
 
     def test_strings_parsed_and_compiled_once_over_hj_defect_calls(self, compiles):
         h_exprs = ["p1_1^2/2 + (x1_1 - x2_1)^2/2", "p2_1^2/2 + (x1_1 - x2_1)^2/2"]
@@ -513,6 +521,24 @@ class TestDiff:
     def test_not_an_expression(self):
         with pytest.raises(TypeError):
             diff("x", "x")
+
+
+class TestCentralDifference:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(tree=trees, var=st.sampled_from(NAMES), at=values, b=bindings,
+           h=st.floats(5e-324, 1e308))
+    def test_matches_diff_callable(self, tree, var, at, b, h):
+        b = {**b, var: at}
+        stepped = compile_expression(expr_module.central_difference(tree, var, h))
+        assert outcome(lambda: stepped(b)) == outcome(
+            lambda: diff_callable(compile_expression(tree), var, b, h=h))
+
+    def test_shape(self):
+        got = expr_module.central_difference(parse_expression("x*y + x"), "x", 0.5)
+        assert got == parse_expression(
+            "((x + 0.5)*y + (x + 0.5) - ((x - 0.5)*y + (x - 0.5))) / 1")
+        with pytest.raises(ValueError, match="step must be positive"):
+            expr_module.central_difference(got, "x", 0.0)
 
 
 # ------------------------------------------------------- fused functions
