@@ -22,7 +22,7 @@ from multitime.classical import (
 
 free = PhaseVectorField.free(2, 1, [1.0, 1.0])
 harmonic = PhaseVectorField.from_expressions(
-    2, 1, [1.0, 1.0],
+    2, 1,
     [["p1_1"], ["p2_1"]],
     [["-(x1_1 - x2_1)"], ["x1_1 - x2_1"]])
 
@@ -60,7 +60,7 @@ family = [
     ("free", free),
     ("harmonic", harmonic),
     ("gaussian", PhaseVectorField.from_expressions(
-        2, 1, [1.0, 1.0],
+        2, 1,
         [["p1_1"], ["p2_1"]],
         [["-(x1_1 - x2_1)*exp(-(x1_1 - x2_1)^2)"],
          ["(x1_1 - x2_1)*exp(-(x1_1 - x2_1)^2)"]])),

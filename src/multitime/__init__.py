@@ -13,7 +13,7 @@ from .expr import (
     parse_expression,
     to_string,
 )
-from .numdiff import gradient, partial_derivative
+from .numdiff import partial_derivative
 from .reports import DefectReport, DivergenceReport, ResidualReport
 
 __version__ = "0.1.0"

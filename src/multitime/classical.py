@@ -28,9 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .expr import (Expression, Neg, binding_names, central_difference,
-                   compile_expression, compile_function, diff, free_variables,
-                   parse_expression, variable_bindings)
-from .numdiff import diff_callable
+                   compile_function, diff, free_variables, parse_expression)
 from .paths import NPath, WorldLine
 from .reports import DefectReport, ResidualReport
 
@@ -108,9 +106,6 @@ class PhasePoint:
     def d(self) -> int:
         return self.x.shape[1]
 
-    def bindings(self) -> dict[str, float]:
-        return variable_bindings(self.times, self.x, self.p)
-
     def state(self) -> np.ndarray:
         """The flat state (x, p) the RK4 stepper advances; ``reshape(2, n, d)``
         gives x and p back."""
@@ -134,9 +129,7 @@ class PhaseVectorField:
 
     n: int
     d: int
-    masses: tuple[float, ...]
     exprs: tuple[Expression, ...]
-    label: str = "field"
 
     @functools.cached_property
     def rhs(self) -> RHS:
@@ -149,10 +142,10 @@ class PhaseVectorField:
         return compile_function(self.exprs, _state_names(self.n, self.d))
 
     @classmethod
-    def from_expressions(cls, n: int, d: int, masses: Sequence[float],
+    def from_expressions(cls, n: int, d: int,
                          v_exprs: Sequence[Sequence[str | Expression]],
                          w_exprs: Sequence[Sequence[str | Expression]],
-                         label: str = "field") -> "PhaseVectorField":
+                         ) -> "PhaseVectorField":
         if len(v_exprs) != n or len(w_exprs) != n:
             raise ValueError(f"need {n} rows of v and w expressions")
         if any(len(row) != d for row in (*v_exprs, *w_exprs)):
@@ -162,14 +155,14 @@ class PhaseVectorField:
         exprs = tuple(e for row in rows for e in row)
         for expr in exprs:
             _check_vars(expr, n, d)
-        return cls(n, d, tuple(float(m) for m in masses), exprs, label)
+        return cls(n, d, exprs)
 
     @classmethod
     def free(cls, n: int, d: int, masses: Sequence[float]) -> "PhaseVectorField":
         """v_j = p_j / m_j, w_j = 0."""
         v = [[f"p{j + 1}_{dd + 1} / {masses[j]}" for dd in range(d)] for j in range(n)]
         w = [["0" for _ in range(d)] for _ in range(n)]
-        return cls.from_expressions(n, d, masses, v, w, label="free")
+        return cls.from_expressions(n, d, v, w)
 
 
 def _check_vars(expr: Expression, n: int, d: int) -> None:
@@ -180,7 +173,7 @@ def _check_vars(expr: Expression, n: int, d: int) -> None:
 
 
 def hamiltonian_vector_field(h_exprs: str | Expression | Sequence[str | Expression],
-                             n: int, d: int, masses: Sequence[float],
+                             n: int, d: int, *,
                              h: float | None = None) -> PhaseVectorField:
     """Field with v_j = grad_{p_j} H, w_j = -grad_{x_j} H.
 
@@ -205,36 +198,52 @@ def hamiltonian_vector_field(h_exprs: str | Expression | Sequence[str | Expressi
     grad = diff if h is None else functools.partial(central_difference, h=h)
     v = [[grad(parsed[j], var) for var in p_vars[j]] for j in range(n)]
     w = [[Neg(grad(parsed[j], var)) for var in x_vars[j]] for j in range(n)]
-    return PhaseVectorField.from_expressions(n, d, masses, v, w, label="hamiltonian")
+    return PhaseVectorField.from_expressions(n, d, v, w)
 
 
 def classical_consistency_defect(field: PhaseVectorField, point: PhasePoint,
                                  h: float = 1e-4) -> DefectReport:
-    """Sup-norm of (D_j v_k, D_j w_k) for every ordered pair j != k."""
+    """Sup-norm of (D_j v_k, D_j w_k) for every ordered pair j != k.
+
+    Every derivative is a central difference of ``field.rhs``: moving t_j,
+    one coordinate of x_j or one of p_j by +-h gives the derivatives of
+    all components at once.  So every component must be defined within h
+    of the point, or DomainError is raised.
+    """
     if h <= 0.0:
         raise ValueError(f"step must be positive, got {h}")
-    b = point.bindings()
     n, d = field.n, field.d
     nd = n * d
-    rates = field.rhs(point.times.tolist(), point.state().tolist())
-    comps = [compile_expression(e) for e in field.exprs]
+    times, y = point.times.tolist(), point.state().tolist()
+    rates = field.rhs(times, y)
 
-    def apply_dj(j: int, comp) -> float:
-        val = diff_callable(comp, f"t{j}", b, h=h)
-        for dd in range(d):
-            i = (j - 1) * d + dd  # rates[i] is in v_j, rates[nd + i] in w_j
-            val += rates[i] * diff_callable(comp, f"x{j}_{dd + 1}", b, h=h)
-            val += rates[nd + i] * diff_callable(comp, f"p{j}_{dd + 1}", b, h=h)
-        return float(val)
+    def central(values: list[float], i: int) -> list[float]:
+        # d rhs / d values[i], values (times or y) moved in place
+        v0 = values[i]
+        values[i] = v0 + h
+        plus = field.rhs(times, y)
+        values[i] = v0 - h
+        minus = field.rhs(times, y)
+        values[i] = v0
+        return [(a - b) / (2.0 * h) for a, b in zip(plus, minus)]
 
     pairs = {}
     for j in range(1, n + 1):
+        at = (j - 1) * d  # rates[at + dd] is in v_j, rates[nd + at + dd] in w_j
+        d_t = central(times, j - 1)
+        d_x = [central(y, at + dd) for dd in range(d)]
+        d_p = [central(y, nd + at + dd) for dd in range(d)]
+        d_j = []  # D_j of every component
+        for c in range(2 * nd):
+            val = d_t[c]
+            for dd in range(d):
+                val += rates[at + dd] * d_x[dd][c]
+                val += rates[nd + at + dd] * d_p[dd][c]
+            d_j.append(abs(val))
         for k in range(1, n + 1):
-            if j == k:
-                continue
-            at = (k - 1) * d  # v_k and w_k
-            pairs[f"{j},{k}"] = max(abs(apply_dj(j, c)) for c in
-                                    comps[at:at + d] + comps[nd + at:nd + at + d])
+            if k != j:
+                ak = (k - 1) * d  # v_k and w_k
+                pairs[f"{j},{k}"] = max(d_j[ak:ak + d] + d_j[nd + ak:nd + ak + d])
     return DefectReport(pairs=pairs, max_defect=max(pairs.values(), default=0.0), h=h)
 
 
@@ -357,12 +366,8 @@ class HamiltonianPair:
                  h: float | None = None):
         if len(h_exprs) != 2 or n != 2:
             raise ValueError("the full-grid system is implemented for n = 2")
-        self.n, self.d, self.h = n, d, h
-        self.exprs = [parse_expression(e) if isinstance(e, str) else e
-                      for e in h_exprs]
-        # the masses of a Hamiltonian field are carried by H itself
-        self.fields = [hamiltonian_vector_field(e, n, d, [1.0] * n, h=h)
-                       for e in self.exprs]
+        self.n, self.d = n, d
+        self.fields = [hamiltonian_vector_field(e, n, d, h=h) for e in h_exprs]
 
 
 @dataclass

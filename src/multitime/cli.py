@@ -234,8 +234,7 @@ def build_quantum_system(cfg: dict, path: str) -> quantum.PartialHamiltonianSet:
                       "(expected pauli_terms | interaction_picture)")
 
 
-def _build_field(field_cfg: dict, path: str, n: int, d: int,
-                 masses: list[float], grid: bool = False):
+def _build_field(field_cfg: dict, path: str, n: int, d: int, grid: bool = False):
     """The system's phase-space field.  With ``grid`` the field must be
     ``partial_hamiltonians``, and the two-time ``HamiltonianPair`` of its
     H_1, H_2 is built instead, with the same ``h_step``."""
@@ -253,12 +252,12 @@ def _build_field(field_cfg: dict, path: str, n: int, d: int,
                       enumerate(_list(row, f"{path}/{key}/{j}", length=d))]
                      for j, row in enumerate(_list(field_cfg[key], f"{path}/{key}", n))]
                     for key in ("v", "w"))
-            return classical.PhaseVectorField.from_expressions(n, d, masses, v, w)
+            return classical.PhaseVectorField.from_expressions(n, d, v, w)
         if ftype == "hamiltonian":
             _keys(field_cfg, path, ["type", "h"], ["h_step"])
             step = _option(field_cfg, "h_step", path, None, _positive)
             return classical.hamiltonian_vector_field(
-                _expr(field_cfg["h"], f"{path}/h", names), n, d, masses, h=step)
+                _expr(field_cfg["h"], f"{path}/h", names), n, d, h=step)
         if ftype == "partial_hamiltonians":
             _keys(field_cfg, path, ["type", "h_list"], ["h_step"])
             hs = [_expr(e, f"{path}/h_list/{j}", names) for j, e in
@@ -266,28 +265,24 @@ def _build_field(field_cfg: dict, path: str, n: int, d: int,
             step = _option(field_cfg, "h_step", path, None, _positive)
             if grid:
                 return classical.HamiltonianPair(hs, n, d, h=step)
-            return classical.hamiltonian_vector_field(hs, n, d, masses, h=step)
+            return classical.hamiltonian_vector_field(hs, n, d, h=step)
     except (ValueError, ExpressionError) as exc:
         raise ConfigError(path, str(exc)) from None
     raise ConfigError(f"{path}/type", f"unknown field type {ftype!r}")
 
 
-def _classical_system(cfg: dict, path: str, field_required: bool = True,
-                      grid: bool = False):
-    """n, d, masses and the checked field (None when absent and not
-    required; the ``HamiltonianPair`` for the grid kinds)."""
+def _classical_system(cfg: dict, path: str, grid: bool = False, field: bool = True):
+    """n, d and the checked field: the ``HamiltonianPair`` for the grid
+    kinds, and None without ``field`` (cjs-demo's fields are its family's)."""
     cfg = _obj(cfg, path)
-    _keys(cfg, path, ["n", "d", "masses"] + (["field"] if field_required else []),
-          ["field"])
+    _keys(cfg, path, ["n", "d", "field"] if field else ["n", "d"])
     n = _int(cfg["n"], f"{path}/n", minimum=1)
     d = _int(cfg["d"], f"{path}/d", minimum=1)
     if d > 3:
         raise ConfigError(f"{path}/d", "d up to 3 supported")
-    masses = _num_list(cfg["masses"], f"{path}/masses", length=n)
-    field = None
-    if "field" in cfg:
-        field = _build_field(cfg["field"], f"{path}/field", n, d, masses, grid)
-    return n, d, masses, field
+    if not field:
+        return n, d, None
+    return n, d, _build_field(cfg["field"], f"{path}/field", n, d, grid)
 
 
 def build_hj_system(cfg: dict, path: str):
@@ -521,7 +516,7 @@ def _defect_summary(reports) -> dict:
 
 
 def _classical_defect_grid(system: dict, exp: dict, jobs: int, rng):
-    n, d, _, field = _classical_system(system, "/system")
+    n, d, field = _classical_system(system, "/system")
     _keys(exp, _E, ["kind", "samples"], ["h"])
     h = _option(exp, "h", _E, 1e-4, _positive)
     points = _sample_phase_points(exp["samples"], f"{_E}/samples", n, d, rng)
@@ -535,7 +530,7 @@ def _classical_defect_grid(system: dict, exp: dict, jobs: int, rng):
 
 
 def _equal_time_evolve(system: dict, exp: dict, jobs: int, rng):
-    n, d, _, field = _classical_system(system, "/system")
+    n, d, field = _classical_system(system, "/system")
     _keys(exp, _E, ["kind", "init", "t_span", "dt"])
     init = _phase_point(exp["init"], f"{_E}/init", n, d)
     span = _span(exp["t_span"], f"{_E}/t_span")
@@ -551,7 +546,7 @@ def _equal_time_evolve(system: dict, exp: dict, jobs: int, rng):
 
 
 def _validity(system: dict, exp: dict, jobs: int, rng):
-    n, d, _, field = _classical_system(system, "/system")
+    n, d, field = _classical_system(system, "/system")
     _keys(exp, _E, ["kind", "init", "t_span", "dt", "samples"])
     init = _phase_point(exp["init"], f"{_E}/init", n, d)
     span = _span(exp["t_span"], f"{_E}/t_span")
@@ -583,19 +578,27 @@ def _validity(system: dict, exp: dict, jobs: int, rng):
 
 
 def _full_grid(system: dict, exp: dict, jobs: int, rng):
-    n, d, _, hpair = _classical_system(system, "/system", grid=True)
+    n, d, hpair = _classical_system(system, "/system", grid=True)
     _keys(exp, _E, ["kind", "init", "t1_max", "t2_max", "points"], ["substeps"])
     init = _phase_point(exp["init"], f"{_E}/init", n, d)
     t1m = _num(exp["t1_max"], f"{_E}/t1_max")
     t2m = _num(exp["t2_max"], f"{_E}/t2_max")
     pts = _int(exp["points"], f"{_E}/points", 2)
     sub = _option(exp, "substeps", _E, 4, _int, 1)
+    t0 = float(init.times[0])  # the same for both particles
+    for key, span in (("t1_max", t1m), ("t2_max", t2m)):
+        if not math.isfinite(t0 + span):
+            raise ConfigError(f"{_E}/{key}", f"t + {key} = {t0 + span} is not finite")
+    t1g, t2g = (np.linspace(t0, t0 + span, pts) for span in (t1m, t2m))
+    # dx1/dt2 is taken by np.gradient, which divides by the t2 node gaps
+    if len(np.unique(t2g)) < pts:
+        raise ConfigError(f"{_E}/t2_max", f"the {pts} t2 nodes from t = {t0!r} "
+                                          f"to t + t2_max are not all distinct")
 
     def run():
-        t1g = np.linspace(init.times[0], init.times[0] + t1m, pts)
-        t2g = np.linspace(init.times[1], init.times[1] + t2m, pts)
         sol = classical.evolve_full_grid(hpair, init, t1g, t2g, substeps=sub)
-        cross = np.gradient(sol.x[0], t2g, axis=1)
+        with np.errstate(all="ignore"):  # _check_finite reports a non-finite slope
+            cross = np.gradient(sol.x[0], t2g, axis=1)
         return {"grid_shape": [pts, pts], "max_dx1_dt2": float(np.max(np.abs(cross))),
                 "corner_x": sol.x[:, -1, -1, :].tolist(),
                 "corner_p": sol.p[:, -1, -1, :].tolist()}, sol.csv_table
@@ -604,7 +607,7 @@ def _full_grid(system: dict, exp: dict, jobs: int, rng):
 
 
 def _path_independence(system: dict, exp: dict, jobs: int, rng):
-    n, d, _, hpair = _classical_system(system, "/system", grid=True)
+    n, d, hpair = _classical_system(system, "/system", grid=True)
     _keys(exp, _E, ["kind", "init", "rectangle", "dt"], ["refinements"])
     init = _phase_point(exp["init"], f"{_E}/init", n, d)
     rect = _num_list(exp["rectangle"], f"{_E}/rectangle", 2)
@@ -628,8 +631,7 @@ def _path_independence(system: dict, exp: dict, jobs: int, rng):
 
 
 def _cjs_demo(system: dict, exp: dict, jobs: int, rng):
-    # a system field is not used by this kind, but checked
-    n, d, masses, _ = _classical_system(system, "/system", field_required=False)
+    n, d, _ = _classical_system(system, "/system", field=False)
     _keys(exp, _E, ["kind", "family", "samples", "init", "t_span", "dt"], ["h"])
     h = _option(exp, "h", _E, 1e-4, _positive)
     family = []
@@ -637,7 +639,7 @@ def _cjs_demo(system: dict, exp: dict, jobs: int, rng):
         mpath = f"{_E}/family/{i}"
         member = _obj(member, mpath)
         _keys(member, mpath, ["id", "field"])
-        fld = _build_field(member["field"], f"{mpath}/field", n, d, masses)
+        fld = _build_field(member["field"], f"{mpath}/field", n, d)
         family.append((_str(member["id"], f"{mpath}/id"), fld))
     points = _sample_phase_points(exp["samples"], f"{_E}/samples", n, d, rng)
     init = _phase_point(exp["init"], f"{_E}/init", n, d)

@@ -54,7 +54,7 @@ _QUANTUM_INTERACTION_PICTURE = {
     },
 }
 
-_CLASSICAL_BASE = {"n": 2, "d": 1, "masses": [1.0, 1.0]}
+_CLASSICAL_BASE = {"n": 2, "d": 1}
 
 _FIELD_FREE = {
     "type": "expressions",

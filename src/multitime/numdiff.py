@@ -2,13 +2,13 @@
 
 All consistency conditions in this package are checked pointwise, so a
 small, careful finite-difference kernel is enough.  Central differences
-are second order; a Richardson-extrapolated variant (fourth order) is
-selectable where truncation matters.
+are second order; ``richardson_difference`` (fourth order) is the
+reference they are measured against.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from .expr import Expression, evaluate
 
@@ -18,7 +18,6 @@ __all__ = [
     "richardson_difference",
     "diff_callable",
     "partial_derivative",
-    "gradient",
     "mixed_partial",
 ]
 
@@ -49,12 +48,10 @@ def diff_callable(
     var: str,
     bindings: Mapping[str, float],
     h: float | None = None,
-    richardson: bool = False,
 ):
     """Partial derivative of a bindings->value callable at ``bindings``,
-    by central differences (Richardson-extrapolated with ``richardson``)
-    at the step ``h``, taken as given, or ``default_step`` when it is
-    None.
+    by central differences at the step ``h``, taken as given, or
+    ``default_step`` when it is None.
 
     ``f`` may return a float or a numpy array (matrix-valued functions).
     """
@@ -70,8 +67,6 @@ def diff_callable(
         return f(b)
 
     try:
-        if richardson:
-            return richardson_difference(g, x0, h)
         return central_difference(g, x0, h)
     finally:
         b[var] = x0
@@ -82,27 +77,11 @@ def partial_derivative(
     var: str,
     bindings: Mapping[str, float],
     h: float | None = None,
-    richardson: bool = False,
 ) -> float:
     """Central-difference partial derivative of an expression."""
     if var not in bindings:
         raise KeyError(f"variable {var!r} is not bound")
-    return diff_callable(
-        lambda b: evaluate(expr, b), var, bindings, h=h, richardson=richardson
-    )
-
-
-def gradient(
-    expr: Expression,
-    variables: Sequence[str],
-    bindings: Mapping[str, float],
-    h: float | None = None,
-    richardson: bool = False,
-) -> list[float]:
-    return [
-        partial_derivative(expr, v, bindings, h=h, richardson=richardson)
-        for v in variables
-    ]
+    return diff_callable(lambda b: evaluate(expr, b), var, bindings, h=h)
 
 
 def mixed_partial(

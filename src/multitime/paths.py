@@ -103,10 +103,11 @@ class NPath:
         return lo, hi
 
     def max_speed(self) -> float:
-        """Largest sampled |dx/dt|; >= 1 means a non-timelike sample."""
-        return max(
-            float(np.max(np.linalg.norm(line.dxdt, axis=1))) for line in self.lines
-        )
+        """Largest sampled |dx/dt|; >= 1 means a non-timelike sample.  A
+        speed whose square overflows reads inf, without a warning."""
+        with np.errstate(over="ignore"):
+            return max(float(np.max(np.linalg.norm(line.dxdt, axis=1)))
+                       for line in self.lines)
 
     def csv_table(self) -> tuple[list[str], list[list]]:
         """The n-path CSV layout: columns, then one row per sample of each

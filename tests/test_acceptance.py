@@ -119,7 +119,7 @@ def plus_state(dim: int = 4) -> np.ndarray:
 
 def harmonic_field() -> PhaseVectorField:
     return PhaseVectorField.from_expressions(
-        2, 1, [1.0, 1.0],
+        2, 1,
         [["p1_1"], ["p2_1"]],
         [["-(x1_1 - x2_1)"], ["x1_1 - x2_1"]])
 
@@ -365,7 +365,7 @@ def test_criterion_09_cjs_demonstration(capsys):
     fields = []
     for member in cfg["experiment"]["family"]:
         fields.append((member["id"], PhaseVectorField.from_expressions(
-            2, 1, [1.0, 1.0], member["field"]["v"], member["field"]["w"])))
+            2, 1, member["field"]["v"], member["field"]["w"])))
     pts = [PhasePoint(times=rng.uniform(0, 1, 2),
                       x=rng.uniform(-1, 1, (2, 1)),
                       p=rng.uniform(-1, 1, (2, 1))) for _ in range(100)]

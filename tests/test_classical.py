@@ -1,8 +1,9 @@
+import functools
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from multitime.classical import (
     HamiltonianPair,
@@ -20,7 +21,9 @@ from multitime.classical import (
     rk4_step,
     validity_residual,
 )
-from multitime.expr import DomainError
+from multitime.expr import (FUNCTIONS, BinOp, Call, DomainError, Num, Var,
+                            binding_names, compile_expression, variable_bindings)
+from multitime.numdiff import diff_callable
 from multitime.paths import NPath, PathRangeError, WorldLine
 
 
@@ -31,7 +34,7 @@ def free_field() -> PhaseVectorField:
 def harmonic_field() -> PhaseVectorField:
     """v_j = p_j, w_1 = -(x1 - x2), w_2 = x1 - x2 (unit masses)."""
     return PhaseVectorField.from_expressions(
-        2, 1, [1.0, 1.0],
+        2, 1,
         [["p1_1"], ["p2_1"]],
         [["-(x1_1 - x2_1)"], ["x1_1 - x2_1"]])
 
@@ -83,8 +86,8 @@ class TestDefect:
         # exact gradients of H reproduce the hand-written harmonic field,
         # and central differences at an explicit step come close to it
         h = "p1_1^2/2 + p2_1^2/2 + (x1_1 - x2_1)^2/2"
-        exact = hamiltonian_vector_field(h, 2, 1, [1.0, 1.0])
-        fd = hamiltonian_vector_field(h, 2, 1, [1.0, 1.0], h=1e-4)
+        exact = hamiltonian_vector_field(h, 2, 1)
+        fd = hamiltonian_vector_field(h, 2, 1, h=1e-4)
         explicit = harmonic_field()
         point = phase_point(0.2, 0.4, -0.3, 0.7, -0.1)
         times, y = point.times.tolist(), point.state().tolist()
@@ -96,7 +99,7 @@ class TestDefect:
     def test_exact_derivative_domain_error(self):
         # |x1 - x2| has no derivative where the particles meet
         fld = hamiltonian_vector_field("p1_1^2/2 + p2_1^2/2 + abs(x1_1 - x2_1)",
-                                       2, 1, [1.0, 1.0])
+                                       2, 1)
         with pytest.raises(DomainError, match="division by zero"):
             fld.rhs([0.0, 0.0], [0.5, 0.5, 0.0, 0.0])
         assert fld.rhs([0.0, 0.0], [0.5, 1.5, 0.0, 0.0])[2:] == (1.0, -1.0)
@@ -104,14 +107,109 @@ class TestDefect:
     def test_undeclared_variable_rejected(self):
         with pytest.raises(ValueError):
             PhaseVectorField.from_expressions(
-                2, 1, [1.0, 1.0], [["q1"], ["p2_1"]], [["0"], ["0"]])
+                2, 1, [["q1"], ["p2_1"]], [["0"], ["0"]])
 
     def test_row_length_checked(self):
         # a short row would leave the flat state without its rate
         with pytest.raises(ValueError, match="need 2 expressions in every row"):
             PhaseVectorField.from_expressions(
-                2, 2, [1.0, 1.0], [["p1_1", "p1_2"], ["p2_1"]],
+                2, 2, [["p1_1", "p1_2"], ["p2_1"]],
                 [["0", "0"], ["0", "0"]])
+
+
+def reference_defect(field: PhaseVectorField, point: PhasePoint, h: float) -> dict:
+    """The pairs of ``classical_consistency_defect`` by the per-component
+    algorithm: each component of v_k and w_k compiled on its own and
+    differenced by ``numdiff.diff_callable`` on a bindings dict."""
+    b = variable_bindings(point.times, point.x, point.p)
+    n, d = field.n, field.d
+    nd = n * d
+    rates = field.rhs(point.times.tolist(), point.state().tolist())
+    comps = [compile_expression(e) for e in field.exprs]
+
+    def apply_dj(j, comp):
+        val = diff_callable(comp, f"t{j}", b, h=h)
+        for dd in range(d):
+            i = (j - 1) * d + dd
+            val += rates[i] * diff_callable(comp, f"x{j}_{dd + 1}", b, h=h)
+            val += rates[nd + i] * diff_callable(comp, f"p{j}_{dd + 1}", b, h=h)
+        return float(val)
+
+    pairs = {}
+    for j in range(1, n + 1):
+        for k in range(1, n + 1):
+            if j != k:
+                at = (k - 1) * d
+                pairs[f"{j},{k}"] = max(abs(apply_dj(j, c)) for c in
+                                        comps[at:at + d] + comps[nd + at:nd + at + d])
+    return pairs
+
+
+@st.composite
+def defect_cases(draw):
+    """A field of n = 2 or 3 particles in d = 1 or 2 dimensions (given by
+    expressions, or by partial Hamiltonians with exact or h_step = 0.05
+    gradients), a phase point and a defect step."""
+    n, d = draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 2]))
+    names = binding_names("t", n) + binding_names("x", n, d) + binding_names("p", n, d)
+    numbers = st.sampled_from([0.5, 1.0, 2.0, -3.0])
+    sparse = st.recursive(
+        st.one_of(st.builds(Num, numbers), st.builds(Var, st.sampled_from(names))),
+        lambda sub: st.one_of(st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
+                              st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), sub)),
+        max_leaves=5)
+
+    @st.composite
+    def trees(draw):
+        # f(sum of c * name) makes every term of D_j non-zero, so that a
+        # change in the order of the accumulation shows in the bits
+        terms = [BinOp("*", Num(draw(numbers)), Var(name)) for name in names]
+        dense = Call(draw(st.sampled_from(["sin", "cos", "tanh"])),
+                     functools.reduce(lambda a, b: BinOp("+", a, b), terms))
+        return BinOp("+", draw(sparse), dense)
+
+    kind = draw(st.sampled_from(["expressions", "exact", "h_step"]))
+    if kind == "expressions":
+        v, w = ([[draw(trees()) for _ in range(d)] for _ in range(n)] for _ in "vw")
+        field = PhaseVectorField.from_expressions(n, d, v, w)
+    else:
+        field = hamiltonian_vector_field([draw(trees()) for _ in range(n)], n, d,
+                                         h=0.05 if kind == "h_step" else None)
+    coords = st.lists(st.floats(-2.0, 2.0), min_size=n * d, max_size=n * d)
+    point = PhasePoint(times=draw(st.lists(st.floats(-2.0, 2.0), min_size=n,
+                                           max_size=n)),
+                       x=np.reshape(draw(coords), (n, d)),
+                       p=np.reshape(draw(coords), (n, d)))
+    return field, point, draw(st.sampled_from([1e-4, 1e-3, 0.05]))
+
+
+class TestDefectFromRhs:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(defect_cases())
+    def test_matches_per_component_reference(self, case):
+        # the same bits as differencing each component on its own, on
+        # fields whose components are all defined within h of the point
+        field, point, h = case
+        try:
+            rep = classical_consistency_defect(field, point, h=h)
+        except (DomainError, OverflowError):
+            assume(False)
+        want = reference_defect(field, point, h)
+        assert list(rep.pairs) == list(want)
+        assert bits(rep.pairs.values()) == bits(want.values())
+
+    def test_every_component_defined_within_h(self):
+        # v_1 is only differenced along t2 for the pair (2, 1), but the
+        # probe t1 + h of D_1 evaluates it too, where log(0.5 - t1) is undefined
+        field = PhaseVectorField.from_expressions(
+            2, 1, [["log(0.5 - t1)"], ["p2_1"]], [["0"], ["0"]])
+        x, p = [[0.0], [1.0]], [[0.2], [0.3]]
+        with pytest.raises(DomainError):
+            classical_consistency_defect(
+                field, PhasePoint(times=[0.49995, 0.0], x=x, p=p), h=1e-4)
+        rep = classical_consistency_defect(
+            field, PhasePoint(times=[0.4, 0.0], x=x, p=p), h=1e-4)
+        assert rep.max_defect == 0.0
 
 
 class TestEqualTimeEvolution:
@@ -199,7 +297,7 @@ class TestValidity:
         # an interacting field is valid on the diagonal but not off it; the
         # residual should grow with the time offset
         fld = PhaseVectorField.from_expressions(
-            2, 1, [1.0, 1.0],
+            2, 1,
             [["p1_1"], ["p2_1"]],
             [["-0.1*(x1_1 - x2_1)"], ["0.1*(x1_1 - x2_1)"]])
         path = evolve_equal_time(fld, phase_point(0.0, -2.0, 2.0, 0.0, 0.0),
@@ -338,11 +436,11 @@ class TestRk4Step:
         harmonic_field(),
         # the Gaussian member of the cjs family, and a time-dependent force
         PhaseVectorField.from_expressions(
-            2, 1, [1.0, 1.0], [["p1_1"], ["p2_1"]],
+            2, 1, [["p1_1"], ["p2_1"]],
             [["-(x1_1 - x2_1)*exp(-(x1_1 - x2_1)^2)"],
              ["(x1_1 - x2_1)*exp(-(x1_1 - x2_1)^2)"]]),
         PhaseVectorField.from_expressions(
-            2, 1, [1.0, 3.0], [["p1_1"], ["p2_1 / 3"]],
+            2, 1, [["p1_1"], ["p2_1 / 3"]],
             [["-x1_1*cos(t1)"], ["-sin(x2_1 - t2)"]]),
     ]
 

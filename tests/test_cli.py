@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -437,7 +439,7 @@ class TestConfigErrors:
         ("coupled_qubits_check", "check", "/system/hamiltonians/terms/1/1/coeff",
          math.nan),
         ("hj_free_trajectories", "foliation", "/experiment/ds", math.inf),
-        ("classical_free_check", "check", "/system/masses/0", math.inf),
+        ("classical_free_check", "check", "/experiment/h", math.inf),
         ("hj_free_residual", "hj", "/system/masses/1", -math.inf),
         ("free_quantum", "check", "/system/hamiltonians/terms/0/0/coeff", math.inf),
         ("interaction_picture_check", "check",
@@ -558,6 +560,35 @@ class TestConfigErrors:
                           value, pointer, "the run on the foliation")
 
     @pytest.mark.parametrize("name,pointer,value", [
+        *[(name, "/system/masses", [1.0, 1.0]) for name, cfg in EXAMPLE_CONFIGS.items()
+          if cfg["formalism"] == "classical"],
+        ("cjs_family", "/system/field", EXAMPLE_CONFIGS["grid_free"]["system"]["field"]),
+    ])
+    def test_removed_classical_key(self, config_dir, tmp_path, capsys, no_numerics,
+                                   name, pointer, value):
+        # classical masses were never read (a field carries its own), and
+        # the cjs-demo kind builds only the fields of its family
+        subcommand = KIND_SUBCOMMAND[EXAMPLE_CONFIGS[name]["experiment"]["kind"]]
+        self.expect_error(config_dir, tmp_path, capsys, name, subcommand,
+                          pointer, value, pointer, "unknown key")
+
+    @pytest.mark.parametrize("t,key,value,message", [
+        # np.gradient divides by the t2 node gaps to give dx1/dt2
+        (0.0, "t2_max", 0.0, "are not all distinct"),
+        (1e20, "t2_max", 1.0, "are not all distinct"),  # below the rounding of t
+        (1e308, "t2_max", 1e308, "t + t2_max = inf is not finite"),
+        (-1e308, "t1_max", -1e308, "t + t1_max = -inf is not finite"),
+    ])
+    def test_degenerate_grid_axis(self, config_dir, tmp_path, capsys, no_numerics,
+                                  t, key, value, message):
+        cfg = json.loads((config_dir / "grid_free.json").read_text())
+        cfg["experiment"]["init"]["t"] = t
+        cfg["experiment"][key] = value
+        assert self.run_expect_error(tmp_path, cfg, "grid") == 2
+        err = capsys.readouterr().err
+        assert f"config error: /experiment/{key}: " in err and message in err
+
+    @pytest.mark.parametrize("name,pointer,value", [
         ("coupled_qubits_check", "/system/hamiltonians/terms/1/1/coeff", "0.25*t3"),
         ("free_quantum", "/system/hamiltonians/terms/0/0/coeff", "cos(t)"),
         ("hj_free_residual", "/system/S", "k1*x1_1 + t3"),
@@ -639,6 +670,32 @@ class TestNumericalFailures:
         assert "numerical failure: " in err and message in err
         assert "Traceback" not in err
 
+    def test_subnormal_t2_gaps_exit_code(self, config_dir, tmp_path, capsys):
+        # distinct t2 nodes whose gaps multiply to 0 in np.gradient
+        cfg = json.loads((config_dir / "grid_free.json").read_text())
+        cfg["experiment"].update(t2_max=1e-320, points=4)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["grid", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: non-finite result at /results/max_dx1_dt2" in err
+
+    def test_overflowing_speed_prints_no_warning(self, config_dir, tmp_path):
+        # as a user runs it: numpy's warnings reach stderr, not pytest
+        cfg = json.loads((config_dir / "hj_free_trajectories.json").read_text())
+        cfg["system"]["masses"][1] = 1e-300
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "multitime.cli", "foliation",
+                               "--config", str(path)], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 3
+        assert "non-finite result at /results/max_speed: inf" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
 
 # One leaf of a shipped config is replaced by one of these.  Magnitudes stay
 # within 2: a legitimately huge value (a 1e9-wide staircase or t_span, 1e9
@@ -686,22 +743,19 @@ MASS_LEAVES = [(name, pointer) for name, pointers in LEAVES.items()
 
 @pytest.mark.parametrize("value", [0, -1])
 @pytest.mark.parametrize("name,pointer", MASS_LEAVES)
-def test_mass_leaf_exits_cleanly(name, pointer, value, tmp_path, capsys, request):
-    """Exit 0, 2 or 3 for every mass; an HJ mass must be > 0, and is checked
-    before any numerics (the velocity law divides by it)."""
+def test_mass_leaf_exits_cleanly(name, pointer, value, tmp_path, capsys,
+                                 no_numerics):
+    """An HJ mass must be > 0, and is checked before any numerics (the
+    velocity law divides by it); only HJ systems have masses."""
     cfg = copy.deepcopy(EXAMPLE_CONFIGS[name])
     set_pointer(cfg, pointer, value)
-    if cfg["formalism"] == "hj":
-        request.getfixturevalue("no_numerics")
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     code = main([KIND_SUBCOMMAND[cfg["experiment"]["kind"]], "--config", str(path),
                  "--out", str(tmp_path / "report.json")])
     err = capsys.readouterr().err
-    assert code in (0, 2, 3) and "Traceback" not in err
-    if cfg["formalism"] == "hj":
-        assert code == 2
-        assert f"config error: {pointer}: expected a number > 0, got {value}" in err
+    assert code == 2 and "Traceback" not in err
+    assert f"config error: {pointer}: expected a number > 0, got {value}" in err
 
 
 def test_docs_table_matches_subcommand_kinds():

@@ -334,7 +334,7 @@ class TestCompiledExpressions:
         free = PhaseVectorField.free(2, 1, [1.0, 2.0])
         coupled = hamiltonian_vector_field(
             ["p1_1^2/2 + (x1_1 - x2_1)^2/2", "p2_1^2/2 + (x1_1 - x2_1)^2/2"],
-            2, 1, [1.0, 1.0])
+            2, 1)
         # a field is its expressions: nothing is compiled at construction
         assert compiles == [] and fused == []
         init = PhasePoint(times=[0.0, 0.0], x=[[-1.0], [1.0]], p=[[0.1], [-0.1]])
