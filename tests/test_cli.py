@@ -739,15 +739,27 @@ def test_mutated_config_exits_cleanly(mutation):
 
 MASS_LEAVES = [(name, pointer) for name, pointers in LEAVES.items()
                for pointer in pointers if "/masses/" in pointer]
+# classical configs used to carry masses too; a config that still does is
+# refused at the key, whatever the leaf holds
+LEGACY_MASS_LEAVES = [(name, f"/system/masses/{k}")
+                      for name, cfg in EXAMPLE_CONFIGS.items()
+                      if cfg["formalism"] == "classical"
+                      for k in range(cfg["system"]["n"])]
 
 
 @pytest.mark.parametrize("value", [0, -1])
-@pytest.mark.parametrize("name,pointer", MASS_LEAVES)
+@pytest.mark.parametrize("name,pointer", MASS_LEAVES + LEGACY_MASS_LEAVES)
 def test_mass_leaf_exits_cleanly(name, pointer, value, tmp_path, capsys,
                                  no_numerics):
     """An HJ mass must be > 0, and is checked before any numerics (the
-    velocity law divides by it); only HJ systems have masses."""
+    velocity law divides by it); a classical system has no masses, so a
+    classical mass leaf is refused as an unknown key."""
     cfg = copy.deepcopy(EXAMPLE_CONFIGS[name])
+    if cfg["formalism"] == "classical":
+        cfg["system"]["masses"] = [1.0] * cfg["system"]["n"]
+        message = "/system/masses: unknown key"
+    else:
+        message = f"{pointer}: expected a number > 0, got {value}"
     set_pointer(cfg, pointer, value)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -755,7 +767,7 @@ def test_mass_leaf_exits_cleanly(name, pointer, value, tmp_path, capsys,
                  "--out", str(tmp_path / "report.json")])
     err = capsys.readouterr().err
     assert code == 2 and "Traceback" not in err
-    assert f"config error: {pointer}: expected a number > 0, got {value}" in err
+    assert f"config error: {message}" in err
 
 
 def test_docs_table_matches_subcommand_kinds():
