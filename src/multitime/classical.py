@@ -29,6 +29,7 @@ import numpy as np
 
 from .expr import (Expression, Neg, binding_names, central_difference,
                    compile_function, diff, free_variables, parse_expression)
+from .numdiff import check_steps
 from .paths import NPath, WorldLine
 from .reports import DefectReport, ResidualReport
 
@@ -208,13 +209,15 @@ def classical_consistency_defect(field: PhaseVectorField, point: PhasePoint,
     Every derivative is a central difference of ``field.rhs``: moving t_j,
     one coordinate of x_j or one of p_j by +-h gives the derivatives of
     all components at once.  So every component must be defined within h
-    of the point, or DomainError is raised.
+    of the point, or DomainError is raised; a coordinate at which h rounds
+    away raises FloatingPointError (``numdiff.check_steps``).
     """
     if h <= 0.0:
         raise ValueError(f"step must be positive, got {h}")
     n, d = field.n, field.d
     nd = n * d
     times, y = point.times.tolist(), point.state().tolist()
+    check_steps(h, sum(_state_names(n, d), ()), times + y)
     rates = field.rhs(times, y)
 
     def central(values: list[float], i: int) -> list[float]:

@@ -217,6 +217,9 @@ def build_quantum_system(cfg: dict, path: str) -> quantum.PartialHamiltonianSet:
     htype = _str(ham.get("type", ""), f"{hpath}/type")
     if htype in ("pauli_terms", "interaction_picture") and k != 2:
         raise ConfigError(f"{path}/local_dim", f"{htype} requires local_dim = 2")
+    # n capped where 2^n passes the bound, so a huge n costs nothing
+    if k ** min(n, linops.MAX_DENSE_DIM.bit_length()) > linops.MAX_DENSE_DIM:
+        raise ConfigError(f"{path}/n", f"local_dim^n exceeds {linops.MAX_DENSE_DIM}")
     if htype == "pauli_terms":
         _keys(ham, hpath, ["type", "terms"])
         rows = _list(ham["terms"], f"{hpath}/terms", length=n)
@@ -670,7 +673,7 @@ def _hj_residual(system: dict, exp: dict, jobs: int, rng):
             residuals = hj.hj_residual_multi(s, h_list, times, x, h=step)
             row = {"times": times, "residuals": residuals}
             if h_total is not None and np.allclose(times, times[0]):
-                p = np.stack([s.grad_x(j, times, x) for j in range(1, s.n + 1)])
+                p = np.reshape(s.gradients(step)(times, x.ravel().tolist()), x.shape)
                 point = classical.PhasePoint(times=np.asarray(times), x=x, p=p)
                 row["sum_rule_gap"] = hj.equal_time_sum_gap(
                     h_list, h_total, point, constants=s.constants)

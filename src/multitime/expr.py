@@ -63,6 +63,7 @@ __all__ = [
     "compile_function",
     "diff",
     "central_difference",
+    "substitute",
 ]
 
 
@@ -389,16 +390,16 @@ def diff(expr: Expression, var: str) -> Expression:
     raise TypeError(f"not an Expression: {expr!r}")
 
 
-def _substitute(expr: Expression, var: str, value: Expression) -> Expression:
-    """``expr`` with the variable ``var`` replaced by ``value``."""
+def substitute(expr: Expression, values: Mapping[str, Expression]) -> Expression:
+    """``expr`` with each variable named in ``values`` replaced by its value."""
     match expr:
-        case Var(name) if name == var:
-            return value
+        case Var(name) if name in values:
+            return values[name]
         case Neg(arg) | Call(_, arg):
-            return replace(expr, arg=_substitute(arg, var, value))
+            return replace(expr, arg=substitute(arg, values))
         case BinOp(_, left, right):
-            return replace(expr, left=_substitute(left, var, value),
-                           right=_substitute(right, var, value))
+            return replace(expr, left=substitute(left, values),
+                           right=substitute(right, values))
     return expr
 
 
@@ -410,8 +411,8 @@ def central_difference(expr: Expression, var: str, h: float) -> Expression:
     if h <= 0.0:
         raise ValueError(f"step must be positive, got {h}")
     step = Num(float(h))
-    return BinOp("/", BinOp("-", _substitute(expr, var, BinOp("+", Var(var), step)),
-                            _substitute(expr, var, BinOp("-", Var(var), step))),
+    return BinOp("/", BinOp("-", substitute(expr, {var: BinOp("+", Var(var), step)}),
+                            substitute(expr, {var: BinOp("-", Var(var), step)})),
                  Num(2.0 * h))
 
 

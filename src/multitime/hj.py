@@ -6,10 +6,10 @@ the Poisson-bracket consistency defect of partial Hamiltonian functions,
 the velocity-consistency defect of the multi-time velocity law
 dx_j/dt_j = grad_{x_j} S / m_j, and extracts trajectory families under
 flat spacelike foliations t = s + u.x to exhibit foliation dependence.
-Residuals and defects use central differences; the trajectory sweeps
-use the exact gradients of S, compiled into one function
-(``HJFunction.gradients``), and step a list of floats with the RK4
-stepper of the classical module.
+Each residual, defect and gradient is built as expressions, exact or
+central differences at a given step, and compiled once per system and
+step; the trajectory sweeps step a list of floats with the RK4 stepper
+of the classical module.
 """
 
 from __future__ import annotations
@@ -17,17 +17,16 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .classical import PhasePoint, rk4_step
-from .expr import (Expression, binding_names, compile_expression,
+from .expr import (BinOp, Expression, Num, binding_names, central_difference,
                    compile_function, diff, evaluate, parse_expression,
-                   variable_bindings)
-from .numdiff import mixed_partial, partial_derivative
+                   substitute, variable_bindings)
+from .numdiff import check_steps, partial_derivative
 from .paths import NPath, PathRangeError, WorldLine
 from .reports import DefectReport, DivergenceReport
 
@@ -47,7 +46,6 @@ __all__ = [
 ]
 
 FOLIATION_INDEPENDENCE_TOL = 1e-6
-SMOOTHNESS_TOL = 1e-4
 #: the most RK4 steps (leaves) one trajectory run may take
 MAX_LEAVES = 10 ** 6
 
@@ -87,31 +85,22 @@ class HJFunction:
         self.masses = tuple(float(m) for m in masses)
         self.constants = dict(constants or {})
 
-    def bindings(self, times: Sequence[float], x: np.ndarray) -> dict[str, float]:
-        return variable_bindings(times, np.atleast_2d(np.asarray(x, float)),
-                                 constants=self.constants)
-
-    def value(self, times: Sequence[float], x: np.ndarray) -> float:
-        return compile_expression(self.expr)(self.bindings(times, x))
-
     def grad_x(self, j: int, times: Sequence[float], x: np.ndarray,
                h: float | None = None) -> np.ndarray:
-        """grad_{x_j} S (1-based j), by central differences."""
-        b = self.bindings(times, x)
+        """grad_{x_j} S (1-based j) by ``numdiff`` central differences: the
+        cross-check of ``gradients``."""
+        b = variable_bindings(times, np.atleast_2d(np.asarray(x, float)),
+                              constants=self.constants)
         return np.array([partial_derivative(self.expr, f"x{j}_{dd + 1}", b, h=h)
                          for dd in range(self.d)])
 
-    @functools.cached_property
-    def gradients(self) -> Callable[[Sequence[float], Sequence[float]],
-                                    tuple[float, ...]]:
-        """The exact gradients ``(times, x) -> (grad_{x_1} S, .., grad_{x_n}
-        S)``: the time tuple and the flat (n, d) positions in, the n·d
-        partial derivatives out, as one compiled function of the
-        ``expr.diff`` derivatives with the constants bound in it.  Built
-        on first use."""
-        names = binding_names("x", self.n, self.d)
-        return compile_function([diff(self.expr, v) for v in names],
-                                [binding_names("t", self.n), names], self.constants)
+    def gradients(self, h: float | None = None) -> Callable[
+            [Sequence[float], Sequence[float]], tuple[float, ...]]:
+        """The gradients ``(times, x) -> (grad_{x_1} S, .., grad_{x_n} S)``:
+        the time tuple and the flat (n, d) positions in, the n·d partial
+        derivatives out, exact or central differences at the step ``h``,
+        as one function with the constants bound in it, compiled once."""
+        return _gradients(self.expr, self.n, self.d, _frozen(self.constants), h)
 
     def velocity(self, j: int, times: Sequence[float], x: np.ndarray,
                  h: float | None = None) -> np.ndarray:
@@ -139,19 +128,55 @@ class Foliation:
         return "u=" + ",".join(f"{v:g}" for v in self.u)
 
 
+def _derivative(h: float | None) -> Callable[[Expression, str], Expression]:
+    """The one derivative of this module: exact (``expr.diff``) without a
+    step, the central difference at ``h`` with one.  The builders below are
+    memoised on their expressions, n, d, constants and h."""
+    return diff if h is None else functools.partial(central_difference, h=h)
+
+
+def _frozen(constants: Mapping[str, float] | None) -> tuple:
+    # repr tells -0.0 from 0.0; compile_function reads it back with float
+    return tuple(sorted((k, repr(float(v))) for k, v in (constants or {}).items()))
+
+
+@functools.lru_cache(maxsize=64)
+def _gradients(s_expr: Expression, n: int, d: int, constants: tuple,
+               h: float | None) -> Callable:
+    xs = binding_names("x", n, d)
+    return compile_function([_derivative(h)(s_expr, v) for v in xs],
+                            [binding_names("t", n), xs], dict(constants))
+
+
+@functools.lru_cache(maxsize=64)
+def _bracket(f: Expression, g: Expression, n: int, d: int, h: float | None) -> Expression:
+    """{f, g}, summed from 0 in the order of the x and p names."""
+    grad, total = _derivative(h), Num(0.0)
+    for xv, pv in zip(binding_names("x", n, d), binding_names("p", n, d)):
+        total = BinOp("+", total, BinOp("*", grad(f, xv), grad(g, pv)))
+        total = BinOp("-", total, BinOp("*", grad(f, pv), grad(g, xv)))
+    return total
+
+
 def poisson_bracket(f: str | Expression, g: str | Expression, n: int, d: int,
                     bindings: Mapping[str, float], h: float | None = None) -> float:
     """{f, g} = sum_j grad_{x_j} f . grad_{p_j} g - grad_{p_j} f . grad_{x_j} g."""
-    fe, ge = _as_expr(f), _as_expr(g)
-    total = 0.0
-    for j in range(1, n + 1):
-        for dd in range(1, d + 1):
-            xv, pv = f"x{j}_{dd}", f"p{j}_{dd}"
-            total += partial_derivative(fe, xv, bindings, h=h) \
-                * partial_derivative(ge, pv, bindings, h=h)
-            total -= partial_derivative(fe, pv, bindings, h=h) \
-                * partial_derivative(ge, xv, bindings, h=h)
-    return total
+    moved = binding_names("x", n, d) + binding_names("p", n, d)
+    check_steps(h, moved, [bindings[v] for v in moved])
+    return evaluate(_bracket(_as_expr(f), _as_expr(g), n, d, h), bindings)
+
+
+@functools.lru_cache(maxsize=64)
+def _residuals(s_expr: Expression, h_exprs: tuple[Expression, ...],
+               times: tuple[str, ...], n: int, d: int, constants: tuple,
+               h: float | None) -> Callable:
+    """``(times, x) -> (dS/dt_j + H_j, ..)``, the momenta in each H_j
+    replaced by the derivatives of S in the positions."""
+    grad, xs = _derivative(h), binding_names("x", n, d)
+    momenta = {p: grad(s_expr, v) for p, v in zip(binding_names("p", n, d), xs)}
+    return compile_function([BinOp("+", grad(s_expr, t), substitute(he, momenta))
+                             for t, he in zip(times, h_exprs)],
+                            [times, xs], dict(constants))
 
 
 def hj_residual_single(s_expr: str | Expression, h_expr: str | Expression,
@@ -160,13 +185,10 @@ def hj_residual_single(s_expr: str | Expression, h_expr: str | Expression,
                        h: float | None = None,
                        time_var: str = "t") -> float:
     """|dS/dt + H(t, x, grad_x S)| for the single-time HJ equation."""
-    se, he = _as_expr(s_expr), _as_expr(h_expr)
-    x = np.atleast_2d(np.asarray(x, float))[:n, :d]
-    b = variable_bindings(x=x, constants={**(constants or {}), time_var: float(t)})
-    dsdt = partial_derivative(se, time_var, b, h=h)
-    grad = [[partial_derivative(se, f"x{j}_{dd}", b, h=h) for dd in range(1, d + 1)]
-            for j in range(1, n + 1)]
-    return abs(dsdt + evaluate(he, variable_bindings(p=grad, constants=b)))
+    x = np.atleast_2d(np.asarray(x, float))[:n, :d].ravel().tolist()
+    check_steps(h, (time_var, *binding_names("x", n, d)), [t, *x])
+    return abs(_residuals(_as_expr(s_expr), (_as_expr(h_expr),), (time_var,), n, d,
+                          _frozen(constants), h)([float(t)], x)[0])
 
 
 def hj_residual_multi(s: HJFunction, h_exprs: Sequence[str | Expression],
@@ -175,35 +197,41 @@ def hj_residual_multi(s: HJFunction, h_exprs: Sequence[str | Expression],
     """Residuals |dS/dt_j + H_j(t, x, grad_x S)| of the multi-time system."""
     if len(h_exprs) != s.n:
         raise ValueError(f"need {s.n} partial Hamiltonian functions")
-    b = s.bindings(times, x)
-    hb = variable_bindings(
-        p=[s.grad_x(j, times, x, h=h) for j in range(1, s.n + 1)], constants=b)
-    out = []
-    for j, he in enumerate(h_exprs, start=1):
-        dsdt = partial_derivative(s.expr, f"t{j}", b, h=h)
-        out.append(abs(dsdt + evaluate(_as_expr(he), hb)))
-    return out
+    times, x = np.asarray(times, float).tolist(), np.asarray(x, float).ravel().tolist()
+    check_steps(h, binding_names("t", s.n) + binding_names("x", s.n, s.d), times + x)
+    fn = _residuals(s.expr, tuple(map(_as_expr, h_exprs)), binding_names("t", s.n),
+                    s.n, s.d, _frozen(s.constants), h)
+    return [abs(v) for v in fn(times, x)]
+
+
+@functools.lru_cache(maxsize=64)
+def _poisson_defects(h_exprs: tuple[Expression, ...], n: int, d: int,
+                     constants: tuple, h: float | None) -> Callable:
+    """``(times, (x, p)) -> (P_12, P_13, .., P_{n-1,n})``."""
+    grad = _derivative(h)
+    return compile_function(
+        [BinOp("-", BinOp("-", grad(h_exprs[k], f"t{j + 1}"),
+                          grad(h_exprs[j], f"t{k + 1}")),
+               _bracket(h_exprs[j], h_exprs[k], n, d, h))
+         for j in range(n) for k in range(j + 1, n)],
+        [binding_names("t", n), binding_names("x", n, d) + binding_names("p", n, d)],
+        dict(constants))
 
 
 def hj_consistency_defect(h_exprs: Sequence[str | Expression], point: PhasePoint,
                           h: float | None = None,
                           constants: Mapping[str, float] | None = None,
                           ) -> DefectReport:
-    """|P_jk| with P_jk = dH_k/dt_j - dH_j/dt_k - {H_j, H_k}, all j < k."""
-    exprs = [_as_expr(e) for e in h_exprs]
+    """|P_jk| with P_jk = dH_k/dt_j - dH_j/dt_k - {H_j, H_k}, all j < k; the
+    report's ``h`` is None when the derivatives are exact."""
     n, d = point.n, point.d
-    b = variable_bindings(point.times, point.x, point.p, constants)
-    pairs = {}
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            val = partial_derivative(exprs[k - 1], f"t{j}", b, h=h) \
-                - partial_derivative(exprs[j - 1], f"t{k}", b, h=h) \
-                - poisson_bracket(exprs[j - 1], exprs[k - 1], n, d, b, h=h)
-            pairs[f"{j},{k}"] = abs(val)
-    used_h = h if h is not None else -1.0
-    return DefectReport(pairs=pairs,
-                        max_defect=max(pairs.values(), default=0.0),
-                        h=used_h)
+    times, y = point.times.tolist(), point.state().tolist()
+    check_steps(h, binding_names("t", n) + binding_names("x", n, d)
+                + binding_names("p", n, d), times + y)
+    fn = _poisson_defects(tuple(map(_as_expr, h_exprs)), n, d, _frozen(constants), h)
+    keys = [f"{j},{k}" for j in range(1, n + 1) for k in range(j + 1, n + 1)]
+    pairs = dict(zip(keys, map(abs, fn(times, y))))
+    return DefectReport(pairs=pairs, max_defect=max(pairs.values(), default=0.0), h=h)
 
 
 def equal_time_sum_gap(h_exprs: Sequence[str | Expression],
@@ -220,40 +248,32 @@ def equal_time_sum_gap(h_exprs: Sequence[str | Expression],
     return abs(total - evaluate(_as_expr(h_total), b))
 
 
+@functools.lru_cache(maxsize=64)
+def _velocity_defects(s_expr: Expression, n: int, d: int, masses: tuple[float, ...],
+                      constants: tuple, h: float | None) -> Callable:
+    """``(times, x) ->`` the defect components for each j and x_k, k != j."""
+    grad, xs, outputs = _derivative(h), binding_names("x", n, d), []
+    for j in range(n):
+        xj = xs[j * d:(j + 1) * d]
+        vel = [BinOp("/", grad(s_expr, v), Num(masses[j])) for v in xj]
+        for grad_k in [grad(s_expr, xk) for xk in xs if xk not in xj]:
+            val = grad(grad_k, f"t{j + 1}")
+            for v, xv in zip(vel, xj):
+                val = BinOp("+", val, BinOp("*", v, grad(grad_k, xv)))
+            outputs.append(val)
+    return compile_function(outputs, [binding_names("t", n), xs], dict(constants))
+
+
 def hj_velocity_consistency_defect(s: HJFunction, times: Sequence[float],
-                                   x: np.ndarray, h: float | None = None,
-                                   h2: float = 5e-4,
-                                   smoothness_check: bool = True) -> float:
+                                   x: np.ndarray, h: float | None = None) -> float:
     """Sup over pairs j != k and components of
 
         (d/dt_j + grad_{x_j} S / m_j . grad_{x_j}) grad_{x_k} S.
-
-    First derivatives use step ``h``, second mixed partials step ``h2``.
     """
-    b = s.bindings(times, x)
-    s_of = compile_expression(s.expr)
-
-    worst = 0.0
-    for j in range(1, s.n + 1):
-        vel_j = s.velocity(j, times, x, h=h)
-        for k in range(1, s.n + 1):
-            if j == k:
-                continue
-            for e in range(1, s.d + 1):
-                xk = f"x{k}_{e}"
-                val = mixed_partial(s_of, f"t{j}", xk, b, h=h2)
-                for dd in range(1, s.d + 1):
-                    val += vel_j[dd - 1] * mixed_partial(s_of, f"x{j}_{dd}", xk, b, h=h2)
-                if smoothness_check:
-                    refined = mixed_partial(s_of, f"t{j}", xk, b, h=h2 / 2)
-                    coarse = mixed_partial(s_of, f"t{j}", xk, b, h=h2)
-                    if abs(refined - coarse) > SMOOTHNESS_TOL:
-                        warnings.warn(
-                            f"mixed partial d2S/dt{j} d{xk} unstable under step "
-                            f"refinement ({abs(refined - coarse):.3g}); S may not "
-                            "be C2 here", stacklevel=2)
-                worst = max(worst, abs(val))
-    return worst
+    times, x = np.asarray(times, float).tolist(), np.asarray(x, float).ravel().tolist()
+    check_steps(h, binding_names("t", s.n) + binding_names("x", s.n, s.d), times + x)
+    fn = _velocity_defects(s.expr, s.n, s.d, s.masses, _frozen(s.constants), h)
+    return max([0.0, *map(abs, fn(times, x))])
 
 
 def _integrate_on_foliation(s: HJFunction, fol: Foliation, x_leaf: Sequence[float],
@@ -262,7 +282,7 @@ def _integrate_on_foliation(s: HJFunction, fol: Foliation, x_leaf: Sequence[floa
     ``x_leaf``) over [s_lo, s_hi]; on leaf s particle j sits at
     t_j = s + u.x_j.  The velocities come from ``s.gradients``."""
     n, d, u = s.n, s.d, fol.u
-    grad = s.gradients
+    grad = s.gradients()
     # the flat index of each particle's first component, and the mass of
     # each flat component's particle
     starts = range(0, n * d, d)

@@ -1,29 +1,29 @@
-"""Finite-difference derivatives for expressions and generic callables.
+"""Central differences of expressions and generic callables.
 
-All consistency conditions in this package are checked pointwise, so a
-small, careful finite-difference kernel is enough.  Central differences
-are second order; ``richardson_difference`` (fourth order) is the
-reference they are measured against.
+The package takes its derivatives exactly (``expr.diff``) or as central
+differences built into the expressions (``expr.central_difference``);
+``HJFunction.grad_x`` and ``velocity`` take them here, as the
+cross-check of the exact gradients.  ``check_steps`` refuses a step
+that rounds away; the consistency conditions check every step they are
+given.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .expr import Expression, evaluate
 
 __all__ = [
     "default_step",
-    "central_difference",
-    "richardson_difference",
     "diff_callable",
     "partial_derivative",
-    "mixed_partial",
+    "check_steps",
 ]
 
 #: relative step used when the caller does not pass one
 DEFAULT_REL_STEP = 1e-4
-#: absolute floor on the default step and on the steps of ``mixed_partial``
+#: absolute floor on the default step
 MIN_ABS_STEP = 1e-6
 
 
@@ -32,15 +32,15 @@ def default_step(x: float) -> float:
     return max(DEFAULT_REL_STEP * max(1.0, abs(x)), MIN_ABS_STEP)
 
 
-def central_difference(f: Callable[[float], float], x: float, h: float):
-    return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
-def richardson_difference(f: Callable[[float], float], x: float, h: float):
-    """One Richardson step on the central difference (fourth order)."""
-    coarse = central_difference(f, x, h)
-    fine = central_difference(f, x, h / 2.0)
-    return (4.0 * fine - coarse) / 3.0
+def check_steps(h: float | None, names: Sequence[str], values: Sequence[float]) -> None:
+    """FloatingPointError at the first of ``names`` whose value x (in
+    ``values``) has x + h == x or x - h == x: a central difference there
+    would read a wrong slope, or 0.  A None ``h`` (exact) is not checked."""
+    if h is not None:
+        for name, x in zip(names, values):
+            if x + h == x or x - h == x:
+                raise FloatingPointError(f"the step h = {float(h)!r} rounds "
+                                         f"away at {name} = {float(x)!r}")
 
 
 def diff_callable(
@@ -60,16 +60,7 @@ def diff_callable(
         h = default_step(x0)
     if h <= 0.0:
         raise ValueError(f"step must be positive, got {h}")
-    b = dict(bindings)
-
-    def g(x: float):
-        b[var] = x
-        return f(b)
-
-    try:
-        return central_difference(g, x0, h)
-    finally:
-        b[var] = x0
+    return (f({**bindings, var: x0 + h}) - f({**bindings, var: x0 - h})) / (2.0 * h)
 
 
 def partial_derivative(
@@ -82,29 +73,3 @@ def partial_derivative(
     if var not in bindings:
         raise KeyError(f"variable {var!r} is not bound")
     return diff_callable(lambda b: evaluate(expr, b), var, bindings, h=h)
-
-
-def mixed_partial(
-    f: Callable[[Mapping[str, float]], float],
-    u: str,
-    v: str,
-    bindings: Mapping[str, float],
-    h: float = 5e-4,
-) -> float:
-    """Second mixed partial d^2 f / du dv of distinct variables ``u != v``
-    via the symmetric four-point stencil."""
-    if u == v:
-        raise ValueError("mixed_partial requires two distinct variables")
-    b = dict(bindings)
-    u0, v0 = float(b[u]), float(b[v])
-    hu = max(h * max(1.0, abs(u0)), MIN_ABS_STEP)
-    hv = max(h * max(1.0, abs(v0)), MIN_ABS_STEP)
-
-    def at(du: float, dv: float) -> float:
-        b[u] = u0 + du
-        b[v] = v0 + dv
-        return f(b)
-
-    value = (at(hu, hv) - at(hu, -hv) - at(-hu, hv) + at(-hu, -hv)) / (4 * hu * hv)
-    b[u], b[v] = u0, v0
-    return value

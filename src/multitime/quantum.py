@@ -21,6 +21,7 @@ import numpy as np
 
 from . import linops
 from .expr import Expression, Num, binding_names, compile_function, parse_expression
+from .numdiff import check_steps
 from .reports import DefectReport
 
 __all__ = [
@@ -201,6 +202,7 @@ def _dh(sys: PartialHamiltonianSet, k: int, axis: int,
         times: Sequence[float], h: float) -> np.ndarray:
     """Central difference of H_k along time coordinate ``axis``."""
     tp = np.array(times, dtype=float)
+    check_steps(h, [f"t{axis}"], [tp[axis - 1]])
     tm = tp.copy()
     tp[axis - 1] += h
     tm[axis - 1] -= h

@@ -22,12 +22,12 @@ class DefectReport:
     """Pairwise consistency-defect norms plus their maximum.
 
     ``pairs`` maps ``"j,k"`` (1-based indices) to the defect norm of that
-    pair; ``h`` is the finite-difference step that produced it.
+    pair; ``h`` is the step of its central differences (None: exact).
     """
 
     pairs: dict[str, float]
     max_defect: float
-    h: float
+    h: float | None
 
     def to_dict(self) -> dict:
         return {

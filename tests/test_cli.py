@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multitime import classical, hj, quantum
+from multitime import classical, hj, linops, quantum
 from multitime.cli import _SUBCOMMAND_KINDS, main, run_config
 from multitime.configs import EXAMPLE_CONFIGS, write_examples
 
@@ -405,6 +405,18 @@ class TestConfigErrors:
         self.expect_error(config_dir, tmp_path, capsys, name, subcommand,
                           key, value, pointer)
 
+    @pytest.mark.parametrize("name,subcommand", [
+        ("free_quantum", "check"), ("interaction_picture_staircase", "evolve")])
+    def test_quantum_dimension_bounded(self, config_dir, tmp_path, capsys, no_numerics,
+                                       monkeypatch, name, subcommand):
+        # 2^11 > 1024: refused at n before any Pauli matrix is built
+        def no_matrices(*args, **kwargs):
+            raise AssertionError("a matrix was built before n was checked")
+
+        monkeypatch.setattr(linops, "pauli_string", no_matrices)
+        self.expect_error(config_dir, tmp_path, capsys, name, subcommand,
+                          "/system/n", 11, "/system/n", "local_dim^n exceeds 1024")
+
     def test_permuted_staircase_order_runs(self, config_dir, tmp_path):
         cfg = json.loads(
             (config_dir / "interaction_picture_staircase.json").read_text())
@@ -669,6 +681,44 @@ class TestNumericalFailures:
         err = capsys.readouterr().err
         assert "numerical failure: " in err and message in err
         assert "Traceback" not in err
+
+    # H_1 = t2 ZI, H_2 = ZI: C_12 = -dH_1/dt2 = -ZI, of norm 1 at every t
+    STEPPED_QUANTUM = {
+        "formalism": "quantum",
+        "system": {"n": 2, "local_dim": 2, "hamiltonians": {
+            "type": "pauli_terms", "terms": [[{"op": "ZI", "coeff": "t2"}],
+                                             [{"op": "ZI", "coeff": 1.0}]]}},
+        "experiment": {"kind": "defect-grid", "h": 1e-4,
+                       "grid": {"t_min": 0.5, "t_max": 0.5, "points_per_axis": 1}},
+    }
+
+    @pytest.mark.parametrize("name,subcommand,key,value,variable,result,before", [
+        # at 1e20 every x +- h and t +- h rounds back to x or t, and the
+        # differences would read 0, a false "consistent"
+        ("classical_harmonic_check", "check", "/experiment/samples/x_box",
+         [1e20, 1e20], "x1_1 = 1e+20", "max_defect", 0.999),
+        (None, "check", "/experiment/grid", {"t_min": 1e20, "t_max": 1e20,
+                                             "points_per_axis": 1},
+         "t1 = 1e+20", "max_defect", 1.0),
+        ("hj_free_residual", "hj", "/experiment/points/1/x", [[1e20], [0.0]],
+         "x1_1 = 1e+20", "max_residual", 0.0),
+    ])
+    def test_step_that_rounds_away_exit_code(self, config_dir, tmp_path, capsys, name,
+                                             subcommand, key, value, variable, result,
+                                             before):
+        cfg = (json.loads((config_dir / f"{name}.json").read_text()) if name
+               else copy.deepcopy(self.STEPPED_QUANTUM))
+        cfg["experiment"]["h"] = 1e-4
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, report = run_cli([subcommand, "--config", str(path)], tmp_path)
+        assert code == 0
+        assert report["results"][result] == pytest.approx(before, abs=1e-3)
+        set_pointer(cfg, key, value)
+        path.write_text(json.dumps(cfg))
+        assert main([subcommand, "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert f"numerical failure: the step h = 0.0001 rounds away at {variable}" in err
 
     def test_subnormal_t2_gaps_exit_code(self, config_dir, tmp_path, capsys):
         # distinct t2 nodes whose gaps multiply to 0 in np.gradient

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multitime import classical, expr as expr_module, quantum
+from multitime import classical, expr as expr_module, hj, quantum
 from multitime.classical import (PhasePoint, PhaseVectorField, evolve_equal_time,
                                  hamiltonian_vector_field)
 from multitime.expr import (
@@ -30,13 +30,18 @@ from multitime.expr import (
 from multitime.hj import hj_consistency_defect
 from multitime.quantum import (MultiTimeState, PartialHamiltonianSet,
                                evolve_staircase, staircase_between)
-from multitime.numdiff import (
-    central_difference,
-    default_step,
-    diff_callable,
-    partial_derivative,
-    richardson_difference,
-)
+from multitime.numdiff import default_step, diff_callable, partial_derivative
+
+
+def central_difference(f, x, h):
+    return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def richardson_difference(f, x, h):
+    """One Richardson step on the central difference (fourth order): the
+    reference that the central differences and exact derivatives are
+    measured against."""
+    return (4.0 * central_difference(f, x, h / 2.0) - central_difference(f, x, h)) / 3.0
 
 
 class TestParsing:
@@ -318,7 +323,7 @@ class TestCompiledExpressions:
     @pytest.fixture
     def fused(self, monkeypatch):
         """The outputs of every ``compile_function`` call that the
-        classical and quantum modules make while the test runs."""
+        classical, quantum and HJ modules make while the test runs."""
         seen = []
         real = expr_module.compile_function
 
@@ -326,7 +331,7 @@ class TestCompiledExpressions:
             seen.append(tuple(outputs))
             return real(outputs, *args)
 
-        for module in (classical, quantum):
+        for module in (classical, quantum, hj):
             monkeypatch.setattr(module, "compile_function", counting)
         return seen
 
@@ -362,16 +367,19 @@ class TestCompiledExpressions:
         with pytest.raises(UnboundVariableError, match="'t3' is not bound"):
             PartialHamiltonianSet.from_terms(2, 2, [[(np.eye(4), "t3")], []])
 
-    def test_strings_parsed_and_compiled_once_over_hj_defect_calls(self, compiles):
+    def test_strings_parsed_and_compiled_once_over_hj_defect_calls(self, compiles,
+                                                                   fused):
+        hj._poisson_defects.cache_clear()  # an earlier test may have built it
         h_exprs = ["p1_1^2/2 + (x1_1 - x2_1)^2/2", "p2_1^2/2 + (x1_1 - x2_1)^2/2"]
         point = PhasePoint(times=[0.0, 0.0], x=[[-1.0], [1.0]], p=[[0.1], [-0.1]])
         first = hj_consistency_defect(h_exprs, point)
-        assert len(compiles) == 2
+        assert len(fused) == 1
         for _ in range(20):
             assert hj_consistency_defect(h_exprs, point) == first
-        assert len(compiles) == 2
-        assert {id(tree) for tree in compiles} == {
-            id(parse_expression(e)) for e in h_exprs}
+        # one function of every pair's defect, no expression on its own,
+        # and each string parsed once
+        assert len(fused) == 1 and compiles == []
+        assert parse_expression.cache_info().misses == 2
 
     def test_parse_errors_not_cached(self):
         parse_expression.cache_clear()

@@ -1,7 +1,12 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 
+from multitime import hj
 from multitime.classical import PhasePoint
+from multitime.expr import binding_names, evaluate, parse_expression, variable_bindings
 from multitime.hj import (
     Foliation,
     FoliationDegeneracyError,
@@ -18,6 +23,7 @@ from multitime.hj import (
     hj_velocity_consistency_defect,
     poisson_bracket,
 )
+from multitime.numdiff import diff_callable, partial_derivative
 
 K1, K2 = 0.3, -0.2
 G = 0.05
@@ -38,9 +44,12 @@ def coupled_hj() -> HJFunction:
 class TestPoissonBracket:
     def test_canonical_pair(self):
         b = {"x1_1": 0.4, "p1_1": -0.2}
-        assert poisson_bracket("x1_1", "p1_1", 1, 1, b) == pytest.approx(1.0, abs=1e-9)
-        assert poisson_bracket("p1_1", "x1_1", 1, 1, b) == pytest.approx(-1.0, abs=1e-9)
-        assert poisson_bracket("x1_1", "x1_1", 1, 1, b) == pytest.approx(0.0, abs=1e-9)
+        # exact derivatives without a step
+        assert poisson_bracket("x1_1", "p1_1", 1, 1, b) == 1.0
+        assert poisson_bracket("p1_1", "x1_1", 1, 1, b) == -1.0
+        assert poisson_bracket("x1_1", "x1_1", 1, 1, b) == 0.0
+        assert poisson_bracket("x1_1", "p1_1", 1, 1, b, h=1e-3) == pytest.approx(
+            1.0, abs=1e-12)
 
     def test_shared_potential_oracle(self):
         # H_j = p_j^2/2 + (x1 - x2)^2/2: {H_1, H_2} = -(x1 - x2)(p1 + p2)
@@ -51,7 +60,7 @@ class TestPoissonBracket:
             x1, x2, p1, p2 = rng.uniform(-1, 1, 4)
             b = {"x1_1": x1, "x2_1": x2, "p1_1": p1, "p2_1": p2}
             want = -(x1 - x2) * (p1 + p2)
-            assert poisson_bracket(h1, h2, 2, 1, b) == pytest.approx(want, abs=1e-7)
+            assert poisson_bracket(h1, h2, 2, 1, b) == pytest.approx(want, abs=1e-15)
 
 
 class TestResiduals:
@@ -59,7 +68,10 @@ class TestResiduals:
         s = free_hj()
         res = hj_residual_multi(s, ["p1_1^2/2", "p2_1^2/2"],
                                 [0.2, -0.3], [[-0.7], [0.9]])
-        assert max(res) < 1e-9
+        assert res == [0.0, 0.0]  # exact derivatives of a polynomial S
+        res = hj_residual_multi(s, ["p1_1^2/2", "p2_1^2/2"],
+                                [0.2, -0.3], [[-0.7], [0.9]], h=1e-3)
+        assert max(res) < 1e-12
 
     def test_free_residual_detects_wrong_hamiltonian(self):
         s = free_hj()
@@ -97,7 +109,9 @@ class TestConsistencyDefect:
     def test_free_pair_consistent(self):
         pt = PhasePoint(times=[0.2, -0.1], x=[[0.3], [-0.6]], p=[[0.4], [0.1]])
         rep = hj_consistency_defect(["p1_1^2/2", "p2_1^2/2"], pt)
-        assert rep.max_defect < 1e-9
+        assert rep.max_defect == 0.0 and rep.h is None
+        rep = hj_consistency_defect(["p1_1^2/2", "p2_1^2/2"], pt, h=1e-3)
+        assert rep.max_defect < 1e-12 and rep.h == 1e-3
 
     def test_one_sided_potential_oracle(self):
         # V = g (x1 - x2)^2 only in H_1 gives
@@ -111,14 +125,15 @@ class TestConsistencyDefect:
             pt = PhasePoint(times=[0.1, 0.4], x=[[x1], [x2]], p=[[p1], [p2]])
             rep = hj_consistency_defect([h1, h2], pt)
             want = abs(2 * g * (x1 - x2) * p2)
-            assert rep.pairs["1,2"] == pytest.approx(want, abs=1e-6)
+            assert rep.pairs["1,2"] == pytest.approx(want, rel=1e-15)
 
 
 class TestVelocityDefect:
     def test_free_s_defect_tiny(self):
         s = free_hj()
+        assert hj_velocity_consistency_defect(s, [0.2, -0.3], [[-0.7], [0.9]]) == 0.0
         assert hj_velocity_consistency_defect(
-            s, [0.2, -0.3], [[-0.7], [0.9]]) < 1e-6
+            s, [0.2, -0.3], [[-0.7], [0.9]], h=1e-3) < 1e-9
 
     def test_coupled_s_analytic_oracle(self):
         # for S = free + g (x1-x2)^2 (t1+t2) the two off-diagonal
@@ -133,7 +148,9 @@ class TestVelocityDefect:
             abs(2 * G * (x1 - x2) - 2 * G * (t1 + t2) * v2),
         ]
         got = hj_velocity_consistency_defect(s, [t1, t2], [[x1], [x2]])
-        assert got == pytest.approx(max(cand), abs=1e-5)
+        assert got == pytest.approx(max(cand), rel=1e-15)
+        got = hj_velocity_consistency_defect(s, [t1, t2], [[x1], [x2]], h=1e-3)
+        assert got == pytest.approx(max(cand), abs=1e-8)
 
 
 class TestFoliations:
@@ -212,14 +229,190 @@ class TestFoliations:
     def test_exact_gradients(self):
         s = coupled_hj()
         times, x = [0.2, -0.1], [[-0.7], [0.9]]
-        got = s.gradients(times, [-0.7, 0.9])
+        got = s.gradients()(times, [-0.7, 0.9])
         # d/dx1 of the coupling 0.05 (x1 - x2)^2 (t1 + t2) is 0.1 (x1 - x2)(t1 + t2)
         assert got == pytest.approx((K1 + 2 * G * (-1.6) * 0.1,
                                      K2 - 2 * G * (-1.6) * 0.1), abs=1e-15)
+        stepped = s.gradients(1e-3)(times, [-0.7, 0.9])
         for j in (1, 2):
             assert s.grad_x(j, times, x)[0] == pytest.approx(got[j - 1], abs=1e-9)
+            # at a given step, the numdiff cross-check bit for bit
+            assert s.grad_x(j, times, x, h=1e-3)[0] == stepped[j - 1]
+        assert s.gradients() is s.gradients(None)  # compiled once
 
     def test_compare_needs_two(self):
         with pytest.raises(ValueError):
             foliation_compare(free_hj(), [Foliation([0.0])],
                               [[-1.0], [1.0]], (-1.0, 1.0), 0.01)
+
+
+# ---------------------------------------------------------------- oracle
+# The per-call algorithm that the compiled conditions replace: every
+# derivative a ``numdiff`` central difference on a bindings dict, the second
+# ones of the velocity defect central differences of the first ones.  At a
+# given step the compiled conditions must give its values bit for bit.
+
+
+def oracle_bracket(f, g, n, d, b, h):
+    total = 0.0
+    for j in range(1, n + 1):
+        for dd in range(1, d + 1):
+            xv, pv = f"x{j}_{dd}", f"p{j}_{dd}"
+            total += partial_derivative(f, xv, b, h=h) * partial_derivative(g, pv, b, h=h)
+            total -= partial_derivative(f, pv, b, h=h) * partial_derivative(g, xv, b, h=h)
+    return total
+
+
+def oracle_residuals(s_expr, h_exprs, times, x, n, d, constants, h, time_var=None):
+    if time_var is None:
+        b = variable_bindings(times, x, constants=constants)
+        time_vars = binding_names("t", n)
+    else:
+        b = variable_bindings(x=x, constants={**constants, time_var: times[0]})
+        time_vars = [time_var]
+    grad = [[partial_derivative(s_expr, f"x{j}_{dd}", b, h=h) for dd in range(1, d + 1)]
+            for j in range(1, n + 1)]
+    hb = variable_bindings(p=grad, constants=b)
+    return [abs(partial_derivative(s_expr, t, b, h=h) + evaluate(he, hb))
+            for t, he in zip(time_vars, h_exprs)]
+
+
+def oracle_poisson_defects(h_exprs, point, constants, h):
+    n, d = point.n, point.d
+    b = variable_bindings(point.times, point.x, point.p, constants)
+    return {f"{j},{k}": abs(partial_derivative(h_exprs[k - 1], f"t{j}", b, h=h)
+                            - partial_derivative(h_exprs[j - 1], f"t{k}", b, h=h)
+                            - oracle_bracket(h_exprs[j - 1], h_exprs[k - 1], n, d, b, h))
+            for j in range(1, n + 1) for k in range(j + 1, n + 1)}
+
+
+def oracle_velocity_defect(s, times, x, h):
+    """The defect components for each j and x_k, k != j."""
+    b = variable_bindings(times, x, constants=s.constants)
+    components = []
+    for j in range(1, s.n + 1):
+        vel = [partial_derivative(s.expr, f"x{j}_{dd}", b, h=h) / s.masses[j - 1]
+               for dd in range(1, s.d + 1)]
+        for k in range(1, s.n + 1):
+            for e in range(1, s.d + 1):
+                if k == j:
+                    continue
+
+                def inner(bb, xk=f"x{k}_{e}"):
+                    return partial_derivative(s.expr, xk, bb, h=h)
+
+                val = diff_callable(inner, f"t{j}", b, h=h)
+                for dd in range(1, s.d + 1):
+                    val += vel[dd - 1] * diff_callable(inner, f"x{j}_{dd}", b, h=h)
+                components.append(val)
+    return components
+
+
+TERMS = ["{c}*{a}*{b}", "{c}*sin({a} + {b})", "{c}*{a}^2*{b}", "{c}*exp({a}*{b}/4)",
+         "{c}*{a}/(2 + {b}^2)", "{c}*cos({a})*{b}^3"]
+
+
+def random_expression(rng, names, terms=5):
+    """A sum of random smooth terms, each in two of ``names``, and of one
+    term in all of them, so that no derivative of any order is 0."""
+    linear = " + ".join(f"{round(rng.uniform(-1, 1), 3)}*{v}" for v in names)
+    parts = [f"{round(rng.uniform(0.5, 1), 3)}*sin({linear})"]
+    for _ in range(terms):
+        a, b = rng.choice(names, 2)
+        parts.append(str(rng.choice(TERMS)).format(c=round(rng.uniform(-1, 1), 3),
+                                                   a=a, b=b))
+    return parse_expression(" + ".join(parts))
+
+
+def bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+class TestAgainstPerCallOracle:
+    CONSTS = {"k1": 0.3, "k2": -0.7}
+
+    @pytest.mark.parametrize("n,d", [(2, 1), (2, 2), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("h", [1e-4, 1e-3])
+    def test_bit_for_bit_at_a_given_step(self, n, d, h):
+        rng = np.random.default_rng(100 * n + 10 * d + int(h * 1e4))
+        ts, xs, ps = (list(binding_names(v, n, *([d] if v != "t" else [])))
+                      for v in ("t", "x", "p"))
+        consts = list(self.CONSTS)
+        for _ in range(3):
+            s_expr = random_expression(rng, ts + xs + consts)
+            h_exprs = [random_expression(rng, ts + xs + ps + consts) for _ in range(n)]
+            s = HJFunction(s_expr, n, d, rng.uniform(0.5, 2.0, n), self.CONSTS)
+            for _ in range(5):
+                times = rng.uniform(-1, 1, n).tolist()
+                x, p = rng.uniform(-1, 1, (2, n, d))
+                point = PhasePoint(times=times, x=x, p=p)
+                b = variable_bindings(times, x, p, self.CONSTS)
+
+                assert bits([poisson_bracket(h_exprs[0], h_exprs[1], n, d, b, h=h)]) == bits(
+                    [oracle_bracket(h_exprs[0], h_exprs[1], n, d, b, h)])
+                assert bits(hj_residual_multi(s, h_exprs, times, x, h=h)) == bits(
+                    oracle_residuals(s_expr, h_exprs, times, x, n, d, self.CONSTS, h))
+                # the single-time form in t1, the other times as constants
+                others = {**self.CONSTS, **dict(zip(ts[1:], times[1:]))}
+                single = hj_residual_single(s_expr, h_exprs[0], times[0], x, n, d,
+                                            constants=others, h=h, time_var="t1")
+                assert bits([single]) == bits(oracle_residuals(
+                    s_expr, h_exprs[:1], times[:1], x, n, d, others, h, "t1"))
+                rep = hj_consistency_defect(h_exprs, point, h=h, constants=self.CONSTS)
+                want = oracle_poisson_defects(h_exprs, point, self.CONSTS, h)
+                assert rep.pairs.keys() == want.keys()
+                assert bits(rep.pairs.values()) == bits(want.values())
+                # every component, and their sup
+                want = oracle_velocity_defect(s, times, x, h)
+                got = hj._velocity_defects(s_expr, n, d, s.masses, hj._frozen(self.CONSTS),
+                                           h)(times, x.ravel().tolist())
+                assert bits(got) == bits(want)
+                assert bits([hj_velocity_consistency_defect(s, times, x, h=h)]) == bits(
+                    [max(map(abs, want))])
+
+    def test_exact_conditions_near_the_oracle(self):
+        # without a step the derivatives are exact; the per-call algorithm
+        # at a small step is within its truncation and rounding error
+        rng = np.random.default_rng(3)
+        n, d, h = 2, 2, 1e-4
+        ts, xs, ps = (list(binding_names(v, n, *([d] if v != "t" else [])))
+                      for v in ("t", "x", "p"))
+        s_expr = random_expression(rng, ts + xs)
+        h_exprs = [random_expression(rng, ts + xs + ps) for _ in range(n)]
+        s = HJFunction(s_expr, n, d, [1.0, 1.5])
+        times = [0.3, -0.2]
+        x, p = rng.uniform(-1, 1, (2, n, d))
+        point = PhasePoint(times=times, x=x, p=p)
+        assert hj_residual_multi(s, h_exprs, times, x) == pytest.approx(
+            oracle_residuals(s_expr, h_exprs, times, x, n, d, {}, h), abs=1e-6)
+        assert hj_consistency_defect(h_exprs, point).pairs["1,2"] == pytest.approx(
+            oracle_poisson_defects(h_exprs, point, {}, h)["1,2"], abs=1e-6)
+        assert hj_velocity_consistency_defect(s, times, x) == pytest.approx(
+            max(map(abs, oracle_velocity_defect(s, times, x, h))), abs=1e-5)
+
+    def test_compiled_once_per_system_and_step(self):
+        s = coupled_hj()
+        h_list = ["p1_1^2/2", "p2_1^2/2"]
+        for h in (None, 1e-3):
+            hj_residual_multi(s, h_list, [0.1, 0.2], [[0.3], [0.4]], h=h)
+            info = hj._residuals.cache_info()
+            hj_residual_multi(s, h_list, [0.5, 0.6], [[0.7], [0.8]], h=h)
+            assert hj._residuals.cache_info().misses == info.misses
+        # constants equal as floats but not in their bits are other systems
+        signs = [HJFunction("k*x1_1", 1, 1, [1.0], {"k": k}).gradients()([0.0], [1.0])
+                 for k in (0.0, -0.0)]
+        assert [math.copysign(1.0, g) for (g,) in signs] == [1.0, -1.0]
+
+    def test_step_that_rounds_away_is_refused(self):
+        s = free_hj()
+        far = [[1e20], [0.0]]
+        with pytest.raises(FloatingPointError, match="rounds away at x1_1 = 1e\\+20"):
+            hj_residual_multi(s, ["p1_1^2/2", "p2_1^2/2"], [0.0, 0.0], far, h=1e-4)
+        with pytest.raises(FloatingPointError, match="x1_1 = 1e\\+20"):
+            hj_velocity_consistency_defect(s, [0.0, 0.0], far, h=1e-4)
+        with pytest.raises(FloatingPointError, match="p2_1 = 1e\\+20"):
+            hj_consistency_defect(["p1_1^2/2", "p2_1^2/2"],
+                                  PhasePoint([0.0, 0.0], [[0.0], [0.0]], [[0.0], [1e20]]),
+                                  h=1e-4)
+        # exact derivatives need no step
+        assert hj_residual_multi(s, ["p1_1^2/2", "p2_1^2/2"], [0.0, 0.0], far) == [0.0, 0.0]
