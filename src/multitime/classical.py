@@ -10,16 +10,21 @@ with D_j = d/dt_j + v_j . grad_{x_j} + w_j . grad_{p_j}.  The module also
 builds n-paths by equal-time integration, tests their validity at
 spacelike off-diagonal time choices, integrates the two-time full-grid
 variant, and runs the no-interaction demonstration over a field family.
-Every integration here and in the HJ module advances a flat state (a
-list of floats) with the one RK4 stepper ``rk4_step``; a field's
-right-hand side ``PhaseVectorField.rhs`` is one compiled function of
-its expressions, of the time tuple and that state.  Numpy arrays are
-built once a run is done.
+Every integration here and in the HJ module is one compiled RK4 loop
+(``expr.compile_rk4``) that advances a flat state of floats, with the
+field's expressions inlined in every stage.  Each loop is compiled once
+per field and mode (equal-time, or a full-grid leg along one time axis)
+and memoised on the field's expressions.  A field's right-hand side
+``PhaseVectorField.rhs``, one compiled function of the time tuple and
+the state, serves the defects and the validity residuals.  Numpy arrays
+are built once a run is done.  A run of more than ``MAX_STEPS`` RK4
+steps is refused before it starts.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,8 +32,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .expr import (Expression, Neg, binding_names, central_difference,
-                   compile_function, diff, free_variables, parse_expression)
+from .expr import (STEP_TIME, Expression, Neg, Var, binding_names,
+                   central_difference, compile_function, compile_rk4, diff,
+                   free_variables, parse_expression, substitute)
 from .numdiff import check_steps
 from .paths import NPath, WorldLine
 from .reports import DefectReport, ResidualReport
@@ -47,7 +53,7 @@ __all__ = [
     "evolve_full_grid",
     "grid_path_independence",
     "cjs_demo",
-    "rk4_step",
+    "MAX_STEPS",
 ]
 
 
@@ -108,7 +114,7 @@ class PhasePoint:
         return self.x.shape[1]
 
     def state(self) -> np.ndarray:
-        """The flat state (x, p) the RK4 stepper advances; ``reshape(2, n, d)``
+        """The flat state (x, p) the RK4 loops advance; ``reshape(2, n, d)``
         gives x and p back."""
         return np.concatenate([self.x.ravel(), self.p.ravel()])
 
@@ -250,29 +256,36 @@ def classical_consistency_defect(field: PhaseVectorField, point: PhasePoint,
     return DefectReport(pairs=pairs, max_defect=max(pairs.values(), default=0.0), h=h)
 
 
-def rk4_step(f: Callable[[float, Sequence[float]], Sequence[float]], t: float,
-             y: Sequence[float], h: float,
-             k1: Sequence[float] | None = None) -> list[float]:
-    """One classical RK4 step of dy/dt = f(t, y) from (t, y) to t + h, on
-    a state of floats (a list or tuple; ``f`` returns one too).
+#: the most RK4 steps one integration run may take: an equal-time run, one
+#: path around a grid rectangle, a full grid or an HJ trajectory run
+MAX_STEPS = 10 ** 6
 
-    The arithmetic is that of the vector formula ``y + h/2*k`` for the
-    stages and ``y + h/6*(((k1 + 2*k2) + 2*k3) + k4)`` for the step,
-    element by element.  ``k1`` is ``f(t, y)`` when the caller already
-    has it.  Raises FloatingPointError if the new state is not finite.
-    """
-    if k1 is None:
-        k1 = f(t, y)
-    h2 = h / 2
-    k2 = f(t + h2, [a + h2 * k for a, k in zip(y, k1)])
-    k3 = f(t + h2, [a + h2 * k for a, k in zip(y, k2)])
-    k4 = f(t + h, [a + h * k for a, k in zip(y, k3)])
-    h6 = h / 6
-    y = [a + h6 * (((b1 + 2 * b2) + 2 * b3) + b4)
-         for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-    if not all(map(math.isfinite, y)):
-        raise FloatingPointError(f"non-finite state at t = {t + h}")
-    return y
+
+def _bound_steps(steps: float, what: str) -> None:
+    if steps > MAX_STEPS:
+        raise ValueError(f"{what} takes {steps:.3g} RK4 steps; at most "
+                         f"{MAX_STEPS} are allowed")
+
+
+@functools.lru_cache(maxsize=64)
+def _rk4_loop(exprs: tuple[Expression, ...], n: int, d: int,
+              axis: int | None) -> Callable:
+    """The compiled RK4 loop of the field with components ``exprs``
+    (``expr.compile_rk4``): with ``axis`` None every time t_j follows the
+    step and the loop records every node (equal-time evolution); else
+    t_{axis+1} follows it, the other times are fixed arguments and the
+    loop returns the final state (a full-grid leg)."""
+    times, state = _state_names(n, d)
+    follow = times if axis is None else times[axis:axis + 1]
+    fixed = [t for t in times if t not in follow]
+    step_time = {t: Var(STEP_TIME) for t in follow}
+    return compile_rk4([substitute(e, step_time) for e in exprs], state, fixed,
+                       record=axis is None)
+
+
+def _node_times(t0: float, dt: float, steps: int) -> list[float]:
+    """t0 and then t += dt ``steps`` times."""
+    return list(itertools.accumulate(itertools.repeat(dt, steps), initial=t0))
 
 
 def evolve_equal_time(field: PhaseVectorField, init: PhasePoint,
@@ -284,21 +297,12 @@ def evolve_equal_time(field: PhaseVectorField, init: PhasePoint,
         raise ValueError("equal-time evolution needs t_1 = ... = t_n initially")
     n, d = field.n, field.d
     t0, t1 = float(t_span[0]), float(t_span[1])
+    _bound_steps((t1 - t0) / dt, "the run")
     steps = max(1, int(round((t1 - t0) / dt)))
     dt = (t1 - t0) / steps
-    field_rhs = field.rhs
-
-    def rhs(t: float, y: Sequence[float]) -> tuple[float, ...]:
-        return field_rhs((t,) * n, y)
-
-    t, y = t0, init.state().tolist()
-    ts, ys, rates = [t], [y], [rhs(t, y)]
-    for _ in range(steps):
-        y = rk4_step(rhs, t, y, dt, rates[-1])
-        t += dt
-        ts.append(t)
-        ys.append(y)
-        rates.append(rhs(t, y))
+    ts = _node_times(t0, dt, steps)
+    ys, rates = _rk4_loop(field.exprs, n, d, None)(init.state().tolist(), ts,
+                                                   [dt] * steps)
 
     def per_particle(rows: list) -> np.ndarray:
         # (samples, 2n*d) -> contiguous (x|p, particle, samples, d)
@@ -399,24 +403,21 @@ class GridSolution:
         return columns, rows
 
 
-def _rk4_grid_leg(hpair: HamiltonianPair, k: int, times: Sequence[float],
-                  y: list[float], duration: float, substeps: int) -> list[float]:
-    """Advance time coordinate ``k`` of the flat state ``y`` by ``duration``
-    in ``substeps`` RK4 steps."""
-    dt = duration / substeps
-    ax = k - 1
-    t = list(times)
-    field_rhs = hpair.fields[ax].rhs
+def _grid_legs(hpair: HamiltonianPair) -> Callable:
+    """The function ``(k, times, y, duration, substeps) -> y`` that advances
+    time coordinate k of the flat state y from the time tuple ``times``
+    by ``duration`` in ``substeps`` RK4 steps, under the field of H_k."""
+    n, d = hpair.n, hpair.d
+    loops = [_rk4_loop(f.exprs, n, d, ax) for ax, f in enumerate(hpair.fields)]
 
-    def rhs(tk: float, yy: Sequence[float]) -> tuple[float, ...]:
-        tt = t.copy()
-        tt[ax] = tk
-        return field_rhs(tt, yy)
+    def leg(k: int, times: Sequence[float], y: Sequence[float], duration: float,
+            substeps: int) -> tuple[float, ...]:
+        dt = duration / substeps
+        fixed = [t for ax, t in enumerate(times) if ax != k - 1]
+        return loops[k - 1](y, _node_times(times[k - 1], dt, substeps),
+                            [dt] * substeps, *fixed)
 
-    for _ in range(substeps):
-        y = rk4_step(rhs, t[ax], y, dt)
-        t[ax] += dt
-    return y
+    return leg
 
 
 def evolve_full_grid(hpair: HamiltonianPair, init: PhasePoint,
@@ -428,19 +429,19 @@ def evolve_full_grid(hpair: HamiltonianPair, init: PhasePoint,
     t2_grid = np.asarray(t2_grid, float)
     t1s, t2s = t1_grid.tolist(), t2_grid.tolist()
     n, d = hpair.n, hpair.d
+    _bound_steps(len(t1s) * len(t2s) * substeps, "the grid")
+    leg = _grid_legs(hpair)
     y = init.state().tolist()
     column = []
     for i2 in range(len(t2s)):
         if i2 > 0:
-            y = _rk4_grid_leg(hpair, 2, [t1s[0], t2s[i2 - 1]], y,
-                              t2s[i2] - t2s[i2 - 1], substeps)
+            y = leg(2, [t1s[0], t2s[i2 - 1]], y, t2s[i2] - t2s[i2 - 1], substeps)
         column.append(y)
     rows = []  # rows[i2][i1] is the state at (t1s[i1], t2s[i2])
     for i2, y in enumerate(column):
         row = [y]
         for i1 in range(1, len(t1s)):
-            y = _rk4_grid_leg(hpair, 1, [t1s[i1 - 1], t2s[i2]], y,
-                              t1s[i1] - t1s[i1 - 1], substeps)
+            y = leg(1, [t1s[i1 - 1], t2s[i2]], y, t1s[i1] - t1s[i1 - 1], substeps)
             row.append(y)
         rows.append(row)
     # (t2, t1, x|p, particle, d) -> contiguous (x|p, particle, t1, t2, d)
@@ -456,16 +457,18 @@ def grid_path_independence(hpair: HamiltonianPair, init: PhasePoint,
     dt1, dt2 = rectangle
     if dt1 == 0.0 or dt2 == 0.0:
         return 0.0
+    _bound_steps(abs(dt1) / dt + abs(dt2) / dt, "a path around the rectangle")
     m1 = max(1, int(math.ceil(abs(dt1) / dt)))
     m2 = max(1, int(math.ceil(abs(dt2) / dt)))
     t0 = init.times.tolist()
     y0 = init.state().tolist()
+    leg = _grid_legs(hpair)
 
-    ya = _rk4_grid_leg(hpair, 1, t0, y0, dt1, m1)
-    ya = _rk4_grid_leg(hpair, 2, [t0[0] + dt1, t0[1]], ya, dt2, m2)
+    ya = leg(1, t0, y0, dt1, m1)
+    ya = leg(2, [t0[0] + dt1, t0[1]], ya, dt2, m2)
 
-    yb = _rk4_grid_leg(hpair, 2, t0, y0, dt2, m2)
-    yb = _rk4_grid_leg(hpair, 1, [t0[0], t0[1] + dt2], yb, dt1, m1)
+    yb = leg(2, t0, y0, dt2, m2)
+    yb = leg(1, [t0[0], t0[1] + dt2], yb, dt1, m1)
 
     gx, gp = np.subtract(ya, yb).reshape(2, hpair.n, hpair.d)
     return float(np.sqrt(np.sum(gx ** 2) + np.sum(gp ** 2)))

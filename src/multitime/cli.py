@@ -358,6 +358,22 @@ def _sample_phase_points(cfg, path: str, n: int, d: int,
             for _ in range(count)]
 
 
+def _bound_steps(steps: float, path: str) -> None:
+    """Refuse, at ``path``, a run of more than ``classical.MAX_STEPS`` RK4
+    steps (its states would be kept in memory)."""
+    if steps > classical.MAX_STEPS:
+        raise ConfigError(path, f"the run takes {steps:.3g} RK4 steps; at most "
+                                f"{classical.MAX_STEPS} are allowed")
+
+
+def _equal_time_steps(exp: dict) -> tuple[tuple[float, float], float]:
+    """``t_span`` and ``dt`` of an equal-time run, with its step count bounded."""
+    span = _span(exp["t_span"], f"{_E}/t_span")
+    dt = _positive(exp["dt"], f"{_E}/dt")
+    _bound_steps((span[1] - span[0]) / dt, f"{_E}/dt")
+    return span, dt
+
+
 def _foliation(cfg, path: str, d: int) -> hj.Foliation:
     cfg = _obj(cfg, path)
     _keys(cfg, path, ["u"])
@@ -369,16 +385,16 @@ def _foliation(cfg, path: str, d: int) -> hj.Foliation:
 
 def _leaves(exp: dict, fols: list[hj.Foliation], n: int, d: int):
     """``init_positions``, ``s_span`` and ``ds`` of a foliation kind.  A run
-    on one of ``fols`` that would take more than ``hj.MAX_LEAVES`` leaves is
-    refused, with the pointer at ``ds`` when the leaves are finer than the
-    range is wide, else at the key that sets the range: ``init_positions``
-    when the anchor events stretch it beyond ``s_span``."""
+    on one of ``fols`` that would take more than ``classical.MAX_STEPS``
+    leaves is refused, with the pointer at ``ds`` when the leaves are finer
+    than the range is wide, else at the key that sets the range:
+    ``init_positions`` when the anchor events stretch it beyond ``s_span``."""
     init = _matrix(exp["init_positions"], f"{_E}/init_positions", n, d)
     span = _span(exp["s_span"], f"{_E}/s_span")
     ds = _positive(exp["ds"], f"{_E}/ds")
     for fol in fols:
         lo, hi, steps = hj.foliation_leaves(fol, init, span, ds)
-        if steps > hj.MAX_LEAVES:
+        if steps > classical.MAX_STEPS:
             if (hi - lo) * ds < 1.0:
                 key = "ds"
             else:
@@ -386,7 +402,7 @@ def _leaves(exp: dict, fols: list[hj.Foliation], n: int, d: int):
             raise ConfigError(f"{_E}/{key}", (
                 f"the run on the foliation {fol.label()} takes {steps:.3g} leaves "
                 f"(s from {lo:.6g} to {hi:.6g} in steps of {ds:g}); at most "
-                f"{hj.MAX_LEAVES} are allowed"))
+                f"{classical.MAX_STEPS} are allowed"))
     return init, span, ds
 
 
@@ -536,8 +552,7 @@ def _equal_time_evolve(system: dict, exp: dict, jobs: int, rng):
     n, d, field = _classical_system(system, "/system")
     _keys(exp, _E, ["kind", "init", "t_span", "dt"])
     init = _phase_point(exp["init"], f"{_E}/init", n, d)
-    span = _span(exp["t_span"], f"{_E}/t_span")
-    dt = _positive(exp["dt"], f"{_E}/dt")
+    span, dt = _equal_time_steps(exp)
 
     def run():
         npath = classical.evolve_equal_time(field, init, span, dt, timelike_warning=False)
@@ -552,8 +567,7 @@ def _validity(system: dict, exp: dict, jobs: int, rng):
     n, d, field = _classical_system(system, "/system")
     _keys(exp, _E, ["kind", "init", "t_span", "dt", "samples"])
     init = _phase_point(exp["init"], f"{_E}/init", n, d)
-    span = _span(exp["t_span"], f"{_E}/t_span")
-    dt = _positive(exp["dt"], f"{_E}/dt")
+    span, dt = _equal_time_steps(exp)
     samples_cfg = _obj(exp["samples"], f"{_E}/samples")
     _keys(samples_cfg, f"{_E}/samples", ["count", "window"])
     count = _int(samples_cfg["count"], f"{_E}/samples/count", 1)
@@ -588,6 +602,7 @@ def _full_grid(system: dict, exp: dict, jobs: int, rng):
     t2m = _num(exp["t2_max"], f"{_E}/t2_max")
     pts = _int(exp["points"], f"{_E}/points", 2)
     sub = _option(exp, "substeps", _E, 4, _int, 1)
+    _bound_steps(pts * pts * sub, f"{_E}/points")
     t0 = float(init.times[0])  # the same for both particles
     for key, span in (("t1_max", t1m), ("t2_max", t2m)):
         if not math.isfinite(t0 + span):
@@ -615,6 +630,8 @@ def _path_independence(system: dict, exp: dict, jobs: int, rng):
     init = _phase_point(exp["init"], f"{_E}/init", n, d)
     rect = _num_list(exp["rectangle"], f"{_E}/rectangle", 2)
     dt = _positive(exp["dt"], f"{_E}/dt")
+    if 0.0 not in rect:  # else grid_path_independence takes no step
+        _bound_steps(abs(rect[0]) / dt + abs(rect[1]) / dt, f"{_E}/dt")
     refinements = _option(exp, "refinements", _E, 0, _int, 0)
 
     def run():
@@ -646,8 +663,7 @@ def _cjs_demo(system: dict, exp: dict, jobs: int, rng):
         family.append((_str(member["id"], f"{mpath}/id"), fld))
     points = _sample_phase_points(exp["samples"], f"{_E}/samples", n, d, rng)
     init = _phase_point(exp["init"], f"{_E}/init", n, d)
-    span = _span(exp["t_span"], f"{_E}/t_span")
-    dt = _positive(exp["dt"], f"{_E}/dt")
+    span, dt = _equal_time_steps(exp)
     return lambda: ({"table": classical.cjs_demo(family, points, init, span, dt,
                                                  h=h)}, None)
 

@@ -25,9 +25,11 @@ The function performs the IEEE operations of the tree in evaluation
 order, left operand before right, with no folding or rewriting.  The
 same code generator lowers a whole system of ASTs to one function of
 positional float sequences that returns all their values and computes
-shared subtrees once (``compile_function``).  ``diff`` builds the exact
-partial derivative of an AST as another AST, and ``central_difference``
-its central difference at a given step.
+shared subtrees once (``compile_function``), and a whole RK4
+integration to one function with the loop inside and the system's
+statements inlined in every stage (``compile_rk4``).  ``diff`` builds
+the exact partial derivative of an AST as another AST, and
+``central_difference`` its central difference at a given step.
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ __all__ = [
     "variable_bindings",
     "binding_names",
     "compile_function",
+    "STEP_TIME",
+    "compile_rk4",
     "diff",
     "central_difference",
     "substitute",
@@ -578,6 +582,24 @@ def _compile(expr: Expression) -> Callable[[Mapping[str, float]], float]:
     ], "expression", namespace)
 
 
+def _reader(bound: Mapping[str, str], constants: Mapping[str, float],
+            namespace: dict[str, object]) -> Callable[[str], str]:
+    """The ``read`` of ``_emit`` for the variables held in the locals
+    ``bound`` and those of ``constants``, which it binds as globals with
+    their values converted by ``float``; any other variable raises
+    UnboundVariableError."""
+    def read(name: str) -> str:
+        if name in bound:
+            return bound[name]
+        if name in constants:
+            glob = f"k{len(namespace)}"
+            namespace[glob] = float(constants[name])
+            return glob
+        raise UnboundVariableError(f"variable {name!r} is not bound")
+
+    return read
+
+
 def compile_function(outputs: Sequence[Expression],
                      arguments: Sequence[Sequence[str]],
                      constants: Mapping[str, float] | None = None,
@@ -603,23 +625,100 @@ def compile_function(outputs: Sequence[Expression],
         locals_ = [f"v{len(bound) + i}" for i in range(len(group))]
         lines.append(f"({''.join(v + ', ' for v in locals_)}) = {param}")
         bound.update(zip(group, locals_))
-    constants = constants or {}
-
-    def read(name: str) -> str:
-        if name in bound:
-            return bound[name]
-        if name in constants:
-            glob = f"k{len(namespace)}"
-            namespace[glob] = float(constants[name])
-            return glob
-        raise UnboundVariableError(f"variable {name!r} is not bound")
-
-    results = _emit(outputs, read, namespace, lines)
+    results = _emit(outputs, _reader(bound, constants or {}, namespace), namespace, lines)
     return _define([
         f"def function({', '.join(params)}):",
         *_indent(lines),
         f" return ({''.join(r + ', ' for r in results)})",
     ], "function", namespace)
+
+
+#: the variable that ``compile_rk4`` binds to the time of each RK4 stage;
+#: no name of the expression language is spelled like it
+STEP_TIME = "<step time>"
+
+# the stages of an RK4 step after the first: the prefix of the stage
+# state's names, and the time and the step factor that make it
+_STAGES = (("a", "t_half", "h2"), ("b", "t_half", "h2"), ("e", "t_end", "h"))
+
+
+def compile_rk4(outputs: Sequence[Expression], state: Sequence[str],
+                fixed: Sequence[str] = (),
+                constants: Mapping[str, float] | None = None, *,
+                record: bool = True,
+                rates: Callable[[list[str], str, list[str], dict], list[str]] | None = None,
+                ) -> Callable:
+    """One compiled function that runs a whole RK4 integration of
+    dy/dt = k(t, y), the right-hand side inlined in every stage.
+
+    The flat state y holds the variables ``state``.  ``outputs`` are
+    expressions in them, in ``STEP_TIME`` (the time of the stage), in the
+    ``fixed`` variables and in ``constants`` (bound as by
+    ``compile_function``).  The rates k are the outputs, or what the hook
+    ``rates(values, time, lines, namespace)`` makes of them: it appends to
+    ``lines`` the statements that turn the names ``values`` (the outputs
+    of one stage, at the time held in ``time``) into the rates, and
+    returns the rates' names, naming each new value ``r{len(lines)}``
+    before it appends the statement, as ``_emit`` does.
+
+    The function is ``integrate(y, ts, hs, *fixed_values)``: from the
+    state y at the time ``ts[0]`` it takes step i from ``ts[i]`` by
+    ``hs[i]`` (``ts`` holds one node time more than ``hs`` steps).  Its
+    arithmetic is that of the vector formulas ``y + h/2*k`` (stage times
+    ``t + h/2``) and ``y + h*k3`` (stage time ``t + h``) for the stages and
+    ``y + h/6*(((k1 + 2*k2) + 2*k3) + k4)`` for the step, element by
+    element, with each stage's outputs those of ``compile_function``, bit
+    for bit.  A step whose new state is not finite raises
+    FloatingPointError.  With ``record`` it evaluates the outputs at every
+    node ``ts[i]``, the step's k1 among them, and returns the node states
+    and the outputs there as two lists of tuples; without, it evaluates
+    them at each step's start only and returns the final state.
+    """
+    namespace: dict[str, object] = {"_domain_error": _domain_error}
+    constants = constants or {}
+    fixed_locals = {name: f"f_{i}" for i, name in enumerate(fixed)}
+    lines: list[str] = []  # the loop body
+
+    def outputs_at(values: Sequence[str], time: str) -> list[str]:
+        """Emit the outputs at the state held in ``values`` and the time
+        held in ``time``; return their names."""
+        bound = {**dict(zip(state, values)), STEP_TIME: time, **fixed_locals}
+        return _emit(outputs, _reader(bound, constants, namespace), namespace, lines)
+
+    def rates_at(values: Sequence[str], time: str) -> list[str]:
+        return rates(values, time, lines, namespace) if rates else values
+
+    def tuple_of(names: Sequence[str]) -> str:
+        return f"({''.join(name + ', ' for name in names)})"
+
+    ys = [f"y_{i}" for i in range(len(state))]
+    node = outputs_at(ys, "t")
+    if record:
+        lines.append(f"states.append({tuple_of(ys)})\n"
+                     f"records.append({tuple_of(node)})\n"
+                     "if i == n:\n break")
+    ks = [rates_at(node, "t")]
+    lines.append("h = hs[i]\nh2 = h / 2\nt_half = t + h2\nt_end = t + h")
+    for prefix, time, factor in _STAGES:
+        stage = [f"{prefix}_{i}" for i in range(len(state))]
+        lines += [f"{s} = {y} + {factor} * {k}" for s, y, k in zip(stage, ys, ks[-1])]
+        ks.append(rates_at(outputs_at(stage, time), time))
+    steps = [f"{y} + h6 * ((({k1} + 2 * {k2}) + 2 * {k3}) + {k4})"
+             for y, k1, k2, k3, k4 in zip(ys, *ks)]
+    lines.append(f"h6 = h / 6\n{tuple_of(ys)} = {tuple_of(steps)}")
+    # y - y is 0.0 for a finite y and nan for an infinite or nan one
+    lines.append(f"if {' + '.join(f'({y} - {y})' for y in ys)} != 0.0:\n"
+                 " raise FloatingPointError(f'non-finite state at t = {t + h}')")
+    return _define([
+        f"def integrate(y, ts, hs{''.join(', ' + f for f in fixed_locals.values())}):",
+        f" {tuple_of(ys)} = y",
+        " n = len(hs)",
+        *([" states, records = [], []"] if record else []),
+        f" for i in range({'n + 1' if record else 'n'}):",
+        "  t = ts[i]",
+        *_indent(_indent(lines)),
+        f" return {'states, records' if record else tuple_of(ys)}",
+    ], "integrate", namespace)
 
 
 def compile_expression(expr: Expression) -> Callable[[Mapping[str, float]], float]:

@@ -8,24 +8,24 @@ dx_j/dt_j = grad_{x_j} S / m_j, and extracts trajectory families under
 flat spacelike foliations t = s + u.x to exhibit foliation dependence.
 Each residual, defect and gradient is built as expressions, exact or
 central differences at a given step, and compiled once per system and
-step; the trajectory sweeps step a list of floats with the RK4 stepper
-of the classical module.
+step.  A trajectory sweep is one compiled RK4 loop (``expr.compile_rk4``)
+per system and foliation, with the leaf times, the exact velocities and
+the leaf rates V_j / (1 - u.V_j) inlined in every stage.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
-from .classical import PhasePoint, rk4_step
-from .expr import (BinOp, Expression, Num, binding_names, central_difference,
-                   compile_function, diff, evaluate, parse_expression,
-                   substitute, variable_bindings)
+from .classical import MAX_STEPS, PhasePoint
+from .expr import (STEP_TIME, BinOp, Expression, Num, Var, binding_names,
+                   central_difference, compile_function, compile_rk4, diff,
+                   evaluate, parse_expression, substitute, variable_bindings)
 from .numdiff import check_steps, partial_derivative
 from .paths import NPath, PathRangeError, WorldLine
 from .reports import DefectReport, DivergenceReport
@@ -46,8 +46,6 @@ __all__ = [
 ]
 
 FOLIATION_INDEPENDENCE_TOL = 1e-6
-#: the most RK4 steps (leaves) one trajectory run may take
-MAX_LEAVES = 10 ** 6
 
 
 class FoliationError(RuntimeError):
@@ -88,11 +86,13 @@ class HJFunction:
     def grad_x(self, j: int, times: Sequence[float], x: np.ndarray,
                h: float | None = None) -> np.ndarray:
         """grad_{x_j} S (1-based j) by ``numdiff`` central differences: the
-        cross-check of ``gradients``."""
-        b = variable_bindings(times, np.atleast_2d(np.asarray(x, float)),
-                              constants=self.constants)
-        return np.array([partial_derivative(self.expr, f"x{j}_{dd + 1}", b, h=h)
-                         for dd in range(self.d)])
+        cross-check of ``gradients``.  A given step ``h`` that rounds away
+        at a component of x_j raises FloatingPointError."""
+        x = np.atleast_2d(np.asarray(x, float))
+        names = [f"x{j}_{dd + 1}" for dd in range(self.d)]
+        check_steps(h, names, x[j - 1].tolist())
+        b = variable_bindings(times, x, constants=self.constants)
+        return np.array([partial_derivative(self.expr, name, b, h=h) for name in names])
 
     def gradients(self, h: float | None = None) -> Callable[
             [Sequence[float], Sequence[float]], tuple[float, ...]]:
@@ -276,47 +276,66 @@ def hj_velocity_consistency_defect(s: HJFunction, times: Sequence[float],
     return max([0.0, *map(abs, fn(times, x))])
 
 
+def _degenerate(j: int, gamma: float, s_par: float) -> NoReturn:
+    raise FoliationDegeneracyError(
+        f"1 - u.V_{j} = {gamma:.3g} <= 0 at leaf s = {s_par:.6g}")
+
+
+def _leaf_rates(u: tuple[float, ...], n: int, d: int) -> Callable:
+    """The ``rates`` hook of ``expr.compile_rk4`` on the leaves t = s + u.x:
+    dx_j/ds = V_j / gamma_j with gamma_j = 1 - u.V_j, for every particle j,
+    and FoliationDegeneracyError where gamma_j <= 0."""
+    def emit(values: list[str], time: str, lines: list[str], namespace: dict) -> list[str]:
+        namespace["_degenerate"] = _degenerate
+        namespace.update((f"_u{k}", uk) for k, uk in enumerate(u))
+        rates = []
+        for j in range(n):
+            vj = values[j * d:(j + 1) * d]
+            gamma = f"r{len(lines)}"
+            # u.V_j as sum() adds it up: from 0, left to right
+            dot = "".join(f" + _u{k} * {v}" for k, v in enumerate(vj))
+            lines.append(f"{gamma} = 1.0 - (0{dot})\n"
+                         f"if {gamma} <= 0.0:\n _degenerate({j + 1}, {gamma}, {time})")
+            for v in vj:
+                rates.append(f"r{len(lines)}")
+                lines.append(f"{rates[-1]} = {v} / {gamma}")
+        return rates
+
+    return emit
+
+
+@functools.lru_cache(maxsize=64)
+def _leaf_loop(s_expr: Expression, n: int, d: int, masses: tuple[float, ...],
+               constants: tuple, u: tuple[float, ...]) -> Callable:
+    """The compiled RK4 loop of a sweep over the leaves t = s + u.x
+    (``expr.compile_rk4``), ``(x, s_vals, steps) -> (states, velocities)``:
+    on leaf s particle j sits at t_j = s + u.x_j and moves with the
+    velocity V_j = grad_{x_j} S / m_j, exact.  The sums u.x start from 0,
+    so the sign of a zero in u changes nothing and u may key the memo."""
+    xs = binding_names("x", n, d)
+    leaf_time = {}
+    for j in range(n):
+        dot = Num(0.0)
+        for uk, x in zip(u, xs[j * d:(j + 1) * d]):
+            dot = BinOp("+", dot, BinOp("*", Num(uk), Var(x)))
+        leaf_time[f"t{j + 1}"] = BinOp("+", Var(STEP_TIME), dot)
+    velocities = [BinOp("/", substitute(diff(s_expr, x), leaf_time), Num(masses[i // d]))
+                  for i, x in enumerate(xs)]
+    return compile_rk4(velocities, xs, constants=dict(constants),
+                       rates=_leaf_rates(u, n, d))
+
+
 def _integrate_on_foliation(s: HJFunction, fol: Foliation, x_leaf: Sequence[float],
                             s_lo: float, s_hi: float, ds: float) -> NPath:
     """RK4 in the leaf parameter from leaf ``s = 0`` (flat state
-    ``x_leaf``) over [s_lo, s_hi]; on leaf s particle j sits at
-    t_j = s + u.x_j.  The velocities come from ``s.gradients``."""
-    n, d, u = s.n, s.d, fol.u
-    grad = s.gradients()
-    # the flat index of each particle's first component, and the mass of
-    # each flat component's particle
-    starts = range(0, n * d, d)
-    masses = [m for m in s.masses for _ in range(d)]
-
-    def velocities(s_par: float, y: Sequence[float]) -> list[float]:
-        """V_1..V_n, flat, on leaf ``s_par`` at the flat state ``y``."""
-        times = [s_par + sum(map(operator.mul, u, y[i:i + d])) for i in starts]
-        return [g / m for g, m in zip(grad(times, y), masses)]
-
-    def rate(s_par: float, vs: list[float]) -> list[float]:
-        """dx/ds = V_j / (1 - u.V_j) for every particle j."""
-        dx = []
-        for j, i in enumerate(starts, start=1):
-            vj = vs[i:i + d]
-            gamma = 1.0 - sum(map(operator.mul, u, vj))
-            if gamma <= 0.0:
-                raise FoliationDegeneracyError(
-                    f"1 - u.V_{j} = {gamma:.3g} <= 0 at leaf s = {s_par:.6g}")
-            dx += [v / gamma for v in vj]
-        return dx
-
-    def rhs(s_par: float, y: Sequence[float]) -> list[float]:
-        return rate(s_par, velocities(s_par, y))
+    ``x_leaf``) over [s_lo, s_hi], by the compiled loop ``_leaf_loop``;
+    on leaf s particle j sits at t_j = s + u.x_j."""
+    n, d = s.n, s.d
+    loop = _leaf_loop(s.expr, n, d, s.masses, _frozen(s.constants), fol.u)
 
     def sweep(s_vals: list[float]):
-        """States and velocities on the leaves ``s_vals`` (each step's k1
-        is made from the velocities)."""
-        ys, vs = [list(x_leaf)], [velocities(s_vals[0], x_leaf)]
-        for i in range(len(s_vals) - 1):
-            ys.append(rk4_step(rhs, s_vals[i], ys[-1], s_vals[i + 1] - s_vals[i],
-                               rate(s_vals[i], vs[-1])))
-            vs.append(velocities(s_vals[i + 1], ys[-1]))
-        return ys, vs
+        """States and velocities on the leaves ``s_vals``."""
+        return loop(x_leaf, s_vals, [b - a for a, b in zip(s_vals, s_vals[1:])])
 
     n_fw = max(1, int(math.ceil((s_hi - 0.0) / ds))) if s_hi > 0 else 0
     n_bw = max(1, int(math.ceil((0.0 - s_lo) / ds))) if s_lo < 0 else 0
@@ -370,16 +389,16 @@ def hj_trajectories_foliation(s: HJFunction, fol: Foliation,
     describe the same initial spacetime configuration, so their
     divergence (or agreement) is attributable to the foliation alone.
     The anchoring solves a small fixed-point problem for the leaf-0
-    configuration.  A run of more than ``MAX_LEAVES`` steps (see
+    configuration.  A run of more than ``classical.MAX_STEPS`` steps (see
     ``foliation_leaves``) raises ValueError before it starts; a world line
     that misses t = 0 or whose time does not increase along the leaves
     raises FoliationError.
     """
     x_target = np.atleast_2d(np.asarray(init_positions, float))
     s_lo, s_hi, steps = foliation_leaves(fol, x_target, s_span, ds)
-    if steps > MAX_LEAVES:
+    if steps > MAX_STEPS:
         raise ValueError(f"{steps:.3g} leaves for s in [{s_lo:.6g}, {s_hi:.6g}] "
-                         f"at ds = {ds:g}; at most {MAX_LEAVES} are allowed")
+                         f"at ds = {ds:g}; at most {MAX_STEPS} are allowed")
     x_leaf = x_target.ravel()
     npath = None
     for _ in range(max_anchor_iters):

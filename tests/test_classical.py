@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from multitime import classical
 from multitime.classical import (
     HamiltonianPair,
     PhasePoint,
@@ -18,7 +19,6 @@ from multitime.classical import (
     grid_path_independence,
     hamiltonian_vector_field,
     is_spacelike,
-    rk4_step,
     validity_residual,
 )
 from multitime.expr import (FUNCTIONS, BinOp, Call, DomainError, Num, Var,
@@ -418,7 +418,7 @@ class TestCjsDemo:
 
 
 def numpy_rk4_step(f, t, y, h):
-    """The vector RK4 step on numpy arrays that ``rk4_step`` reproduces."""
+    """The vector RK4 step on numpy arrays that the generated loops reproduce."""
     k1 = f(t, y)
     k2 = f(t + h / 2, y + h / 2 * k1)
     k3 = f(t + h / 2, y + h / 2 * k2)
@@ -428,6 +428,12 @@ def numpy_rk4_step(f, t, y, h):
 
 def bits(values):
     return [struct.pack("d", v) for v in values]
+
+
+def rk4_loop(field, axis=None):
+    """The compiled RK4 loop of ``field``: equal-time (``axis`` None) or a
+    grid leg along time ``axis + 1``."""
+    return classical._rk4_loop(field.exprs, field.n, field.d, axis)
 
 
 class TestRk4Step:
@@ -447,20 +453,72 @@ class TestRk4Step:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(field=st.sampled_from(range(len(FIELDS))),
            y=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
-           t=st.floats(-5.0, 5.0), h=st.floats(1e-6, 1.0))
-    def test_matches_numpy_step(self, field, y, t, h):
-        rhs = self.FIELDS[field].rhs
+           t=st.floats(-5.0, 5.0), h=st.floats(1e-6, 1.0), other=st.floats(-5.0, 5.0))
+    def test_matches_numpy_step(self, field, y, t, h, other):
+        fld = self.FIELDS[field]
+        rhs = fld.rhs
 
-        def f(tt, yy):
-            return rhs((tt, tt), yy)
+        def stepped(times):
+            # the numpy step with the time tuple times(tt) at stage time tt
+            return bits(numpy_rk4_step(lambda tt, yy: np.array(rhs(times(tt), yy.tolist())),
+                                       t, np.array(y), h))
 
-        def f_array(tt, yy):
-            return np.array(rhs((tt, tt), yy.tolist()))
+        # equal time: every time follows the step, and the loop records the
+        # rates at both nodes
+        states, rates = rk4_loop(fld)(y, [t, t + h], [h])
+        assert bits(states[0]) == bits(y) and bits(states[1]) == stepped(lambda tt: (tt, tt))
+        assert bits(rates[0]) == bits(rhs((t, t), y))
+        assert bits(rates[1]) == bits(rhs((t + h, t + h), states[1]))
+        # a grid leg along t1, then along t2, with the other time fixed
+        assert bits(rk4_loop(fld, 0)(y, [t], [h], other)) == stepped(lambda tt: (tt, other))
+        assert bits(rk4_loop(fld, 1)(y, [t], [h], other)) == stepped(lambda tt: (other, tt))
 
-        assert bits(rk4_step(f, t, y, h)) == bits(numpy_rk4_step(f_array, t, np.array(y), h))
-        k1 = f(t, y)
-        assert bits(rk4_step(f, t, tuple(y), h, k1)) == bits(rk4_step(f, t, y, h))
-
-    def test_non_finite_state(self):
+    @pytest.mark.parametrize("component", range(4))
+    def test_non_finite_state(self, component):
+        # the rate 1e308 of one component takes it from 1e308 to inf
+        rates = [["1e308" if c == component else "0"] for c in range(4)]
+        fld = PhaseVectorField.from_expressions(2, 1, rates[:2], rates[2:])
+        y = [1e308 if c == component else 0.0 for c in range(4)]
         with pytest.raises(FloatingPointError, match="non-finite state at t = 0.5"):
-            rk4_step(lambda t, y: [1e308, 0.0], 0.0, [1e308, 0.0], 0.5)
+            evolve_equal_time(fld, phase_point(0.0, *y), (0.0, 0.5), 0.5)
+        with pytest.raises(FloatingPointError, match="non-finite state at t = 0.5"):
+            rk4_loop(fld, 0)(y, [0.0], [0.5], 0.0)
+
+    def test_domain_error_in_a_middle_stage(self):
+        # v_1 = log(1 - 2 t1) is defined at the step's start t = 0 and not
+        # at its second stage, t + h/2 = 0.5
+        fld = PhaseVectorField.from_expressions(2, 1, [["log(1 - 2*t1)"], ["p2_1"]],
+                                                [["0"], ["0"]])
+        init = phase_point(0.0, 0.0, 0.0, 0.0, 0.0)
+        y = init.state().tolist()
+        assert fld.rhs((0.0, 0.0), y) == (0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(DomainError) as want:
+            fld.rhs((0.5, 0.5), y)
+        with pytest.raises(DomainError) as got:
+            evolve_equal_time(fld, init, (0.0, 1.0), 1.0)
+        assert str(got.value) == str(want.value) == "log of non-positive value 0.0"
+
+    def test_grid_leg_never_evaluates_its_end_point(self):
+        # dp1/dt1 = 3 t1^2 takes p1 from -1 to 0.0 in one step of 1, and
+        # v_1 = log(-p1) is defined at every stage state (p1 = -1, -1,
+        # -0.625, -0.25) but not at the end point
+        fld = PhaseVectorField.from_expressions(2, 1, [["log(-p1_1)"], ["0"]],
+                                                [["3*t1^2"], ["0"]])
+        y = [0.0, 0.0, -1.0, 0.0]
+        end = rk4_loop(fld, 0)(y, [0.0], [1.0], 0.0)
+        assert end[2] == 0.0
+        with pytest.raises(DomainError, match="log of non-positive value -0.0"):
+            fld.rhs((1.0, 0.0), end)
+        # the equal-time loop records the rates at the end node, and fails there
+        with pytest.raises(DomainError, match="log of non-positive value -0.0"):
+            rk4_loop(fld)(y, [0.0, 1.0], [1.0])
+
+    def test_step_count_bounded_before_the_run(self):
+        init = phase_point(0.0, -1.0, 1.0, 0.1, -0.1)
+        with pytest.raises(ValueError, match="2e\\+300 RK4 steps; at most 1000000"):
+            evolve_equal_time(free_field(), init, (0.0, 2.0), 1e-300)
+        pair = HamiltonianPair(["p1_1^2/2", "p2_1^2/2"], 2, 1)
+        with pytest.raises(ValueError, match="at most 1000000"):
+            grid_path_independence(pair, init, (0.4, 0.4), 1e-300)
+        with pytest.raises(ValueError, match="at most 1000000"):
+            evolve_full_grid(pair, init, [0.0, 1.0], [0.0, 1.0], substeps=250001)

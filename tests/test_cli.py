@@ -571,6 +571,32 @@ class TestConfigErrors:
         self.expect_error(config_dir, tmp_path, capsys, name, "foliation", key,
                           value, pointer, "the run on the foliation")
 
+    @pytest.mark.parametrize("name,key,value,pointer,steps", [
+        ("classical_free_evolve", "/experiment/dt", 1e-300, "/experiment/dt", "5e+300"),
+        ("classical_free_evolve", "/experiment/t_span/1", 1e300, "/experiment/dt",
+         "1e+303"),
+        ("classical_free_validity", "/experiment/dt", 1e-300, "/experiment/dt", "2e+300"),
+        ("classical_harmonic_validity", "/experiment/dt", 1e-6, "/experiment/dt",
+         "4e+06"),
+        ("cjs_family", "/experiment/dt", 1e-300, "/experiment/dt", "2e+300"),
+        # one path around the rectangle: |dt1| / dt + |dt2| / dt steps
+        ("grid_coupled_pathindep", "/experiment/dt", 1e-300, "/experiment/dt",
+         "8e+299"),
+        ("grid_coupled_pathindep", "/experiment/rectangle/1", -1e300,
+         "/experiment/dt", "1e+302"),
+        # the whole grid: points^2 * substeps steps
+        ("grid_free", "/experiment/points", 10 ** 9, "/experiment/points", "2e+18"),
+        ("grid_coupled", "/experiment/substeps", 10 ** 6, "/experiment/points",
+         "2.5e+09"),
+    ])
+    def test_too_many_rk4_steps(self, config_dir, tmp_path, capsys, no_numerics,
+                                name, key, value, pointer, steps):
+        # each would keep the states of a practically endless run in memory
+        subcommand = KIND_SUBCOMMAND[EXAMPLE_CONFIGS[name]["experiment"]["kind"]]
+        self.expect_error(config_dir, tmp_path, capsys, name, subcommand, key, value,
+                          pointer, f"the run takes {steps} RK4 steps; at most "
+                                   "1000000 are allowed")
+
     @pytest.mark.parametrize("name,pointer,value", [
         *[(name, "/system/masses", [1.0, 1.0]) for name, cfg in EXAMPLE_CONFIGS.items()
           if cfg["formalism"] == "classical"],

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multitime import classical, expr as expr_module, hj, quantum
-from multitime.classical import (PhasePoint, PhaseVectorField, evolve_equal_time,
-                                 hamiltonian_vector_field)
+from multitime.classical import (HamiltonianPair, PhasePoint, PhaseVectorField,
+                                 evolve_equal_time, evolve_full_grid,
+                                 grid_path_independence, hamiltonian_vector_field)
 from multitime.expr import (
     FUNCTIONS,
     BinOp,
@@ -335,20 +336,54 @@ class TestCompiledExpressions:
             monkeypatch.setattr(module, "compile_function", counting)
         return seen
 
-    def test_field_compiled_once_over_rk4_run(self, compiles, fused):
+    @pytest.fixture
+    def loops(self, monkeypatch):
+        """The outputs of every ``compile_rk4`` call that the classical and
+        HJ modules make while the test runs, from empty loop memos."""
+        seen = []
+        real = expr_module.compile_rk4
+
+        def counting(outputs, *args, **kwargs):
+            seen.append(tuple(outputs))
+            return real(outputs, *args, **kwargs)
+
+        for module in (classical, hj):
+            monkeypatch.setattr(module, "compile_rk4", counting)
+        classical._rk4_loop.cache_clear()
+        hj._leaf_loop.cache_clear()
+        return seen
+
+    def test_field_compiled_once_over_rk4_run(self, compiles, fused, loops):
+        h_exprs = ["p1_1^2/2 + (x1_1 - x2_1)^2/2", "p2_1^2/2 + (x1_1 - x2_1)^2/2"]
         free = PhaseVectorField.free(2, 1, [1.0, 2.0])
-        coupled = hamiltonian_vector_field(
-            ["p1_1^2/2 + (x1_1 - x2_1)^2/2", "p2_1^2/2 + (x1_1 - x2_1)^2/2"],
-            2, 1)
+        coupled = hamiltonian_vector_field(h_exprs, 2, 1)
         # a field is its expressions: nothing is compiled at construction
-        assert compiles == [] and fused == []
+        assert compiles == [] and fused == [] and loops == []
         init = PhasePoint(times=[0.0, 0.0], x=[[-1.0], [1.0]], p=[[0.1], [-0.1]])
-        for field in (free, coupled, free, coupled):
+        for field in (free, coupled, free, coupled, hamiltonian_vector_field(h_exprs, 2, 1)):
             evolve_equal_time(field, init, (0.0, 0.2), 0.01,
                               timelike_warning=False)
-        # one fused function per field, and no component on its own
-        assert fused == [free.exprs, coupled.exprs]
-        assert compiles == []
+        # one loop per field, also for a field rebuilt from equal
+        # expressions, with every time t_j the step time, and no right-hand
+        # side or component compiled on its own
+        step = {"t1": Var(expr_module.STEP_TIME), "t2": Var(expr_module.STEP_TIME)}
+        assert loops == [tuple(expr_module.substitute(e, step) for e in f.exprs)
+                         for f in (free, coupled)]
+        assert compiles == [] and fused == []
+        # the grid legs: one loop per field and time axis
+        pair = HamiltonianPair(h_exprs, 2, 1)
+        for _ in range(2):
+            evolve_full_grid(pair, init, [0.0, 0.1, 0.2], [0.0, 0.1, 0.2])
+            grid_path_independence(pair, init, (0.2, 0.1), 0.05)
+        assert len(loops) == 4 and compiles == [] and fused == []
+
+    def test_leaf_loop_compiled_once_per_foliation(self, compiles, fused, loops):
+        s = hj.HJFunction("k1*x1_1 - (k1^2/2)*t1 + k2*x2_1 - (k2^2/2)*t2", 2, 1,
+                          [1.0, 1.0], {"k1": 0.3, "k2": -0.2})
+        fols = [hj.Foliation([0.0]), hj.Foliation([0.3])]
+        for _ in range(2):  # each run anchors in several sweeps
+            hj.foliation_compare(s, fols, [[-1.0], [1.0]], (-0.5, 0.5), 0.05)
+        assert len(loops) == 2 and compiles == [] and fused == []
 
     def test_quantum_coefficients_compiled_at_construction(self, compiles, fused):
         z = np.diag([1.0, -1.0])

@@ -1,11 +1,13 @@
 import math
+import operator
+import re
 import struct
 
 import numpy as np
 import pytest
 
 from multitime import hj
-from multitime.classical import PhasePoint
+from multitime.classical import MAX_STEPS, PhasePoint
 from multitime.expr import binding_names, evaluate, parse_expression, variable_bindings
 from multitime.hj import (
     Foliation,
@@ -18,7 +20,6 @@ from multitime.hj import (
     hj_residual_multi,
     hj_residual_single,
     hj_trajectories_foliation,
-    MAX_LEAVES,
     foliation_leaves,
     hj_velocity_consistency_defect,
     poisson_bracket,
@@ -191,6 +192,21 @@ class TestFoliations:
             hj_trajectories_foliation(s, Foliation([0.6]),
                                       [[0.0]], (-0.5, 0.5), 0.01)
 
+    def test_degenerate_foliation_message(self):
+        # V_2 = 2 along u = 0.99 gives 1 - u.V_2 = -0.98 at the first step's
+        # start; V_1 = 0.5 keeps particle 1 clear of it
+        s = HJFunction("0.5*x1_1 + 2*x2_1", 2, 1, [1.0, 1.0])
+        with pytest.raises(FoliationDegeneracyError,
+                           match=r"^1 - u\.V_2 = -0\.98 <= 0 at leaf s = 0$"):
+            hj_trajectories_foliation(s, Foliation([0.99]), [[0.0], [0.0]],
+                                      (-0.1, 0.1), 0.01)
+        # V = x: 1 - u.V = 0.05 at the start x = 1.9, and the second stage
+        # moves x to 1.9 + 0.5 * 1.9 / 0.05 = 20.9, on the leaf s = 0.5
+        loop = hj._leaf_loop(parse_expression("x1_1^2/2"), 1, 1, (1.0,), (), (0.5,))
+        with pytest.raises(FoliationDegeneracyError,
+                           match=r"^1 - u\.V_1 = -9\.45 <= 0 at leaf s = 0\.5$"):
+            loop([1.9], [0.0, 1.0], [1.0])
+
     def test_anchoring_failure_is_a_foliation_error(self):
         # on a boosted foliation the leaf-0 positions differ from the t = 0
         # anchors, so one anchoring iteration cannot close the gap
@@ -221,7 +237,7 @@ class TestFoliations:
         for init, span, ds in [([[0.0]], (-1.0, 1.0), 1e-300),
                                ([[0.0]], (-1e300, 1.0), 0.01),
                                ([[1e300]], (-1.0, 1.0), 0.01)]:
-            assert foliation_leaves(fol, init, span, ds)[2] > MAX_LEAVES
+            assert foliation_leaves(fol, init, span, ds)[2] > MAX_STEPS
             with pytest.raises(ValueError, match="at most"):
                 hj_trajectories_foliation(HJFunction("x1_1", 1, 1, [1.0]), fol,
                                           init, span, ds)
@@ -239,6 +255,18 @@ class TestFoliations:
             # at a given step, the numdiff cross-check bit for bit
             assert s.grad_x(j, times, x, h=1e-3)[0] == stepped[j - 1]
         assert s.gradients() is s.gradients(None)  # compiled once
+
+    def test_grad_x_refuses_a_step_that_rounds_away(self):
+        # x + 1 rounds back to x = 2**53, so the central difference of x
+        # there would read 0.5
+        s = HJFunction("x1_1 + x2_1", 2, 1, [1.0, 1.0])
+        far = [[2.0 ** 53], [0.0]]
+        for method in (s.grad_x, s.velocity):
+            with pytest.raises(FloatingPointError,
+                               match="h = 1.0 rounds away at x1_1 = 9007199254740992.0"):
+                method(1, [0.0, 0.0], far, h=1.0)
+        # the default step is relative to x
+        assert s.grad_x(1, [0.0, 0.0], far)[0] == pytest.approx(1.0, rel=1e-12)
 
     def test_compare_needs_two(self):
         with pytest.raises(ValueError):
@@ -416,3 +444,72 @@ class TestAgainstPerCallOracle:
                                   h=1e-4)
         # exact derivatives need no step
         assert hj_residual_multi(s, ["p1_1^2/2", "p2_1^2/2"], [0.0, 0.0], far) == [0.0, 0.0]
+
+
+# ------------------------------------------------------- foliation sweep
+# The sweep as the closures that the generated loop replaces computed it:
+# the velocities from the compiled gradients at the leaf times, then
+# dx/ds = V_j / (1 - u.V_j), stepped by the vector RK4 formula.
+
+
+def numpy_rk4_step(f, t, y, h):
+    k1 = f(t, y)
+    k2 = f(t + h / 2, y + h / 2 * k1)
+    k3 = f(t + h / 2, y + h / 2 * k2)
+    k4 = f(t + h, y + h * k3)
+    return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def reference_sweep(s, u, x_leaf, s_vals):
+    n, d = s.n, s.d
+    grad = s.gradients()
+    masses = [m for m in s.masses for _ in range(d)]
+    starts = range(0, n * d, d)
+
+    def velocities(s_par, y):
+        times = [s_par + sum(map(operator.mul, u, y[i:i + d])) for i in starts]
+        return [g / m for g, m in zip(grad(times, y), masses)]
+
+    def rate(s_par, vs):
+        dx = []
+        for j, i in enumerate(starts, start=1):
+            gamma = 1.0 - sum(map(operator.mul, u, vs[i:i + d]))
+            if gamma <= 0.0:
+                raise FoliationDegeneracyError(
+                    f"1 - u.V_{j} = {gamma:.3g} <= 0 at leaf s = {s_par:.6g}")
+            dx += [v / gamma for v in vs[i:i + d]]
+        return np.array(dx)
+
+    ys, vs = [list(x_leaf)], [velocities(s_vals[0], list(x_leaf))]
+    for a, b in zip(s_vals, s_vals[1:]):
+        y = numpy_rk4_step(lambda sp, yy: rate(sp, velocities(sp, yy.tolist())),
+                           a, np.array(ys[-1]), b - a)
+        ys.append(y.tolist())
+        vs.append(velocities(b, ys[-1]))
+    return ys, vs
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (2, 2), (3, 1)])
+def test_leaf_loop_matches_reference_sweep(n, d):
+    rng = np.random.default_rng(10 * n + d)
+    ts, xs = list(binding_names("t", n)), list(binding_names("x", n, d))
+    consts = {"k1": 0.3, "k2": -0.7}
+    failures = 0
+    for _ in range(6):
+        s = HJFunction(random_expression(rng, ts + xs + list(consts)), n, d,
+                       rng.uniform(0.5, 2.0, n), consts)
+        u = tuple(rng.uniform(-0.9, 0.9, d) / d)
+        x_leaf = rng.uniform(-1, 1, n * d).tolist()
+        s_vals = np.linspace(0.0, rng.choice([-0.3, 0.3]), 4).tolist()
+        loop = hj._leaf_loop(s.expr, n, d, s.masses, hj._frozen(consts), u)
+        try:
+            want = reference_sweep(s, u, x_leaf, s_vals)
+        except FoliationDegeneracyError as exc:
+            failures += 1
+            with pytest.raises(FoliationDegeneracyError, match=re.escape(str(exc))):
+                loop(x_leaf, s_vals, [b - a for a, b in zip(s_vals, s_vals[1:])])
+            continue
+        got = loop(x_leaf, s_vals, [b - a for a, b in zip(s_vals, s_vals[1:])])
+        for got_rows, want_rows in zip(got, want):
+            assert [bits(row) for row in got_rows] == [bits(row) for row in want_rows]
+    assert failures < 6
