@@ -14,9 +14,10 @@ Every integration here and in the HJ module is one compiled RK4 loop
 (``expr.compile_rk4``) that advances a flat state of floats, with the
 field's expressions inlined in every stage.  Each loop is compiled once
 per field and mode (equal-time, or a full-grid leg along one time axis)
-and memoised on the field's expressions.  A field's right-hand side
-``PhaseVectorField.rhs``, one compiled function of the time tuple and
-the state, serves the defects and the validity residuals.  Numpy arrays
+and memoised on the field's expressions, and so is the consistency
+defect, built with ``expr.derivative`` per field and step.  A field's
+right-hand side ``PhaseVectorField.rhs``, one compiled function of the
+time tuple and the state, serves the validity residuals.  Numpy arrays
 are built once a run is done.  A run of more than ``MAX_STEPS`` RK4
 steps is refused before it starts.
 """
@@ -32,10 +33,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .expr import (STEP_TIME, Expression, Neg, Var, binding_names,
-                   central_difference, compile_function, compile_rk4, diff,
+from .expr import (STEP_TIME, BinOp, Expression, Neg, Var, binding_names,
+                   check_steps, compile_function, compile_rk4, derivative,
                    free_variables, parse_expression, substitute)
-from .numdiff import check_steps
 from .paths import NPath, WorldLine
 from .reports import DefectReport, ResidualReport
 
@@ -202,21 +202,37 @@ def hamiltonian_vector_field(h_exprs: str | Expression | Sequence[str | Expressi
         _check_vars(e, n, d)
     p_vars = [[f"p{j + 1}_{dd + 1}" for dd in range(d)] for j in range(n)]
     x_vars = [[f"x{j + 1}_{dd + 1}" for dd in range(d)] for j in range(n)]
-    grad = diff if h is None else functools.partial(central_difference, h=h)
+    grad = derivative(h)
     v = [[grad(parsed[j], var) for var in p_vars[j]] for j in range(n)]
     w = [[Neg(grad(parsed[j], var)) for var in x_vars[j]] for j in range(n)]
     return PhaseVectorField.from_expressions(n, d, v, w)
+
+
+@functools.lru_cache(maxsize=64)
+def _defects(exprs: tuple[Expression, ...], n: int, d: int, h: float) -> Callable:
+    """``(times, (x, p)) ->`` D_j c = dc/dt_j + v_j . grad_{x_j} c +
+    w_j . grad_{p_j} c for each j and each component c of ``exprs``."""
+    times, state = _state_names(n, d)
+    grad, nd, outputs = derivative(h), n * d, []
+    for j in range(n):
+        at = j * d  # exprs[at + dd] is in v_j, exprs[nd + at + dd] in w_j
+        for c in exprs:
+            val = grad(c, times[j])
+            for i in range(at, at + d):
+                val = BinOp("+", val, BinOp("*", exprs[i], grad(c, state[i])))
+                val = BinOp("+", val, BinOp("*", exprs[nd + i], grad(c, state[nd + i])))
+            outputs.append(val)
+    return compile_function(outputs, (times, state))
 
 
 def classical_consistency_defect(field: PhaseVectorField, point: PhasePoint,
                                  h: float = 1e-4) -> DefectReport:
     """Sup-norm of (D_j v_k, D_j w_k) for every ordered pair j != k.
 
-    Every derivative is a central difference of ``field.rhs``: moving t_j,
-    one coordinate of x_j or one of p_j by +-h gives the derivatives of
-    all components at once.  So every component must be defined within h
-    of the point, or DomainError is raised; a coordinate at which h rounds
-    away raises FloatingPointError (``numdiff.check_steps``).
+    Every derivative is a component's central difference at the step h,
+    and D_j is taken of every component, so every component must be
+    defined within h of the point, or DomainError is raised; a coordinate
+    at which h rounds away raises FloatingPointError (``expr.check_steps``).
     """
     if h <= 0.0:
         raise ValueError(f"step must be positive, got {h}")
@@ -224,31 +240,10 @@ def classical_consistency_defect(field: PhaseVectorField, point: PhasePoint,
     nd = n * d
     times, y = point.times.tolist(), point.state().tolist()
     check_steps(h, sum(_state_names(n, d), ()), times + y)
-    rates = field.rhs(times, y)
-
-    def central(values: list[float], i: int) -> list[float]:
-        # d rhs / d values[i], values (times or y) moved in place
-        v0 = values[i]
-        values[i] = v0 + h
-        plus = field.rhs(times, y)
-        values[i] = v0 - h
-        minus = field.rhs(times, y)
-        values[i] = v0
-        return [(a - b) / (2.0 * h) for a, b in zip(plus, minus)]
-
+    values = [abs(v) for v in _defects(field.exprs, n, d, h)(times, y)]
     pairs = {}
     for j in range(1, n + 1):
-        at = (j - 1) * d  # rates[at + dd] is in v_j, rates[nd + at + dd] in w_j
-        d_t = central(times, j - 1)
-        d_x = [central(y, at + dd) for dd in range(d)]
-        d_p = [central(y, nd + at + dd) for dd in range(d)]
-        d_j = []  # D_j of every component
-        for c in range(2 * nd):
-            val = d_t[c]
-            for dd in range(d):
-                val += rates[at + dd] * d_x[dd][c]
-                val += rates[nd + at + dd] * d_p[dd][c]
-            d_j.append(abs(val))
+        d_j = values[(j - 1) * 2 * nd:j * 2 * nd]  # D_j of every component
         for k in range(1, n + 1):
             if k != j:
                 ak = (k - 1) * d  # v_k and w_k

@@ -30,6 +30,8 @@ from .hj import FoliationError
 from .reports import write_csv
 
 CSV_FORMAT_VERSION = 1
+#: the most sample points or time tuples one run may draw or build up front
+MAX_POINTS = 10 ** 6
 
 
 class ConfigError(Exception):
@@ -69,11 +71,14 @@ def _num(value, path: str) -> float:
     return value
 
 
-def _int(value, path: str, minimum: int | None = None) -> int:
+def _int(value, path: str, minimum: int | None = None,
+         maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(path, f"expected an integer, got {type(value).__name__}")
     if minimum is not None and value < minimum:
         raise ConfigError(path, f"expected >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(path, f"expected <= {maximum}, got {value}")
     return value
 
 
@@ -349,7 +354,7 @@ def _sample_phase_points(cfg, path: str, n: int, d: int,
                          rng: np.random.Generator) -> list[classical.PhasePoint]:
     cfg = _obj(cfg, path)
     _keys(cfg, path, ["count", "t_box", "x_box", "p_box"])
-    count = _int(cfg["count"], f"{path}/count", minimum=1)
+    count = _int(cfg["count"], f"{path}/count", 1, MAX_POINTS)
     t_box, x_box, p_box = (_box(cfg[key], f"{path}/{key}")
                            for key in ("t_box", "x_box", "p_box"))
     return [classical.PhasePoint(times=rng.uniform(*t_box, size=n),
@@ -448,6 +453,9 @@ def _quantum_defect_grid(system: dict, exp: dict, jobs: int, rng):
     t_min = _num(grid["t_min"], f"{_E}/grid/t_min")
     t_max = _num(grid["t_max"], f"{_E}/grid/t_max")
     pts = _int(grid["points_per_axis"], f"{_E}/grid/points_per_axis", 1)
+    if pts ** sys_q.n > MAX_POINTS:
+        raise ConfigError(f"{_E}/grid/points_per_axis", f"the grid has {pts}^{sys_q.n} "
+                          f"time tuples; at most {MAX_POINTS} are allowed")
     h = _option(exp, "h", _E, 1e-4, _positive)
 
     def run():
@@ -570,7 +578,7 @@ def _validity(system: dict, exp: dict, jobs: int, rng):
     span, dt = _equal_time_steps(exp)
     samples_cfg = _obj(exp["samples"], f"{_E}/samples")
     _keys(samples_cfg, f"{_E}/samples", ["count", "window"])
-    count = _int(samples_cfg["count"], f"{_E}/samples/count", 1)
+    count = _int(samples_cfg["count"], f"{_E}/samples/count", 1, MAX_POINTS)
     window = _num(samples_cfg["window"], f"{_E}/samples/window")
     if not 0.0 <= 2 * window <= span[1] - span[0]:
         raise ConfigError(f"{_E}/samples/window", f"expected 0 <= 2 * window <= "
@@ -740,7 +748,7 @@ def _foliation_compare(system: dict, exp: dict, jobs: int, rng):
     if len(fols) < 2:
         raise ConfigError(f"{_E}/foliations", "need >= 2 foliations")
     init, span, ds = _leaves(exp, fols, s.n, s.d)
-    tol = _option(exp, "tolerance", _E, hj.FOLIATION_INDEPENDENCE_TOL, _num)
+    tol = _option(exp, "tolerance", _E, hj.FOLIATION_INDEPENDENCE_TOL, _positive)
     return lambda: (hj.foliation_compare(s, fols, init, span, ds,
                                          tolerance=tol).to_dict(), None)
 

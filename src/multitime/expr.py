@@ -15,9 +15,7 @@ Known functions: sin, cos, exp, log, sqrt, abs, tanh.
 Variable naming convention used throughout the package: time variables
 ``t1..tn``; position components ``xJ_D`` and momentum components ``pJ_D``
 for particle ``J`` in 1..n and dimension ``D`` in 1..d.  The single-time
-forms additionally use the bare variable ``t``.  ``variable_bindings``
-builds the bindings of this convention from time tuples and (n, d)
-position and momentum arrays.
+forms additionally use the bare variable ``t``.
 
 Each AST is lowered once, on first use, to a Python function
 ``bindings -> float`` (``compile_expression``); ``evaluate`` calls it.
@@ -29,7 +27,8 @@ shared subtrees once (``compile_function``), and a whole RK4
 integration to one function with the loop inside and the system's
 statements inlined in every stage (``compile_rk4``).  ``diff`` builds
 the exact partial derivative of an AST as another AST, and
-``central_difference`` its central difference at a given step.
+``central_difference`` its central difference at a given step;
+``derivative(h)`` picks one of the two for every condition.
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ import re
 import struct
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NoReturn, Sequence
-
-import numpy as np
 
 __all__ = [
     "Expression",
@@ -60,13 +57,14 @@ __all__ = [
     "evaluate",
     "free_variables",
     "to_string",
-    "variable_bindings",
     "binding_names",
     "compile_function",
     "STEP_TIME",
     "compile_rk4",
     "diff",
     "central_difference",
+    "derivative",
+    "check_steps",
     "substitute",
 ]
 
@@ -420,6 +418,23 @@ def central_difference(expr: Expression, var: str, h: float) -> Expression:
                  Num(2.0 * h))
 
 
+def derivative(h: float | None) -> Callable[[Expression, str], Expression]:
+    """The one derivative operator ``(expr, var) -> expression``: exact
+    (``diff``) without a step, the central difference at ``h`` with one."""
+    return diff if h is None else functools.partial(central_difference, h=h)
+
+
+def check_steps(h: float | None, names: Sequence[str], values: Sequence[float]) -> None:
+    """FloatingPointError at the first of ``names`` whose value x (in
+    ``values``) has x + h == x or x - h == x: a central difference there
+    would read a wrong slope, or 0.  A None ``h`` (exact) is not checked."""
+    if h is not None:
+        for name, x in zip(names, values):
+            if x + h == x or x - h == x:
+                raise FloatingPointError(f"the step h = {float(h)!r} rounds "
+                                         f"away at {name} = {float(x)!r}")
+
+
 @functools.lru_cache(maxsize=32)
 def binding_names(prefix: str, n: int, d: int = 0) -> tuple[str, ...]:
     """``prefix1..prefixn`` for d = 0, else ``prefixJ_D`` row by row: the
@@ -429,25 +444,6 @@ def binding_names(prefix: str, n: int, d: int = 0) -> tuple[str, ...]:
         return tuple(f"{prefix}{j}" for j in range(1, n + 1))
     return tuple(f"{prefix}{j}_{dd}" for j in range(1, n + 1)
                  for dd in range(1, d + 1))
-
-
-def variable_bindings(times: Sequence[float] | np.ndarray = (),
-                      x: Sequence[Sequence[float]] | np.ndarray | None = None,
-                      p: Sequence[Sequence[float]] | np.ndarray | None = None,
-                      constants: Mapping[str, float] | None = None,
-                      ) -> dict[str, float]:
-    """Bindings ``tJ`` from the time tuple and ``xJ_D``/``pJ_D`` from (n, d)
-    position and momentum arrays (row J-1 is particle J), on top of
-    ``constants``."""
-    b = dict(constants or {})
-    times = np.asarray(times, float).tolist()
-    b.update(zip(binding_names("t", len(times), 0), times))
-    for name, rows in (("x", x), ("p", p)):
-        if rows is not None:
-            rows = np.asarray(rows, float)
-            n, d = rows.shape
-            b.update(zip(binding_names(name, n, d), rows.ravel().tolist()))
-    return b
 
 
 def _domain_error(template: str, *args) -> NoReturn:

@@ -24,9 +24,9 @@ import numpy as np
 
 from .classical import MAX_STEPS, PhasePoint
 from .expr import (STEP_TIME, BinOp, Expression, Num, Var, binding_names,
-                   central_difference, compile_function, compile_rk4, diff,
-                   evaluate, parse_expression, substitute, variable_bindings)
-from .numdiff import check_steps, partial_derivative
+                   check_steps, compile_function, compile_rk4, derivative, diff,
+                   evaluate, parse_expression, substitute)
+from .numdiff import partial_derivative
 from .paths import NPath, PathRangeError, WorldLine
 from .reports import DefectReport, DivergenceReport
 
@@ -91,7 +91,9 @@ class HJFunction:
         x = np.atleast_2d(np.asarray(x, float))
         names = [f"x{j}_{dd + 1}" for dd in range(self.d)]
         check_steps(h, names, x[j - 1].tolist())
-        b = variable_bindings(times, x, constants=self.constants)
+        times = np.asarray(times, float).tolist()
+        b = {**self.constants, **dict(zip(binding_names("t", len(times)), times)),
+             **dict(zip(binding_names("x", *x.shape), x.ravel().tolist()))}
         return np.array([partial_derivative(self.expr, name, b, h=h) for name in names])
 
     def gradients(self, h: float | None = None) -> Callable[
@@ -128,13 +130,6 @@ class Foliation:
         return "u=" + ",".join(f"{v:g}" for v in self.u)
 
 
-def _derivative(h: float | None) -> Callable[[Expression, str], Expression]:
-    """The one derivative of this module: exact (``expr.diff``) without a
-    step, the central difference at ``h`` with one.  The builders below are
-    memoised on their expressions, n, d, constants and h."""
-    return diff if h is None else functools.partial(central_difference, h=h)
-
-
 def _frozen(constants: Mapping[str, float] | None) -> tuple:
     # repr tells -0.0 from 0.0; compile_function reads it back with float
     return tuple(sorted((k, repr(float(v))) for k, v in (constants or {}).items()))
@@ -144,14 +139,14 @@ def _frozen(constants: Mapping[str, float] | None) -> tuple:
 def _gradients(s_expr: Expression, n: int, d: int, constants: tuple,
                h: float | None) -> Callable:
     xs = binding_names("x", n, d)
-    return compile_function([_derivative(h)(s_expr, v) for v in xs],
+    return compile_function([derivative(h)(s_expr, v) for v in xs],
                             [binding_names("t", n), xs], dict(constants))
 
 
 @functools.lru_cache(maxsize=64)
 def _bracket(f: Expression, g: Expression, n: int, d: int, h: float | None) -> Expression:
     """{f, g}, summed from 0 in the order of the x and p names."""
-    grad, total = _derivative(h), Num(0.0)
+    grad, total = derivative(h), Num(0.0)
     for xv, pv in zip(binding_names("x", n, d), binding_names("p", n, d)):
         total = BinOp("+", total, BinOp("*", grad(f, xv), grad(g, pv)))
         total = BinOp("-", total, BinOp("*", grad(f, pv), grad(g, xv)))
@@ -172,7 +167,7 @@ def _residuals(s_expr: Expression, h_exprs: tuple[Expression, ...],
                h: float | None) -> Callable:
     """``(times, x) -> (dS/dt_j + H_j, ..)``, the momenta in each H_j
     replaced by the derivatives of S in the positions."""
-    grad, xs = _derivative(h), binding_names("x", n, d)
+    grad, xs = derivative(h), binding_names("x", n, d)
     momenta = {p: grad(s_expr, v) for p, v in zip(binding_names("p", n, d), xs)}
     return compile_function([BinOp("+", grad(s_expr, t), substitute(he, momenta))
                              for t, he in zip(times, h_exprs)],
@@ -208,7 +203,7 @@ def hj_residual_multi(s: HJFunction, h_exprs: Sequence[str | Expression],
 def _poisson_defects(h_exprs: tuple[Expression, ...], n: int, d: int,
                      constants: tuple, h: float | None) -> Callable:
     """``(times, (x, p)) -> (P_12, P_13, .., P_{n-1,n})``."""
-    grad = _derivative(h)
+    grad = derivative(h)
     return compile_function(
         [BinOp("-", BinOp("-", grad(h_exprs[k], f"t{j + 1}"),
                           grad(h_exprs[j], f"t{k + 1}")),
@@ -234,6 +229,16 @@ def hj_consistency_defect(h_exprs: Sequence[str | Expression], point: PhasePoint
     return DefectReport(pairs=pairs, max_defect=max(pairs.values(), default=0.0), h=h)
 
 
+@functools.lru_cache(maxsize=64)
+def _sum_rule(exprs: tuple[Expression, ...], n: int, d: int, constants: tuple,
+              time_var: str) -> Callable:
+    """``(times, (x, p), (time_var,)) -> (H_1, .., H_n, H)``."""
+    return compile_function(exprs,
+                            [binding_names("t", n),
+                             binding_names("x", n, d) + binding_names("p", n, d),
+                             (time_var,)], dict(constants))
+
+
 def equal_time_sum_gap(h_exprs: Sequence[str | Expression],
                        h_total: str | Expression, point: PhasePoint,
                        constants: Mapping[str, float] | None = None,
@@ -242,17 +247,18 @@ def equal_time_sum_gap(h_exprs: Sequence[str | Expression],
     Hamiltonian functions must add up to the single-time one there)."""
     if not np.allclose(point.times, point.times[0]):
         raise ValueError("sum rule applies at equal times")
-    b = variable_bindings(point.times, point.x, point.p, constants)
-    b[time_var] = float(point.times[0])
-    total = sum(evaluate(_as_expr(e), b) for e in h_exprs)
-    return abs(total - evaluate(_as_expr(h_total), b))
+    fn = _sum_rule(tuple(map(_as_expr, (*h_exprs, h_total))), point.n, point.d,
+                   _frozen(constants), time_var)
+    *parts, total = fn(point.times.tolist(), point.state().tolist(),
+                       [float(point.times[0])])
+    return abs(sum(parts) - total)
 
 
 @functools.lru_cache(maxsize=64)
 def _velocity_defects(s_expr: Expression, n: int, d: int, masses: tuple[float, ...],
                       constants: tuple, h: float | None) -> Callable:
     """``(times, x) ->`` the defect components for each j and x_k, k != j."""
-    grad, xs, outputs = _derivative(h), binding_names("x", n, d), []
+    grad, xs, outputs = derivative(h), binding_names("x", n, d), []
     for j in range(n):
         xj = xs[j * d:(j + 1) * d]
         vel = [BinOp("/", grad(s_expr, v), Num(masses[j])) for v in xj]

@@ -1,16 +1,14 @@
 """Central differences of expressions and generic callables.
 
-The package takes its derivatives exactly (``expr.diff``) or as central
-differences built into the expressions (``expr.central_difference``);
-``HJFunction.grad_x`` and ``velocity`` take them here, as the
-cross-check of the exact gradients.  ``check_steps`` refuses a step
-that rounds away; the consistency conditions check every step they are
-given.
+The package takes its derivatives exactly or as central differences
+built into the expressions (``expr.derivative``); ``HJFunction.grad_x``
+and ``velocity`` take them here, as the finite-difference cross-check
+of the exact gradients, and the package exports ``partial_derivative``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from .expr import Expression, evaluate
 
@@ -18,7 +16,6 @@ __all__ = [
     "default_step",
     "diff_callable",
     "partial_derivative",
-    "check_steps",
 ]
 
 #: relative step used when the caller does not pass one
@@ -30,17 +27,6 @@ MIN_ABS_STEP = 1e-6
 def default_step(x: float) -> float:
     """Step ``1e-4 * max(1, |x|)``, floored at 1e-6."""
     return max(DEFAULT_REL_STEP * max(1.0, abs(x)), MIN_ABS_STEP)
-
-
-def check_steps(h: float | None, names: Sequence[str], values: Sequence[float]) -> None:
-    """FloatingPointError at the first of ``names`` whose value x (in
-    ``values``) has x + h == x or x - h == x: a central difference there
-    would read a wrong slope, or 0.  A None ``h`` (exact) is not checked."""
-    if h is not None:
-        for name, x in zip(names, values):
-            if x + h == x or x - h == x:
-                raise FloatingPointError(f"the step h = {float(h)!r} rounds "
-                                         f"away at {name} = {float(x)!r}")
 
 
 def diff_callable(

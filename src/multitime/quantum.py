@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linops
-from .expr import Expression, Num, binding_names, compile_function, parse_expression
-from .numdiff import check_steps
+from .expr import (Expression, Num, binding_names, check_steps, compile_function,
+                   parse_expression)
 from .reports import DefectReport
 
 __all__ = [

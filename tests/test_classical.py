@@ -1,3 +1,4 @@
+import copy
 import functools
 import struct
 
@@ -21,10 +22,13 @@ from multitime.classical import (
     is_spacelike,
     validity_residual,
 )
+from multitime.cli import run_config
+from multitime.configs import EXAMPLE_CONFIGS
 from multitime.expr import (FUNCTIONS, BinOp, Call, DomainError, Num, Var,
-                            binding_names, compile_expression, variable_bindings)
+                            binding_names, compile_expression, compile_function)
 from multitime.numdiff import diff_callable
 from multitime.paths import NPath, PathRangeError, WorldLine
+from oracles import variable_bindings
 
 
 def free_field() -> PhaseVectorField:
@@ -210,6 +214,29 @@ class TestDefectFromRhs:
         rep = classical_consistency_defect(
             field, PhasePoint(times=[0.4, 0.0], x=x, p=p), h=1e-4)
         assert rep.max_defect == 0.0
+
+
+class TestDefectCompiledOnce:
+    def test_one_function_per_field_and_step(self, monkeypatch):
+        # a 100-sample defect grid compiles D_1 and D_2 of the 4 components
+        # once; another step is another function
+        sizes = []
+
+        def counting(outputs, *args, **kwargs):
+            sizes.append(len(outputs))
+            return compile_function(outputs, *args, **kwargs)
+
+        monkeypatch.setattr(classical, "compile_function", counting)
+        classical._defects.cache_clear()
+        cfg = copy.deepcopy(EXAMPLE_CONFIGS["classical_harmonic_check"])
+        assert cfg["experiment"]["samples"]["count"] == 100
+        first = run_config(copy.deepcopy(cfg), "check", 1, None)["results"]
+        assert sizes == [8]
+        assert run_config(copy.deepcopy(cfg), "check", 1, None)["results"] == first
+        assert sizes == [8]
+        cfg["experiment"]["h"] = 1e-3
+        run_config(cfg, "check", 1, None)
+        assert sizes == [8, 8]
 
 
 class TestEqualTimeEvolution:

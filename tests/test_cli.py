@@ -397,6 +397,25 @@ class TestConfigErrors:
         ("classical_free_check", "check", "/system/field",
          {"type": "hamiltonian", "h": "p1_1^2/2 + p2_1^2/2", "h_step": 0.0},
          "/system/field/h_step"),
+        # a tolerance <= 0 would call families 3.5e-11 apart dependent
+        ("hj_free_foliations", "foliation", "/experiment/tolerance", 0,
+         "/experiment/tolerance"),
+        ("hj_free_foliations", "foliation", "/experiment/tolerance", -1.0,
+         "/experiment/tolerance"),
+        # each of these would build all its samples or time tuples up front
+        ("free_quantum", "check", "/experiment/grid/points_per_axis", 1001,
+         "/experiment/grid/points_per_axis"),
+        ("classical_free_check", "check", "/experiment/samples/count", 1000001,
+         "/experiment/samples/count"),
+        ("cjs_family", "cjs", "/experiment/samples/count", 10 ** 400,
+         "/experiment/samples/count"),
+        ("classical_free_validity", "validity", "/experiment/samples/count", 1000001,
+         "/experiment/samples/count"),
+        ("hj_free_residual", "check", "/experiment",
+         {"kind": "defect-grid",
+          "samples": {"count": 1000001, "t_box": [0.0, 1.0], "x_box": [-1.0, 1.0],
+                      "p_box": [-1.0, 1.0]}},
+         "/experiment/samples/count"),
     ])
     def test_bad_axis_size_or_fd_step(self, config_dir, tmp_path, capsys,
                                       no_numerics, name, subcommand, key, value,

@@ -8,7 +8,8 @@ import pytest
 
 from multitime import hj
 from multitime.classical import MAX_STEPS, PhasePoint
-from multitime.expr import binding_names, evaluate, parse_expression, variable_bindings
+from multitime.expr import (DomainError, UnboundVariableError, binding_names, evaluate,
+                            parse_expression)
 from multitime.hj import (
     Foliation,
     FoliationDegeneracyError,
@@ -25,6 +26,7 @@ from multitime.hj import (
     poisson_bracket,
 )
 from multitime.numdiff import diff_callable, partial_derivative
+from oracles import variable_bindings
 
 K1, K2 = 0.3, -0.2
 G = 0.05
@@ -336,6 +338,14 @@ def oracle_velocity_defect(s, times, x, h):
     return components
 
 
+def oracle_sum_gap(h_exprs, h_total, point, constants=None, time_var="t"):
+    """|sum_j H_j - H| on a bindings dict, each H evaluated on its own."""
+    b = variable_bindings(point.times, point.x, point.p, constants)
+    b[time_var] = float(point.times[0])
+    total = sum(evaluate(hj._as_expr(e), b) for e in h_exprs)
+    return abs(total - evaluate(hj._as_expr(h_total), b))
+
+
 TERMS = ["{c}*{a}*{b}", "{c}*sin({a} + {b})", "{c}*{a}^2*{b}", "{c}*exp({a}*{b}/4)",
          "{c}*{a}/(2 + {b}^2)", "{c}*cos({a})*{b}^3"]
 
@@ -430,6 +440,39 @@ class TestAgainstPerCallOracle:
         signs = [HJFunction("k*x1_1", 1, 1, [1.0], {"k": k}).gradients()([0.0], [1.0])
                  for k in (0.0, -0.0)]
         assert [math.copysign(1.0, g) for (g,) in signs] == [1.0, -1.0]
+
+    @pytest.mark.parametrize("n,d,time_var", [(2, 1, "t"), (2, 2, "t"), (3, 1, "t"),
+                                              (3, 2, "t2")])
+    def test_sum_gap_bit_for_bit(self, n, d, time_var):
+        rng = np.random.default_rng(10 * n + d)
+        ts, xs, ps = (list(binding_names(v, n, *([d] if v != "t" else [])))
+                      for v in ("t", "x", "p"))
+        names = list(dict.fromkeys([time_var] + ts + xs + ps + list(self.CONSTS)))
+        for _ in range(3):
+            h_exprs = [random_expression(rng, names) for _ in range(n)]
+            h_total = random_expression(rng, names)
+            for _ in range(5):
+                point = PhasePoint(times=[rng.uniform(-1, 1)] * n,
+                                   x=rng.uniform(-1, 1, (n, d)),
+                                   p=rng.uniform(-1, 1, (n, d)))
+                got = equal_time_sum_gap(h_exprs, h_total, point, self.CONSTS, time_var)
+                want = oracle_sum_gap(h_exprs, h_total, point, self.CONSTS, time_var)
+                assert bits([got]) == bits([want])
+
+    @pytest.mark.parametrize("h_exprs,h_total,error", [
+        (["p1_1^2/2", "q*p2_1"], "p1_1", UnboundVariableError),
+        (["p1_1^2/2", "p2_1^2/2"], "p1_1 + q", UnboundVariableError),
+        (["p1_1^2/2", "log(x1_1)"], "p1_1", DomainError),
+        (["p1_1^2/2", "p2_1"], "p1_1 / (x1_1 + 0.5)", DomainError),
+    ])
+    def test_sum_gap_errors(self, h_exprs, h_total, error):
+        # the same first error, class and message, as the bindings dict gives
+        point = PhasePoint(times=[0.2, 0.2], x=[[-0.5], [1.0]], p=[[0.3], [0.4]])
+        with pytest.raises(error) as want:
+            oracle_sum_gap(h_exprs, h_total, point)
+        with pytest.raises(error) as got:
+            equal_time_sum_gap(h_exprs, h_total, point)
+        assert str(got.value) == str(want.value)
 
     def test_step_that_rounds_away_is_refused(self):
         s = free_hj()
