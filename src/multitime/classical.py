@@ -328,12 +328,15 @@ def validity_residual(field: PhaseVectorField, npath: NPath,
     lifted multi-time configuration.
     """
     report = ResidualReport()
-    for sample in samples:
-        times = np.asarray(sample, float)
-        if len(times) != field.n:
-            raise ValueError("sample tuple length does not match n")
-        xs = np.stack([npath.line(j + 1).x_at(times[j]) for j in range(field.n)])
-        ps = np.stack([npath.line(j + 1).p_at(times[j]) for j in range(field.n)])
+    if any(len(sample) != field.n for sample in samples):
+        raise ValueError("sample tuple length does not match n")
+    tuples = np.reshape(np.asarray(samples, float), (len(samples), field.n))
+
+    # one query per world line and quantity, each (sample, particle, d)
+    queried = [np.stack([getattr(npath.line(j + 1), query)(tuples[:, j])
+                         for j in range(field.n)], axis=1)
+               for query in ("x_at", "p_at", "dxdt_at", "dpdt_at")]
+    for times, xs, ps, dxs, dps in zip(tuples, *queried):
         events = [SpacetimePoint.of(times[j], xs[j]) for j in range(field.n)]
         if not is_spacelike(events):
             report.rows.append({"times": times.tolist(), "spacelike": False})
@@ -341,12 +344,9 @@ def validity_residual(field: PhaseVectorField, npath: NPath,
             continue
         y = np.concatenate([xs.ravel(), ps.ravel()]).tolist()
         rates = np.reshape(field.rhs(times.tolist(), y), (2, field.n, field.d))
-        residuals = []
-        for j in range(1, field.n + 1):
-            line = npath.line(j)
-            rx = np.linalg.norm(line.dxdt_at(times[j - 1]) - rates[0, j - 1])
-            rp = np.linalg.norm(line.dpdt_at(times[j - 1]) - rates[1, j - 1])
-            residuals.append(float(rx + rp))
+        residuals = [float(np.linalg.norm(dxs[j] - rates[0, j])
+                           + np.linalg.norm(dps[j] - rates[1, j]))
+                     for j in range(field.n)]
         report.rows.append({
             "times": times.tolist(),
             "spacelike": True,

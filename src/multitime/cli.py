@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import classical, hj, linops, quantum
+from . import classical, expr, hj, linops, quantum
 from .configs import write_examples
 from .expr import DomainError, ExpressionError, binding_names, free_variables
 from .hj import FoliationError
@@ -191,17 +191,16 @@ def _pauli_op_sum(value, path: str, n: int, numeric_only: bool) -> list:
 
 def _expr(value, path: str, names: Sequence[str]):
     """The expression of the string ``value``; each of its variables must
-    be one of ``names``."""
-    from .expr import parse_expression
-
+    be one of ``names``.  ``expr.parse_expression`` is looked up on the
+    module at each call, so perfbench's ``expr.parse`` span counts it."""
     try:
-        expr = parse_expression(_str(value, path))
+        tree = expr.parse_expression(_str(value, path))
     except ExpressionError as exc:
         raise ConfigError(path, f"bad expression: {exc}") from None
-    extra = free_variables(expr) - set(names)
+    extra = free_variables(tree) - set(names)
     if extra:
         raise ConfigError(path, f"undeclared variables {sorted(extra)}")
-    return expr
+    return tree
 
 
 def _numeric_pauli_sum(value, path: str, n: int) -> np.ndarray:

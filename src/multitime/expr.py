@@ -393,15 +393,19 @@ def diff(expr: Expression, var: str) -> Expression:
 
 
 def substitute(expr: Expression, values: Mapping[str, Expression]) -> Expression:
-    """``expr`` with each variable named in ``values`` replaced by its value."""
+    """``expr`` with each variable named in ``values`` replaced by its value;
+    a subtree in which none of them occurs is returned as the same object."""
     match expr:
         case Var(name) if name in values:
             return values[name]
         case Neg(arg) | Call(_, arg):
-            return replace(expr, arg=substitute(arg, values))
+            new = substitute(arg, values)
+            return expr if new is arg else replace(expr, arg=new)
         case BinOp(_, left, right):
-            return replace(expr, left=substitute(left, values),
-                           right=substitute(right, values))
+            new_left, new_right = substitute(left, values), substitute(right, values)
+            if new_left is left and new_right is right:
+                return expr
+            return replace(expr, left=new_left, right=new_right)
     return expr
 
 

@@ -452,9 +452,7 @@ def foliation_compare(s: HJFunction, foliations: Sequence[Foliation],
                     raise FoliationError(
                         f"no common time window for particle {j}")
                 grid = np.linspace(lo, hi, grid_points)
-                for t in grid:
-                    worst = max(worst, float(np.max(np.abs(
-                        la.x_at(t) - lb.x_at(t)))))
+                worst = max(worst, float(np.max(np.abs(la.x_at(grid) - lb.x_at(grid)))))
             dist[a][b] = dist[b][a] = worst
     independent = all(dist[a][b] < tolerance for a in range(m)
                       for b in range(a + 1, m))

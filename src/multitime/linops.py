@@ -3,8 +3,7 @@
 Thin wrappers over numpy with the conventions used by the rest of the
 package: matrices are square ``complex128`` arrays, states are 1-d
 ``complex128`` arrays, and the tensor-product ordering puts particle 1 in
-the leftmost Kronecker factor.  Only ``matrix_exponential`` uses scipy
-(``scipy.linalg.expm``), and imports it when first called.
+the leftmost Kronecker factor.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ __all__ = [
     "is_hermitian",
     "commutator",
     "kron",
-    "matrix_exponential",
     "hermitian_propagator",
     "pauli_string",
     "embed",
@@ -78,20 +76,6 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; the first argument is the leftmost tensor leg."""
     return np.kron(as_matrix(a), as_matrix(b))
-
-
-def matrix_exponential(a: np.ndarray) -> np.ndarray:
-    import scipy.linalg
-
-    a = as_matrix(a)
-    if a.shape[0] > MAX_DENSE_DIM:
-        raise ValueError(f"dense matrix exponential limited to dim {MAX_DENSE_DIM}")
-    if not np.all(np.isfinite(a)):
-        raise OverflowError("matrix exponential of non-finite input")
-    r = scipy.linalg.expm(a)
-    if not np.all(np.isfinite(r)):
-        raise OverflowError("matrix exponential overflowed")
-    return r
 
 
 def hermitian_propagator(h: np.ndarray, dt: float) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Samples carry the state derivatives, so queries between sample times use
 cubic Hermite interpolation (third-order accurate without re-integration).
-``scipy.interpolate`` is imported when the first world line is built, not
-with this module, so runs that build none start with numpy alone.
+The pieces and their evaluation follow scipy's ``CubicHermiteSpline`` and
+``PPoly`` operation for operation, so values match scipy's bit for bit.
 """
 
 from __future__ import annotations
@@ -33,20 +33,20 @@ class WorldLine:
     dpdt: np.ndarray
 
     def __post_init__(self):
-        from scipy.interpolate import CubicHermiteSpline
-
         self.t = np.asarray(self.t, float)
-        for name in ("x", "p", "dxdt", "dpdt"):
-            arr = np.atleast_2d(np.asarray(getattr(self, name), float))
-            if arr.shape[0] != len(self.t):
-                arr = arr.T
-            setattr(self, name, arr)
+        self.x, self.p, self.dxdt, self.dpdt = samples = [
+            np.asarray(a, float) for a in (self.x, self.p, self.dxdt, self.dpdt)]
+        if len(self.t) < 2 or {a.shape for a in samples} != {(len(self.t), self.x.shape[-1])}:
+            raise ValueError("a world line needs two or more samples, and x, p, "
+                             "dxdt and dpdt of one shape (len(t), d)")
+        if not all(np.isfinite(a).all() for a in [self.t, *samples]):
+            raise ValueError("world line samples must be finite")
         if np.any(np.diff(self.t) <= 0):
             raise ValueError("sample times must be strictly increasing")
-        self._x_spline = CubicHermiteSpline(self.t, self.x, self.dxdt)
-        self._p_spline = CubicHermiteSpline(self.t, self.p, self.dpdt)
-        self._dx_spline = self._x_spline.derivative()
-        self._dp_spline = self._p_spline.derivative()
+        self._x = _hermite_pieces(self.t, self.x, self.dxdt)
+        self._p = _hermite_pieces(self.t, self.p, self.dpdt)
+        self._dxdt = [3.0 * self._x[0], 2.0 * self._x[1], self._x[2]]
+        self._dpdt = [3.0 * self._p[0], 2.0 * self._p[1], self._p[2]]
 
     @property
     def t_min(self) -> float:
@@ -56,27 +56,43 @@ class WorldLine:
     def t_max(self) -> float:
         return float(self.t[-1])
 
-    def _check(self, time: float) -> None:
-        if time < self.t_min - 1e-12 or time > self.t_max + 1e-12:
-            raise PathRangeError(
-                f"time {time} outside sampled range [{self.t_min}, {self.t_max}]"
-            )
+    def _at(self, pieces: list[np.ndarray], time) -> np.ndarray:
+        """``pieces`` (highest power first) at one time, shape (d,), or at an
+        array of times, shape (len(time), d), summed as scipy's ``PPoly``."""
+        times = np.asarray(time, float)
+        outside = (times < self.t_min - 1e-12) | (times > self.t_max + 1e-12)
+        if np.any(outside):
+            first = time if times.ndim == 0 else times[outside][0]
+            raise PathRangeError(f"time {first} outside sampled range "
+                                 f"[{self.t_min}, {self.t_max}]")
+        i = np.clip(np.searchsorted(self.t, times, side="right") - 1, 0, len(self.t) - 2)
+        s = (times - self.t[i])[..., None]
+        value, power = 0.0 + pieces[-1][i], 1.0
+        for c in pieces[-2::-1]:
+            power = power * s
+            value = value + c[i] * power
+        return value
 
-    def x_at(self, time: float) -> np.ndarray:
-        self._check(time)
-        return np.asarray(self._x_spline(time), float)
+    def x_at(self, time) -> np.ndarray:
+        return self._at(self._x, time)
 
-    def p_at(self, time: float) -> np.ndarray:
-        self._check(time)
-        return np.asarray(self._p_spline(time), float)
+    def p_at(self, time) -> np.ndarray:
+        return self._at(self._p, time)
 
-    def dxdt_at(self, time: float) -> np.ndarray:
-        self._check(time)
-        return np.asarray(self._dx_spline(time), float)
+    def dxdt_at(self, time) -> np.ndarray:
+        return self._at(self._dxdt, time)
 
-    def dpdt_at(self, time: float) -> np.ndarray:
-        self._check(time)
-        return np.asarray(self._dp_spline(time), float)
+    def dpdt_at(self, time) -> np.ndarray:
+        return self._at(self._dpdt, time)
+
+
+def _hermite_pieces(t: np.ndarray, y: np.ndarray, dydt: np.ndarray) -> list[np.ndarray]:
+    """Coefficients of s^3, s^2, s, 1 (s = time - t[i]) of the cubic on each
+    interval [t[i], t[i+1]] that matches y and dydt at both ends."""
+    dt = np.diff(t)[:, None]
+    slope = np.diff(y, axis=0) / dt
+    curve = (dydt[:-1] + dydt[1:] - 2 * slope) / dt
+    return [curve / dt, (slope - dydt[:-1]) / dt - curve, dydt[:-1], y[:-1]]
 
 
 @dataclass
@@ -115,12 +131,10 @@ class NPath:
         names = ("x", "p", "dxdt", "dpdt")
         columns = ["particle", "t"] + [f"{name}_{i + 1}" for name in names
                                        for i in range(self.d)]
-        rows = []
-        for j, line in enumerate(self.lines, start=1):
-            arrays = [getattr(line, name) for name in names]
-            for i in range(len(line.t)):
-                rows.append([j, repr(float(line.t[i]))]
-                            + [repr(float(v)) for arr in arrays for v in arr[i]])
+        rows = [[j, repr(t)] + [repr(v) for v in values]
+                for j, line in enumerate(self.lines, start=1)
+                for t, values in zip(line.t.tolist(), np.hstack(
+                    [getattr(line, name) for name in names]).tolist())]
         return columns, rows
 
     def export_csv(self, path: str) -> None:

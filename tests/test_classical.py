@@ -358,6 +358,70 @@ class TestWorldLines:
             WorldLine(t=t, x=t[:, None], p=t[:, None],
                       dxdt=np.ones((3, 1)), dpdt=np.zeros((3, 1)))
 
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_two_samples_required(self, samples):
+        t = np.arange(float(samples))
+        with pytest.raises(ValueError, match="two or more samples"):
+            WorldLine(t=t, x=t[:, None], p=t[:, None],
+                      dxdt=np.ones((samples, 1)), dpdt=np.zeros((samples, 1)))
+
+    @pytest.mark.parametrize("bad", ["shape", "length", "nan", "inf"])
+    def test_samples_checked(self, bad):
+        t = np.linspace(0.0, 1.0, 4)
+        x, dx = t[:, None], np.ones((4, 1))
+        if bad == "shape":
+            dx = np.ones((4, 2))
+        elif bad == "length":
+            x = x[:3]
+        else:
+            x = x.copy()
+            x[2, 0] = float(bad)
+        with pytest.raises(ValueError):
+            WorldLine(t=t, x=x, p=x, dxdt=dx, dpdt=dx)
+
+    def test_array_query_range_error_names_first_time_outside(self):
+        t = np.linspace(0.0, 1.0, 11)
+        line = WorldLine(t=t, x=t[:, None], p=np.ones((11, 1)),
+                         dxdt=np.ones((11, 1)), dpdt=np.zeros((11, 1)))
+        with pytest.raises(PathRangeError) as scalar:
+            line.x_at(1.5)
+        assert str(scalar.value) == "time 1.5 outside sampled range [0.0, 1.0]"
+        for query in (line.x_at, line.p_at, line.dxdt_at, line.dpdt_at):
+            with pytest.raises(PathRangeError) as array:
+                query(np.array([0.5, 1.0 + 1e-12, -0.25, 2.0]))
+            assert str(array.value) == "time -0.25 outside sampled range [0.0, 1.0]"
+        assert line.x_at(np.array([0.0, 1.0])).shape == (2, 1)
+        assert line.x_at(np.array([])).shape == (0, 1)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bit_for_bit_scipy_cubic_hermite(self, seed):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        rng = np.random.default_rng(seed)
+        for trial in range(40):
+            d, m = int(rng.integers(1, 4)), int(rng.integers(2, 25))
+            t = np.cumsum(rng.uniform(0.01, 1.0, m)) * 10.0 ** rng.uniform(-8, 8)
+            t = t - t[int(rng.integers(0, m))]
+            # one knot is exactly zero, negative zero on every other trial
+            t[t == 0.0] = -0.0 if trial % 2 else 0.0
+            scales = 10.0 ** rng.uniform(-8, 8, (4, 1, 1))
+            y, p, dy, dp = rng.normal(size=(4, m, d)) * scales
+            line = WorldLine(t=t, x=y, p=p, dxdt=dy, dpdt=dp)
+            sx = interpolate.CubicHermiteSpline(t, y, dy)
+            sp = interpolate.CubicHermiteSpline(t, p, dp)
+            oracles = {line.x_at: sx, line.p_at: sp,
+                       line.dxdt_at: sx.derivative(), line.dpdt_at: sp.derivative()}
+            times = np.concatenate([t, rng.uniform(t[0], t[-1], 30),
+                                    [t[0] - 1e-12, t[-1] + 1e-12]])
+            for query, spline in oracles.items():
+                want = spline(times)
+                got = query(times)
+                assert got.shape == want.shape == (len(times), d)
+                assert got.tobytes() == want.tobytes()
+                for time in times[::5].tolist():
+                    got = query(time)
+                    assert got.shape == (d,)
+                    assert got.tobytes() == spline(time).tobytes()
+
     def test_hermite_interpolation_exact_on_cubics(self):
         t = np.linspace(0.0, 2.0, 9)
         x = (t**3 - t)[:, None]

@@ -584,6 +584,41 @@ class TestCentralDifference:
             expr_module.central_difference(got, "x", 0.0)
 
 
+def rebuilt_substitution(expr, values):
+    """Substitution that builds every node anew: the oracle of
+    ``expr.substitute``."""
+    match expr:
+        case Var(name) if name in values:
+            return values[name]
+        case Neg(arg):
+            return Neg(rebuilt_substitution(arg, values))
+        case Call(func, arg):
+            return Call(func, rebuilt_substitution(arg, values))
+        case BinOp(op, left, right):
+            return BinOp(op, rebuilt_substitution(left, values),
+                         rebuilt_substitution(right, values))
+    return expr
+
+
+class TestSubstitute:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(tree=trees, var=st.sampled_from(NAMES), value=trees)
+    def test_matches_rebuilt_tree(self, tree, var, value):
+        got = expr_module.substitute(tree, {var: value})
+        assert got == rebuilt_substitution(tree, {var: value})
+        if var not in free_variables(tree):
+            assert got is tree
+
+    def test_subtree_without_the_variable_is_the_same_object(self):
+        tree = parse_expression("x*y + exp(y - 2) / -y")
+        step = BinOp("+", Var("x"), Num(0.5))
+        got = expr_module.substitute(tree, {"x": step})
+        assert got == parse_expression("(x + 0.5)*y + exp(y - 2) / -y")
+        assert got.right is tree.right
+        assert got.left.right is tree.left.right
+        assert expr_module.substitute(tree, {"z": step}) is tree
+
+
 # ------------------------------------------------------- fused functions
 
 FUSED_NAMES = ("x", "y", "z", "k")
