@@ -7,7 +7,8 @@ data).  ``_KINDS`` is the one table of experiment kinds: for each
 CSV, and the function that checks its config and builds its system.
 That function returns a closure that does only the numerics.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure.
+Exit codes: 0 success, 2 config error or output error (a report, CSV
+or examples path that cannot be written), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -410,30 +409,6 @@ def _leaves(exp: dict, fols: list[hj.Foliation], n: int, d: int):
     return init, span, ds
 
 
-# ------------------------------------------------------------------- helpers
-
-
-def _resolve_jobs(flag_value: int | None) -> int:
-    env = os.environ.get("MULTITIME_JOBS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError("MULTITIME_JOBS", f"not an integer: {env!r}")
-    if flag_value is not None:
-        return max(1, flag_value)
-    return os.cpu_count() or 1
-
-
-def _pmap(fn, items, jobs: int) -> list:
-    """Order-preserving map over a worker pool (deterministic assembly)."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 # --------------------------------------------------------------- experiments
 #
 # A kind function checks its system and experiment blocks in full, builds the
@@ -444,7 +419,7 @@ def _pmap(fn, items, jobs: int) -> list:
 _E = "/experiment"
 
 
-def _quantum_defect_grid(system: dict, exp: dict, jobs: int, rng):
+def _quantum_defect_grid(system: dict, exp: dict, rng):
     sys_q = build_quantum_system(system, "/system")
     _keys(exp, _E, ["kind", "grid"], ["h"])
     grid = _obj(exp["grid"], f"{_E}/grid")
@@ -461,8 +436,7 @@ def _quantum_defect_grid(system: dict, exp: dict, jobs: int, rng):
         axes = [np.linspace(t_min, t_max, pts)] * sys_q.n
         tuples = [np.array(tt) for tt in
                   np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, sys_q.n)]
-        reports = _pmap(lambda tt: quantum.quantum_consistency_defect(sys_q, tt, h=h),
-                        tuples, jobs)
+        reports = [quantum.quantum_consistency_defect(sys_q, tt, h=h) for tt in tuples]
         points = [{"times": tt.tolist(), **rep.to_dict()}
                   for tt, rep in zip(tuples, reports)]
         return {"points": points, "max_defect": max(r.max_defect for r in reports),
@@ -471,7 +445,7 @@ def _quantum_defect_grid(system: dict, exp: dict, jobs: int, rng):
     return run
 
 
-def _staircase(system: dict, exp: dict, jobs: int, rng):
+def _staircase(system: dict, exp: dict, rng):
     sys_q = build_quantum_system(system, "/system")
     _keys(exp, _E, ["kind", "start", "end"], ["order", "max_dt", "initial_state",
                                               "compare_diagonal", "diagonal_steps"])
@@ -506,7 +480,7 @@ def _staircase(system: dict, exp: dict, jobs: int, rng):
     return run
 
 
-def _holonomy(system: dict, exp: dict, jobs: int, rng):
+def _holonomy(system: dict, exp: dict, rng):
     sys_q = build_quantum_system(system, "/system")
     _keys(exp, _E, ["kind", "base_times", "axes", "sizes"], ["max_dt", "initial_state"])
     base = _num_list(exp["base_times"], f"{_E}/base_times", sys_q.n)
@@ -527,7 +501,7 @@ def _holonomy(system: dict, exp: dict, jobs: int, rng):
                 "holonomy_per_area": hol / (size * size)}
 
     def run():
-        table = _pmap(one, sizes, jobs)
+        table = [one(size) for size in sizes]
         c = quantum.consistency_defect_matrix(sys_q, base, axes[0], axes[1])
         return {"table": table, "defect_vector_norm": float(np.linalg.norm(c @ phi0)),
                 "defect_norm_inf": linops.norm_inf(c)}, None
@@ -541,21 +515,21 @@ def _defect_summary(reports) -> dict:
             "min_defect": min(values)}
 
 
-def _classical_defect_grid(system: dict, exp: dict, jobs: int, rng):
+def _classical_defect_grid(system: dict, exp: dict, rng):
     n, d, field = _classical_system(system, "/system")
     _keys(exp, _E, ["kind", "samples"], ["h"])
     h = _option(exp, "h", _E, 1e-4, _positive)
     points = _sample_phase_points(exp["samples"], f"{_E}/samples", n, d, rng)
 
     def run():
-        reports = _pmap(lambda pt: classical.classical_consistency_defect(field, pt, h=h),
-                        points, jobs)
+        reports = [classical.classical_consistency_defect(field, pt, h=h)
+                   for pt in points]
         return {**_defect_summary(reports), "h": h}, None
 
     return run
 
 
-def _equal_time_evolve(system: dict, exp: dict, jobs: int, rng):
+def _equal_time_evolve(system: dict, exp: dict, rng):
     n, d, field = _classical_system(system, "/system")
     _keys(exp, _E, ["kind", "init", "t_span", "dt"])
     init = _phase_point(exp["init"], f"{_E}/init", n, d)
@@ -570,7 +544,7 @@ def _equal_time_evolve(system: dict, exp: dict, jobs: int, rng):
     return run
 
 
-def _validity(system: dict, exp: dict, jobs: int, rng):
+def _validity(system: dict, exp: dict, rng):
     n, d, field = _classical_system(system, "/system")
     _keys(exp, _E, ["kind", "init", "t_span", "dt", "samples"])
     init = _phase_point(exp["init"], f"{_E}/init", n, d)
@@ -601,7 +575,7 @@ def _validity(system: dict, exp: dict, jobs: int, rng):
     return run
 
 
-def _full_grid(system: dict, exp: dict, jobs: int, rng):
+def _full_grid(system: dict, exp: dict, rng):
     n, d, hpair = _classical_system(system, "/system", grid=True)
     _keys(exp, _E, ["kind", "init", "t1_max", "t2_max", "points"], ["substeps"])
     init = _phase_point(exp["init"], f"{_E}/init", n, d)
@@ -631,7 +605,7 @@ def _full_grid(system: dict, exp: dict, jobs: int, rng):
     return run
 
 
-def _path_independence(system: dict, exp: dict, jobs: int, rng):
+def _path_independence(system: dict, exp: dict, rng):
     n, d, hpair = _classical_system(system, "/system", grid=True)
     _keys(exp, _E, ["kind", "init", "rectangle", "dt"], ["refinements"])
     init = _phase_point(exp["init"], f"{_E}/init", n, d)
@@ -657,7 +631,7 @@ def _path_independence(system: dict, exp: dict, jobs: int, rng):
     return run
 
 
-def _cjs_demo(system: dict, exp: dict, jobs: int, rng):
+def _cjs_demo(system: dict, exp: dict, rng):
     n, d, _ = _classical_system(system, "/system", field=False)
     _keys(exp, _E, ["kind", "family", "samples", "init", "t_span", "dt"], ["h"])
     h = _option(exp, "h", _E, 1e-4, _positive)
@@ -675,7 +649,7 @@ def _cjs_demo(system: dict, exp: dict, jobs: int, rng):
                                                  h=h)}, None)
 
 
-def _hj_residual(system: dict, exp: dict, jobs: int, rng):
+def _hj_residual(system: dict, exp: dict, rng):
     s, hams = build_hj_system(system, "/system")
     if hams is None:
         raise ConfigError("/system", "hj-residual needs system.hamiltonians")
@@ -707,7 +681,7 @@ def _hj_residual(system: dict, exp: dict, jobs: int, rng):
     return run
 
 
-def _hj_defect_grid(system: dict, exp: dict, jobs: int, rng):
+def _hj_defect_grid(system: dict, exp: dict, rng):
     s, hams = build_hj_system(system, "/system")
     if hams is None:
         raise ConfigError("/system", "the HJ defect grid needs system.hamiltonians")
@@ -716,14 +690,14 @@ def _hj_defect_grid(system: dict, exp: dict, jobs: int, rng):
     points = _sample_phase_points(exp["samples"], f"{_E}/samples", s.n, s.d, rng)
 
     def run():
-        reports = _pmap(lambda pt: hj.hj_consistency_defect(
-            hams[0], pt, h=step, constants=s.constants), points, jobs)
+        reports = [hj.hj_consistency_defect(hams[0], pt, h=step, constants=s.constants)
+                   for pt in points]
         return _defect_summary(reports), None
 
     return run
 
 
-def _trajectories(system: dict, exp: dict, jobs: int, rng):
+def _trajectories(system: dict, exp: dict, rng):
     s, _ = build_hj_system(system, "/system")
     _keys(exp, _E, ["kind", "foliation", "init_positions", "s_span", "ds"])
     fol = _foliation(exp["foliation"], f"{_E}/foliation", s.d)
@@ -738,7 +712,7 @@ def _trajectories(system: dict, exp: dict, jobs: int, rng):
     return run
 
 
-def _foliation_compare(system: dict, exp: dict, jobs: int, rng):
+def _foliation_compare(system: dict, exp: dict, rng):
     s, _ = build_hj_system(system, "/system")
     _keys(exp, _E, ["kind", "foliations", "init_positions", "s_span", "ds"],
           ["tolerance"])
@@ -755,7 +729,7 @@ def _foliation_compare(system: dict, exp: dict, jobs: int, rng):
 class _Kind(NamedTuple):
     subcommand: str
     csv: bool  # whether ``--csv`` is supported
-    prepare: Callable  # (system, experiment, jobs, rng) -> run
+    prepare: Callable  # (system, experiment, rng) -> run
 
 
 _KINDS: dict[tuple[str, str], _Kind] = {
@@ -819,8 +793,9 @@ def _check_finite(value, path: str) -> None:
             _check_finite(item, f"{path}/{i}")
 
 
-def run_config(cfg: dict, subcommand: str, jobs: int,
-               csv_path: str | None) -> dict:
+def run_config(cfg: dict, subcommand: str, jobs=None,
+               csv_path: str | None = None) -> dict:
+    """The report of one run; ``jobs`` is ignored (runs are serial)."""
     formalism, kind = cfg["formalism"], cfg["experiment"]["kind"]
     allowed = _SUBCOMMAND_KINDS[subcommand]
     if kind not in allowed:
@@ -834,10 +809,10 @@ def run_config(cfg: dict, subcommand: str, jobs: int,
     start = time.monotonic()
     rng = np.random.default_rng(cfg["seed"])
     # every config error is raised here, before any numerics run
-    run = entry.prepare(cfg["system"], cfg["experiment"], jobs, rng)
+    run = entry.prepare(cfg["system"], cfg["experiment"], rng)
     results, csv_table = run()
     _check_finite(results, "/results")
-    report = {"config": cfg, "results": results, "jobs": jobs,
+    report = {"config": cfg, "results": results,
               "duration_seconds": time.monotonic() - start}
     if csv_path:
         columns, rows = csv_table()
@@ -861,9 +836,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                        help="report JSON path (default: stdout)")
         p.add_argument("--csv", default=None,
                        help="write tabular data (paths, grids) as CSV")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker pool size (default: available cores; "
-                            "env MULTITIME_JOBS overrides)")
+        p.add_argument("--jobs", type=int, help="ignored: runs are serial")
     pex = sub.add_parser("examples")
     pex.add_argument("--dir", default="configs",
                      help="directory for the shipped example configs")
@@ -876,8 +849,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             print("\n".join(written))
             return 0
         cfg = _load_config(args.config)
-        jobs = _resolve_jobs(args.jobs)
-        report = run_config(cfg, args.subcommand, jobs, args.csv)
+        report = run_config(cfg, args.subcommand, csv_path=args.csv)
+        text = json.dumps(report, indent=2, sort_keys=True)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
     except (FloatingPointError, OverflowError, FoliationError,
             DomainError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -885,13 +863,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, ExpressionError) as exc:  # DomainError is caught above
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:  # an output file or directory that cannot be written
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

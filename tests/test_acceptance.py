@@ -396,7 +396,7 @@ def test_criterion_10_determinism_and_convergence(capsys):
         sub = kind_to_sub[cfg["experiment"]["kind"]]
         texts = []
         for _ in range(2):
-            rep = run_config(copy.deepcopy(cfg), sub, jobs=2, csv_path=None)
+            rep = run_config(copy.deepcopy(cfg), sub)
             rep.pop("duration_seconds")
             texts.append(json.dumps(rep, sort_keys=True))
         if texts[0] != texts[1]:

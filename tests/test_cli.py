@@ -221,20 +221,21 @@ class TestDeterminism:
         _, b = run_cli(args, tmp_path, "b.json")
         assert self.strip(a) == self.strip(b)
 
-    def test_jobs_do_not_change_results(self, config_dir, tmp_path):
+    @pytest.mark.parametrize("extra, env", [(["--jobs", "4"], None),
+                                            ([], "abc")],
+                             ids=["jobs-flag", "jobs-env"])
+    def test_jobs_are_ignored(self, config_dir, tmp_path, monkeypatch, extra, env):
+        """Runs are serial: ``--jobs`` is accepted and ignored, and the
+        MULTITIME_JOBS environment variable is not read."""
         base = ["check", "--config",
                 str(config_dir / "classical_harmonic_check.json")]
-        _, a = run_cli(base + ["--jobs", "1"], tmp_path, "a.json")
-        _, b = run_cli(base + ["--jobs", "4"], tmp_path, "b.json")
-        assert a["results"] == b["results"]
-        assert a["jobs"] == 1 and b["jobs"] == 4
-
-    def test_jobs_env_override(self, config_dir, tmp_path, monkeypatch):
-        monkeypatch.setenv("MULTITIME_JOBS", "3")
-        _, rep = run_cli(["check", "--config",
-                          str(config_dir / "classical_free_check.json"),
-                          "--jobs", "7"], tmp_path)
-        assert rep["jobs"] == 3
+        _, plain = run_cli(base, tmp_path, "plain.json")
+        if env is not None:
+            monkeypatch.setenv("MULTITIME_JOBS", env)
+        code, rep = run_cli(base + extra, tmp_path)
+        assert code == 0
+        assert "jobs" not in rep
+        assert self.strip(rep) == self.strip(plain)
 
     def test_report_echoes_config_with_defaults(self, config_dir, tmp_path):
         _, rep = run_cli(
@@ -242,6 +243,26 @@ class TestDeterminism:
         assert rep["config"]["formalism"] == "quantum"
         assert rep["config"]["seed"] == 0
         assert rep["config"]["experiment"]["h"] == 1e-4
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize("case", ["out-in-missing-dir", "out-is-dir",
+                                      "csv-in-missing-dir", "examples-below-file"])
+    def test_unwritable_output_exits_2(self, config_dir, tmp_path, capsys, case):
+        """An output path that cannot be written exits 2 with a message
+        naming it, not with a traceback."""
+        (tmp_path / "file").write_text("")
+        evolve = ["evolve", "--config", str(config_dir / "classical_free_evolve.json")]
+        args, target = {
+            "out-in-missing-dir": (evolve + ["--out"], tmp_path / "missing" / "r.json"),
+            "out-is-dir": (evolve + ["--out"], tmp_path),
+            "csv-in-missing-dir": (evolve + ["--csv"], tmp_path / "missing" / "r.csv"),
+            "examples-below-file": (["examples", "--dir"], tmp_path / "file" / "cfgs"),
+        }[case]
+        assert main(args + [str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("output error: ") and str(target) in err
+        assert "Traceback" not in err and out == ""
 
 
 class TestCsv:
