@@ -45,8 +45,7 @@ rep = validity_residual(free, path_free, [[1.0, 1.3], [0.4, 0.9]])
 print(f"  free:     residual {rep.max_residual:.3e} (valid off the diagonal)")
 
 init_h = PhasePoint(times=[0.0, 0.0], x=[[-0.5], [0.5]], p=[[0.0], [0.0]])
-path_h = evolve_equal_time(harmonic, init_h, (0.0, 2.0), 1e-3,
-                           timelike_warning=False)
+path_h = evolve_equal_time(harmonic, init_h, (0.0, 2.0), 1e-3)
 best = 0.0
 for t1 in np.linspace(0.1, 1.5, 29):
     r = validity_residual(harmonic, path_h, [[t1, t1 + 0.5]])

@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -284,8 +283,7 @@ def _node_times(t0: float, dt: float, steps: int) -> list[float]:
 
 
 def evolve_equal_time(field: PhaseVectorField, init: PhasePoint,
-                      t_span: tuple[float, float], dt: float,
-                      timelike_warning: bool = True) -> NPath:
+                      t_span: tuple[float, float], dt: float) -> NPath:
     """RK4 on the joint system with all time coordinates advanced together
     (lab-frame foliation).  Returns the sampled n-path."""
     if not np.allclose(init.times, init.times[0]):
@@ -306,16 +304,9 @@ def evolve_equal_time(field: PhaseVectorField, init: PhasePoint,
 
     t_arr = np.array(ts)
     states, derivs = per_particle(ys), per_particle(rates)
-    path = NPath([WorldLine(t=t_arr, x=states[0, j], p=states[1, j],
+    return NPath([WorldLine(t=t_arr, x=states[0, j], p=states[1, j],
                             dxdt=derivs[0, j], dpdt=derivs[1, j])
                   for j in range(n)])
-    if timelike_warning and path.max_speed() >= 1.0:
-        warnings.warn(
-            f"world line reaches |dx/dt| = {path.max_speed():.3g} >= 1 "
-            "(not timelike; Newtonian field assumed)",
-            stacklevel=2,
-        )
-    return path
 
 
 def validity_residual(field: PhaseVectorField, npath: NPath,
@@ -491,7 +482,7 @@ def cjs_demo(family: Sequence[tuple[str, PhaseVectorField]],
     for name, fld in family:
         defects = [classical_consistency_defect(fld, pt, h=h).max_defect
                    for pt in sample_points]
-        npath = evolve_equal_time(fld, init, t_span, dt, timelike_warning=False)
+        npath = evolve_equal_time(fld, init, t_span, dt)
         rows.append({
             "id": name,
             "min_defect": float(min(defects)),

@@ -8,7 +8,8 @@ CSV, and the function that checks its config and builds its system.
 That function returns a closure that does only the numerics.
 
 Exit codes: 0 success, 2 config error or output error (a report, CSV
-or examples path that cannot be written), 3 numerical failure.
+or examples path that cannot be written), 3 numerical failure.  A run
+that exits 2 or 3 leaves no report or CSV behind.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from typing import Callable, NamedTuple, Sequence
@@ -361,12 +363,20 @@ def _sample_phase_points(cfg, path: str, n: int, d: int,
             for _ in range(count)]
 
 
-def _bound_steps(steps: float, path: str) -> None:
+def _bound_steps(steps: float, path: str, what: str = "RK4 steps") -> None:
     """Refuse, at ``path``, a run of more than ``classical.MAX_STEPS`` RK4
-    steps (its states would be kept in memory)."""
+    steps (its states would be kept in memory) or propagators."""
     if steps > classical.MAX_STEPS:
-        raise ConfigError(path, f"the run takes {steps:.3g} RK4 steps; at most "
+        raise ConfigError(path, f"the run takes {steps:.3g} {what}; at most "
                                 f"{classical.MAX_STEPS} are allowed")
+
+
+def _bound_propagators(durations: Sequence[float], max_dt: float, legs: int) -> None:
+    """Refuse, at ``max_dt``, ``legs`` staircase legs per duration, split as
+    ``quantum.staircase_between`` splits them (counted in floats: no overflow)."""
+    count = sum(legs * max(1.0, float(np.ceil(abs(d) / max_dt)))
+                for d in durations if d != 0.0)
+    _bound_steps(count, f"{_E}/max_dt", "propagators")
 
 
 def _equal_time_steps(exp: dict) -> tuple[tuple[float, float], float]:
@@ -457,7 +467,8 @@ def _staircase(system: dict, exp: dict, rng):
     phi0 = _option(exp, "initial_state", _E, {"kind": "basis", "index": 0},
                    _initial_state, sys_q.dim)
     compare = _option(exp, "compare_diagonal", _E, False, _bool)
-    steps = _option(exp, "diagonal_steps", _E, 1000, _int, 1)
+    steps = _option(exp, "diagonal_steps", _E, 1000, _int, 1, classical.MAX_STEPS)
+    _bound_propagators([e - s for s, e in zip(start, end)], max_dt, 1)
     if compare and not (np.allclose(start, start[0]) and np.allclose(end, end[0])):
         raise ConfigError(f"{_E}/compare_diagonal", "diagonal comparison needs "
                                                     "equal-time start and end tuples")
@@ -491,6 +502,7 @@ def _holonomy(system: dict, exp: dict, rng):
         if not size * size > 0.0:  # the holonomy is divided by this area
             raise ConfigError(f"{_E}/sizes/{i}", f"size {size} has an area of 0")
     max_dt = _option(exp, "max_dt", _E, 1e-2, _positive)
+    _bound_propagators(sizes, max_dt, 4)  # two staircases of two legs per size
     phi0 = _option(exp, "initial_state", _E, {"kind": "basis", "index": 0},
                    _initial_state, sys_q.dim)
 
@@ -536,7 +548,7 @@ def _equal_time_evolve(system: dict, exp: dict, rng):
     span, dt = _equal_time_steps(exp)
 
     def run():
-        npath = classical.evolve_equal_time(field, init, span, dt, timelike_warning=False)
+        npath = classical.evolve_equal_time(field, init, span, dt)
         return {"samples_per_line": len(npath.lines[0].t), "max_speed": npath.max_speed(),
                 "final_x": [line.x[-1].tolist() for line in npath.lines],
                 "final_p": [line.p[-1].tolist() for line in npath.lines]}, npath.csv_table
@@ -558,7 +570,7 @@ def _validity(system: dict, exp: dict, rng):
                                                   f"t_span length, got window {window}")
 
     def run():
-        npath = classical.evolve_equal_time(field, init, span, dt, timelike_warning=False)
+        npath = classical.evolve_equal_time(field, init, span, dt)
         lo, hi = npath.common_time_range()
         # the path may end a rounding error short of t_span[1]
         base_hi = max(hi - window, lo + window)
@@ -611,9 +623,12 @@ def _path_independence(system: dict, exp: dict, rng):
     init = _phase_point(exp["init"], f"{_E}/init", n, d)
     rect = _num_list(exp["rectangle"], f"{_E}/rectangle", 2)
     dt = _positive(exp["dt"], f"{_E}/dt")
-    if 0.0 not in rect:  # else grid_path_independence takes no step
-        _bound_steps(abs(rect[0]) / dt + abs(rect[1]) / dt, f"{_E}/dt")
-    refinements = _option(exp, "refinements", _E, 0, _int, 0)
+    # a rectangle with a side of 0 takes no step; level l halves it l times,
+    # so all levels (one table row each) take 2 - 2^-l times level 0's steps
+    steps = 0.0 if 0.0 in rect else abs(rect[0]) / dt + abs(rect[1]) / dt
+    _bound_steps(steps, f"{_E}/dt")
+    refinements = _option(exp, "refinements", _E, 0, _int, 0, MAX_POINTS - 1)
+    _bound_steps(steps * (2.0 - 0.5 ** refinements), f"{_E}/refinements")
 
     def run():
         table = []
@@ -851,11 +866,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = _load_config(args.config)
         report = run_config(cfg, args.subcommand, csv_path=args.csv)
         text = json.dumps(report, indent=2, sort_keys=True)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        try:
+            if args.out:
+                with open(args.out, "w") as fh:
+                    fh.write(text + "\n")
+            else:
+                print(text)
+        except OSError:  # remove the CSV file written, never a link or a device
+            if args.csv and os.path.isfile(args.csv) and not os.path.islink(args.csv):
+                os.remove(args.csv)
+            raise
     except (FloatingPointError, OverflowError, FoliationError,
             DomainError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

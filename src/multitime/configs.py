@@ -1,8 +1,8 @@
 """Shipped example configurations for the CLI.
 
 ``multitime examples --dir DIR`` writes each of these as DIR/<name>.json.
-They cover every experiment kind and are the systems exercised by the
-test suite: commuting and coupled two-qubit systems, the consistent
+They cover every experiment kind but the HJ ``defect-grid`` and are the
+systems exercised by the test suite: commuting and coupled two-qubit systems, the consistent
 interaction-picture system, free and harmonically coupled classical
 fields, the two-time grid system, free and coupled Hamilton-Jacobi
 functions, and the no-interaction candidate family.

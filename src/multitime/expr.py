@@ -17,18 +17,17 @@ Variable naming convention used throughout the package: time variables
 for particle ``J`` in 1..n and dimension ``D`` in 1..d.  The single-time
 forms additionally use the bare variable ``t``.
 
-Each AST is lowered once, on first use, to a Python function
-``bindings -> float`` (``compile_expression``); ``evaluate`` calls it.
-The function performs the IEEE operations of the tree in evaluation
-order, left operand before right, with no folding or rewriting.  The
-same code generator lowers a whole system of ASTs to one function of
-positional float sequences that returns all their values and computes
-shared subtrees once (``compile_function``), and a whole RK4
-integration to one function with the loop inside and the system's
-statements inlined in every stage (``compile_rk4``).  ``diff`` builds
-the exact partial derivative of an AST as another AST, and
-``central_difference`` its central difference at a given step;
-``derivative(h)`` picks one of the two for every condition.
+The code generator has two entry points: ``compile_function`` lowers a
+system of ASTs to one Python function of positional float sequences that
+returns all their values and computes shared subtrees once, and
+``compile_rk4`` lowers a whole RK4 integration to one function with the
+loop inside and the system's statements inlined in every stage.  Both
+perform the IEEE operations of each tree in evaluation order, left
+operand before right, with no folding or rewriting; ``evaluate`` is a
+thin caller of the first.  ``diff`` builds the exact partial derivative
+of an AST as another AST, and ``central_difference`` its central
+difference at a given step; ``derivative(h)`` picks one of the two for
+every condition.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ __all__ = [
     "UnboundVariableError",
     "DomainError",
     "parse_expression",
-    "compile_expression",
     "evaluate",
     "free_variables",
     "to_string",
@@ -95,14 +93,16 @@ class DomainError(ExpressionError):
 
 
 class _Node:
-    """Base of the AST node classes.  ``function`` is the tree's compiled
-    evaluator, built on first access and kept in the instance ``__dict__``
-    (outside the dataclass fields, so eq, hash and repr ignore it); it is
-    freed with the tree."""
+    """Base of the AST node classes.  ``function`` is the tree's variables,
+    left to right, and their ``compile_function``, built on first access
+    and kept in the instance ``__dict__`` (outside the dataclass fields, so
+    eq, hash and repr ignore it: equal trees such as ``Num(0.0)`` and
+    ``Num(-0.0)`` compile differently); it is freed with the tree."""
 
     @functools.cached_property
-    def function(self) -> Callable[[Mapping[str, float]], float]:
-        return _compile(self)
+    def function(self) -> tuple[tuple[str, ...], Callable[..., tuple[float, ...]]]:
+        names = _variables(self)
+        return names, compile_function([self], [names])
 
 
 @dataclass(frozen=True)
@@ -270,19 +270,23 @@ def parse_expression(source: str) -> Expression:
     return node
 
 
-def free_variables(expr: Expression) -> frozenset[str]:
+def _variables(expr: Expression) -> tuple[str, ...]:
+    """The names of the variables of ``expr`` in the order of their first
+    occurrence, left to right."""
     match expr:
         case Num():
-            return frozenset()
+            return ()
         case Var(name):
-            return frozenset((name,))
-        case Neg(arg):
-            return free_variables(arg)
+            return (name,)
+        case Neg(arg) | Call(_, arg):
+            return _variables(arg)
         case BinOp(_, left, right):
-            return free_variables(left) | free_variables(right)
-        case Call(_, arg):
-            return free_variables(arg)
+            return tuple(dict.fromkeys(_variables(left) + _variables(right)))
     raise TypeError(f"not an Expression: {expr!r}")
+
+
+def free_variables(expr: Expression) -> frozenset[str]:
+    return frozenset(_variables(expr))
 
 
 _ZERO = Num(0.0)
@@ -553,35 +557,6 @@ def _define(source: list[str], name: str, namespace: dict[str, object]) -> Calla
     return namespace[name]
 
 
-def _compile(expr: Expression) -> Callable[[Mapping[str, float]], float]:
-    """The function ``bindings -> float`` of ``expr``: the one-output case
-    of ``_emit``, in a ``try`` block, with each variable read and converted
-    by ``float(b[name])`` at its first occurrence.  The ``KeyError`` of a
-    missing one (its ``args[0]`` is the name) becomes UnboundVariableError.
-    """
-    namespace: dict[str, object] = {
-        "_domain_error": _domain_error,
-        "_UnboundVariableError": UnboundVariableError,
-    }
-    lines: list[str] = []
-
-    def read(name: str) -> str:
-        local = f"v{len(lines)}"
-        lines.append(f"{local} = float(b[{name!r}])")
-        return local
-
-    (result,) = _emit([expr], read, namespace, lines)
-    return _define([
-        "def expression(b):",
-        " try:",
-        *_indent(_indent(lines)),
-        " except KeyError as exc:",
-        "  raise _UnboundVariableError("
-        "f'variable {exc.args[0]!r} is not bound') from None",
-        f" return {result}",
-    ], "expression", namespace)
-
-
 def _reader(bound: Mapping[str, str], constants: Mapping[str, float],
             namespace: dict[str, object]) -> Callable[[str], str]:
     """The ``read`` of ``_emit`` for the variables held in the locals
@@ -613,8 +588,8 @@ def compile_function(outputs: Sequence[Expression],
     their values converted by ``float``; any other variable raises
     UnboundVariableError here, when the function is compiled.  A subtree
     shared between outputs is computed once.  Each output's value is that
-    of ``compile_expression`` on the same bindings, bit for bit, and a
-    failing call raises the DomainError that evaluating the outputs one
+    of a left-to-right recursive evaluation of its tree, bit for bit, and
+    a failing call raises the DomainError that evaluating the outputs one
     after another would raise first.
     """
     namespace: dict[str, object] = {"_domain_error": _domain_error}
@@ -721,22 +696,19 @@ def compile_rk4(outputs: Sequence[Expression], state: Sequence[str],
     ], "integrate", namespace)
 
 
-def compile_expression(expr: Expression) -> Callable[[Mapping[str, float]], float]:
-    """The function ``bindings -> float`` that evaluates ``expr``.
-
-    It is compiled once per AST object and cached on it.  Unbound variables
-    raise UnboundVariableError and real-domain violations DomainError
-    instead of silently producing NaN.  Extra bindings are allowed.
-    """
+def evaluate(expr: Expression, bindings: Mapping[str, float]) -> float:
+    """Evaluate ``expr`` at the bindings (IEEE doubles; extra ones allowed)
+    by the tree's ``function``.  Each variable is read by ``float`` first,
+    so the leftmost unbound one raises UnboundVariableError before any
+    DomainError of the evaluation (which never returns a NaN instead)."""
     if not isinstance(expr, _Node):
         raise TypeError(f"not an Expression: {expr!r}")
-    return expr.function
-
-
-def evaluate(expr: Expression, bindings: Mapping[str, float]) -> float:
-    """Evaluate ``expr`` with the given variable bindings (IEEE doubles);
-    see ``compile_expression``."""
-    return compile_expression(expr)(bindings)
+    names, function = expr.function
+    try:
+        values = [float(bindings[name]) for name in names]
+    except KeyError as exc:
+        raise UnboundVariableError(f"variable {exc.args[0]!r} is not bound") from None
+    return function(values)[0]
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}

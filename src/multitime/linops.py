@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 MAX_DENSE_DIM = 1024
+#: the largest infinity norm of a - a^dagger of a matrix taken as Hermitian
+HERMITICITY_TOL = 1e-10
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -61,9 +63,9 @@ def norm_inf(a: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=1).max())
 
 
-def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
+def is_hermitian(a: np.ndarray) -> bool:
     a = as_matrix(a)
-    return norm_inf(a - dagger(a)) < tol
+    return norm_inf(a - dagger(a)) < HERMITICITY_TOL
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

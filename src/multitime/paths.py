@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reports import write_csv
-
 __all__ = ["WorldLine", "NPath", "PathRangeError"]
 
 
@@ -136,6 +134,3 @@ class NPath:
                 for t, values in zip(line.t.tolist(), np.hstack(
                     [getattr(line, name) for name in names]).tolist())]
         return columns, rows
-
-    def export_csv(self, path: str) -> None:
-        write_csv(path, *self.csv_table())

@@ -8,7 +8,8 @@ module computes the commutator consistency defect
 
 evolves states along axis-aligned staircase paths with midpoint-frozen
 exponential propagators, measures rectangle holonomies, and reduces to
-single-time evolution on the time diagonal.
+single-time evolution on the time diagonal.  An evolution of more than
+``classical.MAX_STEPS`` propagators is refused before it starts.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linops
+from .classical import MAX_STEPS
 from .expr import (Expression, Num, binding_names, check_steps, compile_function,
                    parse_expression)
 from .reports import DefectReport
@@ -39,14 +41,12 @@ __all__ = [
     "random_staircase",
 ]
 
-HERMITICITY_TOL = 1e-10
-
 
 def _require_hermitian(m, what: str) -> np.ndarray:
     """``m`` as a complex matrix; ValueError naming ``what`` if it is not
     Hermitian."""
     m = linops.as_matrix(m)
-    if not linops.is_hermitian(m, HERMITICITY_TOL):
+    if not linops.is_hermitian(m):
         raise ValueError(f"{what} is not Hermitian")
     return m
 
@@ -240,6 +240,8 @@ def evolve_staircase(sys: PartialHamiltonianSet, state: MultiTimeState,
     frozen at the substep midpoint (exponential midpoint rule, second
     order, exactly unitary per substep).
     """
+    if (total := sum(seg.substeps for seg in path.segments)) > MAX_STEPS:
+        raise ValueError(f"the path takes {total} substeps; at most {MAX_STEPS} are allowed")
     phi = state.vector.copy()
     times = np.array(state.times, dtype=float)
     for seg in path.segments:
@@ -280,8 +282,8 @@ def diagonal_evolution(sys: PartialHamiltonianSet, psi0: np.ndarray,
                        t_start: float, t_end: float, steps: int) -> np.ndarray:
     """Single-time evolution under H(t) = sum_j H_j(t,..,t) with the
     exponential midpoint rule."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    if not 1 <= steps <= MAX_STEPS:
+        raise ValueError(f"steps must be in 1..{MAX_STEPS}, got {steps}")
     psi = np.asarray(psi0, dtype=np.complex128).copy()
     dt = (t_end - t_start) / steps
     for i in range(steps):

@@ -45,13 +45,6 @@ class ResidualReport:
     max_residual: float = 0.0
     rejected: int = 0  # samples whose lift was not spacelike
 
-    def to_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "max_residual": self.max_residual,
-            "rejected": self.rejected,
-        }
-
 
 @dataclass
 class DivergenceReport:

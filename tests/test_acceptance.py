@@ -246,8 +246,7 @@ def test_criterion_05_validity_operationalized(capsys):
 
     harm = harmonic_field()
     init_h = PhasePoint(times=[0.0, 0.0], x=[[-0.5], [0.5]], p=[[0.0], [0.0]])
-    path_h = evolve_equal_time(harm, init_h, (0.0, 2.0), 1e-3,
-                               timelike_warning=False)
+    path_h = evolve_equal_time(harm, init_h, (0.0, 2.0), 1e-3)
     best = 0.0
     for t1 in np.linspace(0.1, 1.5, 29):
         r = validity_residual(harm, path_h, [[t1, t1 + 0.5]])

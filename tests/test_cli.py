@@ -247,22 +247,27 @@ class TestDeterminism:
 
 class TestOutputErrors:
     @pytest.mark.parametrize("case", ["out-in-missing-dir", "out-is-dir",
-                                      "csv-in-missing-dir", "examples-below-file"])
+                                      "csv-in-missing-dir", "examples-below-file",
+                                      "out-in-missing-dir-with-csv"])
     def test_unwritable_output_exits_2(self, config_dir, tmp_path, capsys, case):
         """An output path that cannot be written exits 2 with a message
-        naming it, not with a traceback."""
+        naming it, not with a traceback, and leaves no output behind."""
         (tmp_path / "file").write_text("")
         evolve = ["evolve", "--config", str(config_dir / "classical_free_evolve.json")]
+        csv_path = tmp_path / "lines.csv"
         args, target = {
             "out-in-missing-dir": (evolve + ["--out"], tmp_path / "missing" / "r.json"),
             "out-is-dir": (evolve + ["--out"], tmp_path),
             "csv-in-missing-dir": (evolve + ["--csv"], tmp_path / "missing" / "r.csv"),
             "examples-below-file": (["examples", "--dir"], tmp_path / "file" / "cfgs"),
+            "out-in-missing-dir-with-csv": (evolve + ["--csv", str(csv_path), "--out"],
+                                            tmp_path / "missing" / "r.json"),
         }[case]
         assert main(args + [str(target)]) == 2
         out, err = capsys.readouterr()
         assert err.startswith("output error: ") and str(target) in err
         assert "Traceback" not in err and out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
 class TestCsv:
@@ -437,6 +442,18 @@ class TestConfigErrors:
           "samples": {"count": 1000001, "t_box": [0.0, 1.0], "x_box": [-1.0, 1.0],
                       "p_box": [-1.0, 1.0]}},
          "/experiment/samples/count"),
+        # each of these would build more than 10^6 propagators or RK4 steps
+        # (or, at 5e-324, count its substeps as an infinite float)
+        ("interaction_picture_staircase", "evolve", "/experiment/max_dt", 1e-300,
+         "/experiment/max_dt"),
+        ("interaction_picture_staircase", "evolve", "/experiment/max_dt", 5e-324,
+         "/experiment/max_dt"),
+        ("interaction_picture_staircase", "evolve", "/experiment/diagonal_steps",
+         10 ** 15, "/experiment/diagonal_steps"),
+        ("free_quantum_holonomy", "holonomy", "/experiment/max_dt", 1e-300,
+         "/experiment/max_dt"),
+        ("grid_coupled_pathindep", "grid", "/experiment/refinements", 10 ** 9,
+         "/experiment/refinements"),
     ])
     def test_bad_axis_size_or_fd_step(self, config_dir, tmp_path, capsys,
                                       no_numerics, name, subcommand, key, value,

@@ -20,7 +20,6 @@ from multitime.expr import (
     UnboundVariableError,
     UnknownFunctionError,
     Var,
-    compile_expression,
     compile_function,
     diff,
     evaluate,
@@ -261,13 +260,33 @@ def outcome(fn):
         return type(exc), str(exc)
 
 
+def leftmost_unbound(expr, bindings):
+    """The name of the leftmost variable of ``expr`` that ``bindings``
+    leaves unbound, or None."""
+    match expr:
+        case Var(name):
+            return None if name in bindings else name
+        case Neg(arg) | Call(_, arg):
+            return leftmost_unbound(arg, bindings)
+        case BinOp(_, left, right):
+            return leftmost_unbound(left, bindings) or leftmost_unbound(right, bindings)
+    return None
+
+
+def evaluate_outcome(tree, bindings):
+    """The outcome ``evaluate`` must have: the leftmost unbound variable
+    raises before anything is evaluated, else the reference interpreter's."""
+    name = leftmost_unbound(tree, bindings)
+    if name is not None:
+        return UnboundVariableError, f"variable {name!r} is not bound"
+    return outcome(lambda: reference_evaluate(tree, bindings))
+
+
 class TestCompiledExpressions:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(tree=trees, b=bindings)
     def test_matches_reference_interpreter(self, tree, b):
-        compiled = compile_expression(tree)
-        assert outcome(lambda: compiled(b)) == outcome(
-            lambda: reference_evaluate(tree, b))
+        assert outcome(lambda: evaluate(tree, b)) == evaluate_outcome(tree, b)
 
     @pytest.mark.parametrize("source,b", [
         ("x^2 - 3*x + 1/(y + 2)", {"x": 1.7, "y": -0.3}),
@@ -276,33 +295,33 @@ class TestCompiledExpressions:
         ("(-8)^(1/3)", {}),
         ("exp(x)", {"x": 1e308}),
         ("x + y", {"x": 1.0}),
+        ("log(x) + y", {"x": 0.0}),
         ("2^3^2 - -x", {"x": -0.0}),
     ])
     def test_shipped_shapes_match_reference(self, source, b):
         tree = parse_expression(source)
-        assert outcome(lambda: evaluate(tree, b)) == outcome(
-            lambda: reference_evaluate(tree, b))
+        assert outcome(lambda: evaluate(tree, b)) == evaluate_outcome(tree, b)
 
     def test_not_an_expression(self):
         with pytest.raises(TypeError):
-            compile_expression("x + 1")
+            evaluate("x + 1", {})
         with pytest.raises(TypeError):
             evaluate(BinOp("+", Num(1.0), "x"), {})
 
     @pytest.fixture
     def compiles(self, monkeypatch):
-        """The trees compiled while the test runs, in order.  The parse
-        cache is emptied first, so sources parsed by earlier tests are
-        parsed and compiled again here."""
+        """The trees that ``evaluate`` compiles while the test runs, in
+        order: those that a tree's ``function`` passes to
+        ``expr.compile_function``.  The parse cache is emptied first, so
+        sources parsed by earlier tests are parsed and compiled again here."""
         parse_expression.cache_clear()
         seen = []
-        real = expr_module._compile
 
-        def counting(tree):
-            seen.append(tree)
-            return real(tree)
+        def counting(outputs, *args):
+            seen.extend(outputs)
+            return compile_function(outputs, *args)
 
-        monkeypatch.setattr(expr_module, "_compile", counting)
+        monkeypatch.setattr(expr_module, "compile_function", counting)
         return seen
 
     def test_compiled_once_per_tree(self, compiles):
@@ -324,13 +343,14 @@ class TestCompiledExpressions:
     @pytest.fixture
     def fused(self, monkeypatch):
         """The outputs of every ``compile_function`` call that the
-        classical, quantum and HJ modules make while the test runs."""
+        classical, quantum and HJ modules make while the test runs.  It
+        wraps the imported ``compile_function``, not ``expr``'s, which the
+        ``compiles`` fixture may have replaced."""
         seen = []
-        real = expr_module.compile_function
 
         def counting(outputs, *args):
             seen.append(tuple(outputs))
-            return real(outputs, *args)
+            return compile_function(outputs, *args)
 
         for module in (classical, quantum, hj):
             monkeypatch.setattr(module, "compile_function", counting)
@@ -361,8 +381,7 @@ class TestCompiledExpressions:
         assert compiles == [] and fused == [] and loops == []
         init = PhasePoint(times=[0.0, 0.0], x=[[-1.0], [1.0]], p=[[0.1], [-0.1]])
         for field in (free, coupled, free, coupled, hamiltonian_vector_field(h_exprs, 2, 1)):
-            evolve_equal_time(field, init, (0.0, 0.2), 0.01,
-                              timelike_warning=False)
+            evolve_equal_time(field, init, (0.0, 0.2), 0.01)
         # one loop per field, also for a field rebuilt from equal
         # expressions, with every time t_j the step time, and no right-hand
         # side or component compiled on its own
@@ -519,10 +538,9 @@ class TestDiff:
     def test_matches_richardson(self, tree, at):
         x, y = at
         exact = exact_derivative(tree, x, y)
-        f = compile_expression(tree)
 
         def g(u):
-            return f({"x": u, "y": y})
+            return evaluate(tree, {"x": u, "y": y})
 
         def one_sided(h):  # second order, from x to x + 2h
             return (4.0 * g(x + h) - 3.0 * g(x) - g(x + 2.0 * h)) / (2.0 * h)
@@ -572,9 +590,9 @@ class TestCentralDifference:
            h=st.floats(5e-324, 1e308))
     def test_matches_diff_callable(self, tree, var, at, b, h):
         b = {**b, var: at}
-        stepped = compile_expression(expr_module.central_difference(tree, var, h))
-        assert outcome(lambda: stepped(b)) == outcome(
-            lambda: diff_callable(compile_expression(tree), var, b, h=h))
+        stepped = expr_module.central_difference(tree, var, h)
+        assert outcome(lambda: evaluate(stepped, b)) == outcome(
+            lambda: diff_callable(lambda bb: evaluate(tree, bb), var, b, h=h))
 
     def test_shape(self):
         got = expr_module.central_difference(parse_expression("x*y + x"), "x", 0.5)
@@ -655,7 +673,7 @@ class TestFusedFunctions:
         fused = compile_function(outputs, [("x",), ("y", "z")], {"k": k})
         b = {"x": x, "y": y, "z": z, "k": k}
         assert outcomes(lambda: fused((x,), [y, z])) == outcomes(
-            lambda: [compile_expression(tree)(b) for tree in outputs])
+            lambda: [reference_evaluate(tree, b) for tree in outputs])
 
     def test_shared_subtree_computed_once(self, monkeypatch):
         calls = []

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from multitime import linops
 from multitime.linops import (
     SIGMA_Y,
     SIGMA_Z,
@@ -192,6 +193,20 @@ class TestEvolution:
         state = MultiTimeState(np.array([1, 0, 0, 0], complex), [0.0, 0.0])
         with pytest.raises(ValueError):
             evolve_staircase(sys, state, StaircasePath([Segment(1, 1.0, 0)]))
+
+    def test_work_bounded(self, monkeypatch):
+        # refused before the first propagator, each one more than allowed
+        def no_propagators(*args):
+            raise AssertionError("a propagator was built")
+
+        monkeypatch.setattr(linops, "hermitian_propagator", no_propagators)
+        sys = free_qubits()
+        phi = np.array([1, 0, 0, 0], complex)
+        path = StaircasePath([Segment(1, 1.0, 600_000), Segment(2, 1.0, 400_001)])
+        with pytest.raises(ValueError, match="1000001 substeps; at most 1000000"):
+            evolve_staircase(sys, MultiTimeState(phi, [0.0, 0.0]), path)
+        with pytest.raises(ValueError, match="steps must be in 1..1000000"):
+            diagonal_evolution(sys, phi, 0.0, 1.0, steps=1_000_001)
 
 
 class TestHolonomy:
