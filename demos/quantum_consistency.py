@@ -26,15 +26,19 @@ from multitime.quantum import (
 )
 
 g = 0.5
-zz = 0.5 * g * pauli_string("ZZ")
+zz = pauli_string("ZZ")
 
-commuting = PartialHamiltonianSet.from_constant(
-    [pauli_string("ZI"), pauli_string("IX")], 2)
-coupled = PartialHamiltonianSet.from_constant(
-    [pauli_string("ZI") + zz, pauli_string("IX") + zz], 2)
+# each H_j is a list of (operator, coefficient) terms
+commuting = PartialHamiltonianSet(
+    [[(pauli_string("ZI"), 1.0)], [(pauli_string("IX"), 1.0)]], 2)
+coupled = PartialHamiltonianSet(
+    [[(pauli_string("ZI"), 1.0), (zz, 0.5 * g)],
+     [(pauli_string("IX"), 1.0), (zz, 0.5 * g)]], 2)
+# H_j = U K_j U^dagger with U = exp(-i base t1)
 base = pauli_string("ZI")
-consistent_interacting = PartialHamiltonianSet.from_interaction_picture(
-    base, [base, pauli_string("IX") + 0.5 * pauli_string("XX")], 2)
+consistent_interacting = PartialHamiltonianSet(
+    [[(base, 1.0)], [(pauli_string("IX"), 1.0), (pauli_string("XX"), 0.5)]],
+    2, base=base)
 
 phi0 = np.full(4, 0.5, dtype=complex)  # |+>|+>
 

@@ -230,13 +230,13 @@ def build_quantum_system(cfg: dict, path: str) -> quantum.PartialHamiltonianSet:
         rows = _list(ham["terms"], f"{hpath}/terms", length=n)
         terms = [_pauli_op_sum(row, f"{hpath}/terms/{j}", n, numeric_only=False)
                  for j, row in enumerate(rows)]
-        return quantum.PartialHamiltonianSet.from_terms(n, k, terms)
+        return quantum.PartialHamiltonianSet(terms, k)
     if htype == "interaction_picture":
         _keys(ham, hpath, ["type", "base", "k"])
         base = _numeric_pauli_sum(ham["base"], f"{hpath}/base", n)
-        ks = [_numeric_pauli_sum(row, f"{hpath}/k/{j}", n)
-              for j, row in enumerate(_list(ham["k"], f"{hpath}/k", length=n))]
-        return quantum.PartialHamiltonianSet.from_interaction_picture(base, ks, k)
+        terms = [_pauli_op_sum(row, f"{hpath}/k/{j}", n, numeric_only=True)
+                 for j, row in enumerate(_list(ham["k"], f"{hpath}/k", length=n))]
+        return quantum.PartialHamiltonianSet(terms, k, base=base)
     raise ConfigError(f"{hpath}/type",
                       f"unknown Hamiltonian type {htype!r} "
                       "(expected pauli_terms | interaction_picture)")

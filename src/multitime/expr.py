@@ -96,8 +96,9 @@ class _Node:
     """Base of the AST node classes.  ``function`` is the tree's variables,
     left to right, and their ``compile_function``, built on first access
     and kept in the instance ``__dict__`` (outside the dataclass fields, so
-    eq, hash and repr ignore it: equal trees such as ``Num(0.0)`` and
-    ``Num(-0.0)`` compile differently); it is freed with the tree."""
+    eq, hash and repr ignore it); it is freed with the tree.  Equal trees
+    compile alike, because numbers compare by their bits: ``Num(0.0) !=
+    Num(-0.0)``, so a memo keyed on trees is sound."""
 
     @functools.cached_property
     def function(self) -> tuple[tuple[str, ...], Callable[..., tuple[float, ...]]]:
@@ -108,6 +109,14 @@ class _Node:
 @dataclass(frozen=True)
 class Num(_Node):
     value: float
+
+    def __eq__(self, other):
+        if not isinstance(other, Num):
+            return NotImplemented
+        return struct.pack("d", self.value) == struct.pack("d", other.value)
+
+    def __hash__(self):
+        return hash(struct.pack("d", self.value))
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,24 @@
 """Multi-time Schroedinger systems on finite-dimensional state spaces.
 
 A system is a set of partial Hamiltonians H_j(t1..tn), one per time
-coordinate, acting on an n-fold tensor product of local dimension k.  The
-module computes the commutator consistency defect
+coordinate, acting on an n-fold tensor product of local dimension k, each
+given by its (operator, coefficient) terms.  The module computes the
+commutator consistency defect
 
     C_jk = dH_k/dt_j - dH_j/dt_k + i [H_j, H_k],
 
-evolves states along axis-aligned staircase paths with midpoint-frozen
-exponential propagators, measures rectangle holonomies, and reduces to
-single-time evolution on the time diagonal.  An evolution of more than
-``classical.MAX_STEPS`` propagators is refused before it starts.
+evolves states along axis-aligned staircases (lists of ``Segment``s) with
+midpoint-frozen exponential propagators, measures rectangle holonomies,
+and reduces to single-time evolution on the time diagonal.  An evolution
+of more than ``classical.MAX_STEPS`` propagators is refused before it
+starts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +32,6 @@ __all__ = [
     "PartialHamiltonianSet",
     "MultiTimeState",
     "Segment",
-    "StaircasePath",
     "total_hamiltonian",
     "consistency_defect_matrix",
     "quantum_consistency_defect",
@@ -42,48 +43,61 @@ __all__ = [
 ]
 
 
-def _require_hermitian(m, what: str) -> np.ndarray:
-    """``m`` as a complex matrix; ValueError naming ``what`` if it is not
-    Hermitian."""
-    m = linops.as_matrix(m)
+def _require_operator(m, what: str, dim: int) -> np.ndarray:
+    """``m`` as a complex matrix; ValueError naming ``what`` unless it is a
+    Hermitian (dim, dim) matrix."""
+    m = np.asarray(m, dtype=np.complex128)
+    if m.shape != (dim, dim):
+        raise ValueError(f"{what} has shape {m.shape}, not ({dim}, {dim})")
     if not linops.is_hermitian(m):
         raise ValueError(f"{what} is not Hermitian")
     return m
 
 
+def _sum(ops: Sequence[np.ndarray], coefficients, dim: int) -> np.ndarray:
+    h = np.zeros((dim, dim), dtype=np.complex128)
+    for op, c in zip(ops, coefficients):
+        h = h + c * op
+    return h
+
+
 class PartialHamiltonianSet:
-    """n matrix-valued partial Hamiltonians H_j(t1..tn).
+    """n matrix-valued partial Hamiltonians H_j(t1..tn), n = len(terms).
 
-    Each H_j is supplied as one of:
-      * a constant Hermitian matrix,
-      * a sum of (operator, coefficient-expression) terms with the
-        coefficients depending on t1..tn,
-      * the interaction-picture form H_j = U K_j U^dagger with
-        U(t) = exp(-i * base * t1) for constant matrices base, K_j.
-
-    The three constructors check their matrices and operators once; builders
-    passed straight to ``__init__`` are checked on every ``hamiltonian`` call.
+    ``terms[j]`` lists the (operator, coefficient) pairs of H_(j+1) = sum
+    of c * O; a coefficient is a number, an expression string or an
+    Expression in the variables t1..tn.  The coefficients of each row are
+    compiled here into one function of the time tuple, numbers as ``Num``;
+    a row of numbers alone is summed once, here.  A constant ``base`` puts
+    every H_j in the interaction picture, U (sum of c * O) U^dagger with
+    U(t) = exp(-i * base * t1).  Each operator and ``base`` must be a
+    Hermitian (local_dim^n, local_dim^n) matrix; with real coefficients, so
+    is every H_j.
     """
 
-    def __init__(self, n: int, local_dim: int,
-                 builders: Sequence[Callable[[Sequence[float]], np.ndarray]]):
-        if len(builders) != n:
-            raise ValueError(f"need {n} partial Hamiltonians, got {len(builders)}")
-        self.n = n
+    def __init__(self, terms: Sequence[Sequence[tuple[np.ndarray, object]]],
+                 local_dim: int, base: np.ndarray | None = None):
+        self.n = n = len(terms)
         self.local_dim = local_dim
-        self.dim = local_dim**n
-        self._builders = list(builders)
-        self._check_calls = True
-
-    @classmethod
-    def _checked(cls, n: int, local_dim: int,
-                 builders: Sequence[Callable[[Sequence[float]], np.ndarray]],
-                 ) -> "PartialHamiltonianSet":
-        """A set whose builders make Hermitian matrices by construction, so
-        ``hamiltonian`` skips the per-call check."""
-        system = cls(n, local_dim, builders)
-        system._check_calls = False
-        return system
+        self.dim = dim = local_dim**n
+        self._rows = []
+        for j, row in enumerate(terms):
+            ops = [_require_operator(op, f"operator of terms[{j}][{i}]", dim)
+                   for i, (op, _) in enumerate(row)]
+            if not any(isinstance(c, (str, Expression)) for _, c in row):
+                k = _sum(ops, [float(c) for _, c in row], dim)
+                self._rows.append(lambda _t, k=k: k)
+                continue
+            coeffs = [parse_expression(c) if isinstance(c, str)
+                      else c if isinstance(c, Expression) else Num(float(c))
+                      for _, c in row]
+            f = compile_function(coeffs, [binding_names("t", n)])
+            self._rows.append(lambda t, ops=ops, f=f: _sum(
+                ops, f(np.asarray(t, float).tolist()), dim))
+        self._frame = None
+        if base is not None:
+            w, v = np.linalg.eigh(_require_operator(base, "base", dim))
+            self._frame = w, v, linops.dagger(v)
 
     def hamiltonian(self, j: int, times: Sequence[float]) -> np.ndarray:
         """H_j at the time tuple; ``j`` is 1-based."""
@@ -91,66 +105,12 @@ class PartialHamiltonianSet:
             raise ValueError(f"index {j} outside 1..{self.n}")
         if len(times) != self.n:
             raise ValueError(f"time tuple length {len(times)} != n = {self.n}")
-        h = self._builders[j - 1](times)
-        if self._check_calls:
-            _require_hermitian(h, f"H_{j} at t = {tuple(times)}")
-        return h
-
-    @classmethod
-    def from_constant(cls, matrices: Sequence[np.ndarray],
-                      local_dim: int) -> "PartialHamiltonianSet":
-        mats = [_require_hermitian(m, f"H_{j}")
-                for j, m in enumerate(matrices, start=1)]
-        return cls._checked(len(mats), local_dim, [lambda _t, m=m: m for m in mats])
-
-    @classmethod
-    def from_terms(cls, n: int, local_dim: int,
-                   terms: Sequence[Sequence[tuple[np.ndarray, object]]],
-                   ) -> "PartialHamiltonianSet":
-        """``terms[j]`` is a list of (operator, coefficient) pairs; a
-        coefficient is a number, an expression string or an Expression in
-        the variables t1..tn; those of each H_j are compiled here into one
-        function of the time tuple, numbers as ``Num``.  Each operator must
-        be Hermitian; with real coefficients, so is every H_j."""
-        rows = []
-        for j, per_j in enumerate(terms):
-            ops = [_require_hermitian(op, f"operator of terms[{j}][{i}]")
-                   for i, (op, _) in enumerate(per_j)]
-            coeffs = [parse_expression(c) if isinstance(c, str)
-                      else c if isinstance(c, Expression) else Num(float(c))
-                      for _, c in per_j]
-            rows.append((ops, compile_function(coeffs, [binding_names("t", n)])))
-
-        def make(ops, coefficients):
-            def build(times):
-                dim = local_dim**n
-                h = np.zeros((dim, dim), dtype=np.complex128)
-                for op, c in zip(ops, coefficients(np.asarray(times, float).tolist())):
-                    h = h + c * op
-                return h
-
-            return build
-
-        return cls._checked(n, local_dim, [make(*row) for row in rows])
-
-    @classmethod
-    def from_interaction_picture(cls, base: np.ndarray, ks: Sequence[np.ndarray],
-                                 local_dim: int) -> "PartialHamiltonianSet":
-        base = _require_hermitian(base, "base")
-        w, v = np.linalg.eigh(base)
-        vd = linops.dagger(v)
-        mats = [_require_hermitian(k, f"K_{j}")
-                for j, k in enumerate(ks, start=1)]
-
-        def make(k):
-            def build(times):
-                phases = np.exp(-1j * w * times[0])
-                u = (v * phases) @ vd
-                return u @ k @ u.conj().T
-
-            return build
-
-        return cls._checked(len(mats), local_dim, [make(k) for k in mats])
+        k = self._rows[j - 1](times)
+        if self._frame is None:
+            return k
+        w, v, vd = self._frame
+        u = (v * np.exp(-1j * w * times[0])) @ vd
+        return u @ k @ u.conj().T
 
 
 @dataclass
@@ -174,20 +134,6 @@ class Segment:
     axis: int
     duration: float
     substeps: int = 1
-
-
-@dataclass(frozen=True)
-class StaircasePath:
-    segments: tuple[Segment, ...]
-
-    def __init__(self, segments: Sequence[Segment]):
-        object.__setattr__(self, "segments", tuple(segments))
-
-    def displacement(self, n: int) -> np.ndarray:
-        d = np.zeros(n)
-        for seg in self.segments:
-            d[seg.axis - 1] += seg.duration
-        return d
 
 
 def total_hamiltonian(sys: PartialHamiltonianSet,
@@ -233,18 +179,19 @@ def quantum_consistency_defect(sys: PartialHamiltonianSet,
 
 
 def evolve_staircase(sys: PartialHamiltonianSet, state: MultiTimeState,
-                     path: StaircasePath) -> MultiTimeState:
-    """Integrate the per-coordinate Schroedinger equations along the path.
+                     segments: Sequence[Segment]) -> MultiTimeState:
+    """Integrate the per-coordinate Schroedinger equations along the
+    staircase of ``segments``, taken in order.
 
     Each substep of length delta applies exp(-i H_j(t_mid) delta) with H_j
     frozen at the substep midpoint (exponential midpoint rule, second
     order, exactly unitary per substep).
     """
-    if (total := sum(seg.substeps for seg in path.segments)) > MAX_STEPS:
+    if (total := sum(seg.substeps for seg in segments)) > MAX_STEPS:
         raise ValueError(f"the path takes {total} substeps; at most {MAX_STEPS} are allowed")
     phi = state.vector.copy()
     times = np.array(state.times, dtype=float)
-    for seg in path.segments:
+    for seg in segments:
         if seg.substeps < 1:
             raise ValueError("substeps must be >= 1")
         delta = seg.duration / seg.substeps
@@ -259,7 +206,14 @@ def evolve_staircase(sys: PartialHamiltonianSet, state: MultiTimeState,
 
 
 def _substeps(duration: float, max_dt: float) -> int:
-    return max(1, int(math.ceil(abs(duration) / max_dt)))
+    """The substeps of at most ``max_dt`` in a leg of ``duration``, counted
+    in floats; ValueError for max_dt <= 0 or a leg of more than MAX_STEPS."""
+    if not max_dt > 0.0:
+        raise ValueError(f"max_dt must be positive, got {max_dt}")
+    if (steps := abs(duration) / max_dt) > MAX_STEPS:
+        raise ValueError(f"a leg of {duration} takes more than {MAX_STEPS} "
+                         f"substeps of {max_dt}")
+    return max(1, math.ceil(steps))
 
 
 def rectangle_holonomy(sys: PartialHamiltonianSet, times: Sequence[float],
@@ -273,8 +227,8 @@ def rectangle_holonomy(sys: PartialHamiltonianSet, times: Sequence[float],
     state = MultiTimeState(vector=np.asarray(phi0), times=np.asarray(times, float))
     leg_j = Segment(j, eps, _substeps(eps, max_dt))
     leg_k = Segment(k, delta, _substeps(delta, max_dt))
-    a = evolve_staircase(sys, state, StaircasePath([leg_j, leg_k]))
-    b = evolve_staircase(sys, state, StaircasePath([leg_k, leg_j]))
+    a = evolve_staircase(sys, state, [leg_j, leg_k])
+    b = evolve_staircase(sys, state, [leg_k, leg_j])
     return float(np.linalg.norm(a.vector - b.vector))
 
 
@@ -295,7 +249,7 @@ def diagonal_evolution(sys: PartialHamiltonianSet, psi0: np.ndarray,
 
 def staircase_between(start: Sequence[float], end: Sequence[float],
                       order: Sequence[int] | None = None,
-                      max_dt: float = 1e-2) -> StaircasePath:
+                      max_dt: float = 1e-2) -> list[Segment]:
     """One segment per axis, taken in ``order`` (1-based; default 1..n)."""
     start = np.asarray(start, float)
     end = np.asarray(end, float)
@@ -305,15 +259,15 @@ def staircase_between(start: Sequence[float], end: Sequence[float],
         dur = float(end[ax - 1] - start[ax - 1])
         if dur != 0.0:
             segs.append(Segment(ax, dur, _substeps(dur, max_dt)))
-    return StaircasePath(segs)
+    return segs
 
 
 def random_staircase(rng: np.random.Generator, start: Sequence[float],
                      end: Sequence[float], pieces: int = 4,
-                     max_dt: float = 1e-2) -> StaircasePath:
-    """Random axis-aligned staircase from ``start`` to ``end``: each axis
-    displacement is split into ``pieces`` random chunks and the chunks are
-    interleaved in random order."""
+                     max_dt: float = 1e-2) -> list[Segment]:
+    """Random axis-aligned staircase from ``start`` to ``end``: the move
+    along each axis is split into ``pieces`` random chunks and the chunks
+    are interleaved in random order."""
     start = np.asarray(start, float)
     end = np.asarray(end, float)
     chunks: list[Segment] = []
@@ -325,4 +279,4 @@ def random_staircase(rng: np.random.Generator, start: Sequence[float],
             if d != 0.0:
                 chunks.append(Segment(ax, d, _substeps(d, max_dt)))
     perm = rng.permutation(len(chunks))
-    return StaircasePath([chunks[i] for i in perm])
+    return [chunks[i] for i in perm]

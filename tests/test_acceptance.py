@@ -41,7 +41,6 @@ from multitime.quantum import (
     MultiTimeState,
     PartialHamiltonianSet,
     Segment,
-    StaircasePath,
     consistency_defect_matrix,
     diagonal_evolution,
     evolve_staircase,
@@ -97,20 +96,22 @@ def _report(capsys, num: int, checks: list[tuple[bool, str]],
 
 
 def commuting_system() -> PartialHamiltonianSet:
-    return PartialHamiltonianSet.from_constant(
-        [pauli_string("ZI"), pauli_string("IX")], 2)
+    return PartialHamiltonianSet(
+        [[(pauli_string("ZI"), 1.0)], [(pauli_string("IX"), 1.0)]], 2)
 
 
 def coupled_system() -> PartialHamiltonianSet:
-    zz = 0.5 * G * pauli_string("ZZ")
-    return PartialHamiltonianSet.from_constant(
-        [pauli_string("ZI") + zz, pauli_string("IX") + zz], 2)
+    zz = pauli_string("ZZ")
+    return PartialHamiltonianSet(
+        [[(pauli_string("ZI"), 1.0), (zz, 0.5 * G)],
+         [(pauli_string("IX"), 1.0), (zz, 0.5 * G)]], 2)
 
 
 def interaction_picture_system() -> PartialHamiltonianSet:
     base = pauli_string("ZI")
-    return PartialHamiltonianSet.from_interaction_picture(
-        base, [base, pauli_string("IX") + 0.5 * pauli_string("XX")], 2)
+    return PartialHamiltonianSet(
+        [[(base, 1.0)], [(pauli_string("IX"), 1.0), (pauli_string("XX"), 0.5)]],
+        2, base=base)
 
 
 def plus_state(dim: int = 4) -> np.ndarray:
@@ -414,17 +415,16 @@ def test_criterion_10_determinism_and_convergence(capsys):
 
     rk4_ratio = rk4_err(0.02) / rk4_err(0.01)
 
-    sys_q = PartialHamiltonianSet.from_terms(
-        2, 2,
+    sys_q = PartialHamiltonianSet(
         [[(pauli_string("ZI"), 1.0), (pauli_string("XI"), "0.3*sin(2*t1)")],
-         [(pauli_string("IX"), 1.0)]])
+         [(pauli_string("IX"), 1.0)]], 2)
     phi = np.zeros(4, dtype=complex)
     phi[0] = 1.0
     state = MultiTimeState(phi, [0.0, 0.0])
 
     def stair(m):
         return evolve_staircase(sys_q, state,
-                                StaircasePath([Segment(1, 1.0, m)])).vector
+                                [Segment(1, 1.0, m)]).vector
 
     fine = stair(4096)
     stair_ratio = (np.linalg.norm(stair(32) - fine)

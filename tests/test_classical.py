@@ -292,6 +292,18 @@ class TestEqualTimeEvolution:
         ratio = err(0.02) / err(0.01)
         assert 10.0 < ratio < 25.0
 
+    def test_signed_zero_fields_get_their_own_loops(self):
+        # the RK4 loops are memoised on the field's trees, and Num(0.0) and
+        # Num(-0.0) are different trees: each field keeps the sign of its rates
+        def dxdt(zero):
+            field = PhaseVectorField.from_expressions(
+                1, 1, [[BinOp("*", Num(zero), Var("p1_1"))]], [[Num(0.0)]])
+            init = PhasePoint(times=[0.0], x=[[0.0]], p=[[1.0]])
+            return evolve_equal_time(field, init, (0.0, 0.1), 0.05).line(1).dxdt
+
+        assert bits(dxdt(0.0).ravel()) == bits([0.0] * 3)
+        assert bits(dxdt(-0.0).ravel()) == bits([-0.0] * 3)
+
     def test_unequal_initial_times_rejected(self):
         init = PhasePoint(times=[0.0, 0.5], x=[[0.0], [1.0]], p=[[0.0], [0.0]])
         with pytest.raises(ValueError):

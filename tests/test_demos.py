@@ -1,6 +1,8 @@
-"""Each script under ``demos/`` runs to completion in a fresh interpreter."""
+"""Each script under ``demos/`` and the README's Python quick start run to
+completion in a fresh interpreter."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,13 +17,27 @@ def test_demos_found():
     assert len(DEMOS) >= 3
 
 
-@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(script, tmp_path):
+def run_fresh(args, cwd) -> str:
+    """The standard output of ``python *args`` with ``src/`` on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout.strip()
+    return proc.stdout
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(script, tmp_path):
+    run_fresh([str(script)], tmp_path)
+
+
+def test_readme_quick_start(tmp_path):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(),
+                        re.DOTALL)
+    assert len(blocks) == 1
+    out = run_fresh(["-c", blocks[0]], tmp_path)
+    assert out.splitlines()[0] == "0.5"

@@ -81,6 +81,15 @@ class TestParsing:
         assert evaluate(parse_expression("1 + 2 * 3^2"), {}) == 19.0
         assert evaluate(parse_expression("-2^2"), {}) == -4.0
 
+    def test_numbers_compare_by_their_bits(self):
+        # so that a memo keyed on trees tells the two zeros apart
+        assert Num(0.0) != Num(-0.0)
+        assert BinOp("*", Num(0.0), Var("x")) != BinOp("*", Num(-0.0), Var("x"))
+        assert len({Num(0.0), Num(-0.0), Num(1.0), Num(1)}) == 3
+        assert Num(math.nan) == Num(math.nan)
+        assert Num(2.5) != 2.5 and Num(2.5) != Var("x")
+        assert parse_expression("x - 0.0") == BinOp("-", Var("x"), Num(0.0))
+
     @pytest.mark.parametrize("source", [
         "p1_1^2/(2*1.0)",
         "sin(x1_1 - x2_1)",
@@ -406,9 +415,9 @@ class TestCompiledExpressions:
 
     def test_quantum_coefficients_compiled_at_construction(self, compiles, fused):
         z = np.diag([1.0, -1.0])
-        system = PartialHamiltonianSet.from_terms(
-            2, 2, [[(np.kron(z, z), "sin(2*t1)"), (np.kron(z, z), 0.5)],
-                   [(np.kron(z, z), Var("t2"))]])
+        system = PartialHamiltonianSet(
+            [[(np.kron(z, z), "sin(2*t1)"), (np.kron(z, z), 0.5)],
+             [(np.kron(z, z), Var("t2"))]], 2)
         # one function of the time tuple per H_j, numbers as Num
         assert fused == [(parse_expression("sin(2*t1)"), Num(0.5)), (Var("t2"),)]
         path = staircase_between([0.0, 0.0], [1.0, 1.0], max_dt=0.01)
@@ -419,7 +428,7 @@ class TestCompiledExpressions:
 
     def test_quantum_coefficient_variables_checked_at_construction(self):
         with pytest.raises(UnboundVariableError, match="'t3' is not bound"):
-            PartialHamiltonianSet.from_terms(2, 2, [[(np.eye(4), "t3")], []])
+            PartialHamiltonianSet([[(np.eye(4), "t3")], []], 2)
 
     def test_strings_parsed_and_compiled_once_over_hj_defect_calls(self, compiles,
                                                                    fused):

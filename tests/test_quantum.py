@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from multitime.quantum import (
     MultiTimeState,
     PartialHamiltonianSet,
     Segment,
-    StaircasePath,
     consistency_defect_matrix,
     diagonal_evolution,
     evolve_staircase,
@@ -28,22 +29,27 @@ from multitime.quantum import (
 G = 0.5
 
 
+RAISING = np.array([[0, 1], [0, 0]], dtype=complex)
+
+
 def coupled_qubits(g: float = G) -> PartialHamiltonianSet:
     """H_1 = Z x I + (g/2) Z x Z, H_2 = I x X + (g/2) Z x Z."""
     zz = pauli_string("ZZ")
-    return PartialHamiltonianSet.from_constant(
-        [pauli_string("ZI") + 0.5 * g * zz, pauli_string("IX") + 0.5 * g * zz], 2)
+    return PartialHamiltonianSet(
+        [[(pauli_string("ZI"), 1.0), (zz, 0.5 * g)],
+         [(pauli_string("IX"), 1.0), (zz, 0.5 * g)]], 2)
 
 
 def free_qubits() -> PartialHamiltonianSet:
-    return PartialHamiltonianSet.from_constant(
-        [pauli_string("ZI"), pauli_string("IX")], 2)
+    return PartialHamiltonianSet(
+        [[(pauli_string("ZI"), 1.0)], [(pauli_string("IX"), 1.0)]], 2)
 
 
 def interaction_picture() -> PartialHamiltonianSet:
     base = pauli_string("ZI")
-    ks = [base, pauli_string("IX") + 0.5 * pauli_string("XX")]
-    return PartialHamiltonianSet.from_interaction_picture(base, ks, 2)
+    return PartialHamiltonianSet(
+        [[(base, 1.0)], [(pauli_string("IX"), 1.0), (pauli_string("XX"), 0.5)]],
+        2, base=base)
 
 
 class TestDefect:
@@ -83,46 +89,67 @@ class TestDefect:
             quantum_consistency_defect(free_qubits(), [0.0, 0.0], h=0.0)
 
     def test_non_hermitian_rejected(self):
-        # constant matrices are checked once, at construction
-        with pytest.raises(ValueError, match="H_1 is not Hermitian"):
-            PartialHamiltonianSet.from_constant(
-                [np.array([[0, 1], [0, 0]], dtype=complex),
-                 np.eye(2, dtype=complex)], 2)
+        # operators are checked once, at construction
+        with pytest.raises(ValueError, match=r"operator of terms\[0\]\[0\] is not Hermitian"):
+            PartialHamiltonianSet(
+                [[(kron(RAISING, np.eye(2)), 1.0)], [(np.eye(4), 1.0)]], 2)
 
     def test_non_hermitian_term_operator_rejected(self):
-        raising = np.array([[0, 1], [0, 0]], dtype=complex)
-        with pytest.raises(ValueError, match=r"operator of terms\[1\]\[1\]"):
-            PartialHamiltonianSet.from_terms(
-                2, 2, [[(pauli_string("ZI"), 1.0)],
-                       [(pauli_string("IX"), "t1"), (kron(np.eye(2), raising), 0.5)]])
+        with pytest.raises(ValueError, match=r"operator of terms\[1\]\[1\] is not"):
+            PartialHamiltonianSet(
+                [[(pauli_string("ZI"), 1.0)],
+                 [(pauli_string("IX"), "t1"), (kron(np.eye(2), RAISING), 0.5)]], 2)
 
     def test_non_hermitian_interaction_picture_rejected(self):
-        raising = np.array([[0, 1], [0, 0]], dtype=complex)
+        terms = [[(pauli_string("ZI"), 1.0)], [(pauli_string("IY"), 1.0)]]
         with pytest.raises(ValueError, match="base is not Hermitian"):
-            PartialHamiltonianSet.from_interaction_picture(
-                raising, [SIGMA_Z, SIGMA_Z], 2)
-        with pytest.raises(ValueError, match="K_2 is not Hermitian"):
-            PartialHamiltonianSet.from_interaction_picture(
-                SIGMA_Z, [SIGMA_Y, raising], 2)
+            PartialHamiltonianSet(terms, 2, base=kron(RAISING, np.eye(2)))
+        terms[1].append((kron(np.eye(2), RAISING), 1.0))
+        with pytest.raises(ValueError, match=r"operator of terms\[1\]\[1\] is not"):
+            PartialHamiltonianSet(terms, 2, base=pauli_string("ZI"))
 
-    def test_non_hermitian_builder_rejected_at_call(self):
-        # a builder passed straight to the constructor is checked per call
-        def h2(times):
-            return np.array([[0, times[0]], [0, 0]], dtype=complex)
+    def test_shapes_checked_at_construction(self):
+        # local_dim = 3 with two time coordinates needs 9 x 9 operators
+        with pytest.raises(ValueError,
+                           match=r"terms\[1\]\[0\] has shape \(4, 4\), not \(9, 9\)"):
+            PartialHamiltonianSet([[(np.eye(9), 1.0)], [(pauli_string("ZZ"), "t1")]], 3)
+        with pytest.raises(ValueError, match=r"base has shape \(2, 2\), not \(4, 4\)"):
+            PartialHamiltonianSet([[(pauli_string("ZI"), 1.0)], []], 2, base=SIGMA_Z)
+        with pytest.raises(ValueError, match=r"terms\[0\]\[0\] has shape \(4,\)"):
+            PartialHamiltonianSet([[(np.ones(4), 1.0)], []], 2)
 
-        system = PartialHamiltonianSet(2, 2, [lambda _t: SIGMA_Z, h2])
-        assert np.array_equal(system.hamiltonian(2, [0.0, 0.0]), np.zeros((2, 2)))
-        with pytest.raises(ValueError, match=r"H_2 at t = \(1.0, 0.0\) is not"):
-            system.hamiltonian(2, [1.0, 0.0])
-
-    def test_from_terms_time_dependence(self):
-        sys = PartialHamiltonianSet.from_terms(
-            2, 2,
+    def test_time_dependence(self):
+        sys = PartialHamiltonianSet(
             [[(pauli_string("ZI"), 1.0), (pauli_string("XI"), "sin(2*t1)")],
-             [(pauli_string("IX"), 1.0)]])
+             [(pauli_string("IX"), 1.0)]], 2)
         h = sys.hamiltonian(1, [0.4, 0.0])
         want = pauli_string("ZI") + np.sin(0.8) * pauli_string("XI")
         assert np.allclose(h, want)
+
+    def test_numeric_row_summed_once(self):
+        sys = coupled_qubits()
+        h = sys.hamiltonian(2, [0.0, 0.0])
+        assert sys.hamiltonian(2, [0.3, -1.0]) is h
+        want = np.zeros((4, 4), complex) + 1.0 * pauli_string("IX") \
+            + (0.5 * G) * pauli_string("ZZ")
+        assert np.array_equal(h, want)
+        assert np.array_equal(sys.hamiltonian(1, [0.0, 0.0]),
+                              pauli_string("ZI") + 0.5 * G * pauli_string("ZZ"))
+
+    def test_interaction_picture_of_time_dependent_terms(self):
+        # H_j = U (sum of c(t) O) U^dagger with U = exp(-i base t1)
+        base = pauli_string("ZI") + 0.3 * pauli_string("XX")
+        terms = [[(pauli_string("ZI"), 1.0)],
+                 [(pauli_string("IX"), "cos(t2)"), (pauli_string("YY"), 0.5)]]
+        sys = PartialHamiltonianSet(terms, 2, base=base)
+        times = [0.7, -0.4]
+        w, v = np.linalg.eigh(base)
+        u = (v * np.exp(-1j * w * 0.7)) @ dagger(v)
+        k = np.cos(-0.4) * pauli_string("IX") + 0.5 * pauli_string("YY")
+        assert np.allclose(sys.hamiltonian(2, times), u @ k @ dagger(u), atol=1e-14)
+        assert np.allclose(sys.hamiltonian(1, times),
+                           u @ pauli_string("ZI") @ dagger(u), atol=1e-14)
+        assert linops.is_hermitian(sys.hamiltonian(2, times))
 
 
 class TestEvolution:
@@ -130,7 +157,7 @@ class TestEvolution:
         sys = coupled_qubits()
         phi = np.zeros(4, dtype=complex)
         phi[0] = 1.0
-        path = StaircasePath([Segment(1, 0.7, 70), Segment(2, -0.3, 30)])
+        path = [Segment(1, 0.7, 70), Segment(2, -0.3, 30)]
         out = evolve_staircase(sys, MultiTimeState(phi, [0.0, 0.0]), path)
         assert out.norm() == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(out.times, [0.7, -0.3])
@@ -140,7 +167,7 @@ class TestEvolution:
         sys = free_qubits()
         phi = np.array([1, 0, 0, 0], dtype=complex)
         out = evolve_staircase(sys, MultiTimeState(phi, [0.0, 0.0]),
-                               StaircasePath([Segment(1, 1.3, 1)]))
+                               [Segment(1, 1.3, 1)])
         w, v = np.linalg.eigh(pauli_string("ZI"))
         want = (v * np.exp(-1j * w * 1.3)) @ dagger(v) @ phi
         assert np.linalg.norm(out.vector - want) < 1e-12
@@ -148,17 +175,16 @@ class TestEvolution:
     def test_substep_second_order_convergence(self):
         # midpoint-frozen exponentials are second order: halving the substep
         # count ratio of errors vs a fine reference should be about 4
-        sys = PartialHamiltonianSet.from_terms(
-            2, 2,
+        sys = PartialHamiltonianSet(
             [[(pauli_string("ZI"), 1.0), (pauli_string("XI"), "0.3*sin(2*t1)")],
-             [(pauli_string("IX"), 1.0)]])
+             [(pauli_string("IX"), 1.0)]], 2)
         phi = np.zeros(4, dtype=complex)
         phi[0] = 1.0
         state = MultiTimeState(phi, [0.0, 0.0])
 
         def run(m):
             return evolve_staircase(sys, state,
-                                    StaircasePath([Segment(1, 1.0, m)])).vector
+                                    [Segment(1, 1.0, m)]).vector
 
         ref = run(4096)
         e32 = np.linalg.norm(run(32) - ref)
@@ -182,17 +208,15 @@ class TestEvolution:
         sys = coupled_qubits()
         phi = np.ones(4, dtype=complex) / 2.0
         state = MultiTimeState(phi, [0.0, 0.0])
-        a = evolve_staircase(sys, state, StaircasePath(
-            [Segment(1, 0.5, 50), Segment(2, 0.5, 50)]))
-        b = evolve_staircase(sys, state, StaircasePath(
-            [Segment(2, 0.5, 50), Segment(1, 0.5, 50)]))
+        a = evolve_staircase(sys, state, [Segment(1, 0.5, 50), Segment(2, 0.5, 50)])
+        b = evolve_staircase(sys, state, [Segment(2, 0.5, 50), Segment(1, 0.5, 50)])
         assert np.linalg.norm(a.vector - b.vector) > 0.01
 
     def test_bad_substeps(self):
         sys = free_qubits()
         state = MultiTimeState(np.array([1, 0, 0, 0], complex), [0.0, 0.0])
         with pytest.raises(ValueError):
-            evolve_staircase(sys, state, StaircasePath([Segment(1, 1.0, 0)]))
+            evolve_staircase(sys, state, [Segment(1, 1.0, 0)])
 
     def test_work_bounded(self, monkeypatch):
         # refused before the first propagator, each one more than allowed
@@ -202,11 +226,56 @@ class TestEvolution:
         monkeypatch.setattr(linops, "hermitian_propagator", no_propagators)
         sys = free_qubits()
         phi = np.array([1, 0, 0, 0], complex)
-        path = StaircasePath([Segment(1, 1.0, 600_000), Segment(2, 1.0, 400_001)])
+        path = [Segment(1, 1.0, 600_000), Segment(2, 1.0, 400_001)]
         with pytest.raises(ValueError, match="1000001 substeps; at most 1000000"):
             evolve_staircase(sys, MultiTimeState(phi, [0.0, 0.0]), path)
         with pytest.raises(ValueError, match="steps must be in 1..1000000"):
             diagonal_evolution(sys, phi, 0.0, 1.0, steps=1_000_001)
+
+
+class TestSubsteps:
+    """Each leg is split into ceil(|duration| / max_dt) substeps, counted in
+    floats, and refused above MAX_STEPS before any propagator is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_propagators(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a propagator was built")
+
+        monkeypatch.setattr(linops, "hermitian_propagator", refuse)
+
+    def runs(self, max_dt):
+        phi = np.array([1, 0, 0, 0], complex)
+        return [
+            lambda: staircase_between([0, 0], [0.5, 0.5], max_dt=max_dt),
+            lambda: random_staircase(np.random.default_rng(3), [0, 0], [0.5, 0.5],
+                                     pieces=1, max_dt=max_dt),
+            lambda: rectangle_holonomy(free_qubits(), [0, 0], 1, 2, 0.5, 0.5, phi,
+                                       max_dt=max_dt),
+        ]
+
+    @pytest.mark.parametrize("max_dt", [0.0, -1e-2, -0.0, float("nan")])
+    def test_nonpositive_max_dt_refused(self, max_dt):
+        for run in self.runs(max_dt):
+            with pytest.raises(ValueError, match="max_dt must be positive"):
+                run()
+
+    @pytest.mark.parametrize("max_dt", [5e-324, 1e-300, 0.5 / 1_000_001])
+    def test_leg_above_max_steps_refused(self, max_dt):
+        for run in self.runs(max_dt):
+            with pytest.raises(ValueError, match="more than 1000000 substeps"):
+                run()
+
+    def test_counts(self):
+        path = staircase_between([0, 0], [0.5, -0.5], max_dt=0.5 / 1_000_000)
+        assert [seg.substeps for seg in path] == [1_000_000, 1_000_000]
+        path = staircase_between([0, 0], [0.3, 1e-9], order=[2, 1], max_dt=0.1)
+        assert [(seg.axis, seg.substeps) for seg in path] == [(2, 1), (1, 3)]
+        path = random_staircase(np.random.default_rng(3), [0, 0], [0.5, 0.5],
+                                pieces=3, max_dt=0.01)
+        assert sum(seg.duration for seg in path if seg.axis == 1) == pytest.approx(0.5)
+        assert all(seg.substeps == max(1, math.ceil(abs(seg.duration) / 0.01))
+                   for seg in path)
 
 
 class TestHolonomy:
