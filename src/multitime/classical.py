@@ -32,9 +32,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .expr import (STEP_TIME, BinOp, Expression, Neg, Var, binding_names,
-                   check_steps, compile_function, compile_rk4, derivative,
-                   free_variables, parse_expression, substitute)
+from .expr import (MAX_STEPS, STEP_TIME, BinOp, Expression, Neg, Var,
+                   binding_names, check_steps, compile_function, compile_rk4,
+                   derivative, free_variables, parse_expression, substitute)
 from .paths import NPath, WorldLine
 from .reports import DefectReport, ResidualReport
 
@@ -248,11 +248,6 @@ def classical_consistency_defect(field: PhaseVectorField, point: PhasePoint,
                 ak = (k - 1) * d  # v_k and w_k
                 pairs[f"{j},{k}"] = max(d_j[ak:ak + d] + d_j[nd + ak:nd + ak + d])
     return DefectReport(pairs=pairs, max_defect=max(pairs.values(), default=0.0), h=h)
-
-
-#: the most RK4 steps one integration run may take: an equal-time run, one
-#: path around a grid rectangle, a full grid or an HJ trajectory run
-MAX_STEPS = 10 ** 6
 
 
 def _bound_steps(steps: float, what: str) -> None:

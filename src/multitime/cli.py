@@ -5,7 +5,11 @@ and writes a deterministic JSON report (plus optional CSV for tabular
 data).  ``_KINDS`` is the one table of experiment kinds: for each
 (formalism, kind) it names the subcommand that runs it, whether it writes
 CSV, and the function that checks its config and builds its system.
-That function returns a closure that does only the numerics.
+That function returns a closure that does only the numerics.  A run
+imports only the formalism it uses (``quantum`` with ``linops``,
+``classical``, or ``hj``), inside the functions of that formalism, and
+``numpy.random`` only if it draws samples; ``examples`` imports only the
+configs.
 
 Exit codes: 0 success, 2 config error or output error (a report, CSV
 or examples path that cannot be written), 3 numerical failure.  A run
@@ -20,15 +24,17 @@ import math
 import os
 import sys
 import time
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import classical, expr, hj, linops, quantum
-from .configs import write_examples
-from .expr import DomainError, ExpressionError, binding_names, free_variables
-from .hj import FoliationError
+from . import expr
+from .expr import (MAX_STEPS, DomainError, ExpressionError, FoliationError,
+                   binding_names, free_variables)
 from .reports import write_csv
+
+if TYPE_CHECKING:
+    from . import classical, hj, quantum
 
 CSV_FORMAT_VERSION = 1
 #: the most sample points or time tuples one run may draw or build up front
@@ -165,6 +171,8 @@ def _matrix(value, path: str, rows: int, cols: int) -> np.ndarray:
 
 def _pauli_op_sum(value, path: str, n: int, numeric_only: bool) -> list:
     """List of {"op": "ZI..", "coeff": number-or-expression}."""
+    from . import linops
+
     terms = []
     for i, item in enumerate(_list(value, path)):
         ipath = f"{path}/{i}"
@@ -213,6 +221,8 @@ def _numeric_pauli_sum(value, path: str, n: int) -> np.ndarray:
 
 
 def build_quantum_system(cfg: dict, path: str) -> quantum.PartialHamiltonianSet:
+    from . import linops, quantum
+
     cfg = _obj(cfg, path)
     _keys(cfg, path, ["n", "local_dim", "hamiltonians"])
     n = _int(cfg["n"], f"{path}/n", minimum=1)
@@ -246,6 +256,8 @@ def _build_field(field_cfg: dict, path: str, n: int, d: int, grid: bool = False)
     """The system's phase-space field.  With ``grid`` the field must be
     ``partial_hamiltonians``, and the two-time ``HamiltonianPair`` of its
     H_1, H_2 is built instead, with the same ``h_step``."""
+    from . import classical
+
     field_cfg = _obj(field_cfg, path)
     ftype = _str(field_cfg.get("type", ""), f"{path}/type")
     if grid and ftype != "partial_hamiltonians":
@@ -294,6 +306,8 @@ def _classical_system(cfg: dict, path: str, grid: bool = False, field: bool = Tr
 
 
 def build_hj_system(cfg: dict, path: str):
+    from . import hj
+
     cfg = _obj(cfg, path)
     _keys(cfg, path, ["n", "d", "masses", "S"], ["constants", "hamiltonians"])
     n = _int(cfg["n"], f"{path}/n", minimum=1)
@@ -342,6 +356,8 @@ def _initial_state(cfg, path: str, dim: int) -> np.ndarray:
 
 
 def _phase_point(cfg, path: str, n: int, d: int) -> classical.PhasePoint:
+    from . import classical
+
     cfg = _obj(cfg, path)
     _keys(cfg, path, ["t", "x", "p"])
     t = _num(cfg["t"], f"{path}/t")
@@ -351,12 +367,15 @@ def _phase_point(cfg, path: str, n: int, d: int) -> classical.PhasePoint:
 
 
 def _sample_phase_points(cfg, path: str, n: int, d: int,
-                         rng: np.random.Generator) -> list[classical.PhasePoint]:
+                         seed: int) -> list[classical.PhasePoint]:
+    from . import classical
+
     cfg = _obj(cfg, path)
     _keys(cfg, path, ["count", "t_box", "x_box", "p_box"])
     count = _int(cfg["count"], f"{path}/count", 1, MAX_POINTS)
     t_box, x_box, p_box = (_box(cfg[key], f"{path}/{key}")
                            for key in ("t_box", "x_box", "p_box"))
+    rng = np.random.default_rng(seed)
     return [classical.PhasePoint(times=rng.uniform(*t_box, size=n),
                                  x=rng.uniform(*x_box, size=(n, d)),
                                  p=rng.uniform(*p_box, size=(n, d)))
@@ -364,18 +383,22 @@ def _sample_phase_points(cfg, path: str, n: int, d: int,
 
 
 def _bound_steps(steps: float, path: str, what: str = "RK4 steps") -> None:
-    """Refuse, at ``path``, a run of more than ``classical.MAX_STEPS`` RK4
-    steps (its states would be kept in memory) or propagators."""
-    if steps > classical.MAX_STEPS:
+    """Refuse, at ``path``, a run of more than ``MAX_STEPS`` RK4 steps (its
+    states would be kept in memory) or propagators."""
+    if steps > MAX_STEPS:
         raise ConfigError(path, f"the run takes {steps:.3g} {what}; at most "
-                                f"{classical.MAX_STEPS} are allowed")
+                                f"{MAX_STEPS} are allowed")
 
 
 def _bound_propagators(durations: Sequence[float], max_dt: float, legs: int) -> None:
-    """Refuse, at ``max_dt``, ``legs`` staircase legs per duration, split as
-    ``quantum.staircase_between`` splits them (counted in floats: no overflow)."""
-    count = sum(legs * max(1.0, float(np.ceil(abs(d) / max_dt)))
-                for d in durations if d != 0.0)
+    """Refuse, at ``max_dt``, ``legs`` staircase legs per nonzero duration,
+    each split into ``quantum._substeps`` as the run splits it."""
+    from . import quantum
+
+    try:
+        count = sum(legs * quantum._substeps(d, max_dt) for d in durations if d != 0.0)
+    except ValueError as exc:  # a leg of more than MAX_STEPS substeps
+        raise ConfigError(f"{_E}/max_dt", str(exc)) from None
     _bound_steps(count, f"{_E}/max_dt", "propagators")
 
 
@@ -388,6 +411,8 @@ def _equal_time_steps(exp: dict) -> tuple[tuple[float, float], float]:
 
 
 def _foliation(cfg, path: str, d: int) -> hj.Foliation:
+    from . import hj
+
     cfg = _obj(cfg, path)
     _keys(cfg, path, ["u"])
     try:
@@ -398,16 +423,18 @@ def _foliation(cfg, path: str, d: int) -> hj.Foliation:
 
 def _leaves(exp: dict, fols: list[hj.Foliation], n: int, d: int):
     """``init_positions``, ``s_span`` and ``ds`` of a foliation kind.  A run
-    on one of ``fols`` that would take more than ``classical.MAX_STEPS``
-    leaves is refused, with the pointer at ``ds`` when the leaves are finer
-    than the range is wide, else at the key that sets the range:
-    ``init_positions`` when the anchor events stretch it beyond ``s_span``."""
+    on one of ``fols`` that would take more than ``MAX_STEPS`` leaves is
+    refused, with the pointer at ``ds`` when the leaves are finer than the
+    range is wide, else at the key that sets the range: ``init_positions``
+    when the anchor events stretch it beyond ``s_span``."""
+    from . import hj
+
     init = _matrix(exp["init_positions"], f"{_E}/init_positions", n, d)
     span = _span(exp["s_span"], f"{_E}/s_span")
     ds = _positive(exp["ds"], f"{_E}/ds")
     for fol in fols:
         lo, hi, steps = hj.foliation_leaves(fol, init, span, ds)
-        if steps > classical.MAX_STEPS:
+        if steps > MAX_STEPS:
             if (hi - lo) * ds < 1.0:
                 key = "ds"
             else:
@@ -415,21 +442,24 @@ def _leaves(exp: dict, fols: list[hj.Foliation], n: int, d: int):
             raise ConfigError(f"{_E}/{key}", (
                 f"the run on the foliation {fol.label()} takes {steps:.3g} leaves "
                 f"(s from {lo:.6g} to {hi:.6g} in steps of {ds:g}); at most "
-                f"{classical.MAX_STEPS} are allowed"))
+                f"{MAX_STEPS} are allowed"))
     return init, span, ds
 
 
 # --------------------------------------------------------------- experiments
 #
 # A kind function checks its system and experiment blocks in full, builds the
-# system and draws its random samples.  It returns ``run``, which does the
-# numerics and returns the results and, for a kind that writes CSV, the
-# function that builds the table.
+# system and draws its random samples from a generator of the config's seed,
+# made only by a kind that draws (it loads ``numpy.random``).  It returns
+# ``run``, which does the numerics and returns the results and, for a kind
+# that writes CSV, the function that builds the table.
 
 _E = "/experiment"
 
 
-def _quantum_defect_grid(system: dict, exp: dict, rng):
+def _quantum_defect_grid(system: dict, exp: dict, seed: int):
+    from . import quantum
+
     sys_q = build_quantum_system(system, "/system")
     _keys(exp, _E, ["kind", "grid"], ["h"])
     grid = _obj(exp["grid"], f"{_E}/grid")
@@ -455,7 +485,9 @@ def _quantum_defect_grid(system: dict, exp: dict, rng):
     return run
 
 
-def _staircase(system: dict, exp: dict, rng):
+def _staircase(system: dict, exp: dict, seed: int):
+    from . import quantum
+
     sys_q = build_quantum_system(system, "/system")
     _keys(exp, _E, ["kind", "start", "end"], ["order", "max_dt", "initial_state",
                                               "compare_diagonal", "diagonal_steps"])
@@ -467,7 +499,7 @@ def _staircase(system: dict, exp: dict, rng):
     phi0 = _option(exp, "initial_state", _E, {"kind": "basis", "index": 0},
                    _initial_state, sys_q.dim)
     compare = _option(exp, "compare_diagonal", _E, False, _bool)
-    steps = _option(exp, "diagonal_steps", _E, 1000, _int, 1, classical.MAX_STEPS)
+    steps = _option(exp, "diagonal_steps", _E, 1000, _int, 1, MAX_STEPS)
     _bound_propagators([e - s for s, e in zip(start, end)], max_dt, 1)
     if compare and not (np.allclose(start, start[0]) and np.allclose(end, end[0])):
         raise ConfigError(f"{_E}/compare_diagonal", "diagonal comparison needs "
@@ -491,7 +523,9 @@ def _staircase(system: dict, exp: dict, rng):
     return run
 
 
-def _holonomy(system: dict, exp: dict, rng):
+def _holonomy(system: dict, exp: dict, seed: int):
+    from . import linops, quantum
+
     sys_q = build_quantum_system(system, "/system")
     _keys(exp, _E, ["kind", "base_times", "axes", "sizes"], ["max_dt", "initial_state"])
     base = _num_list(exp["base_times"], f"{_E}/base_times", sys_q.n)
@@ -527,11 +561,13 @@ def _defect_summary(reports) -> dict:
             "min_defect": min(values)}
 
 
-def _classical_defect_grid(system: dict, exp: dict, rng):
+def _classical_defect_grid(system: dict, exp: dict, seed: int):
+    from . import classical
+
     n, d, field = _classical_system(system, "/system")
     _keys(exp, _E, ["kind", "samples"], ["h"])
     h = _option(exp, "h", _E, 1e-4, _positive)
-    points = _sample_phase_points(exp["samples"], f"{_E}/samples", n, d, rng)
+    points = _sample_phase_points(exp["samples"], f"{_E}/samples", n, d, seed)
 
     def run():
         reports = [classical.classical_consistency_defect(field, pt, h=h)
@@ -541,7 +577,9 @@ def _classical_defect_grid(system: dict, exp: dict, rng):
     return run
 
 
-def _equal_time_evolve(system: dict, exp: dict, rng):
+def _equal_time_evolve(system: dict, exp: dict, seed: int):
+    from . import classical
+
     n, d, field = _classical_system(system, "/system")
     _keys(exp, _E, ["kind", "init", "t_span", "dt"])
     init = _phase_point(exp["init"], f"{_E}/init", n, d)
@@ -556,7 +594,9 @@ def _equal_time_evolve(system: dict, exp: dict, rng):
     return run
 
 
-def _validity(system: dict, exp: dict, rng):
+def _validity(system: dict, exp: dict, seed: int):
+    from . import classical
+
     n, d, field = _classical_system(system, "/system")
     _keys(exp, _E, ["kind", "init", "t_span", "dt", "samples"])
     init = _phase_point(exp["init"], f"{_E}/init", n, d)
@@ -574,6 +614,7 @@ def _validity(system: dict, exp: dict, rng):
         lo, hi = npath.common_time_range()
         # the path may end a rounding error short of t_span[1]
         base_hi = max(hi - window, lo + window)
+        rng = np.random.default_rng(seed)
         tuples = []
         for _ in range(count):
             base = rng.uniform(lo + window, base_hi)
@@ -587,7 +628,9 @@ def _validity(system: dict, exp: dict, rng):
     return run
 
 
-def _full_grid(system: dict, exp: dict, rng):
+def _full_grid(system: dict, exp: dict, seed: int):
+    from . import classical
+
     n, d, hpair = _classical_system(system, "/system", grid=True)
     _keys(exp, _E, ["kind", "init", "t1_max", "t2_max", "points"], ["substeps"])
     init = _phase_point(exp["init"], f"{_E}/init", n, d)
@@ -617,7 +660,9 @@ def _full_grid(system: dict, exp: dict, rng):
     return run
 
 
-def _path_independence(system: dict, exp: dict, rng):
+def _path_independence(system: dict, exp: dict, seed: int):
+    from . import classical
+
     n, d, hpair = _classical_system(system, "/system", grid=True)
     _keys(exp, _E, ["kind", "init", "rectangle", "dt"], ["refinements"])
     init = _phase_point(exp["init"], f"{_E}/init", n, d)
@@ -646,7 +691,9 @@ def _path_independence(system: dict, exp: dict, rng):
     return run
 
 
-def _cjs_demo(system: dict, exp: dict, rng):
+def _cjs_demo(system: dict, exp: dict, seed: int):
+    from . import classical
+
     n, d, _ = _classical_system(system, "/system", field=False)
     _keys(exp, _E, ["kind", "family", "samples", "init", "t_span", "dt"], ["h"])
     h = _option(exp, "h", _E, 1e-4, _positive)
@@ -657,14 +704,16 @@ def _cjs_demo(system: dict, exp: dict, rng):
         _keys(member, mpath, ["id", "field"])
         fld = _build_field(member["field"], f"{mpath}/field", n, d)
         family.append((_str(member["id"], f"{mpath}/id"), fld))
-    points = _sample_phase_points(exp["samples"], f"{_E}/samples", n, d, rng)
+    points = _sample_phase_points(exp["samples"], f"{_E}/samples", n, d, seed)
     init = _phase_point(exp["init"], f"{_E}/init", n, d)
     span, dt = _equal_time_steps(exp)
     return lambda: ({"table": classical.cjs_demo(family, points, init, span, dt,
                                                  h=h)}, None)
 
 
-def _hj_residual(system: dict, exp: dict, rng):
+def _hj_residual(system: dict, exp: dict, seed: int):
+    from . import classical, hj
+
     s, hams = build_hj_system(system, "/system")
     if hams is None:
         raise ConfigError("/system", "hj-residual needs system.hamiltonians")
@@ -696,13 +745,15 @@ def _hj_residual(system: dict, exp: dict, rng):
     return run
 
 
-def _hj_defect_grid(system: dict, exp: dict, rng):
+def _hj_defect_grid(system: dict, exp: dict, seed: int):
+    from . import hj
+
     s, hams = build_hj_system(system, "/system")
     if hams is None:
         raise ConfigError("/system", "the HJ defect grid needs system.hamiltonians")
     _keys(exp, _E, ["kind", "samples"], ["h"])
     step = _option(exp, "h", _E, None, _positive)
-    points = _sample_phase_points(exp["samples"], f"{_E}/samples", s.n, s.d, rng)
+    points = _sample_phase_points(exp["samples"], f"{_E}/samples", s.n, s.d, seed)
 
     def run():
         reports = [hj.hj_consistency_defect(hams[0], pt, h=step, constants=s.constants)
@@ -712,7 +763,9 @@ def _hj_defect_grid(system: dict, exp: dict, rng):
     return run
 
 
-def _trajectories(system: dict, exp: dict, rng):
+def _trajectories(system: dict, exp: dict, seed: int):
+    from . import hj
+
     s, _ = build_hj_system(system, "/system")
     _keys(exp, _E, ["kind", "foliation", "init_positions", "s_span", "ds"])
     fol = _foliation(exp["foliation"], f"{_E}/foliation", s.d)
@@ -727,7 +780,9 @@ def _trajectories(system: dict, exp: dict, rng):
     return run
 
 
-def _foliation_compare(system: dict, exp: dict, rng):
+def _foliation_compare(system: dict, exp: dict, seed: int):
+    from . import hj
+
     s, _ = build_hj_system(system, "/system")
     _keys(exp, _E, ["kind", "foliations", "init_positions", "s_span", "ds"],
           ["tolerance"])
@@ -744,7 +799,7 @@ def _foliation_compare(system: dict, exp: dict, rng):
 class _Kind(NamedTuple):
     subcommand: str
     csv: bool  # whether ``--csv`` is supported
-    prepare: Callable  # (system, experiment, rng) -> run
+    prepare: Callable  # (system, experiment, seed) -> run
 
 
 _KINDS: dict[tuple[str, str], _Kind] = {
@@ -822,9 +877,8 @@ def run_config(cfg: dict, subcommand: str, jobs=None,
     if csv_path and not entry.csv:
         raise ConfigError("/experiment/kind", f"kind {kind!r} produces no CSV output")
     start = time.monotonic()
-    rng = np.random.default_rng(cfg["seed"])
     # every config error is raised here, before any numerics run
-    run = entry.prepare(cfg["system"], cfg["experiment"], rng)
+    run = entry.prepare(cfg["system"], cfg["experiment"], cfg["seed"])
     results, csv_table = run()
     _check_finite(results, "/results")
     report = {"config": cfg, "results": results,
@@ -860,6 +914,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         if args.subcommand == "examples":
+            from .configs import write_examples
+
             written = write_examples(args.dir)
             print("\n".join(written))
             return 0

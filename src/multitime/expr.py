@@ -28,6 +28,11 @@ thin caller of the first.  ``diff`` builds the exact partial derivative
 of an AST as another AST, and ``central_difference`` its central
 difference at a given step; ``derivative(h)`` picks one of the two for
 every condition.
+
+The module also holds what every formalism shares without importing
+another: the work bound ``MAX_STEPS`` next to ``check_steps``, and
+``FoliationError`` next to ``DomainError``, so that the CLI can catch it
+without loading the HJ module.
 """
 
 from __future__ import annotations
@@ -63,6 +68,8 @@ __all__ = [
     "central_difference",
     "derivative",
     "check_steps",
+    "MAX_STEPS",
+    "FoliationError",
     "substitute",
 ]
 
@@ -90,6 +97,11 @@ class UnboundVariableError(ExpressionError):
 class DomainError(ExpressionError):
     """Evaluation left the real domain (log of non-positive, sqrt of
     negative, division by zero, overflow)."""
+
+
+class FoliationError(RuntimeError):
+    """Trajectories on a foliation could not be extracted or compared:
+    anchoring did not converge, or two families share no time window."""
 
 
 class _Node:
@@ -439,6 +451,12 @@ def derivative(h: float | None) -> Callable[[Expression, str], Expression]:
     """The one derivative operator ``(expr, var) -> expression``: exact
     (``diff``) without a step, the central difference at ``h`` with one."""
     return diff if h is None else functools.partial(central_difference, h=h)
+
+
+#: the most steps one run may take: RK4 steps of an equal-time run, of one
+#: path around a grid rectangle, of a full grid or of an HJ trajectory run
+#: (leaves), and propagators of a quantum evolution
+MAX_STEPS = 10 ** 6
 
 
 def check_steps(h: float | None, names: Sequence[str], values: Sequence[float]) -> None:

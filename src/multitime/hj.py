@@ -22,10 +22,10 @@ from typing import Callable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
-from .classical import MAX_STEPS, PhasePoint
-from .expr import (STEP_TIME, BinOp, Expression, Num, Var, binding_names,
-                   check_steps, compile_function, compile_rk4, derivative, diff,
-                   evaluate, parse_expression, substitute)
+from .classical import PhasePoint
+from .expr import (MAX_STEPS, STEP_TIME, BinOp, Expression, FoliationError, Num,
+                   Var, binding_names, check_steps, compile_function, compile_rk4,
+                   derivative, diff, evaluate, parse_expression, substitute)
 from .numdiff import partial_derivative
 from .paths import NPath, PathRangeError, WorldLine
 from .reports import DefectReport, DivergenceReport
@@ -46,11 +46,6 @@ __all__ = [
 ]
 
 FOLIATION_INDEPENDENCE_TOL = 1e-6
-
-
-class FoliationError(RuntimeError):
-    """Trajectories on a foliation could not be extracted or compared:
-    anchoring did not converge, or two families share no time window."""
 
 
 class FoliationDegeneracyError(FoliationError):
@@ -395,7 +390,7 @@ def hj_trajectories_foliation(s: HJFunction, fol: Foliation,
     describe the same initial spacetime configuration, so their
     divergence (or agreement) is attributable to the foliation alone.
     The anchoring solves a small fixed-point problem for the leaf-0
-    configuration.  A run of more than ``classical.MAX_STEPS`` steps (see
+    configuration.  A run of more than ``expr.MAX_STEPS`` steps (see
     ``foliation_leaves``) raises ValueError before it starts; a world line
     that misses t = 0 or whose time does not increase along the leaves
     raises FoliationError.

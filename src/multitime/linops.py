@@ -54,7 +54,8 @@ def as_matrix(a) -> np.ndarray:
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """The conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(a.conj(), -1, -2)
 
 
 def norm_inf(a: np.ndarray) -> float:
@@ -82,11 +83,16 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def hermitian_propagator(h: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i h dt) for Hermitian h via eigendecomposition (exactly unitary
-    up to rounding; much faster than expm at the small dims used here)."""
-    h = as_matrix(h)
+    up to rounding; much faster than expm at the small dims used here).
+    For a (..., dim, dim) stack, the propagator of each matrix, from one
+    ``eigh`` call; each equals the one of that matrix alone bit for bit."""
+    h = np.asarray(h, dtype=np.complex128)
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
+        raise ValueError("expected a square matrix or a stack of them, "
+                         f"got shape {h.shape}")
     w, v = np.linalg.eigh(h)
     phases = np.exp(-1j * w * dt)
-    return (v * phases) @ dagger(v)
+    return (v * phases[..., None, :]) @ dagger(v)
 
 
 def pauli_string(symbols: str) -> np.ndarray:

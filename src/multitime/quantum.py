@@ -9,23 +9,26 @@ commutator consistency defect
 
 evolves states along axis-aligned staircases (lists of ``Segment``s) with
 midpoint-frozen exponential propagators, measures rectangle holonomies,
-and reduces to single-time evolution on the time diagonal.  An evolution
-of more than ``classical.MAX_STEPS`` propagators is refused before it
-starts.
+and reduces to single-time evolution on the time diagonal.  A leg whose
+Hamiltonian cannot change (a numeric row, not moved along t1 under a
+frame) builds one Hamiltonian and one propagator; every other leg builds
+its midpoint Hamiltonians as stacks of at most ``STACK_BYTES``, one
+``eigh`` call each.  An evolution of more than ``expr.MAX_STEPS``
+propagators is refused before it starts.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import linops
-from .classical import MAX_STEPS
-from .expr import (Expression, Num, binding_names, check_steps, compile_function,
-                   parse_expression)
+from .expr import (MAX_STEPS, Expression, Num, binding_names, check_steps,
+                   compile_function, parse_expression)
 from .reports import DefectReport
 
 __all__ = [
@@ -41,6 +44,10 @@ __all__ = [
     "staircase_between",
     "random_staircase",
 ]
+
+#: the most bytes of Hamiltonians that an evolution stacks for one ``eigh``
+#: call (a stack holds at least one matrix)
+STACK_BYTES = 2 ** 16
 
 
 def _require_operator(m, what: str, dim: int) -> np.ndarray:
@@ -80,20 +87,20 @@ class PartialHamiltonianSet:
         self.n = n = len(terms)
         self.local_dim = local_dim
         self.dim = dim = local_dim**n
+        # per row: the sum of a numeric row, else None, the operators and
+        # the compiled coefficients
         self._rows = []
         for j, row in enumerate(terms):
             ops = [_require_operator(op, f"operator of terms[{j}][{i}]", dim)
                    for i, (op, _) in enumerate(row)]
             if not any(isinstance(c, (str, Expression)) for _, c in row):
-                k = _sum(ops, [float(c) for _, c in row], dim)
-                self._rows.append(lambda _t, k=k: k)
+                self._rows.append((_sum(ops, [float(c) for _, c in row], dim), None, None))
                 continue
             coeffs = [parse_expression(c) if isinstance(c, str)
                       else c if isinstance(c, Expression) else Num(float(c))
                       for _, c in row]
             f = compile_function(coeffs, [binding_names("t", n)])
-            self._rows.append(lambda t, ops=ops, f=f: _sum(
-                ops, f(np.asarray(t, float).tolist()), dim))
+            self._rows.append((None, ops, f))
         self._frame = None
         if base is not None:
             w, v = np.linalg.eigh(_require_operator(base, "base", dim))
@@ -101,16 +108,34 @@ class PartialHamiltonianSet:
 
     def hamiltonian(self, j: int, times: Sequence[float]) -> np.ndarray:
         """H_j at the time tuple; ``j`` is 1-based."""
+        h = self.hamiltonians(j, np.array([times], dtype=float))
+        return h if h.ndim == 2 else h[0]
+
+    def hamiltonians(self, j: int, times: np.ndarray) -> np.ndarray:
+        """H_j at each row of the (m, n) array ``times``, as an (m, dim, dim)
+        stack; a numeric row without a ``base`` gives its one matrix, which
+        broadcasts as the stack.  A row with expression coefficients calls
+        them per row and sums c * O in the order of its terms."""
         if not 1 <= j <= self.n:
             raise ValueError(f"index {j} outside 1..{self.n}")
-        if len(times) != self.n:
-            raise ValueError(f"time tuple length {len(times)} != n = {self.n}")
-        k = self._rows[j - 1](times)
+        if times.shape[1] != self.n:
+            raise ValueError(f"time tuple length {times.shape[1]} != n = {self.n}")
+        k, ops, f = self._rows[j - 1]
+        if k is None:
+            c = np.array([f(t) for t in times.tolist()])
+            k = np.zeros((len(times), self.dim, self.dim), dtype=np.complex128)
+            for i, op in enumerate(ops):
+                k = k + c[:, i, None, None] * op
         if self._frame is None:
             return k
         w, v, vd = self._frame
-        u = (v * np.exp(-1j * w * times[0])) @ vd
-        return u @ k @ u.conj().T
+        u = (v * np.exp(-1j * w * times[:, :1])[:, None, :]) @ vd
+        return u @ k @ linops.dagger(u)
+
+    def _is_constant(self, j: int, axes: Sequence[int]) -> bool:
+        """Whether H_j stays one matrix while the times ``axes`` (1-based)
+        move: its row is numeric, and t1 does not move under a ``base``."""
+        return self._rows[j - 1][0] is not None and (self._frame is None or 1 not in axes)
 
 
 @dataclass
@@ -138,9 +163,14 @@ class Segment:
 
 def total_hamiltonian(sys: PartialHamiltonianSet,
                       times: Sequence[float]) -> np.ndarray:
-    h = np.zeros((sys.dim, sys.dim), dtype=np.complex128)
+    return _total_hamiltonians(sys, np.array([times], dtype=float))[0]
+
+
+def _total_hamiltonians(sys: PartialHamiltonianSet, times: np.ndarray) -> np.ndarray:
+    """H_1 + ... + H_n at each row of the (m, n) array ``times``."""
+    h = np.zeros((len(times), sys.dim, sys.dim), dtype=np.complex128)
     for j in range(1, sys.n + 1):
-        h = h + sys.hamiltonian(j, times)
+        h = h + sys.hamiltonians(j, times)
     return h
 
 
@@ -194,22 +224,51 @@ def evolve_staircase(sys: PartialHamiltonianSet, state: MultiTimeState,
     for seg in segments:
         if seg.substeps < 1:
             raise ValueError("substeps must be >= 1")
-        delta = seg.duration / seg.substeps
-        ax = seg.axis - 1
-        for i in range(seg.substeps):
-            tmid = times.copy()
-            tmid[ax] += (i + 0.5) * delta
-            u = linops.hermitian_propagator(sys.hamiltonian(seg.axis, tmid), delta)
-            phi = u @ phi
-        times[ax] += seg.duration
+        phi = _propagate(phi, functools.partial(sys.hamiltonians, seg.axis), times,
+                         [seg.axis], seg.duration / seg.substeps, seg.substeps,
+                         sys._is_constant(seg.axis, [seg.axis]))
+        times[seg.axis - 1] += seg.duration
     return MultiTimeState(vector=phi, times=times)
+
+
+def _propagate(phi: np.ndarray, hamiltonians: Callable[[np.ndarray], np.ndarray],
+               start: np.ndarray, axes: Sequence[int], delta: float, steps: int,
+               constant: bool) -> np.ndarray:
+    """``phi`` after ``steps`` substeps of length ``delta`` that move the
+    times ``axes`` (1-based) of the tuple ``start`` together.  Substep i
+    applies exp(-i H delta), H the matrix that ``hamiltonians`` gives for
+    its midpoint tuple, start + (i + 1/2) delta on ``axes``.  A ``constant``
+    H, the same at every tuple of the leg, is built at ``start`` and
+    exponentiated once.  Otherwise the midpoints go in chunks of at most
+    ``STACK_BYTES`` of matrices, one stack and one propagator call per
+    chunk."""
+    dim = len(phi)
+    if constant:
+        h = np.reshape(hamiltonians(start[None, :]), (dim, dim))
+        u = linops.hermitian_propagator(h, delta)
+        for _ in range(steps):
+            phi = u @ phi
+        return phi
+    cols = [ax - 1 for ax in axes]
+    chunk = max(1, STACK_BYTES // (16 * dim * dim))
+    for i0 in range(0, steps, chunk):
+        i1 = min(i0 + chunk, steps)
+        mids = np.repeat(start[None, :], i1 - i0, axis=0)
+        mids[:, cols] += (np.arange(i0, i1) + 0.5)[:, None] * delta
+        for u in linops.hermitian_propagator(hamiltonians(mids), delta):
+            phi = u @ phi
+    return phi
+
+
+def _check_max_dt(max_dt: float) -> None:
+    if not max_dt > 0.0:
+        raise ValueError(f"max_dt must be positive, got {max_dt}")
 
 
 def _substeps(duration: float, max_dt: float) -> int:
     """The substeps of at most ``max_dt`` in a leg of ``duration``, counted
     in floats; ValueError for max_dt <= 0 or a leg of more than MAX_STEPS."""
-    if not max_dt > 0.0:
-        raise ValueError(f"max_dt must be positive, got {max_dt}")
+    _check_max_dt(max_dt)
     if (steps := abs(duration) / max_dt) > MAX_STEPS:
         raise ValueError(f"a leg of {duration} takes more than {MAX_STEPS} "
                          f"substeps of {max_dt}")
@@ -239,18 +298,18 @@ def diagonal_evolution(sys: PartialHamiltonianSet, psi0: np.ndarray,
     if not 1 <= steps <= MAX_STEPS:
         raise ValueError(f"steps must be in 1..{MAX_STEPS}, got {steps}")
     psi = np.asarray(psi0, dtype=np.complex128).copy()
-    dt = (t_end - t_start) / steps
-    for i in range(steps):
-        tmid = t_start + (i + 0.5) * dt
-        h = total_hamiltonian(sys, [tmid] * sys.n)
-        psi = linops.hermitian_propagator(h, dt) @ psi
-    return psi
+    axes = range(1, sys.n + 1)
+    return _propagate(psi, functools.partial(_total_hamiltonians, sys),
+                      np.full(sys.n, t_start, dtype=float), axes,
+                      (t_end - t_start) / steps, steps,
+                      all(sys._is_constant(j, axes) for j in axes))
 
 
 def staircase_between(start: Sequence[float], end: Sequence[float],
                       order: Sequence[int] | None = None,
                       max_dt: float = 1e-2) -> list[Segment]:
     """One segment per axis, taken in ``order`` (1-based; default 1..n)."""
+    _check_max_dt(max_dt)
     start = np.asarray(start, float)
     end = np.asarray(end, float)
     order = list(order) if order is not None else list(range(1, len(start) + 1))
@@ -268,6 +327,7 @@ def random_staircase(rng: np.random.Generator, start: Sequence[float],
     """Random axis-aligned staircase from ``start`` to ``end``: the move
     along each axis is split into ``pieces`` random chunks and the chunks
     are interleaved in random order."""
+    _check_max_dt(max_dt)
     start = np.asarray(start, float)
     end = np.asarray(end, float)
     chunks: list[Segment] = []

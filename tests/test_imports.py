@@ -1,9 +1,10 @@
 """The package runs on numpy and the standard library alone: every shipped
 config exits 0 in a fresh interpreter in which scipy cannot be imported.
-The runs are serial: they import no worker pool and start no thread.
+The runs are serial: they import no worker pool and start no thread.  A
+CLI process loads only the formalism its config uses.
 
 The runs need a fresh interpreter, because this test process has long
-since imported scipy through other tests.
+since imported scipy and every module of the package through other tests.
 """
 
 import json
@@ -14,7 +15,7 @@ import sys
 
 import pytest
 
-from multitime.configs import EXAMPLE_CONFIGS
+from multitime.configs import EXAMPLE_CONFIGS, write_examples
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -24,10 +25,10 @@ import json, sys, threading
 sys.modules["scipy"] = None  # any import of scipy or a submodule now fails
 
 import multitime.cli as cli
-from multitime.configs import EXAMPLE_CONFIGS
+from multitime.configs import EXAMPLE_CONFIGS, write_examples
 
 directory = sys.argv[1]
-cli.write_examples(directory)
+write_examples(directory)
 subcommand = {kind: sub for sub, kinds in cli._SUBCOMMAND_KINDS.items()
               for kind in kinds}
 codes = {}
@@ -40,17 +41,30 @@ print(json.dumps(["concurrent.futures" in sys.modules, threading.active_count()]
 """
 
 
+MODULES_AFTER_MAIN = """
+import json, sys
+
+import multitime.cli as cli
+
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+def fresh(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with this checkout's ``src`` first on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
 @pytest.fixture(scope="module")
 def fresh_run(tmp_path_factory):
     """The exit code of each config, then whether concurrent.futures was
     imported and how many threads are alive after all the runs."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run(
-        [sys.executable, "-c", RUN_ALL_WITHOUT_SCIPY,
-         str(tmp_path_factory.mktemp("configs"))],
-        env=env, capture_output=True, text=True, timeout=300)
+    done = fresh("-c", RUN_ALL_WITHOUT_SCIPY, str(tmp_path_factory.mktemp("configs")))
     assert done.returncode == 0, done.stderr
     *_, codes, serial = done.stdout.splitlines()
     return json.loads(codes), json.loads(serial)
@@ -72,3 +86,42 @@ def test_every_shipped_config_ran(exit_codes):
 @pytest.mark.parametrize("name", sorted(EXAMPLE_CONFIGS))
 def test_config_runs_without_scipy(exit_codes, name):
     assert exit_codes[name] == 0
+
+
+FORMALISMS = ["multitime.classical", "multitime.hj", "multitime.linops",
+              "multitime.paths", "multitime.quantum"]
+NOT_QUANTUM = ["multitime.classical", "multitime.hj", "multitime.paths",
+               "multitime.configs"]
+
+
+@pytest.mark.parametrize("args,loaded,absent", [
+    (["evolve", "--config", "interaction_picture_staircase.json"],
+     ["multitime.quantum", "multitime.linops"], [*NOT_QUANTUM, "numpy.random"]),
+    (["holonomy", "--config", "coupled_qubits.json"],
+     ["multitime.quantum", "multitime.linops"], [*NOT_QUANTUM, "numpy.random"]),
+    (["evolve", "--config", "classical_free_evolve.json"], ["multitime.classical"],
+     ["multitime.hj", "multitime.quantum", "multitime.linops", "multitime.configs",
+      "numpy.random"]),
+    (["check", "--config", "classical_free_check.json"],
+     ["multitime.classical", "numpy.random"],
+     ["multitime.hj", "multitime.quantum", "multitime.linops", "multitime.configs"]),
+    (["foliation", "--config", "hj_free_foliations.json"], ["multitime.hj"],
+     ["multitime.quantum", "multitime.linops", "multitime.configs", "numpy.random"]),
+    (["examples", "--dir", "again"], ["multitime.configs"],
+     [*FORMALISMS, "numpy.random"]),
+], ids=["quantum-evolve", "quantum-holonomy", "classical-evolve", "classical-check",
+        "hj", "examples"])
+def test_a_run_loads_only_what_it_uses(tmp_path, args, loaded, absent):
+    """A run loads its formalism and no other, and ``numpy.random`` only
+    when it draws samples."""
+    write_examples(str(tmp_path))
+    args = [str(tmp_path / a) if a.endswith(".json") or a == "again" else a
+            for a in args]
+    if args[0] != "examples":
+        args += ["--out", str(tmp_path / "report.json")]
+    done = fresh("-c", MODULES_AFTER_MAIN, *args)
+    assert done.returncode == 0, done.stderr
+    code, modules = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0
+    assert set(loaded) <= set(modules)
+    assert not set(absent) & set(modules)

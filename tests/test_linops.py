@@ -85,6 +85,19 @@ class TestExponentials:
         dt = 0.21
         assert np.allclose(hermitian_propagator(h, dt), expm(-1j * dt * h), atol=1e-12)
 
+    def test_stack_equals_one_matrix_at_a_time(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(1000, 4, 4)) + 1j * rng.normal(size=(1000, 4, 4))
+        h = a + dagger(a)
+        stack = hermitian_propagator(h, 0.37)
+        assert stack.shape == (1000, 4, 4)
+        assert np.array_equal(stack, [hermitian_propagator(m, 0.37) for m in h])
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 3, 4)])
+    def test_propagator_needs_square_matrices(self, shape):
+        with pytest.raises(ValueError, match="square matrix or a stack"):
+            hermitian_propagator(np.zeros(shape), 0.1)
+
     def test_propagator_rotation_oracle(self):
         # exp(-i theta sigma_z / 2) has phases exp(-/+ i theta / 2)
         theta = 0.8

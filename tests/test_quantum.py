@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import diagonal_oracle, staircase_oracle
 
-from multitime import linops
+from multitime import cli, linops, quantum
+from multitime.configs import EXAMPLE_CONFIGS
 from multitime.linops import (
     SIGMA_Y,
     SIGMA_Z,
@@ -260,6 +263,14 @@ class TestSubsteps:
             with pytest.raises(ValueError, match="max_dt must be positive"):
                 run()
 
+    @pytest.mark.parametrize("max_dt", [0.0, -1.0, float("nan")])
+    def test_max_dt_refused_without_legs(self, max_dt):
+        # every leg is zero, so no leg is split: max_dt is checked first
+        with pytest.raises(ValueError, match="max_dt must be positive"):
+            staircase_between([0, 0], [0, 0], max_dt=max_dt)
+        with pytest.raises(ValueError, match="max_dt must be positive"):
+            random_staircase(np.random.default_rng(3), [0, 0], [0, 0], max_dt=max_dt)
+
     @pytest.mark.parametrize("max_dt", [5e-324, 1e-300, 0.5 / 1_000_001])
     def test_leg_above_max_steps_refused(self, max_dt):
         for run in self.runs(max_dt):
@@ -276,6 +287,106 @@ class TestSubsteps:
         assert sum(seg.duration for seg in path if seg.axis == 1) == pytest.approx(0.5)
         assert all(seg.substeps == max(1, math.ceil(abs(seg.duration) / 0.01))
                    for seg in path)
+
+
+COEFFICIENTS = ["sin(t1)", "0.5*cos(2*t{k})", "t{k}*t{m} - 0.3", "exp(-t{k}^2)",
+                "1.5"]
+
+
+@st.composite
+def propagation_cases(draw):
+    """A random system of 1-3 qubit times with numeric and expression rows,
+    with or without a ``base``; a random state and start time tuple; and
+    the number of matrices per stack (0: the default ``STACK_BYTES``)."""
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = 2 ** n
+
+    def hermitian():
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        return a + a.conj().T
+
+    def coefficient():
+        if draw(st.booleans()):
+            return draw(st.floats(-2.0, 2.0))
+        k, m = draw(st.integers(1, n)), draw(st.integers(1, n))
+        return draw(st.sampled_from(COEFFICIENTS)).format(k=k, m=m)
+
+    terms = []
+    for _ in range(n):
+        numeric = draw(st.booleans())
+        terms.append([(hermitian(), draw(st.floats(-2.0, 2.0)) if numeric
+                       else coefficient()) for _ in range(draw(st.integers(0, 3)))])
+    base = hermitian() if draw(st.booleans()) else None
+    phi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    start = rng.uniform(-1.0, 1.0, size=n)
+    return terms, base, phi / np.linalg.norm(phi), start, rng, \
+        draw(st.sampled_from([0, 1, 3, 7]))
+
+
+class TestStackedPropagation:
+    """Stacked and constant-leg propagation equal the per-substep loops of
+    ``oracles`` bit for bit, with stacks of the default size and with
+    small ones, so that legs span several stacks."""
+
+    @staticmethod
+    def budget(monkeypatch, per_stack: int, dim: int):
+        if per_stack:
+            monkeypatch.setattr(quantum, "STACK_BYTES", per_stack * 16 * dim * dim)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(propagation_cases(), st.integers(1, 4))
+    def test_staircase_matches_per_substep_loop(self, case, pieces):
+        terms, base, phi, start, rng, per_stack = case
+        sys = PartialHamiltonianSet(terms, 2, base=base)
+        end = start + rng.uniform(-0.4, 0.4, size=len(start))
+        path = random_staircase(rng, start, end, pieces=pieces, max_dt=0.02)
+        with pytest.MonkeyPatch.context() as mp:
+            self.budget(mp, per_stack, sys.dim)
+            got = evolve_staircase(sys, MultiTimeState(phi, start), path)
+        assert np.array_equal(got.vector, staircase_oracle(terms, base, phi, start, path))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(propagation_cases(), st.integers(1, 40))
+    def test_diagonal_matches_per_step_loop(self, case, steps):
+        terms, base, phi, start, rng, per_stack = case
+        sys = PartialHamiltonianSet(terms, 2, base=base)
+        t_end = start[0] + rng.uniform(-0.5, 0.5)
+        with pytest.MonkeyPatch.context() as mp:
+            self.budget(mp, per_stack, sys.dim)
+            got = diagonal_evolution(sys, phi, start[0], t_end, steps)
+        want = diagonal_oracle(terms, base, phi, start[0], t_end, steps)
+        assert np.array_equal(got, want)
+
+    def test_constant_leg_builds_one_propagator(self, monkeypatch):
+        # the shipped staircase: its t1 leg moves the frame, so its 1000
+        # Hamiltonians go in full stacks; under the frame, H_2 has a numeric
+        # row and does not depend on t2, so its leg builds one H and one U
+        cfg = EXAMPLE_CONFIGS["interaction_picture_staircase"]
+        sys = cli.build_quantum_system(cfg["system"], "/system")
+        exp = cfg["experiment"]
+        built, propagators = [], []
+        hamiltonians = PartialHamiltonianSet.hamiltonians
+        propagator = linops.hermitian_propagator
+
+        def counting_hamiltonians(self, j, times):
+            built.append((j, len(times)))
+            return hamiltonians(self, j, times)
+
+        def counting_propagator(h, dt):
+            propagators.append(int(np.prod(np.shape(h)[:-2])))
+            return propagator(h, dt)
+
+        monkeypatch.setattr(PartialHamiltonianSet, "hamiltonians", counting_hamiltonians)
+        monkeypatch.setattr(linops, "hermitian_propagator", counting_propagator)
+        path = staircase_between(exp["start"], exp["end"], max_dt=exp["max_dt"])
+        assert [(seg.axis, seg.substeps) for seg in path] == [(1, 1000), (2, 1000)]
+        phi = np.full(4, 0.5, dtype=complex)
+        evolve_staircase(sys, MultiTimeState(phi, exp["start"]), path)
+        per_stack = quantum.STACK_BYTES // (16 * sys.dim ** 2)
+        stacks = [min(per_stack, 1000 - i) for i in range(0, 1000, per_stack)]
+        assert built == [(1, m) for m in stacks] + [(2, 1)]
+        assert propagators == stacks + [1]
 
 
 class TestHolonomy:
