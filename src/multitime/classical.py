@@ -18,8 +18,8 @@ and memoised on the field's expressions, and so is the consistency
 defect, built with ``expr.derivative`` per field and step.  A field's
 right-hand side ``PhaseVectorField.rhs``, one compiled function of the
 time tuple and the state, serves the validity residuals.  Numpy arrays
-are built once a run is done.  A run of more than ``MAX_STEPS`` RK4
-steps is refused before it starts.
+are built once a run is done.  A run's plan function counts its RK4
+steps and refuses more than ``expr.MAX_STEPS`` before the run starts.
 """
 
 from __future__ import annotations
@@ -32,61 +32,40 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .expr import (MAX_STEPS, STEP_TIME, BinOp, Expression, Neg, Var,
-                   binding_names, check_steps, compile_function, compile_rk4,
+from .expr import (STEP_TIME, BinOp, Expression, Neg, Var, binding_names,
+                   bound_steps, check_steps, compile_function, compile_rk4,
                    derivative, free_variables, parse_expression, substitute)
 from .paths import NPath, WorldLine
 from .reports import DefectReport, ResidualReport
 
 __all__ = [
-    "SpacetimePoint",
     "is_spacelike",
-    "boost",
     "PhasePoint",
     "PhaseVectorField",
     "hamiltonian_vector_field",
     "classical_consistency_defect",
+    "equal_time_steps",
     "evolve_equal_time",
     "validity_residual",
     "GridSolution",
+    "full_grid_steps",
     "evolve_full_grid",
+    "rectangle_steps",
     "grid_path_independence",
     "cjs_demo",
-    "MAX_STEPS",
 ]
 
 
-@dataclass(frozen=True)
-class SpacetimePoint:
-    """(t, x) with x of dimension d; natural units, c = 1."""
-
-    t: float
-    x: tuple[float, ...]
-
-    @staticmethod
-    def of(t: float, x) -> "SpacetimePoint":
-        x = np.atleast_1d(np.asarray(x, float))
-        return SpacetimePoint(float(t), tuple(float(v) for v in x))
-
-
-def is_spacelike(points: Sequence[SpacetimePoint]) -> bool:
-    """True iff all pairs are strictly spacelike: (dt)^2 < |dx|^2."""
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            dt = points[i].t - points[j].t
-            dx = np.asarray(points[i].x) - np.asarray(points[j].x)
+def is_spacelike(times: np.ndarray, xs: np.ndarray) -> bool:
+    """True iff the events (times[j], xs[j]) of the (n,) and (n, d) arrays
+    are pairwise strictly spacelike: (dt)^2 < |dx|^2, natural units c = 1."""
+    for i in range(len(times)):
+        for j in range(i + 1, len(times)):
+            dt = times[i] - times[j]
+            dx = xs[i] - xs[j]
             if dt * dt >= float(dx @ dx):
                 return False
     return True
-
-
-def boost(point: SpacetimePoint, rapidity: float, axis: int = 0) -> SpacetimePoint:
-    """Lorentz boost along spatial ``axis`` with the given rapidity."""
-    c, s = math.cosh(rapidity), math.sinh(rapidity)
-    x = list(point.x)
-    t_new = c * point.t - s * x[axis]
-    x[axis] = -s * point.t + c * x[axis]
-    return SpacetimePoint(t_new, tuple(x))
 
 
 @dataclass
@@ -250,12 +229,6 @@ def classical_consistency_defect(field: PhaseVectorField, point: PhasePoint,
     return DefectReport(pairs=pairs, max_defect=max(pairs.values(), default=0.0), h=h)
 
 
-def _bound_steps(steps: float, what: str) -> None:
-    if steps > MAX_STEPS:
-        raise ValueError(f"{what} takes {steps:.3g} RK4 steps; at most "
-                         f"{MAX_STEPS} are allowed")
-
-
 @functools.lru_cache(maxsize=64)
 def _rk4_loop(exprs: tuple[Expression, ...], n: int, d: int,
               axis: int | None) -> Callable:
@@ -277,6 +250,14 @@ def _node_times(t0: float, dt: float, steps: int) -> list[float]:
     return list(itertools.accumulate(itertools.repeat(dt, steps), initial=t0))
 
 
+def equal_time_steps(t_span: tuple[float, float], dt: float) -> int:
+    """The RK4 steps of an equal-time run over ``t_span`` at about ``dt``:
+    (t1 - t0) / dt rounded, at least 1; ValueError above ``MAX_STEPS``."""
+    steps = (float(t_span[1]) - float(t_span[0])) / dt
+    bound_steps(steps)
+    return max(1, int(round(steps)))
+
+
 def evolve_equal_time(field: PhaseVectorField, init: PhasePoint,
                       t_span: tuple[float, float], dt: float) -> NPath:
     """RK4 on the joint system with all time coordinates advanced together
@@ -285,8 +266,7 @@ def evolve_equal_time(field: PhaseVectorField, init: PhasePoint,
         raise ValueError("equal-time evolution needs t_1 = ... = t_n initially")
     n, d = field.n, field.d
     t0, t1 = float(t_span[0]), float(t_span[1])
-    _bound_steps((t1 - t0) / dt, "the run")
-    steps = max(1, int(round((t1 - t0) / dt)))
+    steps = equal_time_steps(t_span, dt)
     dt = (t1 - t0) / steps
     ts = _node_times(t0, dt, steps)
     ys, rates = _rk4_loop(field.exprs, n, d, None)(init.state().tolist(), ts,
@@ -323,8 +303,7 @@ def validity_residual(field: PhaseVectorField, npath: NPath,
                          for j in range(field.n)], axis=1)
                for query in ("x_at", "p_at", "dxdt_at", "dpdt_at")]
     for times, xs, ps, dxs, dps in zip(tuples, *queried):
-        events = [SpacetimePoint.of(times[j], xs[j]) for j in range(field.n)]
-        if not is_spacelike(events):
+        if not is_spacelike(times, xs):
             report.rows.append({"times": times.tolist(), "spacelike": False})
             report.rejected += 1
             continue
@@ -401,6 +380,13 @@ def _grid_legs(hpair: HamiltonianPair) -> Callable:
     return leg
 
 
+def full_grid_steps(points1: int, points2: int, substeps: int) -> int:
+    """The RK4 steps counted for a full grid of ``points1`` x ``points2``
+    nodes, ``substeps`` per node; ValueError above ``MAX_STEPS``."""
+    bound_steps(steps := points1 * points2 * substeps)
+    return steps
+
+
 def evolve_full_grid(hpair: HamiltonianPair, init: PhasePoint,
                      t1_grid: Sequence[float], t2_grid: Sequence[float],
                      substeps: int = 4) -> GridSolution:
@@ -410,7 +396,7 @@ def evolve_full_grid(hpair: HamiltonianPair, init: PhasePoint,
     t2_grid = np.asarray(t2_grid, float)
     t1s, t2s = t1_grid.tolist(), t2_grid.tolist()
     n, d = hpair.n, hpair.d
-    _bound_steps(len(t1s) * len(t2s) * substeps, "the grid")
+    full_grid_steps(len(t1s), len(t2s), substeps)
     leg = _grid_legs(hpair)
     y = init.state().tolist()
     column = []
@@ -431,16 +417,26 @@ def evolve_full_grid(hpair: HamiltonianPair, init: PhasePoint,
     return GridSolution(t1=t1_grid, t2=t2_grid, x=xg, p=pg)
 
 
+def rectangle_steps(rectangle: tuple[float, float], dt: float) -> tuple[int, int]:
+    """``(m1, m2)``, the RK4 steps of the t1 and t2 legs of one path around
+    ``rectangle`` at about ``dt`` ((0, 0) for a side of 0), at most ``MAX_STEPS``."""
+    if 0.0 in rectangle:
+        return 0, 0
+    s1, s2 = abs(rectangle[0]) / dt, abs(rectangle[1]) / dt
+    bound_steps(s1 + s2)  # in floats first: ceil overflows on an infinite count
+    m1, m2 = max(1, math.ceil(s1)), max(1, math.ceil(s2))
+    bound_steps(m1 + m2)
+    return m1, m2
+
+
 def grid_path_independence(hpair: HamiltonianPair, init: PhasePoint,
                            rectangle: tuple[float, float], dt: float) -> float:
     """Phase-space distance at the far corner between integrating the t1
     leg first and the t2 leg first."""
     dt1, dt2 = rectangle
-    if dt1 == 0.0 or dt2 == 0.0:
+    m1, m2 = rectangle_steps(rectangle, dt)
+    if m1 == 0:
         return 0.0
-    _bound_steps(abs(dt1) / dt + abs(dt2) / dt, "a path around the rectangle")
-    m1 = max(1, int(math.ceil(abs(dt1) / dt)))
-    m2 = max(1, int(math.ceil(abs(dt2) / dt)))
     t0 = init.times.tolist()
     y0 = init.state().tolist()
     leg = _grid_legs(hpair)

@@ -5,7 +5,10 @@ and writes a deterministic JSON report (plus optional CSV for tabular
 data).  ``_KINDS`` is the one table of experiment kinds: for each
 (formalism, kind) it names the subcommand that runs it, whether it writes
 CSV, and the function that checks its config and builds its system.
-That function returns a closure that does only the numerics.  A run
+That function returns a closure that does only the numerics.  It bounds
+the run's work with the library's plan functions, which the run itself
+counts with, and picks the pointer to blame; it sums only a holonomy's
+staircases over its sizes and path-independence's levels.  A run
 imports only the formalism it uses (``quantum`` with ``linops``,
 ``classical``, or ``hj``), inside the functions of that formalism, and
 ``numpy.random`` only if it draws samples; ``examples`` imports only the
@@ -144,6 +147,16 @@ def _option(obj: dict, key: str, path: str, default, read, *args):
     return read(obj[key], f"{path}/{key}", *args)
 
 
+def _blame(path: str, check: Callable, *args):
+    """``check(*args)``, a library function that checks a value or plans a
+    run's work (a count above ``MAX_STEPS`` is refused), its ValueError a
+    ConfigError at ``path``."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
 def _span(value, path: str) -> tuple[float, float]:
     lo, hi = _num_list(value, path, 2)
     if not lo < hi:
@@ -182,10 +195,7 @@ def _pauli_op_sum(value, path: str, n: int, numeric_only: bool) -> list:
         if len(op) != n:
             raise ConfigError(f"{ipath}/op",
                               f"Pauli string must have length n = {n}")
-        try:
-            mat = linops.pauli_string(op)
-        except ValueError as exc:
-            raise ConfigError(f"{ipath}/op", str(exc)) from None
+        mat = _blame(f"{ipath}/op", linops.pauli_string, op)
         coeff = item["coeff"]
         if isinstance(coeff, str):
             if numeric_only:
@@ -382,31 +392,13 @@ def _sample_phase_points(cfg, path: str, n: int, d: int,
             for _ in range(count)]
 
 
-def _bound_steps(steps: float, path: str, what: str = "RK4 steps") -> None:
-    """Refuse, at ``path``, a run of more than ``MAX_STEPS`` RK4 steps (its
-    states would be kept in memory) or propagators."""
-    if steps > MAX_STEPS:
-        raise ConfigError(path, f"the run takes {steps:.3g} {what}; at most "
-                                f"{MAX_STEPS} are allowed")
-
-
-def _bound_propagators(durations: Sequence[float], max_dt: float, legs: int) -> None:
-    """Refuse, at ``max_dt``, ``legs`` staircase legs per nonzero duration,
-    each split into ``quantum._substeps`` as the run splits it."""
-    from . import quantum
-
-    try:
-        count = sum(legs * quantum._substeps(d, max_dt) for d in durations if d != 0.0)
-    except ValueError as exc:  # a leg of more than MAX_STEPS substeps
-        raise ConfigError(f"{_E}/max_dt", str(exc)) from None
-    _bound_steps(count, f"{_E}/max_dt", "propagators")
-
-
 def _equal_time_steps(exp: dict) -> tuple[tuple[float, float], float]:
-    """``t_span`` and ``dt`` of an equal-time run, with its step count bounded."""
+    """``t_span`` and ``dt`` of an equal-time run, its steps bounded at ``dt``."""
+    from . import classical
+
     span = _span(exp["t_span"], f"{_E}/t_span")
     dt = _positive(exp["dt"], f"{_E}/dt")
-    _bound_steps((span[1] - span[0]) / dt, f"{_E}/dt")
+    _blame(f"{_E}/dt", classical.equal_time_steps, span, dt)
     return span, dt
 
 
@@ -415,10 +407,7 @@ def _foliation(cfg, path: str, d: int) -> hj.Foliation:
 
     cfg = _obj(cfg, path)
     _keys(cfg, path, ["u"])
-    try:
-        return hj.Foliation(_num_list(cfg["u"], f"{path}/u", d))
-    except ValueError as exc:
-        raise ConfigError(f"{path}/u", str(exc)) from None
+    return _blame(f"{path}/u", hj.Foliation, _num_list(cfg["u"], f"{path}/u", d))
 
 
 def _leaves(exp: dict, fols: list[hj.Foliation], n: int, d: int):
@@ -500,13 +489,13 @@ def _staircase(system: dict, exp: dict, seed: int):
                    _initial_state, sys_q.dim)
     compare = _option(exp, "compare_diagonal", _E, False, _bool)
     steps = _option(exp, "diagonal_steps", _E, 1000, _int, 1, MAX_STEPS)
-    _bound_propagators([e - s for s, e in zip(start, end)], max_dt, 1)
+    path = _blame(f"{_E}/max_dt", quantum.staircase_between, start, end, order, max_dt)
+    _blame(f"{_E}/max_dt", quantum.path_substeps, path)
     if compare and not (np.allclose(start, start[0]) and np.allclose(end, end[0])):
         raise ConfigError(f"{_E}/compare_diagonal", "diagonal comparison needs "
                                                     "equal-time start and end tuples")
 
     def run():
-        path = quantum.staircase_between(start, end, order=order, max_dt=max_dt)
         state0 = quantum.MultiTimeState(vector=phi0, times=np.array(start))
         final = quantum.evolve_staircase(sys_q, state0, path)
         results = {
@@ -536,7 +525,11 @@ def _holonomy(system: dict, exp: dict, seed: int):
         if not size * size > 0.0:  # the holonomy is divided by this area
             raise ConfigError(f"{_E}/sizes/{i}", f"size {size} has an area of 0")
     max_dt = _option(exp, "max_dt", _E, 1e-2, _positive)
-    _bound_propagators(sizes, max_dt, 4)  # two staircases of two legs per size
+    # the run's two staircases per size, bounded together as one path
+    at = f"{_E}/max_dt"
+    legs = [seg for size in sizes for path in _blame(
+        at, quantum.rectangle_staircases, *axes, size, size, max_dt) for seg in path]
+    _blame(at, quantum.path_substeps, legs)
     phi0 = _option(exp, "initial_state", _E, {"kind": "basis", "index": 0},
                    _initial_state, sys_q.dim)
 
@@ -638,7 +631,7 @@ def _full_grid(system: dict, exp: dict, seed: int):
     t2m = _num(exp["t2_max"], f"{_E}/t2_max")
     pts = _int(exp["points"], f"{_E}/points", 2)
     sub = _option(exp, "substeps", _E, 4, _int, 1)
-    _bound_steps(pts * pts * sub, f"{_E}/points")
+    _blame(f"{_E}/points", classical.full_grid_steps, pts, pts, sub)
     t0 = float(init.times[0])  # the same for both particles
     for key, span in (("t1_max", t1m), ("t2_max", t2m)):
         if not math.isfinite(t0 + span):
@@ -668,12 +661,11 @@ def _path_independence(system: dict, exp: dict, seed: int):
     init = _phase_point(exp["init"], f"{_E}/init", n, d)
     rect = _num_list(exp["rectangle"], f"{_E}/rectangle", 2)
     dt = _positive(exp["dt"], f"{_E}/dt")
-    # a rectangle with a side of 0 takes no step; level l halves it l times,
-    # so all levels (one table row each) take 2 - 2^-l times level 0's steps
-    steps = 0.0 if 0.0 in rect else abs(rect[0]) / dt + abs(rect[1]) / dt
-    _bound_steps(steps, f"{_E}/dt")
+    steps = sum(_blame(f"{_E}/dt", classical.rectangle_steps, rect, dt))
     refinements = _option(exp, "refinements", _E, 0, _int, 0, MAX_POINTS - 1)
-    _bound_steps(steps * (2.0 - 0.5 ** refinements), f"{_E}/refinements")
+    # level l halves the rectangle l times, so all levels (one table row
+    # each) take about 2 - 2^-l times level 0's steps
+    _blame(f"{_E}/refinements", expr.bound_steps, steps * (2.0 - 0.5 ** refinements))
 
     def run():
         table = []

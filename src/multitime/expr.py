@@ -30,9 +30,9 @@ difference at a given step; ``derivative(h)`` picks one of the two for
 every condition.
 
 The module also holds what every formalism shares without importing
-another: the work bound ``MAX_STEPS`` next to ``check_steps``, and
-``FoliationError`` next to ``DomainError``, so that the CLI can catch it
-without loading the HJ module.
+another: the work bound ``MAX_STEPS`` and its one check ``bound_steps``
+next to ``check_steps``, and ``FoliationError`` next to ``DomainError``,
+so that the CLI can catch it without loading the HJ module.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import functools
 import math
 import re
 import struct
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NoReturn, Sequence
 
@@ -69,6 +70,7 @@ __all__ = [
     "derivative",
     "check_steps",
     "MAX_STEPS",
+    "bound_steps",
     "FoliationError",
     "substitute",
 ]
@@ -457,6 +459,15 @@ def derivative(h: float | None) -> Callable[[Expression, str], Expression]:
 #: path around a grid rectangle, of a full grid or of an HJ trajectory run
 #: (leaves), and propagators of a quantum evolution
 MAX_STEPS = 10 ** 6
+
+
+def bound_steps(steps: float, what: str = "RK4 steps") -> None:
+    """ValueError if a run takes more than ``MAX_STEPS`` ``what``: an int
+    count shows in full up to 10 * MAX_STEPS, any other count to 3 digits."""
+    if steps > MAX_STEPS:
+        shown = (steps if isinstance(steps, int) and steps <= 10 * MAX_STEPS
+                 else f"{steps if steps <= sys.float_info.max else math.inf:.3g}")
+        raise ValueError(f"the run takes {shown} {what}; at most {MAX_STEPS} are allowed")
 
 
 def check_steps(h: float | None, names: Sequence[str], values: Sequence[float]) -> None:

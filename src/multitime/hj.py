@@ -1,7 +1,7 @@
 """Multi-time Hamilton-Jacobi formalism.
 
 Given an HJ function S(t1,x1,..,tn,xn) supplied as an expression, this
-module evaluates residuals of the single- and multi-time HJ systems,
+module evaluates residuals of the multi-time HJ system,
 the Poisson-bracket consistency defect of partial Hamiltonian functions,
 the velocity-consistency defect of the multi-time velocity law
 dx_j/dt_j = grad_{x_j} S / m_j, and extracts trajectory families under
@@ -36,7 +36,6 @@ __all__ = [
     "FoliationError",
     "FoliationDegeneracyError",
     "poisson_bracket",
-    "hj_residual_single",
     "hj_residual_multi",
     "hj_consistency_defect",
     "hj_velocity_consistency_defect",
@@ -167,18 +166,6 @@ def _residuals(s_expr: Expression, h_exprs: tuple[Expression, ...],
     return compile_function([BinOp("+", grad(s_expr, t), substitute(he, momenta))
                              for t, he in zip(times, h_exprs)],
                             [times, xs], dict(constants))
-
-
-def hj_residual_single(s_expr: str | Expression, h_expr: str | Expression,
-                       t: float, x: np.ndarray, n: int, d: int,
-                       constants: Mapping[str, float] | None = None,
-                       h: float | None = None,
-                       time_var: str = "t") -> float:
-    """|dS/dt + H(t, x, grad_x S)| for the single-time HJ equation."""
-    x = np.atleast_2d(np.asarray(x, float))[:n, :d].ravel().tolist()
-    check_steps(h, (time_var, *binding_names("x", n, d)), [t, *x])
-    return abs(_residuals(_as_expr(s_expr), (_as_expr(h_expr),), (time_var,), n, d,
-                          _frozen(constants), h)([float(t)], x)[0])
 
 
 def hj_residual_multi(s: HJFunction, h_exprs: Sequence[str | Expression],

@@ -14,16 +14,13 @@ __all__ = [
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
-    "identity",
     "as_matrix",
     "dagger",
     "norm_inf",
     "is_hermitian",
     "commutator",
-    "kron",
     "hermitian_propagator",
     "pauli_string",
-    "embed",
 ]
 
 MAX_DENSE_DIM = 1024
@@ -40,10 +37,6 @@ _PAULI = {
     "Y": SIGMA_Y,
     "Z": SIGMA_Z,
 }
-
-
-def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=np.complex128)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -76,11 +69,6 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; the first argument is the leftmost tensor leg."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def hermitian_propagator(h: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i h dt) for Hermitian h via eigendecomposition (exactly unitary
     up to rounding; much faster than expm at the small dims used here).
@@ -102,17 +90,4 @@ def pauli_string(symbols: str) -> np.ndarray:
     m = _PAULI[symbols[0]]
     for c in symbols[1:]:
         m = np.kron(m, _PAULI[c])
-    return m
-
-
-def embed(op: np.ndarray, site: int, n: int, local_dim: int) -> np.ndarray:
-    """Place ``op`` on 1-based ``site`` of an n-fold tensor product."""
-    op = as_matrix(op)
-    if op.shape[0] != local_dim:
-        raise ValueError("operator dimension does not match local_dim")
-    if not 1 <= site <= n:
-        raise ValueError(f"site {site} outside 1..{n}")
-    m = np.eye(1, dtype=np.complex128)
-    for j in range(1, n + 1):
-        m = np.kron(m, op if j == site else np.eye(local_dim, dtype=np.complex128))
     return m

@@ -13,8 +13,8 @@ and reduces to single-time evolution on the time diagonal.  A leg whose
 Hamiltonian cannot change (a numeric row, not moved along t1 under a
 frame) builds one Hamiltonian and one propagator; every other leg builds
 its midpoint Hamiltonians as stacks of at most ``STACK_BYTES``, one
-``eigh`` call each.  An evolution of more than ``expr.MAX_STEPS``
-propagators is refused before it starts.
+``eigh`` call each.  ``path_substeps`` counts an evolution's propagators
+and refuses more than ``expr.MAX_STEPS`` before it starts.
 """
 
 from __future__ import annotations
@@ -27,18 +27,19 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linops
-from .expr import (MAX_STEPS, Expression, Num, binding_names, check_steps,
-                   compile_function, parse_expression)
+from .expr import (MAX_STEPS, Expression, Num, binding_names, bound_steps,
+                   check_steps, compile_function, parse_expression)
 from .reports import DefectReport
 
 __all__ = [
     "PartialHamiltonianSet",
     "MultiTimeState",
     "Segment",
-    "total_hamiltonian",
     "consistency_defect_matrix",
     "quantum_consistency_defect",
+    "path_substeps",
     "evolve_staircase",
+    "rectangle_staircases",
     "rectangle_holonomy",
     "diagonal_evolution",
     "staircase_between",
@@ -161,11 +162,6 @@ class Segment:
     substeps: int = 1
 
 
-def total_hamiltonian(sys: PartialHamiltonianSet,
-                      times: Sequence[float]) -> np.ndarray:
-    return _total_hamiltonians(sys, np.array([times], dtype=float))[0]
-
-
 def _total_hamiltonians(sys: PartialHamiltonianSet, times: np.ndarray) -> np.ndarray:
     """H_1 + ... + H_n at each row of the (m, n) array ``times``."""
     h = np.zeros((len(times), sys.dim, sys.dim), dtype=np.complex128)
@@ -208,6 +204,13 @@ def quantum_consistency_defect(sys: PartialHamiltonianSet,
     return DefectReport(pairs=pairs, max_defect=max(pairs.values(), default=0.0), h=h)
 
 
+def path_substeps(segments: Sequence[Segment]) -> int:
+    """The substeps, one propagator each, of the path of ``segments``;
+    ValueError above ``MAX_STEPS``."""
+    bound_steps(total := sum(seg.substeps for seg in segments), "substeps")
+    return total
+
+
 def evolve_staircase(sys: PartialHamiltonianSet, state: MultiTimeState,
                      segments: Sequence[Segment]) -> MultiTimeState:
     """Integrate the per-coordinate Schroedinger equations along the
@@ -217,8 +220,7 @@ def evolve_staircase(sys: PartialHamiltonianSet, state: MultiTimeState,
     frozen at the substep midpoint (exponential midpoint rule, second
     order, exactly unitary per substep).
     """
-    if (total := sum(seg.substeps for seg in segments)) > MAX_STEPS:
-        raise ValueError(f"the path takes {total} substeps; at most {MAX_STEPS} are allowed")
+    path_substeps(segments)
     phi = state.vector.copy()
     times = np.array(state.times, dtype=float)
     for seg in segments:
@@ -275,19 +277,26 @@ def _substeps(duration: float, max_dt: float) -> int:
     return max(1, math.ceil(steps))
 
 
+def rectangle_staircases(j: int, k: int, eps: float, delta: float,
+                         max_dt: float = 1e-2) -> tuple[list[Segment], list[Segment]]:
+    """The two staircases of a rectangle holonomy: t_j by eps, then t_k by
+    delta, and the reverse ordering."""
+    if j == k:
+        raise ValueError("rectangle needs two distinct axes")
+    leg_j = Segment(j, eps, _substeps(eps, max_dt))
+    leg_k = Segment(k, delta, _substeps(delta, max_dt))
+    return [leg_j, leg_k], [leg_k, leg_j]
+
+
 def rectangle_holonomy(sys: PartialHamiltonianSet, times: Sequence[float],
                        j: int, k: int, eps: float, delta: float,
                        phi0: np.ndarray, max_dt: float = 1e-2) -> float:
     """Norm of the discrepancy between evolving (t_j by eps, then t_k by
     delta) and the reverse ordering.  Vanishes iff the pair is consistent;
     otherwise scales as eps*delta*||C_jk phi0|| to leading order."""
-    if j == k:
-        raise ValueError("rectangle needs two distinct axes")
+    paths = rectangle_staircases(j, k, eps, delta, max_dt)
     state = MultiTimeState(vector=np.asarray(phi0), times=np.asarray(times, float))
-    leg_j = Segment(j, eps, _substeps(eps, max_dt))
-    leg_k = Segment(k, delta, _substeps(delta, max_dt))
-    a = evolve_staircase(sys, state, [leg_j, leg_k])
-    b = evolve_staircase(sys, state, [leg_k, leg_j])
+    a, b = (evolve_staircase(sys, state, path) for path in paths)
     return float(np.linalg.norm(a.vector - b.vector))
 
 
@@ -308,17 +317,13 @@ def diagonal_evolution(sys: PartialHamiltonianSet, psi0: np.ndarray,
 def staircase_between(start: Sequence[float], end: Sequence[float],
                       order: Sequence[int] | None = None,
                       max_dt: float = 1e-2) -> list[Segment]:
-    """One segment per axis, taken in ``order`` (1-based; default 1..n)."""
+    """One segment per axis whose times differ, taken in ``order`` (1-based;
+    default 1..n)."""
     _check_max_dt(max_dt)
-    start = np.asarray(start, float)
-    end = np.asarray(end, float)
-    order = list(order) if order is not None else list(range(1, len(start) + 1))
-    segs = []
-    for ax in order:
-        dur = float(end[ax - 1] - start[ax - 1])
-        if dur != 0.0:
-            segs.append(Segment(ax, dur, _substeps(dur, max_dt)))
-    return segs
+    durations = (np.asarray(end, float) - np.asarray(start, float)).tolist()
+    return [Segment(ax, dur, _substeps(dur, max_dt))
+            for ax in (order if order is not None else range(1, len(durations) + 1))
+            if (dur := durations[ax - 1]) != 0.0]
 
 
 def random_staircase(rng: np.random.Generator, start: Sequence[float],
@@ -328,15 +333,9 @@ def random_staircase(rng: np.random.Generator, start: Sequence[float],
     along each axis is split into ``pieces`` random chunks and the chunks
     are interleaved in random order."""
     _check_max_dt(max_dt)
-    start = np.asarray(start, float)
-    end = np.asarray(end, float)
-    chunks: list[Segment] = []
-    for ax in range(1, len(start) + 1):
-        dur = float(end[ax - 1] - start[ax - 1])
-        weights = rng.dirichlet(np.ones(pieces))
-        for wgt in weights:
-            d = dur * float(wgt)
-            if d != 0.0:
-                chunks.append(Segment(ax, d, _substeps(d, max_dt)))
-    perm = rng.permutation(len(chunks))
-    return [chunks[i] for i in perm]
+    durations = (np.asarray(end, float) - np.asarray(start, float)).tolist()
+    chunks = [Segment(ax, d, _substeps(d, max_dt))
+              for ax, dur in enumerate(durations, start=1)
+              for wgt in rng.dirichlet(np.ones(pieces))
+              if (d := dur * float(wgt)) != 0.0]
+    return [chunks[i] for i in rng.permutation(len(chunks))]

@@ -9,13 +9,18 @@ against.
 propagation loops that stacked propagation is pinned against bit for bit:
 one Hamiltonian per midpoint tuple, built from the system's terms with
 ``evaluate``, and one ``eigh`` per substep.
+
+``hj_residual_single`` is the residual of the single-time HJ equation,
+read from the compiled multi-time residuals of ``hj`` with one time.
 """
 
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from multitime.expr import Expression, binding_names, evaluate, parse_expression
+from multitime.expr import (Expression, binding_names, check_steps, evaluate,
+                            parse_expression)
+from multitime.hj import _as_expr, _frozen, _residuals
 
 
 def variable_bindings(times: Sequence[float] | np.ndarray = (),
@@ -92,3 +97,15 @@ def diagonal_oracle(terms, base, psi: np.ndarray, t_start: float, t_end: float,
             h = h + _hamiltonian(terms, base, len(psi), j, [tmid] * n)
         psi = _propagator(h, dt) @ psi
     return psi
+
+
+def hj_residual_single(s_expr: str | Expression, h_expr: str | Expression,
+                       t: float, x: np.ndarray, n: int, d: int,
+                       constants: Mapping[str, float] | None = None,
+                       h: float | None = None,
+                       time_var: str = "t") -> float:
+    """|dS/dt + H(t, x, grad_x S)| for the single-time HJ equation."""
+    x = np.atleast_2d(np.asarray(x, float))[:n, :d].ravel().tolist()
+    check_steps(h, (time_var, *binding_names("x", n, d)), [t, *x])
+    return abs(_residuals(_as_expr(s_expr), (_as_expr(h_expr),), (time_var,), n, d,
+                          _frozen(constants), h)([float(t)], x)[0])

@@ -11,8 +11,6 @@ from multitime.classical import (
     HamiltonianPair,
     PhasePoint,
     PhaseVectorField,
-    SpacetimePoint,
-    boost,
     cjs_demo,
     classical_consistency_defect,
     evolve_equal_time,
@@ -50,21 +48,10 @@ def phase_point(t, x1, x2, p1, p2) -> PhasePoint:
 
 class TestSpacetime:
     def test_spacelike_strict(self):
-        a = SpacetimePoint.of(0.0, [0.0])
-        assert is_spacelike([a, SpacetimePoint.of(0.1, [1.0])])
-        assert not is_spacelike([a, SpacetimePoint.of(1.0, [1.0])])  # lightlike
-        assert not is_spacelike([a, SpacetimePoint.of(2.0, [1.0])])
-
-    def test_boost_preserves_interval(self):
-        a = SpacetimePoint.of(0.3, [1.2, -0.4])
-        b = boost(a, 0.7)
-        assert a.t**2 - np.dot(a.x, a.x) == pytest.approx(
-            b.t**2 - np.dot(b.x, b.x), abs=1e-12)
-
-    def test_boost_zero_rapidity_identity(self):
-        a = SpacetimePoint.of(0.5, [1.0])
-        b = boost(a, 0.0)
-        assert b.t == a.t and b.x == a.x
+        xs = np.array([[0.0], [1.0]])
+        assert is_spacelike(np.array([0.0, 0.1]), xs)
+        assert not is_spacelike(np.array([0.0, 1.0]), xs)  # lightlike
+        assert not is_spacelike(np.array([0.0, 2.0]), xs)
 
 
 class TestDefect:
@@ -611,6 +598,19 @@ class TestRk4Step:
         # the equal-time loop records the rates at the end node, and fails there
         with pytest.raises(DomainError, match="log of non-positive value -0.0"):
             rk4_loop(fld)(y, [0.0, 1.0], [1.0])
+
+    def test_plans_count_the_run(self):
+        init = phase_point(0.0, -1.0, 1.0, 0.1, -0.1)
+        npath = evolve_equal_time(free_field(), init, (0.0, 1.0), 0.03)
+        assert len(npath.lines[0].t) == classical.equal_time_steps((0.0, 1.0), 0.03) + 1
+        assert classical.equal_time_steps((0.0, 1.0), 0.03) == 33
+        # each leg ceil(|side| / dt); 0.3 / 0.1 is a rounding below 3
+        assert classical.rectangle_steps((0.35, -0.3), 0.1) == (4, 3)
+        assert classical.rectangle_steps((0.4, 0.0), 1e-300) == (0, 0)
+        # the legs are bounded as the run takes them, rounded up
+        with pytest.raises(ValueError, match="takes 1000001 RK4 steps"):
+            classical.rectangle_steps((500000.3, -499999.6), 1.0)
+        assert classical.full_grid_steps(3, 4, 2) == 24
 
     def test_step_count_bounded_before_the_run(self):
         init = phase_point(0.0, -1.0, 1.0, 0.1, -0.1)

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multitime import classical, hj, linops, quantum
-from multitime.cli import _SUBCOMMAND_KINDS, main, run_config
+from multitime import classical, expr, hj, linops, quantum
+from multitime.cli import (_SUBCOMMAND_KINDS, ConfigError, _sample_phase_points, main,
+                           run_config)
 from multitime.configs import EXAMPLE_CONFIGS, write_examples
 
 KIND_SUBCOMMAND = {kind: sub for sub, kinds in _SUBCOMMAND_KINDS.items()
@@ -207,6 +208,66 @@ class TestSubcommands:
         # the gaussian force is exp(-16)-suppressed at the initial
         # separation, so only a faint bend is visible
         assert rows["gaussian"]["straightness_deviation"] > 1e-7
+
+
+class TestHJDefectGrid:
+    """The HJ ``defect-grid`` kind reports the extremes of
+    ``hj.hj_consistency_defect`` over its seeded samples."""
+
+    SAMPLES = {"count": 20, "t_box": [0.0, 1.0], "x_box": [-1.0, 1.0],
+               "p_box": [-1.0, 1.0]}
+
+    @pytest.mark.parametrize("h_list,largest", [
+        (None, 0.0),  # the free system: H_1 and H_2 commute
+        (["p1_1^2/2 + x1_1*x2_1", "p2_1^2/2"], 0.8875),
+    ])
+    @pytest.mark.parametrize("h", [None, 1e-4])
+    def test_matches_the_library(self, h_list, largest, h):
+        cfg = copy.deepcopy(EXAMPLE_CONFIGS["hj_free_residual"])
+        hams = cfg["system"]["hamiltonians"]
+        if h_list is not None:
+            hams["h_list"] = h_list
+        cfg["experiment"] = {"kind": "defect-grid", "samples": dict(self.SAMPLES)}
+        if h is not None:
+            cfg["experiment"]["h"] = h
+        results = run_config(cfg, "check")["results"]
+        points = _sample_phase_points(self.SAMPLES, "", 2, 1, cfg["seed"])
+        want = [hj.hj_consistency_defect(hams["h_list"], pt, h=h,
+                                         constants=cfg["system"]["constants"]).max_defect
+                for pt in points]
+        assert results == {"sample_count": 20, "max_defect": max(want),
+                           "min_defect": min(want)}
+        assert results["max_defect"] == pytest.approx(largest, abs=1e-4)
+        if largest:
+            assert results["min_defect"] < results["max_defect"]
+
+
+class TestPlannedWork:
+    """A quantum run evolves exactly the staircases whose substeps the CLI
+    bounded: the CLI refuses the config once the bound is one below their
+    total, and runs it at their total."""
+
+    @pytest.mark.parametrize("name", ["interaction_picture_staircase", "coupled_qubits"])
+    def test_run_executes_the_bounded_plan(self, monkeypatch, name):
+        subcommand = KIND_SUBCOMMAND[EXAMPLE_CONFIGS[name]["experiment"]["kind"]]
+        evolve, segments = quantum.evolve_staircase, []
+
+        def record(sys_q, state, path):
+            segments.extend(path)
+            return evolve(sys_q, state, path)
+
+        monkeypatch.setattr(quantum, "evolve_staircase", record)
+        run_config(copy.deepcopy(EXAMPLE_CONFIGS[name]), subcommand)
+        total = sum(seg.substeps for seg in segments)
+        assert total > 0
+        monkeypatch.setattr(expr, "MAX_STEPS", total - 1)
+        with pytest.raises(ConfigError, match=f"^/experiment/max_dt: the run takes "
+                                              f"{total} substeps; at most {total - 1} "):
+            run_config(copy.deepcopy(EXAMPLE_CONFIGS[name]), subcommand)
+        monkeypatch.setattr(expr, "MAX_STEPS", total)
+        segments.clear()
+        run_config(copy.deepcopy(EXAMPLE_CONFIGS[name]), subcommand)
+        assert sum(seg.substeps for seg in segments) == total
 
 
 class TestDeterminism:
@@ -645,6 +706,9 @@ class TestConfigErrors:
         ("grid_free", "/experiment/points", 10 ** 9, "/experiment/points", "2e+18"),
         ("grid_coupled", "/experiment/substeps", 10 ** 6, "/experiment/points",
          "2.5e+09"),
+        # counts beyond the floats, whose message used to overflow (exit 3)
+        ("grid_free", "/experiment/points", 10 ** 400, "/experiment/points", "inf"),
+        ("grid_free", "/experiment/substeps", 10 ** 400, "/experiment/points", "inf"),
     ])
     def test_too_many_rk4_steps(self, config_dir, tmp_path, capsys, no_numerics,
                                 name, key, value, pointer, steps):

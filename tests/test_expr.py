@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -625,6 +626,27 @@ def rebuilt_substitution(expr, values):
             return BinOp(op, rebuilt_substitution(left, values),
                          rebuilt_substitution(right, values))
     return expr
+
+
+class TestBoundSteps:
+    """One check of every formalism's work count against ``MAX_STEPS``."""
+
+    def test_at_the_bound_passes(self):
+        expr_module.bound_steps(10 ** 6)
+        expr_module.bound_steps(1e6, "substeps")
+
+    @pytest.mark.parametrize("steps,what,shown", [
+        (10 ** 6 + 1, "substeps", "1000001"),  # a count near the bound in full
+        (10 ** 7, "RK4 steps", "10000000"),
+        (2 * 10 ** 18, "RK4 steps", "2e+18"),
+        (4.000000000000001e6, "RK4 steps", "4e+06"),  # an estimate to 3 digits
+        (math.inf, "RK4 steps", "inf"),
+        (10 ** 400, "RK4 steps", "inf"),  # beyond the floats
+    ])
+    def test_message(self, steps, what, shown):
+        with pytest.raises(ValueError, match=re.escape(
+                f"the run takes {shown} {what}; at most 1000000 are allowed")):
+            expr_module.bound_steps(steps, what)
 
 
 class TestSubstitute:

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from multitime import hj
-from multitime.classical import MAX_STEPS, PhasePoint
-from multitime.expr import (DomainError, UnboundVariableError, binding_names, evaluate,
-                            parse_expression)
+from multitime.classical import PhasePoint
+from multitime.expr import (MAX_STEPS, DomainError, UnboundVariableError, binding_names,
+                            evaluate, parse_expression)
 from multitime.hj import (
     Foliation,
     FoliationDegeneracyError,
@@ -19,14 +19,13 @@ from multitime.hj import (
     foliation_compare,
     hj_consistency_defect,
     hj_residual_multi,
-    hj_residual_single,
     hj_trajectories_foliation,
     foliation_leaves,
     hj_velocity_consistency_defect,
     poisson_bracket,
 )
 from multitime.numdiff import diff_callable, partial_derivative
-from oracles import variable_bindings
+from oracles import hj_residual_single, variable_bindings
 
 K1, K2 = 0.3, -0.2
 G = 0.05

@@ -7,11 +7,8 @@ from multitime.linops import (
     SIGMA_Z,
     commutator,
     dagger,
-    embed,
     hermitian_propagator,
-    identity,
     is_hermitian,
-    kron,
     norm_inf,
     pauli_string,
 )
@@ -36,7 +33,7 @@ class TestBasics:
 
     def test_commutator_shape_mismatch(self):
         with pytest.raises(ValueError):
-            commutator(SIGMA_X, identity(4))
+            commutator(SIGMA_X, np.eye(4))
 
     def test_pauli_string(self):
         assert np.allclose(pauli_string("ZI"), np.kron(SIGMA_Z, np.eye(2)))
@@ -45,12 +42,6 @@ class TestBasics:
             pauli_string("ZQ")
         with pytest.raises(ValueError):
             pauli_string("")
-
-    def test_embed_matches_kron(self):
-        assert np.allclose(embed(SIGMA_X, 1, 2, 2), kron(SIGMA_X, identity(2)))
-        assert np.allclose(embed(SIGMA_X, 2, 2, 2), kron(identity(2), SIGMA_X))
-        with pytest.raises(ValueError):
-            embed(SIGMA_X, 3, 2, 2)
 
 
 def expm(a):

@@ -12,7 +12,6 @@ from multitime.linops import (
     SIGMA_Z,
     commutator,
     dagger,
-    kron,
     norm_inf,
     pauli_string,
 )
@@ -23,9 +22,11 @@ from multitime.quantum import (
     consistency_defect_matrix,
     diagonal_evolution,
     evolve_staircase,
+    path_substeps,
     quantum_consistency_defect,
     random_staircase,
     rectangle_holonomy,
+    rectangle_staircases,
     staircase_between,
 )
 
@@ -67,7 +68,7 @@ class TestDefect:
         # and the induced infinity norm is exactly g.
         sys = coupled_qubits()
         c = consistency_defect_matrix(sys, [0.1, 0.2], 1, 2)
-        want = -G * kron(SIGMA_Z, SIGMA_Y)
+        want = -G * np.kron(SIGMA_Z, SIGMA_Y)
         assert np.allclose(c, want, atol=1e-10)
         rep = quantum_consistency_defect(sys, [0.1, 0.2])
         assert rep.pairs["1,2"] == pytest.approx(G, abs=1e-10)
@@ -95,19 +96,19 @@ class TestDefect:
         # operators are checked once, at construction
         with pytest.raises(ValueError, match=r"operator of terms\[0\]\[0\] is not Hermitian"):
             PartialHamiltonianSet(
-                [[(kron(RAISING, np.eye(2)), 1.0)], [(np.eye(4), 1.0)]], 2)
+                [[(np.kron(RAISING, np.eye(2)), 1.0)], [(np.eye(4), 1.0)]], 2)
 
     def test_non_hermitian_term_operator_rejected(self):
         with pytest.raises(ValueError, match=r"operator of terms\[1\]\[1\] is not"):
             PartialHamiltonianSet(
                 [[(pauli_string("ZI"), 1.0)],
-                 [(pauli_string("IX"), "t1"), (kron(np.eye(2), RAISING), 0.5)]], 2)
+                 [(pauli_string("IX"), "t1"), (np.kron(np.eye(2), RAISING), 0.5)]], 2)
 
     def test_non_hermitian_interaction_picture_rejected(self):
         terms = [[(pauli_string("ZI"), 1.0)], [(pauli_string("IY"), 1.0)]]
         with pytest.raises(ValueError, match="base is not Hermitian"):
-            PartialHamiltonianSet(terms, 2, base=kron(RAISING, np.eye(2)))
-        terms[1].append((kron(np.eye(2), RAISING), 1.0))
+            PartialHamiltonianSet(terms, 2, base=np.kron(RAISING, np.eye(2)))
+        terms[1].append((np.kron(np.eye(2), RAISING), 1.0))
         with pytest.raises(ValueError, match=r"operator of terms\[1\]\[1\] is not"):
             PartialHamiltonianSet(terms, 2, base=pauli_string("ZI"))
 
@@ -234,6 +235,15 @@ class TestEvolution:
             evolve_staircase(sys, MultiTimeState(phi, [0.0, 0.0]), path)
         with pytest.raises(ValueError, match="steps must be in 1..1000000"):
             diagonal_evolution(sys, phi, 0.0, 1.0, steps=1_000_001)
+
+
+def test_rectangle_plan():
+    # the holonomy's two staircases, whose substeps ``path_substeps`` counts
+    a, b = rectangle_staircases(1, 2, 0.5, -0.25, max_dt=0.1)
+    assert a == [Segment(1, 0.5, 5), Segment(2, -0.25, 3)] and b == a[::-1]
+    assert path_substeps(a + b) == 16
+    with pytest.raises(ValueError, match="two distinct axes"):
+        rectangle_staircases(2, 2, 0.5, 0.5)
 
 
 class TestSubsteps:
