@@ -13,7 +13,6 @@ from .expr import (
     parse_expression,
     to_string,
 )
-from .numdiff import partial_derivative
 from .reports import DefectReport, DivergenceReport, ResidualReport
 
 __version__ = "0.1.0"

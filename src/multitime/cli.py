@@ -208,18 +208,19 @@ def _pauli_op_sum(value, path: str, n: int, numeric_only: bool) -> list:
     return terms
 
 
-def _expr(value, path: str, names: Sequence[str]):
+def _expr(value, path: str, names: Sequence[str], numbers: dict | None = None):
     """The expression of the string ``value``; each of its variables must
-    be one of ``names``.  ``expr.parse_expression`` is looked up on the
+    be one of ``names`` or of ``numbers``, the constants, each of which is
+    replaced by its number.  ``expr.parse_expression`` is looked up on the
     module at each call, so perfbench's ``expr.parse`` span counts it."""
     try:
         tree = expr.parse_expression(_str(value, path))
     except ExpressionError as exc:
         raise ConfigError(path, f"bad expression: {exc}") from None
-    extra = free_variables(tree) - set(names)
+    extra = free_variables(tree) - {*names, *(numbers or {})}
     if extra:
         raise ConfigError(path, f"undeclared variables {sorted(extra)}")
-    return tree
+    return expr.substitute(tree, numbers or {})
 
 
 def _numeric_pauli_sum(value, path: str, n: int) -> np.ndarray:
@@ -325,25 +326,26 @@ def build_hj_system(cfg: dict, path: str):
     # the velocity law divides by the masses
     masses = [_positive(m, f"{path}/masses/{j}")
               for j, m in enumerate(_list(cfg["masses"], f"{path}/masses", n))]
-    constants = {}
-    if "constants" in cfg:
-        for key, val in _obj(cfg["constants"], f"{path}/constants").items():
-            constants[key] = _num(val, f"{path}/constants/{key}")
     # S is a function of t1..tn, the positions and the constants; the
     # Hamiltonians also of the momenta, and h_total of the single time t
-    names = [*binding_names("t", n), *binding_names("x", n, d), *constants]
-    s = hj.HJFunction(_expr(cfg["S"], f"{path}/S", names), n, d, masses, constants)
+    names = [*binding_names("t", n), *binding_names("x", n, d)]
+    numbers = {}
+    for key, val in _obj(cfg.get("constants", {}), f"{path}/constants").items():
+        if key in {*names, *binding_names("p", n, d), "t"}:
+            raise ConfigError(f"{path}/constants/{key}", "names a variable of the system")
+        numbers[key] = expr.Num(_num(val, f"{path}/constants/{key}"))
+    s = hj.HJFunction(_expr(cfg["S"], f"{path}/S", names, numbers), n, d, masses)
     hams = None
     if "hamiltonians" in cfg:
         hpath = f"{path}/hamiltonians"
         ham = _obj(cfg["hamiltonians"], hpath)
         _keys(ham, hpath, ["h_list"], ["h_total"])
         names += binding_names("p", n, d)
-        h_list = [_expr(e, f"{hpath}/h_list/{j}", names)
+        h_list = [_expr(e, f"{hpath}/h_list/{j}", names, numbers)
                   for j, e in enumerate(_list(ham["h_list"], f"{hpath}/h_list", n))]
         h_total = None
         if "h_total" in ham:
-            h_total = _expr(ham["h_total"], f"{hpath}/h_total", [*names, "t"])
+            h_total = _expr(ham["h_total"], f"{hpath}/h_total", [*names, "t"], numbers)
         hams = (h_list, h_total)
     return s, hams
 
@@ -423,15 +425,16 @@ def _leaves(exp: dict, fols: list[hj.Foliation], n: int, d: int):
     ds = _positive(exp["ds"], f"{_E}/ds")
     for fol in fols:
         lo, hi, steps = hj.foliation_leaves(fol, init, span, ds)
-        if steps > MAX_STEPS:
+        try:
+            expr.bound_steps(steps, "leaves")
+        except ValueError as exc:
             if (hi - lo) * ds < 1.0:
                 key = "ds"
             else:
                 key = "init_positions" if (lo, hi) != span else "s_span"
             raise ConfigError(f"{_E}/{key}", (
-                f"the run on the foliation {fol.label()} takes {steps:.3g} leaves "
-                f"(s from {lo:.6g} to {hi:.6g} in steps of {ds:g}); at most "
-                f"{MAX_STEPS} are allowed"))
+                f"the run on the foliation {fol.label()} (s from {lo:.6g} to "
+                f"{hi:.6g} in steps of {ds:g}): {exc}")) from None
     return init, span, ds
 
 
@@ -728,8 +731,7 @@ def _hj_residual(system: dict, exp: dict, seed: int):
             if h_total is not None and np.allclose(times, times[0]):
                 p = np.reshape(s.gradients(step)(times, x.ravel().tolist()), x.shape)
                 point = classical.PhasePoint(times=np.asarray(times), x=x, p=p)
-                row["sum_rule_gap"] = hj.equal_time_sum_gap(
-                    h_list, h_total, point, constants=s.constants)
+                row["sum_rule_gap"] = hj.equal_time_sum_gap(h_list, h_total, point)
             rows.append(row)
         worst = max([0.0] + [max(row["residuals"]) for row in rows])
         return {"points": rows, "max_residual": worst}, None
@@ -748,8 +750,7 @@ def _hj_defect_grid(system: dict, exp: dict, seed: int):
     points = _sample_phase_points(exp["samples"], f"{_E}/samples", s.n, s.d, seed)
 
     def run():
-        reports = [hj.hj_consistency_defect(hams[0], pt, h=step, constants=s.constants)
-                   for pt in points]
+        reports = [hj.hj_consistency_defect(hams[0], pt, h=step) for pt in points]
         return _defect_summary(reports), None
 
     return run

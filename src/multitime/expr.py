@@ -24,10 +24,12 @@ returns all their values and computes shared subtrees once, and
 loop inside and the system's statements inlined in every stage.  Both
 perform the IEEE operations of each tree in evaluation order, left
 operand before right, with no folding or rewriting; ``evaluate`` is a
-thin caller of the first.  ``diff`` builds the exact partial derivative
-of an AST as another AST, and ``central_difference`` its central
-difference at a given step; ``derivative(h)`` picks one of the two for
-every condition.
+thin caller of the first.  A variable is an argument of the generated
+function, and every number, a literal or a parameter's value put into
+the tree by ``substitute``, is bound one way: as a global of it.
+``diff`` builds the exact partial derivative of an AST as another AST,
+and ``central_difference`` its central difference at a given step;
+``derivative(h)`` picks one of the two for every condition.
 
 The module also holds what every formalism shares without importing
 another: the work bound ``MAX_STEPS`` and its one check ``bound_steps``
@@ -595,36 +597,27 @@ def _define(source: list[str], name: str, namespace: dict[str, object]) -> Calla
     return namespace[name]
 
 
-def _reader(bound: Mapping[str, str], constants: Mapping[str, float],
-            namespace: dict[str, object]) -> Callable[[str], str]:
+def _reader(bound: Mapping[str, str]) -> Callable[[str], str]:
     """The ``read`` of ``_emit`` for the variables held in the locals
-    ``bound`` and those of ``constants``, which it binds as globals with
-    their values converted by ``float``; any other variable raises
-    UnboundVariableError."""
+    ``bound``; any other variable raises UnboundVariableError."""
     def read(name: str) -> str:
         if name in bound:
             return bound[name]
-        if name in constants:
-            glob = f"k{len(namespace)}"
-            namespace[glob] = float(constants[name])
-            return glob
         raise UnboundVariableError(f"variable {name!r} is not bound")
 
     return read
 
 
 def compile_function(outputs: Sequence[Expression],
-                     arguments: Sequence[Sequence[str]],
-                     constants: Mapping[str, float] | None = None,
-                     ) -> Callable[..., tuple[float, ...]]:
+                     arguments: Sequence[Sequence[str]]) -> Callable[..., tuple[float, ...]]:
     """One compiled function that evaluates all of ``outputs`` at once.
 
     It takes one positional argument per group of ``arguments``: a
     sequence of floats, bound in order to the group's variable names.  It
-    returns the tuple of the outputs' values.  Variables named in
-    ``constants`` (and not in ``arguments``) are bound as globals, with
-    their values converted by ``float``; any other variable raises
-    UnboundVariableError here, when the function is compiled.  A subtree
+    returns the tuple of the outputs' values.  A variable not named in
+    ``arguments`` raises UnboundVariableError here, when the function is
+    compiled; a value known in advance is a number in the tree
+    (``substitute`` puts it there).  A subtree
     shared between outputs is computed once.  Each output's value is that
     of a left-to-right recursive evaluation of its tree, bit for bit, and
     a failing call raises the DomainError that evaluating the outputs one
@@ -638,7 +631,7 @@ def compile_function(outputs: Sequence[Expression],
         locals_ = [f"v{len(bound) + i}" for i in range(len(group))]
         lines.append(f"({''.join(v + ', ' for v in locals_)}) = {param}")
         bound.update(zip(group, locals_))
-    results = _emit(outputs, _reader(bound, constants or {}, namespace), namespace, lines)
+    results = _emit(outputs, _reader(bound), namespace, lines)
     return _define([
         f"def function({', '.join(params)}):",
         *_indent(lines),
@@ -656,8 +649,7 @@ _STAGES = (("a", "t_half", "h2"), ("b", "t_half", "h2"), ("e", "t_end", "h"))
 
 
 def compile_rk4(outputs: Sequence[Expression], state: Sequence[str],
-                fixed: Sequence[str] = (),
-                constants: Mapping[str, float] | None = None, *,
+                fixed: Sequence[str] = (), *,
                 record: bool = True,
                 rates: Callable[[list[str], str, list[str], dict], list[str]] | None = None,
                 ) -> Callable:
@@ -666,8 +658,7 @@ def compile_rk4(outputs: Sequence[Expression], state: Sequence[str],
 
     The flat state y holds the variables ``state``.  ``outputs`` are
     expressions in them, in ``STEP_TIME`` (the time of the stage), in the
-    ``fixed`` variables and in ``constants`` (bound as by
-    ``compile_function``).  The rates k are the outputs, or what the hook
+    ``fixed`` variables.  The rates k are the outputs, or what the hook
     ``rates(values, time, lines, namespace)`` makes of them: it appends to
     ``lines`` the statements that turn the names ``values`` (the outputs
     of one stage, at the time held in ``time``) into the rates, and
@@ -688,7 +679,6 @@ def compile_rk4(outputs: Sequence[Expression], state: Sequence[str],
     them at each step's start only and returns the final state.
     """
     namespace: dict[str, object] = {"_domain_error": _domain_error}
-    constants = constants or {}
     fixed_locals = {name: f"f_{i}" for i, name in enumerate(fixed)}
     lines: list[str] = []  # the loop body
 
@@ -696,7 +686,7 @@ def compile_rk4(outputs: Sequence[Expression], state: Sequence[str],
         """Emit the outputs at the state held in ``values`` and the time
         held in ``time``; return their names."""
         bound = {**dict(zip(state, values)), STEP_TIME: time, **fixed_locals}
-        return _emit(outputs, _reader(bound, constants, namespace), namespace, lines)
+        return _emit(outputs, _reader(bound), namespace, lines)
 
     def rates_at(values: Sequence[str], time: str) -> list[str]:
         return rates(values, time, lines, namespace) if rates else values

@@ -8,9 +8,11 @@ dx_j/dt_j = grad_{x_j} S / m_j, and extracts trajectory families under
 flat spacelike foliations t = s + u.x to exhibit foliation dependence.
 Each residual, defect and gradient is built as expressions, exact or
 central differences at a given step, and compiled once per system and
-step.  A trajectory sweep is one compiled RK4 loop (``expr.compile_rk4``)
-per system and foliation, with the leaf times, the exact velocities and
-the leaf rates V_j / (1 - u.V_j) inlined in every stage.
+step.  A parameter of S or of a Hamiltonian is a number in its tree,
+put there by ``expr.substitute``, so no function here binds one.  A
+trajectory sweep is one compiled RK4 loop (``expr.compile_rk4``) per
+system and foliation, with the leaf times, the exact velocities and the
+leaf rates V_j / (1 - u.V_j) inlined in every stage.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from typing import Callable, Mapping, NoReturn, Sequence
 import numpy as np
 
 from .classical import PhasePoint
-from .expr import (MAX_STEPS, STEP_TIME, BinOp, Expression, FoliationError, Num,
-                   Var, binding_names, check_steps, compile_function, compile_rk4,
-                   derivative, diff, evaluate, parse_expression, substitute)
+from .expr import (STEP_TIME, BinOp, Expression, FoliationError, Num, Var,
+                   binding_names, bound_steps, check_steps, compile_function,
+                   compile_rk4, derivative, diff, evaluate, parse_expression,
+                   substitute)
 from .numdiff import partial_derivative
 from .paths import NPath, PathRangeError, WorldLine
 from .reports import DefectReport, DivergenceReport
@@ -59,23 +62,22 @@ def _as_expr(e: str | Expression) -> Expression:
 class HJFunction:
     """Hamilton-Jacobi function S in the variables t1..tn, xJ_D.
 
-    ``constants`` supplies values for any additional parameters appearing
-    in the expression (e.g. momentum parameters of a free solution).
+    Each name in ``constants`` (a parameter of S, e.g. a momentum of a free
+    solution) is replaced in S by its value, a number like any other.
     """
 
     expr: Expression
     n: int
     d: int
     masses: tuple[float, ...]
-    constants: dict[str, float]
 
     def __init__(self, expr: str | Expression, n: int, d: int,
                  masses: Sequence[float], constants: Mapping[str, float] | None = None):
-        self.expr = _as_expr(expr)
+        self.expr = substitute(_as_expr(expr),
+                               {k: Num(float(v)) for k, v in (constants or {}).items()})
         self.n = n
         self.d = d
         self.masses = tuple(float(m) for m in masses)
-        self.constants = dict(constants or {})
 
     def grad_x(self, j: int, times: Sequence[float], x: np.ndarray,
                h: float | None = None) -> np.ndarray:
@@ -86,8 +88,8 @@ class HJFunction:
         names = [f"x{j}_{dd + 1}" for dd in range(self.d)]
         check_steps(h, names, x[j - 1].tolist())
         times = np.asarray(times, float).tolist()
-        b = {**self.constants, **dict(zip(binding_names("t", len(times)), times)),
-             **dict(zip(binding_names("x", *x.shape), x.ravel().tolist()))}
+        b = dict(zip(binding_names("t", len(times)) + binding_names("x", *x.shape),
+                     times + x.ravel().tolist()))
         return np.array([partial_derivative(self.expr, name, b, h=h) for name in names])
 
     def gradients(self, h: float | None = None) -> Callable[
@@ -95,8 +97,8 @@ class HJFunction:
         """The gradients ``(times, x) -> (grad_{x_1} S, .., grad_{x_n} S)``:
         the time tuple and the flat (n, d) positions in, the n·d partial
         derivatives out, exact or central differences at the step ``h``,
-        as one function with the constants bound in it, compiled once."""
-        return _gradients(self.expr, self.n, self.d, _frozen(self.constants), h)
+        as one function, compiled once."""
+        return _gradients(self.expr, self.n, self.d, h)
 
     def velocity(self, j: int, times: Sequence[float], x: np.ndarray,
                  h: float | None = None) -> np.ndarray:
@@ -124,17 +126,11 @@ class Foliation:
         return "u=" + ",".join(f"{v:g}" for v in self.u)
 
 
-def _frozen(constants: Mapping[str, float] | None) -> tuple:
-    # repr tells -0.0 from 0.0; compile_function reads it back with float
-    return tuple(sorted((k, repr(float(v))) for k, v in (constants or {}).items()))
-
-
 @functools.lru_cache(maxsize=64)
-def _gradients(s_expr: Expression, n: int, d: int, constants: tuple,
-               h: float | None) -> Callable:
+def _gradients(s_expr: Expression, n: int, d: int, h: float | None) -> Callable:
     xs = binding_names("x", n, d)
     return compile_function([derivative(h)(s_expr, v) for v in xs],
-                            [binding_names("t", n), xs], dict(constants))
+                            [binding_names("t", n), xs])
 
 
 @functools.lru_cache(maxsize=64)
@@ -157,15 +153,14 @@ def poisson_bracket(f: str | Expression, g: str | Expression, n: int, d: int,
 
 @functools.lru_cache(maxsize=64)
 def _residuals(s_expr: Expression, h_exprs: tuple[Expression, ...],
-               times: tuple[str, ...], n: int, d: int, constants: tuple,
-               h: float | None) -> Callable:
+               times: tuple[str, ...], n: int, d: int, h: float | None) -> Callable:
     """``(times, x) -> (dS/dt_j + H_j, ..)``, the momenta in each H_j
     replaced by the derivatives of S in the positions."""
     grad, xs = derivative(h), binding_names("x", n, d)
     momenta = {p: grad(s_expr, v) for p, v in zip(binding_names("p", n, d), xs)}
     return compile_function([BinOp("+", grad(s_expr, t), substitute(he, momenta))
                              for t, he in zip(times, h_exprs)],
-                            [times, xs], dict(constants))
+                            [times, xs])
 
 
 def hj_residual_multi(s: HJFunction, h_exprs: Sequence[str | Expression],
@@ -177,13 +172,13 @@ def hj_residual_multi(s: HJFunction, h_exprs: Sequence[str | Expression],
     times, x = np.asarray(times, float).tolist(), np.asarray(x, float).ravel().tolist()
     check_steps(h, binding_names("t", s.n) + binding_names("x", s.n, s.d), times + x)
     fn = _residuals(s.expr, tuple(map(_as_expr, h_exprs)), binding_names("t", s.n),
-                    s.n, s.d, _frozen(s.constants), h)
+                    s.n, s.d, h)
     return [abs(v) for v in fn(times, x)]
 
 
 @functools.lru_cache(maxsize=64)
 def _poisson_defects(h_exprs: tuple[Expression, ...], n: int, d: int,
-                     constants: tuple, h: float | None) -> Callable:
+                     h: float | None) -> Callable:
     """``(times, (x, p)) -> (P_12, P_13, .., P_{n-1,n})``."""
     grad = derivative(h)
     return compile_function(
@@ -191,46 +186,40 @@ def _poisson_defects(h_exprs: tuple[Expression, ...], n: int, d: int,
                           grad(h_exprs[j], f"t{k + 1}")),
                _bracket(h_exprs[j], h_exprs[k], n, d, h))
          for j in range(n) for k in range(j + 1, n)],
-        [binding_names("t", n), binding_names("x", n, d) + binding_names("p", n, d)],
-        dict(constants))
+        [binding_names("t", n), binding_names("x", n, d) + binding_names("p", n, d)])
 
 
 def hj_consistency_defect(h_exprs: Sequence[str | Expression], point: PhasePoint,
-                          h: float | None = None,
-                          constants: Mapping[str, float] | None = None,
-                          ) -> DefectReport:
+                          h: float | None = None) -> DefectReport:
     """|P_jk| with P_jk = dH_k/dt_j - dH_j/dt_k - {H_j, H_k}, all j < k; the
     report's ``h`` is None when the derivatives are exact."""
     n, d = point.n, point.d
     times, y = point.times.tolist(), point.state().tolist()
     check_steps(h, binding_names("t", n) + binding_names("x", n, d)
                 + binding_names("p", n, d), times + y)
-    fn = _poisson_defects(tuple(map(_as_expr, h_exprs)), n, d, _frozen(constants), h)
+    fn = _poisson_defects(tuple(map(_as_expr, h_exprs)), n, d, h)
     keys = [f"{j},{k}" for j in range(1, n + 1) for k in range(j + 1, n + 1)]
     pairs = dict(zip(keys, map(abs, fn(times, y))))
     return DefectReport(pairs=pairs, max_defect=max(pairs.values(), default=0.0), h=h)
 
 
 @functools.lru_cache(maxsize=64)
-def _sum_rule(exprs: tuple[Expression, ...], n: int, d: int, constants: tuple,
-              time_var: str) -> Callable:
+def _sum_rule(exprs: tuple[Expression, ...], n: int, d: int, time_var: str) -> Callable:
     """``(times, (x, p), (time_var,)) -> (H_1, .., H_n, H)``."""
     return compile_function(exprs,
                             [binding_names("t", n),
                              binding_names("x", n, d) + binding_names("p", n, d),
-                             (time_var,)], dict(constants))
+                             (time_var,)])
 
 
 def equal_time_sum_gap(h_exprs: Sequence[str | Expression],
                        h_total: str | Expression, point: PhasePoint,
-                       constants: Mapping[str, float] | None = None,
                        time_var: str = "t") -> float:
     """|sum_j H_j - H| at an equal-time phase point (the partial
     Hamiltonian functions must add up to the single-time one there)."""
     if not np.allclose(point.times, point.times[0]):
         raise ValueError("sum rule applies at equal times")
-    fn = _sum_rule(tuple(map(_as_expr, (*h_exprs, h_total))), point.n, point.d,
-                   _frozen(constants), time_var)
+    fn = _sum_rule(tuple(map(_as_expr, (*h_exprs, h_total))), point.n, point.d, time_var)
     *parts, total = fn(point.times.tolist(), point.state().tolist(),
                        [float(point.times[0])])
     return abs(sum(parts) - total)
@@ -238,7 +227,7 @@ def equal_time_sum_gap(h_exprs: Sequence[str | Expression],
 
 @functools.lru_cache(maxsize=64)
 def _velocity_defects(s_expr: Expression, n: int, d: int, masses: tuple[float, ...],
-                      constants: tuple, h: float | None) -> Callable:
+                      h: float | None) -> Callable:
     """``(times, x) ->`` the defect components for each j and x_k, k != j."""
     grad, xs, outputs = derivative(h), binding_names("x", n, d), []
     for j in range(n):
@@ -249,7 +238,7 @@ def _velocity_defects(s_expr: Expression, n: int, d: int, masses: tuple[float, .
             for v, xv in zip(vel, xj):
                 val = BinOp("+", val, BinOp("*", v, grad(grad_k, xv)))
             outputs.append(val)
-    return compile_function(outputs, [binding_names("t", n), xs], dict(constants))
+    return compile_function(outputs, [binding_names("t", n), xs])
 
 
 def hj_velocity_consistency_defect(s: HJFunction, times: Sequence[float],
@@ -260,7 +249,7 @@ def hj_velocity_consistency_defect(s: HJFunction, times: Sequence[float],
     """
     times, x = np.asarray(times, float).tolist(), np.asarray(x, float).ravel().tolist()
     check_steps(h, binding_names("t", s.n) + binding_names("x", s.n, s.d), times + x)
-    fn = _velocity_defects(s.expr, s.n, s.d, s.masses, _frozen(s.constants), h)
+    fn = _velocity_defects(s.expr, s.n, s.d, s.masses, h)
     return max([0.0, *map(abs, fn(times, x))])
 
 
@@ -294,7 +283,7 @@ def _leaf_rates(u: tuple[float, ...], n: int, d: int) -> Callable:
 
 @functools.lru_cache(maxsize=64)
 def _leaf_loop(s_expr: Expression, n: int, d: int, masses: tuple[float, ...],
-               constants: tuple, u: tuple[float, ...]) -> Callable:
+               u: tuple[float, ...]) -> Callable:
     """The compiled RK4 loop of a sweep over the leaves t = s + u.x
     (``expr.compile_rk4``), ``(x, s_vals, steps) -> (states, velocities)``:
     on leaf s particle j sits at t_j = s + u.x_j and moves with the
@@ -309,8 +298,7 @@ def _leaf_loop(s_expr: Expression, n: int, d: int, masses: tuple[float, ...],
         leaf_time[f"t{j + 1}"] = BinOp("+", Var(STEP_TIME), dot)
     velocities = [BinOp("/", substitute(diff(s_expr, x), leaf_time), Num(masses[i // d]))
                   for i, x in enumerate(xs)]
-    return compile_rk4(velocities, xs, constants=dict(constants),
-                       rates=_leaf_rates(u, n, d))
+    return compile_rk4(velocities, xs, rates=_leaf_rates(u, n, d))
 
 
 def _integrate_on_foliation(s: HJFunction, fol: Foliation, x_leaf: Sequence[float],
@@ -319,7 +307,7 @@ def _integrate_on_foliation(s: HJFunction, fol: Foliation, x_leaf: Sequence[floa
     ``x_leaf``) over [s_lo, s_hi], by the compiled loop ``_leaf_loop``;
     on leaf s particle j sits at t_j = s + u.x_j."""
     n, d = s.n, s.d
-    loop = _leaf_loop(s.expr, n, d, s.masses, _frozen(s.constants), fol.u)
+    loop = _leaf_loop(s.expr, n, d, s.masses, fol.u)
 
     def sweep(s_vals: list[float]):
         """States and velocities on the leaves ``s_vals``."""
@@ -384,9 +372,7 @@ def hj_trajectories_foliation(s: HJFunction, fol: Foliation,
     """
     x_target = np.atleast_2d(np.asarray(init_positions, float))
     s_lo, s_hi, steps = foliation_leaves(fol, x_target, s_span, ds)
-    if steps > MAX_STEPS:
-        raise ValueError(f"{steps:.3g} leaves for s in [{s_lo:.6g}, {s_hi:.6g}] "
-                         f"at ds = {ds:g}; at most {MAX_STEPS} are allowed")
+    bound_steps(steps, "leaves")
     x_leaf = x_target.ravel()
     npath = None
     for _ in range(max_anchor_iters):

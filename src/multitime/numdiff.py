@@ -3,7 +3,7 @@
 The package takes its derivatives exactly or as central differences
 built into the expressions (``expr.derivative``); ``HJFunction.grad_x``
 and ``velocity`` take them here, as the finite-difference cross-check
-of the exact gradients, and the package exports ``partial_derivative``.
+of the exact gradients.  Only the HJ module loads this one.
 """
 
 from __future__ import annotations

@@ -12,15 +12,20 @@ one Hamiltonian per midpoint tuple, built from the system's terms with
 
 ``hj_residual_single`` is the residual of the single-time HJ equation,
 read from the compiled multi-time residuals of ``hj`` with one time.
+
+``with_constants`` puts parameters into expressions as numbers, the way
+``HJFunction`` and the CLI do; the oracles bind the same parameters as
+variables instead, so a bit-for-bit comparison also checks that the two
+agree.
 """
 
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from multitime.expr import (Expression, binding_names, check_steps, evaluate,
-                            parse_expression)
-from multitime.hj import _as_expr, _frozen, _residuals
+from multitime.expr import (Expression, Num, binding_names, check_steps, evaluate,
+                            parse_expression, substitute)
+from multitime.hj import _as_expr, _residuals
 
 
 def variable_bindings(times: Sequence[float] | np.ndarray = (),
@@ -40,6 +45,13 @@ def variable_bindings(times: Sequence[float] | np.ndarray = (),
             n, d = rows.shape
             b.update(zip(binding_names(name, n, d), rows.ravel().tolist()))
     return b
+
+
+def with_constants(exprs: Sequence[str | Expression],
+                   constants: Mapping[str, float] | None) -> list[Expression]:
+    """``exprs`` with each name in ``constants`` replaced by its value."""
+    numbers = {k: Num(float(v)) for k, v in (constants or {}).items()}
+    return [substitute(_as_expr(e), numbers) for e in exprs]
 
 
 def _hamiltonian(terms, base, dim: int, j: int, times: Sequence[float]) -> np.ndarray:
@@ -104,8 +116,9 @@ def hj_residual_single(s_expr: str | Expression, h_expr: str | Expression,
                        constants: Mapping[str, float] | None = None,
                        h: float | None = None,
                        time_var: str = "t") -> float:
-    """|dS/dt + H(t, x, grad_x S)| for the single-time HJ equation."""
+    """|dS/dt + H(t, x, grad_x S)| for the single-time HJ equation, each
+    name in ``constants`` replaced by its value."""
     x = np.atleast_2d(np.asarray(x, float))[:n, :d].ravel().tolist()
     check_steps(h, (time_var, *binding_names("x", n, d)), [t, *x])
-    return abs(_residuals(_as_expr(s_expr), (_as_expr(h_expr),), (time_var,), n, d,
-                          _frozen(constants), h)([float(t)], x)[0])
+    s_expr, h_expr = with_constants([s_expr, h_expr], constants)
+    return abs(_residuals(s_expr, (h_expr,), (time_var,), n, d, h)([float(t)], x)[0])

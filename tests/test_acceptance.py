@@ -5,6 +5,7 @@ output capture, so they appear even without ``-s``).
 """
 
 import copy
+import csv
 import json
 import math
 import time
@@ -65,6 +66,11 @@ GOLDEN = json.loads((Path(__file__).parent / "golden_results.json").read_text())
 #: tolerance).  A change of method, step or order moves the figures by
 #: far more than that.
 GOLDEN_REL, GOLDEN_ABS = 1e-9, 1e-10
+#: the column names, row count and every k-th row plus the last of each bulk
+#: CSV, written by ``scripts/golden_csv.py``; any change is explained in
+#: CHANGES.md
+GOLDEN_CSV = json.loads((Path(__file__).parent / "golden_csv.json").read_text())
+KIND_SUBCOMMAND = {k: sub for sub, kinds in _SUBCOMMAND_KINDS.items() for k in kinds}
 
 
 def _golden_drift(got, want, pointer: str = "") -> list[str]:
@@ -80,6 +86,20 @@ def _golden_drift(got, want, pointer: str = "") -> list[str]:
     else:
         ok = got == want and type(got) is type(want)
     return [] if ok else [pointer or "/"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CSV))
+def test_bulk_csv_matches_golden(tmp_path, name):
+    """Column names and row count exactly, the sampled rows within the
+    tolerance of the golden results."""
+    cfg, want = EXAMPLE_CONFIGS[name], GOLDEN_CSV[name]
+    run_config(copy.deepcopy(cfg), KIND_SUBCOMMAND[cfg["experiment"]["kind"]],
+               csv_path=str(tmp_path / "out.csv"))
+    with open(tmp_path / "out.csv", newline="") as fh:
+        columns, *rows = csv.reader(fh)
+    assert (columns, len(rows)) == (want["columns"], want["rows"])
+    got = {i: [float(v) for v in rows[int(i)]] for i in want["sampled"]}
+    assert _golden_drift(got, want["sampled"], f"/{name}/sampled") == []
 
 
 def _report(capsys, num: int, checks: list[tuple[bool, str]],
@@ -387,13 +407,11 @@ def test_criterion_09_cjs_demonstration(capsys):
 
 def test_criterion_10_determinism_and_convergence(capsys):
     start = time.monotonic()
-    kind_to_sub = {k: sub for sub, kinds in _SUBCOMMAND_KINDS.items()
-                   for k in kinds}
     mismatched = []
     drifted = [f"{name} (no golden results)"
                for name in EXAMPLE_CONFIGS if name not in GOLDEN]
     for name, cfg in EXAMPLE_CONFIGS.items():
-        sub = kind_to_sub[cfg["experiment"]["kind"]]
+        sub = KIND_SUBCOMMAND[cfg["experiment"]["kind"]]
         texts = []
         for _ in range(2):
             rep = run_config(copy.deepcopy(cfg), sub)

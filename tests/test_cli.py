@@ -17,6 +17,7 @@ from multitime import classical, expr, hj, linops, quantum
 from multitime.cli import (_SUBCOMMAND_KINDS, ConfigError, _sample_phase_points, main,
                            run_config)
 from multitime.configs import EXAMPLE_CONFIGS, write_examples
+from oracles import with_constants
 
 KIND_SUBCOMMAND = {kind: sub for sub, kinds in _SUBCOMMAND_KINDS.items()
                    for kind in kinds}
@@ -232,14 +233,41 @@ class TestHJDefectGrid:
             cfg["experiment"]["h"] = h
         results = run_config(cfg, "check")["results"]
         points = _sample_phase_points(self.SAMPLES, "", 2, 1, cfg["seed"])
-        want = [hj.hj_consistency_defect(hams["h_list"], pt, h=h,
-                                         constants=cfg["system"]["constants"]).max_defect
-                for pt in points]
+        h_list = with_constants(hams["h_list"], cfg["system"]["constants"])
+        want = [hj.hj_consistency_defect(h_list, pt, h=h).max_defect for pt in points]
         assert results == {"sample_count": 20, "max_defect": max(want),
                            "min_defect": min(want)}
         assert results["max_defect"] == pytest.approx(largest, abs=1e-4)
         if largest:
             assert results["min_defect"] < results["max_defect"]
+
+
+class TestHJConstants:
+    """A constant is a number: a config gives the same results with its
+    constants as with each constant's repr, in parentheses, in its place."""
+
+    @pytest.mark.parametrize("name", ["hj_free_residual", "hj_free_foliations",
+                                      "hj_coupled_foliations"])
+    def test_constants_are_their_values(self, name):
+        cfg = copy.deepcopy(EXAMPLE_CONFIGS[name])
+        inlined = copy.deepcopy(cfg)
+        system = inlined["system"]
+        values = system.pop("constants")
+
+        def inline(text):
+            return re.sub(r"\w+", lambda m: f"({values[m[0]]!r})" if m[0] in values
+                          else m[0], text)
+
+        system["S"] = inline(system["S"])
+        assert system["S"] != cfg["system"]["S"]
+        hams = system.get("hamiltonians", {})
+        if hams:
+            hams["h_list"] = [inline(e) for e in hams["h_list"]]
+            hams["h_total"] = inline(hams["h_total"])
+        subcommand = KIND_SUBCOMMAND[cfg["experiment"]["kind"]]
+        texts = [json.dumps(run_config(c, subcommand)["results"], sort_keys=True)
+                 for c in (cfg, inlined)]
+        assert texts[0] == texts[1]
 
 
 class TestPlannedWork:
@@ -776,6 +804,14 @@ class TestConfigErrors:
         ham["h_total"] += " + 0*t*k2"
         code, rep = run_cli(["hj", "--config", self.write(tmp_path, cfg)], tmp_path)
         assert code == 0 and rep["results"]["max_residual"] < 1e-8
+
+    @pytest.mark.parametrize("name", ["t1", "t", "x2_1", "p1_1"])
+    def test_constant_named_like_a_variable(self, config_dir, tmp_path, capsys,
+                                            no_numerics, name):
+        # replaced by its number, it would silently replace the variable
+        pointer = f"/system/constants/{name}"
+        self.expect_error(config_dir, tmp_path, capsys, "hj_free_residual", "hj",
+                          pointer, 0.5, pointer, "names a variable of the system")
 
 
 class TestNumericalFailures:

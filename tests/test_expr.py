@@ -26,6 +26,7 @@ from multitime.expr import (
     evaluate,
     free_variables,
     parse_expression,
+    substitute,
     to_string,
 )
 from multitime.hj import hj_consistency_defect
@@ -701,7 +702,9 @@ class TestFusedFunctions:
     @given(outputs=systems(), vals=st.tuples(values, values, values, values))
     def test_matches_components(self, outputs, vals):
         x, y, z, k = vals
-        fused = compile_function(outputs, [("x",), ("y", "z")], {"k": k})
+        # k a number in the trees, a bound variable of the reference
+        fused = compile_function([substitute(tree, {"k": Num(float(k))}) for tree in outputs],
+                                 [("x",), ("y", "z")])
         b = {"x": x, "y": y, "z": z, "k": k}
         assert outcomes(lambda: fused((x,), [y, z])) == outcomes(
             lambda: [reference_evaluate(tree, b) for tree in outputs])
@@ -721,11 +724,11 @@ class TestFusedFunctions:
                                        0.75 * math.exp(-0.5625))
         assert len(calls) == 1
 
-    def test_constants_and_unbound_variables(self):
+    def test_unbound_variables(self):
         tree = parse_expression("k*x + t")
-        f = compile_function([tree, Var("k")], [("t",), ("x",)], {"k": 2, "t": 9.0})
-        assert f((1.0,), (3.0,)) == (7.0, 2.0)  # the argument t wins
         with pytest.raises(UnboundVariableError, match="'k' is not bound"):
             compile_function([tree], [("t", "x")])
+        f = compile_function([tree, Var("k")], [("t",), ("k", "x")])
+        assert f((1.0,), (2.0, 3.0)) == (7.0, 2.0)
         with pytest.raises(ValueError):
-            f((1.0, 2.0), (3.0,))  # one time too many
+            f((1.0, 2.0), (2.0, 3.0))  # one time too many

@@ -25,7 +25,7 @@ from multitime.hj import (
     poisson_bracket,
 )
 from multitime.numdiff import diff_callable, partial_derivative
-from oracles import hj_residual_single, variable_bindings
+from oracles import hj_residual_single, variable_bindings, with_constants
 
 K1, K2 = 0.3, -0.2
 G = 0.05
@@ -203,7 +203,7 @@ class TestFoliations:
                                       (-0.1, 0.1), 0.01)
         # V = x: 1 - u.V = 0.05 at the start x = 1.9, and the second stage
         # moves x to 1.9 + 0.5 * 1.9 / 0.05 = 20.9, on the leaf s = 0.5
-        loop = hj._leaf_loop(parse_expression("x1_1^2/2"), 1, 1, (1.0,), (), (0.5,))
+        loop = hj._leaf_loop(parse_expression("x1_1^2/2"), 1, 1, (1.0,), (0.5,))
         with pytest.raises(FoliationDegeneracyError,
                            match=r"^1 - u\.V_1 = -9\.45 <= 0 at leaf s = 0\.5$"):
             loop([1.9], [0.0, 1.0], [1.0])
@@ -315,23 +315,23 @@ def oracle_poisson_defects(h_exprs, point, constants, h):
             for j in range(1, n + 1) for k in range(j + 1, n + 1)}
 
 
-def oracle_velocity_defect(s, times, x, h):
+def oracle_velocity_defect(s_expr, masses, constants, times, x, h):
     """The defect components for each j and x_k, k != j."""
-    b = variable_bindings(times, x, constants=s.constants)
-    components = []
-    for j in range(1, s.n + 1):
-        vel = [partial_derivative(s.expr, f"x{j}_{dd}", b, h=h) / s.masses[j - 1]
-               for dd in range(1, s.d + 1)]
-        for k in range(1, s.n + 1):
-            for e in range(1, s.d + 1):
+    b = variable_bindings(times, x, constants=constants)
+    (n, d), components = np.shape(x), []
+    for j in range(1, n + 1):
+        vel = [partial_derivative(s_expr, f"x{j}_{dd}", b, h=h) / masses[j - 1]
+               for dd in range(1, d + 1)]
+        for k in range(1, n + 1):
+            for e in range(1, d + 1):
                 if k == j:
                     continue
 
                 def inner(bb, xk=f"x{k}_{e}"):
-                    return partial_derivative(s.expr, xk, bb, h=h)
+                    return partial_derivative(s_expr, xk, bb, h=h)
 
                 val = diff_callable(inner, f"t{j}", b, h=h)
-                for dd in range(1, s.d + 1):
+                for dd in range(1, d + 1):
                     val += vel[dd - 1] * diff_callable(inner, f"x{j}_{dd}", b, h=h)
                 components.append(val)
     return components
@@ -384,10 +384,12 @@ class TestAgainstPerCallOracle:
                 x, p = rng.uniform(-1, 1, (2, n, d))
                 point = PhasePoint(times=times, x=x, p=p)
                 b = variable_bindings(times, x, p, self.CONSTS)
+                # the library takes the constants as numbers in the trees
+                bound = with_constants(h_exprs, self.CONSTS)
 
                 assert bits([poisson_bracket(h_exprs[0], h_exprs[1], n, d, b, h=h)]) == bits(
                     [oracle_bracket(h_exprs[0], h_exprs[1], n, d, b, h)])
-                assert bits(hj_residual_multi(s, h_exprs, times, x, h=h)) == bits(
+                assert bits(hj_residual_multi(s, bound, times, x, h=h)) == bits(
                     oracle_residuals(s_expr, h_exprs, times, x, n, d, self.CONSTS, h))
                 # the single-time form in t1, the other times as constants
                 others = {**self.CONSTS, **dict(zip(ts[1:], times[1:]))}
@@ -395,14 +397,14 @@ class TestAgainstPerCallOracle:
                                             constants=others, h=h, time_var="t1")
                 assert bits([single]) == bits(oracle_residuals(
                     s_expr, h_exprs[:1], times[:1], x, n, d, others, h, "t1"))
-                rep = hj_consistency_defect(h_exprs, point, h=h, constants=self.CONSTS)
+                rep = hj_consistency_defect(bound, point, h=h)
                 want = oracle_poisson_defects(h_exprs, point, self.CONSTS, h)
                 assert rep.pairs.keys() == want.keys()
                 assert bits(rep.pairs.values()) == bits(want.values())
                 # every component, and their sup
-                want = oracle_velocity_defect(s, times, x, h)
-                got = hj._velocity_defects(s_expr, n, d, s.masses, hj._frozen(self.CONSTS),
-                                           h)(times, x.ravel().tolist())
+                want = oracle_velocity_defect(s_expr, s.masses, self.CONSTS, times, x, h)
+                got = hj._velocity_defects(s.expr, n, d, s.masses, h)(times,
+                                                                      x.ravel().tolist())
                 assert bits(got) == bits(want)
                 assert bits([hj_velocity_consistency_defect(s, times, x, h=h)]) == bits(
                     [max(map(abs, want))])
@@ -425,7 +427,8 @@ class TestAgainstPerCallOracle:
         assert hj_consistency_defect(h_exprs, point).pairs["1,2"] == pytest.approx(
             oracle_poisson_defects(h_exprs, point, {}, h)["1,2"], abs=1e-6)
         assert hj_velocity_consistency_defect(s, times, x) == pytest.approx(
-            max(map(abs, oracle_velocity_defect(s, times, x, h))), abs=1e-5)
+            max(map(abs, oracle_velocity_defect(s_expr, s.masses, {}, times, x, h))),
+            abs=1e-5)
 
     def test_compiled_once_per_system_and_step(self):
         s = coupled_hj()
@@ -436,9 +439,13 @@ class TestAgainstPerCallOracle:
             hj_residual_multi(s, h_list, [0.5, 0.6], [[0.7], [0.8]], h=h)
             assert hj._residuals.cache_info().misses == info.misses
         # constants equal as floats but not in their bits are other systems
-        signs = [HJFunction("k*x1_1", 1, 1, [1.0], {"k": k}).gradients()([0.0], [1.0])
+        signs = [HJFunction("x1_1*sqrt(k)", 1, 1, [1.0], {"k": k}).gradients()([0.0], [1.0])
                  for k in (0.0, -0.0)]
         assert [math.copysign(1.0, g) for (g,) in signs] == [1.0, -1.0]
+        # a constant is a number: a product with 0 folds like the literal's
+        zeros = [HJFunction("k*x1_1", 1, 1, [1.0], {"k": k}).gradients()([0.0], [1.0])
+                 for k in (0.0, -0.0)]
+        assert [math.copysign(1.0, g) for (g,) in zeros] == [1.0, 1.0]
 
     @pytest.mark.parametrize("n,d,time_var", [(2, 1, "t"), (2, 2, "t"), (3, 1, "t"),
                                               (3, 2, "t2")])
@@ -454,7 +461,8 @@ class TestAgainstPerCallOracle:
                 point = PhasePoint(times=[rng.uniform(-1, 1)] * n,
                                    x=rng.uniform(-1, 1, (n, d)),
                                    p=rng.uniform(-1, 1, (n, d)))
-                got = equal_time_sum_gap(h_exprs, h_total, point, self.CONSTS, time_var)
+                *bound, total = with_constants([*h_exprs, h_total], self.CONSTS)
+                got = equal_time_sum_gap(bound, total, point, time_var)
                 want = oracle_sum_gap(h_exprs, h_total, point, self.CONSTS, time_var)
                 assert bits([got]) == bits([want])
 
@@ -543,7 +551,7 @@ def test_leaf_loop_matches_reference_sweep(n, d):
         u = tuple(rng.uniform(-0.9, 0.9, d) / d)
         x_leaf = rng.uniform(-1, 1, n * d).tolist()
         s_vals = np.linspace(0.0, rng.choice([-0.3, 0.3]), 4).tolist()
-        loop = hj._leaf_loop(s.expr, n, d, s.masses, hj._frozen(consts), u)
+        loop = hj._leaf_loop(s.expr, n, d, s.masses, u)
         try:
             want = reference_sweep(s, u, x_leaf, s_vals)
         except FoliationDegeneracyError as exc:

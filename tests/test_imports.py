@@ -91,7 +91,7 @@ def test_config_runs_without_scipy(exit_codes, name):
 FORMALISMS = ["multitime.classical", "multitime.hj", "multitime.linops",
               "multitime.paths", "multitime.quantum"]
 NOT_QUANTUM = ["multitime.classical", "multitime.hj", "multitime.paths",
-               "multitime.configs"]
+               "multitime.configs", "multitime.numdiff"]
 
 
 @pytest.mark.parametrize("args,loaded,absent", [
@@ -101,14 +101,15 @@ NOT_QUANTUM = ["multitime.classical", "multitime.hj", "multitime.paths",
      ["multitime.quantum", "multitime.linops"], [*NOT_QUANTUM, "numpy.random"]),
     (["evolve", "--config", "classical_free_evolve.json"], ["multitime.classical"],
      ["multitime.hj", "multitime.quantum", "multitime.linops", "multitime.configs",
-      "numpy.random"]),
+      "multitime.numdiff", "numpy.random"]),
     (["check", "--config", "classical_free_check.json"],
      ["multitime.classical", "numpy.random"],
-     ["multitime.hj", "multitime.quantum", "multitime.linops", "multitime.configs"]),
+     ["multitime.hj", "multitime.quantum", "multitime.linops", "multitime.configs",
+      "multitime.numdiff"]),
     (["foliation", "--config", "hj_free_foliations.json"], ["multitime.hj"],
      ["multitime.quantum", "multitime.linops", "multitime.configs", "numpy.random"]),
     (["examples", "--dir", "again"], ["multitime.configs"],
-     [*FORMALISMS, "numpy.random"]),
+     [*FORMALISMS, "multitime.numdiff", "numpy.random"]),
 ], ids=["quantum-evolve", "quantum-holonomy", "classical-evolve", "classical-check",
         "hj", "examples"])
 def test_a_run_loads_only_what_it_uses(tmp_path, args, loaded, absent):
