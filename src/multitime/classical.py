@@ -13,13 +13,16 @@ variant, and runs the no-interaction demonstration over a field family.
 Every integration here and in the HJ module is one compiled RK4 loop
 (``expr.compile_rk4``) that advances a flat state of floats, with the
 field's expressions inlined in every stage.  Each loop is compiled once
-per field and mode (equal-time, or a full-grid leg along one time axis)
+per field and mode (equal-time, or full-grid legs along one time axis)
 and memoised on the field's expressions, and so is the consistency
-defect, built with ``expr.derivative`` per field and step.  A field's
-right-hand side ``PhaseVectorField.rhs``, one compiled function of the
-time tuple and the state, serves the validity residuals.  Numpy arrays
-are built once a run is done.  A run's plan function counts its RK4
-steps and refuses more than ``expr.MAX_STEPS`` before the run starts.
+defect, built with ``expr.derivative`` per field and step.  An
+equal-time run is one loop call; a full grid is one call per column or
+row, all its legs in a row, and a path around a rectangle one per leg.
+A field's right-hand side ``PhaseVectorField.rhs``, one compiled
+function of the time tuple and the state, serves the validity
+residuals.  Numpy arrays are built once a run is done, from the loop's
+records by ``np.fromiter``.  A run's plan function counts its RK4 steps
+and refuses more than ``expr.MAX_STEPS`` before the run starts.
 """
 
 from __future__ import annotations
@@ -236,7 +239,7 @@ def _rk4_loop(exprs: tuple[Expression, ...], n: int, d: int,
     (``expr.compile_rk4``): with ``axis`` None every time t_j follows the
     step and the loop records every node (equal-time evolution); else
     t_{axis+1} follows it, the other times are fixed arguments and the
-    loop returns the final state (a full-grid leg)."""
+    loop returns the state at every node (full-grid legs)."""
     times, state = _state_names(n, d)
     follow = times if axis is None else times[axis:axis + 1]
     fixed = [t for t in times if t not in follow]
@@ -248,6 +251,11 @@ def _rk4_loop(exprs: tuple[Expression, ...], n: int, d: int,
 def _node_times(t0: float, dt: float, steps: int) -> list[float]:
     """t0 and then t += dt ``steps`` times."""
     return list(itertools.accumulate(itertools.repeat(dt, steps), initial=t0))
+
+
+def _table(rows: Sequence[tuple], width: int) -> np.ndarray:
+    """The loop records ``rows``, each ``width`` floats, as one flat array."""
+    return np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * width)
 
 
 def equal_time_steps(t_span: tuple[float, float], dt: float) -> int:
@@ -272,9 +280,9 @@ def evolve_equal_time(field: PhaseVectorField, init: PhasePoint,
     ys, rates = _rk4_loop(field.exprs, n, d, None)(init.state().tolist(), ts,
                                                    [dt] * steps)
 
-    def per_particle(rows: list) -> np.ndarray:
+    def per_particle(rows: list[tuple]) -> np.ndarray:
         # (samples, 2n*d) -> contiguous (x|p, particle, samples, d)
-        arr = np.array(rows).reshape(len(rows), 2, n, d)
+        arr = _table(rows, 2 * n * d).reshape(len(rows), 2, n, d)
         return np.ascontiguousarray(arr.transpose(1, 2, 0, 3))
 
     t_arr = np.array(ts)
@@ -363,21 +371,38 @@ class GridSolution:
         return columns, rows
 
 
+def _leg_plan(starts: Sequence[float], durations: Sequence[float],
+              substeps: int) -> tuple[list[float], list[float], list[int]]:
+    """``(ts, hs, ends)`` of legs run one after the other: leg i from the
+    time ``starts[i]`` by ``durations[i]`` in ``substeps`` RK4 steps of
+    ``durations[i] / substeps``.  ``ts`` and ``hs`` hold every step's start
+    time and length, and ``ends`` the node indices of the first leg's start
+    and of every leg's end."""
+    ts, hs, ends = [], [], [0]
+    for start, duration in zip(starts, durations):
+        dt = duration / substeps
+        ts += _node_times(start, dt, substeps)[:-1]
+        hs += [dt] * substeps
+        ends.append(len(hs))
+    return ts, hs, ends
+
+
 def _grid_legs(hpair: HamiltonianPair) -> Callable:
-    """The function ``(k, times, y, duration, substeps) -> y`` that advances
-    time coordinate k of the flat state y from the time tuple ``times``
-    by ``duration`` in ``substeps`` RK4 steps, under the field of H_k."""
+    """The function ``(k, plan, y, other) -> states`` that advances time
+    coordinate k of the flat state y under the field of H_k, the other time
+    fixed at ``other``, along the legs of ``plan`` (``_leg_plan``), each
+    leg from the state the one before it ends in.  It returns the state at
+    the start and at the end of every leg, from one call of the compiled
+    loop."""
     n, d = hpair.n, hpair.d
     loops = [_rk4_loop(f.exprs, n, d, ax) for ax, f in enumerate(hpair.fields)]
 
-    def leg(k: int, times: Sequence[float], y: Sequence[float], duration: float,
-            substeps: int) -> tuple[float, ...]:
-        dt = duration / substeps
-        fixed = [t for ax, t in enumerate(times) if ax != k - 1]
-        return loops[k - 1](y, _node_times(times[k - 1], dt, substeps),
-                            [dt] * substeps, *fixed)
+    def legs(k: int, plan: tuple, y: Sequence[float], other: float) -> list[tuple]:
+        ts, hs, ends = plan
+        states = loops[k - 1](y, ts, hs, other)
+        return [states[i] for i in ends]
 
-    return leg
+    return legs
 
 
 def full_grid_steps(points1: int, points2: int, substeps: int) -> int:
@@ -391,28 +416,21 @@ def evolve_full_grid(hpair: HamiltonianPair, init: PhasePoint,
                      t1_grid: Sequence[float], t2_grid: Sequence[float],
                      substeps: int = 4) -> GridSolution:
     """Integrate the two-time grid system: up the first t2 column, then
-    along every t1 row (RK4 per leg)."""
+    along every t1 row, ``substeps`` RK4 steps per leg between neighbouring
+    nodes and one compiled loop call per column or row."""
     t1_grid = np.asarray(t1_grid, float)
     t2_grid = np.asarray(t2_grid, float)
     t1s, t2s = t1_grid.tolist(), t2_grid.tolist()
     n, d = hpair.n, hpair.d
     full_grid_steps(len(t1s), len(t2s), substeps)
-    leg = _grid_legs(hpair)
-    y = init.state().tolist()
-    column = []
-    for i2 in range(len(t2s)):
-        if i2 > 0:
-            y = leg(2, [t1s[0], t2s[i2 - 1]], y, t2s[i2] - t2s[i2 - 1], substeps)
-        column.append(y)
-    rows = []  # rows[i2][i1] is the state at (t1s[i1], t2s[i2])
-    for i2, y in enumerate(column):
-        row = [y]
-        for i1 in range(1, len(t1s)):
-            y = leg(1, [t1s[i1 - 1], t2s[i2]], y, t1s[i1] - t1s[i1 - 1], substeps)
-            row.append(y)
-        rows.append(row)
+    legs = _grid_legs(hpair)
+    plan1, plan2 = (_leg_plan(ts[:-1], [b - a for a, b in zip(ts, ts[1:])], substeps)
+                    for ts in (t1s, t2s))
+    column = legs(2, plan2, init.state().tolist(), t1s[0])
+    # nodes[i2 * len(t1s) + i1] is the state at (t1s[i1], t2s[i2])
+    nodes = [y for y0, t2 in zip(column, t2s) for y in legs(1, plan1, y0, t2)]
     # (t2, t1, x|p, particle, d) -> contiguous (x|p, particle, t1, t2, d)
-    states = np.array(rows).reshape(len(t2s), len(t1s), 2, n, d)
+    states = _table(nodes, 2 * n * d).reshape(len(t2s), len(t1s), 2, n, d)
     xg, pg = np.ascontiguousarray(states.transpose(2, 3, 1, 0, 4))
     return GridSolution(t1=t1_grid, t2=t2_grid, x=xg, p=pg)
 
@@ -439,13 +457,14 @@ def grid_path_independence(hpair: HamiltonianPair, init: PhasePoint,
         return 0.0
     t0 = init.times.tolist()
     y0 = init.state().tolist()
-    leg = _grid_legs(hpair)
+    legs = _grid_legs(hpair)
+    leg1, leg2 = _leg_plan([t0[0]], [dt1], m1), _leg_plan([t0[1]], [dt2], m2)
 
-    ya = leg(1, t0, y0, dt1, m1)
-    ya = leg(2, [t0[0] + dt1, t0[1]], ya, dt2, m2)
+    ya = legs(1, leg1, y0, t0[1])[-1]
+    ya = legs(2, leg2, ya, t0[0] + dt1)[-1]
 
-    yb = leg(2, t0, y0, dt2, m2)
-    yb = leg(1, [t0[0], t0[1] + dt2], yb, dt1, m1)
+    yb = legs(2, leg2, y0, t0[0])[-1]
+    yb = legs(1, leg1, yb, t0[1] + dt2)[-1]
 
     gx, gp = np.subtract(ya, yb).reshape(2, hpair.n, hpair.d)
     return float(np.sqrt(np.sum(gx ** 2) + np.sum(gp ** 2)))

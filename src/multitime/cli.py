@@ -843,17 +843,29 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _non_finite(value) -> list | None:
+    """``[number, key, .., key]``: the first non-finite number in ``value``,
+    a nest of dicts and lists, and the keys down to it, innermost first;
+    None if every number is finite."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else [value]
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        if (found := _non_finite(item)) is not None:
+            found.append(key)
+            return found
+    return None
+
+
 def _check_finite(value, path: str) -> None:
     """FloatingPointError naming the first non-finite number in ``value``,
-    a nest of dicts and lists (JSON has no such numbers)."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise FloatingPointError(f"non-finite result at {path}: {value}")
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _check_finite(item, f"{path}/{key}")
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _check_finite(item, f"{path}/{i}")
+    a nest of dicts and lists (JSON has no such numbers).  The pointer is
+    built for that number only."""
+    if (found := _non_finite(value)) is not None:
+        bad, *keys = found
+        pointer = path + "".join(f"/{key}" for key in reversed(keys))
+        raise FloatingPointError(f"non-finite result at {pointer}: {bad}")
 
 
 def run_config(cfg: dict, subcommand: str, jobs=None,

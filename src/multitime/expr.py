@@ -675,8 +675,12 @@ def compile_rk4(outputs: Sequence[Expression], state: Sequence[str],
     for bit.  A step whose new state is not finite raises
     FloatingPointError.  With ``record`` it evaluates the outputs at every
     node ``ts[i]``, the step's k1 among them, and returns the node states
-    and the outputs there as two lists of tuples; without, it evaluates
-    them at each step's start only and returns the final state.
+    and the outputs there as two lists of tuples.  Without, it evaluates
+    them at each step's start only, never at the end node, reads ``ts[i]``
+    for i < len(hs) only, and returns the states at all len(hs) + 1 nodes
+    as one list of tuples.  So one call can run several legs in a row:
+    each step starts from its own ``ts[i]``, not from the end of the step
+    before it.
     """
     namespace: dict[str, object] = {"_domain_error": _domain_error}
     fixed_locals = {name: f"f_{i}" for i, name in enumerate(fixed)}
@@ -712,15 +716,17 @@ def compile_rk4(outputs: Sequence[Expression], state: Sequence[str],
     # y - y is 0.0 for a finite y and nan for an infinite or nan one
     lines.append(f"if {' + '.join(f'({y} - {y})' for y in ys)} != 0.0:\n"
                  " raise FloatingPointError(f'non-finite state at t = {t + h}')")
+    if not record:
+        lines.append(f"states.append({tuple_of(ys)})")
     return _define([
         f"def integrate(y, ts, hs{''.join(', ' + f for f in fixed_locals.values())}):",
         f" {tuple_of(ys)} = y",
         " n = len(hs)",
-        *([" states, records = [], []"] if record else []),
+        " states, records = [], []" if record else f" states = [{tuple_of(ys)}]",
         f" for i in range({'n + 1' if record else 'n'}):",
         "  t = ts[i]",
         *_indent(_indent(lines)),
-        f" return {'states, records' if record else tuple_of(ys)}",
+        f" return {'states, records' if record else 'states'}",
     ], "integrate", namespace)
 
 

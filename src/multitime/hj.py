@@ -12,12 +12,16 @@ step.  A parameter of S or of a Hamiltonian is a number in its tree,
 put there by ``expr.substitute``, so no function here binds one.  A
 trajectory sweep is one compiled RK4 loop (``expr.compile_rk4``) per
 system and foliation, with the leaf times, the exact velocities and the
-leaf rates V_j / (1 - u.V_j) inlined in every stage.
+leaf rates V_j / (1 - u.V_j) inlined in every stage.  Each anchoring
+iteration only sweeps the leaves and reads x_j(0) from the sweep's
+records (``paths.hermite_at``); the momenta, their rates and the world
+lines are built once, from the last sweep.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, NoReturn, Sequence
@@ -30,7 +34,7 @@ from .expr import (STEP_TIME, BinOp, Expression, FoliationError, Num, Var,
                    compile_rk4, derivative, diff, evaluate, parse_expression,
                    substitute)
 from .numdiff import partial_derivative
-from .paths import NPath, PathRangeError, WorldLine
+from .paths import NPath, PathRangeError, WorldLine, hermite_at
 from .reports import DefectReport, DivergenceReport
 
 __all__ = [
@@ -301,40 +305,46 @@ def _leaf_loop(s_expr: Expression, n: int, d: int, masses: tuple[float, ...],
     return compile_rk4(velocities, xs, rates=_leaf_rates(u, n, d))
 
 
-def _integrate_on_foliation(s: HJFunction, fol: Foliation, x_leaf: Sequence[float],
-                            s_lo: float, s_hi: float, ds: float) -> NPath:
-    """RK4 in the leaf parameter from leaf ``s = 0`` (flat state
-    ``x_leaf``) over [s_lo, s_hi], by the compiled loop ``_leaf_loop``;
-    on leaf s particle j sits at t_j = s + u.x_j."""
+def _leaf_sweep(s: HJFunction, fol: Foliation, s_lo: float, s_hi: float,
+                ds: float) -> Callable:
+    """The function ``x_leaf -> (times, xs, vs)`` of a sweep over [s_lo,
+    s_hi] from leaf s = 0 (flat state ``x_leaf``): RK4 in the leaf
+    parameter by the compiled loop ``_leaf_loop``, forward and backward
+    from 0, the leaf grids built once.  ``xs`` and ``vs`` are the positions
+    and velocities on every leaf, (leaves, n, d), and ``times[j]`` the
+    times t_j = s + u.x_j of world line j there, checked to increase."""
     n, d = s.n, s.d
     loop = _leaf_loop(s.expr, n, d, s.masses, fol.u)
-
-    def sweep(s_vals: list[float]):
-        """States and velocities on the leaves ``s_vals``."""
-        return loop(x_leaf, s_vals, [b - a for a, b in zip(s_vals, s_vals[1:])])
-
     n_fw = max(1, int(math.ceil((s_hi - 0.0) / ds))) if s_hi > 0 else 0
     n_bw = max(1, int(math.ceil((0.0 - s_lo) / ds))) if s_lo < 0 else 0
     s_fw = np.linspace(0.0, s_hi, n_fw + 1).tolist() if n_fw else [0.0]
     s_bw = np.linspace(0.0, s_lo, n_bw + 1).tolist() if n_bw else [0.0]
-    ys_fw, vs_fw = sweep(s_fw)
-    ys_bw, vs_bw = sweep(s_bw)
+    h_fw = [b - a for a, b in zip(s_fw, s_fw[1:])]
+    h_bw = [b - a for a, b in zip(s_bw, s_bw[1:])]
     s_all = np.array(s_bw[::-1] + s_fw[1:])
-    xs_all = np.array(ys_bw[::-1] + ys_fw[1:]).reshape(len(s_all), n, d)
-    vs_all = np.array(vs_bw[::-1] + vs_fw[1:]).reshape(len(s_all), n, d)
+    if len(s_all) < 2:
+        raise ValueError(f"no leaf but s = 0 from s = {s_lo:g} to {s_hi:g}")
+    count = len(s_all) * n * d
 
-    lines = []
-    for j in range(n):
-        t_arr = s_all + xs_all[:, j] @ fol.u_vec
-        if np.any(np.diff(t_arr) <= 0):
-            raise FoliationError(
-                f"the times of world line {j + 1} do not increase along the "
-                f"leaves of the foliation {fol.label()}")
-        p_arr = vs_all[:, j] * s.masses[j]
-        dp_arr = np.gradient(p_arr, t_arr, axis=0)
-        lines.append(WorldLine(t=t_arr, x=xs_all[:, j], p=p_arr,
-                               dxdt=vs_all[:, j], dpdt=dp_arr))
-    return NPath(lines)
+    def table(bw: list[tuple], fw: list[tuple]) -> np.ndarray:
+        rows = itertools.chain(reversed(bw), itertools.islice(fw, 1, None))
+        return np.fromiter(itertools.chain.from_iterable(rows), float,
+                           count).reshape(len(s_all), n, d)
+
+    def sweep(x_leaf: list[float]):
+        ys_fw, vs_fw = loop(x_leaf, s_fw, h_fw)
+        ys_bw, vs_bw = loop(x_leaf, s_bw, h_bw)
+        xs, vs = table(ys_bw, ys_fw), table(vs_bw, vs_fw)
+        times = []
+        for j in range(n):
+            times.append(s_all + xs[:, j] @ fol.u_vec)
+            if np.any(np.diff(times[-1]) <= 0):
+                raise FoliationError(
+                    f"the times of world line {j + 1} do not increase along the "
+                    f"leaves of the foliation {fol.label()}")
+        return times, xs, vs
+
+    return sweep
 
 
 def foliation_leaves(fol: Foliation, init_positions: np.ndarray,
@@ -365,25 +375,28 @@ def hj_trajectories_foliation(s: HJFunction, fol: Foliation,
     describe the same initial spacetime configuration, so their
     divergence (or agreement) is attributable to the foliation alone.
     The anchoring solves a small fixed-point problem for the leaf-0
-    configuration.  A run of more than ``expr.MAX_STEPS`` steps (see
-    ``foliation_leaves``) raises ValueError before it starts; a world line
-    that misses t = 0 or whose time does not increase along the leaves
-    raises FoliationError.
+    configuration: each iteration sweeps the leaves from it and moves it
+    by the gap between the targets and x_j(0), read from the cubic Hermite
+    piece that holds t = 0.  The n-path is built once, from the sweep that
+    closes the gap.  A run of more than ``expr.MAX_STEPS`` steps (see
+    ``foliation_leaves``) raises ValueError before it starts, and so does
+    a span with no leaf but s = 0; a world line that misses t = 0 or whose
+    time does not increase along the leaves raises FoliationError.
     """
     x_target = np.atleast_2d(np.asarray(init_positions, float))
     s_lo, s_hi, steps = foliation_leaves(fol, x_target, s_span, ds)
     bound_steps(steps, "leaves")
+    sweep = _leaf_sweep(s, fol, s_lo, s_hi, ds)
     x_leaf = x_target.ravel()
-    npath = None
     for _ in range(max_anchor_iters):
-        npath = _integrate_on_foliation(s, fol, x_leaf.tolist(), s_lo, s_hi, ds)
+        times, xs, vs = sweep(x_leaf.tolist())
         at_zero = []
-        for j in range(1, s.n + 1):
+        for j in range(s.n):
             try:
-                at_zero.append(npath.line(j).x_at(0.0))
+                at_zero.append(hermite_at(times[j], xs[:, j], vs[:, j], 0.0))
             except PathRangeError as exc:
                 raise FoliationError(
-                    f"world line {j} misses the anchor time t = 0 on the "
+                    f"world line {j + 1} misses the anchor time t = 0 on the "
                     f"foliation {fol.label()}: {exc}") from None
         gap = (x_target - np.stack(at_zero)).ravel()
         if float(np.max(np.abs(gap))) < anchor_tol:
@@ -393,7 +406,12 @@ def hj_trajectories_foliation(s: HJFunction, fol: Foliation,
         raise FoliationError(
             f"world-line anchoring did not converge in {max_anchor_iters} "
             f"iterations on the foliation {fol.label()}")
-    return npath
+    lines = []
+    for j, (t, mass) in enumerate(zip(times, s.masses)):
+        p = vs[:, j] * mass
+        lines.append(WorldLine(t=t, x=xs[:, j], p=p, dxdt=vs[:, j],
+                               dpdt=np.gradient(p, t, axis=0)))
+    return NPath(lines)
 
 
 def foliation_compare(s: HJFunction, foliations: Sequence[Foliation],

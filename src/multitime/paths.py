@@ -2,8 +2,10 @@
 
 Samples carry the state derivatives, so queries between sample times use
 cubic Hermite interpolation (third-order accurate without re-integration).
-The pieces and their evaluation follow scipy's ``CubicHermiteSpline`` and
-``PPoly`` operation for operation, so values match scipy's bit for bit.
+``hermite_at`` is the one evaluator: it builds the cubic of only the
+intervals a query falls in, with the formulas of scipy's
+``CubicHermiteSpline`` element by element, and sums it as scipy's
+``PPoly`` does, so values match scipy's bit for bit.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["WorldLine", "NPath", "PathRangeError"]
+__all__ = ["WorldLine", "NPath", "PathRangeError", "hermite_at"]
 
 
 class PathRangeError(ValueError):
@@ -41,10 +43,6 @@ class WorldLine:
             raise ValueError("world line samples must be finite")
         if np.any(np.diff(self.t) <= 0):
             raise ValueError("sample times must be strictly increasing")
-        self._x = _hermite_pieces(self.t, self.x, self.dxdt)
-        self._p = _hermite_pieces(self.t, self.p, self.dpdt)
-        self._dxdt = [3.0 * self._x[0], 2.0 * self._x[1], self._x[2]]
-        self._dpdt = [3.0 * self._p[0], 2.0 * self._p[1], self._p[2]]
 
     @property
     def t_min(self) -> float:
@@ -54,43 +52,50 @@ class WorldLine:
     def t_max(self) -> float:
         return float(self.t[-1])
 
-    def _at(self, pieces: list[np.ndarray], time) -> np.ndarray:
-        """``pieces`` (highest power first) at one time, shape (d,), or at an
-        array of times, shape (len(time), d), summed as scipy's ``PPoly``."""
-        times = np.asarray(time, float)
-        outside = (times < self.t_min - 1e-12) | (times > self.t_max + 1e-12)
-        if np.any(outside):
-            first = time if times.ndim == 0 else times[outside][0]
-            raise PathRangeError(f"time {first} outside sampled range "
-                                 f"[{self.t_min}, {self.t_max}]")
-        i = np.clip(np.searchsorted(self.t, times, side="right") - 1, 0, len(self.t) - 2)
-        s = (times - self.t[i])[..., None]
-        value, power = 0.0 + pieces[-1][i], 1.0
-        for c in pieces[-2::-1]:
-            power = power * s
-            value = value + c[i] * power
-        return value
-
     def x_at(self, time) -> np.ndarray:
-        return self._at(self._x, time)
+        return hermite_at(self.t, self.x, self.dxdt, time)
 
     def p_at(self, time) -> np.ndarray:
-        return self._at(self._p, time)
+        return hermite_at(self.t, self.p, self.dpdt, time)
 
     def dxdt_at(self, time) -> np.ndarray:
-        return self._at(self._dxdt, time)
+        return hermite_at(self.t, self.x, self.dxdt, time, derivative=True)
 
     def dpdt_at(self, time) -> np.ndarray:
-        return self._at(self._dpdt, time)
+        return hermite_at(self.t, self.p, self.dpdt, time, derivative=True)
 
 
-def _hermite_pieces(t: np.ndarray, y: np.ndarray, dydt: np.ndarray) -> list[np.ndarray]:
-    """Coefficients of s^3, s^2, s, 1 (s = time - t[i]) of the cubic on each
-    interval [t[i], t[i+1]] that matches y and dydt at both ends."""
-    dt = np.diff(t)[:, None]
-    slope = np.diff(y, axis=0) / dt
-    curve = (dydt[:-1] + dydt[1:] - 2 * slope) / dt
-    return [curve / dt, (slope - dydt[:-1]) / dt - curve, dydt[:-1], y[:-1]]
+def hermite_at(t: np.ndarray, y: np.ndarray, dydt: np.ndarray, time,
+               derivative: bool = False) -> np.ndarray:
+    """The cubic Hermite interpolant of the samples ``y`` and ``dydt``, of
+    shape (len(t), d), at the strictly increasing times ``t`` (two or
+    more), or with ``derivative`` its time derivative: at one time, shape
+    (d,), or at an array of times, shape (len(time), d).  A time beyond
+    [t[0], t[-1]] by more than 1e-12 raises PathRangeError.
+
+    Each query's interval [t[i], t[i+1]] gets the coefficients of s^3,
+    s^2, s, 1 (s = time - t[i]) of the cubic that matches y and dydt at
+    both ends, summed as scipy's ``PPoly`` sums them."""
+    times = np.asarray(time, float)
+    lo, hi = float(t[0]), float(t[-1])
+    outside = (times < lo - 1e-12) | (times > hi + 1e-12)
+    if np.any(outside):
+        first = time if times.ndim == 0 else times[outside][0]
+        raise PathRangeError(f"time {first} outside sampled range [{lo}, {hi}]")
+    # the interval: the inner knots at or before each time (at most len(t) - 2)
+    i = np.searchsorted(t[1:-1], times, side="right")
+    dt = (t[i + 1] - t[i])[..., None]
+    slope = (y[i + 1] - y[i]) / dt
+    curve = (dydt[i] + dydt[i + 1] - 2 * slope) / dt
+    pieces = [curve / dt, (slope - dydt[i]) / dt - curve, dydt[i], y[i]]
+    if derivative:
+        pieces = [3.0 * pieces[0], 2.0 * pieces[1], pieces[2]]
+    s = (times - t[i])[..., None]
+    value, power = 0.0 + pieces[-1], 1.0
+    for c in pieces[-2::-1]:
+        power = power * s
+        value = value + c * power
+    return value
 
 
 @dataclass

@@ -27,8 +27,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linops
-from .expr import (MAX_STEPS, Expression, Num, binding_names, bound_steps,
-                   check_steps, compile_function, parse_expression)
+from .expr import (Expression, Num, binding_names, bound_steps, check_steps,
+                   compile_function, parse_expression)
 from .reports import DefectReport
 
 __all__ = [
@@ -271,9 +271,7 @@ def _substeps(duration: float, max_dt: float) -> int:
     """The substeps of at most ``max_dt`` in a leg of ``duration``, counted
     in floats; ValueError for max_dt <= 0 or a leg of more than MAX_STEPS."""
     _check_max_dt(max_dt)
-    if (steps := abs(duration) / max_dt) > MAX_STEPS:
-        raise ValueError(f"a leg of {duration} takes more than {MAX_STEPS} "
-                         f"substeps of {max_dt}")
+    bound_steps(steps := abs(duration) / max_dt, f"substeps in a leg of {duration}")
     return max(1, math.ceil(steps))
 
 
@@ -303,9 +301,11 @@ def rectangle_holonomy(sys: PartialHamiltonianSet, times: Sequence[float],
 def diagonal_evolution(sys: PartialHamiltonianSet, psi0: np.ndarray,
                        t_start: float, t_end: float, steps: int) -> np.ndarray:
     """Single-time evolution under H(t) = sum_j H_j(t,..,t) with the
-    exponential midpoint rule."""
-    if not 1 <= steps <= MAX_STEPS:
-        raise ValueError(f"steps must be in 1..{MAX_STEPS}, got {steps}")
+    exponential midpoint rule; ValueError for fewer than 1 or more than
+    ``MAX_STEPS`` steps."""
+    if not steps >= 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
+    bound_steps(steps, "diagonal steps")
     psi = np.asarray(psi0, dtype=np.complex128).copy()
     axes = range(1, sys.n + 1)
     return _propagate(psi, functools.partial(_total_hamiltonians, sys),

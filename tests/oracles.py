@@ -17,15 +17,25 @@ read from the compiled multi-time residuals of ``hj`` with one time.
 ``HJFunction`` and the CLI do; the oracles bind the same parameters as
 variables instead, so a bit-for-bit comparison also checks that the two
 agree.
+
+``hermite_oracle``, ``anchoring_oracle``, ``full_grid_oracle`` and
+``path_independence_oracle`` build n-paths and grids the long way, which
+the library's runs are pinned against bit for bit and error for error:
+the cubic pieces of every interval of a world line, then the one a query
+falls in; one full ``NPath`` per anchoring iteration, read at t = 0; one
+compiled loop call per grid leg.
 """
 
+import math
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from multitime.expr import (Expression, Num, binding_names, check_steps, evaluate,
-                            parse_expression, substitute)
+from multitime import classical, hj
+from multitime.expr import (Expression, Num, binding_names, bound_steps, check_steps,
+                            evaluate, parse_expression, substitute)
 from multitime.hj import _as_expr, _residuals
+from multitime.paths import NPath, PathRangeError, WorldLine
 
 
 def variable_bindings(times: Sequence[float] | np.ndarray = (),
@@ -122,3 +132,144 @@ def hj_residual_single(s_expr: str | Expression, h_expr: str | Expression,
     check_steps(h, (time_var, *binding_names("x", n, d)), [t, *x])
     s_expr, h_expr = with_constants([s_expr, h_expr], constants)
     return abs(_residuals(s_expr, (h_expr,), (time_var,), n, d, h)([float(t)], x)[0])
+
+
+def hermite_oracle(t: np.ndarray, y: np.ndarray, dydt: np.ndarray, time,
+                   derivative: bool = False) -> np.ndarray:
+    """The cubic Hermite interpolant (or its derivative) of the samples at
+    ``time``: the coefficients of s^3, s^2, s, 1 of every interval first,
+    then those of the interval each time falls in."""
+    times = np.asarray(time, float)
+    outside = (times < float(t[0]) - 1e-12) | (times > float(t[-1]) + 1e-12)
+    if np.any(outside):
+        first = time if times.ndim == 0 else times[outside][0]
+        raise PathRangeError(f"time {first} outside sampled range "
+                             f"[{float(t[0])}, {float(t[-1])}]")
+    dt = np.diff(t)[:, None]
+    slope = np.diff(y, axis=0) / dt
+    curve = (dydt[:-1] + dydt[1:] - 2 * slope) / dt
+    pieces = [curve / dt, (slope - dydt[:-1]) / dt - curve, dydt[:-1], y[:-1]]
+    if derivative:
+        pieces = [3.0 * pieces[0], 2.0 * pieces[1], pieces[2]]
+    i = np.clip(np.searchsorted(t, times, side="right") - 1, 0, len(t) - 2)
+    s = (times - t[i])[..., None]
+    value, power = 0.0 + pieces[-1][i], 1.0
+    for c in pieces[-2::-1]:
+        power = power * s
+        value = value + c[i] * power
+    return value
+
+
+def _foliation_npath(s, fol, x_leaf: list[float], s_lo: float, s_hi: float,
+                     ds: float) -> NPath:
+    """One sweep over the leaves from leaf 0, forward and backward, as one
+    NPath with the momenta and their np.gradient rates."""
+    n, d = s.n, s.d
+    loop = hj._leaf_loop(s.expr, n, d, s.masses, fol.u)
+
+    def sweep(s_vals):
+        return loop(x_leaf, s_vals, [b - a for a, b in zip(s_vals, s_vals[1:])])
+
+    n_fw = max(1, int(math.ceil((s_hi - 0.0) / ds))) if s_hi > 0 else 0
+    n_bw = max(1, int(math.ceil((0.0 - s_lo) / ds))) if s_lo < 0 else 0
+    s_fw = np.linspace(0.0, s_hi, n_fw + 1).tolist() if n_fw else [0.0]
+    s_bw = np.linspace(0.0, s_lo, n_bw + 1).tolist() if n_bw else [0.0]
+    ys_fw, vs_fw = sweep(s_fw)
+    ys_bw, vs_bw = sweep(s_bw)
+    s_all = np.array(s_bw[::-1] + s_fw[1:])
+    xs_all = np.array(ys_bw[::-1] + ys_fw[1:]).reshape(len(s_all), n, d)
+    vs_all = np.array(vs_bw[::-1] + vs_fw[1:]).reshape(len(s_all), n, d)
+    lines = []
+    for j in range(n):
+        t_arr = s_all + xs_all[:, j] @ fol.u_vec
+        if np.any(np.diff(t_arr) <= 0):
+            raise hj.FoliationError(
+                f"the times of world line {j + 1} do not increase along the "
+                f"leaves of the foliation {fol.label()}")
+        p_arr = vs_all[:, j] * s.masses[j]
+        dp_arr = np.gradient(p_arr, t_arr, axis=0)
+        lines.append(WorldLine(t=t_arr, x=xs_all[:, j], p=p_arr,
+                               dxdt=vs_all[:, j], dpdt=dp_arr))
+    return NPath(lines)
+
+
+def anchoring_oracle(s, fol, init_positions, s_span: tuple[float, float], ds: float,
+                     anchor_tol: float = 1e-10, max_anchor_iters: int = 50) -> NPath:
+    """``hj.hj_trajectories_foliation`` with one NPath per anchoring
+    iteration, each line read at t = 0 by ``hermite_oracle``."""
+    x_target = np.atleast_2d(np.asarray(init_positions, float))
+    s_lo, s_hi, steps = hj.foliation_leaves(fol, x_target, s_span, ds)
+    bound_steps(steps, "leaves")
+    x_leaf = x_target.ravel()
+    npath = None
+    for _ in range(max_anchor_iters):
+        npath = _foliation_npath(s, fol, x_leaf.tolist(), s_lo, s_hi, ds)
+        at_zero = []
+        for j, line in enumerate(npath.lines, start=1):
+            try:
+                at_zero.append(hermite_oracle(line.t, line.x, line.dxdt, 0.0))
+            except PathRangeError as exc:
+                raise hj.FoliationError(
+                    f"world line {j} misses the anchor time t = 0 on the "
+                    f"foliation {fol.label()}: {exc}") from None
+        gap = (x_target - np.stack(at_zero)).ravel()
+        if float(np.max(np.abs(gap))) < anchor_tol:
+            break
+        x_leaf = x_leaf + gap
+    else:
+        raise hj.FoliationError(
+            f"world-line anchoring did not converge in {max_anchor_iters} "
+            f"iterations on the foliation {fol.label()}")
+    return npath
+
+
+def _grid_leg(hpair, k: int, times: Sequence[float], y, duration: float,
+              substeps: int) -> tuple:
+    """One leg along time k from the time tuple ``times``: one loop call."""
+    dt = duration / substeps
+    fixed = [t for ax, t in enumerate(times) if ax != k - 1]
+    loop = classical._rk4_loop(hpair.fields[k - 1].exprs, hpair.n, hpair.d, k - 1)
+    ts = [times[k - 1]]
+    for _ in range(substeps):
+        ts.append(ts[-1] + dt)
+    return loop(y, ts, [dt] * substeps, *fixed)[-1]
+
+
+def full_grid_oracle(hpair, init, t1_grid, t2_grid, substeps: int):
+    """``(x, p)`` of ``classical.evolve_full_grid``, leg by leg: up the
+    first t2 column, then along every t1 row."""
+    t1s, t2s = np.asarray(t1_grid, float).tolist(), np.asarray(t2_grid, float).tolist()
+    n, d = hpair.n, hpair.d
+    y = init.state().tolist()
+    column = []
+    for i2 in range(len(t2s)):
+        if i2 > 0:
+            y = _grid_leg(hpair, 2, [t1s[0], t2s[i2 - 1]], y, t2s[i2] - t2s[i2 - 1],
+                          substeps)
+        column.append(y)
+    rows = []
+    for i2, y in enumerate(column):
+        row = [y]
+        for i1 in range(1, len(t1s)):
+            y = _grid_leg(hpair, 1, [t1s[i1 - 1], t2s[i2]], y, t1s[i1] - t1s[i1 - 1],
+                          substeps)
+            row.append(y)
+        rows.append(row)
+    states = np.array(rows).reshape(len(t2s), len(t1s), 2, n, d)
+    return np.ascontiguousarray(states.transpose(2, 3, 1, 0, 4))
+
+
+def path_independence_oracle(hpair, init, rectangle: tuple[float, float],
+                             dt: float) -> float:
+    """``classical.grid_path_independence``, one loop call per leg."""
+    dt1, dt2 = rectangle
+    m1, m2 = classical.rectangle_steps(rectangle, dt)
+    if m1 == 0:
+        return 0.0
+    t0, y0 = init.times.tolist(), init.state().tolist()
+    ya = _grid_leg(hpair, 1, t0, y0, dt1, m1)
+    ya = _grid_leg(hpair, 2, [t0[0] + dt1, t0[1]], ya, dt2, m2)
+    yb = _grid_leg(hpair, 2, t0, y0, dt2, m2)
+    yb = _grid_leg(hpair, 1, [t0[0], t0[1] + dt2], yb, dt1, m1)
+    gx, gp = np.subtract(ya, yb).reshape(2, hpair.n, hpair.d)
+    return float(np.sqrt(np.sum(gx ** 2) + np.sum(gp ** 2)))

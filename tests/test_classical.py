@@ -27,7 +27,7 @@ from multitime.expr import (FUNCTIONS, BinOp, Call, DomainError, Num, Var,
 from multitime.numdiff import diff_callable
 from multitime.paths import NPath, PathRangeError, WorldLine
 from multitime.reports import write_csv
-from oracles import variable_bindings
+from oracles import full_grid_oracle, path_independence_oracle, variable_bindings
 
 
 def free_field() -> PhaseVectorField:
@@ -488,6 +488,42 @@ class TestFullGrid:
         with pytest.raises(ValueError):
             HamiltonianPair(["p1_1^2/2"], 1, 1)
 
+    # The grid and the rectangle as first written, one compiled loop call per
+    # leg (``oracles.full_grid_oracle``, ``path_independence_oracle``): the
+    # runs call it once per column, row or leg, and must match bit for bit.
+    PAIRS = [["p1_1^2/2", "p2_1^2/2"],
+             ["p1_1^2/2 + (x1_1 - x2_1)^2/2", "p2_1^2/2 + (x1_1 - x2_1)^2/2"],
+             ["p1_1^2/2 + x1_1*sin(t1 - x2_1)", "p2_1^2/3 - cos(t2*x1_1)*p1_1"]]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(pair=st.sampled_from(range(len(PAIRS))),
+           y=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+           t0=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+           gaps1=st.lists(st.floats(1e-3, 0.4), max_size=5),
+           gaps2=st.lists(st.floats(1e-3, 0.4), max_size=5),
+           substeps=st.integers(1, 3))
+    def test_grid_matches_leg_by_leg(self, pair, y, t0, gaps1, gaps2, substeps):
+        hpair = HamiltonianPair(self.PAIRS[pair], 2, 1)
+        init = PhasePoint(times=t0, x=[[y[0]], [y[1]]], p=[[y[2]], [y[3]]])
+        t1s, t2s = (np.cumsum([t] + gaps) for t, gaps in zip(t0, (gaps1, gaps2)))
+        grid = evolve_full_grid(hpair, init, t1s, t2s, substeps=substeps)
+        x, p = full_grid_oracle(hpair, init, t1s, t2s, substeps)
+        assert grid.x.shape == x.shape == (2, len(t1s), len(t2s), 1)
+        assert grid.x.tobytes() == x.tobytes() and grid.p.tobytes() == p.tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(pair=st.sampled_from(range(len(PAIRS))),
+           y=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+           t0=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+           rectangle=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+           dt=st.floats(0.01, 0.3))
+    def test_path_independence_matches_leg_by_leg(self, pair, y, t0, rectangle, dt):
+        hpair = HamiltonianPair(self.PAIRS[pair], 2, 1)
+        init = PhasePoint(times=t0, x=[[y[0]], [y[1]]], p=[[y[2]], [y[3]]])
+        got = grid_path_independence(hpair, init, rectangle, dt)
+        want = path_independence_oracle(hpair, init, rectangle, dt)
+        assert bits([got]) == bits([want])
+
 
 class TestCjsDemo:
     def test_family_sweep(self):
@@ -555,9 +591,11 @@ class TestRk4Step:
         assert bits(states[0]) == bits(y) and bits(states[1]) == stepped(lambda tt: (tt, tt))
         assert bits(rates[0]) == bits(rhs((t, t), y))
         assert bits(rates[1]) == bits(rhs((t + h, t + h), states[1]))
-        # a grid leg along t1, then along t2, with the other time fixed
-        assert bits(rk4_loop(fld, 0)(y, [t], [h], other)) == stepped(lambda tt: (tt, other))
-        assert bits(rk4_loop(fld, 1)(y, [t], [h], other)) == stepped(lambda tt: (other, tt))
+        # a grid leg along t1, then along t2, with the other time fixed; the
+        # loop returns the state at both nodes
+        leg1 = rk4_loop(fld, 0)(y, [t], [h], other)
+        assert bits(leg1[0]) == bits(y) and bits(leg1[-1]) == stepped(lambda tt: (tt, other))
+        assert bits(rk4_loop(fld, 1)(y, [t], [h], other)[-1]) == stepped(lambda tt: (other, tt))
 
     @pytest.mark.parametrize("component", range(4))
     def test_non_finite_state(self, component):
@@ -591,7 +629,7 @@ class TestRk4Step:
         fld = PhaseVectorField.from_expressions(2, 1, [["log(-p1_1)"], ["0"]],
                                                 [["3*t1^2"], ["0"]])
         y = [0.0, 0.0, -1.0, 0.0]
-        end = rk4_loop(fld, 0)(y, [0.0], [1.0], 0.0)
+        end = rk4_loop(fld, 0)(y, [0.0], [1.0], 0.0)[-1]
         assert end[2] == 0.0
         with pytest.raises(DomainError, match="log of non-positive value -0.0"):
             fld.rhs((1.0, 0.0), end)

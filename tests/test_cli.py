@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multitime import classical, expr, hj, linops, quantum
+from multitime import classical, cli, expr, hj, linops, quantum
 from multitime.cli import (_SUBCOMMAND_KINDS, ConfigError, _sample_phase_points, main,
                            run_config)
 from multitime.configs import EXAMPLE_CONFIGS, write_examples
@@ -912,6 +912,18 @@ class TestNumericalFailures:
         assert main(["grid", "--config", str(path)]) == 3
         err = capsys.readouterr().err
         assert "numerical failure: non-finite result at /results/max_dx1_dt2" in err
+
+    @pytest.mark.parametrize("results,message", [
+        ({"table": [{"gap": 0.5}, {"gap": math.nan, "x": math.inf}]},
+         "non-finite result at /results/table/1/gap: nan"),
+        ({"a": [[1.0, 2], [True, "inf", -math.inf]], "b": math.inf},
+         "non-finite result at /results/a/1/2: -inf"),
+        ({"corner": np.float64(np.inf)}, "non-finite result at /results/corner: inf"),
+    ])
+    def test_first_non_finite_result_named(self, results, message):
+        with pytest.raises(FloatingPointError, match=f"^{re.escape(message)}$"):
+            cli._check_finite(results, "/results")
+        cli._check_finite({"table": [{"gap": 0.5}], "n": 3, "ok": True}, "/results")
 
     def test_overflowing_speed_prints_no_warning(self, config_dir, tmp_path):
         # as a user runs it: numpy's warnings reach stderr, not pytest

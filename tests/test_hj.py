@@ -1,3 +1,4 @@
+import functools
 import math
 import operator
 import re
@@ -5,8 +6,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from multitime import hj
+from multitime import hj, paths
 from multitime.classical import PhasePoint
 from multitime.expr import (MAX_STEPS, DomainError, UnboundVariableError, binding_names,
                             evaluate, parse_expression)
@@ -25,7 +27,8 @@ from multitime.hj import (
     poisson_bracket,
 )
 from multitime.numdiff import diff_callable, partial_derivative
-from oracles import hj_residual_single, variable_bindings, with_constants
+from oracles import (anchoring_oracle, hj_residual_single, variable_bindings,
+                     with_constants)
 
 K1, K2 = 0.3, -0.2
 G = 0.05
@@ -563,3 +566,115 @@ def test_leaf_loop_matches_reference_sweep(n, d):
         for got_rows, want_rows in zip(got, want):
             assert [bits(row) for row in got_rows] == [bits(row) for row in want_rows]
     assert failures < 6
+
+
+# ------------------------------------------------------ anchoring oracle
+# The anchoring as it was first written: one full NPath per iteration, its
+# lines read at t = 0 (``oracles.anchoring_oracle``).  The run reads x_j(0)
+# from the sweep's records and builds the n-path once; it must give the
+# same n-path bit for bit, or the same error.
+
+ANCHOR_SYSTEMS = [
+    # n, d, S
+    (1, 1, "k1*x1_1 - (k1^2/2)*t1"),
+    (2, 1, FREE_S),
+    (2, 1, COUPLED_S),
+    (2, 1, FREE_S + " + g*sin(x1_1 + t2)*x2_1"),
+    (2, 2, "k1*(x1_1 + x1_2) + k2*x2_1 - k1*k1*t1 - (k2^2/2)*t2"
+           " + g*(x1_1 - x2_2)^2*(t1 - t2)"),
+]
+
+
+def anchor_outcome(run):
+    """The world lines' sample arrays as bytes, or the error's class and
+    message."""
+    try:
+        npath = run()
+    except Exception as exc:  # the class and message are compared
+        return type(exc), str(exc)
+    return [[getattr(line, a).tobytes() for a in ("t", "x", "p", "dxdt", "dpdt")]
+            for line in npath.lines]
+
+
+@st.composite
+def anchor_cases(draw):
+    n, d, s_text = draw(st.sampled_from(ANCHOR_SYSTEMS))
+    floats = functools.partial(st.floats, allow_nan=False)
+    consts = {"k1": draw(floats(-0.6, 0.6)), "k2": draw(floats(-0.6, 0.6)),
+              "g": draw(floats(-0.1, 0.1))}
+    masses = draw(st.lists(floats(0.3, 3.0), min_size=n, max_size=n))
+    s = HJFunction(s_text, n, d, masses,
+                   {k: v for k, v in consts.items() if k in s_text})
+    u = draw(st.lists(floats(-0.8, 0.8), min_size=d, max_size=d))
+    fol = Foliation(u if np.linalg.norm(u) < 1.0 else [0.0] * d)
+    init = np.reshape(draw(st.lists(floats(-1.5, 1.5), min_size=n * d,
+                                    max_size=n * d)), (n, d))
+    span = (draw(floats(-1.0, 0.0)), draw(floats(0.05, 1.0)))
+    ds = draw(floats(0.02, 0.25))
+    tol = draw(st.sampled_from([1e-10, 1e-6, 0.0]))
+    iters = draw(st.integers(1, 50))
+    return s, fol, init, span, ds, tol, iters
+
+
+class TestAnchoringAgainstOracle:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=anchor_cases())
+    def test_matches_per_iteration_npaths(self, case):
+        s, fol, init, span, ds, tol, iters = case
+        want = anchor_outcome(lambda: anchoring_oracle(s, fol, init, span, ds,
+                                                       tol, iters))
+        got = anchor_outcome(lambda: hj_trajectories_foliation(s, fol, init, span, ds,
+                                                               tol, iters))
+        assert got == want
+
+    @pytest.mark.parametrize("s,u,init,span,kwargs,error,match", [
+        # a light particle outruns the leaves and never reaches t = 0
+        (HJFunction(FREE_S, 2, 1, [1.0, 1e-3], CONSTS), [0.3], [[-1.0], [1.0]],
+         (-1.0, 1.0), {}, FoliationError, "misses the anchor time t = 0"),
+        # its times round to one value on every leaf
+        (HJFunction(FREE_S, 2, 1, [1.0, 1e-300], CONSTS), [0.3], [[-1.0], [1.0]],
+         (-1.0, 1.0), {}, FoliationError, "do not increase along the leaves"),
+        (free_hj(), [0.3], [[-1.0], [1.0]], (-1.0, 1.0), {"max_anchor_iters": 1},
+         FoliationError, "did not converge in 1 iterations"),
+        (HJFunction("2*x1_1", 1, 1, [1.0]), [0.6], [[0.0]], (-0.5, 0.5), {},
+         FoliationDegeneracyError, "1 - u.V_1 = -0.2 <= 0"),
+    ])
+    def test_refusals_match(self, s, u, init, span, kwargs, error, match):
+        fol = Foliation(u)
+        with pytest.raises(error, match=re.escape(match)) as want:
+            anchoring_oracle(s, fol, init, span, 0.01, **kwargs)
+        with pytest.raises(error) as got:
+            hj_trajectories_foliation(s, fol, init, span, 0.01, **kwargs)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_span_without_leaves_refused(self):
+        # s_span [0, 0] on an unboosted foliation: no step from s = 0
+        with pytest.raises(ValueError, match=r"^no leaf but s = 0 from s = 0 to 0$"):
+            hj_trajectories_foliation(free_hj(), Foliation([0.0]), [[-1.0], [1.0]],
+                                      (0.0, 0.0), 0.01)
+
+    def test_one_world_line_per_particle_per_foliation(self, monkeypatch):
+        built, sweeps = [], []
+        real_loop = hj._leaf_loop
+
+        def counted_line(*args, **kwargs):
+            built.append(args)
+            return paths.WorldLine(*args, **kwargs)
+
+        def counted_loop(*args):
+            loop = real_loop(*args)
+
+            def run(*run_args):
+                sweeps.append(run_args)
+                return loop(*run_args)
+
+            return run
+
+        monkeypatch.setattr(hj, "WorldLine", counted_line)
+        monkeypatch.setattr(hj, "_leaf_loop", counted_loop)
+        fols = [Foliation([0.0]), Foliation([0.3]), Foliation([-0.5])]
+        foliation_compare(coupled_hj(), fols, [[-1.0], [1.0]], (-1.0, 1.0), 0.01)
+        # the boosted foliations anchor in several iterations of two sweeps
+        assert len(sweeps) > 2 * len(fols) + 2
+        assert len(built) == 2 * len(fols)

@@ -233,8 +233,12 @@ class TestEvolution:
         path = [Segment(1, 1.0, 600_000), Segment(2, 1.0, 400_001)]
         with pytest.raises(ValueError, match="1000001 substeps; at most 1000000"):
             evolve_staircase(sys, MultiTimeState(phi, [0.0, 0.0]), path)
-        with pytest.raises(ValueError, match="steps must be in 1..1000000"):
+        with pytest.raises(ValueError, match="the run takes 1000001 diagonal steps; "
+                                             "at most 1000000 are allowed"):
             diagonal_evolution(sys, phi, 0.0, 1.0, steps=1_000_001)
+        for steps in (0, -1, float("nan")):
+            with pytest.raises(ValueError, match="steps must be at least 1"):
+                diagonal_evolution(sys, phi, 0.0, 1.0, steps=steps)
 
 
 def test_rectangle_plan():
@@ -284,7 +288,8 @@ class TestSubsteps:
     @pytest.mark.parametrize("max_dt", [5e-324, 1e-300, 0.5 / 1_000_001])
     def test_leg_above_max_steps_refused(self, max_dt):
         for run in self.runs(max_dt):
-            with pytest.raises(ValueError, match="more than 1000000 substeps"):
+            with pytest.raises(ValueError, match=r"the run takes \S+ substeps in a leg "
+                                                 r"of 0\.5; at most 1000000 are allowed"):
                 run()
 
     def test_counts(self):
