@@ -407,7 +407,11 @@ def _grid_legs(hpair: HamiltonianPair) -> Callable:
 
 def full_grid_steps(points1: int, points2: int, substeps: int) -> int:
     """The RK4 steps counted for a full grid of ``points1`` x ``points2``
-    nodes, ``substeps`` per node; ValueError above ``MAX_STEPS``."""
+    nodes, ``substeps`` per node; ValueError for a count below 1, and
+    above ``MAX_STEPS``."""
+    for name, count in (("points1", points1), ("points2", points2), ("substeps", substeps)):
+        if count < 1:
+            raise ValueError(f"a full grid needs {name} >= 1, got {count}")
     bound_steps(steps := points1 * points2 * substeps)
     return steps
 

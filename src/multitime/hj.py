@@ -14,8 +14,10 @@ trajectory sweep is one compiled RK4 loop (``expr.compile_rk4``) per
 system and foliation, with the leaf times, the exact velocities and the
 leaf rates V_j / (1 - u.V_j) inlined in every stage.  Each anchoring
 iteration only sweeps the leaves and reads x_j(0) from the sweep's
-records (``paths.hermite_at``); the momenta, their rates and the world
-lines are built once, from the last sweep.
+records (``paths.hermite_at``).  The first sweeps every leaf; the later
+ones stop a few leaves past the t = 0 crossings, on a prefix of the same
+loop calls.  The momenta, their rates and the world lines are built once,
+from a sweep of every leaf at the converged leaf-0 configuration.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from typing import Callable, Mapping, NoReturn, Sequence
 import numpy as np
 
 from .classical import PhasePoint
-from .expr import (STEP_TIME, BinOp, Expression, FoliationError, Num, Var,
-                   binding_names, bound_steps, check_steps, compile_function,
-                   compile_rk4, derivative, diff, evaluate, parse_expression,
-                   substitute)
+from .expr import (STEP_TIME, BinOp, Expression, ExpressionError, FoliationError,
+                   Num, Var, binding_names, bound_steps, check_steps,
+                   compile_function, compile_rk4, derivative, diff, evaluate,
+                   parse_expression, substitute)
 from .numdiff import partial_derivative
 from .paths import NPath, PathRangeError, WorldLine, hermite_at
 from .reports import DefectReport, DivergenceReport
@@ -306,12 +308,17 @@ def _leaf_loop(s_expr: Expression, n: int, d: int, masses: tuple[float, ...],
 
 
 def _leaf_sweep(s: HJFunction, fol: Foliation, s_lo: float, s_hi: float,
-                ds: float) -> Callable:
-    """The function ``x_leaf -> (times, xs, vs)`` of a sweep over [s_lo,
-    s_hi] from leaf s = 0 (flat state ``x_leaf``): RK4 in the leaf
-    parameter by the compiled loop ``_leaf_loop``, forward and backward
-    from 0, the leaf grids built once.  ``xs`` and ``vs`` are the positions
-    and velocities on every leaf, (leaves, n, d), and ``times[j]`` the
+                ds: float) -> tuple[Callable, tuple[int, int]]:
+    """``(sweep, full)`` for the sweeps over [s_lo, s_hi] from leaf s = 0:
+    RK4 in the leaf parameter by the compiled loop ``_leaf_loop``, forward
+    and backward from 0, the leaf grids built once.  ``full`` is the
+    number of backward and forward steps that cover the whole range.
+    ``sweep(x_leaf, reach)`` starts from the flat state ``x_leaf`` on leaf
+    0 and takes the first ``reach = (k_bw, k_fw)`` of those steps: the
+    same loop calls on prefixes of the same grids, so its records are
+    those of the full sweep on the leaves it reaches, bit for bit.  It
+    returns ``(times, xs, vs)``: ``xs`` and ``vs`` are the positions and
+    velocities on every leaf reached, (leaves, n, d), and ``times[j]`` the
     times t_j = s + u.x_j of world line j there, checked to increase."""
     n, d = s.n, s.d
     loop = _leaf_loop(s.expr, n, d, s.masses, fol.u)
@@ -324,27 +331,29 @@ def _leaf_sweep(s: HJFunction, fol: Foliation, s_lo: float, s_hi: float,
     s_all = np.array(s_bw[::-1] + s_fw[1:])
     if len(s_all) < 2:
         raise ValueError(f"no leaf but s = 0 from s = {s_lo:g} to {s_hi:g}")
-    count = len(s_all) * n * d
 
     def table(bw: list[tuple], fw: list[tuple]) -> np.ndarray:
         rows = itertools.chain(reversed(bw), itertools.islice(fw, 1, None))
+        leaves = len(bw) + len(fw) - 1
         return np.fromiter(itertools.chain.from_iterable(rows), float,
-                           count).reshape(len(s_all), n, d)
+                           leaves * n * d).reshape(leaves, n, d)
 
-    def sweep(x_leaf: list[float]):
-        ys_fw, vs_fw = loop(x_leaf, s_fw, h_fw)
-        ys_bw, vs_bw = loop(x_leaf, s_bw, h_bw)
+    def sweep(x_leaf: list[float], reach: tuple[int, int]):
+        k_bw, k_fw = reach
+        ys_fw, vs_fw = loop(x_leaf, s_fw[:k_fw + 1], h_fw[:k_fw])
+        ys_bw, vs_bw = loop(x_leaf, s_bw[:k_bw + 1], h_bw[:k_bw])
         xs, vs = table(ys_bw, ys_fw), table(vs_bw, vs_fw)
+        s_leaves = s_all[n_bw - k_bw:n_bw + k_fw + 1]
         times = []
         for j in range(n):
-            times.append(s_all + xs[:, j] @ fol.u_vec)
+            times.append(s_leaves + xs[:, j] @ fol.u_vec)
             if np.any(np.diff(times[-1]) <= 0):
                 raise FoliationError(
                     f"the times of world line {j + 1} do not increase along the "
                     f"leaves of the foliation {fol.label()}")
         return times, xs, vs
 
-    return sweep
+    return sweep, (n_bw, n_fw)
 
 
 def foliation_leaves(fol: Foliation, init_positions: np.ndarray,
@@ -362,6 +371,41 @@ def foliation_leaves(fol: Foliation, init_positions: np.ndarray,
     return s_lo, s_hi, max(s_hi, 0.0) / ds + max(-s_lo, 0.0) / ds
 
 
+def _anchor_reach(times: list[np.ndarray], vs: np.ndarray, gap: np.ndarray,
+                  fol: Foliation, ds: float, reach: tuple[int, int],
+                  full: tuple[int, int]) -> tuple[int, int]:
+    """The steps ``(k_bw, k_fw)`` of the next anchoring sweep, at most
+    ``full``: past the interval that holds t = 0 on each world line in the
+    records ``times``, ``vs`` of a sweep of ``reach``, by one leaf more
+    than moving leaf 0 by ``gap``, (n, d), shifts it.  As dt_j/ds =
+    1 / (1 - u.V_j), that shift in s is about (1 - u.V_j) u.gap_j."""
+    u, k_bw, k_fw = fol.u_vec, 0, 0
+    for j, t in enumerate(times):
+        i = int(np.searchsorted(t[1:-1], 0.0, side="right"))  # as hermite_at
+        shift = abs((1.0 - float(vs[i, j] @ u)) * float(gap[j] @ u)) / ds
+        # a shift not below the whole range, NaN among them, reaches it all
+        margin = 1 + (math.ceil(shift) if shift < sum(full) else sum(full))
+        k_bw = max(k_bw, margin - (i - reach[0]))
+        k_fw = max(k_fw, (i - reach[0]) + 1 + margin)
+    return min(full[0], k_bw), min(full[1], k_fw)
+
+
+def _partial_records(sweep: Callable, x_leaf: list[float], reach: tuple[int, int]):
+    """The records of ``sweep(x_leaf, reach)`` if they read x_j(0) as the
+    full sweep's do, else None.  They do when the sweep raises nothing and
+    each world line's times t have t[0] <= 0 < t[-1]: the full sweep has
+    the same times on these leaves, none above 0 before them and none at
+    or below 0 after them, so ``hermite_at`` counts as many inner knots at
+    or below 0 in both and reads the same piece.  Where a sweep beyond
+    ``reach`` would raise, these records hide the error; the full sweep
+    that builds the world lines meets it."""
+    try:
+        records = sweep(x_leaf, reach)
+    except (ArithmeticError, ExpressionError, FoliationError):
+        return None  # the full sweep raises the error it meets first
+    return records if all(t[0] <= 0.0 < t[-1] for t in records[0]) else None
+
+
 def hj_trajectories_foliation(s: HJFunction, fol: Foliation,
                               init_positions: np.ndarray,
                               s_span: tuple[float, float], ds: float,
@@ -377,19 +421,28 @@ def hj_trajectories_foliation(s: HJFunction, fol: Foliation,
     The anchoring solves a small fixed-point problem for the leaf-0
     configuration: each iteration sweeps the leaves from it and moves it
     by the gap between the targets and x_j(0), read from the cubic Hermite
-    piece that holds t = 0.  The n-path is built once, from the sweep that
-    closes the gap.  A run of more than ``expr.MAX_STEPS`` steps (see
-    ``foliation_leaves``) raises ValueError before it starts, and so does
-    a span with no leaf but s = 0; a world line that misses t = 0 or whose
-    time does not increase along the leaves raises FoliationError.
+    piece that holds t = 0.  The first iteration sweeps every leaf, the
+    later ones only a few leaves past those pieces, where that reads
+    x_j(0) as a full sweep would, bit for bit.  The n-path is built once,
+    from a sweep of every leaf at the configuration that closes the gap.
+    A run of more than ``expr.MAX_STEPS`` steps (see ``foliation_leaves``)
+    raises ValueError before it starts, and so does a span with no leaf
+    but s = 0; a world line that misses t = 0 or whose time does not
+    increase along the leaves raises FoliationError.  An error that a
+    later iteration's full sweep would meet beyond the leaves it reaches
+    is met by that final sweep, if the anchoring converges.
     """
     x_target = np.atleast_2d(np.asarray(init_positions, float))
     s_lo, s_hi, steps = foliation_leaves(fol, x_target, s_span, ds)
     bound_steps(steps, "leaves")
-    sweep = _leaf_sweep(s, fol, s_lo, s_hi, ds)
-    x_leaf = x_target.ravel()
+    sweep, full = _leaf_sweep(s, fol, s_lo, s_hi, ds)
+    x_leaf, reach = x_target.ravel(), full
     for _ in range(max_anchor_iters):
-        times, xs, vs = sweep(x_leaf.tolist())
+        records = None if reach == full else _partial_records(sweep, x_leaf.tolist(), reach)
+        if records is None:
+            reach = full
+            records = sweep(x_leaf.tolist(), full)
+        times, xs, vs = records
         at_zero = []
         for j in range(s.n):
             try:
@@ -402,10 +455,13 @@ def hj_trajectories_foliation(s: HJFunction, fol: Foliation,
         if float(np.max(np.abs(gap))) < anchor_tol:
             break
         x_leaf = x_leaf + gap
+        reach = _anchor_reach(times, vs, gap.reshape(s.n, s.d), fol, ds, reach, full)
     else:
         raise FoliationError(
             f"world-line anchoring did not converge in {max_anchor_iters} "
             f"iterations on the foliation {fol.label()}")
+    if reach != full:
+        times, xs, vs = sweep(x_leaf.tolist(), full)
     lines = []
     for j, (t, mass) in enumerate(zip(times, s.masses)):
         p = vs[:, j] * mass

@@ -71,14 +71,15 @@ def hermite_at(t: np.ndarray, y: np.ndarray, dydt: np.ndarray, time,
     shape (len(t), d), at the strictly increasing times ``t`` (two or
     more), or with ``derivative`` its time derivative: at one time, shape
     (d,), or at an array of times, shape (len(time), d).  A time beyond
-    [t[0], t[-1]] by more than 1e-12 raises PathRangeError.
+    [t[0], t[-1]] by more than 1e-12, or NaN, raises PathRangeError.
 
     Each query's interval [t[i], t[i+1]] gets the coefficients of s^3,
     s^2, s, 1 (s = time - t[i]) of the cubic that matches y and dydt at
     both ends, summed as scipy's ``PPoly`` sums them."""
     times = np.asarray(time, float)
     lo, hi = float(t[0]), float(t[-1])
-    outside = (times < lo - 1e-12) | (times > hi + 1e-12)
+    # not "inside", so that a NaN time, which fails both tests, is outside
+    outside = ~((times >= lo - 1e-12) & (times <= hi + 1e-12))
     if np.any(outside):
         first = time if times.ndim == 0 else times[outside][0]
         raise PathRangeError(f"time {first} outside sampled range [{lo}, {hi}]")

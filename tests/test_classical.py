@@ -388,6 +388,18 @@ class TestWorldLines:
         assert line.x_at(np.array([0.0, 1.0])).shape == (2, 1)
         assert line.x_at(np.array([])).shape == (0, 1)
 
+    def test_nan_query_time_is_outside(self):
+        t = np.linspace(0.0, 1.0, 11)
+        line = WorldLine(t=t, x=t[:, None], p=np.ones((11, 1)),
+                         dxdt=np.ones((11, 1)), dpdt=np.zeros((11, 1)))
+        for query in (line.x_at, line.p_at, line.dxdt_at, line.dpdt_at):
+            with pytest.raises(PathRangeError) as scalar:
+                query(float("nan"))
+            assert str(scalar.value) == "time nan outside sampled range [0.0, 1.0]"
+            with pytest.raises(PathRangeError) as array:
+                query(np.array([0.5, np.nan, 2.0]))
+            assert str(array.value) == "time nan outside sampled range [0.0, 1.0]"
+
     @pytest.mark.parametrize("seed", range(6))
     def test_bit_for_bit_scipy_cubic_hermite(self, seed):
         interpolate = pytest.importorskip("scipy.interpolate")
@@ -487,6 +499,29 @@ class TestFullGrid:
     def test_n_must_be_two(self):
         with pytest.raises(ValueError):
             HamiltonianPair(["p1_1^2/2"], 1, 1)
+
+    @pytest.mark.parametrize("points1,points2,substeps,refused", [
+        (3, 2, 0, "substeps >= 1, got 0"),
+        (3, 2, -1, "substeps >= 1, got -1"),
+        (0, 2, 4, "points1 >= 1, got 0"),
+        (3, -2, 4, "points2 >= 1, got -2"),
+    ])
+    def test_counts_below_one_refused(self, points1, points2, substeps, refused):
+        with pytest.raises(ValueError, match=f"^a full grid needs {refused}$"):
+            classical.full_grid_steps(points1, points2, substeps)
+
+    @pytest.mark.parametrize("substeps", [0, -1])
+    def test_substeps_below_one_refused_before_the_run(self, monkeypatch, substeps):
+        # -1 used to return the initial state at every node, 0 to divide by 0
+        def no_legs(hpair):
+            raise AssertionError("a leg loop was built")
+
+        monkeypatch.setattr(classical, "_grid_legs", no_legs)
+        with pytest.raises(ValueError, match=f"substeps >= 1, got {substeps}$"):
+            evolve_full_grid(self.free_pair(), self.init(), np.linspace(0, 1, 3),
+                             np.linspace(0, 1, 2), substeps=substeps)
+        with pytest.raises(ValueError, match="points1 >= 1, got 0$"):
+            evolve_full_grid(self.free_pair(), self.init(), [], [0.0, 1.0])
 
     # The grid and the rectangle as first written, one compiled loop call per
     # leg (``oracles.full_grid_oracle``, ``path_independence_oracle``): the

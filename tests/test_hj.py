@@ -1,3 +1,4 @@
+import copy
 import functools
 import math
 import operator
@@ -10,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from multitime import hj, paths
 from multitime.classical import PhasePoint
+from multitime.cli import run_config
+from multitime.configs import EXAMPLE_CONFIGS
 from multitime.expr import (MAX_STEPS, DomainError, UnboundVariableError, binding_names,
                             evaluate, parse_expression)
 from multitime.hj import (
@@ -647,6 +650,90 @@ class TestAnchoringAgainstOracle:
             hj_trajectories_foliation(s, fol, init, span, 0.01, **kwargs)
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("name", ["hj_free_foliations", "hj_coupled_foliations"])
+    def test_shipped_foliations_match(self, name):
+        system, exp = EXAMPLE_CONFIGS[name]["system"], EXAMPLE_CONFIGS[name]["experiment"]
+        s = HJFunction(system["S"], system["n"], system["d"], system["masses"],
+                       system["constants"])
+        args = exp["init_positions"], tuple(exp["s_span"]), exp["ds"]
+        for fc in exp["foliations"]:
+            fol = Foliation(fc["u"])
+            want = anchor_outcome(lambda: anchoring_oracle(s, fol, *args))
+            assert isinstance(want, list)
+            assert anchor_outcome(lambda: hj_trajectories_foliation(s, fol, *args)) == want
+
+    @pytest.mark.parametrize("fault", ["crossing outside", "error"])
+    def test_partial_sweep_that_cannot_serve_is_rerun_in_full(self, monkeypatch, fault):
+        # one partial sweep of each run, the first, cannot read x_j(0) as the
+        # full sweep would: its iteration sweeps all leaves instead
+        steps, faults = [], []
+        real_loop, real_sweep, real_reach = hj._leaf_loop, hj._leaf_sweep, hj._anchor_reach
+
+        def counted_loop(*args):
+            loop = real_loop(*args)
+            return lambda x, ts, hs: steps.append(len(hs)) or loop(x, ts, hs)
+
+        def faulty_sweep(*args):
+            sweep, full = real_sweep(*args)
+
+            def run(x_leaf, reach):
+                if reach != full and not faults:
+                    faults.append(reach)
+                    raise FoliationDegeneracyError("a partial sweep failed")
+                return sweep(x_leaf, reach)
+
+            return run, full
+
+        def narrow_once(*args):
+            if faults:
+                return real_reach(*args)
+            faults.append(args)
+            return 1, 1  # the crossings lie about 30 leaves from s = 0
+
+        monkeypatch.setattr(hj, "_leaf_loop", counted_loop)
+        if fault == "error":
+            monkeypatch.setattr(hj, "_leaf_sweep", faulty_sweep)
+        else:
+            monkeypatch.setattr(hj, "_anchor_reach", narrow_once)
+        s, fol, init = coupled_hj(), Foliation([0.3]), [[-1.0], [1.0]]
+        got = anchor_outcome(lambda: hj_trajectories_foliation(s, fol, init, (-1.0, 1.0),
+                                                               0.01))
+        assert faults and isinstance(got, list)
+        # the (forward, backward) steps of each sweep: the first sweep, the
+        # failed partial one (its loops never ran on an error) and the full
+        # sweep that replaces it, partial sweeps, then the world lines' sweep
+        sweeps = list(zip(steps[::2], steps[1::2]))
+        full = (100, 100)
+        start = [full, full] if fault == "error" else [full, (1, 1), full]
+        assert sweeps[:len(start)] == start
+        assert all(fw < 100 and bw < 100 for fw, bw in sweeps[len(start):-1])
+        assert len(sweeps) > len(start) + 2 and sweeps[-1] == full
+        monkeypatch.undo()
+        assert got == anchor_outcome(lambda: anchoring_oracle(s, fol, init, (-1.0, 1.0),
+                                                              0.01))
+
+    def test_leaf_steps_per_pass(self, monkeypatch):
+        # the hj-foliation workload's three sweeping configs, whose every
+        # anchoring iteration swept all 200 leaves: 4800, 2200 and 200 steps
+        counts, real_loop = {}, hj._leaf_loop
+
+        def counted_loop(*args):
+            loop = real_loop(*args)
+
+            def run(x, ts, hs):
+                counts[name] = counts.get(name, 0) + len(hs)
+                return loop(x, ts, hs)
+
+            return run
+
+        monkeypatch.setattr(hj, "_leaf_loop", counted_loop)
+        for name in ("hj_free_foliations", "hj_coupled_foliations", "hj_free_trajectories"):
+            run_config(copy.deepcopy(EXAMPLE_CONFIGS[name]), "foliation")
+        assert counts["hj_free_foliations"] <= 0.7 * 4800
+        assert counts["hj_coupled_foliations"] <= 0.7 * 2200
+        assert counts["hj_free_trajectories"] == 200
+        assert sum(counts.values()) <= 5000
 
     def test_span_without_leaves_refused(self):
         # s_span [0, 0] on an unboosted foliation: no step from s = 0
