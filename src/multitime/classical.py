@@ -213,10 +213,9 @@ def classical_consistency_defect(field: PhaseVectorField, point: PhasePoint,
     Every derivative is a component's central difference at the step h,
     and D_j is taken of every component, so every component must be
     defined within h of the point, or DomainError is raised; a coordinate
-    at which h rounds away raises FloatingPointError (``expr.check_steps``).
+    at which h rounds away raises FloatingPointError and a step that is
+    not a finite number > 0 raises ValueError (``expr.check_steps``).
     """
-    if h <= 0.0:
-        raise ValueError(f"step must be positive, got {h}")
     n, d = field.n, field.d
     nd = n * d
     times, y = point.times.tolist(), point.state().tolist()
@@ -260,7 +259,9 @@ def _table(rows: Sequence[tuple], width: int) -> np.ndarray:
 
 def equal_time_steps(t_span: tuple[float, float], dt: float) -> int:
     """The RK4 steps of an equal-time run over ``t_span`` at about ``dt``:
-    (t1 - t0) / dt rounded, at least 1; ValueError above ``MAX_STEPS``."""
+    (t1 - t0) / dt rounded, at least 1; ValueError above ``MAX_STEPS``
+    and for a ``dt`` that is not a finite number > 0."""
+    check_steps(dt, (), ())
     steps = (float(t_span[1]) - float(t_span[0])) / dt
     bound_steps(steps)
     return max(1, int(round(steps)))

@@ -442,9 +442,8 @@ def central_difference(expr: Expression, var: str, h: float) -> Expression:
     """``(expr[var := var + h] - expr[var := var - h]) / (2h)``: the central
     difference at the step ``h`` as an expression.  It evaluates to the
     value of ``numdiff.diff_callable`` on ``expr`` bit for bit, or raises
-    the same first error."""
-    if h <= 0.0:
-        raise ValueError(f"step must be positive, got {h}")
+    the same first error.  The step is checked by ``check_steps``."""
+    check_steps(h, (), ())
     step = Num(float(h))
     return BinOp("/", BinOp("-", substitute(expr, {var: BinOp("+", Var(var), step)}),
                             substitute(expr, {var: BinOp("-", Var(var), step)})),
@@ -473,10 +472,13 @@ def bound_steps(steps: float, what: str = "RK4 steps") -> None:
 
 
 def check_steps(h: float | None, names: Sequence[str], values: Sequence[float]) -> None:
-    """FloatingPointError at the first of ``names`` whose value x (in
+    """ValueError for a step ``h`` that is not a finite number > 0, then
+    FloatingPointError at the first of ``names`` whose value x (in
     ``values``) has x + h == x or x - h == x: a central difference there
     would read a wrong slope, or 0.  A None ``h`` (exact) is not checked."""
     if h is not None:
+        if not 0.0 < h < math.inf:
+            raise ValueError(f"step must be positive, got {h}")
         for name, x in zip(names, values):
             if x + h == x or x - h == x:
                 raise FloatingPointError(f"the step h = {float(h)!r} rounds "

@@ -1,23 +1,17 @@
 """Multi-time Hamilton-Jacobi formalism.
 
-Given an HJ function S(t1,x1,..,tn,xn) supplied as an expression, this
-module evaluates residuals of the multi-time HJ system,
-the Poisson-bracket consistency defect of partial Hamiltonian functions,
-the velocity-consistency defect of the multi-time velocity law
-dx_j/dt_j = grad_{x_j} S / m_j, and extracts trajectory families under
-flat spacelike foliations t = s + u.x to exhibit foliation dependence.
-Each residual, defect and gradient is built as expressions, exact or
-central differences at a given step, and compiled once per system and
-step.  A parameter of S or of a Hamiltonian is a number in its tree,
-put there by ``expr.substitute``, so no function here binds one.  A
-trajectory sweep is one compiled RK4 loop (``expr.compile_rk4``) per
-system and foliation, with the leaf times, the exact velocities and the
-leaf rates V_j / (1 - u.V_j) inlined in every stage.  Each anchoring
-iteration only sweeps the leaves and reads x_j(0) from the sweep's
-records (``paths.hermite_at``).  The first sweeps every leaf; the later
-ones stop a few leaves past the t = 0 crossings, on a prefix of the same
-loop calls.  The momenta, their rates and the world lines are built once,
-from a sweep of every leaf at the converged leaf-0 configuration.
+Given an HJ function S(t1,x1,..,tn,xn) as an expression, this module
+evaluates the residuals of the multi-time HJ system, the Poisson-bracket
+consistency defect of partial Hamiltonian functions and the velocity
+defect of the law dx_j/dt_j = grad_{x_j} S / m_j, each built as
+expressions (exact, or central differences at a step) and compiled once
+per system and step; a parameter of S or of a Hamiltonian is a number in
+its tree (``expr.substitute``).  It extracts world lines on flat
+spacelike foliations t = s + u.x: a sweep is one compiled RK4 loop
+(``expr.compile_rk4``) with the leaf times, exact velocities and leaf
+rates V_j / (1 - u.V_j) inlined, and the world lines are anchored at t = 0
+by quasi-Newton (Broyden) steps of the leaf-0 configuration, one sweep of
+every leaf each; the converged sweep builds them.
 """
 
 from __future__ import annotations
@@ -308,18 +302,12 @@ def _leaf_loop(s_expr: Expression, n: int, d: int, masses: tuple[float, ...],
 
 
 def _leaf_sweep(s: HJFunction, fol: Foliation, s_lo: float, s_hi: float,
-                ds: float) -> tuple[Callable, tuple[int, int]]:
-    """``(sweep, full)`` for the sweeps over [s_lo, s_hi] from leaf s = 0:
-    RK4 in the leaf parameter by the compiled loop ``_leaf_loop``, forward
-    and backward from 0, the leaf grids built once.  ``full`` is the
-    number of backward and forward steps that cover the whole range.
-    ``sweep(x_leaf, reach)`` starts from the flat state ``x_leaf`` on leaf
-    0 and takes the first ``reach = (k_bw, k_fw)`` of those steps: the
-    same loop calls on prefixes of the same grids, so its records are
-    those of the full sweep on the leaves it reaches, bit for bit.  It
-    returns ``(times, xs, vs)``: ``xs`` and ``vs`` are the positions and
-    velocities on every leaf reached, (leaves, n, d), and ``times[j]`` the
-    times t_j = s + u.x_j of world line j there, checked to increase."""
+                ds: float) -> Callable:
+    """The sweep ``x_leaf -> (times, xs, vs)``: RK4 over [s_lo, s_hi] from
+    the flat state ``x_leaf`` on leaf s = 0, forward and backward, by the
+    compiled ``_leaf_loop`` on leaf grids built once.  ``xs`` and ``vs`` are
+    the positions and velocities on every leaf, (leaves, n, d), and
+    ``times[j]`` the times s + u.x_j of world line j, checked to increase."""
     n, d = s.n, s.d
     loop = _leaf_loop(s.expr, n, d, s.masses, fol.u)
     n_fw = max(1, int(math.ceil((s_hi - 0.0) / ds))) if s_hi > 0 else 0
@@ -334,26 +322,23 @@ def _leaf_sweep(s: HJFunction, fol: Foliation, s_lo: float, s_hi: float,
 
     def table(bw: list[tuple], fw: list[tuple]) -> np.ndarray:
         rows = itertools.chain(reversed(bw), itertools.islice(fw, 1, None))
-        leaves = len(bw) + len(fw) - 1
         return np.fromiter(itertools.chain.from_iterable(rows), float,
-                           leaves * n * d).reshape(leaves, n, d)
+                           len(s_all) * n * d).reshape(len(s_all), n, d)
 
-    def sweep(x_leaf: list[float], reach: tuple[int, int]):
-        k_bw, k_fw = reach
-        ys_fw, vs_fw = loop(x_leaf, s_fw[:k_fw + 1], h_fw[:k_fw])
-        ys_bw, vs_bw = loop(x_leaf, s_bw[:k_bw + 1], h_bw[:k_bw])
+    def sweep(x_leaf: list[float]):
+        ys_fw, vs_fw = loop(x_leaf, s_fw, h_fw)
+        ys_bw, vs_bw = loop(x_leaf, s_bw, h_bw)
         xs, vs = table(ys_bw, ys_fw), table(vs_bw, vs_fw)
-        s_leaves = s_all[n_bw - k_bw:n_bw + k_fw + 1]
         times = []
         for j in range(n):
-            times.append(s_leaves + xs[:, j] @ fol.u_vec)
+            times.append(s_all + xs[:, j] @ fol.u_vec)
             if np.any(np.diff(times[-1]) <= 0):
                 raise FoliationError(
                     f"the times of world line {j + 1} do not increase along the "
                     f"leaves of the foliation {fol.label()}")
         return times, xs, vs
 
-    return sweep, (n_bw, n_fw)
+    return sweep
 
 
 def foliation_leaves(fol: Foliation, init_positions: np.ndarray,
@@ -371,39 +356,20 @@ def foliation_leaves(fol: Foliation, init_positions: np.ndarray,
     return s_lo, s_hi, max(s_hi, 0.0) / ds + max(-s_lo, 0.0) / ds
 
 
-def _anchor_reach(times: list[np.ndarray], vs: np.ndarray, gap: np.ndarray,
-                  fol: Foliation, ds: float, reach: tuple[int, int],
-                  full: tuple[int, int]) -> tuple[int, int]:
-    """The steps ``(k_bw, k_fw)`` of the next anchoring sweep, at most
-    ``full``: past the interval that holds t = 0 on each world line in the
-    records ``times``, ``vs`` of a sweep of ``reach``, by one leaf more
-    than moving leaf 0 by ``gap``, (n, d), shifts it.  As dt_j/ds =
-    1 / (1 - u.V_j), that shift in s is about (1 - u.V_j) u.gap_j."""
-    u, k_bw, k_fw = fol.u_vec, 0, 0
+def _at_zero(times: list[np.ndarray], xs: np.ndarray, vs: np.ndarray, fol: Foliation,
+             derivative: bool = False) -> np.ndarray:
+    """x_j(0), or dx_j/dt(0) with ``derivative``, of the world lines of a
+    sweep's records, flat, by ``paths.hermite_at``; FoliationError for a
+    world line that misses t = 0."""
+    values = []
     for j, t in enumerate(times):
-        i = int(np.searchsorted(t[1:-1], 0.0, side="right"))  # as hermite_at
-        shift = abs((1.0 - float(vs[i, j] @ u)) * float(gap[j] @ u)) / ds
-        # a shift not below the whole range, NaN among them, reaches it all
-        margin = 1 + (math.ceil(shift) if shift < sum(full) else sum(full))
-        k_bw = max(k_bw, margin - (i - reach[0]))
-        k_fw = max(k_fw, (i - reach[0]) + 1 + margin)
-    return min(full[0], k_bw), min(full[1], k_fw)
-
-
-def _partial_records(sweep: Callable, x_leaf: list[float], reach: tuple[int, int]):
-    """The records of ``sweep(x_leaf, reach)`` if they read x_j(0) as the
-    full sweep's do, else None.  They do when the sweep raises nothing and
-    each world line's times t have t[0] <= 0 < t[-1]: the full sweep has
-    the same times on these leaves, none above 0 before them and none at
-    or below 0 after them, so ``hermite_at`` counts as many inner knots at
-    or below 0 in both and reads the same piece.  Where a sweep beyond
-    ``reach`` would raise, these records hide the error; the full sweep
-    that builds the world lines meets it."""
-    try:
-        records = sweep(x_leaf, reach)
-    except (ArithmeticError, ExpressionError, FoliationError):
-        return None  # the full sweep raises the error it meets first
-    return records if all(t[0] <= 0.0 < t[-1] for t in records[0]) else None
+        try:
+            values.append(hermite_at(t, xs[:, j], vs[:, j], 0.0, derivative))
+        except PathRangeError as exc:
+            raise FoliationError(
+                f"world line {j + 1} misses the anchor time t = 0 on the "
+                f"foliation {fol.label()}: {exc}") from None
+    return np.concatenate(values)
 
 
 def hj_trajectories_foliation(s: HJFunction, fol: Foliation,
@@ -418,56 +384,60 @@ def hj_trajectories_foliation(s: HJFunction, fol: Foliation,
     ``init_positions``): families extracted with different boosts then
     describe the same initial spacetime configuration, so their
     divergence (or agreement) is attributable to the foliation alone.
-    The anchoring solves a small fixed-point problem for the leaf-0
-    configuration: each iteration sweeps the leaves from it and moves it
-    by the gap between the targets and x_j(0), read from the cubic Hermite
-    piece that holds t = 0.  The first iteration sweeps every leaf, the
-    later ones only a few leaves past those pieces, where that reads
-    x_j(0) as a full sweep would, bit for bit.  The n-path is built once,
-    from a sweep of every leaf at the configuration that closes the gap.
-    A run of more than ``expr.MAX_STEPS`` steps (see ``foliation_leaves``)
-    raises ValueError before it starts, and so does a span with no leaf
-    but s = 0; a world line that misses t = 0 or whose time does not
-    increase along the leaves raises FoliationError.  An error that a
-    later iteration's full sweep would meet beyond the leaves it reaches
-    is met by that final sweep, if the anchoring converges.
-    """
-    x_target = np.atleast_2d(np.asarray(init_positions, float))
-    s_lo, s_hi, steps = foliation_leaves(fol, x_target, s_span, ds)
+    Each anchoring iteration sweeps every leaf from the flat leaf-0
+    configuration x_leaf and reads z = x_j(0) (``_at_zero``); until
+    max|gap| <= ``anchor_tol`` x_leaf moves by the quasi-Newton step
+    J step = gap (Broyden 1965).  J starts as the straight-line model
+    I - V_j u^T of each particle, V_j = dx_j/dt(0) on the first sweep, and
+    takes the update J += ((dz - J dx) dx^T) / (dx.dx) after each later
+    sweep.  A later sweep that raises ArithmeticError, ExpressionError or
+    FoliationError halves the step; a run that does not converge raises
+    the last such error, else FoliationError.  Bad ``anchor_tol``,
+    ``max_anchor_iters`` or ``ds``, too many steps (``foliation_leaves``)
+    or no leaf but s = 0 raise ValueError before any sweep."""
+    if not anchor_tol >= 0.0:
+        raise ValueError(f"anchor_tol must be a number >= 0, got {anchor_tol}")
+    if max_anchor_iters < 1:
+        raise ValueError(f"max_anchor_iters must be at least 1, got {max_anchor_iters}")
+    if not 0.0 < ds < math.inf:
+        raise ValueError(f"ds must be a finite number > 0, got {ds}")
+    s_lo, s_hi, steps = foliation_leaves(fol, init_positions, s_span, ds)
     bound_steps(steps, "leaves")
-    sweep, full = _leaf_sweep(s, fol, s_lo, s_hi, ds)
-    x_leaf, reach = x_target.ravel(), full
+    sweep = _leaf_sweep(s, fol, s_lo, s_hi, ds)
+    target = np.asarray(init_positions, float).ravel()
+    x_leaf, step = target, None
+    failure = FoliationError(f"world-line anchoring did not converge in {max_anchor_iters} "
+                             f"iterations on the foliation {fol.label()}")
     for _ in range(max_anchor_iters):
-        records = None if reach == full else _partial_records(sweep, x_leaf.tolist(), reach)
-        if records is None:
-            reach = full
-            records = sweep(x_leaf.tolist(), full)
-        times, xs, vs = records
-        at_zero = []
-        for j in range(s.n):
-            try:
-                at_zero.append(hermite_at(times[j], xs[:, j], vs[:, j], 0.0))
-            except PathRangeError as exc:
-                raise FoliationError(
-                    f"world line {j + 1} misses the anchor time t = 0 on the "
-                    f"foliation {fol.label()}: {exc}") from None
-        gap = (x_target - np.stack(at_zero)).ravel()
-        if float(np.max(np.abs(gap))) < anchor_tol:
+        x_next = x_leaf if step is None else x_leaf + step
+        try:
+            records = sweep(x_next.tolist())
+            z_next = _at_zero(*records, fol)
+        except (ArithmeticError, ExpressionError, FoliationError) as exc:
+            if step is None:
+                raise
+            step, failure = step / 2.0, exc
+            continue
+        if step is None:  # the straight-line model, particle by particle
+            v, jac = _at_zero(*records, fol, derivative=True), np.eye(len(target))
+            for i in range(0, len(target), s.d):
+                jac[i:i + s.d, i:i + s.d] -= np.outer(v[i:i + s.d], fol.u_vec)
+        else:
+            dx, dz = x_next - x_leaf, z_next - z
+            if np.any(dz):  # else z is at its rounding floor, and J would turn singular
+                jac = jac + np.outer(dz - jac @ dx, dx) / (dx @ dx)
+        x_leaf, z = x_next, z_next
+        gap = target - z
+        if float(np.max(np.abs(gap))) <= anchor_tol:
             break
-        x_leaf = x_leaf + gap
-        reach = _anchor_reach(times, vs, gap.reshape(s.n, s.d), fol, ds, reach, full)
+        step = np.linalg.solve(jac, gap)
     else:
-        raise FoliationError(
-            f"world-line anchoring did not converge in {max_anchor_iters} "
-            f"iterations on the foliation {fol.label()}")
-    if reach != full:
-        times, xs, vs = sweep(x_leaf.tolist(), full)
-    lines = []
-    for j, (t, mass) in enumerate(zip(times, s.masses)):
-        p = vs[:, j] * mass
-        lines.append(WorldLine(t=t, x=xs[:, j], p=p, dxdt=vs[:, j],
-                               dpdt=np.gradient(p, t, axis=0)))
-    return NPath(lines)
+        raise failure
+    times, xs, vs = records
+    ps = [vs[:, j] * mass for j, mass in enumerate(s.masses)]
+    return NPath([WorldLine(t=t, x=xs[:, j], p=p, dxdt=vs[:, j],
+                            dpdt=np.gradient(p, t, axis=0))
+                  for j, (t, p) in enumerate(zip(times, ps))])
 
 
 def foliation_compare(s: HJFunction, foliations: Sequence[Foliation],

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping
 
-from .expr import Expression, evaluate
+from .expr import Expression, check_steps, evaluate
 
 __all__ = [
     "default_step",
@@ -44,8 +44,7 @@ def diff_callable(
     x0 = float(bindings[var])
     if h is None:
         h = default_step(x0)
-    if h <= 0.0:
-        raise ValueError(f"step must be positive, got {h}")
+    check_steps(h, (), ())
     return (f({**bindings, var: x0 + h}) - f({**bindings, var: x0 - h})) / (2.0 * h)
 
 

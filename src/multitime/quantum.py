@@ -183,9 +183,9 @@ def _dh(sys: PartialHamiltonianSet, k: int, axis: int,
 
 def consistency_defect_matrix(sys: PartialHamiltonianSet, times: Sequence[float],
                               j: int, k: int, h: float = 1e-4) -> np.ndarray:
-    """C_jk = dH_k/dt_j - dH_j/dt_k + i [H_j, H_k] at the time tuple."""
-    if h <= 0.0:
-        raise ValueError(f"step must be positive, got {h}")
+    """C_jk = dH_k/dt_j - dH_j/dt_k + i [H_j, H_k] at the time tuple, the
+    derivatives central differences at the step ``h`` (``check_steps``)."""
+    check_steps(h, (), ())
     hj = sys.hamiltonian(j, times)
     hk = sys.hamiltonian(k, times)
     return _dh(sys, k, j, times, h) - _dh(sys, j, k, times, h) \

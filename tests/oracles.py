@@ -22,8 +22,8 @@ agree.
 ``path_independence_oracle`` build n-paths and grids the long way, which
 the library's runs are pinned against bit for bit and error for error:
 the cubic pieces of every interval of a world line, then the one a query
-falls in; one full ``NPath`` per anchoring iteration, read at t = 0; one
-compiled loop call per grid leg.
+falls in; one full ``NPath`` per anchoring iteration, read at t = 0, and
+the library's quasi-Newton step; one compiled loop call per grid leg.
 """
 
 import math
@@ -32,8 +32,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from multitime import classical, hj
-from multitime.expr import (Expression, Num, binding_names, bound_steps, check_steps,
-                            evaluate, parse_expression, substitute)
+from multitime.expr import (Expression, ExpressionError, Num, binding_names,
+                            bound_steps, check_steps, evaluate, parse_expression,
+                            substitute)
 from multitime.hj import _as_expr, _residuals
 from multitime.paths import NPath, PathRangeError, WorldLine
 
@@ -193,34 +194,63 @@ def _foliation_npath(s, fol, x_leaf: list[float], s_lo: float, s_hi: float,
     return NPath(lines)
 
 
+def _oracle_at_zero(npath: NPath, fol, derivative: bool = False) -> np.ndarray:
+    """x_j(0), or dx_j/dt there, of every line of ``npath``, flat, by
+    ``hermite_oracle``."""
+    values = []
+    for j, line in enumerate(npath.lines, start=1):
+        try:
+            values.append(hermite_oracle(line.t, line.x, line.dxdt, 0.0, derivative))
+        except PathRangeError as exc:
+            raise hj.FoliationError(
+                f"world line {j} misses the anchor time t = 0 on the "
+                f"foliation {fol.label()}: {exc}") from None
+    return np.concatenate(values)
+
+
 def anchoring_oracle(s, fol, init_positions, s_span: tuple[float, float], ds: float,
                      anchor_tol: float = 1e-10, max_anchor_iters: int = 50) -> NPath:
     """``hj.hj_trajectories_foliation`` with one NPath per anchoring
-    iteration, each line read at t = 0 by ``hermite_oracle``."""
+    iteration, each line read at t = 0 by ``hermite_oracle``.  The step
+    solves J step = gap; J starts as I - V_j u^T, entry by entry, and takes
+    Broyden's update after every later sweep; a sweep that raises after a
+    step halves it, and a run that does not converge raises the last error
+    such a sweep met."""
     x_target = np.atleast_2d(np.asarray(init_positions, float))
     s_lo, s_hi, steps = hj.foliation_leaves(fol, x_target, s_span, ds)
     bound_steps(steps, "leaves")
-    x_leaf = x_target.ravel()
-    npath = None
+    target = x_target.ravel()
+    size = len(target)
+    x_leaf, step, failure = target, None, None
     for _ in range(max_anchor_iters):
-        npath = _foliation_npath(s, fol, x_leaf.tolist(), s_lo, s_hi, ds)
-        at_zero = []
-        for j, line in enumerate(npath.lines, start=1):
-            try:
-                at_zero.append(hermite_oracle(line.t, line.x, line.dxdt, 0.0))
-            except PathRangeError as exc:
-                raise hj.FoliationError(
-                    f"world line {j} misses the anchor time t = 0 on the "
-                    f"foliation {fol.label()}: {exc}") from None
-        gap = (x_target - np.stack(at_zero)).ravel()
-        if float(np.max(np.abs(gap))) < anchor_tol:
-            break
-        x_leaf = x_leaf + gap
-    else:
-        raise hj.FoliationError(
-            f"world-line anchoring did not converge in {max_anchor_iters} "
-            f"iterations on the foliation {fol.label()}")
-    return npath
+        x_next = x_leaf if step is None else x_leaf + step
+        try:
+            npath = _foliation_npath(s, fol, x_next.tolist(), s_lo, s_hi, ds)
+            z_next = _oracle_at_zero(npath, fol)
+        except (ArithmeticError, ExpressionError, hj.FoliationError) as exc:
+            if step is None:
+                raise
+            step, failure = step / 2.0, exc
+            continue
+        if step is None:
+            v, u = _oracle_at_zero(npath, fol, derivative=True), fol.u
+            jac = np.array([[(1.0 if a == b else 0.0)
+                             - (v[a] * u[b % s.d] if a // s.d == b // s.d else 0.0)
+                             for b in range(size)] for a in range(size)])
+        else:
+            dx, dz = x_next - x_leaf, z_next - z
+            if np.any(dz):  # else z is at its rounding floor, and J would turn singular
+                jac = jac + np.outer(dz - jac @ dx, dx) / (dx @ dx)
+        x_leaf, z = x_next, z_next
+        gap = target - z
+        if float(np.max(np.abs(gap))) <= anchor_tol:
+            return npath
+        step = np.linalg.solve(jac, gap)
+    if failure is not None:
+        raise failure
+    raise hj.FoliationError(
+        f"world-line anchoring did not converge in {max_anchor_iters} "
+        f"iterations on the foliation {fol.label()}")
 
 
 def _grid_leg(hpair, k: int, times: Sequence[float], y, duration: float,

@@ -55,6 +55,13 @@ class TestSpacetime:
 
 
 class TestDefect:
+    @pytest.mark.parametrize("h", [0.0, float("nan"), float("inf")])
+    def test_step_not_a_finite_positive_number_refused(self, h):
+        # h = nan read max_defect nan, and h = inf read 0.0: consistent
+        with pytest.raises(ValueError, match="step must be positive"):
+            classical_consistency_defect(free_field(), phase_point(0.0, -1.0, 1.0, 0.1, 0.2),
+                                         h=h)
+
     def test_free_field_zero(self):
         rng = np.random.default_rng(1)
         for _ in range(5):
@@ -73,6 +80,10 @@ class TestDefect:
                 harmonic_field(), phase_point(t, x1, x2, p1, p2))
             assert rep.pairs["1,2"] == pytest.approx(abs(p1), abs=1e-8)
             assert rep.pairs["2,1"] == pytest.approx(abs(p2), abs=1e-8)
+            # no step: exact derivatives, as ``check_steps`` lets None through
+            exact = classical_consistency_defect(
+                harmonic_field(), phase_point(t, x1, x2, p1, p2), h=None)
+            assert exact.pairs == {"1,2": abs(p1), "2,1": abs(p2)} and exact.h is None
 
     def test_hamiltonian_field_matches_explicit(self):
         # exact gradients of H reproduce the hand-written harmonic field,
@@ -290,6 +301,14 @@ class TestEqualTimeEvolution:
 
         assert bits(dxdt(0.0).ravel()) == bits([0.0] * 3)
         assert bits(dxdt(-0.0).ravel()) == bits([-0.0] * 3)
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -0.01])
+    def test_step_not_a_finite_positive_number_refused(self, dt):
+        # dt = nan died converting NaN to an integer, and dt = inf took one
+        # RK4 step across the whole span
+        with pytest.raises(ValueError, match="step must be positive"):
+            evolve_equal_time(free_field(), phase_point(0.0, -1.0, 1.0, 0.1, 0.2),
+                              (0.0, 1.0), dt)
 
     def test_unequal_initial_times_rejected(self):
         init = PhasePoint(times=[0.0, 0.5], x=[[0.0], [1.0]], p=[[0.0], [0.0]])

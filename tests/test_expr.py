@@ -612,6 +612,17 @@ class TestCentralDifference:
         with pytest.raises(ValueError, match="step must be positive"):
             expr_module.central_difference(got, "x", 0.0)
 
+    @pytest.mark.parametrize("h", [0.0, -1e-4, math.nan, math.inf, -math.inf])
+    def test_step_not_a_finite_positive_number_refused(self, h):
+        # a NaN step built a tree of NaNs, and each copy of the check let it by
+        with pytest.raises(ValueError, match=f"^{re.escape(f'step must be positive, got {h}')}$"):
+            expr_module.check_steps(h, ["x"], [1.0])
+        with pytest.raises(ValueError, match="step must be positive"):
+            expr_module.central_difference(parse_expression("x"), "x", h)
+        with pytest.raises(ValueError, match="step must be positive"):
+            diff_callable(lambda b: b["x"], "x", {"x": 1.0}, h=h)
+        expr_module.check_steps(None, ["x"], [math.nan])  # None means exact
+
 
 def rebuilt_substitution(expr, values):
     """Substitution that builds every node anew: the oracle of

@@ -572,8 +572,9 @@ def test_leaf_loop_matches_reference_sweep(n, d):
 
 
 # ------------------------------------------------------ anchoring oracle
-# The anchoring as it was first written: one full NPath per iteration, its
-# lines read at t = 0 (``oracles.anchoring_oracle``).  The run reads x_j(0)
+# The anchoring the long way: one full NPath per iteration, its lines read
+# at t = 0 by the oracle's own Hermite pieces, then the same quasi-Newton
+# step and halving (``oracles.anchoring_oracle``).  The run reads x_j(0)
 # from the sweep's records and builds the n-path once; it must give the
 # same n-path bit for bit, or the same error.
 
@@ -663,59 +664,97 @@ class TestAnchoringAgainstOracle:
             assert isinstance(want, list)
             assert anchor_outcome(lambda: hj_trajectories_foliation(s, fol, *args)) == want
 
-    @pytest.mark.parametrize("fault", ["crossing outside", "error"])
-    def test_partial_sweep_that_cannot_serve_is_rerun_in_full(self, monkeypatch, fault):
-        # one partial sweep of each run, the first, cannot read x_j(0) as the
-        # full sweep would: its iteration sweeps all leaves instead
-        steps, faults = [], []
-        real_loop, real_sweep, real_reach = hj._leaf_loop, hj._leaf_sweep, hj._anchor_reach
+    def test_failed_sweep_halves_the_step(self, monkeypatch):
+        # the second sweep of the run, and of the oracle, raises after the
+        # first step: the third sweeps from half that step
+        calls, starts = [0], []
+        real_loop = hj._leaf_loop
 
-        def counted_loop(*args):
+        def faulty_loop(*args):
             loop = real_loop(*args)
-            return lambda x, ts, hs: steps.append(len(hs)) or loop(x, ts, hs)
 
-        def faulty_sweep(*args):
-            sweep, full = real_sweep(*args)
+            def run(x, ts, hs):
+                calls[0] += 1
+                starts.append(np.array(x))
+                if calls[0] == 3:  # the forward loop of the second sweep
+                    raise FoliationDegeneracyError("a sweep failed")
+                return loop(x, ts, hs)
 
-            def run(x_leaf, reach):
-                if reach != full and not faults:
-                    faults.append(reach)
-                    raise FoliationDegeneracyError("a partial sweep failed")
-                return sweep(x_leaf, reach)
+            return run
 
-            return run, full
-
-        def narrow_once(*args):
-            if faults:
-                return real_reach(*args)
-            faults.append(args)
-            return 1, 1  # the crossings lie about 30 leaves from s = 0
-
-        monkeypatch.setattr(hj, "_leaf_loop", counted_loop)
-        if fault == "error":
-            monkeypatch.setattr(hj, "_leaf_sweep", faulty_sweep)
-        else:
-            monkeypatch.setattr(hj, "_anchor_reach", narrow_once)
+        monkeypatch.setattr(hj, "_leaf_loop", faulty_loop)
         s, fol, init = coupled_hj(), Foliation([0.3]), [[-1.0], [1.0]]
         got = anchor_outcome(lambda: hj_trajectories_foliation(s, fol, init, (-1.0, 1.0),
                                                                0.01))
-        assert faults and isinstance(got, list)
-        # the (forward, backward) steps of each sweep: the first sweep, the
-        # failed partial one (its loops never ran on an error) and the full
-        # sweep that replaces it, partial sweeps, then the world lines' sweep
-        sweeps = list(zip(steps[::2], steps[1::2]))
-        full = (100, 100)
-        start = [full, full] if fault == "error" else [full, (1, 1), full]
-        assert sweeps[:len(start)] == start
-        assert all(fw < 100 and bw < 100 for fw, bw in sweeps[len(start):-1])
-        assert len(sweeps) > len(start) + 2 and sweeps[-1] == full
-        monkeypatch.undo()
+        assert isinstance(got, list)
+        first, failed, halved = starts[0], starts[2], starts[3]
+        assert np.all(failed != first)
+        np.testing.assert_allclose(halved - first, (failed - first) / 2, rtol=1e-12)
+        calls[0] = 0
         assert got == anchor_outcome(lambda: anchoring_oracle(s, fol, init, (-1.0, 1.0),
                                                               0.01))
+        # a run that ends on it raises it, as does an error on the first sweep
+        for start, iters in [(0, 2), (2, 50)]:
+            calls[0] = start
+            with pytest.raises(FoliationDegeneracyError, match="a sweep failed"):
+                hj_trajectories_foliation(s, fol, init, (-1.0, 1.0), 0.01,
+                                          max_anchor_iters=iters)
+
+    def test_anchors_where_the_plain_step_crawls(self, monkeypatch):
+        # u.V = 0.8 * 1.2 = 0.96: the plain step x_leaf += gap shrinks the
+        # gap by 0.96 a sweep and does not anchor in 50 sweeps; the
+        # straight-line model J = 1 - u.V solves this free system at once
+        s = HJFunction("k1*x1_1 - (k1^2/2)*t1", 1, 1, [0.5], {"k1": 0.6})
+        fol, init, args = Foliation([0.8]), [[1.5]], ((-1.0, 0.05), 0.25)
+        calls = []
+        real_loop = hj._leaf_loop
+
+        def counted_loop(*loop_args):
+            loop = real_loop(*loop_args)
+            return lambda x, ts, hs: calls.append(x) or loop(x, ts, hs)
+
+        monkeypatch.setattr(hj, "_leaf_loop", counted_loop)
+        path = hj_trajectories_foliation(s, fol, init, *args, 1e-10, 50)
+        assert len(calls) <= 2 * 3  # at most 3 sweeps of two loop calls
+        assert abs(path.line(1).x_at(0.0)[0] - 1.5) <= 1e-10
+        assert anchor_outcome(lambda: path) == anchor_outcome(
+            lambda: anchoring_oracle(s, fol, init, *args, 1e-10, 50))
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"anchor_tol": math.nan}, "anchor_tol must be a number >= 0, got nan"),
+        ({"anchor_tol": -1e-10}, "anchor_tol must be a number >= 0, got -1e-10"),
+        ({"max_anchor_iters": 0}, "max_anchor_iters must be at least 1, got 0"),
+        ({"ds": math.nan}, "ds must be a finite number > 0, got nan"),
+        ({"ds": math.inf}, "ds must be a finite number > 0, got inf"),
+        ({"ds": 0.0}, "ds must be a finite number > 0, got 0.0"),
+        ({"ds": -0.01}, "ds must be a finite number > 0, got -0.01"),
+    ])
+    def test_bad_anchoring_parameters_refused(self, monkeypatch, kwargs, match):
+        monkeypatch.setattr(hj, "_leaf_sweep", None)  # refused before any sweep
+        args = {"s_span": (-1.0, 1.0), "ds": 0.01, **kwargs}
+        with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
+            hj_trajectories_foliation(free_hj(), Foliation([0.3]), [[-1.0], [1.0]],
+                                      **args)
+
+    def test_zero_tolerance_met_only_by_an_exact_gap(self):
+        # on the unboosted foliation the first sweep reads x_j(0) = x_leaf
+        # exactly, so the gap is 0 and a tolerance of 0 is met
+        path = hj_trajectories_foliation(free_hj(), Foliation([0.0]), [[-1.0], [1.0]],
+                                         (-1.0, 1.0), 0.01, anchor_tol=0.0,
+                                         max_anchor_iters=1)
+        assert path.line(1).x_at(0.0)[0] == -1.0
+        # boosted, the gap stops at rounding noise, where a step no longer
+        # moves z: J keeps its rank and the run ends unconverged
+        args = free_hj(), Foliation([0.3]), [[-1.0], [1.0]], (-1.0, 1.0), 0.1, 0.0, 20
+        with pytest.raises(FoliationError, match="did not converge in 20 iterations"):
+            hj_trajectories_foliation(*args)
+        assert anchor_outcome(lambda: anchoring_oracle(*args)) == anchor_outcome(
+            lambda: hj_trajectories_foliation(*args))
 
     def test_leaf_steps_per_pass(self, monkeypatch):
-        # the hj-foliation workload's three sweeping configs, whose every
-        # anchoring iteration swept all 200 leaves: 4800, 2200 and 200 steps
+        # the hj-foliation workload's three sweeping configs, 200 leaves a
+        # sweep: one sweep on each unboosted foliation, two on each boosted
+        # free one and five on the boosted coupled one
         counts, real_loop = {}, hj._leaf_loop
 
         def counted_loop(*args):
@@ -730,10 +769,8 @@ class TestAnchoringAgainstOracle:
         monkeypatch.setattr(hj, "_leaf_loop", counted_loop)
         for name in ("hj_free_foliations", "hj_coupled_foliations", "hj_free_trajectories"):
             run_config(copy.deepcopy(EXAMPLE_CONFIGS[name]), "foliation")
-        assert counts["hj_free_foliations"] <= 0.7 * 4800
-        assert counts["hj_coupled_foliations"] <= 0.7 * 2200
-        assert counts["hj_free_trajectories"] == 200
-        assert sum(counts.values()) <= 5000
+        assert counts == {"hj_free_foliations": 1000, "hj_coupled_foliations": 1200,
+                          "hj_free_trajectories": 200}
 
     def test_span_without_leaves_refused(self):
         # s_span [0, 0] on an unboosted foliation: no step from s = 0

@@ -57,6 +57,16 @@ def interaction_picture() -> PartialHamiltonianSet:
 
 
 class TestDefect:
+    @pytest.mark.parametrize("h", [0.0, math.nan, math.inf])
+    def test_step_not_a_finite_positive_number_refused(self, h):
+        # h = nan or inf read nan, with RuntimeWarnings
+        for defect in (lambda: consistency_defect_matrix(coupled_qubits(), [0.1, 0.2],
+                                                         1, 2, h=h),
+                       lambda: quantum_consistency_defect(coupled_qubits(), [0.1, 0.2],
+                                                          h=h)):
+            with pytest.raises(ValueError, match="step must be positive"):
+                defect()
+
     def test_free_defect_zero(self):
         rep = quantum_consistency_defect(free_qubits(), [0.3, -0.7])
         assert rep.max_defect < 1e-12
