@@ -11,7 +11,6 @@ from .expr import (
     evaluate,
     free_variables,
     parse_expression,
-    to_string,
 )
 from .reports import DefectReport, DivergenceReport, ResidualReport
 

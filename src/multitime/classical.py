@@ -181,11 +181,9 @@ def hamiltonian_vector_field(h_exprs: str | Expression | Sequence[str | Expressi
     parsed = [parse_expression(e) if isinstance(e, str) else e for e in exprs]
     for e in parsed:
         _check_vars(e, n, d)
-    p_vars = [[f"p{j + 1}_{dd + 1}" for dd in range(d)] for j in range(n)]
-    x_vars = [[f"x{j + 1}_{dd + 1}" for dd in range(d)] for j in range(n)]
-    grad = derivative(h)
-    v = [[grad(parsed[j], var) for var in p_vars[j]] for j in range(n)]
-    w = [[Neg(grad(parsed[j], var)) for var in x_vars[j]] for j in range(n)]
+    xs, ps, grad = binding_names("x", n, d), binding_names("p", n, d), derivative(h)
+    v = [[grad(parsed[j], var) for var in ps[j * d:(j + 1) * d]] for j in range(n)]
+    w = [[Neg(grad(parsed[j], var)) for var in xs[j * d:(j + 1) * d]] for j in range(n)]
     return PhaseVectorField.from_expressions(n, d, v, w)
 
 
@@ -228,7 +226,7 @@ def classical_consistency_defect(field: PhaseVectorField, point: PhasePoint,
             if k != j:
                 ak = (k - 1) * d  # v_k and w_k
                 pairs[f"{j},{k}"] = max(d_j[ak:ak + d] + d_j[nd + ak:nd + ak + d])
-    return DefectReport(pairs=pairs, max_defect=max(pairs.values(), default=0.0), h=h)
+    return DefectReport(pairs=pairs, h=h)
 
 
 @functools.lru_cache(maxsize=64)
@@ -259,10 +257,13 @@ def _table(rows: Sequence[tuple], width: int) -> np.ndarray:
 
 def equal_time_steps(t_span: tuple[float, float], dt: float) -> int:
     """The RK4 steps of an equal-time run over ``t_span`` at about ``dt``:
-    (t1 - t0) / dt rounded, at least 1; ValueError above ``MAX_STEPS``
-    and for a ``dt`` that is not a finite number > 0."""
+    (t1 - t0) / dt rounded, at least 1; ValueError above ``MAX_STEPS``,
+    for a ``dt`` that is not a finite number > 0 and for a non-finite end."""
     check_steps(dt, (), ())
-    steps = (float(t_span[1]) - float(t_span[0])) / dt
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t_span must have finite ends, got ({t0}, {t1})")
+    steps = (t1 - t0) / dt
     bound_steps(steps)
     return max(1, int(round(steps)))
 
@@ -442,7 +443,9 @@ def evolve_full_grid(hpair: HamiltonianPair, init: PhasePoint,
 
 def rectangle_steps(rectangle: tuple[float, float], dt: float) -> tuple[int, int]:
     """``(m1, m2)``, the RK4 steps of the t1 and t2 legs of one path around
-    ``rectangle`` at about ``dt`` ((0, 0) for a side of 0), at most ``MAX_STEPS``."""
+    ``rectangle`` at about ``dt`` ((0, 0) for a side of 0), at most ``MAX_STEPS``;
+    ValueError for a ``dt`` that is not a finite number > 0."""
+    check_steps(dt, (), ())
     if 0.0 in rectangle:
         return 0, 0
     s1, s2 = abs(rectangle[0]) / dt, abs(rectangle[1]) / dt

@@ -62,7 +62,6 @@ __all__ = [
     "parse_expression",
     "evaluate",
     "free_variables",
-    "to_string",
     "binding_names",
     "compile_function",
     "STEP_TIME",
@@ -746,51 +745,3 @@ def evaluate(expr: Expression, bindings: Mapping[str, float]) -> float:
         raise UnboundVariableError(f"variable {exc.args[0]!r} is not bound") from None
     return function(values)[0]
 
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
-_PREC_NEG = 3
-
-
-def _prec(expr: Expression) -> int:
-    match expr:
-        case BinOp(op, _, _):
-            return _PREC[op]
-        case Neg(_):
-            return _PREC_NEG
-        case _:
-            return 10
-
-
-def to_string(expr: Expression) -> str:
-    """Pretty-print so that re-parsing yields a structurally identical tree."""
-    match expr:
-        case Num(value):
-            if value == int(value) and abs(value) < 1e16:
-                return str(int(value))
-            return repr(value)
-        case Var(name):
-            return name
-        case Neg(arg):
-            inner = to_string(arg)
-            if _prec(arg) < _PREC_NEG:
-                inner = f"({inner})"
-            return f"-{inner}"
-        case BinOp(op, left, right):
-            ls = to_string(left)
-            rs = to_string(right)
-            # conservative parenthesization: equal precedence on the wrong
-            # side is always wrapped, which keeps round-trips structural
-            if op == "^":
-                if _prec(left) <= _PREC[op]:
-                    ls = f"({ls})"
-                if _prec(right) < _PREC[op]:
-                    rs = f"({rs})"
-            else:
-                if _prec(left) < _PREC[op]:
-                    ls = f"({ls})"
-                if _prec(right) <= _PREC[op]:
-                    rs = f"({rs})"
-            return f"{ls} {op} {rs}"
-        case Call(func, arg):
-            return f"{func}({to_string(arg)})"
-    raise TypeError(f"not an Expression: {expr!r}")

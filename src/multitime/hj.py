@@ -85,11 +85,11 @@ class HJFunction:
         cross-check of ``gradients``.  A given step ``h`` that rounds away
         at a component of x_j raises FloatingPointError."""
         x = np.atleast_2d(np.asarray(x, float))
-        names = [f"x{j}_{dd + 1}" for dd in range(self.d)]
+        xs = binding_names("x", *x.shape)
+        names = xs[(j - 1) * self.d:j * self.d]
         check_steps(h, names, x[j - 1].tolist())
         times = np.asarray(times, float).tolist()
-        b = dict(zip(binding_names("t", len(times)) + binding_names("x", *x.shape),
-                     times + x.ravel().tolist()))
+        b = dict(zip(binding_names("t", len(times)) + xs, times + x.ravel().tolist()))
         return np.array([partial_derivative(self.expr, name, b, h=h) for name in names])
 
     def gradients(self, h: float | None = None) -> Callable[
@@ -114,8 +114,9 @@ class Foliation:
 
     def __init__(self, u: Sequence[float] | float):
         u = np.atleast_1d(np.asarray(u, float))
-        if np.linalg.norm(u) >= 1.0:
-            raise ValueError(f"|u| = {np.linalg.norm(u)} >= 1: leaves not spacelike")
+        if not (norm := np.linalg.norm(u)) < 1.0:
+            why = ">= 1" if norm >= 1.0 else "is not a number"
+            raise ValueError(f"|u| = {norm} {why}: leaves not spacelike")
         object.__setattr__(self, "u", tuple(float(v) for v in u))
 
     @property
@@ -180,13 +181,12 @@ def hj_residual_multi(s: HJFunction, h_exprs: Sequence[str | Expression],
 def _poisson_defects(h_exprs: tuple[Expression, ...], n: int, d: int,
                      h: float | None) -> Callable:
     """``(times, (x, p)) -> (P_12, P_13, .., P_{n-1,n})``."""
-    grad = derivative(h)
+    grad, ts = derivative(h), binding_names("t", n)
     return compile_function(
-        [BinOp("-", BinOp("-", grad(h_exprs[k], f"t{j + 1}"),
-                          grad(h_exprs[j], f"t{k + 1}")),
+        [BinOp("-", BinOp("-", grad(h_exprs[k], ts[j]), grad(h_exprs[j], ts[k])),
                _bracket(h_exprs[j], h_exprs[k], n, d, h))
          for j in range(n) for k in range(j + 1, n)],
-        [binding_names("t", n), binding_names("x", n, d) + binding_names("p", n, d)])
+        [ts, binding_names("x", n, d) + binding_names("p", n, d)])
 
 
 def hj_consistency_defect(h_exprs: Sequence[str | Expression], point: PhasePoint,
@@ -200,7 +200,7 @@ def hj_consistency_defect(h_exprs: Sequence[str | Expression], point: PhasePoint
     fn = _poisson_defects(tuple(map(_as_expr, h_exprs)), n, d, h)
     keys = [f"{j},{k}" for j in range(1, n + 1) for k in range(j + 1, n + 1)]
     pairs = dict(zip(keys, map(abs, fn(times, y))))
-    return DefectReport(pairs=pairs, max_defect=max(pairs.values(), default=0.0), h=h)
+    return DefectReport(pairs=pairs, h=h)
 
 
 @functools.lru_cache(maxsize=64)
@@ -229,16 +229,16 @@ def equal_time_sum_gap(h_exprs: Sequence[str | Expression],
 def _velocity_defects(s_expr: Expression, n: int, d: int, masses: tuple[float, ...],
                       h: float | None) -> Callable:
     """``(times, x) ->`` the defect components for each j and x_k, k != j."""
-    grad, xs, outputs = derivative(h), binding_names("x", n, d), []
+    grad, ts, xs, outputs = derivative(h), binding_names("t", n), binding_names("x", n, d), []
     for j in range(n):
         xj = xs[j * d:(j + 1) * d]
         vel = [BinOp("/", grad(s_expr, v), Num(masses[j])) for v in xj]
         for grad_k in [grad(s_expr, xk) for xk in xs if xk not in xj]:
-            val = grad(grad_k, f"t{j + 1}")
+            val = grad(grad_k, ts[j])
             for v, xv in zip(vel, xj):
                 val = BinOp("+", val, BinOp("*", v, grad(grad_k, xv)))
             outputs.append(val)
-    return compile_function(outputs, [binding_names("t", n), xs])
+    return compile_function(outputs, [ts, xs])
 
 
 def hj_velocity_consistency_defect(s: HJFunction, times: Sequence[float],
@@ -289,13 +289,12 @@ def _leaf_loop(s_expr: Expression, n: int, d: int, masses: tuple[float, ...],
     on leaf s particle j sits at t_j = s + u.x_j and moves with the
     velocity V_j = grad_{x_j} S / m_j, exact.  The sums u.x start from 0,
     so the sign of a zero in u changes nothing and u may key the memo."""
-    xs = binding_names("x", n, d)
-    leaf_time = {}
-    for j in range(n):
+    xs, leaf_time = binding_names("x", n, d), {}
+    for j, t in enumerate(binding_names("t", n)):
         dot = Num(0.0)
         for uk, x in zip(u, xs[j * d:(j + 1) * d]):
             dot = BinOp("+", dot, BinOp("*", Num(uk), Var(x)))
-        leaf_time[f"t{j + 1}"] = BinOp("+", Var(STEP_TIME), dot)
+        leaf_time[t] = BinOp("+", Var(STEP_TIME), dot)
     velocities = [BinOp("/", substitute(diff(s_expr, x), leaf_time), Num(masses[i // d]))
                   for i, x in enumerate(xs)]
     return compile_rk4(velocities, xs, rates=_leaf_rates(u, n, d))

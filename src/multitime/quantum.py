@@ -174,7 +174,7 @@ def _dh(sys: PartialHamiltonianSet, k: int, axis: int,
         times: Sequence[float], h: float) -> np.ndarray:
     """Central difference of H_k along time coordinate ``axis``."""
     tp = np.array(times, dtype=float)
-    check_steps(h, [f"t{axis}"], [tp[axis - 1]])
+    check_steps(h, binding_names("t", len(tp))[axis - 1:axis], [tp[axis - 1]])
     tm = tp.copy()
     tp[axis - 1] += h
     tm[axis - 1] -= h
@@ -201,7 +201,7 @@ def quantum_consistency_defect(sys: PartialHamiltonianSet,
         for k in range(j + 1, sys.n + 1):
             c = consistency_defect_matrix(sys, times, j, k, h=h)
             pairs[f"{j},{k}"] = linops.norm_inf(c)
-    return DefectReport(pairs=pairs, max_defect=max(pairs.values(), default=0.0), h=h)
+    return DefectReport(pairs=pairs, h=h)
 
 
 def path_substeps(segments: Sequence[Segment]) -> int:

@@ -4,7 +4,7 @@ and the CSV writer for tabular output."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 __all__ = ["DefectReport", "ResidualReport", "DivergenceReport", "write_csv"]
 
@@ -26,8 +26,12 @@ class DefectReport:
     """
 
     pairs: dict[str, float]
-    max_defect: float
     h: float | None
+
+    @property
+    def max_defect(self) -> float:
+        """The largest pair's defect, 0.0 without a pair (n = 1)."""
+        return max(self.pairs.values(), default=0.0)
 
     def to_dict(self) -> dict:
         return {
@@ -56,9 +60,4 @@ class DivergenceReport:
     tolerance: float
 
     def to_dict(self) -> dict:
-        return {
-            "labels": self.labels,
-            "distances": self.distances,
-            "foliation_independent": self.foliation_independent,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)

@@ -18,6 +18,10 @@ read from the compiled multi-time residuals of ``hj`` with one time.
 variables instead, so a bit-for-bit comparison also checks that the two
 agree.
 
+``to_string`` prints an expression so that parsing the text gives the
+same tree back; the parser's round-trip and the symbolic ``diff`` tests
+read their trees through it.
+
 ``hermite_oracle``, ``anchoring_oracle``, ``full_grid_oracle`` and
 ``path_independence_oracle`` build n-paths and grids the long way, which
 the library's runs are pinned against bit for bit and error for error:
@@ -32,9 +36,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from multitime import classical, hj
-from multitime.expr import (Expression, ExpressionError, Num, binding_names,
-                            bound_steps, check_steps, evaluate, parse_expression,
-                            substitute)
+from multitime.expr import (BinOp, Call, Expression, ExpressionError, Neg, Num, Var,
+                            binding_names, bound_steps, check_steps, evaluate,
+                            parse_expression, substitute)
 from multitime.hj import _as_expr, _residuals
 from multitime.paths import NPath, PathRangeError, WorldLine
 
@@ -63,6 +67,55 @@ def with_constants(exprs: Sequence[str | Expression],
     """``exprs`` with each name in ``constants`` replaced by its value."""
     numbers = {k: Num(float(v)) for k, v in (constants or {}).items()}
     return [substitute(_as_expr(e), numbers) for e in exprs]
+
+
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
+_PREC_NEG = 3
+
+
+def _prec(expr: Expression) -> int:
+    match expr:
+        case BinOp(op, _, _):
+            return _PREC[op]
+        case Neg(_):
+            return _PREC_NEG
+        case _:
+            return 10
+
+
+def to_string(expr: Expression) -> str:
+    """Pretty-print so that re-parsing yields a structurally identical tree."""
+    match expr:
+        case Num(value):
+            if value == int(value) and abs(value) < 1e16:
+                return str(int(value))
+            return repr(value)
+        case Var(name):
+            return name
+        case Neg(arg):
+            inner = to_string(arg)
+            if _prec(arg) < _PREC_NEG:
+                inner = f"({inner})"
+            return f"-{inner}"
+        case BinOp(op, left, right):
+            ls = to_string(left)
+            rs = to_string(right)
+            # conservative parenthesization: equal precedence on the wrong
+            # side is always wrapped, which keeps round-trips structural
+            if op == "^":
+                if _prec(left) <= _PREC[op]:
+                    ls = f"({ls})"
+                if _prec(right) < _PREC[op]:
+                    rs = f"({rs})"
+            else:
+                if _prec(left) < _PREC[op]:
+                    ls = f"({ls})"
+                if _prec(right) <= _PREC[op]:
+                    rs = f"({rs})"
+            return f"{ls} {op} {rs}"
+        case Call(func, arg):
+            return f"{func}({to_string(arg)})"
+    raise TypeError(f"not an Expression: {expr!r}")
 
 
 def _hamiltonian(terms, base, dim: int, j: int, times: Sequence[float]) -> np.ndarray:

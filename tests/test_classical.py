@@ -1,5 +1,6 @@
 import copy
 import functools
+import math
 import struct
 
 import numpy as np
@@ -309,6 +310,15 @@ class TestEqualTimeEvolution:
         with pytest.raises(ValueError, match="step must be positive"):
             evolve_equal_time(free_field(), phase_point(0.0, -1.0, 1.0, 0.1, 0.2),
                               (0.0, 1.0), dt)
+
+    @pytest.mark.parametrize("t_span", [(0.0, math.nan), (math.nan, 1.0),
+                                        (0.0, math.inf), (-math.inf, 1.0)])
+    def test_span_with_a_non_finite_end_refused(self, t_span):
+        # a NaN end died converting NaN to an integer; an infinite one was
+        # refused only as an infinite step count
+        with pytest.raises(ValueError, match="t_span must have finite ends"):
+            evolve_equal_time(free_field(), phase_point(0.0, -1.0, 1.0, 0.1, 0.2),
+                              t_span, 0.01)
 
     def test_unequal_initial_times_rejected(self):
         init = PhasePoint(times=[0.0, 0.5], x=[[0.0], [1.0]], p=[[0.0], [0.0]])
@@ -703,6 +713,17 @@ class TestRk4Step:
         with pytest.raises(ValueError, match="takes 1000001 RK4 steps"):
             classical.rectangle_steps((500000.3, -499999.6), 1.0)
         assert classical.full_grid_steps(3, 4, 2) == 24
+
+    @pytest.mark.parametrize("dt", [0.0, math.nan, -0.1, math.inf])
+    def test_rectangle_step_not_a_finite_positive_number_refused(self, dt):
+        # dt = 0 divided by zero, nan died converting NaN to an integer, and
+        # -0.1 and inf took one RK4 step per leg
+        with pytest.raises(ValueError, match="step must be positive"):
+            classical.rectangle_steps((0.4, 0.4), dt)
+        pair = HamiltonianPair(["p1_1^2/2", "p2_1^2/2"], 2, 1)
+        with pytest.raises(ValueError, match="step must be positive"):
+            grid_path_independence(pair, phase_point(0.0, -1.0, 1.0, 0.1, -0.1),
+                                   (0.4, 0.4), dt)
 
     def test_step_count_bounded_before_the_run(self):
         init = phase_point(0.0, -1.0, 1.0, 0.1, -0.1)

@@ -27,12 +27,12 @@ from multitime.expr import (
     free_variables,
     parse_expression,
     substitute,
-    to_string,
 )
 from multitime.hj import hj_consistency_defect
 from multitime.quantum import (MultiTimeState, PartialHamiltonianSet,
                                evolve_staircase, staircase_between)
 from multitime.numdiff import default_step, diff_callable, partial_derivative
+from oracles import to_string
 
 
 def central_difference(f, x, h):

@@ -167,6 +167,14 @@ class TestFoliations:
             Foliation([1.0])
         assert Foliation([0.3]).label() == "u=0.3"
 
+    @pytest.mark.parametrize("u", [[math.nan], [0.3, math.nan]])
+    def test_tilt_with_a_nan_norm_rejected(self, u):
+        # a NaN norm failed the test norm >= 1 and was accepted
+        with pytest.raises(ValueError, match="nan is not a number: leaves not spacelike"):
+            Foliation(u)
+        with pytest.raises(ValueError, match=re.escape("|u| = 1.0 >= 1: leaves not spacelike")):
+            Foliation([1.0])  # the message the CLI shows is unchanged
+
     def test_free_trajectories_straight(self):
         s = free_hj()
         path = hj_trajectories_foliation(s, Foliation([0.3]),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import diagonal_oracle, staircase_oracle
 
-from multitime import cli, linops, quantum
+from multitime import classical, cli, linops, quantum
 from multitime.configs import EXAMPLE_CONFIGS
 from multitime.linops import (
     SIGMA_Y,
@@ -66,6 +66,17 @@ class TestDefect:
                                                           h=h)):
             with pytest.raises(ValueError, match="step must be positive"):
                 defect()
+
+    def test_one_time_has_no_pair(self):
+        # n = 1 has no pair j < k, so the maximum reads 0.0 in every sector
+        field = classical.PhaseVectorField.free(1, 1, [1.0])
+        point = classical.PhasePoint(times=[0.2], x=[[0.5]], p=[[0.3]])
+        reports = [classical.classical_consistency_defect(field, point),
+                   quantum_consistency_defect(
+                       PartialHamiltonianSet([[(SIGMA_Z, 1.0)]], 2), [0.2])]
+        for rep in reports:
+            assert rep.pairs == {} and rep.max_defect == 0.0
+            assert rep.to_dict() == {"pairs": {}, "max_defect": 0.0, "h": 1e-4}
 
     def test_free_defect_zero(self):
         rep = quantum_consistency_defect(free_qubits(), [0.3, -0.7])
