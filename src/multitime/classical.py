@@ -15,13 +15,15 @@ Every integration here and in the HJ module is one compiled RK4 loop
 field's expressions inlined in every stage.  Each loop is compiled once
 per field and mode (equal-time, or full-grid legs along one time axis)
 and memoised on the field's expressions, and so is the consistency
-defect, built with ``expr.derivative`` per field and step.  An
+defect, built with ``expr.derivative`` per field and step, which a
+sample grid takes in one call (``classical_defect_grid``).  An
 equal-time run is one loop call; a full grid is one call per column or
 row, all its legs in a row, and a path around a rectangle one per leg.
 A field's right-hand side ``PhaseVectorField.rhs``, one compiled
-function of the time tuple and the state, serves the validity
-residuals.  Numpy arrays are built once a run is done, from the loop's
-records by ``np.fromiter``.  A run's plan function counts its RK4 steps
+function of the time tuple and the state memoised the same way, serves
+the validity residuals, which are taken on arrays over all samples.
+Numpy arrays are built once a run is done, from the loop's records by
+``np.fromiter``.  A run's plan function counts its RK4 steps
 and refuses more than ``expr.MAX_STEPS`` before the run starts.
 """
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -47,6 +50,7 @@ __all__ = [
     "PhaseVectorField",
     "hamiltonian_vector_field",
     "classical_consistency_defect",
+    "classical_defect_grid",
     "equal_time_steps",
     "evolve_equal_time",
     "validity_residual",
@@ -109,6 +113,11 @@ def _state_names(n: int, d: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return binding_names("t", n), binding_names("x", n, d) + binding_names("p", n, d)
 
 
+@functools.lru_cache(maxsize=64)
+def _rhs(exprs: tuple[Expression, ...], n: int, d: int) -> RHS:
+    return compile_function(exprs, _state_names(n, d))
+
+
 @dataclass
 class PhaseVectorField:
     """The fields (v_1, w_1, .., v_n, w_n): ``exprs`` holds the components
@@ -119,15 +128,16 @@ class PhaseVectorField:
     d: int
     exprs: tuple[Expression, ...]
 
-    @functools.cached_property
+    @property
     def rhs(self) -> RHS:
         """The right-hand side ``(times, y) -> (v_1..v_n, w_1..w_n)``: a
         time tuple and a flat state y = (x, p) of floats in, the 2·n·d
         rates out as one tuple of floats.  It is one compiled function of
-        all components (``expr.compile_function``), built on first use;
+        all components (``expr.compile_function``), compiled once per
+        tuple of expressions, so a field rebuilt from equal ones shares it;
         each rate is bit for bit the component's value.
         """
-        return compile_function(self.exprs, _state_names(self.n, self.d))
+        return _rhs(self.exprs, self.n, self.d)
 
     @classmethod
     def from_expressions(cls, n: int, d: int,
@@ -204,8 +214,50 @@ def _defects(exprs: tuple[Expression, ...], n: int, d: int, h: float) -> Callabl
     return compile_function(outputs, (times, state))
 
 
+@functools.lru_cache(maxsize=32)
+def _pair_slots(n: int, d: int) -> tuple[tuple[str, Callable], ...]:
+    """``("j,k", get)`` for every ordered pair j != k: ``get`` picks D_j of
+    the components of v_k and then of w_k from the values of ``_defects``."""
+    nd = n * d
+    return tuple((f"{j},{k}", operator.itemgetter(*(
+        2 * nd * (j - 1) + vw + (k - 1) * d + dd for vw in (0, nd) for dd in range(d))))
+                 for j in range(1, n + 1) for k in range(1, n + 1) if k != j)
+
+
+def classical_defect_grid(field: PhaseVectorField, points: Sequence[PhasePoint],
+                          h: float | None = 1e-4) -> list[DefectReport]:
+    """``classical_consistency_defect`` at every one of ``points``, in order,
+    with one compiled function and one step check for them all.
+
+    The values are bit for bit those of the one-point calls, and a failing
+    grid raises the error that calling them one by one would raise first:
+    the step check covers the (points x coordinates) array at once, and
+    points before the first one whose coordinate lets h round away are
+    evaluated before that FloatingPointError is raised.
+    """
+    n, d = field.n, field.d
+    nd = n * d
+    check_steps(h, (), ())
+    width = n + 2 * nd
+    coords = np.concatenate([np.array([getattr(pt, key) for pt in points], float)
+                             .reshape(len(points), size)
+                             for key, size in (("times", n), ("x", nd), ("p", nd))], axis=1)
+    rounds = ([] if h is None else
+              np.flatnonzero((coords + h == coords) | (coords - h == coords)))
+    stop = int(rounds[0]) // width if len(rounds) else len(points)
+    reports = []
+    if stop:
+        defects, pairs = _defects(field.exprs, n, d, h), _pair_slots(n, d)
+        for ts, y in zip(coords[:stop, :n].tolist(), coords[:stop, n:].tolist()):
+            values = list(map(abs, defects(ts, y)))
+            reports.append(DefectReport({key: max(at(values)) for key, at in pairs}, h))
+    if stop < len(points):
+        check_steps(h, sum(_state_names(n, d), ()), coords[stop].tolist())
+    return reports
+
+
 def classical_consistency_defect(field: PhaseVectorField, point: PhasePoint,
-                                 h: float = 1e-4) -> DefectReport:
+                                 h: float | None = 1e-4) -> DefectReport:
     """Sup-norm of (D_j v_k, D_j w_k) for every ordered pair j != k.
 
     Every derivative is a component's central difference at the step h,
@@ -213,20 +265,9 @@ def classical_consistency_defect(field: PhaseVectorField, point: PhasePoint,
     defined within h of the point, or DomainError is raised; a coordinate
     at which h rounds away raises FloatingPointError and a step that is
     not a finite number > 0 raises ValueError (``expr.check_steps``).
+    It is the one-point case of ``classical_defect_grid``.
     """
-    n, d = field.n, field.d
-    nd = n * d
-    times, y = point.times.tolist(), point.state().tolist()
-    check_steps(h, sum(_state_names(n, d), ()), times + y)
-    values = [abs(v) for v in _defects(field.exprs, n, d, h)(times, y)]
-    pairs = {}
-    for j in range(1, n + 1):
-        d_j = values[(j - 1) * 2 * nd:j * 2 * nd]  # D_j of every component
-        for k in range(1, n + 1):
-            if k != j:
-                ak = (k - 1) * d  # v_k and w_k
-                pairs[f"{j},{k}"] = max(d_j[ak:ak + d] + d_j[nd + ak:nd + ak + d])
-    return DefectReport(pairs=pairs, h=h)
+    return classical_defect_grid(field, [point], h)[0]
 
 
 @functools.lru_cache(maxsize=64)
@@ -294,6 +335,12 @@ def evolve_equal_time(field: PhaseVectorField, init: PhasePoint,
                   for j in range(n)])
 
 
+def _squares(vectors: np.ndarray) -> np.ndarray:
+    """``v @ v`` of every vector v along the last axis, bit for bit as
+    ``v @ v`` computes each on its own (stacked matmul takes the same dot)."""
+    return np.matmul(vectors[..., None, :], vectors[..., :, None])[..., 0, 0]
+
+
 def validity_residual(field: PhaseVectorField, npath: NPath,
                       samples: Sequence[Sequence[float]]) -> ResidualReport:
     """Check the multi-time equations on the n-path at each time tuple.
@@ -306,28 +353,37 @@ def validity_residual(field: PhaseVectorField, npath: NPath,
     report = ResidualReport()
     if any(len(sample) != field.n for sample in samples):
         raise ValueError("sample tuple length does not match n")
-    tuples = np.reshape(np.asarray(samples, float), (len(samples), field.n))
+    n, d = field.n, field.d
+    tuples = np.reshape(np.asarray(samples, float), (len(samples), n))
 
     # one query per world line and quantity, each (sample, particle, d)
-    queried = [np.stack([getattr(npath.line(j + 1), query)(tuples[:, j])
-                         for j in range(field.n)], axis=1)
-               for query in ("x_at", "p_at", "dxdt_at", "dpdt_at")]
-    for times, xs, ps, dxs, dps in zip(tuples, *queried):
-        if not is_spacelike(times, xs):
-            report.rows.append({"times": times.tolist(), "spacelike": False})
+    xs, ps, dxs, dps = [np.stack([getattr(npath.line(j + 1), query)(tuples[:, j])
+                                  for j in range(n)], axis=1)
+                        for query in ("x_at", "p_at", "dxdt_at", "dpdt_at")]
+    # is_spacelike of every sample: its pairs in turn, each on the samples
+    # that passed the pairs before it
+    spacelike = np.ones(len(tuples), bool)
+    for i, j in itertools.combinations(range(n), 2):
+        at = np.flatnonzero(spacelike)
+        dt = tuples[at, i] - tuples[at, j]
+        spacelike[at] = ~(dt * dt >= _squares(xs[at, i] - xs[at, j]))
+    accepted = np.flatnonzero(spacelike)
+    states = np.concatenate([xs[accepted].reshape(-1, n * d),
+                             ps[accepted].reshape(-1, n * d)], axis=1)
+    rhs = field.rhs
+    rates = np.reshape([rhs(times, y) for times, y in
+                        zip(tuples[accepted].tolist(), states.tolist())], (-1, 2, n, d))
+    # |dx_j/dt_j - v_j| + |dp_j/dt_j - w_j|, each norm as np.linalg.norm takes it
+    residuals = iter((np.sqrt(_squares(dxs[accepted] - rates[:, 0]))
+                      + np.sqrt(_squares(dps[accepted] - rates[:, 1]))).tolist())
+    for times, ok in zip(tuples.tolist(), spacelike.tolist()):
+        if not ok:
+            report.rows.append({"times": times, "spacelike": False})
             report.rejected += 1
             continue
-        y = np.concatenate([xs.ravel(), ps.ravel()]).tolist()
-        rates = np.reshape(field.rhs(times.tolist(), y), (2, field.n, field.d))
-        residuals = [float(np.linalg.norm(dxs[j] - rates[0, j])
-                           + np.linalg.norm(dps[j] - rates[1, j]))
-                     for j in range(field.n)]
-        report.rows.append({
-            "times": times.tolist(),
-            "spacelike": True,
-            "residuals": residuals,
-        })
-        report.max_residual = max(report.max_residual, max(residuals))
+        row = next(residuals)
+        report.rows.append({"times": times, "spacelike": True, "residuals": row})
+        report.max_residual = max(report.max_residual, max(row))
     return report
 
 
@@ -444,8 +500,11 @@ def evolve_full_grid(hpair: HamiltonianPair, init: PhasePoint,
 def rectangle_steps(rectangle: tuple[float, float], dt: float) -> tuple[int, int]:
     """``(m1, m2)``, the RK4 steps of the t1 and t2 legs of one path around
     ``rectangle`` at about ``dt`` ((0, 0) for a side of 0), at most ``MAX_STEPS``;
-    ValueError for a ``dt`` that is not a finite number > 0."""
+    ValueError for a ``dt`` that is not a finite number > 0 and for a
+    non-finite side."""
     check_steps(dt, (), ())
+    if not all(math.isfinite(side) for side in rectangle):
+        raise ValueError(f"rectangle must have finite sides, got {tuple(rectangle)}")
     if 0.0 in rectangle:
         return 0, 0
     s1, s2 = abs(rectangle[0]) / dt, abs(rectangle[1]) / dt
@@ -498,8 +557,7 @@ def cjs_demo(family: Sequence[tuple[str, PhaseVectorField]],
     theorem, not a proof)."""
     rows = []
     for name, fld in family:
-        defects = [classical_consistency_defect(fld, pt, h=h).max_defect
-                   for pt in sample_points]
+        defects = [r.max_defect for r in classical_defect_grid(fld, sample_points, h)]
         npath = evolve_equal_time(fld, init, t_span, dt)
         rows.append({
             "id": name,

@@ -387,11 +387,13 @@ def _sample_phase_points(cfg, path: str, n: int, d: int,
     count = _int(cfg["count"], f"{path}/count", 1, MAX_POINTS)
     t_box, x_box, p_box = (_box(cfg[key], f"{path}/{key}")
                            for key in ("t_box", "x_box", "p_box"))
-    rng = np.random.default_rng(seed)
-    return [classical.PhasePoint(times=rng.uniform(*t_box, size=n),
-                                 x=rng.uniform(*x_box, size=(n, d)),
-                                 p=rng.uniform(*p_box, size=(n, d)))
-            for _ in range(count)]
+    # each point's times, x and p in one row: the stream of drawing them in turn
+    bounds = [t_box] * n + [x_box] * (n * d) + [p_box] * (n * d)
+    lo, hi = np.transpose(bounds)
+    rows = np.random.default_rng(seed).uniform(lo, hi, size=(count, len(bounds)))
+    return [classical.PhasePoint(times=row[:n], x=row[n:n + n * d].reshape(n, d),
+                                 p=row[n + n * d:].reshape(n, d))
+            for row in rows]
 
 
 def _equal_time_steps(exp: dict) -> tuple[tuple[float, float], float]:
@@ -566,9 +568,8 @@ def _classical_defect_grid(system: dict, exp: dict, seed: int):
     points = _sample_phase_points(exp["samples"], f"{_E}/samples", n, d, seed)
 
     def run():
-        reports = [classical.classical_consistency_defect(field, pt, h=h)
-                   for pt in points]
-        return {**_defect_summary(reports), "h": h}, None
+        return {**_defect_summary(classical.classical_defect_grid(field, points, h)),
+                "h": h}, None
 
     return run
 
@@ -610,12 +611,10 @@ def _validity(system: dict, exp: dict, seed: int):
         lo, hi = npath.common_time_range()
         # the path may end a rounding error short of t_span[1]
         base_hi = max(hi - window, lo + window)
-        rng = np.random.default_rng(seed)
-        tuples = []
-        for _ in range(count):
-            base = rng.uniform(lo + window, base_hi)
-            tup = base + rng.uniform(-window, window, size=n)
-            tuples.append(np.clip(tup, lo, hi))
+        # each sample's base time, then its n offsets: the stream of drawing them in turn
+        draws = np.random.default_rng(seed).uniform(
+            [lo + window] + [-window] * n, [base_hi] + [window] * n, size=(count, n + 1))
+        tuples = np.clip(draws[:, :1] + draws[:, 1:], lo, hi)
         report = classical.validity_residual(field, npath, tuples)
         return {"max_residual": report.max_residual, "rejected_samples": report.rejected,
                 "accepted_samples": len(report.rows) - report.rejected,

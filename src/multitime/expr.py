@@ -511,9 +511,12 @@ def _emit(outputs: Sequence[Expression], read: Callable[[str], str],
     after output, so the operations run in the order of a left-to-right
     recursive evaluation of the outputs in turn.  Numbers are bound as
     globals in ``namespace``, never as literals, so that CPython cannot
-    fold them.  ``read(name)`` returns the name that holds a variable; it
-    is called once per variable, at its first occurrence, and may append
-    the statement that reads it to ``lines``.
+    fold them.  A check that cannot fire is left out: the zero check of a
+    division by a nonzero number, and the complex check of a power to an
+    integral number (a float to such a power stays real).  ``read(name)``
+    returns the name that holds a variable; it is called once per
+    variable, at its first occurrence, and may append the statement that
+    reads it to ``lines``.
 
     A subtree that occurs again, in the same output or a later one, reuses
     the name computed at its first occurrence: nodes are numbered by their
@@ -562,15 +565,21 @@ def _emit(outputs: Sequence[Expression], read: Callable[[str], str],
                 if op in "+-*":
                     lines.append(f"{out} = {a} {op} {c}")
                 elif op == "/":
-                    lines.append(f"if {c} == 0.0:\n _domain_error('division by zero')\n"
-                                 f"{out} = {a} / {c}")
+                    # a number other than zero needs no check
+                    check = not (isinstance(node.right, Num) and node.right.value != 0.0)
+                    lines.append((f"if {c} == 0.0:\n _domain_error('division by zero')\n"
+                                  if check else "") + f"{out} = {a} / {c}")
                 else:
+                    # a float to an integral float power is never complex
+                    check = not (isinstance(node.right, Num)
+                                 and float(node.right.value).is_integer())
                     lines.append(
                         f"try:\n {out} = {a} ** {c}\n"
                         "except (ValueError, ZeroDivisionError, OverflowError) as exc:\n"
-                        f" _domain_error('invalid power {{}}^{{}}: {{}}', {a}, {c}, exc)\n"
-                        f"if isinstance({out}, complex):\n"
-                        f" _domain_error('power {{}}^{{}} leaves the real domain', {a}, {c})")
+                        f" _domain_error('invalid power {{}}^{{}}: {{}}', {a}, {c}, exc)"
+                        + (f"\nif isinstance({out}, complex):\n"
+                           f" _domain_error('power {{}}^{{}} leaves the real domain', {a}, {c})"
+                           if check else ""))
             case Call(func):
                 namespace[f"_{func}"] = FUNCTIONS[func]
                 x = key[1]
@@ -681,20 +690,33 @@ def compile_rk4(outputs: Sequence[Expression], state: Sequence[str],
     for i < len(hs) only, and returns the states at all len(hs) + 1 nodes
     as one list of tuples.  So one call can run several legs in a row:
     each step starts from its own ``ts[i]``, not from the end of the step
-    before it.
+    before it.  The node time ``ts[i]`` and the stage times are computed
+    only where an output or ``rates`` reads them.  The step's own
+    coefficients are float literals (``h / 2.0``, ``2.0 * k2``), the same
+    floats as ints would be, without CPython's int-and-float path.
     """
     namespace: dict[str, object] = {"_domain_error": _domain_error}
     fixed_locals = {name: f"f_{i}" for i, name in enumerate(fixed)}
     lines: list[str] = []  # the loop body
+    times_read: set[str] = set()  # the stage times that a statement reads
 
     def outputs_at(values: Sequence[str], time: str) -> list[str]:
         """Emit the outputs at the state held in ``values`` and the time
         held in ``time``; return their names."""
-        bound = {**dict(zip(state, values)), STEP_TIME: time, **fixed_locals}
-        return _emit(outputs, _reader(bound), namespace, lines)
+        read = _reader({**dict(zip(state, values)), STEP_TIME: time, **fixed_locals})
+
+        def reading(name: str) -> str:
+            if name == STEP_TIME:
+                times_read.add(time)
+            return read(name)
+
+        return _emit(outputs, reading, namespace, lines)
 
     def rates_at(values: Sequence[str], time: str) -> list[str]:
-        return rates(values, time, lines, namespace) if rates else values
+        if not rates:
+            return values
+        times_read.add(time)  # the hook may read it
+        return rates(values, time, lines, namespace)
 
     def tuple_of(names: Sequence[str]) -> str:
         return f"({''.join(name + ', ' for name in names)})"
@@ -702,30 +724,39 @@ def compile_rk4(outputs: Sequence[Expression], state: Sequence[str],
     ys = [f"y_{i}" for i in range(len(state))]
     node = outputs_at(ys, "t")
     if record:
-        lines.append(f"states.append({tuple_of(ys)})\n"
-                     f"records.append({tuple_of(node)})\n"
+        lines.append(f"add_state({tuple_of(ys)})\n"
+                     f"add_record({tuple_of(node)})\n"
                      "if i == n:\n break")
     ks = [rates_at(node, "t")]
-    lines.append("h = hs[i]\nh2 = h / 2\nt_half = t + h2\nt_end = t + h")
+    scaffold = len(lines)
+    lines.append("")  # the step's scaffold, once the stages' reads are known
     for prefix, time, factor in _STAGES:
         stage = [f"{prefix}_{i}" for i in range(len(state))]
         lines += [f"{s} = {y} + {factor} * {k}" for s, y, k in zip(stage, ys, ks[-1])]
         ks.append(rates_at(outputs_at(stage, time), time))
-    steps = [f"{y} + h6 * ((({k1} + 2 * {k2}) + 2 * {k3}) + {k4})"
-             for y, k1, k2, k3, k4 in zip(ys, *ks)]
-    lines.append(f"h6 = h / 6\n{tuple_of(ys)} = {tuple_of(steps)}")
-    # y - y is 0.0 for a finite y and nan for an infinite or nan one
-    lines.append(f"if {' + '.join(f'({y} - {y})' for y in ys)} != 0.0:\n"
-                 " raise FloatingPointError(f'non-finite state at t = {t + h}')")
+    stage_times = {time: factor for _, time, factor in _STAGES}
+    lines[scaffold] = "\n".join(["h = hs[i]", "h2 = h / 2.0"] + [
+        f"{time} = t + {factor}" for time, factor in stage_times.items()
+        if time in times_read])
+    ends = [f"z_{i}" for i in range(len(state))]
+    lines.append("h6 = h / 6.0")
+    lines += [f"{z} = {y} + h6 * ((({k1} + 2.0 * {k2}) + 2.0 * {k3}) + {k4})"
+              for z, y, k1, k2, k3, k4 in zip(ends, ys, *ks)]
+    # z - z is 0.0 for a finite z and nan for an infinite or nan one
+    lines.append(f"if {' or '.join(f'{z} - {z} != 0.0' for z in ends)}:\n"
+                 " raise FloatingPointError(f'non-finite state at t = {ts[i] + h}')")
+    lines += [f"{y} = {z}" for y, z in zip(ys, ends)]
     if not record:
-        lines.append(f"states.append({tuple_of(ys)})")
+        lines.append(f"add_state({tuple_of(ys)})")
     return _define([
         f"def integrate(y, ts, hs{''.join(', ' + f for f in fixed_locals.values())}):",
         f" {tuple_of(ys)} = y",
         " n = len(hs)",
         " states, records = [], []" if record else f" states = [{tuple_of(ys)}]",
+        " add_state = states.append",
+        *([" add_record = records.append"] if record else []),
         f" for i in range({'n + 1' if record else 'n'}):",
-        "  t = ts[i]",
+        *(["  t = ts[i]"] if times_read else []),
         *_indent(_indent(lines)),
         f" return {'states, records' if record else 'states'}",
     ], "integrate", namespace)

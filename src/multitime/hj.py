@@ -269,9 +269,10 @@ def _leaf_rates(u: tuple[float, ...], n: int, d: int) -> Callable:
         for j in range(n):
             vj = values[j * d:(j + 1) * d]
             gamma = f"r{len(lines)}"
-            # u.V_j as sum() adds it up: from 0, left to right
+            # u.V_j as sum() adds it up: from 0, left to right (0.0, the
+            # same float, skips the int-and-float path)
             dot = "".join(f" + _u{k} * {v}" for k, v in enumerate(vj))
-            lines.append(f"{gamma} = 1.0 - (0{dot})\n"
+            lines.append(f"{gamma} = 1.0 - (0.0{dot})\n"
                          f"if {gamma} <= 0.0:\n _degenerate({j + 1}, {gamma}, {time})")
             for v in vj:
                 rates.append(f"r{len(lines)}")

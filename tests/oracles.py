@@ -28,19 +28,32 @@ the library's runs are pinned against bit for bit and error for error:
 the cubic pieces of every interval of a world line, then the one a query
 falls in; one full ``NPath`` per anchoring iteration, read at t = 0, and
 the library's quasi-Newton step; one compiled loop call per grid leg.
+
+``emit_oracle``, ``compile_rk4_oracle`` and ``leaf_rates_oracle`` are the
+code generator of the RK4 loops before its leaner loop (integer
+coefficients, a time read at every step, a complex check after every
+power), which the library's loops are pinned against bit for bit and
+error for error.  ``defect_oracle`` and ``validity_oracle`` are the
+classical defect and validity residual one point and one sample at a
+time, and ``sample_points_oracle`` and ``validity_tuples_oracle`` the CLI's
+random draws in several calls, which the grid, the batched pass and the
+single draws are pinned against.
 """
 
 import math
-from typing import Mapping, Sequence
+import struct
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from multitime import classical, hj
-from multitime.expr import (BinOp, Call, Expression, ExpressionError, Neg, Num, Var,
+from multitime.expr import (FUNCTIONS, STEP_TIME, BinOp, Call, Expression, ExpressionError,
+                            Neg, Num, Var, _define, _domain_error, _indent, _reader,
                             binding_names, bound_steps, check_steps, evaluate,
                             parse_expression, substitute)
-from multitime.hj import _as_expr, _residuals
+from multitime.hj import _as_expr, _degenerate, _residuals
 from multitime.paths import NPath, PathRangeError, WorldLine
+from multitime.reports import DefectReport, ResidualReport
 
 
 def variable_bindings(times: Sequence[float] | np.ndarray = (),
@@ -356,3 +369,226 @@ def path_independence_oracle(hpair, init, rectangle: tuple[float, float],
     yb = _grid_leg(hpair, 1, [t0[0], t0[1] + dt2], yb, dt1, m1)
     gx, gp = np.subtract(ya, yb).reshape(2, hpair.n, hpair.d)
     return float(np.sqrt(np.sum(gx ** 2) + np.sum(gp ** 2)))
+
+
+def emit_oracle(outputs: Sequence[Expression], read: Callable[[str], str],
+                namespace: dict[str, object], lines: list[str]) -> list[str]:
+    """``expr._emit`` before the leaner loop, unchanged."""
+    names: dict[tuple, str] = {}
+
+    def emit(node: Expression) -> str:
+        match node:
+            case Num(value):
+                key = ("num", struct.pack("d", value))
+            case Var(name):
+                key = ("var", name)
+            case Neg(arg):
+                key = ("neg", emit(arg))
+            case BinOp(op, left, right):
+                key = (op, emit(left), emit(right))
+            case Call(func, arg):
+                key = (func, emit(arg))
+            case _:
+                raise TypeError(f"not an Expression: {node!r}")
+        if key not in names:
+            names[key] = statement(node, key)
+        return names[key]
+
+    def statement(node: Expression, key: tuple) -> str:
+        """Emit a node first seen under ``key``, whose operands are
+        emitted already; return the name holding its value."""
+        match node:
+            case Num(value):
+                name = f"c{len(namespace)}"
+                namespace[name] = value
+                return name
+            case Var(name):
+                return read(name)
+        # unique: a statement is appended after every new temporary
+        out = f"r{len(lines)}"
+        match node:
+            case Neg():
+                lines.append(f"{out} = -{key[1]}")
+            case BinOp(op):
+                a, c = key[1], key[2]
+                if op in "+-*":
+                    lines.append(f"{out} = {a} {op} {c}")
+                elif op == "/":
+                    lines.append(f"if {c} == 0.0:\n _domain_error('division by zero')\n"
+                                 f"{out} = {a} / {c}")
+                else:
+                    lines.append(
+                        f"try:\n {out} = {a} ** {c}\n"
+                        "except (ValueError, ZeroDivisionError, OverflowError) as exc:\n"
+                        f" _domain_error('invalid power {{}}^{{}}: {{}}', {a}, {c}, exc)\n"
+                        f"if isinstance({out}, complex):\n"
+                        f" _domain_error('power {{}}^{{}} leaves the real domain', {a}, {c})")
+            case Call(func):
+                namespace[f"_{func}"] = FUNCTIONS[func]
+                x = key[1]
+                if func == "log":
+                    lines.append(f"if {x} <= 0.0:\n"
+                                 f" _domain_error('log of non-positive value {{}}', {x})")
+                elif func == "sqrt":
+                    lines.append(f"if {x} < 0.0:\n"
+                                 f" _domain_error('sqrt of negative value {{}}', {x})")
+                lines.append(f"try:\n {out} = _{func}({x})\n"
+                             "except (ValueError, OverflowError) as exc:\n"
+                             f" _domain_error('{func}({{}}): {{}}', {x}, exc)")
+        return out
+
+    return [emit(node) for node in outputs]
+
+
+# the stages of an RK4 step after the first: the prefix of the stage
+# state's names, and the time and the step factor that make it
+_STAGES_ORACLE = (("a", "t_half", "h2"), ("b", "t_half", "h2"), ("e", "t_end", "h"))
+
+
+def compile_rk4_oracle(outputs: Sequence[Expression], state: Sequence[str],
+                       fixed: Sequence[str] = (), *,
+                       record: bool = True,
+                       rates: Callable[[list[str], str, list[str], dict], list[str]]
+                       | None = None,
+                       ) -> Callable:
+    """``expr.compile_rk4`` before the leaner loop, unchanged but for
+    the names of ``emit_oracle`` and ``_STAGES_ORACLE``."""
+    namespace: dict[str, object] = {"_domain_error": _domain_error}
+    fixed_locals = {name: f"f_{i}" for i, name in enumerate(fixed)}
+    lines: list[str] = []  # the loop body
+
+    def outputs_at(values: Sequence[str], time: str) -> list[str]:
+        """Emit the outputs at the state held in ``values`` and the time
+        held in ``time``; return their names."""
+        bound = {**dict(zip(state, values)), STEP_TIME: time, **fixed_locals}
+        return emit_oracle(outputs, _reader(bound), namespace, lines)
+
+    def rates_at(values: Sequence[str], time: str) -> list[str]:
+        return rates(values, time, lines, namespace) if rates else values
+
+    def tuple_of(names: Sequence[str]) -> str:
+        return f"({''.join(name + ', ' for name in names)})"
+
+    ys = [f"y_{i}" for i in range(len(state))]
+    node = outputs_at(ys, "t")
+    if record:
+        lines.append(f"states.append({tuple_of(ys)})\n"
+                     f"records.append({tuple_of(node)})\n"
+                     "if i == n:\n break")
+    ks = [rates_at(node, "t")]
+    lines.append("h = hs[i]\nh2 = h / 2\nt_half = t + h2\nt_end = t + h")
+    for prefix, time, factor in _STAGES_ORACLE:
+        stage = [f"{prefix}_{i}" for i in range(len(state))]
+        lines += [f"{s} = {y} + {factor} * {k}" for s, y, k in zip(stage, ys, ks[-1])]
+        ks.append(rates_at(outputs_at(stage, time), time))
+    steps = [f"{y} + h6 * ((({k1} + 2 * {k2}) + 2 * {k3}) + {k4})"
+             for y, k1, k2, k3, k4 in zip(ys, *ks)]
+    lines.append(f"h6 = h / 6\n{tuple_of(ys)} = {tuple_of(steps)}")
+    # y - y is 0.0 for a finite y and nan for an infinite or nan one
+    lines.append(f"if {' + '.join(f'({y} - {y})' for y in ys)} != 0.0:\n"
+                 " raise FloatingPointError(f'non-finite state at t = {t + h}')")
+    if not record:
+        lines.append(f"states.append({tuple_of(ys)})")
+    return _define([
+        f"def integrate(y, ts, hs{''.join(', ' + f for f in fixed_locals.values())}):",
+        f" {tuple_of(ys)} = y",
+        " n = len(hs)",
+        " states, records = [], []" if record else f" states = [{tuple_of(ys)}]",
+        f" for i in range({'n + 1' if record else 'n'}):",
+        "  t = ts[i]",
+        *_indent(_indent(lines)),
+        f" return {'states, records' if record else 'states'}",
+    ], "integrate", namespace)
+
+
+def leaf_rates_oracle(u: tuple[float, ...], n: int, d: int) -> Callable:
+    """``hj._leaf_rates`` before the leaner loop, unchanged."""
+    def emit(values: list[str], time: str, lines: list[str], namespace: dict) -> list[str]:
+        namespace["_degenerate"] = _degenerate
+        namespace.update((f"_u{k}", uk) for k, uk in enumerate(u))
+        rates = []
+        for j in range(n):
+            vj = values[j * d:(j + 1) * d]
+            gamma = f"r{len(lines)}"
+            # u.V_j as sum() adds it up: from 0, left to right
+            dot = "".join(f" + _u{k} * {v}" for k, v in enumerate(vj))
+            lines.append(f"{gamma} = 1.0 - (0{dot})\n"
+                         f"if {gamma} <= 0.0:\n _degenerate({j + 1}, {gamma}, {time})")
+            for v in vj:
+                rates.append(f"r{len(lines)}")
+                lines.append(f"{rates[-1]} = {v} / {gamma}")
+        return rates
+
+    return emit
+
+
+def defect_oracle(field, point, h: float | None = 1e-4) -> DefectReport:
+    """``classical.classical_consistency_defect`` point by point, as it was
+    before the defect grid: the step check, the memo lookup and the pairs
+    of one point."""
+    n, d = field.n, field.d
+    nd = n * d
+    times, y = point.times.tolist(), point.state().tolist()
+    names = binding_names("t", n) + binding_names("x", n, d) + binding_names("p", n, d)
+    check_steps(h, names, times + y)
+    values = [abs(v) for v in classical._defects(field.exprs, n, d, h)(times, y)]
+    pairs = {}
+    for j in range(1, n + 1):
+        d_j = values[(j - 1) * 2 * nd:j * 2 * nd]  # D_j of every component
+        for k in range(1, n + 1):
+            if k != j:
+                ak = (k - 1) * d  # v_k and w_k
+                pairs[f"{j},{k}"] = max(d_j[ak:ak + d] + d_j[nd + ak:nd + ak + d])
+    return DefectReport(pairs=pairs, h=h)
+
+
+def validity_oracle(field, npath: NPath, samples) -> ResidualReport:
+    """``classical.validity_residual`` sample by sample, as it was before the
+    batched pass: ``is_spacelike`` and ``np.linalg.norm`` per sample."""
+    report = ResidualReport()
+    if any(len(sample) != field.n for sample in samples):
+        raise ValueError("sample tuple length does not match n")
+    tuples = np.reshape(np.asarray(samples, float), (len(samples), field.n))
+    queried = [np.stack([getattr(npath.line(j + 1), query)(tuples[:, j])
+                         for j in range(field.n)], axis=1)
+               for query in ("x_at", "p_at", "dxdt_at", "dpdt_at")]
+    for times, xs, ps, dxs, dps in zip(tuples, *queried):
+        if not classical.is_spacelike(times, xs):
+            report.rows.append({"times": times.tolist(), "spacelike": False})
+            report.rejected += 1
+            continue
+        y = np.concatenate([xs.ravel(), ps.ravel()]).tolist()
+        rates = np.reshape(field.rhs(times.tolist(), y), (2, field.n, field.d))
+        residuals = [float(np.linalg.norm(dxs[j] - rates[0, j])
+                           + np.linalg.norm(dps[j] - rates[1, j]))
+                     for j in range(field.n)]
+        report.rows.append({"times": times.tolist(), "spacelike": True,
+                            "residuals": residuals})
+        report.max_residual = max(report.max_residual, max(residuals))
+    return report
+
+
+def sample_points_oracle(count: int, t_box, x_box, p_box, n: int, d: int,
+                         seed: int) -> list:
+    """The CLI's random phase points, drawn as they were before one draw
+    served them all: three ``uniform`` calls per point."""
+    rng = np.random.default_rng(seed)
+    return [classical.PhasePoint(times=rng.uniform(*t_box, size=n),
+                                 x=rng.uniform(*x_box, size=(n, d)),
+                                 p=rng.uniform(*p_box, size=(n, d)))
+            for _ in range(count)]
+
+
+def validity_tuples_oracle(count: int, window: float, lo: float, hi: float, n: int,
+                           seed: int) -> list[list[float]]:
+    """The CLI's validity sample tuples on the time range [lo, hi], drawn as
+    they were before one draw served them all: two ``uniform`` calls per
+    sample."""
+    base_hi = max(hi - window, lo + window)
+    rng = np.random.default_rng(seed)
+    tuples = []
+    for _ in range(count):
+        base = rng.uniform(lo + window, base_hi)
+        tup = base + rng.uniform(-window, window, size=n)
+        tuples.append(np.clip(tup, lo, hi).tolist())
+    return tuples

@@ -28,7 +28,8 @@ from multitime.expr import (FUNCTIONS, BinOp, Call, DomainError, Num, Var,
 from multitime.numdiff import diff_callable
 from multitime.paths import NPath, PathRangeError, WorldLine
 from multitime.reports import write_csv
-from oracles import full_grid_oracle, path_independence_oracle, variable_bindings
+from oracles import (defect_oracle, full_grid_oracle, path_independence_oracle, validity_oracle,
+                     variable_bindings)
 
 
 def free_field() -> PhaseVectorField:
@@ -216,6 +217,66 @@ class TestDefectFromRhs:
         assert rep.max_defect == 0.0
 
 
+@st.composite
+def defect_grid_cases(draw):
+    """A field of n = 2 or 3 particles in d = 1, 2 or 3 dimensions, one to
+    four phase points, one coordinate of which may be 1e13 (where h = 1e-4
+    rounds away), and a step (None: exact)."""
+    n, d = draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 2, 3]))
+    names = binding_names("t", n) + binding_names("x", n, d) + binding_names("p", n, d)
+    trees = st.recursive(
+        st.one_of(st.builds(Num, st.sampled_from([0.5, 2.0, -3.0])),
+                  st.builds(Var, st.sampled_from(names))),
+        lambda sub: st.one_of(st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
+                              # log now and then, for a DomainError of some point
+                              st.builds(Call, st.sampled_from(["sin", "cos", "tanh"] * 3
+                                                              + ["log"]), sub)),
+        max_leaves=3)
+    v, w = ([[draw(trees) for _ in range(d)] for _ in range(n)] for _ in "vw")
+    field = PhaseVectorField.from_expressions(n, d, v, w)
+    rows = draw(st.lists(st.lists(st.floats(-2.0, 2.0), min_size=len(names),
+                                  max_size=len(names)), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, len(names) - 1))] = 1e13
+    points = [PhasePoint(times=row[:n], x=np.reshape(row[n:n + n * d], (n, d)),
+                         p=np.reshape(row[n + n * d:], (n, d))) for row in rows]
+    return field, points, draw(st.sampled_from([1e-4, 0.05, None]))
+
+
+def defect_outcome(run):
+    """Every report's pairs, their bits and step, or the error's class and
+    message."""
+    try:
+        reports = run()
+    except Exception as exc:  # the class and message are compared
+        return type(exc), str(exc)
+    return [(list(r.pairs), bits(r.pairs.values()), r.h) for r in reports]
+
+
+class TestDefectGrid:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(defect_grid_cases())
+    def test_matches_the_point_by_point_loop(self, case):
+        # the same bits, and the error the per-point calls raise first: a
+        # DomainError of an earlier point, then the step that rounds away
+        field, points, h = case
+        assert defect_outcome(lambda: classical.classical_defect_grid(field, points, h)) == \
+            defect_outcome(lambda: [defect_oracle(field, pt, h) for pt in points])
+
+    def test_error_order(self):
+        field = PhaseVectorField.from_expressions(2, 1, [["log(x1_1)"], ["p2_1"]],
+                                                  [["0"], ["0"]])
+        good, bad = phase_point(0.0, 1.0, 1.0, 0.1, 0.2), phase_point(0.0, -1.0, 1.0, 0.1, 0.2)
+        far = phase_point(0.0, 1.0, 1e13, 0.1, 0.2)
+        with pytest.raises(DomainError, match="log of non-positive value -1.0"):
+            classical.classical_defect_grid(field, [good, bad, far])
+        with pytest.raises(FloatingPointError, match="rounds away at x2_1 = 10000000000000.0"):
+            classical.classical_defect_grid(field, [good, far, bad])
+        with pytest.raises(ValueError, match="step must be positive"):
+            classical.classical_defect_grid(field, [], h=0.0)
+        assert classical.classical_defect_grid(field, []) == []
+
+
 class TestDefectCompiledOnce:
     def test_one_function_per_field_and_step(self, monkeypatch):
         # a 100-sample defect grid compiles D_1 and D_2 of the 4 components
@@ -357,6 +418,38 @@ class TestValidity:
         rep_off = validity_residual(fld, path, [[0.8, 1.3]])
         assert rep_on.max_residual < 1e-8
         assert rep_off.max_residual > 1e-3
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(n=st.sampled_from([2, 3]), d=st.sampled_from([1, 2, 3]),
+           coupling=st.sampled_from([0.0, 0.3]), spread=st.sampled_from([0.1, 2.0]),
+           bounded=st.booleans(),
+           samples=st.lists(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+                            min_size=1, max_size=8))
+    def test_matches_the_sample_by_sample_pass(self, n, d, coupling, spread, bounded,
+                                               samples):
+        # particle j pulled toward particle j + 1; with ``bounded`` every w
+        # also holds 0*sqrt(0.04 - (t1 - t2)^2), defined on the diagonal and
+        # not at a time offset above 0.2; close particles reject more samples
+        guard = " + 0*sqrt(0.04 - (t1 - t2)^2)" if bounded else ""
+        v = [[f"p{j}_{dd}" for dd in range(1, d + 1)] for j in range(1, n + 1)]
+        w = [[f"{coupling}*(x{j % n + 1}_{dd} - x{j}_{dd}){guard}"
+              for dd in range(1, d + 1)] for j in range(1, n + 1)]
+        field = PhaseVectorField.from_expressions(n, d, v, w)
+        init = PhasePoint(times=[0.0] * n,
+                          x=np.reshape(np.linspace(-spread, spread, n * d), (n, d)),
+                          p=np.reshape(np.linspace(0.2, -0.1, n * d), (n, d)))
+        path = evolve_equal_time(field, init, (0.0, 1.0), 0.05)
+        tuples = [sample[:n] for sample in samples]
+
+        def outcome(run):
+            try:
+                rep = run(field, path, tuples)
+            except Exception as exc:  # the class and message are compared
+                return type(exc), str(exc)
+            return ([(r["times"], r["spacelike"], bits(r.get("residuals", [])))
+                     for r in rep.rows], bits([rep.max_residual]), rep.rejected)
+
+        assert outcome(validity_residual) == outcome(validity_oracle)
 
     def test_sample_length_validated(self):
         fld = free_field()
@@ -724,6 +817,20 @@ class TestRk4Step:
         with pytest.raises(ValueError, match="step must be positive"):
             grid_path_independence(pair, phase_point(0.0, -1.0, 1.0, 0.1, -0.1),
                                    (0.4, 0.4), dt)
+
+    @pytest.mark.parametrize("side", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 1])
+    @pytest.mark.parametrize("other", [0.4, 0.0])
+    def test_rectangle_side_not_finite_refused(self, side, at, other):
+        # a NaN side died converting NaN to an integer, and beside a side of
+        # 0 any side took no step
+        rectangle = (side, other) if at == 0 else (other, side)
+        with pytest.raises(ValueError, match="rectangle must have finite sides"):
+            classical.rectangle_steps(rectangle, 0.1)
+        pair = HamiltonianPair(["p1_1^2/2", "p2_1^2/2"], 2, 1)
+        with pytest.raises(ValueError, match="rectangle must have finite sides"):
+            grid_path_independence(pair, phase_point(0.0, -1.0, 1.0, 0.1, -0.1),
+                                   rectangle, 0.1)
 
     def test_step_count_bounded_before_the_run(self):
         init = phase_point(0.0, -1.0, 1.0, 0.1, -0.1)

@@ -17,7 +17,8 @@ from multitime import classical, cli, expr, hj, linops, quantum
 from multitime.cli import (_SUBCOMMAND_KINDS, ConfigError, _sample_phase_points, main,
                            run_config)
 from multitime.configs import EXAMPLE_CONFIGS, write_examples
-from oracles import with_constants
+from oracles import (defect_oracle, sample_points_oracle, validity_tuples_oracle,
+                     with_constants)
 
 KIND_SUBCOMMAND = {kind: sub for sub, kinds in _SUBCOMMAND_KINDS.items()
                    for kind in kinds}
@@ -50,8 +51,8 @@ def no_numerics(monkeypatch):
         (quantum, ["quantum_consistency_defect", "evolve_staircase",
                    "diagonal_evolution", "rectangle_holonomy",
                    "consistency_defect_matrix"]),
-        (classical, ["classical_consistency_defect", "evolve_equal_time",
-                     "validity_residual", "evolve_full_grid",
+        (classical, ["classical_consistency_defect", "classical_defect_grid",
+                     "evolve_equal_time", "validity_residual", "evolve_full_grid",
                      "grid_path_independence", "cjs_demo"]),
         (hj, ["hj_residual_multi", "hj_consistency_defect",
               "hj_trajectories_foliation", "foliation_compare"]),
@@ -296,6 +297,55 @@ class TestPlannedWork:
         segments.clear()
         run_config(copy.deepcopy(EXAMPLE_CONFIGS[name]), subcommand)
         assert sum(seg.substeps for seg in segments) == total
+
+
+class TestRandomDraws:
+    """One draw serves every sample: the stream and the values are those of
+    drawing each sample's numbers in turn, as the oracles do."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 3), d=st.integers(1, 3), count=st.integers(1, 5),
+           seed=st.integers(0, 2 ** 32), boxes=st.lists(
+               st.tuples(st.floats(-3.0, 3.0), st.floats(0.0, 2.0)), min_size=3, max_size=3))
+    def test_sample_points(self, n, d, count, seed, boxes):
+        t_box, x_box, p_box = [[lo, lo + width] for lo, width in boxes]
+        cfg = {"count": count, "t_box": t_box, "x_box": x_box, "p_box": p_box}
+        got = _sample_phase_points(cfg, "", n, d, seed)
+        want = sample_points_oracle(count, t_box, x_box, p_box, n, d, seed)
+        for a, b in zip(got, want, strict=True):
+            for key in ("times", "x", "p"):
+                assert getattr(a, key).shape == getattr(b, key).shape
+                assert getattr(a, key).tobytes() == getattr(b, key).tobytes()
+
+    def test_classical_defect_grid_config(self):
+        cfg = copy.deepcopy(EXAMPLE_CONFIGS["classical_harmonic_check"])
+        samples, h = cfg["experiment"]["samples"], 1e-4
+        field = cli._classical_system(cfg["system"], "/system")[2]
+        want = [defect_oracle(field, pt, h).max_defect for pt in sample_points_oracle(
+            samples["count"], samples["t_box"], samples["x_box"], samples["p_box"], 2, 1,
+            cfg["seed"])]
+        assert run_config(cfg, "check")["results"] == {
+            "sample_count": 100, "max_defect": max(want), "min_defect": min(want), "h": h}
+
+    @pytest.mark.parametrize("n, seed, count, window", [(3, 7, 40, 0.3), (2, 0, 25, 0.0),
+                                                        (1, 3, 5, 1.0)])
+    def test_validity_tuples(self, n, seed, count, window):
+        cfg = copy.deepcopy(EXAMPLE_CONFIGS["classical_free_validity"])
+        cfg["seed"] = seed
+        cfg["system"]["n"] = n
+        cfg["system"]["field"] = {"type": "expressions",
+                                  "v": [[f"p{j}_1"] for j in range(1, n + 1)],
+                                  "w": [["0"]] * n}
+        exp = cfg["experiment"]
+        exp["init"] = {"t": 0.0, "x": [[4.0 * j] for j in range(n)], "p": [[0.1]] * n}
+        exp["samples"] = {"count": count, "window": window}
+        rows = run_config(copy.deepcopy(cfg), "validity")["results"]["rows"]
+        field = cli._classical_system(cfg["system"], "/system")[2]
+        init = cli._phase_point(exp["init"], "", n, 1)
+        lo, hi = classical.evolve_equal_time(field, init, tuple(exp["t_span"]),
+                                             exp["dt"]).common_time_range()
+        assert [row["times"] for row in rows] == validity_tuples_oracle(
+            count, window, lo, hi, n, seed)
 
 
 class TestDeterminism:

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import struct
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from multitime import classical, expr as expr_module, hj, quantum
 from multitime.classical import (HamiltonianPair, PhasePoint, PhaseVectorField,
                                  evolve_equal_time, evolve_full_grid,
-                                 grid_path_independence, hamiltonian_vector_field)
+                                 grid_path_independence, hamiltonian_vector_field,
+                                 validity_residual)
 from multitime.expr import (
     FUNCTIONS,
     BinOp,
@@ -32,7 +34,7 @@ from multitime.hj import hj_consistency_defect
 from multitime.quantum import (MultiTimeState, PartialHamiltonianSet,
                                evolve_staircase, staircase_between)
 from multitime.numdiff import default_step, diff_callable, partial_derivative
-from oracles import to_string
+from oracles import compile_rk4_oracle, leaf_rates_oracle, to_string
 
 
 def central_difference(f, x, h):
@@ -407,6 +409,19 @@ class TestCompiledExpressions:
             grid_path_independence(pair, init, (0.2, 0.1), 0.05)
         assert len(loops) == 4 and compiles == [] and fused == []
 
+    def test_rhs_compiled_once_over_validity_runs(self, compiles, fused, loops):
+        classical._rhs.cache_clear()
+        init = PhasePoint(times=[0.0, 0.0], x=[[-1.0], [1.0]], p=[[0.1], [-0.1]])
+        for _ in range(2):
+            # a field rebuilt from the same strings: equal, not the same
+            field = PhaseVectorField.from_expressions(
+                2, 1, [["p1_1"], ["p2_1"]], [["-(x1_1 - x2_1)"], ["x1_1 - x2_1"]])
+            npath = evolve_equal_time(field, init, (0.0, 1.0), 0.01)
+            report = validity_residual(field, npath, [[0.5, 0.6], [0.4, 0.45]])
+            assert report.rejected == 0
+        # one right-hand side, no expression on its own, and one loop
+        assert fused == [field.exprs] and compiles == [] and len(loops) == 1
+
     def test_leaf_loop_compiled_once_per_foliation(self, compiles, fused, loops):
         s = hj.HJFunction("k1*x1_1 - (k1^2/2)*t1 + k2*x2_1 - (k2^2/2)*t2", 2, 1,
                           [1.0, 1.0], {"k1": 0.3, "k2": -0.2})
@@ -743,3 +758,110 @@ class TestFusedFunctions:
         assert f((1.0,), (2.0, 3.0)) == (7.0, 2.0)
         with pytest.raises(ValueError):
             f((1.0, 2.0), (2.0, 3.0))  # one time too many
+
+
+# ------------------------------------------------------- compiled RK4 loops
+
+RK4_NUMBERS = (0.0, -0.0, 0.5, 2.0, 3.0, -1.5, 1.0 / 3.0, 1e308)
+# integral, non-integral and negative exponents, the complex check's cases
+RK4_EXPONENTS = (2.0, 3.0, -1.0, 0.0, 0.5, 1.5, -0.5)
+
+
+@functools.cache
+def rk4_trees(names: tuple[str, ...]):
+    """Small trees over ``names`` and the numbers above, built once per
+    tuple of names."""
+    return st.recursive(
+        st.one_of(st.builds(Num, st.sampled_from(RK4_NUMBERS)),
+                  st.builds(Var, st.sampled_from(names))),
+        lambda sub: st.one_of(
+            st.builds(Neg, sub),
+            st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
+            st.builds(BinOp, st.just("^"), sub,
+                      st.one_of(st.builds(Num, st.sampled_from(RK4_EXPONENTS)), sub)),
+            st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), sub),
+        ),
+        max_leaves=5)
+
+
+@st.composite
+def rk4_cases(draw):
+    """A loop to compile twice and one call of it: outputs over a state of
+    one to three variables, an optional fixed variable and the step time;
+    the mode; with the HJ leaf hook or without; the initial state, the node
+    times, the steps and the fixed value."""
+    size = draw(st.integers(1, 3))
+    state = tuple(f"y{i}" for i in range(1, size + 1))
+    fixed = ("f1",) if draw(st.booleans()) else ()
+    trees = rk4_trees(state + fixed + (expr_module.STEP_TIME,))
+    outputs = draw(st.lists(trees, min_size=size, max_size=size))
+    hook = None
+    if not fixed and draw(st.booleans()):
+        # the leaves t = s + u.x of ``size`` particles in one dimension
+        hook = (tuple(draw(st.lists(st.sampled_from([0.0, 0.3, -0.6]),
+                                    min_size=1, max_size=1))), size, 1)
+    y0 = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.0, 0.25, 1e300]) |
+                       st.floats(-3.0, 3.0), min_size=size, max_size=size))
+    hs = draw(st.lists(st.sampled_from([0.1, 0.25, -0.1, 1e-3]), min_size=1, max_size=4))
+    ts = [draw(st.floats(-2.0, 2.0))]
+    for h in hs:
+        ts.append(ts[-1] + h)
+    values = [draw(st.floats(-2.0, 2.0))] if fixed else []
+    return outputs, state, fixed, draw(st.booleans()), hook, y0, ts, hs, values
+
+
+def loop_outcome(compile_loop, case, rates_hook):
+    """The bits of every state and record of one loop call, or the class
+    and message of its error."""
+    outputs, state, fixed, record, hook, y0, ts, hs, values = case
+    try:
+        loop = compile_loop(outputs, state, fixed, record=record,
+                            rates=rates_hook(*hook) if hook else None)
+        result = loop(y0, ts, hs, *values)
+        rows = [*result[0], *result[1]] if record else result
+        return "values", [struct.pack("d", v) for row in rows for v in row]
+    except Exception as exc:  # the class and message are compared
+        return type(exc), str(exc)
+
+
+class TestCompiledRk4:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(case=rk4_cases())
+    def test_matches_the_loop_before_it(self, case):
+        # float literals in the scaffold, the stage times only where read
+        # and no complex check after an integral power change no bit and
+        # no error
+        assert loop_outcome(expr_module.compile_rk4, case, hj._leaf_rates) == \
+            loop_outcome(compile_rk4_oracle, case, leaf_rates_oracle)
+
+    @pytest.mark.parametrize("source", [
+        "y1 / 0", "y1 / -0", "y1 / (y1 - y1)", "y1 / 4",  # division by a number or zero
+        "(y1 - 3)^2", "(y1 - 3)^-1", "(y1 - 3)^0.5", "(y1 - 3)^1.5", "(y1 - 1)^-0.5",
+        "(y1 - 1)^y1", "log(y1 - 1)", "sqrt(y1 - 1)", "sin(t1) * y1",
+    ])
+    @pytest.mark.parametrize("record", [True, False])
+    def test_edge_cases_match_the_loop_before_it(self, source, record):
+        # y1 = 1 at the start, and a step's stages move it away from 1
+        tree = substitute(parse_expression(source), {"t1": Var(expr_module.STEP_TIME)})
+        case = ([tree], ("y1",), (), record, None, [1.0], [0.0, 0.5, 1.0], [0.5, 0.5], [])
+        assert loop_outcome(expr_module.compile_rk4, case, hj._leaf_rates) == \
+            loop_outcome(compile_rk4_oracle, case, leaf_rates_oracle)
+
+    def test_autonomous_loop_never_reads_the_times(self):
+        class Times(list):
+            reads = 0
+
+            def __getitem__(self, i):
+                Times.reads += 1
+                return super().__getitem__(i)
+
+        # two steps: a time-dependent loop reads the three node times when it
+        # records and the two steps' start times when it does not
+        y = Var("y1")
+        for outputs, reads in (([BinOp("*", Num(-0.5), y)], 0),
+                               ([BinOp("*", Var(expr_module.STEP_TIME), y)], 3 + 2)):
+            Times.reads = 0
+            for record in (True, False):
+                loop = expr_module.compile_rk4(outputs, ["y1"], record=record)
+                loop([1.0], Times([0.0, 0.1, 0.2]), [0.1, 0.1])
+            assert Times.reads == reads
