@@ -1,4 +1,5 @@
-"""Per-call costs of the classical kernels, best of several runs.
+"""Per-call costs of the classical kernels and per-step costs of whole
+classical and HJ runs, best of several runs.
 
     python scripts/kernels.py [SRC]
 
@@ -15,15 +16,28 @@ checkout's ``src``) and prints, in microseconds:
   point and by one ``classical_defect_grid`` call for all points ("-"
   where ``SRC`` has no such function);
 * ``validity``: one sample of ``validity_residual`` on the n-path and
-  the sample times of each shipped validity config.
+  the sample times of each shipped validity config;
+* ``evolve equal-time``: one RK4 step of a whole ``evolve_equal_time``
+  run of each field, tables and world lines included;
+* ``full grid``: one RK4 step of a whole ``evolve_full_grid`` run of each
+  shipped full-grid config;
+* ``hj foliation``: one leaf step of a whole ``hj_trajectories_foliation``
+  run on each foliation of the shipped HJ foliation configs, every
+  anchoring sweep included (the steps are counted at ``hj._leaf_loop``,
+  in a run of its own).
 
-Each figure is the best of ``REPEAT`` timed runs, divided by the steps,
-points or samples of one run.  Two checkouts compare line by line:
+The ``rk4`` lines call a compiled loop directly, with the start state in
+the form its checkout's loops take: packed doubles, or a list of floats.
+The whole-run lines call public functions only, so they read the same on
+any checkout.  Each figure is the best of ``REPEAT`` timed runs, divided
+by the steps, points or samples of one run.  Two checkouts compare line
+by line:
 
     diff <(python scripts/kernels.py) <(python scripts/kernels.py ../parent/src)
 """
 
 import copy
+import struct
 import sys
 import timeit
 from pathlib import Path
@@ -80,11 +94,81 @@ def validity_inputs(np, classical, cli, cfg):
     return field, npath, tuples
 
 
+def start_state(loop, values, *fixed):
+    """``values`` as ``loop`` takes its start state: packed doubles, or, on
+    a checkout whose loops unpack a sequence of floats, the list itself."""
+    packed = struct.pack(f"{len(values)}d", *values)
+    try:
+        loop(packed, [0.0, 1e-3], [1e-3], *fixed)
+    except ValueError:  # a list-taking loop unpacks the bytes one by one
+        return values
+    return packed
+
+
+def leaf_steps(hj, run) -> int:
+    """The leaf RK4 steps that ``run()`` takes, counted at ``hj._leaf_loop``."""
+    steps, real_loop = [0], hj._leaf_loop
+
+    def counted_loop(*loop_args):
+        loop = real_loop(*loop_args)
+
+        def counted(x, ts, hs):
+            steps[0] += len(hs)
+            return loop(x, ts, hs)
+
+        return counted
+
+    hj._leaf_loop = counted_loop
+    try:
+        run()
+    finally:
+        hj._leaf_loop = real_loop
+    return steps[0]
+
+
+def whole_runs(np, classical, hj, cli, configs, fields) -> None:
+    """The ``evolve equal-time``, ``full grid`` and ``hj foliation`` lines."""
+    dt = 1e-3
+    for label, field in fields:
+        n, d = field.n, field.d
+        y0 = np.linspace(-1.0, 1.0, 2 * n * d)
+        init = classical.PhasePoint(times=[0.0] * n, x=y0[:n * d].reshape(n, d),
+                                    p=y0[n * d:].reshape(n, d))
+        cost = best(lambda: classical.evolve_equal_time(field, init, (0.0, STEPS * dt), dt),
+                    STEPS)
+        print(f"evolve equal-time {cost:7.3f} us/step    {label}")
+    for name, cfg in sorted(configs.items()):
+        system, exp = cfg["system"], cfg["experiment"]
+        if exp["kind"] == "full-grid":
+            n, d, pair = cli._classical_system(system, "", grid=True)
+            init = cli._phase_point(exp["init"], "", n, d)
+            points, sub = exp["points"], exp.get("substeps", 4)
+            t1, t2 = (np.linspace(0.0, span, points) for span in (exp["t1_max"], exp["t2_max"]))
+            steps = sub * ((points - 1) + points * (points - 1))
+            cost = best(lambda: classical.evolve_full_grid(pair, init, t1, t2, sub), steps)
+            print(f"full grid       {cost:9.3f} us/step    {name}")
+    for name, cfg in sorted(configs.items()):
+        system, exp = cfg["system"], cfg["experiment"]
+        if cfg["formalism"] != "hj" or "init_positions" not in exp:
+            continue
+        s = hj.HJFunction(system["S"], system["n"], system["d"], system["masses"],
+                          system.get("constants"))
+        for fc in exp.get("foliations", [exp.get("foliation")]):
+            fol = hj.Foliation(fc["u"])
+
+            def run():
+                hj.hj_trajectories_foliation(s, fol, exp["init_positions"],
+                                             tuple(exp["s_span"]), exp["ds"])
+
+            cost = best(run, leaf_steps(hj, run))
+            print(f"hj foliation    {cost:9.3f} us/leaf-step  {name}:{fol.label()}")
+
+
 def main(src: str) -> None:
     sys.path.insert(0, src)
     import numpy as np
 
-    from multitime import classical, cli
+    from multitime import classical, cli, hj
     from multitime.configs import EXAMPLE_CONFIGS
 
     configs = copy.deepcopy(EXAMPLE_CONFIGS)
@@ -92,13 +176,15 @@ def main(src: str) -> None:
     grid = getattr(classical, "classical_defect_grid", None)
     dt = 1e-3
     ts, hs = [k * dt for k in range(STEPS + 1)], [dt] * STEPS
-    for label, field in shipped_fields(cli, configs):
+    fields = shipped_fields(cli, configs)
+    for label, field in fields:
         n, d = field.n, field.d
         y0 = np.linspace(-1.0, 1.0, 2 * n * d).tolist()
         equal, leg = (classical._rk4_loop(field.exprs, n, d, axis) for axis in (None, 0))
+        ye, yl = start_state(equal, y0), start_state(leg, y0, 0.0)
         points = cli._sample_phase_points(samples, "", n, d, 0)
-        print(f"rk4 equal-time  {best(lambda: equal(y0, ts, hs), STEPS):9.3f} us/step    {label}")
-        print(f"rk4 grid-leg    {best(lambda: leg(y0, ts, hs, 0.0), STEPS):9.3f} us/step    {label}")
+        print(f"rk4 equal-time  {best(lambda: equal(ye, ts, hs), STEPS):9.3f} us/step    {label}")
+        print(f"rk4 grid-leg    {best(lambda: leg(yl, ts, hs, 0.0), STEPS):9.3f} us/step    {label}")
         point = best(lambda: [classical.classical_consistency_defect(field, pt)
                               for pt in points], len(points))
         print(f"defect point    {point:9.3f} us/point   {label}")
@@ -111,6 +197,7 @@ def main(src: str) -> None:
             cost = best(lambda: classical.validity_residual(field, npath, tuples),
                         len(tuples))
             print(f"validity        {cost:9.3f} us/sample  {name}")
+    whole_runs(np, classical, hj, cli, configs, fields)
 
 
 if __name__ == "__main__":

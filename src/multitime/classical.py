@@ -22,9 +22,12 @@ row, all its legs in a row, and a path around a rectangle one per leg.
 A field's right-hand side ``PhaseVectorField.rhs``, one compiled
 function of the time tuple and the state memoised the same way, serves
 the validity residuals, which are taken on arrays over all samples.
-Numpy arrays are built once a run is done, from the loop's records by
-``np.fromiter``.  A run's plan function counts its RK4 steps
-and refuses more than ``expr.MAX_STEPS`` before the run starts.
+A loop writes one packed row per node, ``bytes`` of native doubles: an
+equal-time node's state (x, p) and then its rates, a grid leg's node its
+state alone, and a state row starts the next leg as it is.  Numpy arrays
+are built once a run is done, by one ``np.frombuffer`` over all its rows
+joined.  A run's plan function counts its RK4 steps and refuses more than
+``expr.MAX_STEPS`` before the run starts.
 """
 
 from __future__ import annotations
@@ -275,9 +278,10 @@ def _rk4_loop(exprs: tuple[Expression, ...], n: int, d: int,
               axis: int | None) -> Callable:
     """The compiled RK4 loop of the field with components ``exprs``
     (``expr.compile_rk4``): with ``axis`` None every time t_j follows the
-    step and the loop records every node (equal-time evolution); else
-    t_{axis+1} follows it, the other times are fixed arguments and the
-    loop returns the state at every node (full-grid legs)."""
+    step and the loop records every node, one packed row of the state and
+    the rates (equal-time evolution); else t_{axis+1} follows it, the other
+    times are fixed arguments and the loop returns the packed state at
+    every node (full-grid legs)."""
     times, state = _state_names(n, d)
     follow = times if axis is None else times[axis:axis + 1]
     fixed = [t for t in times if t not in follow]
@@ -289,11 +293,6 @@ def _rk4_loop(exprs: tuple[Expression, ...], n: int, d: int,
 def _node_times(t0: float, dt: float, steps: int) -> list[float]:
     """t0 and then t += dt ``steps`` times."""
     return list(itertools.accumulate(itertools.repeat(dt, steps), initial=t0))
-
-
-def _table(rows: Sequence[tuple], width: int) -> np.ndarray:
-    """The loop records ``rows``, each ``width`` floats, as one flat array."""
-    return np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * width)
 
 
 def equal_time_steps(t_span: tuple[float, float], dt: float) -> int:
@@ -320,16 +319,13 @@ def evolve_equal_time(field: PhaseVectorField, init: PhasePoint,
     steps = equal_time_steps(t_span, dt)
     dt = (t1 - t0) / steps
     ts = _node_times(t0, dt, steps)
-    ys, rates = _rk4_loop(field.exprs, n, d, None)(init.state().tolist(), ts,
-                                                   [dt] * steps)
-
-    def per_particle(rows: list[tuple]) -> np.ndarray:
-        # (samples, 2n*d) -> contiguous (x|p, particle, samples, d)
-        arr = _table(rows, 2 * n * d).reshape(len(rows), 2, n, d)
-        return np.ascontiguousarray(arr.transpose(1, 2, 0, 3))
-
+    rows = _rk4_loop(field.exprs, n, d, None)(init.state().tobytes(), ts, [dt] * steps)
+    # (sample, state|rate, x|p, particle, d) -> contiguous
+    # (state|rate, x|p, particle, sample, d); joined into a bytearray, so
+    # that every array read from it is writable
+    table = np.frombuffer(bytearray().join(rows)).reshape(len(rows), 2, 2, n, d)
+    states, derivs = np.ascontiguousarray(table.transpose(1, 2, 3, 0, 4))
     t_arr = np.array(ts)
-    states, derivs = per_particle(ys), per_particle(rates)
     return NPath([WorldLine(t=t_arr, x=states[0, j], p=states[1, j],
                             dxdt=derivs[0, j], dpdt=derivs[1, j])
                   for j in range(n)])
@@ -447,15 +443,15 @@ def _leg_plan(starts: Sequence[float], durations: Sequence[float],
 
 def _grid_legs(hpair: HamiltonianPair) -> Callable:
     """The function ``(k, plan, y, other) -> states`` that advances time
-    coordinate k of the flat state y under the field of H_k, the other time
-    fixed at ``other``, along the legs of ``plan`` (``_leg_plan``), each
-    leg from the state the one before it ends in.  It returns the state at
-    the start and at the end of every leg, from one call of the compiled
-    loop."""
+    coordinate k of the packed flat state y under the field of H_k, the
+    other time fixed at ``other``, along the legs of ``plan``
+    (``_leg_plan``), each leg from the state the one before it ends in.
+    It returns the packed state rows at the start and at the end of every
+    leg, from one call of the compiled loop."""
     n, d = hpair.n, hpair.d
     loops = [_rk4_loop(f.exprs, n, d, ax) for ax, f in enumerate(hpair.fields)]
 
-    def legs(k: int, plan: tuple, y: Sequence[float], other: float) -> list[tuple]:
+    def legs(k: int, plan: tuple, y: bytes, other: float) -> list[bytes]:
         ts, hs, ends = plan
         states = loops[k - 1](y, ts, hs, other)
         return [states[i] for i in ends]
@@ -488,11 +484,11 @@ def evolve_full_grid(hpair: HamiltonianPair, init: PhasePoint,
     legs = _grid_legs(hpair)
     plan1, plan2 = (_leg_plan(ts[:-1], [b - a for a, b in zip(ts, ts[1:])], substeps)
                     for ts in (t1s, t2s))
-    column = legs(2, plan2, init.state().tolist(), t1s[0])
-    # nodes[i2 * len(t1s) + i1] is the state at (t1s[i1], t2s[i2])
+    column = legs(2, plan2, init.state().tobytes(), t1s[0])
+    # nodes[i2 * len(t1s) + i1] is the state row at (t1s[i1], t2s[i2])
     nodes = [y for y0, t2 in zip(column, t2s) for y in legs(1, plan1, y0, t2)]
     # (t2, t1, x|p, particle, d) -> contiguous (x|p, particle, t1, t2, d)
-    states = _table(nodes, 2 * n * d).reshape(len(t2s), len(t1s), 2, n, d)
+    states = np.frombuffer(bytearray().join(nodes)).reshape(len(t2s), len(t1s), 2, n, d)
     xg, pg = np.ascontiguousarray(states.transpose(2, 3, 1, 0, 4))
     return GridSolution(t1=t1_grid, t2=t2_grid, x=xg, p=pg)
 
@@ -523,7 +519,7 @@ def grid_path_independence(hpair: HamiltonianPair, init: PhasePoint,
     if m1 == 0:
         return 0.0
     t0 = init.times.tolist()
-    y0 = init.state().tolist()
+    y0 = init.state().tobytes()
     legs = _grid_legs(hpair)
     leg1, leg2 = _leg_plan([t0[0]], [dt1], m1), _leg_plan([t0[1]], [dt2], m2)
 
@@ -533,7 +529,7 @@ def grid_path_independence(hpair: HamiltonianPair, init: PhasePoint,
     yb = legs(2, leg2, y0, t0[0])[-1]
     yb = legs(1, leg1, yb, t0[1] + dt2)[-1]
 
-    gx, gp = np.subtract(ya, yb).reshape(2, hpair.n, hpair.d)
+    gx, gp = np.subtract(np.frombuffer(ya), np.frombuffer(yb)).reshape(2, hpair.n, hpair.d)
     return float(np.sqrt(np.sum(gx ** 2) + np.sum(gp ** 2)))
 
 

@@ -842,6 +842,23 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _all_finite(value) -> bool:
+    """True iff every number in ``value``, a nest of dicts and lists, is
+    finite: one loop over a stack, with no call per dict, list or float."""
+    stack = [value]
+    pop, push = stack.pop, stack.extend
+    while stack:
+        item = pop()
+        if isinstance(item, float):
+            if not math.isfinite(item):
+                return False
+        elif isinstance(item, dict):
+            push(item.values())
+        elif isinstance(item, list):
+            push(item)
+    return True
+
+
 def _non_finite(value) -> list | None:
     """``[number, key, .., key]``: the first non-finite number in ``value``,
     a nest of dicts and lists, and the keys down to it, innermost first;
@@ -859,9 +876,11 @@ def _non_finite(value) -> list | None:
 
 def _check_finite(value, path: str) -> None:
     """FloatingPointError naming the first non-finite number in ``value``,
-    a nest of dicts and lists (JSON has no such numbers).  The pointer is
-    built for that number only."""
-    if (found := _non_finite(value)) is not None:
+    a nest of dicts and lists (JSON has no such numbers).  One flat scan
+    (``_all_finite``) clears a report whose numbers are all finite; only
+    a report it refuses is walked for the pointer, which is built for
+    that number only."""
+    if not _all_finite(value) and (found := _non_finite(value)) is not None:
         bad, *keys = found
         pointer = path + "".join(f"/{key}" for key in reversed(keys))
         raise FloatingPointError(f"non-finite result at {pointer}: {bad}")

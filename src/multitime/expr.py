@@ -23,10 +23,12 @@ returns all their values and computes shared subtrees once, and
 ``compile_rk4`` lowers a whole RK4 integration to one function with the
 loop inside and the system's statements inlined in every stage.  Both
 perform the IEEE operations of each tree in evaluation order, left
-operand before right, with no folding or rewriting; ``evaluate`` is a
-thin caller of the first.  A variable is an argument of the generated
-function, and every number, a literal or a parameter's value put into
-the tree by ``substitute``, is bound one way: as a global of it.
+operand before right, with no rewriting; a subtree of numbers only is
+folded into the number that the same Python operation gives, unless it
+raises or gives no finite float.  ``evaluate`` is a thin caller of the
+first.  A variable is an argument of the generated function, and every
+number, a literal or a parameter's value put into the tree by
+``substitute``, is bound one way: as a global of it.
 ``diff`` builds the exact partial derivative of an AST as another AST,
 and ``central_difference`` its central difference at a given step;
 ``derivative(h)`` picks one of the two for every condition.
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 import struct
 import sys
@@ -511,9 +514,14 @@ def _emit(outputs: Sequence[Expression], read: Callable[[str], str],
     after output, so the operations run in the order of a left-to-right
     recursive evaluation of the outputs in turn.  Numbers are bound as
     globals in ``namespace``, never as literals, so that CPython cannot
-    fold them.  A check that cannot fire is left out: the zero check of a
-    division by a nonzero number, and the complex check of a power to an
-    integral number (a float to such a power stays real).  ``read(name)``
+    fold them.  A node whose operands are all numbers is folded here
+    instead, into the number that the statement's own Python operation
+    gives (``-a``, ``a / c``, ``_log(x)``, ..), so a constant subtree costs
+    nothing per call; a node whose operation raises or gives anything
+    but a finite float stays a statement, so its error is raised where
+    and when it was.  A check that cannot fire is left out: the zero check
+    of a division by a nonzero number, and the complex check of a power to
+    an integral number (a float to such a power stays real).  ``read(name)``
     returns the name that holds a variable; it is called once per
     variable, at its first occurrence, and may append the statement that
     reads it to ``lines``.
@@ -526,6 +534,7 @@ def _emit(outputs: Sequence[Expression], read: Callable[[str], str],
     because a repeat only skips statements that already ran.
     """
     names: dict[tuple, str] = {}
+    numbers: dict[str, float] = {}  # the value of every number's name
 
     def emit(node: Expression) -> str:
         match node:
@@ -551,10 +560,14 @@ def _emit(outputs: Sequence[Expression], read: Callable[[str], str],
         match node:
             case Num(value):
                 name = f"c{len(namespace)}"
-                namespace[name] = value
+                namespace[name] = numbers[name] = value
                 return name
             case Var(name):
                 return read(name)
+        if all(arg in numbers for arg in key[1:]):
+            value = _fold(node, *(numbers[arg] for arg in key[1:]))
+            if isinstance(value, float) and math.isfinite(value):
+                return emit(Num(value))
         # unique: a statement is appended after every new temporary
         out = f"r{len(lines)}"
         match node:
@@ -566,13 +579,12 @@ def _emit(outputs: Sequence[Expression], read: Callable[[str], str],
                     lines.append(f"{out} = {a} {op} {c}")
                 elif op == "/":
                     # a number other than zero needs no check
-                    check = not (isinstance(node.right, Num) and node.right.value != 0.0)
+                    check = numbers.get(c, 0.0) == 0.0
                     lines.append((f"if {c} == 0.0:\n _domain_error('division by zero')\n"
                                   if check else "") + f"{out} = {a} / {c}")
                 else:
                     # a float to an integral float power is never complex
-                    check = not (isinstance(node.right, Num)
-                                 and float(node.right.value).is_integer())
+                    check = not (c in numbers and float(numbers[c]).is_integer())
                     lines.append(
                         f"try:\n {out} = {a} ** {c}\n"
                         "except (ValueError, ZeroDivisionError, OverflowError) as exc:\n"
@@ -595,6 +607,27 @@ def _emit(outputs: Sequence[Expression], read: Callable[[str], str],
         return out
 
     return [emit(node) for node in outputs]
+
+
+#: the operation of each binary operator's statement
+_OPERATIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv, "^": operator.pow}
+
+
+def _fold(node: Expression, *args: float) -> float | None:
+    """The value of ``node``, an operator or function node of ``_emit``,
+    at the operand values ``args``, by the operation its statement
+    performs; None where that raises."""
+    try:
+        match node:
+            case Neg():
+                return -args[0]
+            case BinOp(op):
+                return _OPERATIONS[op](*args)
+            case Call(func):
+                return FUNCTIONS[func](*args)
+    except (ArithmeticError, ValueError):
+        return None
 
 
 def _indent(lines: list[str]) -> list[str]:
@@ -656,6 +689,9 @@ STEP_TIME = "<step time>"
 # the stages of an RK4 step after the first: the prefix of the stage
 # state's names, and the time and the step factor that make it
 _STAGES = (("a", "t_half", "h2"), ("b", "t_half", "h2"), ("e", "t_end", "h"))
+# the source that computes each stage time in the loop body, as its name
+# is computed there
+_TIME_SOURCE = {"t": "ts[i]", "t_half": "ts[i] + h2", "t_end": "ts[i] + h"}
 
 
 def compile_rk4(outputs: Sequence[Expression], state: Sequence[str],
@@ -671,9 +707,12 @@ def compile_rk4(outputs: Sequence[Expression], state: Sequence[str],
     ``fixed`` variables.  The rates k are the outputs, or what the hook
     ``rates(values, time, lines, namespace)`` makes of them: it appends to
     ``lines`` the statements that turn the names ``values`` (the outputs
-    of one stage, at the time held in ``time``) into the rates, and
-    returns the rates' names, naming each new value ``r{len(lines)}``
-    before it appends the statement, as ``_emit`` does.
+    of one stage) into the rates, and returns the rates' names, naming
+    each new value ``r{len(lines)}`` before it appends the statement, as
+    ``_emit`` does.  ``time`` is the source of an expression that computes
+    the stage's time in the loop body, as the stage times are computed
+    (``ts[i] + h2``); a hook that reads it only on an error path costs
+    nothing per step.
 
     The function is ``integrate(y, ts, hs, *fixed_values)``: from the
     state y at the time ``ts[0]`` it takes step i from ``ts[i]`` by
@@ -683,15 +722,20 @@ def compile_rk4(outputs: Sequence[Expression], state: Sequence[str],
     ``y + h/6*(((k1 + 2*k2) + 2*k3) + k4)`` for the step, element by
     element, with each stage's outputs those of ``compile_function``, bit
     for bit.  A step whose new state is not finite raises
-    FloatingPointError.  With ``record`` it evaluates the outputs at every
-    node ``ts[i]``, the step's k1 among them, and returns the node states
-    and the outputs there as two lists of tuples.  Without, it evaluates
-    them at each step's start only, never at the end node, reads ``ts[i]``
-    for i < len(hs) only, and returns the states at all len(hs) + 1 nodes
-    as one list of tuples.  So one call can run several legs in a row:
-    each step starts from its own ``ts[i]``, not from the end of the step
-    before it.  The node time ``ts[i]`` and the stage times are computed
-    only where an output or ``rates`` reads them.  The step's own
+    FloatingPointError.
+
+    States and records are packed rows: ``bytes`` of native doubles, one
+    ``struct`` pack per node, which ``np.frombuffer`` reads as they are.  y
+    is such a row of the state's floats, unpacked once.  With ``record``
+    the loop evaluates the outputs at every node ``ts[i]``, the step's k1
+    among them, and returns one row per node: the state, then the outputs
+    there.  Without, it evaluates them at each step's start only, never at
+    the end node, reads ``ts[i]`` for i < len(hs) only, and returns the
+    states at all len(hs) + 1 nodes, y itself first.  So a row it returns
+    starts the next call as it is, and one call can run several legs in a
+    row: each step starts from its own ``ts[i]``, not from the end of the
+    step before it.  The node time ``ts[i]`` and the stage times are
+    computed only where an output reads them.  The step's own
     coefficients are float literals (``h / 2.0``, ``2.0 * k2``), the same
     floats as ints would be, without CPython's int-and-float path.
     """
@@ -713,19 +757,12 @@ def compile_rk4(outputs: Sequence[Expression], state: Sequence[str],
         return _emit(outputs, reading, namespace, lines)
 
     def rates_at(values: Sequence[str], time: str) -> list[str]:
-        if not rates:
-            return values
-        times_read.add(time)  # the hook may read it
-        return rates(values, time, lines, namespace)
-
-    def tuple_of(names: Sequence[str]) -> str:
-        return f"({''.join(name + ', ' for name in names)})"
+        return rates(values, _TIME_SOURCE[time], lines, namespace) if rates else values
 
     ys = [f"y_{i}" for i in range(len(state))]
     node = outputs_at(ys, "t")
     if record:
-        lines.append(f"add_state({tuple_of(ys)})\n"
-                     f"add_record({tuple_of(node)})\n"
+        lines.append(f"add_row(pack({', '.join(ys + node)}))\n"
                      "if i == n:\n break")
     ks = [rates_at(node, "t")]
     scaffold = len(lines)
@@ -747,18 +784,19 @@ def compile_rk4(outputs: Sequence[Expression], state: Sequence[str],
                  " raise FloatingPointError(f'non-finite state at t = {ts[i] + h}')")
     lines += [f"{y} = {z}" for y, z in zip(ys, ends)]
     if not record:
-        lines.append(f"add_state({tuple_of(ys)})")
+        lines.append(f"add_row(pack({', '.join(ys)}))")
+    namespace["pack"] = struct.Struct(f"{len(ys) + (len(node) if record else 0)}d").pack
+    namespace["unpack"] = struct.Struct(f"{len(ys)}d").unpack
     return _define([
         f"def integrate(y, ts, hs{''.join(', ' + f for f in fixed_locals.values())}):",
-        f" {tuple_of(ys)} = y",
+        f" ({''.join(y + ', ' for y in ys)}) = unpack(y)",
         " n = len(hs)",
-        " states, records = [], []" if record else f" states = [{tuple_of(ys)}]",
-        " add_state = states.append",
-        *([" add_record = records.append"] if record else []),
+        " rows = []" if record else " rows = [y]",
+        " add_row = rows.append",
         f" for i in range({'n + 1' if record else 'n'}):",
         *(["  t = ts[i]"] if times_read else []),
         *_indent(_indent(lines)),
-        f" return {'states, records' if record else 'states'}",
+        " return rows",
     ], "integrate", namespace)
 
 

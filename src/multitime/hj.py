@@ -261,7 +261,8 @@ def _degenerate(j: int, gamma: float, s_par: float) -> NoReturn:
 def _leaf_rates(u: tuple[float, ...], n: int, d: int) -> Callable:
     """The ``rates`` hook of ``expr.compile_rk4`` on the leaves t = s + u.x:
     dx_j/ds = V_j / gamma_j with gamma_j = 1 - u.V_j, for every particle j,
-    and FoliationDegeneracyError where gamma_j <= 0."""
+    and FoliationDegeneracyError where gamma_j <= 0, whose message alone
+    computes the leaf s of the stage."""
     def emit(values: list[str], time: str, lines: list[str], namespace: dict) -> list[str]:
         namespace["_degenerate"] = _degenerate
         namespace.update((f"_u{k}", uk) for k, uk in enumerate(u))
@@ -286,7 +287,8 @@ def _leaf_rates(u: tuple[float, ...], n: int, d: int) -> Callable:
 def _leaf_loop(s_expr: Expression, n: int, d: int, masses: tuple[float, ...],
                u: tuple[float, ...]) -> Callable:
     """The compiled RK4 loop of a sweep over the leaves t = s + u.x
-    (``expr.compile_rk4``), ``(x, s_vals, steps) -> (states, velocities)``:
+    (``expr.compile_rk4``), ``(x, s_vals, steps) -> rows``, one packed row
+    of the positions and then the velocities per leaf:
     on leaf s particle j sits at t_j = s + u.x_j and moves with the
     velocity V_j = grad_{x_j} S / m_j, exact.  The sums u.x start from 0,
     so the sign of a zero in u changes nothing and u may key the memo."""
@@ -304,9 +306,12 @@ def _leaf_loop(s_expr: Expression, n: int, d: int, masses: tuple[float, ...],
 def _leaf_sweep(s: HJFunction, fol: Foliation, s_lo: float, s_hi: float,
                 ds: float) -> Callable:
     """The sweep ``x_leaf -> (times, xs, vs)``: RK4 over [s_lo, s_hi] from
-    the flat state ``x_leaf`` on leaf s = 0, forward and backward, by the
-    compiled ``_leaf_loop`` on leaf grids built once.  ``xs`` and ``vs`` are
-    the positions and velocities on every leaf, (leaves, n, d), and
+    the flat state ``x_leaf`` on leaf s = 0, packed (``x.tobytes()``),
+    forward and backward, by the compiled ``_leaf_loop`` on leaf grids
+    built once.  Each loop row packs a leaf's positions and then its
+    velocities, n·d doubles each, and the rows of both directions, from
+    s_lo up, are read as one (leaves, 2, n, d) table by ``np.frombuffer``:
+    ``xs`` and ``vs`` are its positions and velocities, (leaves, n, d), and
     ``times[j]`` the times s + u.x_j of world line j, checked to increase."""
     n, d = s.n, s.d
     loop = _leaf_loop(s.expr, n, d, s.masses, fol.u)
@@ -320,15 +325,12 @@ def _leaf_sweep(s: HJFunction, fol: Foliation, s_lo: float, s_hi: float,
     if len(s_all) < 2:
         raise ValueError(f"no leaf but s = 0 from s = {s_lo:g} to {s_hi:g}")
 
-    def table(bw: list[tuple], fw: list[tuple]) -> np.ndarray:
-        rows = itertools.chain(reversed(bw), itertools.islice(fw, 1, None))
-        return np.fromiter(itertools.chain.from_iterable(rows), float,
-                           len(s_all) * n * d).reshape(len(s_all), n, d)
-
-    def sweep(x_leaf: list[float]):
-        ys_fw, vs_fw = loop(x_leaf, s_fw, h_fw)
-        ys_bw, vs_bw = loop(x_leaf, s_bw, h_bw)
-        xs, vs = table(ys_bw, ys_fw), table(vs_bw, vs_fw)
+    def sweep(x_leaf: bytes):
+        fw, bw = loop(x_leaf, s_fw, h_fw), loop(x_leaf, s_bw, h_bw)
+        rows = bytearray().join(itertools.chain(reversed(bw), itertools.islice(fw, 1, None)))
+        # (leaf, x|V, particle, d)
+        table = np.frombuffer(rows).reshape(len(s_all), 2, n, d)
+        xs, vs = table[:, 0], table[:, 1]
         times = []
         for j in range(n):
             times.append(s_all + xs[:, j] @ fol.u_vec)
@@ -411,7 +413,7 @@ def hj_trajectories_foliation(s: HJFunction, fol: Foliation,
     for _ in range(max_anchor_iters):
         x_next = x_leaf if step is None else x_leaf + step
         try:
-            records = sweep(x_next.tolist())
+            records = sweep(x_next.tobytes())
             z_next = _at_zero(*records, fol)
         except (ArithmeticError, ExpressionError, FoliationError) as exc:
             if step is None:

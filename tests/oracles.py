@@ -29,6 +29,12 @@ the cubic pieces of every interval of a world line, then the one a query
 falls in; one full ``NPath`` per anchoring iteration, read at t = 0, and
 the library's quasi-Newton step; one compiled loop call per grid leg.
 
+``unpack_rows`` decodes the packed rows of a compiled RK4 loop into the
+tuples of floats the loops returned before, and ``table_oracle`` and
+``leaf_table_oracle`` read such tuples into arrays as the runs did then,
+by ``np.fromiter``; the runs' ``np.frombuffer`` tables are pinned against
+them bit for bit.
+
 ``emit_oracle``, ``compile_rk4_oracle`` and ``leaf_rates_oracle`` are the
 code generator of the RK4 loops before its leaner loop (integer
 coefficients, a time read at every step, a complex check after every
@@ -40,6 +46,7 @@ random draws in several calls, which the grid, the batched pass and the
 single draws are pinned against.
 """
 
+import itertools
 import math
 import struct
 from typing import Callable, Mapping, Sequence
@@ -227,6 +234,38 @@ def hermite_oracle(t: np.ndarray, y: np.ndarray, dydt: np.ndarray, time,
     return value
 
 
+def pack(values: Sequence[float]) -> bytes:
+    """``values`` as the packed row that starts a compiled RK4 loop."""
+    return struct.pack(f"{len(values)}d", *values)
+
+
+def unpack_rows(rows: Sequence[bytes], size: int | None = None):
+    """The packed rows of a compiled RK4 loop as tuples of floats: the
+    states of a leg loop, or with ``size``, the state's length, the states
+    and the records of a recording loop, as two lists."""
+    values = [struct.unpack(f"{len(row) // 8}d", row) for row in rows]
+    if size is None:
+        return values
+    return [row[:size] for row in values], [row[size:] for row in values]
+
+
+def table_oracle(rows: Sequence[tuple], width: int) -> np.ndarray:
+    """The loop rows ``rows``, tuples of ``width`` floats each, as one flat
+    array, read by ``np.fromiter`` as ``classical`` read them before packed
+    rows (its ``_table``)."""
+    return np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * width)
+
+
+def leaf_table_oracle(bw: list[tuple], fw: list[tuple], leaves: int, n: int,
+                      d: int) -> np.ndarray:
+    """The (leaves, n, d) table of a sweep's backward and forward rows, the
+    leaf s = 0 once, read by ``np.fromiter`` as ``hj._leaf_sweep`` read
+    them before packed rows (its ``table``)."""
+    rows = itertools.chain(reversed(bw), itertools.islice(fw, 1, None))
+    return np.fromiter(itertools.chain.from_iterable(rows), float,
+                       leaves * n * d).reshape(leaves, n, d)
+
+
 def _foliation_npath(s, fol, x_leaf: list[float], s_lo: float, s_hi: float,
                      ds: float) -> NPath:
     """One sweep over the leaves from leaf 0, forward and backward, as one
@@ -235,7 +274,8 @@ def _foliation_npath(s, fol, x_leaf: list[float], s_lo: float, s_hi: float,
     loop = hj._leaf_loop(s.expr, n, d, s.masses, fol.u)
 
     def sweep(s_vals):
-        return loop(x_leaf, s_vals, [b - a for a, b in zip(s_vals, s_vals[1:])])
+        rows = loop(pack(x_leaf), s_vals, [b - a for a, b in zip(s_vals, s_vals[1:])])
+        return unpack_rows(rows, n * d)
 
     n_fw = max(1, int(math.ceil((s_hi - 0.0) / ds))) if s_hi > 0 else 0
     n_bw = max(1, int(math.ceil((0.0 - s_lo) / ds))) if s_lo < 0 else 0
@@ -328,7 +368,7 @@ def _grid_leg(hpair, k: int, times: Sequence[float], y, duration: float,
     ts = [times[k - 1]]
     for _ in range(substeps):
         ts.append(ts[-1] + dt)
-    return loop(y, ts, [dt] * substeps, *fixed)[-1]
+    return unpack_rows(loop(pack(y), ts, [dt] * substeps, *fixed))[-1]
 
 
 def full_grid_oracle(hpair, init, t1_grid, t2_grid, substeps: int):

@@ -2,6 +2,7 @@ import copy
 import functools
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,8 +29,8 @@ from multitime.expr import (FUNCTIONS, BinOp, Call, DomainError, Num, Var,
 from multitime.numdiff import diff_callable
 from multitime.paths import NPath, PathRangeError, WorldLine
 from multitime.reports import write_csv
-from oracles import (defect_oracle, full_grid_oracle, path_independence_oracle, validity_oracle,
-                     variable_bindings)
+from oracles import (defect_oracle, full_grid_oracle, pack, path_independence_oracle,
+                     table_oracle, unpack_rows, validity_oracle, variable_bindings)
 
 
 def free_field() -> PhaseVectorField:
@@ -744,15 +745,16 @@ class TestRk4Step:
 
         # equal time: every time follows the step, and the loop records the
         # rates at both nodes
-        states, rates = rk4_loop(fld)(y, [t, t + h], [h])
+        states, rates = unpack_rows(rk4_loop(fld)(pack(y), [t, t + h], [h]), 4)
         assert bits(states[0]) == bits(y) and bits(states[1]) == stepped(lambda tt: (tt, tt))
         assert bits(rates[0]) == bits(rhs((t, t), y))
         assert bits(rates[1]) == bits(rhs((t + h, t + h), states[1]))
         # a grid leg along t1, then along t2, with the other time fixed; the
         # loop returns the state at both nodes
-        leg1 = rk4_loop(fld, 0)(y, [t], [h], other)
+        leg1 = unpack_rows(rk4_loop(fld, 0)(pack(y), [t], [h], other))
         assert bits(leg1[0]) == bits(y) and bits(leg1[-1]) == stepped(lambda tt: (tt, other))
-        assert bits(rk4_loop(fld, 1)(y, [t], [h], other)[-1]) == stepped(lambda tt: (other, tt))
+        leg2 = unpack_rows(rk4_loop(fld, 1)(pack(y), [t], [h], other))
+        assert bits(leg2[-1]) == stepped(lambda tt: (other, tt))
 
     @pytest.mark.parametrize("component", range(4))
     def test_non_finite_state(self, component):
@@ -763,7 +765,7 @@ class TestRk4Step:
         with pytest.raises(FloatingPointError, match="non-finite state at t = 0.5"):
             evolve_equal_time(fld, phase_point(0.0, *y), (0.0, 0.5), 0.5)
         with pytest.raises(FloatingPointError, match="non-finite state at t = 0.5"):
-            rk4_loop(fld, 0)(y, [0.0], [0.5], 0.0)
+            rk4_loop(fld, 0)(pack(y), [0.0], [0.5], 0.0)
 
     def test_domain_error_in_a_middle_stage(self):
         # v_1 = log(1 - 2 t1) is defined at the step's start t = 0 and not
@@ -786,13 +788,13 @@ class TestRk4Step:
         fld = PhaseVectorField.from_expressions(2, 1, [["log(-p1_1)"], ["0"]],
                                                 [["3*t1^2"], ["0"]])
         y = [0.0, 0.0, -1.0, 0.0]
-        end = rk4_loop(fld, 0)(y, [0.0], [1.0], 0.0)[-1]
+        end = unpack_rows(rk4_loop(fld, 0)(pack(y), [0.0], [1.0], 0.0))[-1]
         assert end[2] == 0.0
         with pytest.raises(DomainError, match="log of non-positive value -0.0"):
             fld.rhs((1.0, 0.0), end)
         # the equal-time loop records the rates at the end node, and fails there
         with pytest.raises(DomainError, match="log of non-positive value -0.0"):
-            rk4_loop(fld)(y, [0.0, 1.0], [1.0])
+            rk4_loop(fld)(pack(y), [0.0, 1.0], [1.0])
 
     def test_plans_count_the_run(self):
         init = phase_point(0.0, -1.0, 1.0, 0.1, -0.1)
@@ -841,3 +843,90 @@ class TestRk4Step:
             grid_path_independence(pair, init, (0.4, 0.4), 1e-300)
         with pytest.raises(ValueError, match="at most 1000000"):
             evolve_full_grid(pair, init, [0.0, 1.0], [0.0, 1.0], substeps=250001)
+
+
+@st.composite
+def packed_cases(draw):
+    """A field of n = 1 to 3 particles in d = 1 or 2 dimensions, its
+    components small trees of +, -, * and sin, cos, tanh, with a start
+    state and times; for n = 2 also the pair of the field's two
+    Hamiltonians drawn the same way."""
+    n, d = draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from([1, 2]))
+    names = binding_names("t", n) + binding_names("x", n, d) + binding_names("p", n, d)
+    trees = st.recursive(
+        st.one_of(st.builds(Num, st.sampled_from([0.5, 2.0, -3.0])),
+                  st.builds(Var, st.sampled_from(names))),
+        lambda sub: st.one_of(st.builds(BinOp, st.sampled_from("+-*"), sub, sub),
+                              st.builds(Call, st.sampled_from(["sin", "cos", "tanh"]), sub)),
+        max_leaves=4)
+    v, w = ([[draw(trees) for _ in range(d)] for _ in range(n)] for _ in "vw")
+    field = PhaseVectorField.from_expressions(n, d, v, w)
+    pair = HamiltonianPair([draw(trees), draw(trees)], n, d) if n == 2 else None
+    coords = st.lists(st.floats(-1.0, 1.0), min_size=n * d, max_size=n * d)
+    t0 = draw(st.floats(-1.0, 1.0))
+    init = PhasePoint(times=[t0] * n, x=np.reshape(draw(coords), (n, d)),
+                      p=np.reshape(draw(coords), (n, d)))
+    return field, pair, init, draw(st.floats(0.01, 0.5)), draw(st.integers(1, 4))
+
+
+class TestPackedTables:
+    """The runs read the packed loop rows with one ``np.frombuffer``; the
+    same rows, as tuples, read by ``np.fromiter`` as before
+    (``oracles.table_oracle``) give the same arrays bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(packed_cases())
+    def test_equal_time_matches_the_fromiter_table(self, case):
+        field, _, init, span, _ = case
+        n, d, seen, real = field.n, field.d, [], classical._rk4_loop
+
+        def capturing(*args):
+            loop = real(*args)
+            return lambda *call: seen.append(loop(*call)) or seen[-1]
+
+        with mock.patch.object(classical, "_rk4_loop", capturing):
+            t0 = float(init.times[0])
+            try:
+                npath = evolve_equal_time(field, init, (t0, t0 + span), 0.05)
+            except ArithmeticError:
+                assume(False)
+        rows = unpack_rows(seen[0])
+        # (samples, 2 * 2n*d) -> (state|rate, x|p, particle, samples, d)
+        table = table_oracle(rows, 4 * n * d).reshape(len(rows), 2, 2, n, d)
+        want = np.ascontiguousarray(table.transpose(1, 2, 3, 0, 4))
+        for j, line in enumerate(npath.lines):
+            got = [line.x, line.p, line.dxdt, line.dpdt]
+            assert [a.tobytes() for a in got] == [want[sr, xp, j].tobytes()
+                                                  for sr in (0, 1) for xp in (0, 1)]
+            assert all(a.flags.writeable for a in got)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(packed_cases(), st.integers(1, 4), st.integers(1, 4))
+    def test_full_grid_matches_the_fromiter_table(self, case, points1, points2):
+        _, pair, init, span, substeps = case
+        assume(pair is not None)
+        n, d, rows, real = pair.n, pair.d, [], classical._grid_legs
+
+        def capturing(hpair):
+            legs = real(hpair)
+
+            def run(k, *args):
+                states = legs(k, *args)
+                if k == 1:  # the rows of the grid, one call per t2 node
+                    rows.extend(states)
+                return states
+
+            return run
+
+        t1s, t2s = (init.times[0] + np.linspace(0.0, span, points)
+                    for points in (points1, points2))
+        with mock.patch.object(classical, "_grid_legs", capturing):
+            try:
+                grid = evolve_full_grid(pair, init, t1s, t2s, substeps=substeps)
+            except ArithmeticError:
+                assume(False)
+        table = table_oracle(unpack_rows(rows), 2 * n * d)
+        want = np.ascontiguousarray(
+            table.reshape(points2, points1, 2, n, d).transpose(2, 3, 1, 0, 4))
+        assert grid.x.tobytes() == want[0].tobytes() and grid.p.tobytes() == want[1].tobytes()
+        assert grid.x.flags.writeable and grid.p.flags.writeable

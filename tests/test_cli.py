@@ -975,6 +975,19 @@ class TestNumericalFailures:
             cli._check_finite(results, "/results")
         cli._check_finite({"table": [{"gap": 0.5}], "n": 3, "ok": True}, "/results")
 
+    @pytest.mark.parametrize("value", [
+        {"table": [{"gap": 0.5}], "n": 3, "ok": True},
+        {"table": [{"gap": 0.5}, {"gap": math.nan}]},
+        {"a": [[1.0, 2], [True, "inf", -math.inf]]},
+        {"corner": np.float64(np.inf)},
+        {"pair": (math.nan, 1.0)},  # neither walks into a tuple
+        [], math.inf, 1.0,
+    ])
+    def test_flat_scan_agrees_with_the_walk(self, value):
+        # the scan that clears a report finds a non-finite number exactly
+        # where the walk that names it does
+        assert cli._all_finite(value) == (cli._non_finite(value) is None)
+
     def test_overflowing_speed_prints_no_warning(self, config_dir, tmp_path):
         # as a user runs it: numpy's warnings reach stderr, not pytest
         cfg = json.loads((config_dir / "hj_free_trajectories.json").read_text())

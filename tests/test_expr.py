@@ -34,7 +34,7 @@ from multitime.hj import hj_consistency_defect
 from multitime.quantum import (MultiTimeState, PartialHamiltonianSet,
                                evolve_staircase, staircase_between)
 from multitime.numdiff import default_step, diff_callable, partial_derivative
-from oracles import compile_rk4_oracle, leaf_rates_oracle, to_string
+from oracles import compile_rk4_oracle, leaf_rates_oracle, pack, to_string, unpack_rows
 
 
 def central_difference(f, x, h):
@@ -810,6 +810,15 @@ def rk4_cases(draw):
     return outputs, state, fixed, draw(st.booleans()), hook, y0, ts, hs, values
 
 
+def compile_unpacked(outputs, state, fixed=(), *, record=True, rates=None):
+    """``expr.compile_rk4`` as the oracle's loop is called: a state of
+    floats in, and its packed rows out as the states and the records, or
+    the states, each a tuple of floats."""
+    loop = expr_module.compile_rk4(outputs, state, fixed, record=record, rates=rates)
+    size = len(state) if record else None
+    return lambda y, *args: unpack_rows(loop(pack(y), *args), size)
+
+
 def loop_outcome(compile_loop, case, rates_hook):
     """The bits of every state and record of one loop call, or the class
     and message of its error."""
@@ -831,7 +840,7 @@ class TestCompiledRk4:
         # float literals in the scaffold, the stage times only where read
         # and no complex check after an integral power change no bit and
         # no error
-        assert loop_outcome(expr_module.compile_rk4, case, hj._leaf_rates) == \
+        assert loop_outcome(compile_unpacked, case, hj._leaf_rates) == \
             loop_outcome(compile_rk4_oracle, case, leaf_rates_oracle)
 
     @pytest.mark.parametrize("source", [
@@ -844,7 +853,7 @@ class TestCompiledRk4:
         # y1 = 1 at the start, and a step's stages move it away from 1
         tree = substitute(parse_expression(source), {"t1": Var(expr_module.STEP_TIME)})
         case = ([tree], ("y1",), (), record, None, [1.0], [0.0, 0.5, 1.0], [0.5, 0.5], [])
-        assert loop_outcome(expr_module.compile_rk4, case, hj._leaf_rates) == \
+        assert loop_outcome(compile_unpacked, case, hj._leaf_rates) == \
             loop_outcome(compile_rk4_oracle, case, leaf_rates_oracle)
 
     def test_autonomous_loop_never_reads_the_times(self):
@@ -856,12 +865,45 @@ class TestCompiledRk4:
                 return super().__getitem__(i)
 
         # two steps: a time-dependent loop reads the three node times when it
-        # records and the two steps' start times when it does not
+        # records and the two steps' start times when it does not; the HJ
+        # leaf hook reads a time only to report a degenerate leaf
         y = Var("y1")
-        for outputs, reads in (([BinOp("*", Num(-0.5), y)], 0),
-                               ([BinOp("*", Var(expr_module.STEP_TIME), y)], 3 + 2)):
+        for outputs, hook, reads in (([BinOp("*", Num(-0.5), y)], None, 0),
+                                     ([BinOp("*", Num(-0.5), y)], hj._leaf_rates((0.5,), 1, 1), 0),
+                                     ([BinOp("*", Var(expr_module.STEP_TIME), y)], None, 3 + 2)):
             Times.reads = 0
             for record in (True, False):
-                loop = expr_module.compile_rk4(outputs, ["y1"], record=record)
-                loop([1.0], Times([0.0, 0.1, 0.2]), [0.1, 0.1])
+                loop = expr_module.compile_rk4(outputs, ["y1"], record=record, rates=hook)
+                loop(pack([1.0]), Times([0.0, 0.1, 0.2]), [0.1, 0.1])
             assert Times.reads == reads
+
+    def test_rows_are_packed(self):
+        # a recording loop packs each node's state and then its outputs, a
+        # leg loop each node's state, the start state itself first
+        outputs, y0 = [BinOp("*", Num(-0.5), Var("y1")), Var("y2")], pack([1.0, 2.0])
+        recorded = expr_module.compile_rk4(outputs, ["y1", "y2"])(y0, [0.0, 0.1], [0.1])
+        assert [struct.unpack("4d", row) for row in recorded[:1]] == [(1.0, 2.0, -0.5, 2.0)]
+        assert len(recorded) == 2 and len(recorded[1]) == 4 * 8
+        states = expr_module.compile_rk4(outputs, ["y1", "y2"], record=False)(
+            y0, [0.0, 0.1], [0.1])
+        assert states[0] is y0 and states[1] == recorded[1][:2 * 8]
+        # a row of one call starts the next as it is
+        again = expr_module.compile_rk4(outputs, ["y1", "y2"], record=False)(
+            states[1], [0.1, 0.2], [0.1])
+        assert again[0] is states[1]
+
+    def test_constant_subtrees_folded(self):
+        # -(2 * 3) and log(4) fold into numbers; 1 / 0, log(-1) and
+        # 10^400 do not, and raise in the call as before
+        x = Var("x")
+        folded = compile_function([BinOp("*", Neg(BinOp("*", Num(2.0), Num(3.0))), x),
+                                   BinOp("+", Call("log", Num(4.0)), x)], [("x",)])
+        assert folded.__code__.co_code == compile_function(
+            [BinOp("*", Num(-6.0), x), BinOp("+", Num(math.log(4.0)), x)],
+            [("x",)]).__code__.co_code
+        assert folded([0.5]) == (-6.0 * 0.5, math.log(4.0) + 0.5)
+        for tree, error in ((BinOp("/", Num(1.0), Num(0.0)), "division by zero"),
+                            (Call("log", Num(-1.0)), "log of non-positive value -1.0"),
+                            (BinOp("^", Num(10.0), Num(400.0)), "invalid power 10.0^400.0")):
+            with pytest.raises(DomainError, match=re.escape(error)):
+                compile_function([BinOp("+", x, tree)], [("x",)])([0.5])

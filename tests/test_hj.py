@@ -4,10 +4,11 @@ import math
 import operator
 import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from multitime import hj, paths
 from multitime.classical import PhasePoint
@@ -30,8 +31,8 @@ from multitime.hj import (
     poisson_bracket,
 )
 from multitime.numdiff import diff_callable, partial_derivative
-from oracles import (anchoring_oracle, hj_residual_single, variable_bindings,
-                     with_constants)
+from oracles import (anchoring_oracle, hj_residual_single, leaf_table_oracle, pack,
+                     unpack_rows, variable_bindings, with_constants)
 
 K1, K2 = 0.3, -0.2
 G = 0.05
@@ -220,7 +221,7 @@ class TestFoliations:
         loop = hj._leaf_loop(parse_expression("x1_1^2/2"), 1, 1, (1.0,), (0.5,))
         with pytest.raises(FoliationDegeneracyError,
                            match=r"^1 - u\.V_1 = -9\.45 <= 0 at leaf s = 0\.5$"):
-            loop([1.9], [0.0, 1.0], [1.0])
+            loop(pack([1.9]), [0.0, 1.0], [1.0])
 
     def test_anchoring_failure_is_a_foliation_error(self):
         # on a boosted foliation the leaf-0 positions differ from the t = 0
@@ -571,9 +572,10 @@ def test_leaf_loop_matches_reference_sweep(n, d):
         except FoliationDegeneracyError as exc:
             failures += 1
             with pytest.raises(FoliationDegeneracyError, match=re.escape(str(exc))):
-                loop(x_leaf, s_vals, [b - a for a, b in zip(s_vals, s_vals[1:])])
+                loop(pack(x_leaf), s_vals, [b - a for a, b in zip(s_vals, s_vals[1:])])
             continue
-        got = loop(x_leaf, s_vals, [b - a for a, b in zip(s_vals, s_vals[1:])])
+        got = unpack_rows(loop(pack(x_leaf), s_vals,
+                               [b - a for a, b in zip(s_vals, s_vals[1:])]), n * d)
         for got_rows, want_rows in zip(got, want):
             assert [bits(row) for row in got_rows] == [bits(row) for row in want_rows]
     assert failures < 6
@@ -683,7 +685,7 @@ class TestAnchoringAgainstOracle:
 
             def run(x, ts, hs):
                 calls[0] += 1
-                starts.append(np.array(x))
+                starts.append(np.frombuffer(x))
                 if calls[0] == 3:  # the forward loop of the second sweep
                     raise FoliationDegeneracyError("a sweep failed")
                 return loop(x, ts, hs)
@@ -810,3 +812,31 @@ class TestAnchoringAgainstOracle:
         # the boosted foliations anchor in several iterations of two sweeps
         assert len(sweeps) > 2 * len(fols) + 2
         assert len(built) == 2 * len(fols)
+
+
+class TestPackedLeafTable:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(case=anchor_cases())
+    def test_matches_the_fromiter_table(self, case):
+        # a sweep reads its packed loop rows, both directions, with one
+        # np.frombuffer; the same rows as tuples, read by np.fromiter as
+        # before (oracles.leaf_table_oracle), give the same bits
+        s, fol, init, span, ds, _, _ = case
+        n, d, seen, real = s.n, s.d, [], hj._leaf_loop
+
+        def capturing(*args):
+            loop = real(*args)
+            return lambda *call: seen.append(loop(*call)) or seen[-1]
+
+        s_lo, s_hi, _ = hj.foliation_leaves(fol, init, span, ds)
+        with mock.patch.object(hj, "_leaf_loop", capturing):
+            sweep = hj._leaf_sweep(s, fol, s_lo, s_hi, ds)
+        try:
+            _, xs, vs = sweep(np.ravel(init).tobytes())
+        except (ArithmeticError, FoliationError):
+            assume(False)
+        (xs_fw, vs_fw), (xs_bw, vs_bw) = (unpack_rows(rows, n * d) for rows in seen)
+        leaves = len(xs_fw) + len(xs_bw) - 1
+        assert xs.tobytes() == leaf_table_oracle(xs_bw, xs_fw, leaves, n, d).tobytes()
+        assert vs.tobytes() == leaf_table_oracle(vs_bw, vs_fw, leaves, n, d).tobytes()
+        assert xs.flags.writeable and vs.flags.writeable
