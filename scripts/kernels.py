@@ -24,19 +24,26 @@ checkout's ``src``) and prints, in microseconds:
 * ``hj foliation``: one leaf step of a whole ``hj_trajectories_foliation``
   run on each foliation of the shipped HJ foliation configs, every
   anchoring sweep included (the steps are counted at ``hj._leaf_loop``,
-  in a run of its own).
+  in a run of its own);
+* ``loop size``: the bytecode instructions (``dis.get_instructions``) of
+  each field's compiled loop in each mode (equal-time, and a grid leg
+  along each time) and of each shipped foliation's leaf loop, a count
+  that does not depend on the machine or its load.
 
 The ``rk4`` lines call a compiled loop directly, with the start state in
 the form its checkout's loops take: packed doubles, or a list of floats.
-The whole-run lines call public functions only, so they read the same on
-any checkout.  Each figure is the best of ``REPEAT`` timed runs, divided
-by the steps, points or samples of one run.  Two checkouts compare line
-by line:
+The grid leg runs all ``STEPS`` steps as one leg, as a path around a
+rectangle does, and keeps its end alone where the checkout's leg loops
+take their legs; an older loop keeps every node.  The whole-run lines
+call public functions only, so they read the same on any checkout.  Each timed figure is the best of ``REPEAT`` timed runs,
+divided by the steps, points or samples of one run.  Two checkouts
+compare line by line:
 
     diff <(python scripts/kernels.py) <(python scripts/kernels.py ../parent/src)
 """
 
 import copy
+import dis
 import struct
 import sys
 import timeit
@@ -105,6 +112,49 @@ def start_state(loop, values, *fixed):
     return packed
 
 
+def shipped_foliations(hj, configs):
+    """``(name, s, fol, experiment)`` of every foliation of the shipped HJ
+    configs that extract trajectories, in config order."""
+    for name, cfg in sorted(configs.items()):
+        system, exp = cfg["system"], cfg["experiment"]
+        if cfg["formalism"] != "hj" or "init_positions" not in exp:
+            continue
+        s = hj.HJFunction(system["S"], system["n"], system["d"], system["masses"],
+                          system.get("constants"))
+        for fc in exp.get("foliations", [exp.get("foliation")]):
+            yield name, s, hj.Foliation(fc["u"]), exp
+
+
+def leg_call(leg, values):
+    """``(ts, hs) -> rows``: one call of the grid-leg loop ``leg`` from the
+    state ``values``, the other time 0, that runs all steps as one leg and
+    keeps its end where the loop takes its legs, else keeps every node."""
+    packed = struct.pack(f"{len(values)}d", *values)
+    try:
+        leg(packed, [0.0, 1e-3], [1e-3], [range(1)], 0.0)
+    except TypeError:  # a loop that takes no legs
+        y = start_state(leg, values, 0.0)
+        return lambda ts, hs: leg(y, ts, hs, 0.0)
+    return lambda ts, hs: leg(packed, ts, hs, [range(len(hs))], 0.0)
+
+
+def instructions(function) -> int:
+    return len(list(dis.get_instructions(function)))
+
+
+def loop_sizes(classical, hj, configs, fields) -> None:
+    """The ``loop size`` lines."""
+    for label, field in fields:
+        n, d = field.n, field.d
+        for axis in (None, *range(n)):
+            mode = "equal-time" if axis is None else f"grid-leg-t{axis + 1}"
+            size = instructions(classical._rk4_loop(field.exprs, n, d, axis))
+            print(f"loop size       {size:9d} instrs     {label}:{mode}")
+    for name, s, fol, _ in shipped_foliations(hj, configs):
+        size = instructions(hj._leaf_loop(s.expr, s.n, s.d, s.masses, fol.u))
+        print(f"loop size       {size:9d} instrs     {name}:{fol.label()}")
+
+
 def leaf_steps(hj, run) -> int:
     """The leaf RK4 steps that ``run()`` takes, counted at ``hj._leaf_loop``."""
     steps, real_loop = [0], hj._leaf_loop
@@ -147,21 +197,14 @@ def whole_runs(np, classical, hj, cli, configs, fields) -> None:
             steps = sub * ((points - 1) + points * (points - 1))
             cost = best(lambda: classical.evolve_full_grid(pair, init, t1, t2, sub), steps)
             print(f"full grid       {cost:9.3f} us/step    {name}")
-    for name, cfg in sorted(configs.items()):
-        system, exp = cfg["system"], cfg["experiment"]
-        if cfg["formalism"] != "hj" or "init_positions" not in exp:
-            continue
-        s = hj.HJFunction(system["S"], system["n"], system["d"], system["masses"],
-                          system.get("constants"))
-        for fc in exp.get("foliations", [exp.get("foliation")]):
-            fol = hj.Foliation(fc["u"])
+    for name, s, fol, exp in shipped_foliations(hj, configs):
 
-            def run():
-                hj.hj_trajectories_foliation(s, fol, exp["init_positions"],
-                                             tuple(exp["s_span"]), exp["ds"])
+        def run():
+            hj.hj_trajectories_foliation(s, fol, exp["init_positions"],
+                                         tuple(exp["s_span"]), exp["ds"])
 
-            cost = best(run, leaf_steps(hj, run))
-            print(f"hj foliation    {cost:9.3f} us/leaf-step  {name}:{fol.label()}")
+        cost = best(run, leaf_steps(hj, run))
+        print(f"hj foliation    {cost:9.3f} us/leaf-step  {name}:{fol.label()}")
 
 
 def main(src: str) -> None:
@@ -181,10 +224,10 @@ def main(src: str) -> None:
         n, d = field.n, field.d
         y0 = np.linspace(-1.0, 1.0, 2 * n * d).tolist()
         equal, leg = (classical._rk4_loop(field.exprs, n, d, axis) for axis in (None, 0))
-        ye, yl = start_state(equal, y0), start_state(leg, y0, 0.0)
+        ye, run_leg = start_state(equal, y0), leg_call(leg, y0)
         points = cli._sample_phase_points(samples, "", n, d, 0)
         print(f"rk4 equal-time  {best(lambda: equal(ye, ts, hs), STEPS):9.3f} us/step    {label}")
-        print(f"rk4 grid-leg    {best(lambda: leg(yl, ts, hs, 0.0), STEPS):9.3f} us/step    {label}")
+        print(f"rk4 grid-leg    {best(lambda: run_leg(ts, hs), STEPS):9.3f} us/step    {label}")
         point = best(lambda: [classical.classical_consistency_defect(field, pt)
                               for pt in points], len(points))
         print(f"defect point    {point:9.3f} us/point   {label}")
@@ -198,6 +241,7 @@ def main(src: str) -> None:
                         len(tuples))
             print(f"validity        {cost:9.3f} us/sample  {name}")
     whole_runs(np, classical, hj, cli, configs, fields)
+    loop_sizes(classical, hj, configs, fields)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ A field's right-hand side ``PhaseVectorField.rhs``, one compiled
 function of the time tuple and the state memoised the same way, serves
 the validity residuals, which are taken on arrays over all samples.
 A loop writes one packed row per node, ``bytes`` of native doubles: an
-equal-time node's state (x, p) and then its rates, a grid leg's node its
+equal-time node's state (x, p) and then its rates, a grid leg's end its
 state alone, and a state row starts the next leg as it is.  Numpy arrays
 are built once a run is done, by one ``np.frombuffer`` over all its rows
 joined.  A run's plan function counts its RK4 steps and refuses more than
@@ -281,7 +281,7 @@ def _rk4_loop(exprs: tuple[Expression, ...], n: int, d: int,
     step and the loop records every node, one packed row of the state and
     the rates (equal-time evolution); else t_{axis+1} follows it, the other
     times are fixed arguments and the loop returns the packed state at
-    every node (full-grid legs)."""
+    the start and at the end of every leg it is given (full-grid legs)."""
     times, state = _state_names(n, d)
     follow = times if axis is None else times[axis:axis + 1]
     fixed = [t for t in times if t not in follow]
@@ -426,19 +426,18 @@ class GridSolution:
 
 
 def _leg_plan(starts: Sequence[float], durations: Sequence[float],
-              substeps: int) -> tuple[list[float], list[float], list[int]]:
-    """``(ts, hs, ends)`` of legs run one after the other: leg i from the
+              substeps: int) -> tuple[list[float], list[float], list[range]]:
+    """``(ts, hs, legs)`` of legs run one after the other: leg i from the
     time ``starts[i]`` by ``durations[i]`` in ``substeps`` RK4 steps of
     ``durations[i] / substeps``.  ``ts`` and ``hs`` hold every step's start
-    time and length, and ``ends`` the node indices of the first leg's start
-    and of every leg's end."""
-    ts, hs, ends = [], [], [0]
+    time and length, and ``legs`` the indices of every leg's steps."""
+    ts, hs, legs = [], [], []
     for start, duration in zip(starts, durations):
         dt = duration / substeps
         ts += _node_times(start, dt, substeps)[:-1]
+        legs.append(range(len(hs), len(hs) + substeps))
         hs += [dt] * substeps
-        ends.append(len(hs))
-    return ts, hs, ends
+    return ts, hs, legs
 
 
 def _grid_legs(hpair: HamiltonianPair) -> Callable:
@@ -446,17 +445,11 @@ def _grid_legs(hpair: HamiltonianPair) -> Callable:
     coordinate k of the packed flat state y under the field of H_k, the
     other time fixed at ``other``, along the legs of ``plan``
     (``_leg_plan``), each leg from the state the one before it ends in.
-    It returns the packed state rows at the start and at the end of every
-    leg, from one call of the compiled loop."""
+    It returns y and then the packed state row at the end of every leg,
+    from one call of the compiled loop, which packs no other row."""
     n, d = hpair.n, hpair.d
     loops = [_rk4_loop(f.exprs, n, d, ax) for ax, f in enumerate(hpair.fields)]
-
-    def legs(k: int, plan: tuple, y: bytes, other: float) -> list[bytes]:
-        ts, hs, ends = plan
-        states = loops[k - 1](y, ts, hs, other)
-        return [states[i] for i in ends]
-
-    return legs
+    return lambda k, plan, y, other: loops[k - 1](y, *plan, other)
 
 
 def full_grid_steps(points1: int, points2: int, substeps: int) -> int:

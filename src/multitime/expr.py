@@ -23,10 +23,12 @@ returns all their values and computes shared subtrees once, and
 ``compile_rk4`` lowers a whole RK4 integration to one function with the
 loop inside and the system's statements inlined in every stage.  Both
 perform the IEEE operations of each tree in evaluation order, left
-operand before right, with no rewriting; a subtree of numbers only is
-folded into the number that the same Python operation gives, unless it
-raises or gives no finite float.  ``evaluate`` is a thin caller of the
-first.  A variable is an argument of the generated function, and every
+operand before right, with no rewriting but two that keep every bit: a
+subtree of numbers only is folded into the number that the same Python
+operation gives, unless it raises or gives no finite float, and a
+division by ±2^k with a finite inverse is a product.  An RK4 loop
+computes a stage state only where an output reads it, and folds constant
+rates.  ``evaluate`` is a thin caller of the first.  A variable is an argument of the generated function, and every
 number, a literal or a parameter's value put into the tree by
 ``substitute``, is bound one way: as a global of it.
 ``diff`` builds the exact partial derivative of an AST as another AST,
@@ -505,6 +507,25 @@ def _domain_error(template: str, *args) -> NoReturn:
     raise DomainError(template.format(*args)) from None
 
 
+def _bind(value: float, namespace: dict[str, object]) -> str:
+    """Bind the number ``value`` as a global of a generated function; its
+    name, ``c`` and a count, is the only kind there that starts with c."""
+    name = f"c{len(namespace)}"
+    namespace[name] = value
+    return name
+
+
+def _numbers(names: Sequence[str], namespace: dict[str, object]) -> list[float] | None:
+    """The values of ``names`` if every one names a number, else None."""
+    return [namespace[n] for n in names] if all(n[0] == "c" for n in names) else None
+
+
+def _exact_inverse(c: float) -> float | None:
+    """1 / c for c = ±2^k where that is finite, else None: a * (1 / c) then
+    rounds the same real number as a / c, to the same bits for every a."""
+    return 1.0 / c if abs(math.frexp(c)[0]) == 0.5 and math.isfinite(1.0 / c) else None
+
+
 def _emit(outputs: Sequence[Expression], read: Callable[[str], str],
           namespace: dict[str, object], lines: list[str]) -> list[str]:
     """Append to ``lines`` the straight-line statements that compute every
@@ -521,7 +542,9 @@ def _emit(outputs: Sequence[Expression], read: Callable[[str], str],
     but a finite float stays a statement, so its error is raised where
     and when it was.  A check that cannot fire is left out: the zero check
     of a division by a nonzero number, and the complex check of a power to
-    an integral number (a float to such a power stays real).  ``read(name)``
+    an integral number (a float to such a power stays real).  A division by
+    ±2^k with a finite inverse is the product with it (``_exact_inverse``):
+    the same bits, by CPython's faster multiplication.  ``read(name)``
     returns the name that holds a variable; it is called once per
     variable, at its first occurrence, and may append the statement that
     reads it to ``lines``.
@@ -534,7 +557,6 @@ def _emit(outputs: Sequence[Expression], read: Callable[[str], str],
     because a repeat only skips statements that already ran.
     """
     names: dict[tuple, str] = {}
-    numbers: dict[str, float] = {}  # the value of every number's name
 
     def emit(node: Expression) -> str:
         match node:
@@ -559,13 +581,11 @@ def _emit(outputs: Sequence[Expression], read: Callable[[str], str],
         emitted already; return the name holding its value."""
         match node:
             case Num(value):
-                name = f"c{len(namespace)}"
-                namespace[name] = numbers[name] = value
-                return name
+                return _bind(value, namespace)
             case Var(name):
                 return read(name)
-        if all(arg in numbers for arg in key[1:]):
-            value = _fold(node, *(numbers[arg] for arg in key[1:]))
+        if (operands := _numbers(key[1:], namespace)) is not None:
+            value = _fold(node, *operands)
             if isinstance(value, float) and math.isfinite(value):
                 return emit(Num(value))
         # unique: a statement is appended after every new temporary
@@ -578,13 +598,16 @@ def _emit(outputs: Sequence[Expression], read: Callable[[str], str],
                 if op in "+-*":
                     lines.append(f"{out} = {a} {op} {c}")
                 elif op == "/":
-                    # a number other than zero needs no check
-                    check = numbers.get(c, 0.0) == 0.0
-                    lines.append((f"if {c} == 0.0:\n _domain_error('division by zero')\n"
-                                  if check else "") + f"{out} = {a} / {c}")
+                    divisor, = _numbers((c,), namespace) or (0.0,)
+                    if (inverse := _exact_inverse(divisor)) is not None:
+                        lines.append(f"{out} = {a} * {emit(Num(inverse))}")
+                    else:  # a number other than zero needs no check
+                        lines.append((f"if {c} == 0.0:\n _domain_error('division by zero')\n"
+                                      if divisor == 0.0 else "") + f"{out} = {a} / {c}")
                 else:
                     # a float to an integral float power is never complex
-                    check = not (c in numbers and float(numbers[c]).is_integer())
+                    exponent, = _numbers((c,), namespace) or (0.5,)
+                    check = not float(exponent).is_integer()
                     lines.append(
                         f"try:\n {out} = {a} ** {c}\n"
                         "except (ValueError, ZeroDivisionError, OverflowError) as exc:\n"
@@ -709,13 +732,14 @@ def compile_rk4(outputs: Sequence[Expression], state: Sequence[str],
     ``lines`` the statements that turn the names ``values`` (the outputs
     of one stage) into the rates, and returns the rates' names, naming
     each new value ``r{len(lines)}`` before it appends the statement, as
-    ``_emit`` does.  ``time`` is the source of an expression that computes
-    the stage's time in the loop body, as the stage times are computed
-    (``ts[i] + h2``); a hook that reads it only on an error path costs
-    nothing per step.
+    ``_emit`` does, and binding each number it folds by ``_bind``.
+    ``time`` is the source of an expression that computes the stage's time
+    in the loop body (``ts[i] + h2``); a hook that reads it only on an
+    error path costs nothing per step.
 
-    The function is ``integrate(y, ts, hs, *fixed_values)``: from the
-    state y at the time ``ts[0]`` it takes step i from ``ts[i]`` by
+    The function is ``integrate(y, ts, hs, *fixed_values)``, or
+    ``integrate(y, ts, hs, legs, *fixed_values)`` without ``record``: from
+    the state y at the time ``ts[0]`` it takes step i from ``ts[i]`` by
     ``hs[i]`` (``ts`` holds one node time more than ``hs`` steps).  Its
     arithmetic is that of the vector formulas ``y + h/2*k`` (stage times
     ``t + h/2``) and ``y + h*k3`` (stage time ``t + h``) for the stages and
@@ -729,20 +753,25 @@ def compile_rk4(outputs: Sequence[Expression], state: Sequence[str],
     is such a row of the state's floats, unpacked once.  With ``record``
     the loop evaluates the outputs at every node ``ts[i]``, the step's k1
     among them, and returns one row per node: the state, then the outputs
-    there.  Without, it evaluates them at each step's start only, never at
-    the end node, reads ``ts[i]`` for i < len(hs) only, and returns the
-    states at all len(hs) + 1 nodes, y itself first.  So a row it returns
-    starts the next call as it is, and one call can run several legs in a
-    row: each step starts from its own ``ts[i]``, not from the end of the
-    step before it.  The node time ``ts[i]`` and the stage times are
-    computed only where an output reads them.  The step's own
-    coefficients are float literals (``h / 2.0``, ``2.0 * k2``), the same
-    floats as ints would be, without CPython's int-and-float path.
+    there.  Without, it runs the steps of each of ``legs`` (``range``s of
+    step indices) in turn, evaluates the outputs at each step's start
+    only, and returns y itself and then the state at each leg's end, no
+    other row.  So a row it returns starts the next call as it is: each
+    step starts from its own ``ts[i]``, not from the step before it.
+
+    The loop computes only what it uses: a stage state only for a state
+    variable that an output reads, the node time ``ts[i]``, the stage
+    times and h/2 only where a statement reads them, and the sum
+    ``((k1 + 2*k2) + 2*k3) + k4`` of a component whose rates are numbers
+    folded, by the same float operations.  Its own coefficients are float
+    literals (``h * 0.5``, which is ``h / 2.0`` bit for bit, ``h / 6.0``,
+    ``2.0 * k2``), without CPython's int-and-float path.
     """
     namespace: dict[str, object] = {"_domain_error": _domain_error}
     fixed_locals = {name: f"f_{i}" for i, name in enumerate(fixed)}
     lines: list[str] = []  # the loop body
     times_read: set[str] = set()  # the stage times that a statement reads
+    read_names = frozenset().union(*map(free_variables, outputs))  # none folded away
 
     def outputs_at(values: Sequence[str], time: str) -> list[str]:
         """Emit the outputs at the state held in ``values`` and the time
@@ -769,33 +798,36 @@ def compile_rk4(outputs: Sequence[Expression], state: Sequence[str],
     lines.append("")  # the step's scaffold, once the stages' reads are known
     for prefix, time, factor in _STAGES:
         stage = [f"{prefix}_{i}" for i in range(len(state))]
-        lines += [f"{s} = {y} + {factor} * {k}" for s, y, k in zip(stage, ys, ks[-1])]
+        lines += [f"{s} = {y} + {factor} * {k}" for s, y, k, name
+                  in zip(stage, ys, ks[-1], state) if name in read_names]
         ks.append(rates_at(outputs_at(stage, time), time))
     stage_times = {time: factor for _, time, factor in _STAGES}
-    lines[scaffold] = "\n".join(["h = hs[i]", "h2 = h / 2.0"] + [
+    half = read_names.intersection(state) or "t_half" in times_read
+    lines[scaffold] = "\n".join(["h = hs[i]"] + ["h2 = h * 0.5"] * bool(half) + [
         f"{time} = t + {factor}" for time, factor in stage_times.items()
         if time in times_read])
     ends = [f"z_{i}" for i in range(len(state))]
     lines.append("h6 = h / 6.0")
-    lines += [f"{z} = {y} + h6 * ((({k1} + 2.0 * {k2}) + 2.0 * {k3}) + {k4})"
-              for z, y, k1, k2, k3, k4 in zip(ends, ys, *ks)]
+    for z, y, k in zip(ends, ys, zip(*ks)):
+        total = "((({} + 2.0 * {}) + 2.0 * {}) + {})".format(*k)
+        if (c := _numbers(k, namespace)) is not None:  # folded by the same operations
+            total = _bind(((c[0] + 2.0 * c[1]) + 2.0 * c[2]) + c[3], namespace)
+        lines.append(f"{z} = {y} + h6 * {total}")
     # z - z is 0.0 for a finite z and nan for an infinite or nan one
     lines.append(f"if {' or '.join(f'{z} - {z} != 0.0' for z in ends)}:\n"
                  " raise FloatingPointError(f'non-finite state at t = {ts[i] + h}')")
     lines += [f"{y} = {z}" for y, z in zip(ys, ends)]
-    if not record:
-        lines.append(f"add_row(pack({', '.join(ys)}))")
     namespace["pack"] = struct.Struct(f"{len(ys) + (len(node) if record else 0)}d").pack
     namespace["unpack"] = struct.Struct(f"{len(ys)}d").unpack
+    body = _indent(_indent([*(["t = ts[i]"] if times_read else []), *lines]))
     return _define([
-        f"def integrate(y, ts, hs{''.join(', ' + f for f in fixed_locals.values())}):",
+        f"def integrate(y, ts, hs{'' if record else ', legs'}"
+        f"{''.join(', ' + f for f in fixed_locals.values())}):",
         f" ({''.join(y + ', ' for y in ys)}) = unpack(y)",
-        " n = len(hs)",
-        " rows = []" if record else " rows = [y]",
-        " add_row = rows.append",
-        f" for i in range({'n + 1' if record else 'n'}):",
-        *(["  t = ts[i]"] if times_read else []),
-        *_indent(_indent(lines)),
+        *([" rows = []", " add_row = rows.append", " n = len(hs)",
+           " for i in range(n + 1):", *body] if record else
+          [" rows = [y]", " add_row = rows.append", " for leg in legs:",
+           "  for i in leg:", *_indent(body), f"  add_row(pack({', '.join(ys)}))"]),
         " return rows",
     ], "integrate", namespace)
 

@@ -27,8 +27,8 @@ import numpy as np
 from .classical import PhasePoint
 from .expr import (STEP_TIME, BinOp, Expression, ExpressionError, FoliationError,
                    Num, Var, binding_names, bound_steps, check_steps,
-                   compile_function, compile_rk4, derivative, diff, evaluate,
-                   parse_expression, substitute)
+                   _bind, _numbers, compile_function, compile_rk4, derivative, diff,
+                   evaluate, parse_expression, substitute)
 from .numdiff import partial_derivative
 from .paths import NPath, PathRangeError, WorldLine, hermite_at
 from .reports import DefectReport, DivergenceReport
@@ -262,13 +262,21 @@ def _leaf_rates(u: tuple[float, ...], n: int, d: int) -> Callable:
     """The ``rates`` hook of ``expr.compile_rk4`` on the leaves t = s + u.x:
     dx_j/ds = V_j / gamma_j with gamma_j = 1 - u.V_j, for every particle j,
     and FoliationDegeneracyError where gamma_j <= 0, whose message alone
-    computes the leaf s of the stage."""
+    computes the leaf s of the stage.  Where V_j is numbers, its rates are
+    folded by the statements' float operations, unless gamma_j is not a
+    finite number > 0 or a rate not finite: then the statements stay."""
     def emit(values: list[str], time: str, lines: list[str], namespace: dict) -> list[str]:
         namespace["_degenerate"] = _degenerate
         namespace.update((f"_u{k}", uk) for k, uk in enumerate(u))
         rates = []
         for j in range(n):
             vj = values[j * d:(j + 1) * d]
+            if (vs := _numbers(vj, namespace)) is not None:
+                gamma = 1.0 - functools.reduce(lambda dot, k: dot + u[k] * vs[k], range(d), 0.0)
+                folded = [v / gamma for v in vs] if 0.0 < gamma < math.inf else [math.nan]
+                if all(map(math.isfinite, folded)):
+                    rates += [_bind(r, namespace) for r in folded]
+                    continue
             gamma = f"r{len(lines)}"
             # u.V_j as sum() adds it up: from 0, left to right (0.0, the
             # same float, skips the int-and-float path)
@@ -374,6 +382,14 @@ def _at_zero(times: list[np.ndarray], xs: np.ndarray, vs: np.ndarray, fol: Folia
     return np.concatenate(values)
 
 
+def _broyden_update(jac: np.ndarray, dx: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """J + ((dz - J dx) dx^T) / (dx.dx) (Broyden 1965), or J where dz is 0
+    (J would turn singular) or dx.dx is 0 or not finite (J would turn NaN)."""
+    if np.any(dz) and 0.0 < (dxdx := dx @ dx) < math.inf:
+        return jac + np.outer(dz - jac @ dx, dx) / dxdx
+    return jac
+
+
 def hj_trajectories_foliation(s: HJFunction, fol: Foliation,
                               init_positions: np.ndarray,
                               s_span: tuple[float, float], ds: float,
@@ -425,9 +441,7 @@ def hj_trajectories_foliation(s: HJFunction, fol: Foliation,
             for i in range(0, len(target), s.d):
                 jac[i:i + s.d, i:i + s.d] -= np.outer(v[i:i + s.d], fol.u_vec)
         else:
-            dx, dz = x_next - x_leaf, z_next - z
-            if np.any(dz):  # else z is at its rounding floor, and J would turn singular
-                jac = jac + np.outer(dz - jac @ dx, dx) / (dx @ dx)
+            jac = _broyden_update(jac, x_next - x_leaf, z_next - z)
         x_leaf, z = x_next, z_next
         gap = target - z
         if float(np.max(np.abs(gap))) <= anchor_tol:

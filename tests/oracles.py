@@ -345,7 +345,9 @@ def anchoring_oracle(s, fol, init_positions, s_span: tuple[float, float], ds: fl
                              for b in range(size)] for a in range(size)])
         else:
             dx, dz = x_next - x_leaf, z_next - z
-            if np.any(dz):  # else z is at its rounding floor, and J would turn singular
+            # else z is at its rounding floor, and J would turn singular, or
+            # dx.dx underflows or overflows, and J would turn NaN
+            if np.any(dz) and 0.0 < dx @ dx < math.inf:
                 jac = jac + np.outer(dz - jac @ dx, dx) / (dx @ dx)
         x_leaf, z = x_next, z_next
         gap = target - z
@@ -368,7 +370,10 @@ def _grid_leg(hpair, k: int, times: Sequence[float], y, duration: float,
     ts = [times[k - 1]]
     for _ in range(substeps):
         ts.append(ts[-1] + dt)
-    return unpack_rows(loop(pack(y), ts, [dt] * substeps, *fixed))[-1]
+    # every node kept, as the loop returned them before it took its legs:
+    # each step a leg
+    legs = [range(i, i + 1) for i in range(substeps)]
+    return unpack_rows(loop(pack(y), ts, [dt] * substeps, legs, *fixed))[-1]
 
 
 def full_grid_oracle(hpair, init, t1_grid, t2_grid, substeps: int):

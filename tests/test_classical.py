@@ -750,10 +750,10 @@ class TestRk4Step:
         assert bits(rates[0]) == bits(rhs((t, t), y))
         assert bits(rates[1]) == bits(rhs((t + h, t + h), states[1]))
         # a grid leg along t1, then along t2, with the other time fixed; the
-        # loop returns the state at both nodes
-        leg1 = unpack_rows(rk4_loop(fld, 0)(pack(y), [t], [h], other))
+        # loop returns the state at both nodes, the leg's end kept
+        leg1 = unpack_rows(rk4_loop(fld, 0)(pack(y), [t], [h], [range(1)], other))
         assert bits(leg1[0]) == bits(y) and bits(leg1[-1]) == stepped(lambda tt: (tt, other))
-        leg2 = unpack_rows(rk4_loop(fld, 1)(pack(y), [t], [h], other))
+        leg2 = unpack_rows(rk4_loop(fld, 1)(pack(y), [t], [h], [range(1)], other))
         assert bits(leg2[-1]) == stepped(lambda tt: (other, tt))
 
     @pytest.mark.parametrize("component", range(4))
@@ -765,7 +765,7 @@ class TestRk4Step:
         with pytest.raises(FloatingPointError, match="non-finite state at t = 0.5"):
             evolve_equal_time(fld, phase_point(0.0, *y), (0.0, 0.5), 0.5)
         with pytest.raises(FloatingPointError, match="non-finite state at t = 0.5"):
-            rk4_loop(fld, 0)(pack(y), [0.0], [0.5], 0.0)
+            rk4_loop(fld, 0)(pack(y), [0.0], [0.5], [range(1)], 0.0)
 
     def test_domain_error_in_a_middle_stage(self):
         # v_1 = log(1 - 2 t1) is defined at the step's start t = 0 and not
@@ -788,7 +788,7 @@ class TestRk4Step:
         fld = PhaseVectorField.from_expressions(2, 1, [["log(-p1_1)"], ["0"]],
                                                 [["3*t1^2"], ["0"]])
         y = [0.0, 0.0, -1.0, 0.0]
-        end = unpack_rows(rk4_loop(fld, 0)(pack(y), [0.0], [1.0], 0.0))[-1]
+        end = unpack_rows(rk4_loop(fld, 0)(pack(y), [0.0], [1.0], [range(1)], 0.0))[-1]
         assert end[2] == 0.0
         with pytest.raises(DomainError, match="log of non-positive value -0.0"):
             fld.rhs((1.0, 0.0), end)

@@ -1,3 +1,4 @@
+import dis
 import functools
 import math
 import re
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multitime import classical, expr as expr_module, hj, quantum
+from multitime import classical, cli, expr as expr_module, hj, quantum
 from multitime.classical import (HamiltonianPair, PhasePoint, PhaseVectorField,
                                  evolve_equal_time, evolve_full_grid,
                                  grid_path_independence, hamiltonian_vector_field,
@@ -30,7 +31,8 @@ from multitime.expr import (
     parse_expression,
     substitute,
 )
-from multitime.hj import hj_consistency_defect
+from multitime.configs import EXAMPLE_CONFIGS
+from multitime.hj import FoliationDegeneracyError, hj_consistency_defect
 from multitime.quantum import (MultiTimeState, PartialHamiltonianSet,
                                evolve_staircase, staircase_between)
 from multitime.numdiff import default_step, diff_callable, partial_derivative
@@ -812,11 +814,14 @@ def rk4_cases(draw):
 
 def compile_unpacked(outputs, state, fixed=(), *, record=True, rates=None):
     """``expr.compile_rk4`` as the oracle's loop is called: a state of
-    floats in, and its packed rows out as the states and the records, or
-    the states, each a tuple of floats."""
+    floats in, every node kept without ``record`` (each step a leg), and
+    its packed rows out as the states and the records, or the states, each
+    a tuple of floats."""
     loop = expr_module.compile_rk4(outputs, state, fixed, record=record, rates=rates)
-    size = len(state) if record else None
-    return lambda y, *args: unpack_rows(loop(pack(y), *args), size)
+    if record:
+        return lambda y, *args: unpack_rows(loop(pack(y), *args), len(state))
+    return lambda y, ts, hs, *fixed_values: unpack_rows(
+        loop(pack(y), ts, hs, [range(i, i + 1) for i in range(len(hs))], *fixed_values))
 
 
 def loop_outcome(compile_loop, case, rates_hook):
@@ -874,23 +879,27 @@ class TestCompiledRk4:
             Times.reads = 0
             for record in (True, False):
                 loop = expr_module.compile_rk4(outputs, ["y1"], record=record, rates=hook)
-                loop(pack([1.0]), Times([0.0, 0.1, 0.2]), [0.1, 0.1])
+                loop(pack([1.0]), Times([0.0, 0.1, 0.2]), [0.1, 0.1], *[] if record else [[range(2)]])
             assert Times.reads == reads
 
     def test_rows_are_packed(self):
         # a recording loop packs each node's state and then its outputs, a
-        # leg loop each node's state, the start state itself first
+        # leg loop the state at the end of each leg it is given, the start
+        # state itself first
         outputs, y0 = [BinOp("*", Num(-0.5), Var("y1")), Var("y2")], pack([1.0, 2.0])
-        recorded = expr_module.compile_rk4(outputs, ["y1", "y2"])(y0, [0.0, 0.1], [0.1])
+        ts, hs = [0.0, 0.1, 0.2, 0.3], [0.1] * 3
+        recorded = expr_module.compile_rk4(outputs, ["y1", "y2"])(y0, ts, hs)
         assert [struct.unpack("4d", row) for row in recorded[:1]] == [(1.0, 2.0, -0.5, 2.0)]
-        assert len(recorded) == 2 and len(recorded[1]) == 4 * 8
-        states = expr_module.compile_rk4(outputs, ["y1", "y2"], record=False)(
-            y0, [0.0, 0.1], [0.1])
-        assert states[0] is y0 and states[1] == recorded[1][:2 * 8]
+        assert len(recorded) == 4 and len(recorded[1]) == 4 * 8
+        leg = expr_module.compile_rk4(outputs, ["y1", "y2"], record=False)
+        states = leg(y0, ts, hs, [range(1), range(1, 3)])
+        assert len(states) == 3 and states[0] is y0
+        assert states[1:] == [recorded[1][:2 * 8], recorded[3][:2 * 8]]
+        # the loop takes the legs' steps alone
+        assert leg(y0, ts, hs, [range(2)]) == [y0, recorded[2][:2 * 8]]
         # a row of one call starts the next as it is
-        again = expr_module.compile_rk4(outputs, ["y1", "y2"], record=False)(
-            states[1], [0.1, 0.2], [0.1])
-        assert again[0] is states[1]
+        again = leg(states[1], ts, hs, [range(1, 2)])
+        assert again[0] is states[1] and again[1] == recorded[2][:2 * 8]
 
     def test_constant_subtrees_folded(self):
         # -(2 * 3) and log(4) fold into numbers; 1 / 0, log(-1) and
@@ -907,3 +916,171 @@ class TestCompiledRk4:
                             (BinOp("^", Num(10.0), Num(400.0)), "invalid power 10.0^400.0")):
             with pytest.raises(DomainError, match=re.escape(error)):
                 compile_function([BinOp("+", x, tree)], [("x",)])([0.5])
+
+
+# ------------------------------------------------- what the loops compute
+
+# ±2^k with a finite inverse, which become products; then 2^-1074, whose
+# inverse overflows, and 3, no power of two, which stay divisions
+PRODUCT_DIVISORS = (2.0, 0.5, -4.0, 2.0 ** -1022, 2.0 ** 1023)
+DIVISORS = PRODUCT_DIVISORS + (2.0 ** -1074, 3.0)
+DIVIDENDS = (0.0, -0.0, 5e-324, -2.5e-310, 1.5, -3.0, 1e308, -1e308,
+             math.inf, -math.inf, math.nan)
+
+
+def binary_ops(function) -> list[str]:
+    """The operators of the ``BINARY_OP`` instructions of ``function``."""
+    return [op.argrepr for op in dis.get_instructions(function) if op.opname == "BINARY_OP"]
+
+
+def number_divisors(function) -> list[float]:
+    """The divisor of every ``/`` of ``function`` whose right operand is a
+    number: a global of it, or a literal."""
+    ops = list(dis.get_instructions(function))
+    divisors = []
+    for operand, op in zip(ops, ops[1:]):
+        if op.opname == "BINARY_OP" and op.argrepr == "/":
+            if operand.opname == "LOAD_CONST":
+                divisors.append(operand.argval)
+            elif isinstance(value := function.__globals__.get(operand.argval), float):
+                divisors.append(value)
+    return divisors
+
+
+def stage_states(loop) -> list[str]:
+    """The stage states that ``loop`` computes, in order."""
+    return [op.argval for op in dis.get_instructions(loop)
+            if op.opname == "STORE_FAST" and op.argval[:2] in ("a_", "b_", "e_")]
+
+
+def shipped_loops() -> list[tuple[str, object]]:
+    """``(label, loop)``: the compiled loop of every classical field of the
+    shipped configs in every mode (equal-time, a grid leg along each time)
+    and the leaf loop of every shipped foliation."""
+    loops = []
+    for name, cfg in sorted(EXAMPLE_CONFIGS.items()):
+        system, exp = cfg["system"], cfg["experiment"]
+        if cfg["formalism"] == "hj" and "init_positions" in exp:
+            s = hj.HJFunction(system["S"], system["n"], system["d"], system["masses"],
+                              system.get("constants"))
+            for fc in exp.get("foliations", [exp.get("foliation")]):
+                u = hj.Foliation(fc["u"]).u
+                loops.append((f"{name}:{u}", hj._leaf_loop(s.expr, s.n, s.d, s.masses, u)))
+        elif cfg["formalism"] == "classical":
+            if exp["kind"] == "cjs-demo":
+                fields = [cli._build_field(member["field"], "", system["n"], system["d"])
+                          for member in exp["family"]]
+            elif exp["kind"] in ("full-grid", "path-independence"):
+                fields = cli._classical_system(system, "", grid=True)[2].fields
+            else:
+                fields = [cli._classical_system(system, "")[2]]
+            for field in fields:
+                for axis in (None, *range(field.n)):
+                    loop = classical._rk4_loop(field.exprs, field.n, field.d, axis)
+                    loops.append((f"{name}:{axis}", loop))
+    return loops
+
+
+def same_as_before(outputs, state, record, y0, hook=None):
+    """One call of the loop of ``outputs`` over two steps, and of the loop
+    before the leaner one, give the same bits or the same error."""
+    case = (outputs, state, (), record, hook, y0, [0.0, 0.25, 0.5], [0.25, 0.25], [])
+    return (loop_outcome(compile_unpacked, case, hj._leaf_rates)
+            == loop_outcome(compile_rk4_oracle, case, leaf_rates_oracle))
+
+
+class TestLeanLoops:
+    @pytest.mark.parametrize("c", DIVISORS)
+    def test_function_divisors_match_the_reference(self, c):
+        x = Var("x")
+        trees = [BinOp("/", x, Num(c)),
+                 BinOp("-", BinOp("/", Neg(x), Num(c)), BinOp("/", Num(c), x))]
+        fused = compile_function(trees, [("x",)])
+        for v in DIVIDENDS:
+            assert outcomes(lambda: fused((v,))) == outcomes(
+                lambda: [reference_evaluate(tree, {"x": v}) for tree in trees])
+        # c / x stays a division by a variable
+        assert number_divisors(fused) == ([] if c in PRODUCT_DIVISORS else [c, c])
+        assert binary_ops(fused).count("/") == (1 if c in PRODUCT_DIVISORS else 3)
+
+    @pytest.mark.parametrize("c", DIVISORS)
+    @pytest.mark.parametrize("record", [True, False])
+    def test_loop_divisors_match_the_loop_before_it(self, c, record):
+        y1, y2 = Var("y1"), Var("y2")
+        outputs = [BinOp("/", y2, Num(c)), BinOp("/", Neg(y1), Num(c))]
+        for v in DIVIDENDS:
+            assert same_as_before(outputs, ("y1", "y2"), record, [v, 0.5])
+            assert same_as_before(outputs, ("y1", "y2"), record, [0.5, v])
+        loop = expr_module.compile_rk4(outputs, ["y1", "y2"], record=record)
+        assert sorted(number_divisors(loop)) == sorted([6.0] + ([] if c in PRODUCT_DIVISORS
+                                                               else [c] * 8))
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_a_field_that_reads_no_state(self, record):
+        # constant rates: no stage state, no h / 2, and each step's sum
+        # folded, so a component costs y + h6 * c
+        outputs = [Num(0.5), Num(-2.0), Num(1e308)]
+        for y0 in ([1.0, -0.0, 2.0], [5e-324, 0.0, -1e308], [0.0, 0.0, 1e308]):
+            assert same_as_before(outputs, ("y1", "y2", "y3"), record, y0)
+        loop = expr_module.compile_rk4(outputs, ["y1", "y2", "y3"], record=record)
+        assert stage_states(loop) == [] and "h2" not in loop.__code__.co_varnames
+        # (n + 1 nodes,) h / 6.0, the three steps, their finiteness checks and
+        # the error's time
+        assert binary_ops(loop) == ["+"] * record + ["/", "*", "+", "*", "+", "*", "+",
+                                                     "-", "-", "-", "+"]
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_a_field_that_reads_part_of_its_state(self, record):
+        # y2 is read by no output, and the time by one
+        y1, y3, t = Var("y1"), Var("y3"), Var(expr_module.STEP_TIME)
+        outputs = [y3, Neg(y1), BinOp("*", y3, t)]
+        for y0 in ([1.0, -0.0, 2.0], [1e308, 0.0, -1e308], [0.5, math.inf, 0.5]):
+            assert same_as_before(outputs, ("y1", "y2", "y3"), record, y0)
+        loop = expr_module.compile_rk4(outputs, ["y1", "y2", "y3"], record=record)
+        assert stage_states(loop) == ["a_0", "a_2", "b_0", "b_2", "e_0", "e_2"]
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_constant_leaf_rates(self, record):
+        # on the leaves of u = 0.5, V = 1 folds into the rate 1 / 0.5 = 2;
+        # V = 2 gives gamma = 1 - 0.5 * 2 = 0 and V = 3 gives -0.5, each
+        # degenerate at the first stage
+        one, two, three = Num(1.0), Num(2.0), Num(3.0)
+        folded = expr_module.compile_rk4([one, one], ["y1", "y2"], record=record,
+                                         rates=hj._leaf_rates((0.5,), 2, 1))
+        assert "_degenerate" not in folded.__code__.co_names and stage_states(folded) == []
+        for outputs in ([one, one], [one, two], [two, one], [three, one], [Var("y2"), two]):
+            for y0 in ([1.0, -0.5], [1e308, 0.0]):
+                assert same_as_before(outputs, ("y1", "y2"), record, y0, ((0.5,), 2, 1))
+        degenerate = expr_module.compile_rk4([one, two], ["y1", "y2"], record=record,
+                                             rates=hj._leaf_rates((0.5,), 2, 1))
+        with pytest.raises(FoliationDegeneracyError,
+                           match=re.escape("1 - u.V_2 = 0 <= 0 at leaf s = 0")):
+            degenerate(pack([1.0, -0.5]), [0.0, 0.25], [0.25],
+                       *[] if record else [[range(1)]])
+
+    def test_free_equal_time_loop_has_no_position_stage_state(self):
+        n, d, field = cli._classical_system(EXAMPLE_CONFIGS["classical_free_evolve"]["system"], "")
+        loop = classical._rk4_loop(field.exprs, n, d, None)
+        # the rates v = p read the momenta alone, which follow the positions
+        momenta = range(n * d, 2 * n * d)
+        assert stage_states(loop) == [f"{s}_{i}" for s in "abe" for i in momenta]
+
+    def test_free_grid_leg_has_one_stage_state_per_stage(self):
+        _, _, pair = cli._classical_system(EXAMPLE_CONFIGS["grid_free"]["system"], "",
+                                           grid=True)
+        loop = classical._rk4_loop(pair.fields[0].exprs, pair.n, pair.d, 0)
+        assert [name[0] for name in stage_states(loop)] == ["a", "b", "e"]
+
+    def test_no_shipped_loop_divides_by_a_power_of_two(self):
+        loops = shipped_loops()
+        assert len(loops) > 20
+        for label, loop in loops:
+            for c in number_divisors(loop):
+                assert not (abs(math.frexp(c)[0]) == 0.5 and math.isfinite(1.0 / c)), label
+
+    def test_free_foliation_leaf_loop_has_no_degeneracy_test(self):
+        system = EXAMPLE_CONFIGS["hj_free_foliations"]["system"]
+        s = hj.HJFunction(system["S"], system["n"], system["d"], system["masses"],
+                          system["constants"])
+        loop = hj._leaf_loop(s.expr, s.n, s.d, s.masses, (0.3,))
+        assert "_degenerate" not in loop.__code__.co_names and stage_states(loop) == []

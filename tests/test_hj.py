@@ -4,6 +4,7 @@ import math
 import operator
 import re
 import struct
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -745,6 +746,21 @@ class TestAnchoringAgainstOracle:
         with pytest.raises(ValueError, match=f"^{re.escape(match)}$"):
             hj_trajectories_foliation(free_hj(), Foliation([0.3]), [[-1.0], [1.0]],
                                       **args)
+
+    def test_broyden_update_skips_an_underflowing_step(self):
+        # dx.dx of a step of 3.2e-173 underflows to 0 while dz does not: the
+        # update would turn J NaN, and "invalid value" would warn
+        dx = dz = np.array([-3.2e-173, 0.0])
+        assert dx @ dx == 0.0 and np.any(dz)
+        jac = np.array([[0.7, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = hj._broyden_update(jac, dx, dz)
+        assert np.all(np.isfinite(got)) and got.tobytes() == jac.tobytes()
+        # a step that does not underflow takes the update
+        dx, dz = np.array([0.5, 0.25]), np.array([0.25, 0.5])
+        want = jac + np.outer(dz - jac @ dx, dx) / (dx @ dx)
+        assert hj._broyden_update(jac, dx, dz).tobytes() == want.tobytes()
 
     def test_zero_tolerance_met_only_by_an_exact_gap(self):
         # on the unboosted foliation the first sweep reads x_j(0) = x_leaf
