@@ -41,14 +41,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .expr import (STEP_TIME, BinOp, Expression, Neg, Var, binding_names,
+from .expr import (_ZERO, STEP_TIME, BinOp, Expression, Neg, Var, _neg, binding_names,
                    bound_steps, check_steps, compile_function, compile_rk4,
                    derivative, free_variables, parse_expression, substitute)
 from .paths import NPath, WorldLine
 from .reports import DefectReport, ResidualReport
 
 __all__ = [
-    "is_spacelike",
     "PhasePoint",
     "PhaseVectorField",
     "hamiltonian_vector_field",
@@ -64,18 +63,6 @@ __all__ = [
     "grid_path_independence",
     "cjs_demo",
 ]
-
-
-def is_spacelike(times: np.ndarray, xs: np.ndarray) -> bool:
-    """True iff the events (times[j], xs[j]) of the (n,) and (n, d) arrays
-    are pairwise strictly spacelike: (dt)^2 < |dx|^2, natural units c = 1."""
-    for i in range(len(times)):
-        for j in range(i + 1, len(times)):
-            dt = times[i] - times[j]
-            dx = xs[i] - xs[j]
-            if dt * dt >= float(dx @ dx):
-                return False
-    return True
 
 
 @dataclass
@@ -196,7 +183,9 @@ def hamiltonian_vector_field(h_exprs: str | Expression | Sequence[str | Expressi
         _check_vars(e, n, d)
     xs, ps, grad = binding_names("x", n, d), binding_names("p", n, d), derivative(h)
     v = [[grad(parsed[j], var) for var in ps[j * d:(j + 1) * d]] for j in range(n)]
-    w = [[Neg(grad(parsed[j], var)) for var in xs[j * d:(j + 1) * d]] for j in range(n)]
+    grads = [[grad(parsed[j], var) for var in xs[j * d:(j + 1) * d]] for j in range(n)]
+    # a zero gradient keeps its rate -0.0, whose sign a zero state can show
+    w = [[Neg(g) if g == _ZERO else _neg(g) for g in row] for row in grads]
     return PhaseVectorField.from_expressions(n, d, v, w)
 
 
@@ -356,8 +345,9 @@ def validity_residual(field: PhaseVectorField, npath: NPath,
     xs, ps, dxs, dps = [np.stack([getattr(npath.line(j + 1), query)(tuples[:, j])
                                   for j in range(n)], axis=1)
                         for query in ("x_at", "p_at", "dxdt_at", "dpdt_at")]
-    # is_spacelike of every sample: its pairs in turn, each on the samples
-    # that passed the pairs before it
+    # a sample is spacelike when every pair of its events is strictly so,
+    # (dt)^2 < |dx|^2 (c = 1): its pairs in turn, each on the samples that
+    # passed the pairs before it
     spacelike = np.ones(len(tuples), bool)
     for i, j in itertools.combinations(range(n), 2):
         at = np.flatnonzero(spacelike)

@@ -339,7 +339,12 @@ def _sub(a: Expression, b: Expression) -> Expression:
 
 
 def _neg(a: Expression) -> Expression:
-    return _ZERO if _is_num(a, 0.0) else Neg(a)
+    match a:
+        case Num(value):
+            return _ZERO if value == 0.0 else Num(-value)
+        case Neg(arg):
+            return arg
+    return Neg(a)
 
 
 def _mul(a: Expression, b: Expression) -> Expression:
@@ -347,13 +352,30 @@ def _mul(a: Expression, b: Expression) -> Expression:
         return _ZERO
     if _is_num(a, 1.0):
         return b
-    return a if _is_num(b, 1.0) else BinOp("*", a, b)
+    if _is_num(b, 1.0):
+        return a
+    if _is_num(a, -1.0):
+        return _neg(b)
+    return _neg(a) if _is_num(b, -1.0) else BinOp("*", a, b)
+
+
+def _scales_exactly(k: float) -> bool:
+    """True for k = ±2^j with j >= 0: k * u is then exact wherever it is
+    finite, and (k * u) / k is u."""
+    return abs(math.frexp(k)[0]) == 0.5 and 1.0 <= abs(k) < math.inf
 
 
 def _div(a: Expression, b: Expression) -> Expression:
     if _is_num(a, 0.0):
         return _ZERO
-    return a if _is_num(b, 1.0) else BinOp("/", a, b)
+    if _is_num(b, 1.0):
+        return a
+    match a, b:
+        case Neg(arg), _:
+            return _neg(_div(arg, b))
+        case BinOp("*", Num() as k, u), Num(value) if k == b and _scales_exactly(value):
+            return u
+    return BinOp("/", a, b)
 
 
 def _pow(a: Expression, b: Expression) -> Expression:
@@ -367,7 +389,18 @@ def diff(expr: Expression, var: str) -> Expression:
     an expression (symbolic forward-mode differentiation).
 
     Products with 0 and 1, sums with 0 and powers 0 and 1 are folded, so
-    a subtree that does not contain ``var`` has the derivative 0.  A power
+    a subtree that does not contain ``var`` has the derivative 0.  The
+    constants of the rules are reduced as well: the negation of a number
+    is that number, ``-(-u)`` is u, a product with -1 is a negation,
+    ``(-a) / b`` is ``-(a / b)``, and ``(k*u) / k`` is u for k = ±2^j with
+    j >= 0 (the same bits of k), so ``p^2/2`` gives ``p``, and
+    ``(a - b)^2/2`` gives ``-(a - b)`` with respect to b.  The reduced
+    derivative has the bits of the unreduced one wherever ``k*u`` is
+    finite.  Where ``k*u`` overflows, the unreduced value is infinite
+    (an RK4 run of the field raises FloatingPointError) and the reduced
+    one is finite; where u is NaN the sign of the NaN may differ.  Any
+    other number k (``(3*u)/3``, ``(0.5*u)/0.5``) stays, because
+    ``(k*u)/k`` is not always u.  A power
     ``u^c`` whose exponent does not contain ``var`` uses the rule
     ``c * u^(c-1) * u'``; any other power ``u^v`` is differentiated as
     ``exp(v log u)``.  Where the derivative does not exist the derivative

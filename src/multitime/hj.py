@@ -27,7 +27,7 @@ import numpy as np
 from .classical import PhasePoint
 from .expr import (STEP_TIME, BinOp, Expression, ExpressionError, FoliationError,
                    Num, Var, binding_names, bound_steps, check_steps,
-                   _bind, _numbers, compile_function, compile_rk4, derivative, diff,
+                   _bind, _div, _numbers, compile_function, compile_rk4, derivative, diff,
                    evaluate, parse_expression, substitute)
 from .numdiff import partial_derivative
 from .paths import NPath, PathRangeError, WorldLine, hermite_at
@@ -63,7 +63,8 @@ class HJFunction:
     """Hamilton-Jacobi function S in the variables t1..tn, xJ_D.
 
     Each name in ``constants`` (a parameter of S, e.g. a momentum of a free
-    solution) is replaced in S by its value, a number like any other.
+    solution) is replaced in S by its value, a number like any other.  A
+    mass that is not a finite number > 0 raises ValueError.
     """
 
     expr: Expression
@@ -78,6 +79,10 @@ class HJFunction:
         self.n = n
         self.d = d
         self.masses = tuple(float(m) for m in masses)
+        # the velocity law divides by the masses, as the CLI requires
+        for j, m in enumerate(self.masses, 1):
+            if not 0.0 < m < math.inf:
+                raise ValueError(f"mass {j} must be a finite number > 0, got {m}")
 
     def grad_x(self, j: int, times: Sequence[float], x: np.ndarray,
                h: float | None = None) -> np.ndarray:
@@ -306,7 +311,7 @@ def _leaf_loop(s_expr: Expression, n: int, d: int, masses: tuple[float, ...],
         for uk, x in zip(u, xs[j * d:(j + 1) * d]):
             dot = BinOp("+", dot, BinOp("*", Num(uk), Var(x)))
         leaf_time[t] = BinOp("+", Var(STEP_TIME), dot)
-    velocities = [BinOp("/", substitute(diff(s_expr, x), leaf_time), Num(masses[i // d]))
+    velocities = [_div(substitute(diff(s_expr, x), leaf_time), Num(masses[i // d]))
                   for i, x in enumerate(xs)]
     return compile_rk4(velocities, xs, rates=_leaf_rates(u, n, d))
 

@@ -20,7 +20,9 @@ agree.
 
 ``to_string`` prints an expression so that parsing the text gives the
 same tree back; the parser's round-trip and the symbolic ``diff`` tests
-read their trees through it.
+read their trees through it.  ``diff_unreduced`` is ``diff`` before it
+reduced the constants of its rules, which the reduced derivatives are
+pinned against bit for bit wherever its value is finite.
 
 ``hermite_oracle``, ``anchoring_oracle``, ``full_grid_oracle`` and
 ``path_independence_oracle`` build n-paths and grids the long way, which
@@ -41,7 +43,8 @@ coefficients, a time read at every step, a complex check after every
 power), which the library's loops are pinned against bit for bit and
 error for error.  ``defect_oracle`` and ``validity_oracle`` are the
 classical defect and validity residual one point and one sample at a
-time, and ``sample_points_oracle`` and ``validity_tuples_oracle`` the CLI's
+time, the latter by ``is_spacelike``, the spacelike test of one sample,
+and ``sample_points_oracle`` and ``validity_tuples_oracle`` the CLI's
 random draws in several calls, which the grid, the batched pass and the
 single draws are pinned against.
 """
@@ -54,8 +57,9 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from multitime import classical, hj
-from multitime.expr import (FUNCTIONS, STEP_TIME, BinOp, Call, Expression, ExpressionError,
-                            Neg, Num, Var, _define, _domain_error, _indent, _reader,
+from multitime.expr import (_ONE, _ZERO, FUNCTIONS, STEP_TIME, BinOp, Call, Expression,
+                            ExpressionError, Neg, Num, Var, _add, _define, _domain_error,
+                            _indent, _is_num, _pow, _reader,
                             binding_names, bound_steps, check_steps, evaluate,
                             parse_expression, substitute)
 from multitime.hj import _as_expr, _degenerate, _residuals
@@ -135,6 +139,84 @@ def to_string(expr: Expression) -> str:
             return f"{ls} {op} {rs}"
         case Call(func, arg):
             return f"{func}({to_string(arg)})"
+    raise TypeError(f"not an Expression: {expr!r}")
+
+
+def _unreduced_sub(a: Expression, b: Expression) -> Expression:
+    if _is_num(b, 0.0):
+        return a
+    return _unreduced_neg(b) if _is_num(a, 0.0) else BinOp("-", a, b)
+
+
+def _unreduced_neg(a: Expression) -> Expression:
+    return _ZERO if _is_num(a, 0.0) else Neg(a)
+
+
+def _unreduced_mul(a: Expression, b: Expression) -> Expression:
+    if _is_num(a, 0.0) or _is_num(b, 0.0):
+        return _ZERO
+    if _is_num(a, 1.0):
+        return b
+    return a if _is_num(b, 1.0) else BinOp("*", a, b)
+
+
+def _unreduced_div(a: Expression, b: Expression) -> Expression:
+    if _is_num(a, 0.0):
+        return _ZERO
+    return a if _is_num(b, 1.0) else BinOp("/", a, b)
+
+
+def diff_unreduced(expr: Expression, var: str) -> Expression:
+    """``expr.diff`` before it reduced the constants of its rules: ``p^2/2``
+    gives ``2 * p / 2``, and ``-(-u)``, ``u * -1`` and ``(-a) / b`` stay."""
+    match expr:
+        case Num():
+            return _ZERO
+        case Var(name):
+            return _ONE if name == var else _ZERO
+        case Neg(arg):
+            return _unreduced_neg(diff_unreduced(arg, var))
+        case BinOp(op, u, v):
+            du, dv = diff_unreduced(u, var), diff_unreduced(v, var)
+            if op == "+":
+                return _add(du, dv)
+            if op == "-":
+                return _unreduced_sub(du, dv)
+            if op == "*":
+                return _add(_unreduced_mul(du, v), _unreduced_mul(u, dv))
+            if op == "/":
+                if _is_num(dv, 0.0):
+                    return _unreduced_div(du, v)
+                return _unreduced_div(_unreduced_sub(_unreduced_mul(du, v),
+                                                     _unreduced_mul(u, dv)),
+                                      _unreduced_mul(v, v))
+            if _is_num(dv, 0.0):
+                if _is_num(v, 0.0):
+                    return _ZERO
+                c1 = Num(v.value - 1.0) if isinstance(v, Num) else _unreduced_sub(v, _ONE)
+                return _unreduced_mul(_unreduced_mul(v, _pow(u, c1)), du)
+            return _unreduced_mul(expr, _add(_unreduced_mul(dv, Call("log", u)),
+                                             _unreduced_mul(v, _unreduced_div(du, u))))
+        case Call(func, u):
+            du = diff_unreduced(u, var)
+            if _is_num(du, 0.0):
+                return _ZERO
+            match func:
+                case "sin":
+                    return _unreduced_mul(Call("cos", u), du)
+                case "cos":
+                    return _unreduced_mul(Neg(Call("sin", u)), du)
+                case "exp":
+                    return _unreduced_mul(expr, du)
+                case "log":
+                    return _unreduced_div(du, u)
+                case "sqrt":
+                    return _unreduced_div(du, _unreduced_mul(Num(2.0), expr))
+                case "abs":
+                    return _unreduced_mul(_unreduced_div(u, expr), du)
+                case "tanh":
+                    return _unreduced_mul(_unreduced_sub(_ONE, _pow(expr, Num(2.0))), du)
+            raise TypeError(f"no derivative for function {func!r}")
     raise TypeError(f"not an Expression: {expr!r}")
 
 
@@ -587,6 +669,18 @@ def defect_oracle(field, point, h: float | None = 1e-4) -> DefectReport:
     return DefectReport(pairs=pairs, h=h)
 
 
+def is_spacelike(times: np.ndarray, xs: np.ndarray) -> bool:
+    """True iff the events (times[j], xs[j]) of the (n,) and (n, d) arrays
+    are pairwise strictly spacelike: (dt)^2 < |dx|^2, natural units c = 1."""
+    for i in range(len(times)):
+        for j in range(i + 1, len(times)):
+            dt = times[i] - times[j]
+            dx = xs[i] - xs[j]
+            if dt * dt >= float(dx @ dx):
+                return False
+    return True
+
+
 def validity_oracle(field, npath: NPath, samples) -> ResidualReport:
     """``classical.validity_residual`` sample by sample, as it was before the
     batched pass: ``is_spacelike`` and ``np.linalg.norm`` per sample."""
@@ -598,7 +692,7 @@ def validity_oracle(field, npath: NPath, samples) -> ResidualReport:
                          for j in range(field.n)], axis=1)
                for query in ("x_at", "p_at", "dxdt_at", "dpdt_at")]
     for times, xs, ps, dxs, dps in zip(tuples, *queried):
-        if not classical.is_spacelike(times, xs):
+        if not is_spacelike(times, xs):
             report.rows.append({"times": times.tolist(), "spacelike": False})
             report.rejected += 1
             continue

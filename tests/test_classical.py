@@ -19,7 +19,6 @@ from multitime.classical import (
     evolve_full_grid,
     grid_path_independence,
     hamiltonian_vector_field,
-    is_spacelike,
     validity_residual,
 )
 from multitime.cli import run_config
@@ -29,8 +28,9 @@ from multitime.expr import (FUNCTIONS, BinOp, Call, DomainError, Num, Var,
 from multitime.numdiff import diff_callable
 from multitime.paths import NPath, PathRangeError, WorldLine
 from multitime.reports import write_csv
-from oracles import (defect_oracle, full_grid_oracle, pack, path_independence_oracle,
-                     table_oracle, unpack_rows, validity_oracle, variable_bindings)
+from oracles import (defect_oracle, full_grid_oracle, is_spacelike, pack,
+                     path_independence_oracle, table_oracle, unpack_rows, validity_oracle,
+                     variable_bindings)
 
 
 def free_field() -> PhaseVectorField:

@@ -36,7 +36,8 @@ from multitime.hj import FoliationDegeneracyError, hj_consistency_defect
 from multitime.quantum import (MultiTimeState, PartialHamiltonianSet,
                                evolve_staircase, staircase_between)
 from multitime.numdiff import default_step, diff_callable, partial_derivative
-from oracles import compile_rk4_oracle, leaf_rates_oracle, pack, to_string, unpack_rows
+from oracles import (compile_rk4_oracle, diff_unreduced, leaf_rates_oracle, pack, to_string,
+                     unpack_rows)
 
 
 def central_difference(f, x, h):
@@ -475,16 +476,36 @@ class TestCompiledExpressions:
 
 SMALL = (0.5, 1.0, 1.5, 2.0, 3.0)
 # x, the variable of differentiation, is drawn twice as often as y or a number
-smooth_trees = st.recursive(
-    st.one_of(st.builds(Var, st.just("x")), st.builds(Var, st.just("x")),
-              st.builds(Var, st.just("y")), st.builds(Num, st.sampled_from(SMALL))),
-    lambda sub: st.one_of(
+smooth_leaves = st.one_of(st.builds(Var, st.just("x")), st.builds(Var, st.just("x")),
+                         st.builds(Var, st.just("y")), st.builds(Num, st.sampled_from(SMALL)))
+
+
+def smooth_nodes(sub):
+    return st.one_of(
         st.builds(Neg, sub),
         st.builds(BinOp, st.sampled_from("+-*/^"), sub, sub),
         st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), sub),
-    ),
-    max_leaves=8,
-)
+    )
+
+
+smooth_trees = st.recursive(smooth_leaves, smooth_nodes, max_leaves=8)
+
+
+def power_rule_shapes(sub):
+    """u^2/2, u^3/3 and (a - b)^2/2: the terms whose derivatives carry the
+    constants of the power rule."""
+    return st.one_of(
+        st.builds(lambda u: BinOp("/", BinOp("^", u, Num(2.0)), Num(2.0)), sub),
+        st.builds(lambda u: BinOp("/", BinOp("^", u, Num(3.0)), Num(3.0)), sub),
+        st.builds(lambda a, b: BinOp("/", BinOp("^", BinOp("-", a, b), Num(2.0)), Num(2.0)),
+                  sub, sub),
+    )
+
+
+# smooth trees that also hold the power rule's shapes, at any depth
+power_rule_trees = st.recursive(
+    smooth_leaves, lambda sub: st.one_of(smooth_nodes(sub), power_rule_shapes(sub)),
+    max_leaves=8)
 points = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 
 
@@ -526,7 +547,7 @@ class TestDiff:
         ("x", "x", "1"),
         ("x * y", "x", "y"),
         ("x + 2*y", "x", "1"),
-        ("-(y - x)", "x", "--1"),
+        ("-(y - x)", "x", "1"),
         ("x^3", "x", "3 * x ^ 2"),
         ("x^1", "x", "1"),
         ("y^x", "x", "y ^ x * log(y)"),
@@ -610,6 +631,106 @@ class TestDiff:
     def test_not_an_expression(self):
         with pytest.raises(TypeError):
             diff("x", "x")
+
+
+# moderate values, where a tree's derivative mostly stays finite, and the edges
+field_values = st.one_of(st.floats(-10.0, 10.0),
+                         st.sampled_from(EDGE_VALUES + (math.inf, -math.inf, math.nan)))
+
+
+def assert_field_matches_the_unreduced_one(h, at):
+    """The Hamiltonian field of ``h`` (x1_1 and p1_1) at ``at`` has the
+    bits of the field of the unreduced derivatives wherever those are
+    finite, and raises the same error where they raise."""
+    reduced = hamiltonian_vector_field(h, 1, 1).exprs
+    unreduced = (diff_unreduced(h, "p1_1"), Neg(diff_unreduced(h, "x1_1")))
+    names = [("x1_1", "p1_1")]
+    got = outcomes(lambda: compile_function(reduced, names)(at))
+    want = outcomes(lambda: compile_function(unreduced, names)(at))
+    if want[0] != "values":
+        assert got == want
+        return
+    assert got[0] == "values"
+    for new, old in zip(got[1], want[1]):
+        if math.isfinite(struct.unpack("d", old)[0]):
+            assert new == old
+
+
+class TestReducedDerivatives:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(tree=power_rule_trees, at=st.tuples(field_values, field_values))
+    def test_field_matches_the_unreduced_one(self, tree, at):
+        # x and y as a position and a momentum: the field is (dH/dp, -dH/dx)
+        assert_field_matches_the_unreduced_one(
+            substitute(tree, {"x": Var("x1_1"), "y": Var("p1_1")}), at)
+
+    @pytest.mark.parametrize("source", [
+        "x1_1^3/3 + p1_1^2/2", "(x1_1 - p1_1)^2/2", "-((p1_1 - x1_1)^2/2)",
+        "sin(x1_1)^3/3 * p1_1", "x1_1 * p1_1^2/2", "log(p1_1)^2/2 - 2*x1_1^2/2",
+    ])
+    @pytest.mark.parametrize("at", [(9.999999999999998, 0.1), (0.1, -3.7), (1e308, 5e-324),
+                                    (-0.0, 1e154), (math.inf, 2.0), (-2.5e-310, 0.0)])
+    def test_shapes_match_the_unreduced_one(self, source, at):
+        assert_field_matches_the_unreduced_one(parse_expression(source), at)
+
+    def test_power_rule_constants_cancel(self):
+        assert diff(parse_expression("p^2/2"), "p") == Var("p")
+        assert diff(parse_expression("(a - b)^2/2"), "b") == parse_expression("-(a - b)")
+        assert diff(parse_expression("-((a - b)^2/2)"), "b") == parse_expression("a - b")
+
+    @pytest.mark.parametrize("k,cancels", [
+        (2.0, True), (-2.0, True), (4.0, True), (-4.0, True), (2.0 ** 1023, True),
+        (3.0, False), (0.5, False), (-0.5, False), (6.0, False), (2.0 ** -1022, False),
+    ])
+    def test_only_exact_scalings_cancel(self, k, cancels):
+        u, scaled = Var("u"), BinOp("*", Num(k), Var("u"))
+        assert expr_module._div(scaled, Num(k)) == (u if cancels else BinOp("/", scaled, Num(k)))
+
+    def test_why_inexact_scalings_stay(self):
+        # (3*u)/3 rounds twice, and 0.5*u underflows for a subnormal u
+        assert (3.0 * 0.1) / 3.0 != 0.1 and (0.5 * 5e-324) / 0.5 != 5e-324
+        assert diff(parse_expression("x^3/3"), "x") == parse_expression("3 * x^2 / 3")
+        assert diff(parse_expression("0.5 * x^2 / 0.5"), "x") == parse_expression(
+            "0.5 * (2 * x) / 0.5")
+        # the two k must have the same bits
+        assert diff(parse_expression("x^2/4"), "x") == parse_expression("2 * x / 4")
+
+    @pytest.mark.parametrize("config,fields", [
+        ("grid_coupled", [["p1_1", "0", "-(x1_1 - x2_1)", "x1_1 - x2_1"],
+                          ["0", "p2_1", "-(x1_1 - x2_1)", "x1_1 - x2_1"]]),
+        # a zero gradient keeps its rate -0
+        ("grid_free", [["p1_1", "0", "-0", "-0"], ["0", "p2_1", "-0", "-0"]]),
+    ])
+    def test_shipped_grid_fields(self, config, fields):
+        _, _, pair = cli._classical_system(EXAMPLE_CONFIGS[config]["system"], "", grid=True)
+        assert [list(field.exprs) for field in pair.fields] == [
+            [parse_expression(source) for source in row] for row in fields]
+
+    def test_overflowing_power_rule_rate_is_finite(self):
+        # the rate of p^2/2 at p = 1e308 is p, finite; 2 * p / 2 overflows
+        # to inf, and a run of the unreduced field raises at its first step
+        h = parse_expression("p1_1^2/2")
+        reduced = hamiltonian_vector_field(h, 1, 1)
+        unreduced = PhaseVectorField(1, 1, (diff_unreduced(h, "p1_1"),
+                                            Neg(diff_unreduced(h, "x1_1"))))
+        start = PhasePoint(times=[0.0], x=[[0.0]], p=[[1e308]])
+        assert reduced.rhs([0.0], [0.0, 1e308]) == (1e308, 0.0)
+        assert unreduced.rhs([0.0], [0.0, 1e308]) == (math.inf, 0.0)
+        for field in (reduced, unreduced):
+            # a step of rate 1e308 overflows either way, in 6 * 1e308
+            with pytest.raises(FloatingPointError, match="non-finite state at t = 1e-10"):
+                evolve_equal_time(field, start, (0.0, 1e-10), 1e-10)
+        # scaled after the power rule, the reduced rate steps; the
+        # unreduced one is inf * 1e-10
+        h = parse_expression("p1_1^2/2 * 1e-10")
+        reduced = hamiltonian_vector_field(h, 1, 1)
+        unreduced = PhaseVectorField(1, 1, (diff_unreduced(h, "p1_1"),
+                                            Neg(diff_unreduced(h, "x1_1"))))
+        assert reduced.exprs[0] == parse_expression("p1_1 * 1e-10")
+        path = evolve_equal_time(reduced, start, (0.0, 1e-10), 1e-10)
+        assert path.line(1).x_at(np.array([1e-10]))[0, 0] == pytest.approx(1e288)
+        with pytest.raises(FloatingPointError, match="non-finite state at t = 1e-10"):
+            evolve_equal_time(unreduced, start, (0.0, 1e-10), 1e-10)
 
 
 class TestCentralDifference:
@@ -947,6 +1068,22 @@ def number_divisors(function) -> list[float]:
     return divisors
 
 
+def number_factors(function) -> list[float]:
+    """The number operands of every ``*`` of ``function`` whose operands
+    are both loaded right before it: a global of it, or a literal."""
+    ops = list(dis.get_instructions(function))
+    factors = []
+    for i, op in enumerate(ops):
+        if op.opname == "BINARY_OP" and op.argrepr == "*" and i >= 2 and all(
+                operand.opname.startswith("LOAD_") for operand in ops[i - 2:i]):
+            for operand in ops[i - 2:i]:
+                if operand.opname == "LOAD_CONST":
+                    factors.append(operand.argval)
+                elif isinstance(value := function.__globals__.get(operand.argval), float):
+                    factors.append(value)
+    return factors
+
+
 def stage_states(loop) -> list[str]:
     """The stage states that ``loop`` computes, in order."""
     return [op.argval for op in dis.get_instructions(loop)
@@ -1077,6 +1214,12 @@ class TestLeanLoops:
         for label, loop in loops:
             for c in number_divisors(loop):
                 assert not (abs(math.frexp(c)[0]) == 0.5 and math.isfinite(1.0 / c)), label
+
+    def test_no_shipped_loop_multiplies_by_one_or_minus_one(self):
+        loops = shipped_loops()
+        assert len(loops) > 20
+        for label, loop in loops:
+            assert not {1.0, -1.0}.intersection(number_factors(loop)), label
 
     def test_free_foliation_leaf_loop_has_no_degeneracy_test(self):
         system = EXAMPLE_CONFIGS["hj_free_foliations"]["system"]

@@ -163,6 +163,15 @@ class TestVelocityDefect:
         assert got == pytest.approx(max(cand), abs=1e-8)
 
 
+class TestMasses:
+    @pytest.mark.parametrize("mass", [0.0, -0.0, -1.0, math.inf, math.nan])
+    def test_mass_not_positive_and_finite_rejected(self, mass):
+        # the CLI refuses these too; the velocity law divides by the mass
+        with pytest.raises(ValueError, match=re.escape(f"mass 2 must be a finite number > 0, "
+                                                       f"got {mass}")):
+            HJFunction("x1_1 + x2_1", 2, 1, [1.0, mass])
+
+
 class TestFoliations:
     def test_superluminal_tilt_rejected(self):
         with pytest.raises(ValueError):
