@@ -51,6 +51,13 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------- validation
+#
+# Each config block has one spec, a dict that maps each of its keys, in the
+# order they are read, to ``(default, read, *args)``: the entry is read by
+# ``read(value, pointer, *args)``, and ``_REQ`` marks a required key.
+
+
+_REQ = object()  # the default of a required key
 
 
 def _obj(value, path: str) -> dict:
@@ -59,14 +66,27 @@ def _obj(value, path: str) -> dict:
     return value
 
 
-def _keys(obj: dict, path: str, required: Sequence[str],
-          optional: Sequence[str] = ()) -> None:
+def _read(value, path: str, spec: dict) -> list:
+    """The entries of the object ``value``, read in the order of ``spec``.
+    An unknown key is refused first, then a missing required key.  An
+    absent key takes its default, which is recorded in ``value`` so that
+    the report echoes it; a None default leaves it absent, read as None."""
+    obj = _obj(value, path)
     for key in obj:
-        if key not in required and key not in optional:
+        if key not in spec:
             raise ConfigError(f"{path}/{key}", "unknown key (strict schema)")
-    for key in required:
-        if key not in obj:
+    for key, entry in spec.items():
+        if entry[0] is _REQ and key not in obj:
             raise ConfigError(path, f"missing required key {key!r}")
+    got = []
+    for key, entry in spec.items():
+        if key not in obj:
+            if entry[0] is None:
+                got.append(None)
+                continue
+            obj[key] = entry[0]
+        got.append(entry[1](obj[key], f"{path}/{key}", *entry[2:]))
+    return got
 
 
 def _num(value, path: str) -> float:
@@ -112,15 +132,17 @@ def _list(value, path: str, length: int | None = None) -> list:
     return value
 
 
+def _each(value, path: str, length: int | None, read: Callable, *args) -> list:
+    """Every entry of the array ``value`` (of ``length`` entries unless
+    None), read by ``read(entry, pointer, *args)``."""
+    return [read(v, f"{path}/{i}", *args) for i, v in enumerate(_list(value, path, length))]
+
+
 def _positive(value, path: str) -> float:
     value = _num(value, path)
     if not value > 0.0:
         raise ConfigError(path, f"expected a number > 0, got {value}")
     return value
-
-
-def _num_list(value, path: str, length: int | None = None) -> list[float]:
-    return [_num(v, f"{path}/{i}") for i, v in enumerate(_list(value, path, length))]
 
 
 def _axes(value, path: str, n: int, length: int) -> list[int]:
@@ -136,17 +158,6 @@ def _axes(value, path: str, n: int, length: int) -> list[int]:
     return axes
 
 
-def _option(obj: dict, key: str, path: str, default, read, *args):
-    """``obj[key]`` checked by ``read(value, pointer, *args)``.  An absent
-    key takes ``default``, which is recorded in ``obj`` so that the report
-    echoes it; a None default means "absent" and is returned unread."""
-    if key not in obj:
-        if default is None:
-            return None
-        obj[key] = default
-    return read(obj[key], f"{path}/{key}", *args)
-
-
 def _blame(path: str, check: Callable, *args):
     """``check(*args)``, a library function that checks a value or plans a
     run's work (a count above ``MAX_STEPS`` is refused), its ValueError a
@@ -158,7 +169,7 @@ def _blame(path: str, check: Callable, *args):
 
 
 def _span(value, path: str) -> tuple[float, float]:
-    lo, hi = _num_list(value, path, 2)
+    lo, hi = _each(value, path, 2, _num)
     if not lo < hi:
         raise ConfigError(path, f"expected a strictly increasing pair, "
                                 f"got [{lo}, {hi}]")
@@ -166,46 +177,36 @@ def _span(value, path: str) -> tuple[float, float]:
 
 
 def _box(value, path: str) -> tuple[float, float]:
-    lo, hi = _num_list(value, path, 2)
+    lo, hi = _each(value, path, 2, _num)
     if not (lo <= hi and math.isfinite(hi - lo)):
         raise ConfigError(path, f"expected a pair lo <= hi with a finite "
                                 f"hi - lo, got [{lo}, {hi}]")
     return lo, hi
 
 
-def _matrix(value, path: str, rows: int, cols: int) -> np.ndarray:
-    out = [_num_list(r, f"{path}/{i}", cols)
-           for i, r in enumerate(_list(value, path, rows))]
-    return np.array(out)
-
-
 # -------------------------------------------------------- system construction
+
+
+def _pauli(value, path: str, n: int) -> np.ndarray:
+    from . import linops
+
+    if len(op := _str(value, path)) != n:
+        raise ConfigError(path, f"Pauli string must have length n = {n}")
+    return _blame(path, linops.pauli_string, op)
+
+
+def _coeff(value, path: str, n: int, numeric_only: bool):
+    if not isinstance(value, str):
+        return _num(value, path)
+    if numeric_only:
+        raise ConfigError(path, "expected a numeric coefficient here")
+    return _expr(value, path, binding_names("t", n))
 
 
 def _pauli_op_sum(value, path: str, n: int, numeric_only: bool) -> list:
     """List of {"op": "ZI..", "coeff": number-or-expression}."""
-    from . import linops
-
-    terms = []
-    for i, item in enumerate(_list(value, path)):
-        ipath = f"{path}/{i}"
-        item = _obj(item, ipath)
-        _keys(item, ipath, ["op", "coeff"])
-        op = _str(item["op"], f"{ipath}/op")
-        if len(op) != n:
-            raise ConfigError(f"{ipath}/op",
-                              f"Pauli string must have length n = {n}")
-        mat = _blame(f"{ipath}/op", linops.pauli_string, op)
-        coeff = item["coeff"]
-        if isinstance(coeff, str):
-            if numeric_only:
-                raise ConfigError(f"{ipath}/coeff",
-                                  "expected a numeric coefficient here")
-            coeff = _expr(coeff, f"{ipath}/coeff", binding_names("t", n))
-        else:
-            coeff = _num(coeff, f"{ipath}/coeff")
-        terms.append((mat, coeff))
-    return terms
+    return _each(value, path, None, _read, {"op": (_REQ, _pauli, n),
+                                            "coeff": (_REQ, _coeff, n, numeric_only)})
 
 
 def _expr(value, path: str, names: Sequence[str], numbers: dict | None = None):
@@ -234,11 +235,8 @@ def _numeric_pauli_sum(value, path: str, n: int) -> np.ndarray:
 def build_quantum_system(cfg: dict, path: str) -> quantum.PartialHamiltonianSet:
     from . import linops, quantum
 
-    cfg = _obj(cfg, path)
-    _keys(cfg, path, ["n", "local_dim", "hamiltonians"])
-    n = _int(cfg["n"], f"{path}/n", minimum=1)
-    k = _int(cfg["local_dim"], f"{path}/local_dim", minimum=2)
-    ham = _obj(cfg["hamiltonians"], f"{path}/hamiltonians")
+    n, k, ham = _read(cfg, path, {"n": (_REQ, _int, 1), "local_dim": (_REQ, _int, 2),
+                                  "hamiltonians": (_REQ, _obj)})
     hpath = f"{path}/hamiltonians"
     htype = _str(ham.get("type", ""), f"{hpath}/type")
     if htype in ("pauli_terms", "interaction_picture") and k != 2:
@@ -247,16 +245,13 @@ def build_quantum_system(cfg: dict, path: str) -> quantum.PartialHamiltonianSet:
     if k ** min(n, linops.MAX_DENSE_DIM.bit_length()) > linops.MAX_DENSE_DIM:
         raise ConfigError(f"{path}/n", f"local_dim^n exceeds {linops.MAX_DENSE_DIM}")
     if htype == "pauli_terms":
-        _keys(ham, hpath, ["type", "terms"])
-        rows = _list(ham["terms"], f"{hpath}/terms", length=n)
-        terms = [_pauli_op_sum(row, f"{hpath}/terms/{j}", n, numeric_only=False)
-                 for j, row in enumerate(rows)]
+        _, terms = _read(ham, hpath, {"type": (_REQ, _str),
+                                      "terms": (_REQ, _each, n, _pauli_op_sum, n, False)})
         return quantum.PartialHamiltonianSet(terms, k)
     if htype == "interaction_picture":
-        _keys(ham, hpath, ["type", "base", "k"])
-        base = _numeric_pauli_sum(ham["base"], f"{hpath}/base", n)
-        terms = [_pauli_op_sum(row, f"{hpath}/k/{j}", n, numeric_only=True)
-                 for j, row in enumerate(_list(ham["k"], f"{hpath}/k", length=n))]
+        _, base, terms = _read(ham, hpath, {
+            "type": (_REQ, _str), "base": (_REQ, _numeric_pauli_sum, n),
+            "k": (_REQ, _each, n, _pauli_op_sum, n, True)})
         return quantum.PartialHamiltonianSet(terms, k, base=base)
     raise ConfigError(f"{hpath}/type",
                       f"unknown Hamiltonian type {htype!r} "
@@ -276,27 +271,22 @@ def _build_field(field_cfg: dict, path: str, n: int, d: int, grid: bool = False)
                                           "type 'partial_hamiltonians'")
     names = (binding_names("t", n) + binding_names("x", n, d)
              + binding_names("p", n, d))
+    rows, step = (_REQ, _each, n, _each, d, _expr, names), (None, _positive)
     try:
         if ftype == "expressions":
-            _keys(field_cfg, path, ["type", "v", "w"])
-            v, w = ([[_expr(c, f"{path}/{key}/{j}/{i}", names) for i, c in
-                      enumerate(_list(row, f"{path}/{key}/{j}", length=d))]
-                     for j, row in enumerate(_list(field_cfg[key], f"{path}/{key}", n))]
-                    for key in ("v", "w"))
+            _, v, w = _read(field_cfg, path, {"type": (_REQ, _str), "v": rows, "w": rows})
             return classical.PhaseVectorField.from_expressions(n, d, v, w)
         if ftype == "hamiltonian":
-            _keys(field_cfg, path, ["type", "h"], ["h_step"])
-            step = _option(field_cfg, "h_step", path, None, _positive)
-            return classical.hamiltonian_vector_field(
-                _expr(field_cfg["h"], f"{path}/h", names), n, d, h=step)
+            _, h_step, h = _read(field_cfg, path, {"type": (_REQ, _str), "h_step": step,
+                                                   "h": (_REQ, _expr, names)})
+            return classical.hamiltonian_vector_field(h, n, d, h=h_step)
         if ftype == "partial_hamiltonians":
-            _keys(field_cfg, path, ["type", "h_list"], ["h_step"])
-            hs = [_expr(e, f"{path}/h_list/{j}", names) for j, e in
-                  enumerate(_list(field_cfg["h_list"], f"{path}/h_list", n))]
-            step = _option(field_cfg, "h_step", path, None, _positive)
+            _, hs, h_step = _read(field_cfg, path, {
+                "type": (_REQ, _str), "h_list": (_REQ, _each, n, _expr, names),
+                "h_step": step})
             if grid:
-                return classical.HamiltonianPair(hs, n, d, h=step)
-            return classical.hamiltonian_vector_field(hs, n, d, h=step)
+                return classical.HamiltonianPair(hs, n, d, h=h_step)
+            return classical.hamiltonian_vector_field(hs, n, d, h=h_step)
     except (ValueError, ExpressionError) as exc:
         raise ConfigError(path, str(exc)) from None
     raise ConfigError(f"{path}/type", f"unknown field type {ftype!r}")
@@ -305,64 +295,54 @@ def _build_field(field_cfg: dict, path: str, n: int, d: int, grid: bool = False)
 def _classical_system(cfg: dict, path: str, grid: bool = False, field: bool = True):
     """n, d and the checked field: the ``HamiltonianPair`` for the grid
     kinds, and None without ``field`` (cjs-demo's fields are its family's)."""
-    cfg = _obj(cfg, path)
-    _keys(cfg, path, ["n", "d", "field"] if field else ["n", "d"])
-    n = _int(cfg["n"], f"{path}/n", minimum=1)
-    d = _int(cfg["d"], f"{path}/d", minimum=1)
+    spec = {"n": (_REQ, _int, 1), "d": (_REQ, _int, 1)}
+    if field:
+        spec["field"] = (_REQ, _obj)
+    n, d, *field_cfg = _read(cfg, path, spec)
     if d > 3:
         raise ConfigError(f"{path}/d", "d up to 3 supported")
     if not field:
         return n, d, None
-    return n, d, _build_field(cfg["field"], f"{path}/field", n, d, grid)
+    return n, d, _build_field(field_cfg[0], f"{path}/field", n, d, grid)
 
 
 def build_hj_system(cfg: dict, path: str):
     from . import hj
 
-    cfg = _obj(cfg, path)
-    _keys(cfg, path, ["n", "d", "masses", "S"], ["constants", "hamiltonians"])
-    n = _int(cfg["n"], f"{path}/n", minimum=1)
-    d = _int(cfg["d"], f"{path}/d", minimum=1)
+    # the masses have n entries, and S and the Hamiltonians name n and d
+    n, d, masses, constants, s_text, hams = _read(cfg, path, {
+        "n": (_REQ, _int, 1), "d": (_REQ, _int, 1), "masses": (_REQ, _list),
+        "constants": (None, _obj), "S": (_REQ, _str), "hamiltonians": (None, _obj)})
     # the velocity law divides by the masses
-    masses = [_positive(m, f"{path}/masses/{j}")
-              for j, m in enumerate(_list(cfg["masses"], f"{path}/masses", n))]
+    masses = _each(masses, f"{path}/masses", n, _positive)
     # S is a function of t1..tn, the positions and the constants; the
     # Hamiltonians also of the momenta, and h_total of the single time t
     names = [*binding_names("t", n), *binding_names("x", n, d)]
     numbers = {}
-    for key, val in _obj(cfg.get("constants", {}), f"{path}/constants").items():
+    for key, val in (constants or {}).items():
         if key in {*names, *binding_names("p", n, d), "t"}:
             raise ConfigError(f"{path}/constants/{key}", "names a variable of the system")
         numbers[key] = expr.Num(_num(val, f"{path}/constants/{key}"))
-    s = hj.HJFunction(_expr(cfg["S"], f"{path}/S", names, numbers), n, d, masses)
-    hams = None
-    if "hamiltonians" in cfg:
-        hpath = f"{path}/hamiltonians"
-        ham = _obj(cfg["hamiltonians"], hpath)
-        _keys(ham, hpath, ["h_list"], ["h_total"])
+    s = hj.HJFunction(_expr(s_text, f"{path}/S", names, numbers), n, d, masses)
+    if hams is not None:
         names += binding_names("p", n, d)
-        h_list = [_expr(e, f"{hpath}/h_list/{j}", names, numbers)
-                  for j, e in enumerate(_list(ham["h_list"], f"{hpath}/h_list", n))]
-        h_total = None
-        if "h_total" in ham:
-            h_total = _expr(ham["h_total"], f"{hpath}/h_total", [*names, "t"], numbers)
-        hams = (h_list, h_total)
+        hams = _read(hams, f"{path}/hamiltonians", {
+            "h_list": (_REQ, _each, n, _expr, names, numbers),
+            "h_total": (None, _expr, [*names, "t"], numbers)})
     return s, hams
 
 
 def _initial_state(cfg, path: str, dim: int) -> np.ndarray:
-    cfg = _obj(cfg, path)
-    kind = _str(cfg.get("kind", ""), f"{path}/kind")
+    kind = _str(_obj(cfg, path).get("kind", ""), f"{path}/kind")
     if kind == "basis":
-        _keys(cfg, path, ["kind"], ["index"])
-        idx = _option(cfg, "index", path, 0, _int, 0)
+        _, idx = _read(cfg, path, {"kind": (_REQ, _str), "index": (0, _int, 0)})
         if idx >= dim:
             raise ConfigError(f"{path}/index", f"index {idx} >= dim {dim}")
         v = np.zeros(dim, dtype=np.complex128)
         v[idx] = 1.0
         return v
     if kind == "plus":
-        _keys(cfg, path, ["kind"])
+        _read(cfg, path, {"kind": (_REQ, _str)})
         return np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
     raise ConfigError(f"{path}/kind", f"unknown state kind {kind!r}")
 
@@ -370,11 +350,8 @@ def _initial_state(cfg, path: str, dim: int) -> np.ndarray:
 def _phase_point(cfg, path: str, n: int, d: int) -> classical.PhasePoint:
     from . import classical
 
-    cfg = _obj(cfg, path)
-    _keys(cfg, path, ["t", "x", "p"])
-    t = _num(cfg["t"], f"{path}/t")
-    x = _matrix(cfg["x"], f"{path}/x", n, d)
-    p = _matrix(cfg["p"], f"{path}/p", n, d)
+    rows = (_REQ, _each, n, _each, d, _num)
+    t, x, p = _read(cfg, path, {"t": (_REQ, _num), "x": rows, "p": rows})
     return classical.PhasePoint(times=np.full(n, t), x=x, p=p)
 
 
@@ -382,11 +359,9 @@ def _sample_phase_points(cfg, path: str, n: int, d: int,
                          seed: int) -> list[classical.PhasePoint]:
     from . import classical
 
-    cfg = _obj(cfg, path)
-    _keys(cfg, path, ["count", "t_box", "x_box", "p_box"])
-    count = _int(cfg["count"], f"{path}/count", 1, MAX_POINTS)
-    t_box, x_box, p_box = (_box(cfg[key], f"{path}/{key}")
-                           for key in ("t_box", "x_box", "p_box"))
+    count, t_box, x_box, p_box = _read(cfg, path, {
+        "count": (_REQ, _int, 1, MAX_POINTS), "t_box": (_REQ, _box),
+        "x_box": (_REQ, _box), "p_box": (_REQ, _box)})
     # each point's times, x and p in one row: the stream of drawing them in turn
     bounds = [t_box] * n + [x_box] * (n * d) + [p_box] * (n * d)
     lo, hi = np.transpose(bounds)
@@ -396,35 +371,30 @@ def _sample_phase_points(cfg, path: str, n: int, d: int,
             for row in rows]
 
 
-def _equal_time_steps(exp: dict) -> tuple[tuple[float, float], float]:
-    """``t_span`` and ``dt`` of an equal-time run, its steps bounded at ``dt``."""
-    from . import classical
-
-    span = _span(exp["t_span"], f"{_E}/t_span")
-    dt = _positive(exp["dt"], f"{_E}/dt")
-    _blame(f"{_E}/dt", classical.equal_time_steps, span, dt)
-    return span, dt
+#: the keys of an equal-time run, whose steps the kind bounds at ``dt``
+_EQUAL_TIME = {"t_span": (_REQ, _span), "dt": (_REQ, _positive)}
 
 
 def _foliation(cfg, path: str, d: int) -> hj.Foliation:
     from . import hj
 
-    cfg = _obj(cfg, path)
-    _keys(cfg, path, ["u"])
-    return _blame(f"{path}/u", hj.Foliation, _num_list(cfg["u"], f"{path}/u", d))
+    [u] = _read(cfg, path, {"u": (_REQ, _each, d, _num)})
+    return _blame(f"{path}/u", hj.Foliation, u)
 
 
-def _leaves(exp: dict, fols: list[hj.Foliation], n: int, d: int):
-    """``init_positions``, ``s_span`` and ``ds`` of a foliation kind.  A run
-    on one of ``fols`` that would take more than ``MAX_STEPS`` leaves is
-    refused, with the pointer at ``ds`` when the leaves are finer than the
-    range is wide, else at the key that sets the range: ``init_positions``
-    when the anchor events stretch it beyond ``s_span``."""
+def _leaf_keys(n: int, d: int) -> dict:
+    """The keys of a foliation kind's leaves, which ``_leaves`` bounds."""
+    return {"init_positions": (_REQ, _each, n, _each, d, _num),
+            "s_span": (_REQ, _span), "ds": (_REQ, _positive)}
+
+
+def _leaves(fols: list[hj.Foliation], init: list, span: tuple[float, float], ds: float):
+    """A run on one of ``fols`` that would take more than ``MAX_STEPS``
+    leaves is refused, with the pointer at ``ds`` when the leaves are finer
+    than the range is wide, else at the key that sets the range:
+    ``init_positions`` when the anchor events stretch it beyond ``s_span``."""
     from . import hj
 
-    init = _matrix(exp["init_positions"], f"{_E}/init_positions", n, d)
-    span = _span(exp["s_span"], f"{_E}/s_span")
-    ds = _positive(exp["ds"], f"{_E}/ds")
     for fol in fols:
         lo, hi, steps = hj.foliation_leaves(fol, init, span, ds)
         try:
@@ -437,7 +407,6 @@ def _leaves(exp: dict, fols: list[hj.Foliation], n: int, d: int):
             raise ConfigError(f"{_E}/{key}", (
                 f"the run on the foliation {fol.label()} (s from {lo:.6g} to "
                 f"{hi:.6g} in steps of {ds:g}): {exc}")) from None
-    return init, span, ds
 
 
 # --------------------------------------------------------------- experiments
@@ -449,22 +418,19 @@ def _leaves(exp: dict, fols: list[hj.Foliation], n: int, d: int):
 # that writes CSV, the function that builds the table.
 
 _E = "/experiment"
+_KIND = (_REQ, _str)
 
 
 def _quantum_defect_grid(system: dict, exp: dict, seed: int):
     from . import quantum
 
     sys_q = build_quantum_system(system, "/system")
-    _keys(exp, _E, ["kind", "grid"], ["h"])
-    grid = _obj(exp["grid"], f"{_E}/grid")
-    _keys(grid, f"{_E}/grid", ["t_min", "t_max", "points_per_axis"])
-    t_min = _num(grid["t_min"], f"{_E}/grid/t_min")
-    t_max = _num(grid["t_max"], f"{_E}/grid/t_max")
-    pts = _int(grid["points_per_axis"], f"{_E}/grid/points_per_axis", 1)
+    _, (t_min, t_max, pts), h = _read(exp, _E, {"kind": _KIND, "grid": (_REQ, _read, {
+        "t_min": (_REQ, _num), "t_max": (_REQ, _num),
+        "points_per_axis": (_REQ, _int, 1)}), "h": (1e-4, _positive)})
     if pts ** sys_q.n > MAX_POINTS:
         raise ConfigError(f"{_E}/grid/points_per_axis", f"the grid has {pts}^{sys_q.n} "
                           f"time tuples; at most {MAX_POINTS} are allowed")
-    h = _option(exp, "h", _E, 1e-4, _positive)
 
     def run():
         axes = [np.linspace(t_min, t_max, pts)] * sys_q.n
@@ -483,17 +449,14 @@ def _staircase(system: dict, exp: dict, seed: int):
     from . import quantum
 
     sys_q = build_quantum_system(system, "/system")
-    _keys(exp, _E, ["kind", "start", "end"], ["order", "max_dt", "initial_state",
-                                              "compare_diagonal", "diagonal_steps"])
-    start = _num_list(exp["start"], f"{_E}/start", sys_q.n)
-    end = _num_list(exp["end"], f"{_E}/end", sys_q.n)
-    max_dt = _option(exp, "max_dt", _E, 1e-2, _positive)
-    # a permutation of 1..n, so that the staircase ends at ``end``
-    order = _option(exp, "order", _E, None, _axes, sys_q.n, sys_q.n)
-    phi0 = _option(exp, "initial_state", _E, {"kind": "basis", "index": 0},
-                   _initial_state, sys_q.dim)
-    compare = _option(exp, "compare_diagonal", _E, False, _bool)
-    steps = _option(exp, "diagonal_steps", _E, 1000, _int, 1, MAX_STEPS)
+    n = sys_q.n
+    # ``order`` is a permutation of 1..n, so that the staircase ends at ``end``
+    _, start, end, max_dt, order, phi0, compare, steps = _read(exp, _E, {
+        "kind": _KIND, "start": (_REQ, _each, n, _num), "end": (_REQ, _each, n, _num),
+        "max_dt": (1e-2, _positive), "order": (None, _axes, n, n),
+        "initial_state": ({"kind": "basis", "index": 0}, _initial_state, sys_q.dim),
+        "compare_diagonal": (False, _bool),
+        "diagonal_steps": (1000, _int, 1, MAX_STEPS)})
     path = _blame(f"{_E}/max_dt", quantum.staircase_between, start, end, order, max_dt)
     _blame(f"{_E}/max_dt", quantum.path_substeps, path)
     if compare and not (np.allclose(start, start[0]) and np.allclose(end, end[0])):
@@ -521,22 +484,19 @@ def _holonomy(system: dict, exp: dict, seed: int):
     from . import linops, quantum
 
     sys_q = build_quantum_system(system, "/system")
-    _keys(exp, _E, ["kind", "base_times", "axes", "sizes"], ["max_dt", "initial_state"])
-    base = _num_list(exp["base_times"], f"{_E}/base_times", sys_q.n)
-    axes = _axes(exp["axes"], f"{_E}/axes", sys_q.n, 2)
-    sizes = [_positive(v, f"{_E}/sizes/{i}")
-             for i, v in enumerate(_list(exp["sizes"], f"{_E}/sizes"))]
+    _, base, axes, sizes, max_dt, phi0 = _read(exp, _E, {
+        "kind": _KIND, "base_times": (_REQ, _each, sys_q.n, _num),
+        "axes": (_REQ, _axes, sys_q.n, 2), "sizes": (_REQ, _each, None, _positive),
+        "max_dt": (1e-2, _positive),
+        "initial_state": ({"kind": "basis", "index": 0}, _initial_state, sys_q.dim)})
     for i, size in enumerate(sizes):
         if not size * size > 0.0:  # the holonomy is divided by this area
             raise ConfigError(f"{_E}/sizes/{i}", f"size {size} has an area of 0")
-    max_dt = _option(exp, "max_dt", _E, 1e-2, _positive)
     # the run's two staircases per size, bounded together as one path
     at = f"{_E}/max_dt"
     legs = [seg for size in sizes for path in _blame(
         at, quantum.rectangle_staircases, *axes, size, size, max_dt) for seg in path]
     _blame(at, quantum.path_substeps, legs)
-    phi0 = _option(exp, "initial_state", _E, {"kind": "basis", "index": 0},
-                   _initial_state, sys_q.dim)
 
     def one(size: float) -> dict:
         hol = quantum.rectangle_holonomy(
@@ -563,9 +523,8 @@ def _classical_defect_grid(system: dict, exp: dict, seed: int):
     from . import classical
 
     n, d, field = _classical_system(system, "/system")
-    _keys(exp, _E, ["kind", "samples"], ["h"])
-    h = _option(exp, "h", _E, 1e-4, _positive)
-    points = _sample_phase_points(exp["samples"], f"{_E}/samples", n, d, seed)
+    _, h, points = _read(exp, _E, {"kind": _KIND, "h": (1e-4, _positive), "samples": (
+        _REQ, _sample_phase_points, n, d, seed)})
 
     def run():
         return {**_defect_summary(classical.classical_defect_grid(field, points, h)),
@@ -578,9 +537,9 @@ def _equal_time_evolve(system: dict, exp: dict, seed: int):
     from . import classical
 
     n, d, field = _classical_system(system, "/system")
-    _keys(exp, _E, ["kind", "init", "t_span", "dt"])
-    init = _phase_point(exp["init"], f"{_E}/init", n, d)
-    span, dt = _equal_time_steps(exp)
+    _, init, span, dt = _read(exp, _E, {"kind": _KIND, "init": (_REQ, _phase_point, n, d),
+                                        **_EQUAL_TIME})
+    _blame(f"{_E}/dt", classical.equal_time_steps, span, dt)
 
     def run():
         npath = classical.evolve_equal_time(field, init, span, dt)
@@ -595,13 +554,11 @@ def _validity(system: dict, exp: dict, seed: int):
     from . import classical
 
     n, d, field = _classical_system(system, "/system")
-    _keys(exp, _E, ["kind", "init", "t_span", "dt", "samples"])
-    init = _phase_point(exp["init"], f"{_E}/init", n, d)
-    span, dt = _equal_time_steps(exp)
-    samples_cfg = _obj(exp["samples"], f"{_E}/samples")
-    _keys(samples_cfg, f"{_E}/samples", ["count", "window"])
-    count = _int(samples_cfg["count"], f"{_E}/samples/count", 1, MAX_POINTS)
-    window = _num(samples_cfg["window"], f"{_E}/samples/window")
+    _, init, span, dt, (count, window) = _read(exp, _E, {
+        "kind": _KIND, "init": (_REQ, _phase_point, n, d), **_EQUAL_TIME,
+        "samples": (_REQ, _read, {"count": (_REQ, _int, 1, MAX_POINTS),
+                                  "window": (_REQ, _num)})})
+    _blame(f"{_E}/dt", classical.equal_time_steps, span, dt)
     if not 0.0 <= 2 * window <= span[1] - span[0]:
         raise ConfigError(f"{_E}/samples/window", f"expected 0 <= 2 * window <= "
                                                   f"t_span length, got window {window}")
@@ -627,12 +584,9 @@ def _full_grid(system: dict, exp: dict, seed: int):
     from . import classical
 
     n, d, hpair = _classical_system(system, "/system", grid=True)
-    _keys(exp, _E, ["kind", "init", "t1_max", "t2_max", "points"], ["substeps"])
-    init = _phase_point(exp["init"], f"{_E}/init", n, d)
-    t1m = _num(exp["t1_max"], f"{_E}/t1_max")
-    t2m = _num(exp["t2_max"], f"{_E}/t2_max")
-    pts = _int(exp["points"], f"{_E}/points", 2)
-    sub = _option(exp, "substeps", _E, 4, _int, 1)
+    _, init, t1m, t2m, pts, sub = _read(exp, _E, {
+        "kind": _KIND, "init": (_REQ, _phase_point, n, d), "t1_max": (_REQ, _num),
+        "t2_max": (_REQ, _num), "points": (_REQ, _int, 2), "substeps": (4, _int, 1)})
     _blame(f"{_E}/points", classical.full_grid_steps, pts, pts, sub)
     t0 = float(init.times[0])  # the same for both particles
     for key, span in (("t1_max", t1m), ("t2_max", t2m)):
@@ -659,12 +613,11 @@ def _path_independence(system: dict, exp: dict, seed: int):
     from . import classical
 
     n, d, hpair = _classical_system(system, "/system", grid=True)
-    _keys(exp, _E, ["kind", "init", "rectangle", "dt"], ["refinements"])
-    init = _phase_point(exp["init"], f"{_E}/init", n, d)
-    rect = _num_list(exp["rectangle"], f"{_E}/rectangle", 2)
-    dt = _positive(exp["dt"], f"{_E}/dt")
+    _, init, rect, dt, refinements = _read(exp, _E, {
+        "kind": _KIND, "init": (_REQ, _phase_point, n, d),
+        "rectangle": (_REQ, _each, 2, _num), "dt": (_REQ, _positive),
+        "refinements": (0, _int, 0, MAX_POINTS - 1)})
     steps = sum(_blame(f"{_E}/dt", classical.rectangle_steps, rect, dt))
-    refinements = _option(exp, "refinements", _E, 0, _int, 0, MAX_POINTS - 1)
     # level l halves the rectangle l times, so all levels (one table row
     # each) take about 2 - 2^-l times level 0's steps
     _blame(f"{_E}/refinements", expr.bound_steps, steps * (2.0 - 0.5 ** refinements))
@@ -689,18 +642,13 @@ def _cjs_demo(system: dict, exp: dict, seed: int):
     from . import classical
 
     n, d, _ = _classical_system(system, "/system", field=False)
-    _keys(exp, _E, ["kind", "family", "samples", "init", "t_span", "dt"], ["h"])
-    h = _option(exp, "h", _E, 1e-4, _positive)
-    family = []
-    for i, member in enumerate(_list(exp["family"], f"{_E}/family")):
-        mpath = f"{_E}/family/{i}"
-        member = _obj(member, mpath)
-        _keys(member, mpath, ["id", "field"])
-        fld = _build_field(member["field"], f"{mpath}/field", n, d)
-        family.append((_str(member["id"], f"{mpath}/id"), fld))
-    points = _sample_phase_points(exp["samples"], f"{_E}/samples", n, d, seed)
-    init = _phase_point(exp["init"], f"{_E}/init", n, d)
-    span, dt = _equal_time_steps(exp)
+    _, h, family, points, init, span, dt = _read(exp, _E, {
+        "kind": _KIND, "h": (1e-4, _positive),
+        "family": (_REQ, _each, None, _read, {"id": (_REQ, _str),
+                                              "field": (_REQ, _build_field, n, d)}),
+        "samples": (_REQ, _sample_phase_points, n, d, seed),
+        "init": (_REQ, _phase_point, n, d), **_EQUAL_TIME})
+    _blame(f"{_E}/dt", classical.equal_time_steps, span, dt)
     return lambda: ({"table": classical.cjs_demo(family, points, init, span, dt,
                                                  h=h)}, None)
 
@@ -712,19 +660,14 @@ def _hj_residual(system: dict, exp: dict, seed: int):
     if hams is None:
         raise ConfigError("/system", "hj-residual needs system.hamiltonians")
     h_list, h_total = hams
-    _keys(exp, _E, ["kind", "points"], ["h"])
-    step = _option(exp, "h", _E, None, _positive)
-    points = []
-    for i, pt in enumerate(_list(exp["points"], f"{_E}/points")):
-        ppath = f"{_E}/points/{i}"
-        pt = _obj(pt, ppath)
-        _keys(pt, ppath, ["times", "x"])
-        points.append((_num_list(pt["times"], f"{ppath}/times", s.n),
-                       _matrix(pt["x"], f"{ppath}/x", s.n, s.d)))
+    _, step, points = _read(exp, _E, {
+        "kind": _KIND, "h": (None, _positive), "points": (_REQ, _each, None, _read, {
+            "times": (_REQ, _each, s.n, _num), "x": (_REQ, _each, s.n, _each, s.d, _num)})})
 
     def run():
         rows = []
         for times, x in points:
+            x = np.array(x)
             residuals = hj.hj_residual_multi(s, h_list, times, x, h=step)
             row = {"times": times, "residuals": residuals}
             if h_total is not None and np.allclose(times, times[0]):
@@ -744,9 +687,8 @@ def _hj_defect_grid(system: dict, exp: dict, seed: int):
     s, hams = build_hj_system(system, "/system")
     if hams is None:
         raise ConfigError("/system", "the HJ defect grid needs system.hamiltonians")
-    _keys(exp, _E, ["kind", "samples"], ["h"])
-    step = _option(exp, "h", _E, None, _positive)
-    points = _sample_phase_points(exp["samples"], f"{_E}/samples", s.n, s.d, seed)
+    _, step, points = _read(exp, _E, {"kind": _KIND, "h": (None, _positive), "samples": (
+        _REQ, _sample_phase_points, s.n, s.d, seed)})
 
     def run():
         reports = [hj.hj_consistency_defect(hams[0], pt, h=step) for pt in points]
@@ -759,9 +701,9 @@ def _trajectories(system: dict, exp: dict, seed: int):
     from . import hj
 
     s, _ = build_hj_system(system, "/system")
-    _keys(exp, _E, ["kind", "foliation", "init_positions", "s_span", "ds"])
-    fol = _foliation(exp["foliation"], f"{_E}/foliation", s.d)
-    init, span, ds = _leaves(exp, [fol], s.n, s.d)
+    _, fol, init, span, ds = _read(exp, _E, {
+        "kind": _KIND, "foliation": (_REQ, _foliation, s.d), **_leaf_keys(s.n, s.d)})
+    _leaves([fol], init, span, ds)
 
     def run():
         npath = hj.hj_trajectories_foliation(s, fol, init, span, ds)
@@ -776,14 +718,12 @@ def _foliation_compare(system: dict, exp: dict, seed: int):
     from . import hj
 
     s, _ = build_hj_system(system, "/system")
-    _keys(exp, _E, ["kind", "foliations", "init_positions", "s_span", "ds"],
-          ["tolerance"])
-    fols = [_foliation(fc, f"{_E}/foliations/{i}", s.d)
-            for i, fc in enumerate(_list(exp["foliations"], f"{_E}/foliations"))]
+    _, fols, init, span, ds, tol = _read(exp, _E, {
+        "kind": _KIND, "foliations": (_REQ, _each, None, _foliation, s.d),
+        **_leaf_keys(s.n, s.d), "tolerance": (hj.FOLIATION_INDEPENDENCE_TOL, _positive)})
     if len(fols) < 2:
         raise ConfigError(f"{_E}/foliations", "need >= 2 foliations")
-    init, span, ds = _leaves(exp, fols, s.n, s.d)
-    tol = _option(exp, "tolerance", _E, hj.FOLIATION_INDEPENDENCE_TOL, _positive)
+    _leaves(fols, init, span, ds)
     return lambda: (hj.foliation_compare(s, fols, init, span, ds,
                                          tolerance=tol).to_dict(), None)
 
@@ -820,6 +760,12 @@ _SUBCOMMAND_KINDS: dict[str, set[str]] = {
 # ------------------------------------------------------------------ plumbing
 
 
+def _formalism(value, path: str) -> str:
+    if (formalism := _str(value, path)) not in _FORMALISMS:
+        raise ConfigError(path, f"expected {' | '.join(_FORMALISMS)}, got {formalism!r}")
+    return formalism
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -828,18 +774,12 @@ def _load_config(path: str) -> dict:
         raise ConfigError("", f"cannot read config: {exc}")
     except ValueError as exc:  # JSONDecodeError, undecodable bytes, huge ints
         raise ConfigError("", f"invalid JSON: {exc}")
-    cfg = _obj(raw, "")
-    _keys(cfg, "", ["formalism", "system", "experiment"], ["seed"])
-    formalism = _str(cfg["formalism"], "/formalism")
-    if formalism not in _FORMALISMS:
-        raise ConfigError("/formalism", f"expected {' | '.join(_FORMALISMS)}, "
-                                        f"got {formalism!r}")
-    _option(cfg, "seed", "", 0, _int, 0)
-    exp = _obj(cfg["experiment"], "/experiment")
+    _, _, _, exp = _read(raw, "", {"formalism": (_REQ, _formalism), "system": (_REQ, _obj),
+                                   "seed": (0, _int, 0), "experiment": (_REQ, _obj)})
     if "kind" not in exp:
         raise ConfigError("/experiment", "missing required key 'kind'")
     _str(exp["kind"], "/experiment/kind")
-    return cfg
+    return raw
 
 
 def _all_finite(value) -> bool:

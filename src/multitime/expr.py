@@ -356,7 +356,14 @@ def _mul(a: Expression, b: Expression) -> Expression:
         return a
     if _is_num(a, -1.0):
         return _neg(b)
-    return _neg(a) if _is_num(b, -1.0) else BinOp("*", a, b)
+    if _is_num(b, -1.0):
+        return _neg(a)
+    match a, b:
+        case Num(c), Neg(u):
+            return _mul(Num(-c), u)
+        case Num(c), BinOp("*", Num(k), u) if _scales_exactly(k) and math.isfinite(c * k):
+            return _mul(Num(c * k), u)
+    return BinOp("*", a, b)
 
 
 def _scales_exactly(k: float) -> bool:
@@ -394,11 +401,15 @@ def diff(expr: Expression, var: str) -> Expression:
     is that number, ``-(-u)`` is u, a product with -1 is a negation,
     ``(-a) / b`` is ``-(a / b)``, and ``(k*u) / k`` is u for k = ±2^j with
     j >= 0 (the same bits of k), so ``p^2/2`` gives ``p``, and
-    ``(a - b)^2/2`` gives ``-(a - b)`` with respect to b.  The reduced
-    derivative has the bits of the unreduced one wherever ``k*u`` is
-    finite.  Where ``k*u`` overflows, the unreduced value is infinite
-    (an RK4 run of the field raises FloatingPointError) and the reduced
-    one is finite; where u is NaN the sign of the NaN may differ.  Any
+    ``(a - b)^2/2`` gives ``-(a - b)`` with respect to b.  A number c
+    times ``-u`` is ``(-c) * u``, and c times ``k*u`` is ``(c*k) * u`` for
+    such a k when c*k is finite, so ``0.05 * (a - b)^2`` gives
+    ``0.1 * (a - b)`` with respect to a.  The reduced derivative has the
+    bits of the unreduced one wherever ``k*u`` is finite.  Where ``k*u``
+    overflows, the unreduced value is infinite (an RK4 run of the field
+    raises FloatingPointError) and the reduced one is finite where its
+    own product is: the rate of ``0.25 * u^2`` at u = 1e308 is 5e307, not
+    inf.  Where u is NaN the sign of the NaN may differ.  Any
     other number k (``(3*u)/3``, ``(0.5*u)/0.5``) stays, because
     ``(k*u)/k`` is not always u.  A power
     ``u^c`` whose exponent does not contain ``var`` uses the rule

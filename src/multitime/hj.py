@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 FOLIATION_INDEPENDENCE_TOL = 1e-6
+#: the points of the common time grid on which ``foliation_compare`` compares
+COMPARE_GRID_POINTS = 201
 
 
 class FoliationDegeneracyError(FoliationError):
@@ -463,11 +465,11 @@ def hj_trajectories_foliation(s: HJFunction, fol: Foliation,
 
 def foliation_compare(s: HJFunction, foliations: Sequence[Foliation],
                       init_positions: np.ndarray, s_span: tuple[float, float],
-                      ds: float, grid_points: int = 201,
-                      tolerance: float = FOLIATION_INDEPENDENCE_TOL,
+                      ds: float, tolerance: float = FOLIATION_INDEPENDENCE_TOL,
                       ) -> DivergenceReport:
     """Pairwise sup-distance between the trajectory families extracted
-    under each foliation, compared as point sets on a common time grid."""
+    under each foliation, compared as point sets on a common time grid of
+    ``COMPARE_GRID_POINTS`` points."""
     if len(foliations) < 2:
         raise ValueError("need >= 2 foliations to compare")
     paths = [hj_trajectories_foliation(s, fol, init_positions, s_span, ds)
@@ -484,7 +486,7 @@ def foliation_compare(s: HJFunction, foliations: Sequence[Foliation],
                 if hi <= lo:
                     raise FoliationError(
                         f"no common time window for particle {j}")
-                grid = np.linspace(lo, hi, grid_points)
+                grid = np.linspace(lo, hi, COMPARE_GRID_POINTS)
                 worst = max(worst, float(np.max(np.abs(la.x_at(grid) - lb.x_at(grid)))))
             dist[a][b] = dist[b][a] = worst
     independent = all(dist[a][b] < tolerance for a in range(m)

@@ -1087,3 +1087,150 @@ def test_docs_table_matches_subcommand_kinds():
         if row:
             table[row[1]] = set(re.findall(r"`([\w-]+)`", row[2]))
     assert table == _SUBCOMMAND_KINDS
+
+
+# The blocks with a key table of their own in docs/config.md, innermost first;
+# the HJ Hamiltonians are keys of the HJ system's table.
+SPEC_BLOCKS = ("/experiment/family/*/field", "/system/field", "/system/hamiltonians",
+               "/experiment/initial_state", "/experiment", "/system", "")
+FORMALISM_TITLES = {"quantum": "Quantum", "classical": "Classical", "hj": "HJ"}
+
+
+def block_title(block, value, formalism):
+    if block.endswith("field"):
+        return f"{value['type']} field"
+    if block == "/system/hamiltonians":
+        return f"{value['type']} Hamiltonians"
+    if block == "/experiment/initial_state":
+        return f"{value['kind']} initial state"
+    if block == "/experiment":
+        return f"{FORMALISM_TITLES[formalism]} {value['kind']}"
+    return f"{FORMALISM_TITLES[formalism]} system" if block else "Top level"
+
+
+def spec_tables(configs, monkeypatch, tmp_path):
+    """``{title: {key: default}}`` of every spec that ``cli._read`` is given
+    while each of ``configs`` is loaded and prepared; a key is named by its
+    path below its block, with ``*`` for an array index."""
+    calls = []
+    read = cli._read
+    monkeypatch.setattr(cli, "_read", lambda value, path, spec: (
+        calls.append((path, spec)), read(value, path, spec))[1])
+    tables = {}
+    for cfg in configs:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        calls.clear()
+        cfg = cli._load_config(str(path))
+        formalism, exp = cfg["formalism"], cfg["experiment"]
+        cli._KINDS[formalism, exp["kind"]].prepare(cfg["system"], exp, cfg["seed"])
+        for pointer, spec in calls:
+            parts = pointer.split("/")[1:]
+            norm = "".join("/*" if part.isdigit() else f"/{part}" for part in parts)
+            block = next(b for b in SPEC_BLOCKS if f"{norm}/".startswith(f"{b}/") and not (
+                b == "/system/hamiltonians" and formalism == "hj"))
+            node = cfg
+            for part in parts[:block.count("/")]:
+                node = node[int(part) if isinstance(node, list) else part]
+            table = tables.setdefault(block_title(block, node, formalism), {})
+            below = norm[len(block) + 1:]
+            for key, entry in spec.items():
+                default = ("required" if entry[0] is cli._REQ else
+                           "optional" if entry[0] is None else json.dumps(entry[0]))
+                assert table.setdefault(f"{below}/{key}" if below else key, default) == default
+    return tables
+
+
+def docs_key_tables():
+    text = (Path(__file__).parents[1] / "docs" / "config.md").read_text()
+    tables = {}
+    for section in text.split("## Keys of each block", 1)[1].split("\n### ")[1:]:
+        heading, body = section.split("\n", 1)
+        tables[heading.replace("`", "")] = {
+            key: json.dumps(json.loads(cell[1:-1])) if cell.startswith("`") else cell
+            for key, cell in re.findall(r"^\| `([^`]+)` \| (.+?) \|$", body, re.M)}
+    return tables
+
+
+def test_docs_key_tables_match_the_specs(monkeypatch, tmp_path):
+    """The shipped configs, and three that reach the blocks they do not:
+    the HJ ``defect-grid``, a ``hamiltonian`` field and a defaulted
+    (``basis``) initial state."""
+    configs = [copy.deepcopy(cfg) for _, cfg in sorted(EXAMPLE_CONFIGS.items())]
+    hj_grid = copy.deepcopy(EXAMPLE_CONFIGS["hj_free_residual"])
+    hj_grid["experiment"] = {"kind": "defect-grid", "samples": TestHJDefectGrid.SAMPLES}
+    hamiltonian = copy.deepcopy(EXAMPLE_CONFIGS["classical_free_evolve"])
+    hamiltonian["system"]["field"] = {"type": "hamiltonian", "h": "p1_1^2/2 + p2_1^2/2"}
+    basis = copy.deepcopy(EXAMPLE_CONFIGS["interaction_picture_staircase"])
+    del basis["experiment"]["initial_state"]
+    assert spec_tables(configs + [hj_grid, hamiltonian, basis],
+                       monkeypatch, tmp_path) == docs_key_tables()
+
+
+class TestReaders:
+    """``cli._read`` reads one block by its spec, ``cli._each`` one array."""
+
+    def test_unknown_key_before_missing_required_key(self):
+        spec = {"a": (cli._REQ, cli._num), "b": (cli._REQ, cli._num)}
+        with pytest.raises(ConfigError, match=r"^/block/c: unknown key \(strict schema\)$"):
+            cli._read({"c": 1.0}, "/block", spec)
+        with pytest.raises(ConfigError, match=r"^/block: missing required key 'a'$"):
+            cli._read({}, "/block", spec)
+        cfg = copy.deepcopy(EXAMPLE_CONFIGS["classical_free_check"])
+        cfg["experiment"]["sample"] = cfg["experiment"].pop("samples")
+        with pytest.raises(ConfigError) as exc:
+            run_config(cfg, "check")
+        assert exc.value.pointer == "/experiment/sample"
+
+    def test_defaults_read_recorded_and_none_left_out(self):
+        obj = {"a": 2}
+        got = cli._read(obj, "", {
+            "a": (cli._REQ, cli._int), "b": (None, cli._num), "c": (0.5, cli._positive),
+            "d": ([1, 2], cli._each, 2, cli._num)})
+        assert got == [2, None, 0.5, [1.0, 2.0]] and obj == {"a": 2, "c": 0.5, "d": [1, 2]}
+
+    @pytest.mark.parametrize("name,block,key", [
+        ("hj_free_residual", ["experiment"], "h"),
+        ("interaction_picture_staircase", ["experiment"], "order"),
+        ("grid_coupled", ["system", "field"], "h_step"),
+    ])
+    def test_none_default_key_is_not_echoed(self, name, block, key):
+        cfg = copy.deepcopy(EXAMPLE_CONFIGS[name])
+        cli._KINDS[cfg["formalism"], cfg["experiment"]["kind"]].prepare(
+            cfg["system"], cfg["experiment"], cfg["seed"])
+        for part in block:
+            cfg = cfg[part]
+        assert key not in cfg
+
+    @pytest.mark.parametrize("name,pointer,value,message", [
+        ("cjs_family", "/experiment/family/1/field", {
+            "type": "partial_hamiltonians", "h_list": [1.0, "p2_1^2/2"]},
+         "/experiment/family/1/field/h_list/0: expected a string, got float"),
+        ("cjs_family", "/experiment/family/2/field/w/1/0", "q",
+         "/experiment/family/2/field/w/1/0: undeclared variables ['q']"),
+        ("coupled_qubits", "/system/hamiltonians/terms/1/1/op", "ZZZ",
+         "/system/hamiltonians/terms/1/1/op: Pauli string must have length n = 2"),
+        ("interaction_picture_check", "/system/hamiltonians/k/1/0/coeff", "t1",
+         "/system/hamiltonians/k/1/0/coeff: expected a numeric coefficient here"),
+        ("hj_free_residual", "/experiment/points/1/x/0", [0.5, 1.0],
+         "/experiment/points/1/x/0: expected 1 entries, got 2"),
+        ("hj_coupled_foliations", "/experiment/foliations/1/u/0", True,
+         "/experiment/foliations/1/u/0: expected a number, got bool"),
+        ("classical_free_validity", "/experiment/samples/window", "x",
+         "/experiment/samples/window: expected a number, got str"),
+    ])
+    def test_nested_pointers_are_exact(self, name, pointer, value, message, no_numerics):
+        cfg = copy.deepcopy(EXAMPLE_CONFIGS[name])
+        set_pointer(cfg, pointer, value)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_config(cfg, KIND_SUBCOMMAND[cfg["experiment"]["kind"]])
+
+    def test_a_default_is_never_shared_between_reports(self):
+        cfg = copy.deepcopy(EXAMPLE_CONFIGS["free_quantum_holonomy"])
+        del cfg["experiment"]["initial_state"]
+        first, second = (run_config(copy.deepcopy(cfg), "holonomy")["config"]["experiment"]
+                         for _ in range(2))
+        assert first["initial_state"] == {"kind": "basis", "index": 0}
+        assert first["initial_state"] is not second["initial_state"]
+        first["initial_state"]["index"] = 3
+        assert second["initial_state"] == {"kind": "basis", "index": 0}

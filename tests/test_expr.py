@@ -491,14 +491,22 @@ def smooth_nodes(sub):
 smooth_trees = st.recursive(smooth_leaves, smooth_nodes, max_leaves=8)
 
 
+#: the numbers c of the shapes c*(u^2) and c*-(u): c*2 exact, inexact and overflowing
+SCALES = (0.05, 0.25, -0.5, 3.0, 1e308)
+
+
 def power_rule_shapes(sub):
-    """u^2/2, u^3/3 and (a - b)^2/2: the terms whose derivatives carry the
-    constants of the power rule."""
+    """u^2/2, u^3/3, (a - b)^2/2, c*(u^2) and c*-(u): the terms whose
+    derivatives carry the constants of the power rule, or a number times
+    a negation."""
     return st.one_of(
         st.builds(lambda u: BinOp("/", BinOp("^", u, Num(2.0)), Num(2.0)), sub),
         st.builds(lambda u: BinOp("/", BinOp("^", u, Num(3.0)), Num(3.0)), sub),
         st.builds(lambda a, b: BinOp("/", BinOp("^", BinOp("-", a, b), Num(2.0)), Num(2.0)),
                   sub, sub),
+        st.builds(lambda c, u: BinOp("*", Num(c), BinOp("^", u, Num(2.0))),
+                  st.sampled_from(SCALES), sub),
+        st.builds(lambda c, u: BinOp("*", Num(c), Neg(u)), st.sampled_from(SCALES), sub),
     )
 
 
@@ -678,6 +686,33 @@ class TestReducedDerivatives:
         assert diff(parse_expression("(a - b)^2/2"), "b") == parse_expression("-(a - b)")
         assert diff(parse_expression("-((a - b)^2/2)"), "b") == parse_expression("a - b")
 
+    def test_numbers_fold_into_products(self):
+        # c * -(u) is (-c) * u, and c * (k*u) is (c*k) * u for k = ±2^j
+        a_minus_b = parse_expression("a - b")
+        assert diff(parse_expression("0.05 * (a - b)^2"), "a") == BinOp(
+            "*", Num(0.1), a_minus_b)
+        assert diff(parse_expression("0.05 * (a - b)^2"), "b") == BinOp(
+            "*", Num(-0.1), a_minus_b)
+        assert expr_module._mul(Num(3.0), Neg(Var("u"))) == BinOp("*", Num(-3.0), Var("u"))
+        # an inexact k stays, and so does a c*k that overflows
+        for c, k in ((0.05, 3.0), (1e308, 2.0)):
+            scaled = BinOp("*", Num(k), Var("u"))
+            assert expr_module._mul(Num(c), scaled) == BinOp("*", Num(c), scaled)
+
+    def test_overflowing_scaled_rate_is_finite(self):
+        # the rate of 0.25 * p^2 at p = 1e308 is 0.5 * p, finite; the
+        # unreduced 0.25 * (2 * p) overflows in 2 * p to inf
+        h = parse_expression("0.25 * p1_1^2")
+        reduced = hamiltonian_vector_field(h, 1, 1)
+        unreduced = PhaseVectorField(1, 1, (diff_unreduced(h, "p1_1"),
+                                            Neg(diff_unreduced(h, "x1_1"))))
+        assert reduced.exprs[0] == parse_expression("0.5 * p1_1")
+        assert reduced.rhs([0.0], [0.0, 1e308]) == (5e307, 0.0)
+        assert unreduced.rhs([0.0], [0.0, 1e308]) == (math.inf, 0.0)
+        # where 2 * p is finite the two rates have the same bits
+        for p in (0.1, -3.7, 1e307, 5e-324):
+            assert reduced.rhs([0.0], [0.0, p]) == unreduced.rhs([0.0], [0.0, p])
+
     @pytest.mark.parametrize("k,cancels", [
         (2.0, True), (-2.0, True), (4.0, True), (-4.0, True), (2.0 ** 1023, True),
         (3.0, False), (0.5, False), (-0.5, False), (6.0, False), (2.0 ** -1022, False),
@@ -690,8 +725,8 @@ class TestReducedDerivatives:
         # (3*u)/3 rounds twice, and 0.5*u underflows for a subnormal u
         assert (3.0 * 0.1) / 3.0 != 0.1 and (0.5 * 5e-324) / 0.5 != 5e-324
         assert diff(parse_expression("x^3/3"), "x") == parse_expression("3 * x^2 / 3")
-        assert diff(parse_expression("0.5 * x^2 / 0.5"), "x") == parse_expression(
-            "0.5 * (2 * x) / 0.5")
+        # 0.5 * (2 * x) is folded to x, but (k*u)/k cancels only for k = ±2^j
+        assert diff(parse_expression("0.5 * x^2 / 0.5"), "x") == parse_expression("x / 0.5")
         # the two k must have the same bits
         assert diff(parse_expression("x^2/4"), "x") == parse_expression("2 * x / 4")
 
