@@ -42,8 +42,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .expr import (_ZERO, STEP_TIME, BinOp, Expression, Neg, Var, _neg, binding_names,
-                   bound_steps, check_steps, compile_function, compile_rk4,
-                   derivative, free_variables, parse_expression, substitute)
+                   bound_steps, check_count, check_finite, check_positive, check_span,
+                   check_steps, compile_function, compile_rk4, derivative,
+                   free_variables, parse_expression, substitute)
 from .paths import NPath, WorldLine
 from .reports import DefectReport, ResidualReport
 
@@ -147,7 +148,8 @@ class PhaseVectorField:
 
     @classmethod
     def free(cls, n: int, d: int, masses: Sequence[float]) -> "PhaseVectorField":
-        """v_j = p_j / m_j, w_j = 0."""
+        """v_j = p_j / m_j, w_j = 0; each mass a finite number > 0."""
+        masses = [check_positive(m, f"masses[{j}]") for j, m in enumerate(masses)]
         v = [[f"p{j + 1}_{dd + 1} / {masses[j]}" for dd in range(d)] for j in range(n)]
         w = [["0" for _ in range(d)] for _ in range(n)]
         return cls.from_expressions(n, d, v, w)
@@ -286,13 +288,10 @@ def _node_times(t0: float, dt: float, steps: int) -> list[float]:
 
 def equal_time_steps(t_span: tuple[float, float], dt: float) -> int:
     """The RK4 steps of an equal-time run over ``t_span`` at about ``dt``:
-    (t1 - t0) / dt rounded, at least 1; ValueError above ``MAX_STEPS``,
-    for a ``dt`` that is not a finite number > 0 and for a non-finite end."""
-    check_steps(dt, (), ())
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise ValueError(f"t_span must have finite ends, got ({t0}, {t1})")
-    steps = (t1 - t0) / dt
+    (t1 - t0) / dt rounded, at least 1; ValueError above ``MAX_STEPS``
+    and for a bad ``dt`` or ``t_span``."""
+    t0, t1 = check_span(t_span, "t_span")
+    steps = (t1 - t0) / check_positive(dt, "dt")
     bound_steps(steps)
     return max(1, int(round(steps)))
 
@@ -444,12 +443,10 @@ def _grid_legs(hpair: HamiltonianPair) -> Callable:
 
 def full_grid_steps(points1: int, points2: int, substeps: int) -> int:
     """The RK4 steps counted for a full grid of ``points1`` x ``points2``
-    nodes, ``substeps`` per node; ValueError for a count below 1, and
-    above ``MAX_STEPS``."""
-    for name, count in (("points1", points1), ("points2", points2), ("substeps", substeps)):
-        if count < 1:
-            raise ValueError(f"a full grid needs {name} >= 1, got {count}")
-    bound_steps(steps := points1 * points2 * substeps)
+    nodes, ``substeps`` per node; ValueError for a count that is not an
+    integer >= 1, and above ``MAX_STEPS``."""
+    bound_steps(steps := check_count(points1, 1, "points1") * check_count(points2, 1, "points2")
+                * check_count(substeps, 1, "substeps"))
     return steps
 
 
@@ -481,9 +478,8 @@ def rectangle_steps(rectangle: tuple[float, float], dt: float) -> tuple[int, int
     ``rectangle`` at about ``dt`` ((0, 0) for a side of 0), at most ``MAX_STEPS``;
     ValueError for a ``dt`` that is not a finite number > 0 and for a
     non-finite side."""
-    check_steps(dt, (), ())
-    if not all(math.isfinite(side) for side in rectangle):
-        raise ValueError(f"rectangle must have finite sides, got {tuple(rectangle)}")
+    dt = check_positive(dt, "dt")
+    rectangle = [check_finite(side, "rectangle") for side in rectangle]
     if 0.0 in rectangle:
         return 0, 0
     s1, s2 = abs(rectangle[0]) / dt, abs(rectangle[1]) / dt

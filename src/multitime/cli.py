@@ -92,21 +92,15 @@ def _read(value, path: str, spec: dict) -> list:
 def _num(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {type(value).__name__}")
-    try:
-        value = float(value)
-    except OverflowError:  # an integer beyond the float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise ConfigError(path, f"expected a finite number, got {value}")
-    return value
+    return _blame(path, expr.check_finite, value)
 
 
 def _int(value, path: str, minimum: int | None = None,
          maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(path, f"expected an integer, got {type(value).__name__}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(path, f"expected >= {minimum}, got {value}")
+    if minimum is not None:
+        _blame(path, expr.check_count, value, minimum)
     if maximum is not None and value > maximum:
         raise ConfigError(path, f"expected <= {maximum}, got {value}")
     return value
@@ -139,10 +133,13 @@ def _each(value, path: str, length: int | None, read: Callable, *args) -> list:
 
 
 def _positive(value, path: str) -> float:
-    value = _num(value, path)
-    if not value > 0.0:
-        raise ConfigError(path, f"expected a number > 0, got {value}")
-    return value
+    return _blame(path, expr.check_positive, _num(value, path))
+
+
+def _some(value, path: str, read: Callable, *args) -> list:
+    """``_each`` of an array of at least one entry."""
+    _blame(path, expr.check_count, len(_list(value, path)), 1)
+    return _each(value, path, None, read, *args)
 
 
 def _axes(value, path: str, n: int, length: int) -> list[int]:
@@ -169,11 +166,7 @@ def _blame(path: str, check: Callable, *args):
 
 
 def _span(value, path: str) -> tuple[float, float]:
-    lo, hi = _each(value, path, 2, _num)
-    if not lo < hi:
-        raise ConfigError(path, f"expected a strictly increasing pair, "
-                                f"got [{lo}, {hi}]")
-    return lo, hi
+    return _blame(path, expr.check_span, _each(value, path, 2, _num))
 
 
 def _box(value, path: str) -> tuple[float, float]:
@@ -486,7 +479,7 @@ def _holonomy(system: dict, exp: dict, seed: int):
     sys_q = build_quantum_system(system, "/system")
     _, base, axes, sizes, max_dt, phi0 = _read(exp, _E, {
         "kind": _KIND, "base_times": (_REQ, _each, sys_q.n, _num),
-        "axes": (_REQ, _axes, sys_q.n, 2), "sizes": (_REQ, _each, None, _positive),
+        "axes": (_REQ, _axes, sys_q.n, 2), "sizes": (_REQ, _some, _positive),
         "max_dt": (1e-2, _positive),
         "initial_state": ({"kind": "basis", "index": 0}, _initial_state, sys_q.dim)})
     for i, size in enumerate(sizes):
@@ -644,8 +637,8 @@ def _cjs_demo(system: dict, exp: dict, seed: int):
     n, d, _ = _classical_system(system, "/system", field=False)
     _, h, family, points, init, span, dt = _read(exp, _E, {
         "kind": _KIND, "h": (1e-4, _positive),
-        "family": (_REQ, _each, None, _read, {"id": (_REQ, _str),
-                                              "field": (_REQ, _build_field, n, d)}),
+        "family": (_REQ, _some, _read, {"id": (_REQ, _str),
+                                        "field": (_REQ, _build_field, n, d)}),
         "samples": (_REQ, _sample_phase_points, n, d, seed),
         "init": (_REQ, _phase_point, n, d), **_EQUAL_TIME})
     _blame(f"{_E}/dt", classical.equal_time_steps, span, dt)
@@ -661,7 +654,7 @@ def _hj_residual(system: dict, exp: dict, seed: int):
         raise ConfigError("/system", "hj-residual needs system.hamiltonians")
     h_list, h_total = hams
     _, step, points = _read(exp, _E, {
-        "kind": _KIND, "h": (None, _positive), "points": (_REQ, _each, None, _read, {
+        "kind": _KIND, "h": (None, _positive), "points": (_REQ, _some, _read, {
             "times": (_REQ, _each, s.n, _num), "x": (_REQ, _each, s.n, _each, s.d, _num)})})
 
     def run():
@@ -675,7 +668,7 @@ def _hj_residual(system: dict, exp: dict, seed: int):
                 point = classical.PhasePoint(times=np.asarray(times), x=x, p=p)
                 row["sum_rule_gap"] = hj.equal_time_sum_gap(h_list, h_total, point)
             rows.append(row)
-        worst = max([0.0] + [max(row["residuals"]) for row in rows])
+        worst = max(max(row["residuals"]) for row in rows)  # points has an entry
         return {"points": rows, "max_residual": worst}, None
 
     return run

@@ -37,14 +37,19 @@ and ``central_difference`` its central difference at a given step;
 
 The module also holds what every formalism shares without importing
 another: the work bound ``MAX_STEPS`` and its one check ``bound_steps``
-next to ``check_steps``, and ``FoliationError`` next to ``DomainError``,
-so that the CLI can catch it without loading the HJ module.
+next to ``check_steps`` and the four checks of a number that the CLI's
+readers share (``check_finite``, ``check_positive``, ``check_span`` and
+``check_count``: each returns what it accepts, and its ValueError has the
+CLI's wording, after ``name: `` when the caller names the number), and
+``FoliationError`` next to ``DomainError``, so that the CLI can catch it
+without loading the HJ module.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 import re
 import struct
@@ -75,6 +80,10 @@ __all__ = [
     "central_difference",
     "derivative",
     "check_steps",
+    "check_finite",
+    "check_positive",
+    "check_span",
+    "check_count",
     "MAX_STEPS",
     "bound_steps",
     "FoliationError",
@@ -525,12 +534,50 @@ def check_steps(h: float | None, names: Sequence[str], values: Sequence[float]) 
     ``values``) has x + h == x or x - h == x: a central difference there
     would read a wrong slope, or 0.  A None ``h`` (exact) is not checked."""
     if h is not None:
-        if not 0.0 < h < math.inf:
-            raise ValueError(f"step must be positive, got {h}")
+        check_positive(h, "h")
         for name, x in zip(names, values):
             if x + h == x or x - h == x:
                 raise FloatingPointError(f"the step h = {float(h)!r} rounds "
                                          f"away at {name} = {float(x)!r}")
+
+
+def _refused(name: str, message: str) -> ValueError:
+    return ValueError(f"{name}: {message}" if name else message)
+
+
+def check_finite(value: float, name: str = "") -> float:
+    """``value`` as a float, if finite (an int beyond the float range is not)."""
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf if value > 0 else -math.inf
+    if not math.isfinite(x):
+        raise _refused(name, f"expected a finite number, got {x}")
+    return x
+
+
+def check_positive(value: float, name: str = "") -> float:
+    """``check_finite``, and > 0: a step, a tolerance or a mass."""
+    if not (x := check_finite(value, name)) > 0.0:
+        raise _refused(name, f"expected a number > 0, got {x}")
+    return x
+
+
+def check_span(pair: Sequence[float], name: str = "") -> tuple[float, float]:
+    """``(lo, hi)``, the ends of ``pair`` by ``check_finite``, with lo < hi."""
+    lo, hi = (check_finite(end, name) for end in pair)
+    if not lo < hi:
+        raise _refused(name, f"expected a strictly increasing pair, got [{lo}, {hi}]")
+    return lo, hi
+
+
+def check_count(value: int, least: int, name: str = "") -> int:
+    """``value``, an integer (numpy's too, not a bool) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise _refused(name, f"expected an integer, got {value}")
+    if value < least:
+        raise _refused(name, f"expected >= {least}, got {value}")
+    return value
 
 
 @functools.lru_cache(maxsize=32)

@@ -26,7 +26,8 @@ import numpy as np
 
 from .classical import PhasePoint
 from .expr import (STEP_TIME, BinOp, Expression, ExpressionError, FoliationError,
-                   Num, Var, binding_names, bound_steps, check_steps,
+                   Num, Var, binding_names, bound_steps, check_count, check_positive,
+                   check_span, check_steps,
                    _bind, _div, _numbers, compile_function, compile_rk4, derivative, diff,
                    evaluate, parse_expression, substitute)
 from .numdiff import partial_derivative
@@ -78,13 +79,8 @@ class HJFunction:
                  masses: Sequence[float], constants: Mapping[str, float] | None = None):
         self.expr = substitute(_as_expr(expr),
                                {k: Num(float(v)) for k, v in (constants or {}).items()})
-        self.n = n
-        self.d = d
-        self.masses = tuple(float(m) for m in masses)
-        # the velocity law divides by the masses, as the CLI requires
-        for j, m in enumerate(self.masses, 1):
-            if not 0.0 < m < math.inf:
-                raise ValueError(f"mass {j} must be a finite number > 0, got {m}")
+        self.n, self.d = n, d
+        self.masses = tuple(check_positive(m, f"masses[{j}]") for j, m in enumerate(masses))
 
     def grad_x(self, j: int, times: Sequence[float], x: np.ndarray,
                h: float | None = None) -> np.ndarray:
@@ -337,8 +333,6 @@ def _leaf_sweep(s: HJFunction, fol: Foliation, s_lo: float, s_hi: float,
     h_fw = [b - a for a, b in zip(s_fw, s_fw[1:])]
     h_bw = [b - a for a, b in zip(s_bw, s_bw[1:])]
     s_all = np.array(s_bw[::-1] + s_fw[1:])
-    if len(s_all) < 2:
-        raise ValueError(f"no leaf but s = 0 from s = {s_lo:g} to {s_hi:g}")
 
     def sweep(x_leaf: bytes):
         fw, bw = loop(x_leaf, s_fw, h_fw), loop(x_leaf, s_bw, h_bw)
@@ -364,12 +358,13 @@ def foliation_leaves(fol: Foliation, init_positions: np.ndarray,
     """``(s_lo, s_hi, steps)`` of a trajectory run: the leaf parameters it
     integrates over, ``s_span`` widened to cover the t = 0 anchor events
     of ``init_positions``, and its number of RK4 steps at ``ds`` (a float,
-    infinite when the range is)."""
+    infinite when the range is); ValueError for a bad ``s_span`` or ``ds``."""
+    lo, hi = check_span(s_span, "s_span")
+    ds = check_positive(ds, "ds")
     x = np.atleast_2d(np.asarray(init_positions, float))
     u = fol.u_vec
     pad = float(np.max(np.abs(x @ u))) * 1.5 + ds if np.any(u) else 0.0
-    s_lo = min(float(s_span[0]), -pad)
-    s_hi = max(float(s_span[1]), pad)
+    s_lo, s_hi = min(lo, -pad), max(hi, pad)
     return s_lo, s_hi, max(s_hi, 0.0) / ds + max(-s_lo, 0.0) / ds
 
 
@@ -417,15 +412,12 @@ def hj_trajectories_foliation(s: HJFunction, fol: Foliation,
     takes the update J += ((dz - J dx) dx^T) / (dx.dx) after each later
     sweep.  A later sweep that raises ArithmeticError, ExpressionError or
     FoliationError halves the step; a run that does not converge raises
-    the last such error, else FoliationError.  Bad ``anchor_tol``,
-    ``max_anchor_iters`` or ``ds``, too many steps (``foliation_leaves``)
-    or no leaf but s = 0 raise ValueError before any sweep."""
+    the last such error, else FoliationError.  A bad ``anchor_tol`` or
+    ``max_anchor_iters``, or a bad ``s_span`` or ``ds`` or too many steps
+    (``foliation_leaves``), raises ValueError before any sweep."""
     if not anchor_tol >= 0.0:
         raise ValueError(f"anchor_tol must be a number >= 0, got {anchor_tol}")
-    if max_anchor_iters < 1:
-        raise ValueError(f"max_anchor_iters must be at least 1, got {max_anchor_iters}")
-    if not 0.0 < ds < math.inf:
-        raise ValueError(f"ds must be a finite number > 0, got {ds}")
+    check_count(max_anchor_iters, 1, "max_anchor_iters")
     s_lo, s_hi, steps = foliation_leaves(fol, init_positions, s_span, ds)
     bound_steps(steps, "leaves")
     sweep = _leaf_sweep(s, fol, s_lo, s_hi, ds)
@@ -469,9 +461,9 @@ def foliation_compare(s: HJFunction, foliations: Sequence[Foliation],
                       ) -> DivergenceReport:
     """Pairwise sup-distance between the trajectory families extracted
     under each foliation, compared as point sets on a common time grid of
-    ``COMPARE_GRID_POINTS`` points."""
-    if len(foliations) < 2:
-        raise ValueError("need >= 2 foliations to compare")
+    ``COMPARE_GRID_POINTS`` points; ValueError for a bad ``tolerance``."""
+    check_count(len(foliations), 2, "foliations")
+    check_positive(tolerance, "tolerance")
     paths = [hj_trajectories_foliation(s, fol, init_positions, s_span, ds)
              for fol in foliations]
     m = len(paths)

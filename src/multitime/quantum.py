@@ -27,8 +27,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linops
-from .expr import (Expression, Num, binding_names, bound_steps, check_steps,
-                   compile_function, parse_expression)
+from .expr import (Expression, Num, binding_names, bound_steps, check_count, check_finite,
+                   check_positive, check_steps, compile_function, parse_expression)
 from .reports import DefectReport
 
 __all__ = [
@@ -155,11 +155,15 @@ class MultiTimeState:
 @dataclass(frozen=True)
 class Segment:
     """One axis-aligned leg of a staircase: move time ``axis`` (1-based)
-    by ``duration`` in ``substeps`` equal substeps."""
+    by ``duration``, a finite number, in ``substeps`` >= 1 equal substeps."""
 
     axis: int
     duration: float
     substeps: int = 1
+
+    def __post_init__(self):
+        check_finite(self.duration, "duration")
+        check_count(self.substeps, 1, "substeps")
 
 
 def _total_hamiltonians(sys: PartialHamiltonianSet, times: np.ndarray) -> np.ndarray:
@@ -224,8 +228,6 @@ def evolve_staircase(sys: PartialHamiltonianSet, state: MultiTimeState,
     phi = state.vector.copy()
     times = np.array(state.times, dtype=float)
     for seg in segments:
-        if seg.substeps < 1:
-            raise ValueError("substeps must be >= 1")
         phi = _propagate(phi, functools.partial(sys.hamiltonians, seg.axis), times,
                          [seg.axis], seg.duration / seg.substeps, seg.substeps,
                          sys._is_constant(seg.axis, [seg.axis]))
@@ -262,17 +264,13 @@ def _propagate(phi: np.ndarray, hamiltonians: Callable[[np.ndarray], np.ndarray]
     return phi
 
 
-def _check_max_dt(max_dt: float) -> None:
-    if not max_dt > 0.0:
-        raise ValueError(f"max_dt must be positive, got {max_dt}")
-
-
-def _substeps(duration: float, max_dt: float) -> int:
-    """The substeps of at most ``max_dt`` in a leg of ``duration``, counted
-    in floats; ValueError for max_dt <= 0 or a leg of more than MAX_STEPS."""
-    _check_max_dt(max_dt)
-    bound_steps(steps := abs(duration) / max_dt, f"substeps in a leg of {duration}")
-    return max(1, math.ceil(steps))
+def _leg(axis: int, duration: float, max_dt: float, name: str) -> Segment:
+    """The leg of time ``axis`` by ``duration`` (called ``name``) in substeps
+    of at most ``max_dt``, counted in floats; ValueError for a non-finite
+    duration, a bad ``max_dt`` or a leg of more than MAX_STEPS."""
+    steps = abs(check_finite(duration, name)) / check_positive(max_dt, "max_dt")
+    bound_steps(steps, f"substeps in a leg of {duration}")
+    return Segment(axis, duration, max(1, math.ceil(steps)))
 
 
 def rectangle_staircases(j: int, k: int, eps: float, delta: float,
@@ -281,8 +279,7 @@ def rectangle_staircases(j: int, k: int, eps: float, delta: float,
     delta, and the reverse ordering."""
     if j == k:
         raise ValueError("rectangle needs two distinct axes")
-    leg_j = Segment(j, eps, _substeps(eps, max_dt))
-    leg_k = Segment(k, delta, _substeps(delta, max_dt))
+    leg_j, leg_k = _leg(j, eps, max_dt, "eps"), _leg(k, delta, max_dt, "delta")
     return [leg_j, leg_k], [leg_k, leg_j]
 
 
@@ -301,16 +298,14 @@ def rectangle_holonomy(sys: PartialHamiltonianSet, times: Sequence[float],
 def diagonal_evolution(sys: PartialHamiltonianSet, psi0: np.ndarray,
                        t_start: float, t_end: float, steps: int) -> np.ndarray:
     """Single-time evolution under H(t) = sum_j H_j(t,..,t) with the
-    exponential midpoint rule; ValueError for fewer than 1 or more than
-    ``MAX_STEPS`` steps."""
-    if not steps >= 1:
-        raise ValueError(f"steps must be at least 1, got {steps}")
-    bound_steps(steps, "diagonal steps")
+    exponential midpoint rule; ValueError for a non-finite time and for
+    ``steps`` that is not an integer from 1 to ``MAX_STEPS``."""
+    bound_steps(check_count(steps, 1, "steps"), "diagonal steps")
+    delta = (check_finite(t_end, "t_end") - check_finite(t_start, "t_start")) / steps
     psi = np.asarray(psi0, dtype=np.complex128).copy()
     axes = range(1, sys.n + 1)
     return _propagate(psi, functools.partial(_total_hamiltonians, sys),
-                      np.full(sys.n, t_start, dtype=float), axes,
-                      (t_end - t_start) / steps, steps,
+                      np.full(sys.n, t_start, dtype=float), axes, delta, steps,
                       all(sys._is_constant(j, axes) for j in axes))
 
 
@@ -318,10 +313,10 @@ def staircase_between(start: Sequence[float], end: Sequence[float],
                       order: Sequence[int] | None = None,
                       max_dt: float = 1e-2) -> list[Segment]:
     """One segment per axis whose times differ, taken in ``order`` (1-based;
-    default 1..n)."""
-    _check_max_dt(max_dt)
+    default 1..n); ``max_dt`` is checked even where no time differs."""
+    check_positive(max_dt, "max_dt")
     durations = (np.asarray(end, float) - np.asarray(start, float)).tolist()
-    return [Segment(ax, dur, _substeps(dur, max_dt))
+    return [_leg(ax, dur, max_dt, "end - start")
             for ax in (order if order is not None else range(1, len(durations) + 1))
             if (dur := durations[ax - 1]) != 0.0]
 
@@ -332,9 +327,10 @@ def random_staircase(rng: np.random.Generator, start: Sequence[float],
     """Random axis-aligned staircase from ``start`` to ``end``: the move
     along each axis is split into ``pieces`` random chunks and the chunks
     are interleaved in random order."""
-    _check_max_dt(max_dt)
+    check_positive(max_dt, "max_dt")
+    check_count(pieces, 1, "pieces")
     durations = (np.asarray(end, float) - np.asarray(start, float)).tolist()
-    chunks = [Segment(ax, d, _substeps(d, max_dt))
+    chunks = [_leg(ax, d, max_dt, "end - start")
               for ax, dur in enumerate(durations, start=1)
               for wgt in rng.dirichlet(np.ones(pieces))
               if (d := dur * float(wgt)) != 0.0]

@@ -61,7 +61,7 @@ class TestDefect:
     @pytest.mark.parametrize("h", [0.0, float("nan"), float("inf")])
     def test_step_not_a_finite_positive_number_refused(self, h):
         # h = nan read max_defect nan, and h = inf read 0.0: consistent
-        with pytest.raises(ValueError, match="step must be positive"):
+        with pytest.raises(ValueError, match=r"^h: expected a (finite number|number > 0), got "):
             classical_consistency_defect(free_field(), phase_point(0.0, -1.0, 1.0, 0.1, 0.2),
                                          h=h)
 
@@ -273,7 +273,7 @@ class TestDefectGrid:
             classical.classical_defect_grid(field, [good, bad, far])
         with pytest.raises(FloatingPointError, match="rounds away at x2_1 = 10000000000000.0"):
             classical.classical_defect_grid(field, [good, far, bad])
-        with pytest.raises(ValueError, match="step must be positive"):
+        with pytest.raises(ValueError, match=r"^h: expected a number > 0, got 0\.0$"):
             classical.classical_defect_grid(field, [], h=0.0)
         assert classical.classical_defect_grid(field, []) == []
 
@@ -369,7 +369,7 @@ class TestEqualTimeEvolution:
     def test_step_not_a_finite_positive_number_refused(self, dt):
         # dt = nan died converting NaN to an integer, and dt = inf took one
         # RK4 step across the whole span
-        with pytest.raises(ValueError, match="step must be positive"):
+        with pytest.raises(ValueError, match=r"^dt: expected a (finite number|number > 0), got "):
             evolve_equal_time(free_field(), phase_point(0.0, -1.0, 1.0, 0.1, 0.2),
                               (0.0, 1.0), dt)
 
@@ -378,7 +378,7 @@ class TestEqualTimeEvolution:
     def test_span_with_a_non_finite_end_refused(self, t_span):
         # a NaN end died converting NaN to an integer; an infinite one was
         # refused only as an infinite step count
-        with pytest.raises(ValueError, match="t_span must have finite ends"):
+        with pytest.raises(ValueError, match="^t_span: expected a finite number, got "):
             evolve_equal_time(free_field(), phase_point(0.0, -1.0, 1.0, 0.1, 0.2),
                               t_span, 0.01)
 
@@ -624,13 +624,13 @@ class TestFullGrid:
             HamiltonianPair(["p1_1^2/2"], 1, 1)
 
     @pytest.mark.parametrize("points1,points2,substeps,refused", [
-        (3, 2, 0, "substeps >= 1, got 0"),
-        (3, 2, -1, "substeps >= 1, got -1"),
-        (0, 2, 4, "points1 >= 1, got 0"),
-        (3, -2, 4, "points2 >= 1, got -2"),
+        (3, 2, 0, "substeps: expected >= 1, got 0"),
+        (3, 2, -1, "substeps: expected >= 1, got -1"),
+        (0, 2, 4, "points1: expected >= 1, got 0"),
+        (3, -2, 4, "points2: expected >= 1, got -2"),
     ])
     def test_counts_below_one_refused(self, points1, points2, substeps, refused):
-        with pytest.raises(ValueError, match=f"^a full grid needs {refused}$"):
+        with pytest.raises(ValueError, match=f"^{refused}$"):
             classical.full_grid_steps(points1, points2, substeps)
 
     @pytest.mark.parametrize("substeps", [0, -1])
@@ -640,10 +640,10 @@ class TestFullGrid:
             raise AssertionError("a leg loop was built")
 
         monkeypatch.setattr(classical, "_grid_legs", no_legs)
-        with pytest.raises(ValueError, match=f"substeps >= 1, got {substeps}$"):
+        with pytest.raises(ValueError, match=f"^substeps: expected >= 1, got {substeps}$"):
             evolve_full_grid(self.free_pair(), self.init(), np.linspace(0, 1, 3),
                              np.linspace(0, 1, 2), substeps=substeps)
-        with pytest.raises(ValueError, match="points1 >= 1, got 0$"):
+        with pytest.raises(ValueError, match="^points1: expected >= 1, got 0$"):
             evolve_full_grid(self.free_pair(), self.init(), [], [0.0, 1.0])
 
     # The grid and the rectangle as first written, one compiled loop call per
@@ -813,10 +813,11 @@ class TestRk4Step:
     def test_rectangle_step_not_a_finite_positive_number_refused(self, dt):
         # dt = 0 divided by zero, nan died converting NaN to an integer, and
         # -0.1 and inf took one RK4 step per leg
-        with pytest.raises(ValueError, match="step must be positive"):
+        refused = r"^dt: expected a (finite number|number > 0), got "
+        with pytest.raises(ValueError, match=refused):
             classical.rectangle_steps((0.4, 0.4), dt)
         pair = HamiltonianPair(["p1_1^2/2", "p2_1^2/2"], 2, 1)
-        with pytest.raises(ValueError, match="step must be positive"):
+        with pytest.raises(ValueError, match=refused):
             grid_path_independence(pair, phase_point(0.0, -1.0, 1.0, 0.1, -0.1),
                                    (0.4, 0.4), dt)
 
@@ -827,10 +828,10 @@ class TestRk4Step:
         # a NaN side died converting NaN to an integer, and beside a side of
         # 0 any side took no step
         rectangle = (side, other) if at == 0 else (other, side)
-        with pytest.raises(ValueError, match="rectangle must have finite sides"):
+        with pytest.raises(ValueError, match="^rectangle: expected a finite number, got "):
             classical.rectangle_steps(rectangle, 0.1)
         pair = HamiltonianPair(["p1_1^2/2", "p2_1^2/2"], 2, 1)
-        with pytest.raises(ValueError, match="rectangle must have finite sides"):
+        with pytest.raises(ValueError, match="^rectangle: expected a finite number, got "):
             grid_path_independence(pair, phase_point(0.0, -1.0, 1.0, 0.1, -0.1),
                                    rectangle, 0.1)
 

@@ -1078,6 +1078,24 @@ def test_mass_leaf_exits_cleanly(name, pointer, value, tmp_path, capsys,
     assert f"config error: {message}" in err
 
 
+@pytest.mark.parametrize("name,key", [
+    ("hj_free_residual", "points"), ("coupled_qubits", "sizes"),
+    ("free_quantum_holonomy", "sizes"), ("cjs_family", "family")])
+def test_empty_array_exits_2_at_its_pointer(name, key, tmp_path, capsys):
+    """An empty ``points``, ``sizes`` or ``family`` ran to an empty result
+    (a ``max_residual`` of 0.0, a ``table`` of []) and exited 0."""
+    cfg = copy.deepcopy(EXAMPLE_CONFIGS[name])
+    cfg["experiment"][key] = []
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = main([KIND_SUBCOMMAND[cfg["experiment"]["kind"]], "--config", str(path),
+                 "--out", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert f"config error: /experiment/{key}: expected >= 1, got 0" in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_docs_table_matches_subcommand_kinds():
     text = (Path(__file__).parents[1] / "docs" / "config.md").read_text()
     section = text.split("## Subcommands and kinds", 1)[1].split("\n## ", 1)[0]

@@ -782,17 +782,19 @@ class TestCentralDifference:
         got = expr_module.central_difference(parse_expression("x*y + x"), "x", 0.5)
         assert got == parse_expression(
             "((x + 0.5)*y + (x + 0.5) - ((x - 0.5)*y + (x - 0.5))) / 1")
-        with pytest.raises(ValueError, match="step must be positive"):
+        with pytest.raises(ValueError, match=r"^h: expected a number > 0, got 0\.0$"):
             expr_module.central_difference(got, "x", 0.0)
 
     @pytest.mark.parametrize("h", [0.0, -1e-4, math.nan, math.inf, -math.inf])
     def test_step_not_a_finite_positive_number_refused(self, h):
         # a NaN step built a tree of NaNs, and each copy of the check let it by
-        with pytest.raises(ValueError, match=f"^{re.escape(f'step must be positive, got {h}')}$"):
+        kind = "a number > 0" if math.isfinite(h) else "a finite number"
+        refused = f"^{re.escape(f'h: expected {kind}, got {h}')}$"
+        with pytest.raises(ValueError, match=refused):
             expr_module.check_steps(h, ["x"], [1.0])
-        with pytest.raises(ValueError, match="step must be positive"):
+        with pytest.raises(ValueError, match=refused):
             expr_module.central_difference(parse_expression("x"), "x", h)
-        with pytest.raises(ValueError, match="step must be positive"):
+        with pytest.raises(ValueError, match=refused):
             diff_callable(lambda b: b["x"], "x", {"x": 1.0}, h=h)
         expr_module.check_steps(None, ["x"], [math.nan])  # None means exact
 

@@ -167,8 +167,9 @@ class TestMasses:
     @pytest.mark.parametrize("mass", [0.0, -0.0, -1.0, math.inf, math.nan])
     def test_mass_not_positive_and_finite_rejected(self, mass):
         # the CLI refuses these too; the velocity law divides by the mass
-        with pytest.raises(ValueError, match=re.escape(f"mass 2 must be a finite number > 0, "
-                                                       f"got {mass}")):
+        kind = "a number > 0" if math.isfinite(mass) else "a finite number"
+        message = f"masses[1]: expected {kind}, got {mass}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             HJFunction("x1_1 + x2_1", 2, 1, [1.0, mass])
 
 
@@ -743,11 +744,11 @@ class TestAnchoringAgainstOracle:
     @pytest.mark.parametrize("kwargs,match", [
         ({"anchor_tol": math.nan}, "anchor_tol must be a number >= 0, got nan"),
         ({"anchor_tol": -1e-10}, "anchor_tol must be a number >= 0, got -1e-10"),
-        ({"max_anchor_iters": 0}, "max_anchor_iters must be at least 1, got 0"),
-        ({"ds": math.nan}, "ds must be a finite number > 0, got nan"),
-        ({"ds": math.inf}, "ds must be a finite number > 0, got inf"),
-        ({"ds": 0.0}, "ds must be a finite number > 0, got 0.0"),
-        ({"ds": -0.01}, "ds must be a finite number > 0, got -0.01"),
+        ({"max_anchor_iters": 0}, "max_anchor_iters: expected >= 1, got 0"),
+        ({"ds": math.nan}, "ds: expected a finite number, got nan"),
+        ({"ds": math.inf}, "ds: expected a finite number, got inf"),
+        ({"ds": 0.0}, "ds: expected a number > 0, got 0.0"),
+        ({"ds": -0.01}, "ds: expected a number > 0, got -0.01"),
     ])
     def test_bad_anchoring_parameters_refused(self, monkeypatch, kwargs, match):
         monkeypatch.setattr(hj, "_leaf_sweep", None)  # refused before any sweep
@@ -807,9 +808,24 @@ class TestAnchoringAgainstOracle:
         assert counts == {"hj_free_foliations": 1000, "hj_coupled_foliations": 1200,
                           "hj_free_trajectories": 200}
 
+    @pytest.mark.parametrize("s_span,message", [
+        # min(nan, -pad) is nan, so s_lo < 0 failed and the run covered only
+        # the forward leaves; a reversed span was "no leaf but s = 0"
+        ((math.nan, 1.0), "s_span: expected a finite number, got nan"),
+        ((1.0, -1.0), "s_span: expected a strictly increasing pair, got [1.0, -1.0]"),
+    ])
+    def test_nan_or_reversed_span_refused(self, monkeypatch, s_span, message):
+        monkeypatch.setattr(hj, "_leaf_sweep", None)  # refused before any sweep
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            hj_trajectories_foliation(free_hj(), Foliation([0.0]), [[0.0], [1.0]],
+                                      s_span, 0.1)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            hj.foliation_leaves(Foliation([0.0]), [[0.0], [1.0]], s_span, 0.1)
+
     def test_span_without_leaves_refused(self):
         # s_span [0, 0] on an unboosted foliation: no step from s = 0
-        with pytest.raises(ValueError, match=r"^no leaf but s = 0 from s = 0 to 0$"):
+        with pytest.raises(ValueError, match=r"^s_span: expected a strictly increasing "
+                                             r"pair, got \[0\.0, 0\.0\]$"):
             hj_trajectories_foliation(free_hj(), Foliation([0.0]), [[-1.0], [1.0]],
                                       (0.0, 0.0), 0.01)
 
