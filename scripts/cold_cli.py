@@ -1,0 +1,145 @@
+"""Wall and CPU time of cold CLI processes, one per shipped config.
+
+    python scripts/cold_cli.py [--rounds N] [SRC ...]
+
+For each ``SRC`` (default: this checkout's ``src``), writes the shipped
+configs with that tree's ``multitime examples`` and takes each config's
+subcommand from that tree's ``cli._SUBCOMMAND_KINDS``.  Then, ``N``
+rounds over the configs, runs
+
+    python -m multitime.cli <subcommand> --config F --out R
+
+in a fresh interpreter per ``SRC``, with ``SRC`` first on ``PYTHONPATH``;
+the order of the ``SRC``s alternates run by run.  Every child gets this
+process's environment unchanged apart from ``PYTHONPATH``; the first
+line says whether ``OPENBLAS_NUM_THREADS`` is set in it.  A run that
+exits non-zero fails the script, after the table.
+
+Prints, for each config and ``SRC``, the median wall time and the median
+CPU time of the child (user + sys, from ``os.wait4``), in seconds; then
+the median of the rounds' totals; then each round's total CPU time, and
+in how many rounds each other ``SRC``'s total is below the first's.
+Two checkouts compare in one run:
+
+    python scripts/cold_cli.py src ../parent/src
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+#: run in each tree: write the shipped configs into the directory argv[1],
+#: print where multitime was imported from and each config's subcommand
+SETUP = """
+import json, sys
+import multitime
+from multitime import cli
+from multitime.configs import EXAMPLE_CONFIGS, write_examples
+
+write_examples(sys.argv[1])
+subcommand = {kind: sub for sub, kinds in cli._SUBCOMMAND_KINDS.items()
+              for kind in kinds}
+print(json.dumps([multitime.__file__,
+                  {name: subcommand[cfg["experiment"]["kind"]]
+                   for name, cfg in EXAMPLE_CONFIGS.items()}]))
+"""
+
+
+def child_env(src: Path) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
+    return env
+
+
+def configs(src: Path, directory: Path) -> dict[str, str]:
+    """Each config of ``src`` by name, with its subcommand; the configs are
+    written into ``directory``."""
+    done = subprocess.run([sys.executable, "-c", SETUP, str(directory)],
+                          env=child_env(src), capture_output=True, text=True, check=True)
+    where, subcommands = json.loads(done.stdout.splitlines()[-1])
+    if Path(where).resolve().parent != (src / "multitime").resolve():
+        sys.exit(f"{src}: multitime was imported from {where}")
+    return subcommands
+
+
+def run(src: Path, subcommand: str, config: Path, report: Path) -> tuple[int, float, float]:
+    """Exit code, wall seconds and CPU seconds of one CLI process."""
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "multitime.cli", subcommand,
+                             "--config", str(config), "--out", str(report)],
+                            env=child_env(src), stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    return os.waitstatus_to_exitcode(status), wall, usage.ru_utime + usage.ru_stime
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("src", nargs="*", type=Path,
+                        default=[Path(__file__).resolve().parents[1] / "src"])
+    args = parser.parse_args()
+    srcs = [src.resolve() for src in args.src]
+    blas = os.environ.get("OPENBLAS_NUM_THREADS")
+    print("OPENBLAS_NUM_THREADS:", "unset" if blas is None else repr(blas))
+    for i, src in enumerate(srcs, 1):
+        print(f"[{i}] {src}")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = [Path(tmp) / str(i) for i in range(len(srcs))]
+        subcommands = [configs(src, d) for src, d in zip(srcs, dirs)]
+        names = sorted(set().union(*subcommands))
+        # times[i][name]: (wall, cpu) of each run; totals[i]: (wall, cpu) per round
+        times = [{name: [] for name in names} for _ in srcs]
+        totals = [[] for _ in srcs]
+        failed = []
+        runs = 0
+        for _ in range(args.rounds):
+            round_sums = [[0.0, 0.0] for _ in srcs]
+            for name in names:
+                order = list(range(len(srcs)))
+                if runs % 2:
+                    order.reverse()
+                runs += 1
+                for i in order:
+                    if name not in subcommands[i]:
+                        continue
+                    code, wall, cpu = run(srcs[i], subcommands[i][name],
+                                          dirs[i] / f"{name}.json", dirs[i] / "report.json")
+                    if code != 0:
+                        failed.append(f"[{i + 1}] {name}: exit {code}")
+                    times[i][name].append((wall, cpu))
+                    round_sums[i][0] += wall
+                    round_sums[i][1] += cpu
+            for i, sums in enumerate(round_sums):
+                totals[i].append(tuple(sums))
+
+    def medians(samples):
+        if not samples:
+            return "      -       -"
+        return "  ".join(f"{statistics.median(s[k] for s in samples):6.3f}"
+                         for k in (0, 1))
+
+    print(f"{args.rounds} rounds; medians in seconds, wall then cpu")
+    print(f"{'config':34}" + "".join(f"  [{i}] wall   cpu" for i in range(1, len(srcs) + 1)))
+    for name in names:
+        print(f"{name:34}" + "".join(f"  {medians(t[name])}" for t in times))
+    print(f"{'total':34}" + "".join(f"  {medians(t)}" for t in totals))
+    for i, rounds in enumerate(totals, 1):
+        print(f"[{i}] cpu per round: " + " ".join(f"{cpu:.3f}" for _, cpu in rounds))
+    for i in range(1, len(srcs)):
+        wins = sum(b[1] < a[1] for a, b in zip(totals[0], totals[i]))
+        print(f"[{i + 1}] cpu below [1] in {wins} of {args.rounds} rounds")
+    if failed:
+        sys.exit("failed runs:\n" + "\n".join(failed))
+
+
+if __name__ == "__main__":
+    main()

@@ -42,8 +42,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .expr import (_ZERO, STEP_TIME, BinOp, Expression, Neg, Var, _neg, binding_names,
-                   bound_steps, check_count, check_finite, check_positive, check_span,
-                   check_steps, compile_function, compile_rk4, derivative,
+                   bound_steps, check_count, check_finite, check_masses, check_positive,
+                   check_span, check_steps, compile_function, compile_rk4, derivative,
                    free_variables, parse_expression, substitute)
 from .paths import NPath, WorldLine
 from .reports import DefectReport, ResidualReport
@@ -148,8 +148,8 @@ class PhaseVectorField:
 
     @classmethod
     def free(cls, n: int, d: int, masses: Sequence[float]) -> "PhaseVectorField":
-        """v_j = p_j / m_j, w_j = 0; each mass a finite number > 0."""
-        masses = [check_positive(m, f"masses[{j}]") for j, m in enumerate(masses)]
+        """v_j = p_j / m_j, w_j = 0; n masses, each a finite number > 0."""
+        masses = check_masses(masses, n)
         v = [[f"p{j + 1}_{dd + 1} / {masses[j]}" for dd in range(d)] for j in range(n)]
         w = [["0" for _ in range(d)] for _ in range(n)]
         return cls.from_expressions(n, d, v, w)

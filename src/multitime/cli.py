@@ -29,6 +29,11 @@ import sys
 import time
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
+if __name__ == "__main__":  # ``python -m multitime.cli``: before numpy loads its BLAS
+    from . import _one_blas_thread
+
+    _one_blas_thread()
+
 import numpy as np
 
 from . import expr
@@ -450,6 +455,8 @@ def _staircase(system: dict, exp: dict, seed: int):
         "initial_state": ({"kind": "basis", "index": 0}, _initial_state, sys_q.dim),
         "compare_diagonal": (False, _bool),
         "diagonal_steps": (1000, _int, 1, MAX_STEPS)})
+    for a, b in zip(start, end):  # a leg's length may overflow
+        _blame(f"{_E}/end", expr.check_finite, b - a, "end - start")
     path = _blame(f"{_E}/max_dt", quantum.staircase_between, start, end, order, max_dt)
     _blame(f"{_E}/max_dt", quantum.path_substeps, path)
     if compare and not (np.allclose(start, start[0]) and np.allclose(end, end[0])):

@@ -84,6 +84,7 @@ __all__ = [
     "check_positive",
     "check_span",
     "check_count",
+    "check_masses",
     "MAX_STEPS",
     "bound_steps",
     "FoliationError",
@@ -561,6 +562,13 @@ def check_positive(value: float, name: str = "") -> float:
     if not (x := check_finite(value, name)) > 0.0:
         raise _refused(name, f"expected a number > 0, got {x}")
     return x
+
+
+def check_masses(masses: Sequence[float], n: int) -> tuple[float, ...]:
+    """The ``n`` masses of a system, each by ``check_positive``."""
+    if len(masses) != n:
+        raise _refused("masses", f"expected {n} entries, got {len(masses)}")
+    return tuple(check_positive(m, f"masses[{j}]") for j, m in enumerate(masses))
 
 
 def check_span(pair: Sequence[float], name: str = "") -> tuple[float, float]:

@@ -26,8 +26,8 @@ import numpy as np
 
 from .classical import PhasePoint
 from .expr import (STEP_TIME, BinOp, Expression, ExpressionError, FoliationError,
-                   Num, Var, binding_names, bound_steps, check_count, check_positive,
-                   check_span, check_steps,
+                   Num, Var, binding_names, bound_steps, check_count, check_masses,
+                   check_positive, check_span, check_steps,
                    _bind, _div, _numbers, compile_function, compile_rk4, derivative, diff,
                    evaluate, parse_expression, substitute)
 from .numdiff import partial_derivative
@@ -67,7 +67,7 @@ class HJFunction:
 
     Each name in ``constants`` (a parameter of S, e.g. a momentum of a free
     solution) is replaced in S by its value, a number like any other.  A
-    mass that is not a finite number > 0 raises ValueError.
+    list of masses that is not n finite numbers > 0 raises ValueError.
     """
 
     expr: Expression
@@ -80,7 +80,7 @@ class HJFunction:
         self.expr = substitute(_as_expr(expr),
                                {k: Num(float(v)) for k, v in (constants or {}).items()})
         self.n, self.d = n, d
-        self.masses = tuple(check_positive(m, f"masses[{j}]") for j, m in enumerate(masses))
+        self.masses = check_masses(masses, n)
 
     def grad_x(self, j: int, times: Sequence[float], x: np.ndarray,
                h: float | None = None) -> np.ndarray:

@@ -309,13 +309,20 @@ def diagonal_evolution(sys: PartialHamiltonianSet, psi0: np.ndarray,
                       all(sys._is_constant(j, axes) for j in axes))
 
 
+def _differences(start: Sequence[float], end: Sequence[float]) -> list[float]:
+    """end - start, entry by entry, as Python floats: numpy's subtraction
+    gives the same bits but warns where a difference overflows, which
+    ``_leg`` then refuses as non-finite."""
+    return [float(b) - float(a) for a, b in zip(start, end, strict=True)]
+
+
 def staircase_between(start: Sequence[float], end: Sequence[float],
                       order: Sequence[int] | None = None,
                       max_dt: float = 1e-2) -> list[Segment]:
     """One segment per axis whose times differ, taken in ``order`` (1-based;
     default 1..n); ``max_dt`` is checked even where no time differs."""
     check_positive(max_dt, "max_dt")
-    durations = (np.asarray(end, float) - np.asarray(start, float)).tolist()
+    durations = _differences(start, end)
     return [_leg(ax, dur, max_dt, "end - start")
             for ax in (order if order is not None else range(1, len(durations) + 1))
             if (dur := durations[ax - 1]) != 0.0]
@@ -329,7 +336,7 @@ def random_staircase(rng: np.random.Generator, start: Sequence[float],
     are interleaved in random order."""
     check_positive(max_dt, "max_dt")
     check_count(pieces, 1, "pieces")
-    durations = (np.asarray(end, float) - np.asarray(start, float)).tolist()
+    durations = _differences(start, end)
     chunks = [_leg(ax, d, max_dt, "end - start")
               for ax, dur in enumerate(durations, start=1)
               for wgt in rng.dirichlet(np.ones(pieces))

@@ -661,6 +661,15 @@ class TestConfigErrors:
         self.expect_error(config_dir, tmp_path, capsys, name, subcommand,
                           pointer, value, pointer, "expected a finite number")
 
+    def test_overflowing_staircase_leg(self, config_dir, tmp_path, capsys, no_numerics):
+        # end - start is inf: numpy's subtraction warned, and max_dt was blamed
+        cfg = json.loads((config_dir / "interaction_picture_staircase.json").read_text())
+        cfg["experiment"]["start"] = [-1e308, 0.0]
+        cfg["experiment"]["end"] = [1e308, 0.5]
+        assert self.run_expect_error(tmp_path, cfg, subcommand="evolve") == 2
+        assert ("config error: /experiment/end: end - start: expected a finite number, "
+                "got inf") in capsys.readouterr().err
+
     @pytest.mark.parametrize("name,subcommand,pointer,value", [
         ("classical_free_check", "check", "/experiment/samples/t_box", [3.0, 1.0]),
         ("classical_harmonic_check", "check", "/experiment/samples/x_box",

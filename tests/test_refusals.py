@@ -186,6 +186,15 @@ def test_bad_number_refused_naming_the_parameter(monkeypatch, name, call, value)
      "max_anchor_iters: expected an integer, got 1.5"),
     (lambda: quantum.staircase_between([0, 0], [NAN, 1]),
      "end - start: expected a finite number, got nan"),
+    # a leg whose length overflows: numpy's subtraction warned before the refusal
+    (lambda: quantum.staircase_between([-1e308, 0], [1e308, 0.5]),
+     "end - start: expected a finite number, got inf"),
+    (lambda: quantum.random_staircase(rng(), [-1e308, 0], [1e308, 0.5]),
+     "end - start: expected a finite number, got inf"),
+    # a list of masses of the wrong length, refused before any mass is read
+    (lambda: HJFunction("x1_1 + x2_1", 2, 1, [1.0]), "masses: expected 2 entries, got 1"),
+    (lambda: PhaseVectorField.free(2, 1, [1.0]), "masses: expected 2 entries, got 1"),
+    (lambda: PhaseVectorField.free(2, 1, [NAN]), "masses: expected 2 entries, got 1"),
     (lambda: quantum.rectangle_holonomy(QUBITS, [0.0, 0.0], 1, 2, NAN, 0.1, PHI),
      "eps: expected a finite number, got nan"),
     (lambda: classical.equal_time_steps((0, -1), 0.1),
@@ -207,6 +216,7 @@ class TestChecks:
         assert expr.check_span([np.int64(0), 2.5]) == (0.0, 2.5)
         assert expr.check_count(np.int64(3), 1) == 3
         assert expr.check_count(0, 0) == 0
+        assert expr.check_masses([1, np.float64(0.5)], 2) == (1.0, 0.5)
 
     @pytest.mark.parametrize("call,message", [
         (lambda: expr.check_finite(10 ** 400), "expected a finite number, got inf"),
