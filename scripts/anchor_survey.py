@@ -10,7 +10,8 @@ span and a leaf step ``ds``.  Each case runs through
 iterations, from ``multitime`` in ``SRC`` (default: this checkout's
 ``src``).  It prints the count of each outcome (``anchored``, or the error
 class and the start of its message with the numbers masked) and the total
-of leaf RK4 steps that the compiled sweep loops took.  With ``--each`` it
+of leaf RK4 steps that the compiled sweep loops took, then the part of
+it that the refused draws (those that raised) took.  With ``--each`` it
 first prints one line per draw with the full outcome, so that two
 checkouts can be compared draw by draw:
 
@@ -76,8 +77,10 @@ def main(argv: list[str]) -> None:
 
     hj._leaf_loop = counted_loop
     rng, counts = random.Random(args.seed), collections.Counter()
+    refused = [0, 0]  # draws, and their leaf RK4 steps
     for i in range(args.draws):
         s_text, n, d, consts, masses, u, init, span, ds = draw(rng)
+        before = steps[0]
         try:
             hj.hj_trajectories_foliation(hj.HJFunction(s_text, n, d, masses, consts),
                                          hj.Foliation(u), init, span, ds)
@@ -85,12 +88,15 @@ def main(argv: list[str]) -> None:
         except Exception as exc:  # every outcome is counted
             outcome = f"{type(exc).__name__}: {exc}"
             short = re.sub(r"[-+]?\d[\d.]*(e[-+]?\d+)?", "#", outcome)[:60]
+            refused[0] += 1
+            refused[1] += steps[0] - before
         counts[short] += 1
         if args.each:
             print(f"draw {i}: {outcome}")
     for short, count in sorted(counts.items(), key=lambda item: (-item[1], item[0])):
         print(f"{count:6d}  {short}")
     print(f"{steps[0]:6d}  leaf RK4 steps in {args.draws} draws (seed {args.seed})")
+    print(f"{refused[1]:6d}  of them in the {refused[0]} refused draws")
 
 
 if __name__ == "__main__":

@@ -15,8 +15,10 @@ imports only the formalism it uses (``quantum`` with ``linops``,
 configs.
 
 Exit codes: 0 success, 2 config error or output error (a report, CSV
-or examples path that cannot be written), 3 numerical failure.  A run
-that exits 2 or 3 leaves no report or CSV behind.
+or examples path that cannot be written, or a report that cannot be
+printed), 3 numerical failure.  A run that exits 2 or 3 leaves no report
+or CSV behind.  Run as ``python -m multitime.cli``, the process ends
+through ``multitime._exit``; ``main`` itself returns the code.
 """
 
 from __future__ import annotations
@@ -880,7 +882,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             from .configs import write_examples
 
             written = write_examples(args.dir)
-            print("\n".join(written))
+            print("\n".join(written), flush=True)
             return 0
         cfg = _load_config(args.config)
         report = run_config(cfg, args.subcommand, csv_path=args.csv)
@@ -889,8 +891,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             if args.out:
                 with open(args.out, "w") as fh:
                     fh.write(text + "\n")
-            else:
-                print(text)
+            else:  # flushed here, so that a closed pipe is an output error
+                print(text, flush=True)
         except OSError:  # remove the CSV file written, never a link or a device
             if args.csv and os.path.isfile(args.csv) and not os.path.islink(args.csv):
                 os.remove(args.csv)
@@ -909,4 +911,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from . import _exit
+
+    sys.exit(_exit(main()))

@@ -411,10 +411,15 @@ def hj_trajectories_foliation(s: HJFunction, fol: Foliation,
     I - V_j u^T of each particle, V_j = dx_j/dt(0) on the first sweep, and
     takes the update J += ((dz - J dx) dx^T) / (dx.dx) after each later
     sweep.  A later sweep that raises ArithmeticError, ExpressionError or
-    FoliationError halves the step; a run that does not converge raises
-    the last such error, else FoliationError.  A bad ``anchor_tol`` or
-    ``max_anchor_iters``, or a bad ``s_span`` or ``ds`` or too many steps
-    (``foliation_leaves``), raises ValueError before any sweep."""
+    FoliationError halves the step.  It raises its error instead once the
+    halved step can no longer move x_leaf (max|step| <= ``anchor_tol``, or
+    x_leaf + step rounds to x_leaf), and once a halved step has swept: a
+    model step that fails again from there points past a degenerate leaf,
+    and halving it only creeps toward that leaf.  A run that does not
+    converge raises the last such error, else FoliationError.  A bad
+    ``anchor_tol`` or ``max_anchor_iters``, or a bad ``s_span`` or ``ds`` or
+    too many steps (``foliation_leaves``), raises ValueError before any
+    sweep."""
     if not anchor_tol >= 0.0:
         raise ValueError(f"anchor_tol must be a number >= 0, got {anchor_tol}")
     check_count(max_anchor_iters, 1, "max_anchor_iters")
@@ -422,7 +427,7 @@ def hj_trajectories_foliation(s: HJFunction, fol: Foliation,
     bound_steps(steps, "leaves")
     sweep = _leaf_sweep(s, fol, s_lo, s_hi, ds)
     target = np.asarray(init_positions, float).ravel()
-    x_leaf, step = target, None
+    x_leaf, step, halved, rescued = target, None, False, False
     failure = FoliationError(f"world-line anchoring did not converge in {max_anchor_iters} "
                              f"iterations on the foliation {fol.label()}")
     for _ in range(max_anchor_iters):
@@ -431,10 +436,14 @@ def hj_trajectories_foliation(s: HJFunction, fol: Foliation,
             records = sweep(x_next.tobytes())
             z_next = _at_zero(*records, fol)
         except (ArithmeticError, ExpressionError, FoliationError) as exc:
-            if step is None:
+            if step is None or rescued:
                 raise
-            step, failure = step / 2.0, exc
+            step, failure, halved = step / 2.0, exc, True
+            if (float(np.max(np.abs(step))) <= anchor_tol
+                    or np.array_equal(x_leaf + step, x_leaf)):
+                raise  # the halved step can no longer move the configuration
             continue
+        rescued = halved
         if step is None:  # the straight-line model, particle by particle
             v, jac = _at_zero(*records, fol, derivative=True), np.eye(len(target))
             for i in range(0, len(target), s.d):

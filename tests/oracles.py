@@ -402,24 +402,30 @@ def anchoring_oracle(s, fol, init_positions, s_span: tuple[float, float], ds: fl
     iteration, each line read at t = 0 by ``hermite_oracle``.  The step
     solves J step = gap; J starts as I - V_j u^T, entry by entry, and takes
     Broyden's update after every later sweep; a sweep that raises after a
-    step halves it, and a run that does not converge raises the last error
-    such a sweep met."""
+    step halves it, unless the halved step is at most ``anchor_tol`` or
+    moves no coordinate, or a halved step has swept before: then it raises
+    its error.  A run that does not converge raises the last error such a
+    sweep met."""
     x_target = np.atleast_2d(np.asarray(init_positions, float))
     s_lo, s_hi, steps = hj.foliation_leaves(fol, x_target, s_span, ds)
     bound_steps(steps, "leaves")
     target = x_target.ravel()
     size = len(target)
-    x_leaf, step, failure = target, None, None
+    x_leaf, step, failure, swept_halved = target, None, None, False
     for _ in range(max_anchor_iters):
         x_next = x_leaf if step is None else x_leaf + step
         try:
             npath = _foliation_npath(s, fol, x_next.tolist(), s_lo, s_hi, ds)
             z_next = _oracle_at_zero(npath, fol)
         except (ArithmeticError, ExpressionError, hj.FoliationError) as exc:
-            if step is None:
+            if step is None or swept_halved:
                 raise
             step, failure = step / 2.0, exc
+            if max(abs(v) for v in step) <= anchor_tol or all(
+                    a + b == a for a, b in zip(x_leaf, step)):
+                raise
             continue
+        swept_halved = failure is not None
         if step is None:
             v, u = _oracle_at_zero(npath, fol, derivative=True), fol.u
             jac = np.array([[(1.0 if a == b else 0.0)

@@ -721,6 +721,51 @@ class TestAnchoringAgainstOracle:
                 hj_trajectories_foliation(s, fol, init, (-1.0, 1.0), 0.01,
                                           max_anchor_iters=iters)
 
+    @pytest.mark.parametrize("tol,most", [(1e-10, 40), (0.0, 60)])
+    def test_halving_stops_once_the_step_cannot_move(self, monkeypatch, tol, most):
+        # every sweep after the first fails: the step halves until it is at
+        # most the tolerance (about 32 halvings of a step of order 1), or,
+        # at tolerance 0, until x_leaf + step rounds to x_leaf (about 54),
+        # and then raises, with most of the 1000 iterations left
+        calls, real_loop = [0], hj._leaf_loop
+
+        def faulty_loop(*args):
+            loop = real_loop(*args)
+
+            def run(x, ts, hs):
+                calls[0] += 1
+                if calls[0] > 2:
+                    raise FoliationDegeneracyError("a sweep failed")
+                return loop(x, ts, hs)
+
+            return run
+
+        monkeypatch.setattr(hj, "_leaf_loop", faulty_loop)
+        with pytest.raises(FoliationDegeneracyError, match="a sweep failed"):
+            hj_trajectories_foliation(coupled_hj(), Foliation([0.3]), [[-1.0], [1.0]],
+                                      (-1.0, 1.0), 0.01, anchor_tol=tol,
+                                      max_anchor_iters=1000)
+        assert 20 < calls[0] - 2 <= most
+
+    def test_anchors_past_a_degenerate_leaf_fail_fast(self, monkeypatch):
+        # survey draw 283 (scripts/anchor_survey.py, seed 0), rounded: each
+        # model step crosses the leaf where 1 - u.V_2 turns negative, and a
+        # halved step only creeps toward it; the run raises when the step
+        # after a halved one fails again, not after all 50 iterations
+        s = HJFunction(COUPLED_S, 2, 1, [2.46, 0.778], {"k1": -0.343, "k2": 0.565})
+        fol, init, args = Foliation([0.346]), [[-0.9], [1.41]], ((-0.88, 0.75), 0.0555)
+        calls, real_loop = [0], hj._leaf_loop
+
+        def counted_loop(*loop_args):
+            loop = real_loop(*loop_args)
+            return lambda x, ts, hs: calls.__setitem__(0, calls[0] + 1) or loop(x, ts, hs)
+
+        monkeypatch.setattr(hj, "_leaf_loop", counted_loop)
+        got = anchor_outcome(lambda: hj_trajectories_foliation(s, fol, init, *args))
+        assert got[0] is FoliationDegeneracyError
+        assert calls[0] <= 2 * 4  # the first sweep, a failure, a halved step, a failure
+        assert got == anchor_outcome(lambda: anchoring_oracle(s, fol, init, *args))
+
     def test_anchors_where_the_plain_step_crawls(self, monkeypatch):
         # u.V = 0.8 * 1.2 = 0.96: the plain step x_leaf += gap shrinks the
         # gap by 0.96 a sweep and does not anchor in 50 sweeps; the

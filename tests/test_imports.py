@@ -5,7 +5,8 @@ thread, and a CLI process, run by either entry point, runs numpy's BLAS
 in one thread (``OPENBLAS_NUM_THREADS=1``, unless the user set it), so it
 has no native thread beside its main one either.  An import of the
 package changes no environment variable.  A CLI process loads only the
-formalism its config uses.
+formalism its config uses, and ends with a hard exit that leaves its
+outputs whole, keeps its exit codes and runs its atexit callbacks.
 
 The runs need a fresh interpreter, because this test process has long
 since imported scipy and every module of the package through other tests.
@@ -19,6 +20,7 @@ import sys
 
 import pytest
 
+from multitime.cli import run_config
 from multitime.configs import EXAMPLE_CONFIGS, write_examples
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -65,16 +67,25 @@ print(json.dumps(os.environ.get("OPENBLAS_NUM_THREADS")))
 BLAS_AFTER_RUN = """
 import importlib, json, os, runpy, sys
 
+exits = []
+
+
+def stub_exit(code):  # the CLI's hard exit, stopped so that this process reads on
+    exits.append(code)
+    raise SystemExit(code)
+
+
+os._exit = stub_exit
 entry, directory = sys.argv[1:]
 sys.argv = ["multitime", "examples", "--dir", directory]
-if entry == "-m":
-    try:
+try:
+    if entry == "-m":
         runpy.run_module("multitime.cli", run_name="__main__", alter_sys=True)
-    except SystemExit as exc:
-        code = exc.code
-else:  # "module:function", called as the console script calls it
-    module, _, function = entry.partition(":")
-    code = getattr(importlib.import_module(module), function)()
+    else:  # "module:function", called as the console script calls it
+        module, _, function = entry.partition(":")
+        code = getattr(importlib.import_module(module), function)()
+except SystemExit as exc:
+    code = exc.code
 
 import numpy as np
 
@@ -86,13 +97,16 @@ threads = None
 if os.path.exists("/proc/self/status"):
     with open("/proc/self/status") as fh:
         threads = next(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
-print(json.dumps([code, os.environ.get("OPENBLAS_NUM_THREADS"), blas, threads]))
+print(json.dumps([code, exits, os.environ.get("OPENBLAS_NUM_THREADS"), blas, threads]))
 """
 
 
-def fresh(*args: str, **env_changes: str | None) -> subprocess.CompletedProcess:
+def fresh(*args: str, stdout=subprocess.PIPE,
+          **env_changes: str | None) -> subprocess.CompletedProcess:
     """A fresh interpreter with this checkout's ``src`` first on its path,
-    and each variable of ``env_changes`` set, or removed where it is None."""
+    and each variable of ``env_changes`` set, or removed where it is None;
+    its stdin is empty, and its stdout is captured unless ``stdout`` is
+    given."""
     env = dict(os.environ)
     for name, value in env_changes.items():
         if value is None:
@@ -101,8 +115,8 @@ def fresh(*args: str, **env_changes: str | None) -> subprocess.CompletedProcess:
             env[name] = value
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, timeout=300)
+    return subprocess.run([sys.executable, *args], env=env, stdin=subprocess.DEVNULL,
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=300)
 
 
 @pytest.fixture(scope="module")
@@ -144,13 +158,15 @@ def console_script() -> str:
                          ids=["unset", "empty", "set"])
 def test_cli_runs_one_blas_thread(tmp_path, entry, given, kept):
     """Either entry point sets ``OPENBLAS_NUM_THREADS=1`` before numpy
-    loads its BLAS, unless the user set it; OpenBLAS then starts no thread."""
+    loads its BLAS, unless the user set it; OpenBLAS then starts no thread.
+    The entry's hard exit is stubbed to raise SystemExit, so that the
+    threads can be counted after the run; the stub must be reached."""
     entry = console_script() if entry == "console-script" else entry
     done = fresh("-c", BLAS_AFTER_RUN, entry, str(tmp_path / "configs"),
                  OPENBLAS_NUM_THREADS=given)
     assert done.returncode == 0, done.stderr
-    code, value, blas, threads = json.loads(done.stdout.splitlines()[-1])
-    assert code == 0 and value == kept
+    code, exits, value, blas, threads = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0 and exits == [0] and value == kept
     if kept == "1" and threads is not None and blas and "openblas" in blas.lower():
         assert threads == 1
 
@@ -202,3 +218,170 @@ def test_a_run_loads_only_what_it_uses(tmp_path, args, loaded, absent):
     assert code == 0
     assert set(loaded) <= set(modules)
     assert not set(absent) & set(modules)
+
+
+# ------------------------------------------------------------ the hard exit
+# A CLI process, run by either entry point, runs its atexit callbacks,
+# flushes stdout and stderr and then ends at once (``multitime._exit``),
+# unless a tracer, a profiler or ``-i`` must still run after the CLI.  Every
+# child here runs without PYTHONUNBUFFERED, so that its stdout is buffered
+# as a user's is.
+
+ENTRIES = ["-m", "console-script"]
+
+EXIT_HOOK_THEN_RUN = """
+import atexit, importlib, pathlib, runpy, sys
+
+
+class Canary:  # freed only when the interpreter is torn down
+    def __del__(self):
+        sys.stderr.write("torn down\\n")
+
+
+canary = Canary()
+entry, marker = sys.argv[1:3]
+atexit.register(pathlib.Path(marker).write_text, "ran")
+atexit.register(print, "printed at exit")  # buffered: flushed after the callbacks
+sys.argv = ["multitime", *sys.argv[3:]]
+if entry == "-m":
+    runpy.run_module("multitime.cli", run_name="__main__", alter_sys=True)
+else:  # "module:function", called as the console script calls it
+    module, _, function = entry.partition(":")
+    sys.exit(getattr(importlib.import_module(module), function)())
+"""
+
+
+def entry_argv(entry: str) -> list[str]:
+    """The interpreter arguments that run the CLI as ``entry`` runs it."""
+    if entry == "-m":
+        return ["-m", "multitime.cli"]
+    module, _, function = console_script().partition(":")
+    return ["-c", f"import sys; from {module} import {function}; sys.exit({function}())"]
+
+
+def cli_process(entry: str, *args: str, stdout=subprocess.PIPE):
+    return fresh(*entry_argv(entry), *args, stdout=stdout, PYTHONUNBUFFERED=None)
+
+
+@pytest.fixture(scope="module")
+def configs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("exit-configs")
+    write_examples(str(directory))
+    return directory
+
+
+def without_duration(report: dict) -> dict:
+    return {key: value for key, value in report.items() if key != "duration_seconds"}
+
+
+def in_process_report(configs, name: str, subcommand: str, csv_path=None) -> dict:
+    cfg = json.loads((configs / f"{name}.json").read_text())
+    return without_duration(run_config(cfg, subcommand, csv_path=csv_path))
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("name,subcommand,where", [
+    ("free_quantum", "check", "out"),
+    ("classical_harmonic_validity", "validity", "stdout"),
+    ("classical_free_evolve", "evolve", "csv"),
+])
+def test_hard_exit_leaves_complete_outputs(configs, tmp_path, entry, name, subcommand,
+                                           where):
+    """The report, in a file or on stdout, and the CSV are whole: each
+    equals the in-process run's, apart from ``duration_seconds``."""
+    args = ["--config", str(configs / f"{name}.json")]
+    csv_path = tmp_path / "lines.csv"
+    want = in_process_report(configs, name, subcommand,
+                             str(csv_path) if where == "csv" else None)
+    if where == "csv":
+        want_csv = csv_path.read_bytes()
+        csv_path.unlink()
+        args += ["--csv", str(csv_path)]
+    if where != "stdout":
+        args += ["--out", str(tmp_path / "report.json")]
+    done = cli_process(entry, subcommand, *args)
+    assert done.returncode == 0 and done.stderr == ""
+    text = done.stdout if where == "stdout" else (tmp_path / "report.json").read_text()
+    assert without_duration(json.loads(text)) == want
+    if where == "csv":
+        assert csv_path.read_bytes() == want_csv
+
+
+DEGENERATE_FOLIATION = {
+    "formalism": "hj",
+    "system": {"n": 1, "d": 1, "masses": [1.0], "S": "2*x1_1"},
+    "experiment": {"kind": "trajectories", "foliation": {"u": [0.6]},
+                   "init_positions": [[0.0]], "s_span": [-0.5, 0.5], "ds": 0.01},
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("case,code,message", [
+    ("missing-config", 2, "config error: "),
+    ("unwritable-out", 2, "output error: "),
+    ("closed-stdout", 2, "output error: [Errno 32] Broken pipe"),
+    ("numerical-failure", 3, "numerical failure: 1 - u.V_1 = -0.2 <= 0"),
+])
+def test_hard_exit_keeps_codes_and_messages(configs, tmp_path, entry, case, code,
+                                            message):
+    """Exits 2 and 3 keep their codes and their one-line messages.  A
+    report that cannot be printed, here on a pipe whose reader has closed,
+    is an output error, and its flush at the exit prints nothing more."""
+    quantum = str(configs / "free_quantum.json")
+    stdout = subprocess.PIPE
+    if case == "missing-config":
+        args = ["check", "--config", str(tmp_path / "missing.json")]
+    elif case == "unwritable-out":
+        args = ["check", "--config", quantum, "--out", str(tmp_path / "no" / "r.json")]
+    elif case == "closed-stdout":
+        args = ["check", "--config", quantum]
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps(DEGENERATE_FOLIATION))
+        args = ["foliation", "--config", str(tmp_path / "cfg.json")]
+    try:
+        done = cli_process(entry, *args, stdout=stdout)
+    finally:
+        if stdout != subprocess.PIPE:
+            os.close(stdout)
+    assert done.returncode == code
+    assert done.stderr.startswith(message) and done.stderr.count("\n") == 1
+    assert not done.stdout
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_hard_exit_runs_atexit_callbacks(configs, tmp_path, entry):
+    """An atexit callback registered before the run still runs, and what
+    it prints is flushed; the interpreter is not torn down, so a global's
+    ``__del__`` never runs."""
+    entry = console_script() if entry == "console-script" else entry
+    marker = tmp_path / "marker"
+    done = fresh("-c", EXIT_HOOK_THEN_RUN, entry, str(marker), "check", "--config",
+                 str(configs / "free_quantum.json"), "--out", str(tmp_path / "r.json"),
+                 PYTHONUNBUFFERED=None)
+    assert done.returncode == 0, done.stderr
+    assert marker.read_text() == "ran" and done.stdout == "printed at exit\n"
+    assert "torn down" not in done.stderr
+    assert json.loads((tmp_path / "r.json").read_text())["results"]
+
+
+def test_profiled_run_prints_its_stats(configs, tmp_path):
+    """Under cProfile the CLI returns its code instead: the profiler prints
+    its table after the run."""
+    done = fresh("-m", "cProfile", "-m", "multitime.cli", "check", "--config",
+                 str(configs / "free_quantum.json"), "--out", str(tmp_path / "r.json"),
+                 PYTHONUNBUFFERED=None)
+    assert done.returncode == 0, done.stderr
+    assert "function calls" in done.stdout and "Ordered by" in done.stdout
+    assert json.loads((tmp_path / "r.json").read_text())["results"]
+
+
+def test_inspect_flag_reaches_the_prompt(tmp_path):
+    """With ``-i`` the interpreter goes on to its prompt after the run (and
+    ends at the empty stdin)."""
+    done = fresh("-i", "-m", "multitime.cli", "examples", "--dir", str(tmp_path / "d"),
+                 PYTHONUNBUFFERED=None)
+    assert done.returncode == 0
+    assert ">>>" in done.stderr
+    assert len(done.stdout.splitlines()) == len(EXAMPLE_CONFIGS)
