@@ -15,7 +15,7 @@ from multitime.classical import (
     PhasePoint,
     PhaseVectorField,
     cjs_demo,
-    classical_consistency_defect,
+    classical_defect_grid,
     evolve_equal_time,
     validity_residual,
 )
@@ -27,14 +27,17 @@ harmonic = PhaseVectorField.from_expressions(
     [["-(x1_1 - x2_1)"], ["x1_1 - x2_1"]])
 
 rng = np.random.default_rng(0)
+
+
+def phase_points(count):
+    """``count`` random phase points of two particles in one dimension, one
+    row each: the times t1, t2 in [0, 1], then x1, x2 and p1, p2 in [-1, 1]."""
+    return rng.uniform([0, 0, -1, -1, -1, -1], 1, size=(count, 6))
+
+
 print("== flow-commutation defect at 5 random phase points ==")
 for name, fld in [("free", free), ("harmonic", harmonic)]:
-    worst = 0.0
-    for _ in range(5):
-        pt = PhasePoint(times=rng.uniform(0, 1, 2),
-                        x=rng.uniform(-1, 1, (2, 1)),
-                        p=rng.uniform(-1, 1, (2, 1)))
-        worst = max(worst, classical_consistency_defect(fld, pt).max_defect)
+    worst = classical_defect_grid(fld, phase_points(5)).max()
     print(f"  {name:9s} max defect {worst:.3e}")
 
 print()
@@ -42,15 +45,15 @@ print("== validity at off-diagonal spacelike samples ==")
 init_free = PhasePoint(times=[0.0, 0.0], x=[[-2.0], [2.0]], p=[[0.1], [-0.1]])
 path_free = evolve_equal_time(free, init_free, (0.0, 2.0), 1e-3)
 rep = validity_residual(free, path_free, [[1.0, 1.3], [0.4, 0.9]])
-print(f"  free:     residual {rep.max_residual:.3e} (valid off the diagonal)")
+print(f"  free:     residual {rep['max_residual']:.3e} (valid off the diagonal)")
 
 init_h = PhasePoint(times=[0.0, 0.0], x=[[-0.5], [0.5]], p=[[0.0], [0.0]])
 path_h = evolve_equal_time(harmonic, init_h, (0.0, 2.0), 1e-3)
 best = 0.0
 for t1 in np.linspace(0.1, 1.5, 29):
     r = validity_residual(harmonic, path_h, [[t1, t1 + 0.5]])
-    if r.rejected == 0:
-        best = max(best, r.max_residual)
+    if r["rejected_samples"] == 0:
+        best = max(best, r["max_residual"])
 print(f"  harmonic: residual up to {best:.3e} at |t1 - t2| = 0.5 (invalid)")
 
 print()
@@ -64,10 +67,7 @@ family = [
         [["-(x1_1 - x2_1)*exp(-(x1_1 - x2_1)^2)"],
          ["(x1_1 - x2_1)*exp(-(x1_1 - x2_1)^2)"]])),
 ]
-pts = [PhasePoint(times=rng.uniform(0, 1, 2),
-                  x=rng.uniform(-1, 1, (2, 1)),
-                  p=rng.uniform(-1, 1, (2, 1))) for _ in range(100)]
-rows = cjs_demo(family, pts, init_free, (0.0, 2.0), 1e-3)
+rows = cjs_demo(family, phase_points(100), init_free, (0.0, 2.0), 1e-3)
 print(f"  {'field':10s} {'max defect':>12s} {'chord deviation':>16s}")
 for row in rows:
     print(f"  {row['id']:10s} {row['max_defect']:12.3e} "

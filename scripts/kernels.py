@@ -101,6 +101,20 @@ def validity_inputs(np, classical, cli, cfg):
     return field, npath, tuples
 
 
+def defect_inputs(classical, cli, samples, n: int, d: int):
+    """``(points, grid_input)`` of a samples block, drawn as the CLI draws
+    it: the ``PhasePoint`` of every sample, for the one-point calls, and
+    what the checkout's ``classical_defect_grid`` takes, the CLI's draw
+    itself: the (count, n + 2·n·d) array of the samples' rows, or, on a
+    checkout whose draw is a list of points, that list."""
+    drawn = cli._sample_phase_points(samples, "", n, d, 0)
+    if isinstance(drawn, list):
+        return drawn, drawn
+    nd = n * d
+    return [classical.PhasePoint(times=row[:n], x=row[n:n + nd].reshape(n, d),
+                                 p=row[n + nd:].reshape(n, d)) for row in drawn], drawn
+
+
 def start_state(loop, values, *fixed):
     """``values`` as ``loop`` takes its start state: packed doubles, or, on
     a checkout whose loops unpack a sequence of floats, the list itself."""
@@ -225,13 +239,13 @@ def main(src: str) -> None:
         y0 = np.linspace(-1.0, 1.0, 2 * n * d).tolist()
         equal, leg = (classical._rk4_loop(field.exprs, n, d, axis) for axis in (None, 0))
         ye, run_leg = start_state(equal, y0), leg_call(leg, y0)
-        points = cli._sample_phase_points(samples, "", n, d, 0)
+        points, grid_input = defect_inputs(classical, cli, samples, n, d)
         print(f"rk4 equal-time  {best(lambda: equal(ye, ts, hs), STEPS):9.3f} us/step    {label}")
         print(f"rk4 grid-leg    {best(lambda: run_leg(ts, hs), STEPS):9.3f} us/step    {label}")
         point = best(lambda: [classical.classical_consistency_defect(field, pt)
                               for pt in points], len(points))
         print(f"defect point    {point:9.3f} us/point   {label}")
-        shown = (f"{best(lambda: grid(field, points), len(points)):9.3f}" if grid
+        shown = (f"{best(lambda: grid(field, grid_input), len(points)):9.3f}" if grid
                  else f"{'-':>9}")
         print(f"defect grid     {shown} us/point   {label}")
     for name, cfg in sorted(configs.items()):

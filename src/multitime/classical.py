@@ -35,7 +35,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -46,7 +45,7 @@ from .expr import (_ZERO, STEP_TIME, BinOp, Expression, Neg, Var, _neg, binding_
                    check_span, check_steps, compile_function, compile_rk4, derivative,
                    free_variables, parse_expression, substitute)
 from .paths import NPath, WorldLine
-from .reports import DefectReport, ResidualReport
+from .reports import DefectReport
 
 __all__ = [
     "PhasePoint",
@@ -209,45 +208,49 @@ def _defects(exprs: tuple[Expression, ...], n: int, d: int, h: float) -> Callabl
 
 
 @functools.lru_cache(maxsize=32)
-def _pair_slots(n: int, d: int) -> tuple[tuple[str, Callable], ...]:
-    """``("j,k", get)`` for every ordered pair j != k: ``get`` picks D_j of
-    the components of v_k and then of w_k from the values of ``_defects``."""
-    nd = n * d
-    return tuple((f"{j},{k}", operator.itemgetter(*(
-        2 * nd * (j - 1) + vw + (k - 1) * d + dd for vw in (0, nd) for dd in range(d))))
-                 for j in range(1, n + 1) for k in range(1, n + 1) if k != j)
+def _pair_slots(n: int, d: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """The keys ``"j,k"`` of the ordered pairs j != k, and a row per pair of
+    the indices of D_j of v_k and then of w_k in the values of ``_defects``."""
+    nd, pairs = n * d, [(j, k) for j in range(n) for k in range(n) if k != j]
+    slots = np.array([[2 * nd * j + vw + k * d + dd for vw in (0, nd) for dd in range(d)]
+                      for j, k in pairs], np.intp).reshape(len(pairs), 2 * d)
+    slots.flags.writeable = False  # shared by every caller of the memo
+    return tuple(f"{j + 1},{k + 1}" for j, k in pairs), slots
 
 
-def classical_defect_grid(field: PhaseVectorField, points: Sequence[PhasePoint],
-                          h: float | None = 1e-4) -> list[DefectReport]:
-    """``classical_consistency_defect`` at every one of ``points``, in order,
-    with one compiled function and one step check for them all.
-
-    The values are bit for bit those of the one-point calls, and a failing
-    grid raises the error that calling them one by one would raise first:
-    the step check covers the (points x coordinates) array at once, and
-    points before the first one whose coordinate lets h round away are
-    evaluated before that FloatingPointError is raised.
-    """
-    n, d = field.n, field.d
-    nd = n * d
+def _defect_values(compiled: Callable[[], Callable], outputs: int, samples: np.ndarray,
+                   n: int, d: int, h: float | None) -> np.ndarray:
+    """|f(times, (x, p))| at each row of ``samples`` (times, x rows, p rows),
+    an (m, ``outputs``) array, f the memoised function ``compiled()``.
+    ValueError for a bad step or samples not shaped (m, n + 2·n·d).  A grid
+    raises the error that its rows one by one raise first: one vectorised
+    test finds the first row at which h rounds away, the rows before it are
+    evaluated (a DomainError comes first), then ``check_steps`` raises there."""
     check_steps(h, (), ())
-    width = n + 2 * nd
-    coords = np.concatenate([np.array([getattr(pt, key) for pt in points], float)
-                             .reshape(len(points), size)
-                             for key, size in (("times", n), ("x", nd), ("p", nd))], axis=1)
-    rounds = ([] if h is None else
-              np.flatnonzero((coords + h == coords) | (coords - h == coords)))
-    stop = int(rounds[0]) // width if len(rounds) else len(points)
-    reports = []
-    if stop:
-        defects, pairs = _defects(field.exprs, n, d, h), _pair_slots(n, d)
-        for ts, y in zip(coords[:stop, :n].tolist(), coords[:stop, n:].tolist()):
-            values = list(map(abs, defects(ts, y)))
-            reports.append(DefectReport({key: max(at(values)) for key, at in pairs}, h))
-    if stop < len(points):
-        check_steps(h, sum(_state_names(n, d), ()), coords[stop].tolist())
-    return reports
+    samples, width = np.asarray(samples, float), n + 2 * n * d
+    if samples.ndim != 2 or samples.shape[1] != width:
+        raise ValueError(f"samples: expected shape (m, {width}), got {samples.shape}")
+    rounds = [] if h is None else np.flatnonzero((samples + h == samples)
+                                                 | (samples - h == samples))
+    stop = int(rounds[0]) // width if len(rounds) else len(samples)
+    f = compiled() if stop else None
+    values = [f(ts, y) for ts, y in zip(samples[:stop, :n].tolist(), samples[:stop, n:].tolist())]
+    if stop < len(samples):
+        check_steps(h, sum(_state_names(n, d), ()), samples[stop].tolist())
+    return np.abs(np.reshape(values, (stop, outputs)))
+
+
+def classical_defect_grid(field: PhaseVectorField, samples: np.ndarray,
+                          h: float | None = 1e-4) -> np.ndarray:
+    """``classical_consistency_defect`` at every row of ``samples``, an
+    (m, n + 2·n·d) array of times, x rows and p rows: the (m, pairs) array
+    of the pairs' sup-norms (NaN where a value is), bit for bit, in the
+    order of ``_pair_slots``' keys, with the first error of the rows one
+    by one (``_defect_values``)."""
+    n, d = field.n, field.d
+    values = _defect_values(functools.partial(_defects, field.exprs, n, d, h),
+                            2 * n * n * d, samples, n, d, h)
+    return values[:, _pair_slots(n, d)[1]].max(axis=2)
 
 
 def classical_consistency_defect(field: PhaseVectorField, point: PhasePoint,
@@ -259,9 +262,10 @@ def classical_consistency_defect(field: PhaseVectorField, point: PhasePoint,
     defined within h of the point, or DomainError is raised; a coordinate
     at which h rounds away raises FloatingPointError and a step that is
     not a finite number > 0 raises ValueError (``expr.check_steps``).
-    It is the one-point case of ``classical_defect_grid``.
+    It is the one-row case of ``classical_defect_grid``.
     """
-    return classical_defect_grid(field, [point], h)[0]
+    [row] = classical_defect_grid(field, [[*point.times, *point.state()]], h).tolist()
+    return DefectReport(dict(zip(_pair_slots(field.n, field.d)[0], row)), h)
 
 
 @functools.lru_cache(maxsize=64)
@@ -326,15 +330,16 @@ def _squares(vectors: np.ndarray) -> np.ndarray:
 
 
 def validity_residual(field: PhaseVectorField, npath: NPath,
-                      samples: Sequence[Sequence[float]]) -> ResidualReport:
+                      samples: Sequence[Sequence[float]]) -> dict:
     """Check the multi-time equations on the n-path at each time tuple.
 
     Each sample is lifted onto the path; non-spacelike lifts are rejected
     and counted.  For accepted samples the residual of particle j is
     |dx_j/dt_j - v_j| + |dp_j/dt_j - w_j|, the fields evaluated at the
-    lifted multi-time configuration.
+    lifted multi-time configuration.  The report holds ``max_residual``
+    (0.0 without a residual, NaN where one is), the sample counts and one
+    row per sample: its ``times``, ``spacelike`` and any ``residuals``.
     """
-    report = ResidualReport()
     if any(len(sample) != field.n for sample in samples):
         raise ValueError("sample tuple length does not match n")
     n, d = field.n, field.d
@@ -359,17 +364,13 @@ def validity_residual(field: PhaseVectorField, npath: NPath,
     rates = np.reshape([rhs(times, y) for times, y in
                         zip(tuples[accepted].tolist(), states.tolist())], (-1, 2, n, d))
     # |dx_j/dt_j - v_j| + |dp_j/dt_j - w_j|, each norm as np.linalg.norm takes it
-    residuals = iter((np.sqrt(_squares(dxs[accepted] - rates[:, 0]))
-                      + np.sqrt(_squares(dps[accepted] - rates[:, 1]))).tolist())
-    for times, ok in zip(tuples.tolist(), spacelike.tolist()):
-        if not ok:
-            report.rows.append({"times": times, "spacelike": False})
-            report.rejected += 1
-            continue
-        row = next(residuals)
-        report.rows.append({"times": times, "spacelike": True, "residuals": row})
-        report.max_residual = max(report.max_residual, max(row))
-    return report
+    residuals = (np.sqrt(_squares(dxs[accepted] - rates[:, 0]))
+                 + np.sqrt(_squares(dps[accepted] - rates[:, 1])))
+    rows = [{"times": times, "spacelike": False} for times in tuples.tolist()]
+    for i, row in zip(accepted.tolist(), residuals.tolist()):
+        rows[i].update(spacelike=True, residuals=row)
+    return {"max_residual": float(residuals.max(initial=0.0)), "rows": rows,
+            "rejected_samples": len(rows) - len(accepted), "accepted_samples": len(accepted)}
 
 
 class HamiltonianPair:
@@ -524,20 +525,21 @@ def _chord_deviation(npath: NPath) -> float:
 
 
 def cjs_demo(family: Sequence[tuple[str, PhaseVectorField]],
-             sample_points: Sequence[PhasePoint], init: PhasePoint,
+             samples: np.ndarray, init: PhasePoint,
              t_span: tuple[float, float], dt: float,
              h: float = 1e-4) -> list[dict]:
-    """Consistency-defect sweep plus world-line straightness for each field
-    in a candidate family (numerical demonstration of the no-interaction
-    theorem, not a proof)."""
+    """Consistency-defect sweep over ``samples`` (the rows
+    ``classical_defect_grid`` takes) plus world-line straightness for each
+    field in a candidate family (numerical demonstration of the
+    no-interaction theorem, not a proof)."""
     rows = []
     for name, fld in family:
-        defects = [r.max_defect for r in classical_defect_grid(fld, sample_points, h)]
+        defects = classical_defect_grid(fld, samples, h).max(axis=1, initial=0.0)
         npath = evolve_equal_time(fld, init, t_span, dt)
         rows.append({
             "id": name,
-            "min_defect": float(min(defects)),
-            "max_defect": float(max(defects)),
+            "min_defect": float(defects.min()),
+            "max_defect": float(defects.max()),
             "straightness_deviation": _chord_deviation(npath),
         })
     return rows

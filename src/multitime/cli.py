@@ -355,20 +355,16 @@ def _phase_point(cfg, path: str, n: int, d: int) -> classical.PhasePoint:
     return classical.PhasePoint(times=np.full(n, t), x=x, p=p)
 
 
-def _sample_phase_points(cfg, path: str, n: int, d: int,
-                         seed: int) -> list[classical.PhasePoint]:
-    from . import classical
-
+def _sample_phase_points(cfg, path: str, n: int, d: int, seed: int) -> np.ndarray:
+    """The (count, n + 2·n·d) array of the sampled phase points, one row
+    each: its times, then its x rows, then its p rows."""
     count, t_box, x_box, p_box = _read(cfg, path, {
         "count": (_REQ, _int, 1, MAX_POINTS), "t_box": (_REQ, _box),
         "x_box": (_REQ, _box), "p_box": (_REQ, _box)})
     # each point's times, x and p in one row: the stream of drawing them in turn
     bounds = [t_box] * n + [x_box] * (n * d) + [p_box] * (n * d)
     lo, hi = np.transpose(bounds)
-    rows = np.random.default_rng(seed).uniform(lo, hi, size=(count, len(bounds)))
-    return [classical.PhasePoint(times=row[:n], x=row[n:n + n * d].reshape(n, d),
-                                 p=row[n + n * d:].reshape(n, d))
-            for row in rows]
+    return np.random.default_rng(seed).uniform(lo, hi, size=(count, len(bounds)))
 
 
 #: the keys of an equal-time run, whose steps the kind bounds at ``dt``
@@ -515,21 +511,23 @@ def _holonomy(system: dict, exp: dict, seed: int):
     return run
 
 
-def _defect_summary(reports) -> dict:
-    values = [r.max_defect for r in reports]
-    return {"sample_count": len(values), "max_defect": max(values),
-            "min_defect": min(values)}
+def _defect_summary(grid: np.ndarray) -> dict:
+    """The extremes of each sample's largest pair defect in a (samples x pairs)
+    grid: 0.0 without a pair (n = 1), NaN where one is, which is refused."""
+    worst = grid.max(axis=1, initial=0.0)
+    return {"sample_count": len(worst), "max_defect": float(worst.max()),
+            "min_defect": float(worst.min())}
 
 
 def _classical_defect_grid(system: dict, exp: dict, seed: int):
     from . import classical
 
     n, d, field = _classical_system(system, "/system")
-    _, h, points = _read(exp, _E, {"kind": _KIND, "h": (1e-4, _positive), "samples": (
+    _, h, samples = _read(exp, _E, {"kind": _KIND, "h": (1e-4, _positive), "samples": (
         _REQ, _sample_phase_points, n, d, seed)})
 
     def run():
-        return {**_defect_summary(classical.classical_defect_grid(field, points, h)),
+        return {**_defect_summary(classical.classical_defect_grid(field, samples, h)),
                 "h": h}, None
 
     return run
@@ -574,10 +572,7 @@ def _validity(system: dict, exp: dict, seed: int):
         draws = np.random.default_rng(seed).uniform(
             [lo + window] + [-window] * n, [base_hi] + [window] * n, size=(count, n + 1))
         tuples = np.clip(draws[:, :1] + draws[:, 1:], lo, hi)
-        report = classical.validity_residual(field, npath, tuples)
-        return {"max_residual": report.max_residual, "rejected_samples": report.rejected,
-                "accepted_samples": len(report.rows) - report.rejected,
-                "rows": report.rows}, None
+        return classical.validity_residual(field, npath, tuples), None
 
     return run
 
@@ -644,14 +639,14 @@ def _cjs_demo(system: dict, exp: dict, seed: int):
     from . import classical
 
     n, d, _ = _classical_system(system, "/system", field=False)
-    _, h, family, points, init, span, dt = _read(exp, _E, {
+    _, h, family, samples, init, span, dt = _read(exp, _E, {
         "kind": _KIND, "h": (1e-4, _positive),
         "family": (_REQ, _some, _read, {"id": (_REQ, _str),
                                         "field": (_REQ, _build_field, n, d)}),
         "samples": (_REQ, _sample_phase_points, n, d, seed),
         "init": (_REQ, _phase_point, n, d), **_EQUAL_TIME})
     _blame(f"{_E}/dt", classical.equal_time_steps, span, dt)
-    return lambda: ({"table": classical.cjs_demo(family, points, init, span, dt,
+    return lambda: ({"table": classical.cjs_demo(family, samples, init, span, dt,
                                                  h=h)}, None)
 
 
@@ -689,12 +684,10 @@ def _hj_defect_grid(system: dict, exp: dict, seed: int):
     s, hams = build_hj_system(system, "/system")
     if hams is None:
         raise ConfigError("/system", "the HJ defect grid needs system.hamiltonians")
-    _, step, points = _read(exp, _E, {"kind": _KIND, "h": (None, _positive), "samples": (
+    _, step, samples = _read(exp, _E, {"kind": _KIND, "h": (None, _positive), "samples": (
         _REQ, _sample_phase_points, s.n, s.d, seed)})
-
-    def run():
-        reports = [hj.hj_consistency_defect(hams[0], pt, h=step) for pt in points]
-        return _defect_summary(reports), None
+    return lambda: (_defect_summary(hj.hj_defect_grid(hams[0], s.n, s.d, samples, step)),
+                    None)
 
     return run
 
@@ -856,6 +849,20 @@ def run_config(cfg: dict, subcommand: str, jobs=None,
     return report
 
 
+def _print(text: str) -> None:
+    """Print and flush ``text``, so that a closed pipe is an output error
+    here; stdout is then pointed at ``os.devnull``, or the teardown's flush
+    of the text left in its buffer (where ``multitime._exit`` returns)
+    would fail again and exit 120."""
+    try:
+        print(text, flush=True)
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="multitime",
@@ -881,8 +888,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.subcommand == "examples":
             from .configs import write_examples
 
-            written = write_examples(args.dir)
-            print("\n".join(written), flush=True)
+            _print("\n".join(write_examples(args.dir)))
             return 0
         cfg = _load_config(args.config)
         report = run_config(cfg, args.subcommand, csv_path=args.csv)
@@ -891,8 +897,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             if args.out:
                 with open(args.out, "w") as fh:
                     fh.write(text + "\n")
-            else:  # flushed here, so that a closed pipe is an output error
-                print(text, flush=True)
+            else:
+                _print(text)
         except OSError:  # remove the CSV file written, never a link or a device
             if args.csv and os.path.isfile(args.csv) and not os.path.islink(args.csv):
                 os.remove(args.csv)

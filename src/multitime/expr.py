@@ -844,8 +844,10 @@ def compile_rk4(outputs: Sequence[Expression], state: Sequence[str],
     ``t + h/2``) and ``y + h*k3`` (stage time ``t + h``) for the stages and
     ``y + h/6*(((k1 + 2*k2) + 2*k3) + k4)`` for the step, element by
     element, with each stage's outputs those of ``compile_function``, bit
-    for bit.  A step whose new state is not finite raises
-    FloatingPointError.
+    for bit.  A component whose step is not finite, as when the sum of its
+    rates overflows before h/6 scales it, is taken again as
+    ``y + (h6*k1 + (2*h6)*k2 + (2*h6)*k3 + h6*k4)``; a step whose new state
+    is not finite even so raises FloatingPointError.
 
     States and records are packed rows: ``bytes`` of native doubles, one
     ``struct`` pack per node, which ``np.frombuffer`` reads as they are.  y
@@ -907,14 +909,18 @@ def compile_rk4(outputs: Sequence[Expression], state: Sequence[str],
         if time in times_read])
     ends = [f"z_{i}" for i in range(len(state))]
     lines.append("h6 = h / 6.0")
+    rescue = []  # a sum of rates that overflows before h6 scales it, each rate scaled first
     for z, y, k in zip(ends, ys, zip(*ks)):
         total = "((({} + 2.0 * {}) + 2.0 * {}) + {})".format(*k)
         if (c := _numbers(k, namespace)) is not None:  # folded by the same operations
             total = _bind(((c[0] + 2.0 * c[1]) + 2.0 * c[2]) + c[3], namespace)
         lines.append(f"{z} = {y} + h6 * {total}")
+        rescue.append(f" if {z} - {z} != 0.0:\n  {z} = {y} + (h6 * {k[0]} + (2.0 * h6) * "
+                      f"{k[1]} + (2.0 * h6) * {k[2]} + h6 * {k[3]})")
     # z - z is 0.0 for a finite z and nan for an infinite or nan one
-    lines.append(f"if {' or '.join(f'{z} - {z} != 0.0' for z in ends)}:\n"
-                 " raise FloatingPointError(f'non-finite state at t = {ts[i] + h}')")
+    failed = " or ".join(f"{z} - {z} != 0.0" for z in ends)
+    lines.append(f"if {failed}:\n" + "\n".join(rescue) + f"\n if {failed}:\n"
+                 "  raise FloatingPointError(f'non-finite state at t = {ts[i] + h}')")
     lines += [f"{y} = {z}" for y, z in zip(ys, ends)]
     namespace["pack"] = struct.Struct(f"{len(ys) + (len(node) if record else 0)}d").pack
     namespace["unpack"] = struct.Struct(f"{len(ys)}d").unpack

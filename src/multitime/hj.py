@@ -24,7 +24,7 @@ from typing import Callable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
-from .classical import PhasePoint
+from .classical import PhasePoint, _defect_values
 from .expr import (STEP_TIME, BinOp, Expression, ExpressionError, FoliationError,
                    Num, Var, binding_names, bound_steps, check_count, check_masses,
                    check_positive, check_span, check_steps,
@@ -42,6 +42,7 @@ __all__ = [
     "poisson_bracket",
     "hj_residual_multi",
     "hj_consistency_defect",
+    "hj_defect_grid",
     "hj_velocity_consistency_defect",
     "hj_trajectories_foliation",
     "foliation_leaves",
@@ -192,18 +193,25 @@ def _poisson_defects(h_exprs: tuple[Expression, ...], n: int, d: int,
         [ts, binding_names("x", n, d) + binding_names("p", n, d)])
 
 
+def hj_defect_grid(h_exprs: Sequence[str | Expression], n: int, d: int,
+                   samples: np.ndarray, h: float | None = None) -> np.ndarray:
+    """|P_jk| with P_jk = dH_k/dt_j - dH_j/dt_k - {H_j, H_k} at every row of
+    ``samples``, an (m, n + 2·n·d) array of times, x rows and p rows: an
+    (m, pairs) array, one column per pair j < k in the order 1,2 1,3 ..
+    n-1,n, refused and evaluated as ``classical._defect_values`` does."""
+    exprs = tuple(map(_as_expr, h_exprs))
+    return _defect_values(functools.partial(_poisson_defects, exprs, n, d, h),
+                          n * (n - 1) // 2, samples, n, d, h)
+
+
 def hj_consistency_defect(h_exprs: Sequence[str | Expression], point: PhasePoint,
                           h: float | None = None) -> DefectReport:
-    """|P_jk| with P_jk = dH_k/dt_j - dH_j/dt_k - {H_j, H_k}, all j < k; the
-    report's ``h`` is None when the derivatives are exact."""
+    """The one-row case of ``hj_defect_grid``, the pairs keyed ``"j,k"``;
+    the report's ``h`` is None when the derivatives are exact."""
     n, d = point.n, point.d
-    times, y = point.times.tolist(), point.state().tolist()
-    check_steps(h, binding_names("t", n) + binding_names("x", n, d)
-                + binding_names("p", n, d), times + y)
-    fn = _poisson_defects(tuple(map(_as_expr, h_exprs)), n, d, h)
     keys = [f"{j},{k}" for j in range(1, n + 1) for k in range(j + 1, n + 1)]
-    pairs = dict(zip(keys, map(abs, fn(times, y))))
-    return DefectReport(pairs=pairs, h=h)
+    [row] = hj_defect_grid(h_exprs, n, d, [[*point.times, *point.state()]], h).tolist()
+    return DefectReport(dict(zip(keys, row)), h)
 
 
 @functools.lru_cache(maxsize=64)
@@ -248,12 +256,13 @@ def hj_velocity_consistency_defect(s: HJFunction, times: Sequence[float],
                                    x: np.ndarray, h: float | None = None) -> float:
     """Sup over pairs j != k and components of
 
-        (d/dt_j + grad_{x_j} S / m_j . grad_{x_j}) grad_{x_k} S.
-    """
+        (d/dt_j + grad_{x_j} S / m_j . grad_{x_j}) grad_{x_k} S
+
+    (0.0 for n = 1, NaN where a component is)."""
     times, x = np.asarray(times, float).tolist(), np.asarray(x, float).ravel().tolist()
     check_steps(h, binding_names("t", s.n) + binding_names("x", s.n, s.d), times + x)
     fn = _velocity_defects(s.expr, s.n, s.d, s.masses, h)
-    return max([0.0, *map(abs, fn(times, x))])
+    return float(np.abs(fn(times, x)).max(initial=0.0))
 
 
 def _degenerate(j: int, gamma: float, s_par: float) -> NoReturn:

@@ -85,17 +85,20 @@ def hermite_at(t: np.ndarray, y: np.ndarray, dydt: np.ndarray, time,
         raise PathRangeError(f"time {first} outside sampled range [{lo}, {hi}]")
     # the interval: the inner knots at or before each time (at most len(t) - 2)
     i = np.searchsorted(t[1:-1], times, side="right")
-    dt = (t[i + 1] - t[i])[..., None]
-    slope = (y[i + 1] - y[i]) / dt
-    curve = (dydt[i] + dydt[i + 1] - 2 * slope) / dt
-    pieces = [curve / dt, (slope - dydt[i]) / dt - curve, dydt[i], y[i]]
-    if derivative:
-        pieces = [3.0 * pieces[0], 2.0 * pieces[1], pieces[2]]
-    s = (times - t[i])[..., None]
-    value, power = 0.0 + pieces[-1], 1.0
-    for c in pieces[-2::-1]:
-        power = power * s
-        value = value + c * power
+    # terms that overflow read inf or NaN, without a warning, for the caller
+    # to refuse: the RK4 loops step rates up to the largest float
+    with np.errstate(over="ignore", invalid="ignore"):
+        dt = (t[i + 1] - t[i])[..., None]
+        slope = (y[i + 1] - y[i]) / dt
+        curve = (dydt[i] + dydt[i + 1] - 2 * slope) / dt
+        pieces = [curve / dt, (slope - dydt[i]) / dt - curve, dydt[i], y[i]]
+        if derivative:
+            pieces = [3.0 * pieces[0], 2.0 * pieces[1], pieces[2]]
+        s = (times - t[i])[..., None]
+        value, power = 0.0 + pieces[-1], 1.0
+        for c in pieces[-2::-1]:
+            power = power * s
+            value = value + c * power
     return value
 
 

@@ -4,9 +4,10 @@ and the CSV writer for tabular output."""
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass
 
-__all__ = ["DefectReport", "ResidualReport", "DivergenceReport", "write_csv"]
+__all__ = ["DefectReport", "DivergenceReport", "write_csv"]
 
 
 def write_csv(path: str, columns: list[str], rows: list[list]) -> None:
@@ -30,8 +31,10 @@ class DefectReport:
 
     @property
     def max_defect(self) -> float:
-        """The largest pair's defect, 0.0 without a pair (n = 1)."""
-        return max(self.pairs.values(), default=0.0)
+        """The largest pair's defect, 0.0 without a pair (n = 1), and a
+        pair's NaN where there is one, as a grid row's numpy maximum reads."""
+        values = self.pairs.values()
+        return next(filter(math.isnan, values), max(values, default=0.0))
 
     def to_dict(self) -> dict:
         return {
@@ -39,15 +42,6 @@ class DefectReport:
             "max_defect": self.max_defect,
             "h": self.h,
         }
-
-
-@dataclass
-class ResidualReport:
-    """Per-sample validity residuals along an n-path."""
-
-    rows: list[dict] = field(default_factory=list)
-    max_residual: float = 0.0
-    rejected: int = 0  # samples whose lift was not spacelike
 
 
 @dataclass

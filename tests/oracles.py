@@ -37,7 +37,10 @@ tuples of floats the loops returned before, and ``table_oracle`` and
 by ``np.fromiter``; the runs' ``np.frombuffer`` tables are pinned against
 them bit for bit.
 
-``emit_oracle``, ``compile_rk4_oracle`` and ``leaf_rates_oracle`` are the
+``rk4_oracle`` is an RK4 run one component at a time in plain Python,
+with the rule for a step sum that overflows, which the compiled loops are
+pinned against where their rates are large.  ``emit_oracle``,
+``compile_rk4_oracle`` and ``leaf_rates_oracle`` are the
 code generator of the RK4 loops before its leaner loop (integer
 coefficients, a time read at every step, a complex check after every
 power), which the library's loops are pinned against bit for bit and
@@ -46,11 +49,17 @@ classical defect and validity residual one point and one sample at a
 time, the latter by ``is_spacelike``, the spacelike test of one sample,
 and ``sample_points_oracle`` and ``validity_tuples_oracle`` the CLI's
 random draws in several calls, which the grid, the batched pass and the
-single draws are pinned against.
+single draws are pinned against.  ``defect_grid_oracle`` and
+``hj_defect_oracle`` are the classical defect grid and the HJ defect as
+they were before both grids took and returned arrays: one
+``DefectReport`` per point.  ``phase_points`` turns the rows of a samples
+array into the points they take.
 """
 
+import functools
 import itertools
 import math
+import operator
 import struct
 from typing import Callable, Mapping, Sequence
 
@@ -64,7 +73,7 @@ from multitime.expr import (_ONE, _ZERO, FUNCTIONS, STEP_TIME, BinOp, Call, Expr
                             parse_expression, substitute)
 from multitime.hj import _as_expr, _degenerate, _residuals
 from multitime.paths import NPath, PathRangeError, WorldLine
-from multitime.reports import DefectReport, ResidualReport
+from multitime.reports import DefectReport
 
 
 def variable_bindings(times: Sequence[float] | np.ndarray = (),
@@ -585,7 +594,9 @@ def compile_rk4_oracle(outputs: Sequence[Expression], state: Sequence[str],
                        | None = None,
                        ) -> Callable:
     """``expr.compile_rk4`` before the leaner loop, unchanged but for
-    the names of ``emit_oracle`` and ``_STAGES_ORACLE``."""
+    the names of ``emit_oracle`` and ``_STAGES_ORACLE`` and for the rule of
+    a step sum that overflows, which the loops took later (``rk4_oracle``):
+    such a component is taken again with each rate scaled first."""
     namespace: dict[str, object] = {"_domain_error": _domain_error}
     fixed_locals = {name: f"f_{i}" for i, name in enumerate(fixed)}
     lines: list[str] = []  # the loop body
@@ -616,7 +627,13 @@ def compile_rk4_oracle(outputs: Sequence[Expression], state: Sequence[str],
         ks.append(rates_at(outputs_at(stage, time), time))
     steps = [f"{y} + h6 * ((({k1} + 2 * {k2}) + 2 * {k3}) + {k4})"
              for y, k1, k2, k3, k4 in zip(ys, *ks)]
-    lines.append(f"h6 = h / 6\n{tuple_of(ys)} = {tuple_of(steps)}")
+    zs = [f"z_{i}" for i in range(len(state))]
+    lines.append(f"h6 = h / 6\n{tuple_of(zs)} = {tuple_of(steps)}")
+    # a step sum that overflows: the component again, each rate scaled first
+    lines += [f"if {z} - {z} != 0.0:\n"
+              f" {z} = {y} + (h6 * {k1} + (2 * h6) * {k2} + (2 * h6) * {k3} + h6 * {k4})"
+              for z, y, k1, k2, k3, k4 in zip(zs, ys, *ks)]
+    lines.append(f"{tuple_of(ys)} = {tuple_of(zs)}")
     # y - y is 0.0 for a finite y and nan for an infinite or nan one
     lines.append(f"if {' + '.join(f'({y} - {y})' for y in ys)} != 0.0:\n"
                  " raise FloatingPointError(f'non-finite state at t = {t + h}')")
@@ -655,6 +672,33 @@ def leaf_rates_oracle(u: tuple[float, ...], n: int, d: int) -> Callable:
     return emit
 
 
+def rk4_oracle(rhs: Callable[[float, list[float]], Sequence[float]], y: Sequence[float],
+               ts: Sequence[float], hs: Sequence[float]) -> list[list[float]]:
+    """An RK4 run of dy/dt = rhs(t, y), one component at a time in plain
+    Python: step i from ``ts[i]`` by ``hs[i]``, the stages at y + (h*0.5)*k
+    and y + h*k3, the new state y + h/6 * (((k1 + 2*k2) + 2*k3) + k4), or,
+    where that is not finite, y + (h6*k1 + (2*h6)*k2 + (2*h6)*k3 + h6*k4),
+    and FloatingPointError where that is not finite either.  The state at
+    every node."""
+    states = [list(y)]
+    for t, h in zip(ts, hs):
+        y, h2 = states[-1], h * 0.5
+        k1 = rhs(t, y)
+        k2 = rhs(t + h2, [a + h2 * k for a, k in zip(y, k1)])
+        k3 = rhs(t + h2, [a + h2 * k for a, k in zip(y, k2)])
+        k4 = rhs(t + h, [a + h * k for a, k in zip(y, k3)])
+        h6, z = h / 6.0, []
+        for a, r1, r2, r3, r4 in zip(y, k1, k2, k3, k4):
+            b = a + h6 * (((r1 + 2.0 * r2) + 2.0 * r3) + r4)
+            if not math.isfinite(b):
+                b = a + (h6 * r1 + (2.0 * h6) * r2 + (2.0 * h6) * r3 + h6 * r4)
+            z.append(b)
+        if not all(map(math.isfinite, z)):
+            raise FloatingPointError(f"non-finite state at t = {t + h}")
+        states.append(z)
+    return states
+
+
 def defect_oracle(field, point, h: float | None = 1e-4) -> DefectReport:
     """``classical.classical_consistency_defect`` point by point, as it was
     before the defect grid: the step check, the memo lookup and the pairs
@@ -675,6 +719,62 @@ def defect_oracle(field, point, h: float | None = 1e-4) -> DefectReport:
     return DefectReport(pairs=pairs, h=h)
 
 
+def phase_points(samples: np.ndarray, n: int, d: int) -> list:
+    """The ``PhasePoint`` of every row of an (m, n + 2·n·d) samples array:
+    its times, then its x rows, then its p rows."""
+    nd = n * d
+    return [classical.PhasePoint(times=row[:n], x=row[n:n + nd].reshape(n, d),
+                                 p=row[n + nd:].reshape(n, d)) for row in samples]
+
+
+@functools.lru_cache(maxsize=32)
+def _pair_slots_oracle(n: int, d: int) -> tuple[tuple[str, Callable], ...]:
+    """``classical._pair_slots`` before the grid returned an array,
+    unchanged."""
+    nd = n * d
+    return tuple((f"{j},{k}", operator.itemgetter(*(
+        2 * nd * (j - 1) + vw + (k - 1) * d + dd for vw in (0, nd) for dd in range(d))))
+                 for j in range(1, n + 1) for k in range(1, n + 1) if k != j)
+
+
+def defect_grid_oracle(field, points, h: float | None = 1e-4) -> list[DefectReport]:
+    """``classical.classical_defect_grid`` before it took and returned
+    arrays, unchanged but for the names of ``classical`` and
+    ``_pair_slots_oracle``: one ``DefectReport`` per point."""
+    n, d = field.n, field.d
+    nd = n * d
+    check_steps(h, (), ())
+    width = n + 2 * nd
+    coords = np.concatenate([np.array([getattr(pt, key) for pt in points], float)
+                             .reshape(len(points), size)
+                             for key, size in (("times", n), ("x", nd), ("p", nd))], axis=1)
+    rounds = ([] if h is None else
+              np.flatnonzero((coords + h == coords) | (coords - h == coords)))
+    stop = int(rounds[0]) // width if len(rounds) else len(points)
+    reports = []
+    if stop:
+        defects, pairs = classical._defects(field.exprs, n, d, h), _pair_slots_oracle(n, d)
+        for ts, y in zip(coords[:stop, :n].tolist(), coords[:stop, n:].tolist()):
+            values = list(map(abs, defects(ts, y)))
+            reports.append(DefectReport({key: max(at(values)) for key, at in pairs}, h))
+    if stop < len(points):
+        check_steps(h, sum(classical._state_names(n, d), ()), coords[stop].tolist())
+    return reports
+
+
+def hj_defect_oracle(h_exprs, point, h: float | None = None) -> DefectReport:
+    """``hj.hj_consistency_defect`` point by point, as it was before the HJ
+    defect grid, unchanged but for the names of ``hj``."""
+    n, d = point.n, point.d
+    times, y = point.times.tolist(), point.state().tolist()
+    check_steps(h, binding_names("t", n) + binding_names("x", n, d)
+                + binding_names("p", n, d), times + y)
+    fn = hj._poisson_defects(tuple(map(_as_expr, h_exprs)), n, d, h)
+    keys = [f"{j},{k}" for j in range(1, n + 1) for k in range(j + 1, n + 1)]
+    pairs = dict(zip(keys, map(abs, fn(times, y))))
+    return DefectReport(pairs=pairs, h=h)
+
+
 def is_spacelike(times: np.ndarray, xs: np.ndarray) -> bool:
     """True iff the events (times[j], xs[j]) of the (n,) and (n, d) arrays
     are pairwise strictly spacelike: (dt)^2 < |dx|^2, natural units c = 1."""
@@ -687,41 +787,43 @@ def is_spacelike(times: np.ndarray, xs: np.ndarray) -> bool:
     return True
 
 
-def validity_oracle(field, npath: NPath, samples) -> ResidualReport:
+def validity_oracle(field, npath: NPath, samples) -> dict:
     """``classical.validity_residual`` sample by sample, as it was before the
-    batched pass: ``is_spacelike`` and ``np.linalg.norm`` per sample."""
-    report = ResidualReport()
+    batched pass: ``is_spacelike`` and ``np.linalg.norm`` per sample; the
+    report is the dict the CLI writes."""
     if any(len(sample) != field.n for sample in samples):
         raise ValueError("sample tuple length does not match n")
     tuples = np.reshape(np.asarray(samples, float), (len(samples), field.n))
     queried = [np.stack([getattr(npath.line(j + 1), query)(tuples[:, j])
                          for j in range(field.n)], axis=1)
                for query in ("x_at", "p_at", "dxdt_at", "dpdt_at")]
+    rows, worst, rejected = [], 0.0, 0
     for times, xs, ps, dxs, dps in zip(tuples, *queried):
         if not is_spacelike(times, xs):
-            report.rows.append({"times": times.tolist(), "spacelike": False})
-            report.rejected += 1
+            rows.append({"times": times.tolist(), "spacelike": False})
+            rejected += 1
             continue
         y = np.concatenate([xs.ravel(), ps.ravel()]).tolist()
         rates = np.reshape(field.rhs(times.tolist(), y), (2, field.n, field.d))
         residuals = [float(np.linalg.norm(dxs[j] - rates[0, j])
                            + np.linalg.norm(dps[j] - rates[1, j]))
                      for j in range(field.n)]
-        report.rows.append({"times": times.tolist(), "spacelike": True,
-                            "residuals": residuals})
-        report.max_residual = max(report.max_residual, max(residuals))
-    return report
+        rows.append({"times": times.tolist(), "spacelike": True, "residuals": residuals})
+        worst = max(worst, max(residuals))
+    return {"max_residual": worst, "rejected_samples": rejected,
+            "accepted_samples": len(rows) - rejected, "rows": rows}
 
 
 def sample_points_oracle(count: int, t_box, x_box, p_box, n: int, d: int,
-                         seed: int) -> list:
+                         seed: int) -> np.ndarray:
     """The CLI's random phase points, drawn as they were before one draw
-    served them all: three ``uniform`` calls per point."""
+    served them all: three ``uniform`` calls per point, each point one row
+    of its times, x rows and p rows."""
     rng = np.random.default_rng(seed)
-    return [classical.PhasePoint(times=rng.uniform(*t_box, size=n),
-                                 x=rng.uniform(*x_box, size=(n, d)),
-                                 p=rng.uniform(*p_box, size=(n, d)))
-            for _ in range(count)]
+    return np.array([np.concatenate([rng.uniform(*t_box, size=n),
+                                     rng.uniform(*x_box, size=(n, d)).ravel(),
+                                     rng.uniform(*p_box, size=(n, d)).ravel()])
+                     for _ in range(count)]).reshape(count, n + 2 * n * d)
 
 
 def validity_tuples_oracle(count: int, window: float, lo: float, hi: float, n: int,

@@ -271,12 +271,12 @@ def test_criterion_05_validity_operationalized(capsys):
     best = 0.0
     for t1 in np.linspace(0.1, 1.5, 29):
         r = validity_residual(harm, path_h, [[t1, t1 + 0.5]])
-        if r.rejected == 0:
-            best = max(best, r.max_residual)
+        if r["rejected_samples"] == 0:
+            best = max(best, r["max_residual"])
     checks = [
-        (rep.rejected == 0, f"all 100 free samples spacelike"),
-        (rep.max_residual < 1e-9,
-         f"free residual {rep.max_residual:.2e} < 1e-9"),
+        (rep["rejected_samples"] == 0, f"all 100 free samples spacelike"),
+        (rep["max_residual"] < 1e-9,
+         f"free residual {rep['max_residual']:.2e} < 1e-9"),
         (best > 1e-2,
          f"harmonic residual {best:.2e} > 1e-2 at |t1-t2| = 0.5"),
     ]
@@ -386,11 +386,10 @@ def test_criterion_09_cjs_demonstration(capsys):
     for member in cfg["experiment"]["family"]:
         fields.append((member["id"], PhaseVectorField.from_expressions(
             2, 1, member["field"]["v"], member["field"]["w"])))
-    pts = [PhasePoint(times=rng.uniform(0, 1, 2),
-                      x=rng.uniform(-1, 1, (2, 1)),
-                      p=rng.uniform(-1, 1, (2, 1))) for _ in range(100)]
+    # 100 phase points, one row each: t1, t2 in [0, 1], then x1, x2, p1, p2 in [-1, 1]
+    samples = rng.uniform([0, 0, -1, -1, -1, -1], 1, size=(100, 6))
     init = PhasePoint(times=[0.0, 0.0], x=[[-2.0], [2.0]], p=[[0.1], [-0.1]])
-    rows = {r["id"]: r for r in cjs_demo(fields, pts, init, (0.0, 2.0), 1e-3)}
+    rows = {r["id"]: r for r in cjs_demo(fields, samples, init, (0.0, 2.0), 1e-3)}
     interacting = ("harmonic", "gaussian")
     checks = [
         (rows["free"]["max_defect"] < 1e-9,

@@ -27,10 +27,10 @@ from multitime.expr import (FUNCTIONS, BinOp, Call, DomainError, Num, Var,
                             binding_names, compile_function, evaluate)
 from multitime.numdiff import diff_callable
 from multitime.paths import NPath, PathRangeError, WorldLine
-from multitime.reports import write_csv
-from oracles import (defect_oracle, full_grid_oracle, is_spacelike, pack,
-                     path_independence_oracle, table_oracle, unpack_rows, validity_oracle,
-                     variable_bindings)
+from multitime.reports import DefectReport, write_csv
+from oracles import (defect_grid_oracle, defect_oracle, full_grid_oracle, is_spacelike, pack,
+                     path_independence_oracle, phase_points, rk4_oracle, table_oracle,
+                     unpack_rows, validity_oracle, variable_bindings)
 
 
 def free_field() -> PhaseVectorField:
@@ -47,6 +47,12 @@ def harmonic_field() -> PhaseVectorField:
 
 def phase_point(t, x1, x2, p1, p2) -> PhasePoint:
     return PhasePoint(times=[t, t], x=[[x1], [x2]], p=[[p1], [p2]])
+
+
+def sample_rows(*points: PhasePoint) -> np.ndarray:
+    """The samples array of ``points``: one row of times, x rows and p rows
+    each."""
+    return np.array([[*pt.times, *pt.state()] for pt in points])
 
 
 class TestSpacetime:
@@ -239,30 +245,37 @@ def defect_grid_cases(draw):
                                   max_size=len(names)), min_size=1, max_size=4))
     if draw(st.booleans()):
         rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, len(names) - 1))] = 1e13
-    points = [PhasePoint(times=row[:n], x=np.reshape(row[n:n + n * d], (n, d)),
-                         p=np.reshape(row[n + n * d:], (n, d))) for row in rows]
-    return field, points, draw(st.sampled_from([1e-4, 0.05, None]))
+    return field, np.array(rows), draw(st.sampled_from([1e-4, 0.05, None]))
 
 
-def defect_outcome(run):
-    """Every report's pairs, their bits and step, or the error's class and
-    message."""
+def defect_outcome(run, keys=None):
+    """Every row's pairs and their bits, or the error's class and message:
+    the rows of a grid array, keyed by ``keys``, or of a list of reports."""
     try:
-        reports = run()
+        got = run()
     except Exception as exc:  # the class and message are compared
         return type(exc), str(exc)
-    return [(list(r.pairs), bits(r.pairs.values()), r.h) for r in reports]
+    if keys is not None:
+        return [(list(keys), bits(row)) for row in got.tolist()]
+    return [(list(r.pairs), bits(r.pairs.values())) for r in got]
 
 
 class TestDefectGrid:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(defect_grid_cases())
     def test_matches_the_point_by_point_loop(self, case):
-        # the same bits, and the error the per-point calls raise first: a
-        # DomainError of an earlier point, then the step that rounds away
-        field, points, h = case
-        assert defect_outcome(lambda: classical.classical_defect_grid(field, points, h)) == \
-            defect_outcome(lambda: [defect_oracle(field, pt, h) for pt in points])
+        # the same bits as the grid of lists and reports and as the per-point
+        # calls, and the error they raise first: a DomainError of an earlier
+        # point, then the step that rounds away
+        field, samples, h = case
+        points = phase_points(samples, field.n, field.d)
+        keys = classical._pair_slots(field.n, field.d)[0]
+        got = defect_outcome(lambda: classical.classical_defect_grid(field, samples, h), keys)
+        assert got == defect_outcome(lambda: defect_grid_oracle(field, points, h))
+        assert got == defect_outcome(lambda: [defect_oracle(field, pt, h) for pt in points])
+        for pt in points:  # and each point's report
+            assert defect_outcome(lambda: [classical_consistency_defect(field, pt, h)]) == \
+                defect_outcome(lambda: [defect_oracle(field, pt, h)])
 
     def test_error_order(self):
         field = PhaseVectorField.from_expressions(2, 1, [["log(x1_1)"], ["p2_1"]],
@@ -270,12 +283,33 @@ class TestDefectGrid:
         good, bad = phase_point(0.0, 1.0, 1.0, 0.1, 0.2), phase_point(0.0, -1.0, 1.0, 0.1, 0.2)
         far = phase_point(0.0, 1.0, 1e13, 0.1, 0.2)
         with pytest.raises(DomainError, match="log of non-positive value -1.0"):
-            classical.classical_defect_grid(field, [good, bad, far])
+            classical.classical_defect_grid(field, sample_rows(good, bad, far))
         with pytest.raises(FloatingPointError, match="rounds away at x2_1 = 10000000000000.0"):
-            classical.classical_defect_grid(field, [good, far, bad])
+            classical.classical_defect_grid(field, sample_rows(good, far, bad))
         with pytest.raises(ValueError, match=r"^h: expected a number > 0, got 0\.0$"):
-            classical.classical_defect_grid(field, [], h=0.0)
-        assert classical.classical_defect_grid(field, []) == []
+            classical.classical_defect_grid(field, np.empty((0, 6)), h=0.0)
+        assert classical.classical_defect_grid(field, np.empty((0, 6))).shape == (0, 2)
+        # rows of another width, or not rows, are refused
+        for samples in ([[0.0] * 5], [0.0] * 6, sample_rows(good)[None]):
+            with pytest.raises(ValueError, match=r"^samples: expected shape \(m, 6\), got "):
+                classical.classical_defect_grid(field, samples)
+
+    def test_a_maximum_that_meets_a_nan_is_nan(self):
+        # D_2 w_1 = 1e200 (p2 - x2) in exact arithmetic is inf + -inf in
+        # floats; the pair 2,1 is max(|D_2 v_1|, |D_2 w_1|) = max(0.0, nan)
+        field = PhaseVectorField.from_expressions(
+            2, 1, [["p1_1"], ["1e200 + p2_1"]],
+            [["1e200 * x2_1 + 1e200 * p2_1"], ["-1e200 - x2_1"]])
+        point = phase_point(0.0, 1e-100, 1e-100, 3e-100, 3e-100)
+        [row] = classical.classical_defect_grid(field, sample_rows(point)).tolist()
+        assert row[0] == 0.0 and math.isnan(row[1])
+        report = classical_consistency_defect(field, point)
+        assert report.pairs["1,2"] == 0.0 and math.isnan(report.pairs["2,1"])
+        assert math.isnan(report.max_defect)
+        # a report's maximum meets a NaN pair that is not its first
+        assert math.isnan(DefectReport({"1,2": 0.0, "1,3": math.nan}, None).max_defect)
+        assert DefectReport({"1,2": 0.0, "1,3": 2.0}, None).max_defect == 2.0
+        assert DefectReport({}, None).max_defect == 0.0
 
 
 class TestDefectCompiledOnce:
@@ -394,8 +428,8 @@ class TestValidity:
         path = evolve_equal_time(fld, phase_point(0.0, -2.0, 2.0, 0.1, -0.1),
                                  (0.0, 2.0), 1e-3)
         rep = validity_residual(fld, path, [[1.0, 1.2], [0.5, 0.9], [1.5, 1.5]])
-        assert rep.rejected == 0
-        assert rep.max_residual < 1e-10
+        assert rep["rejected_samples"] == 0
+        assert rep["max_residual"] < 1e-10
 
     def test_non_spacelike_rejected(self):
         fld = free_field()
@@ -403,8 +437,8 @@ class TestValidity:
         path = evolve_equal_time(fld, phase_point(0.0, -0.1, 0.1, 0.0, 0.0),
                                  (0.0, 2.0), 1e-2)
         rep = validity_residual(fld, path, [[0.2, 1.8]])
-        assert rep.rejected == 1
-        assert rep.rows[0]["spacelike"] is False
+        assert rep["rejected_samples"] == 1
+        assert rep["rows"][0]["spacelike"] is False
 
     def test_coupled_off_diagonal_residual_grows(self):
         # an interacting field is valid on the diagonal but not off it; the
@@ -417,8 +451,8 @@ class TestValidity:
                                  (0.0, 2.0), 1e-3)
         rep_on = validity_residual(fld, path, [[1.0, 1.0]])
         rep_off = validity_residual(fld, path, [[0.8, 1.3]])
-        assert rep_on.max_residual < 1e-8
-        assert rep_off.max_residual > 1e-3
+        assert rep_on["max_residual"] < 1e-8
+        assert rep_off["max_residual"] > 1e-3
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(n=st.sampled_from([2, 3]), d=st.sampled_from([1, 2, 3]),
@@ -448,7 +482,8 @@ class TestValidity:
             except Exception as exc:  # the class and message are compared
                 return type(exc), str(exc)
             return ([(r["times"], r["spacelike"], bits(r.get("residuals", [])))
-                     for r in rep.rows], bits([rep.max_residual]), rep.rejected)
+                     for r in rep["rows"]], bits([rep["max_residual"]]),
+                    rep["rejected_samples"], rep["accepted_samples"])
 
         assert outcome(validity_residual) == outcome(validity_oracle)
 
@@ -687,8 +722,8 @@ class TestCjsDemo:
     def test_family_sweep(self):
         family = [("free", free_field()), ("harmonic", harmonic_field())]
         rng = np.random.default_rng(0)
-        pts = [phase_point(*rng.uniform(-1, 1, 5)) for _ in range(20)]
-        rows = cjs_demo(family, pts, phase_point(0.0, -2.0, 2.0, 0.1, -0.1),
+        samples = sample_rows(*(phase_point(*rng.uniform(-1, 1, 5)) for _ in range(20)))
+        rows = cjs_demo(family, samples, phase_point(0.0, -2.0, 2.0, 0.1, -0.1),
                         (0.0, 2.0), 0.01)
         by_id = {r["id"]: r for r in rows}
         assert by_id["free"]["max_defect"] < 1e-10
@@ -758,14 +793,55 @@ class TestRk4Step:
 
     @pytest.mark.parametrize("component", range(4))
     def test_non_finite_state(self, component):
-        # the rate 1e308 of one component takes it from 1e308 to inf
+        # the rate 1e308 of one component takes it from 1.7e308 past the
+        # largest float in a step of 0.5
         rates = [["1e308" if c == component else "0"] for c in range(4)]
         fld = PhaseVectorField.from_expressions(2, 1, rates[:2], rates[2:])
-        y = [1e308 if c == component else 0.0 for c in range(4)]
+        y = [1.7e308 if c == component else 0.0 for c in range(4)]
         with pytest.raises(FloatingPointError, match="non-finite state at t = 0.5"):
             evolve_equal_time(fld, phase_point(0.0, *y), (0.0, 0.5), 0.5)
         with pytest.raises(FloatingPointError, match="non-finite state at t = 0.5"):
             rk4_loop(fld, 0)(pack(y), [0.0], [0.5], [range(1)], 0.0)
+
+    #: rates up to about 1e308: a state's own momentum, and a constant one
+    LARGE_RATES = [
+        free_field(),
+        PhaseVectorField.from_expressions(2, 1, [["p1_1"], ["0.5 * p2_1 - x1_1"]],
+                                          [["-x2_1"], ["1e308"]]),
+    ]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(field=st.sampled_from(range(len(LARGE_RATES))),
+           y=st.lists(st.sampled_from([0.0, 1.0, -1e307, 1e308, -1.7e308, 1.7e308])
+                      | st.floats(-1.7e308, 1.7e308), min_size=4, max_size=4),
+           t=st.floats(-5.0, 5.0), h=st.floats(1e-12, 1.0), other=st.floats(-5.0, 5.0))
+    def test_large_rates_match_the_oracle(self, field, y, t, h, other):
+        # a step whose sum of rates overflows is taken again with every rate
+        # scaled first, and raises only if that overflows too
+        fld = self.LARGE_RATES[field]
+        ts, hs = [t, t + h, t + 2 * h], [h, h]
+
+        def outcome(run):
+            try:
+                return [bits(state) for state in run()]
+            except FloatingPointError as exc:
+                return str(exc)
+
+        assert outcome(lambda: unpack_rows(rk4_loop(fld)(pack(y), ts, hs), 4)[0]) == outcome(
+            lambda: rk4_oracle(lambda tt, yy: fld.rhs((tt, tt), yy), y, ts, hs))
+        assert outcome(lambda: unpack_rows(rk4_loop(fld, 0)(pack(y), ts, hs, [range(2)],
+                                                            other))) == \
+            outcome(lambda: rk4_oracle(lambda tt, yy: fld.rhs((tt, other), yy), y, ts, hs)[::2])
+
+    def test_step_sum_that_overflows_is_taken_again(self):
+        # the field of p1_1^2/2 from p1_1 = 1e308: the sum of the four rates
+        # 1e308 overflows, and x1_1 steps to about 1e298
+        fld = hamiltonian_vector_field("p1_1^2/2", 1, 1)
+        start = PhasePoint(times=[0.0], x=[[0.0]], p=[[1e308]])
+        path = evolve_equal_time(fld, start, (0.0, 1e-10), 1e-10)
+        want = rk4_oracle(lambda tt, yy: fld.rhs((tt,), yy), [0.0, 1e308], [0.0], [1e-10])
+        assert bits([path.line(1).x[-1, 0], path.line(1).p[-1, 0]]) == bits(want[-1])
+        assert path.line(1).x[-1, 0] == pytest.approx(1e298)
 
     def test_domain_error_in_a_middle_stage(self):
         # v_1 = log(1 - 2 t1) is defined at the step's start t = 0 and not

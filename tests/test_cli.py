@@ -17,8 +17,8 @@ from multitime import classical, cli, expr, hj, linops, quantum
 from multitime.cli import (_SUBCOMMAND_KINDS, ConfigError, _sample_phase_points, main,
                            run_config)
 from multitime.configs import EXAMPLE_CONFIGS, write_examples
-from oracles import (defect_oracle, sample_points_oracle, validity_tuples_oracle,
-                     with_constants)
+from oracles import (defect_oracle, hj_defect_oracle, phase_points, sample_points_oracle,
+                     validity_tuples_oracle, with_constants)
 
 KIND_SUBCOMMAND = {kind: sub for sub, kinds in _SUBCOMMAND_KINDS.items()
                    for kind in kinds}
@@ -54,7 +54,7 @@ def no_numerics(monkeypatch):
         (classical, ["classical_consistency_defect", "classical_defect_grid",
                      "evolve_equal_time", "validity_residual", "evolve_full_grid",
                      "grid_path_independence", "cjs_demo"]),
-        (hj, ["hj_residual_multi", "hj_consistency_defect",
+        (hj, ["hj_residual_multi", "hj_consistency_defect", "hj_defect_grid",
               "hj_trajectories_foliation", "foliation_compare"]),
     ]:
         for name in names:
@@ -233,9 +233,10 @@ class TestHJDefectGrid:
         if h is not None:
             cfg["experiment"]["h"] = h
         results = run_config(cfg, "check")["results"]
-        points = _sample_phase_points(self.SAMPLES, "", 2, 1, cfg["seed"])
+        samples = _sample_phase_points(self.SAMPLES, "", 2, 1, cfg["seed"])
         h_list = with_constants(hams["h_list"], cfg["system"]["constants"])
-        want = [hj.hj_consistency_defect(h_list, pt, h=h).max_defect for pt in points]
+        want = [hj_defect_oracle(h_list, pt, h=h).max_defect
+                for pt in phase_points(samples, 2, 1)]
         assert results == {"sample_count": 20, "max_defect": max(want),
                            "min_defect": min(want)}
         assert results["max_defect"] == pytest.approx(largest, abs=1e-4)
@@ -312,18 +313,16 @@ class TestRandomDraws:
         cfg = {"count": count, "t_box": t_box, "x_box": x_box, "p_box": p_box}
         got = _sample_phase_points(cfg, "", n, d, seed)
         want = sample_points_oracle(count, t_box, x_box, p_box, n, d, seed)
-        for a, b in zip(got, want, strict=True):
-            for key in ("times", "x", "p"):
-                assert getattr(a, key).shape == getattr(b, key).shape
-                assert getattr(a, key).tobytes() == getattr(b, key).tobytes()
+        assert got.shape == want.shape == (count, n + 2 * n * d)
+        assert got.tobytes() == want.tobytes()
 
     def test_classical_defect_grid_config(self):
         cfg = copy.deepcopy(EXAMPLE_CONFIGS["classical_harmonic_check"])
         samples, h = cfg["experiment"]["samples"], 1e-4
         field = cli._classical_system(cfg["system"], "/system")[2]
-        want = [defect_oracle(field, pt, h).max_defect for pt in sample_points_oracle(
-            samples["count"], samples["t_box"], samples["x_box"], samples["p_box"], 2, 1,
-            cfg["seed"])]
+        want = [defect_oracle(field, pt, h).max_defect for pt in phase_points(
+            sample_points_oracle(samples["count"], samples["t_box"], samples["x_box"],
+                                 samples["p_box"], 2, 1, cfg["seed"]), 2, 1)]
         assert run_config(cfg, "check")["results"] == {
             "sample_count": 100, "max_defect": max(want), "min_defect": min(want), "h": h}
 
@@ -961,6 +960,59 @@ class TestNumericalFailures:
         assert main([subcommand, "--config", str(path)]) == 3
         err = capsys.readouterr().err
         assert f"numerical failure: the step h = 0.0001 rounds away at {variable}" in err
+
+    #: D_2 w_1 = 1e200 (p2 - x2) is inf + -inf in floats at these samples, and
+    #: the pair 2,1 is max(|D_2 v_1|, |D_2 w_1|) = max(0.0, nan)
+    NAN_FIELD = {"type": "expressions", "v": [["p1_1"], ["1e200 + p2_1"]],
+                 "w": [["1e200 * x2_1 + 1e200 * p2_1"], ["-1e200 - x2_1"]]}
+    NAN_SAMPLES = {"count": 3, "t_box": [0, 0], "x_box": [1e-100, 1e-100],
+                   "p_box": [3e-100, 3e-100]}
+
+    def test_defect_that_meets_a_nan_exit_code(self, tmp_path, capsys):
+        cfg = {"formalism": "classical",
+               "system": {"n": 2, "d": 1, "field": self.NAN_FIELD},
+               "experiment": {"kind": "defect-grid", "samples": self.NAN_SAMPLES, "h": 1e-4}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["check", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: non-finite result at /results/max_defect: nan\n")
+        # the same in a cjs-demo family, whose short run stays finite
+        free = {"type": "expressions", "v": [["p1_1"], ["p2_1"]], "w": [["0"], ["0"]]}
+        cfg = {"formalism": "classical", "system": {"n": 2, "d": 1}, "experiment": {
+            "kind": "cjs-demo", "h": 1e-4, "samples": self.NAN_SAMPLES,
+            "family": [{"id": "free", "field": free}, {"id": "nan", "field": self.NAN_FIELD}],
+            "init": {"t": 0.0, "x": [[0.0], [0.0]], "p": [[0.0], [0.0]]},
+            "t_span": [0.0, 1e-300], "dt": 1e-300}}
+        path.write_text(json.dumps(cfg))
+        assert main(["cjs", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: non-finite result at /results/table/1/min_defect: nan\n")
+
+    @pytest.mark.parametrize("subcommand,cfg,message", [
+        # x1 steps at the rate 1e308, past the RK4 sum's overflow, and the
+        # Hermite interpolant of its world line overflows to NaN
+        ("validity", {"formalism": "classical", "system": {"n": 2, "d": 1, "field": {
+            "type": "expressions", "v": [["p1_1"], ["p2_1"]], "w": [["0"], ["0"]]}},
+            "experiment": {"kind": "validity", "init": {"t": 0.0, "x": [[0.0], [1e300]],
+                                                        "p": [[1e308], [0.0]]},
+                           "t_span": [0.0, 1e-10], "dt": 1e-11,
+                           "samples": {"count": 3, "window": 0.0}}},
+         "non-finite result at /results/max_residual: nan"),
+        ("foliation", {"formalism": "hj", "system": {"n": 1, "d": 1, "masses": [1.0],
+                                                     "S": "1e308*x1_1"},
+                       "experiment": {"kind": "trajectories", "foliation": {"u": [0.0]},
+                                      "init_positions": [[0.0]],
+                                      "s_span": [-1e-300, 1e-300], "ds": 1e-301}},
+         "non-finite state at t = 1e-301"),
+    ])
+    def test_rates_near_the_largest_float_exit_code(self, tmp_path, capsys, subcommand, cfg,
+                                                    message):
+        # no numpy warning on the way (the suite makes one an error)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main([subcommand, "--config", str(path)]) == 3
+        assert capsys.readouterr().err == f"numerical failure: {message}\n"
 
     def test_subnormal_t2_gaps_exit_code(self, config_dir, tmp_path, capsys):
         # distinct t2 nodes whose gaps multiply to 0 in np.gradient

@@ -421,7 +421,7 @@ class TestCompiledExpressions:
                 2, 1, [["p1_1"], ["p2_1"]], [["-(x1_1 - x2_1)"], ["x1_1 - x2_1"]])
             npath = evolve_equal_time(field, init, (0.0, 1.0), 0.01)
             report = validity_residual(field, npath, [[0.5, 0.6], [0.4, 0.45]])
-            assert report.rejected == 0
+            assert report["rejected_samples"] == 0
         # one right-hand side, no expression on its own, and one loop
         assert fused == [field.exprs] and compiles == [] and len(loops) == 1
 
@@ -751,10 +751,13 @@ class TestReducedDerivatives:
         start = PhasePoint(times=[0.0], x=[[0.0]], p=[[1e308]])
         assert reduced.rhs([0.0], [0.0, 1e308]) == (1e308, 0.0)
         assert unreduced.rhs([0.0], [0.0, 1e308]) == (math.inf, 0.0)
-        for field in (reduced, unreduced):
-            # a step of rate 1e308 overflows either way, in 6 * 1e308
-            with pytest.raises(FloatingPointError, match="non-finite state at t = 1e-10"):
-                evolve_equal_time(field, start, (0.0, 1e-10), 1e-10)
+        # a step of rate 1e308 overflows in the sum of its rates, 6 * 1e308;
+        # taken again with each rate scaled by h/6 first, the reduced field
+        # steps to x = 1e298, and the unreduced rate inf still raises
+        path = evolve_equal_time(reduced, start, (0.0, 1e-10), 1e-10)
+        assert path.line(1).x[-1, 0] == pytest.approx(1e298)
+        with pytest.raises(FloatingPointError, match="non-finite state at t = 1e-10"):
+            evolve_equal_time(unreduced, start, (0.0, 1e-10), 1e-10)
         # scaled after the power rule, the reduced rate steps; the
         # unreduced one is inf * 1e-10
         h = parse_expression("p1_1^2/2 * 1e-10")
@@ -1198,10 +1201,13 @@ class TestLeanLoops:
             assert same_as_before(outputs, ("y1", "y2", "y3"), record, y0)
         loop = expr_module.compile_rk4(outputs, ["y1", "y2", "y3"], record=record)
         assert stage_states(loop) == [] and "h2" not in loop.__code__.co_varnames
-        # (n + 1 nodes,) h / 6.0, the three steps, their finiteness checks and
-        # the error's time
+        # (n + 1 nodes,) h / 6.0, the three steps and their finiteness checks;
+        # then, on the error path alone, each component's check and its step
+        # again with the rates scaled first, the checks again and the error's time
+        again = ["-", "*", "*", "*", "+", "*", "*", "+", "*", "+", "+"]
         assert binary_ops(loop) == ["+"] * record + ["/", "*", "+", "*", "+", "*", "+",
-                                                     "-", "-", "-", "+"]
+                                                     "-", "-", "-"] + again * 3 + [
+            "-", "-", "-", "+"]
 
     @pytest.mark.parametrize("record", [True, False])
     def test_a_field_that_reads_part_of_its_state(self, record):

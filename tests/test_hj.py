@@ -15,8 +15,8 @@ from multitime import hj, paths
 from multitime.classical import PhasePoint
 from multitime.cli import run_config
 from multitime.configs import EXAMPLE_CONFIGS
-from multitime.expr import (MAX_STEPS, DomainError, UnboundVariableError, binding_names,
-                            evaluate, parse_expression)
+from multitime.expr import (MAX_STEPS, BinOp, Call, DomainError, Num, UnboundVariableError,
+                            Var, binding_names, evaluate, parse_expression)
 from multitime.hj import (
     Foliation,
     FoliationDegeneracyError,
@@ -25,6 +25,7 @@ from multitime.hj import (
     equal_time_sum_gap,
     foliation_compare,
     hj_consistency_defect,
+    hj_defect_grid,
     hj_residual_multi,
     hj_trajectories_foliation,
     foliation_leaves,
@@ -32,8 +33,9 @@ from multitime.hj import (
     poisson_bracket,
 )
 from multitime.numdiff import diff_callable, partial_derivative
-from oracles import (anchoring_oracle, hj_residual_single, leaf_table_oracle, pack,
-                     unpack_rows, variable_bindings, with_constants)
+from oracles import (anchoring_oracle, hj_defect_oracle, hj_residual_single,
+                     leaf_table_oracle, pack, phase_points, unpack_rows, variable_bindings,
+                     with_constants)
 
 K1, K2 = 0.3, -0.2
 G = 0.05
@@ -138,12 +140,92 @@ class TestConsistencyDefect:
             assert rep.pairs["1,2"] == pytest.approx(want, rel=1e-15)
 
 
+@st.composite
+def hj_grid_cases(draw):
+    """n = 2 or 3 partial Hamiltonians in d = 1 or 2 dimensions, one to four
+    phase points as the rows of a samples array, one coordinate of which
+    may be 1e13 (where h = 1e-4 rounds away), and a step (None: exact)."""
+    n, d = draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 2]))
+    names = binding_names("t", n) + binding_names("x", n, d) + binding_names("p", n, d)
+    trees = st.recursive(
+        st.one_of(st.builds(Num, st.sampled_from([0.5, 2.0, -3.0])),
+                  st.builds(Var, st.sampled_from(names))),
+        lambda sub: st.one_of(st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
+                              # log now and then, for a DomainError of some point
+                              st.builds(Call, st.sampled_from(["sin", "cos", "tanh"] * 3
+                                                              + ["log"]), sub)),
+        max_leaves=4)
+    h_exprs = [draw(trees) for _ in range(n)]
+    rows = draw(st.lists(st.lists(st.floats(-2.0, 2.0), min_size=len(names),
+                                  max_size=len(names)), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, len(names) - 1))] = 1e13
+    return h_exprs, n, d, np.array(rows), draw(st.sampled_from([1e-4, 0.05, None]))
+
+
+def hj_defect_outcome(run):
+    """The pairs of every report and their bits and step, or the error's
+    class and message."""
+    try:
+        reports = run()
+    except Exception as exc:  # the class and message are compared
+        return type(exc), str(exc)
+    return [(list(r.pairs), bits(r.pairs.values()), r.h) for r in reports]
+
+
+class TestDefectGrid:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(hj_grid_cases())
+    def test_matches_the_point_by_point_defect(self, case):
+        # the same bits as the one-point calls before the grid, and the
+        # error they raise first: a DomainError of an earlier point, then
+        # the step that rounds away
+        h_exprs, n, d, samples, h = case
+        points = phase_points(samples, n, d)
+        keys = [f"{j},{k}" for j in range(1, n + 1) for k in range(j + 1, n + 1)]
+        want = hj_defect_outcome(lambda: [hj_defect_oracle(h_exprs, pt, h) for pt in points])
+        try:
+            got = [(keys, bits(row), h)
+                   for row in hj_defect_grid(h_exprs, n, d, samples, h).tolist()]
+        except Exception as exc:  # the class and message are compared
+            got = type(exc), str(exc)
+        assert got == want
+        for pt in points:  # and each point's report
+            assert hj_defect_outcome(lambda: [hj_consistency_defect(h_exprs, pt, h)]) == \
+                hj_defect_outcome(lambda: [hj_defect_oracle(h_exprs, pt, h)])
+
+    def test_error_order(self):
+        h_exprs = ["log(x1_1) + p1_1^2/2", "p2_1^2/2"]
+        good, bad, far = ([0.0, 0.0, x1, x2, 0.1, 0.2] for x1, x2 in
+                          ((1.0, 1.0), (-1.0, 1.0), (1.0, 1e13)))
+        with pytest.raises(DomainError, match="log of non-positive value -1.0"):
+            hj_defect_grid(h_exprs, 2, 1, np.array([good, bad, far]), 1e-4)
+        with pytest.raises(FloatingPointError, match="rounds away at x2_1 = 10000000000000.0"):
+            hj_defect_grid(h_exprs, 2, 1, np.array([good, far, bad]), 1e-4)
+        with pytest.raises(ValueError, match=r"^h: expected a number > 0, got 0\.0$"):
+            hj_defect_grid(h_exprs, 2, 1, np.empty((0, 6)), 0.0)
+        assert hj_defect_grid(h_exprs, 2, 1, np.empty((0, 6))).shape == (0, 1)
+        with pytest.raises(ValueError, match=r"^samples: expected shape \(m, 6\), got \(1, 9\)"):
+            hj_defect_grid(h_exprs, 2, 1, np.zeros((1, 9)))
+
+
 class TestVelocityDefect:
     def test_free_s_defect_tiny(self):
         s = free_hj()
         assert hj_velocity_consistency_defect(s, [0.2, -0.3], [[-0.7], [0.9]]) == 0.0
         assert hj_velocity_consistency_defect(
             s, [0.2, -0.3], [[-0.7], [0.9]], h=1e-3) < 1e-9
+
+    def test_a_nan_component_is_the_maximum(self):
+        # v_1 = 2e300 x1 is inf at x1 = 1e10, and grad_{x_1} of grad_{x_2} S =
+        # 0*t1 is 0: the first component is inf * 0
+        s = HJFunction("1e300*x1_1^2 + 0*t1*x2_1", 2, 1, [1.0, 1.0])
+        got = hj._velocity_defects(s.expr, 2, 1, s.masses, None)([0.0, 0.0], [1e10, -1e10])
+        assert math.isnan(got[0]) and got[1] == 0.0
+        assert math.isnan(hj_velocity_consistency_defect(s, [0.0, 0.0], [[1e10], [-1e10]]))
+        assert hj_velocity_consistency_defect(s, [0.0, 0.0], [[1.0], [-1.0]]) == 0.0
+        one = HJFunction("x1_1^2", 1, 1, [1.0])
+        assert hj_velocity_consistency_defect(one, [0.0], [[1.0]]) == 0.0  # no pair
 
     def test_coupled_s_analytic_oracle(self):
         # for S = free + g (x1-x2)^2 (t1+t2) the two off-diagonal

@@ -350,6 +350,31 @@ def test_hard_exit_keeps_codes_and_messages(configs, tmp_path, entry, case, code
     assert not done.stdout
 
 
+TRACED_RUN = """
+import runpy, sys
+
+sys.settrace(lambda *args: None)  # a tracer: multitime._exit returns the code
+sys.argv = ["multitime", *sys.argv[1:]]
+runpy.run_module("multitime.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("subcommand", ["check", "examples"])
+def test_traced_run_on_a_closed_pipe_exits_2(configs, tmp_path, subcommand):
+    """Under a tracer the interpreter is torn down after the run, and its
+    flush of stdout, which still holds the text that could not be printed,
+    prints nothing more: the run exits 2 with its one output error line."""
+    args = (["check", "--config", str(configs / "free_quantum.json")]
+            if subcommand == "check" else ["examples", "--dir", str(tmp_path / "d")])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = fresh("-c", TRACED_RUN, *args, stdout=write_end, PYTHONUNBUFFERED=None)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (2, "output error: [Errno 32] Broken pipe\n")
+
+
 @pytest.mark.parametrize("entry", ENTRIES)
 def test_hard_exit_runs_atexit_callbacks(configs, tmp_path, entry):
     """An atexit callback registered before the run still runs, and what

@@ -33,6 +33,8 @@ SPAN = [(NAN, 1.0), (0.0, NAN), (0.0, INF), (-INF, 1.0), (1.0, 0.0), (0.5, 0.5)]
 
 FIELD = PhaseVectorField.free(2, 1, [1.0, 1.0])
 POINT = PhasePoint(times=[0.0, 0.0], x=[[-1.0], [1.0]], p=[[0.1], [0.2]])
+#: the samples array of POINT alone: its times, x rows and p rows
+ROWS = np.array([[0.0, 0.0, -1.0, 1.0, 0.1, 0.2]])
 PAIR = HamiltonianPair(["p1_1^2/2", "p2_1^2/2"], 2, 1)
 QUBITS = PartialHamiltonianSet([[(pauli_string("ZI"), 1.0)],
                                 [(pauli_string("IX"), 1.0)]], 2)
@@ -53,7 +55,7 @@ CASES = [
     ("defect-h", "h", POSITIVE,
      lambda v: classical.classical_consistency_defect(FIELD, POINT, h=v)),
     ("defect-grid-h", "h", POSITIVE,
-     lambda v: classical.classical_defect_grid(FIELD, [POINT], v)),
+     lambda v: classical.classical_defect_grid(FIELD, ROWS, v)),
     ("field-h", "h", POSITIVE,
      lambda v: classical.hamiltonian_vector_field("p1_1^2/2", 2, 1, h=v)),
     ("pair-h", "h", POSITIVE, lambda v: HamiltonianPair(H_LIST, 2, 1, h=v)),
@@ -83,11 +85,11 @@ CASES = [
     ("path-independence-side", "rectangle", FINITE,
      lambda v: classical.grid_path_independence(PAIR, POINT, (0.1, v), 0.1)),
     ("cjs-h", "h", POSITIVE,
-     lambda v: classical.cjs_demo([("free", FIELD)], [POINT], POINT, (0.0, 0.1), 0.05, h=v)),
+     lambda v: classical.cjs_demo([("free", FIELD)], ROWS, POINT, (0.0, 0.1), 0.05, h=v)),
     ("cjs-dt", "dt", POSITIVE,
-     lambda v: classical.cjs_demo([("free", FIELD)], [POINT], POINT, (0.0, 0.1), v)),
+     lambda v: classical.cjs_demo([("free", FIELD)], ROWS, POINT, (0.0, 0.1), v)),
     ("cjs-t_span", "t_span", SPAN,
-     lambda v: classical.cjs_demo([("free", FIELD)], [POINT], POINT, v, 0.05)),
+     lambda v: classical.cjs_demo([("free", FIELD)], ROWS, POINT, v, 0.05)),
     # quantum
     ("defect-matrix-h", "h", POSITIVE,
      lambda v: quantum.consistency_defect_matrix(QUBITS, [0.1, 0.2], 1, 2, h=v)),
@@ -135,6 +137,7 @@ CASES = [
     ("residual-h", "h", POSITIVE,
      lambda v: hj.hj_residual_multi(S, H_LIST, [0.0, 0.0], INIT, h=v)),
     ("hj-defect-h", "h", POSITIVE, lambda v: hj.hj_consistency_defect(H_LIST, POINT, h=v)),
+    ("hj-defect-grid-h", "h", POSITIVE, lambda v: hj.hj_defect_grid(H_LIST, 2, 1, ROWS, v)),
     ("velocity-defect-h", "h", POSITIVE,
      lambda v: hj.hj_velocity_consistency_defect(S, [0.0, 0.0], INIT, h=v)),
     ("leaves-s_span", "s_span", SPAN, lambda v: hj.foliation_leaves(FOL, INIT, v, 0.1)),
