@@ -47,12 +47,12 @@ for name, s in [("free", free_s), ("coupled", coupled_s)]:
         if name == "free" else [Foliation([0.0]), Foliation([0.3])]
     rep = foliation_compare(s, fols, x0, (-1.0, 1.0), 0.01)
     print(f"  {name} S, foliations {[f.label() for f in fols]}:")
-    for i, row in enumerate(rep.distances):
+    for i, row in enumerate(rep["distances"]):
         for j in range(i + 1, len(row)):
-            print(f"    sup distance {rep.labels[i]} vs {rep.labels[j]}: "
+            print(f"    sup distance {rep['labels'][i]} vs {rep['labels'][j]}: "
                   f"{row[j]:.3e}")
-    verdict = "independent" if rep.foliation_independent else "DEPENDENT"
-    print(f"    => foliation {verdict} (tolerance {rep.tolerance:g})")
+    verdict = "independent" if rep["foliation_independent"] else "DEPENDENT"
+    print(f"    => foliation {verdict} (tolerance {rep['tolerance']:g})")
 
 print()
 print("== a single family in detail (free S, u = 0.3) ==")

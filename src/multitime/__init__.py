@@ -16,7 +16,7 @@ from .expr import (
     free_variables,
     parse_expression,
 )
-from .reports import DefectReport, DivergenceReport
+from .reports import DefectReport
 
 __version__ = "0.1.0"
 

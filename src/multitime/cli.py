@@ -41,7 +41,7 @@ import numpy as np
 from . import expr
 from .expr import (MAX_STEPS, DomainError, ExpressionError, FoliationError,
                    binding_names, free_variables)
-from .reports import write_csv
+from .reports import pair_keys, write_csv
 
 if TYPE_CHECKING:
     from . import classical, hj, quantum
@@ -430,13 +430,12 @@ def _quantum_defect_grid(system: dict, exp: dict, seed: int):
 
     def run():
         axes = [np.linspace(t_min, t_max, pts)] * sys_q.n
-        tuples = [np.array(tt) for tt in
-                  np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, sys_q.n)]
-        reports = [quantum.quantum_consistency_defect(sys_q, tt, h=h) for tt in tuples]
-        points = [{"times": tt.tolist(), **rep.to_dict()}
-                  for tt, rep in zip(tuples, reports)]
-        return {"points": points, "max_defect": max(r.max_defect for r in reports),
-                "h": h}, None
+        tuples = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, sys_q.n)
+        grid, keys = quantum.quantum_defect_grid(sys_q, tuples, h), pair_keys(sys_q.n)
+        worst = grid.max(axis=1, initial=0.0)  # 0.0 without a pair, NaN where one is
+        points = [{"times": tt, "pairs": dict(sorted(zip(keys, row))), "max_defect": m, "h": h}
+                  for tt, row, m in zip(tuples.tolist(), grid.tolist(), worst.tolist())]
+        return {"points": points, "max_defect": float(worst.max()), "h": h}, None
 
     return run
 
@@ -689,8 +688,6 @@ def _hj_defect_grid(system: dict, exp: dict, seed: int):
     return lambda: (_defect_summary(hj.hj_defect_grid(hams[0], s.n, s.d, samples, step)),
                     None)
 
-    return run
-
 
 def _trajectories(system: dict, exp: dict, seed: int):
     from . import hj
@@ -719,8 +716,7 @@ def _foliation_compare(system: dict, exp: dict, seed: int):
     if len(fols) < 2:
         raise ConfigError(f"{_E}/foliations", "need >= 2 foliations")
     _leaves(fols, init, span, ds)
-    return lambda: (hj.foliation_compare(s, fols, init, span, ds,
-                                         tolerance=tol).to_dict(), None)
+    return lambda: (hj.foliation_compare(s, fols, init, span, ds, tolerance=tol), None)
 
 
 class _Kind(NamedTuple):

@@ -32,7 +32,7 @@ from .expr import (STEP_TIME, BinOp, Expression, ExpressionError, FoliationError
                    evaluate, parse_expression, substitute)
 from .numdiff import partial_derivative
 from .paths import NPath, PathRangeError, WorldLine, hermite_at
-from .reports import DefectReport, DivergenceReport
+from .reports import DefectReport, pair_keys
 
 __all__ = [
     "HJFunction",
@@ -209,9 +209,8 @@ def hj_consistency_defect(h_exprs: Sequence[str | Expression], point: PhasePoint
     """The one-row case of ``hj_defect_grid``, the pairs keyed ``"j,k"``;
     the report's ``h`` is None when the derivatives are exact."""
     n, d = point.n, point.d
-    keys = [f"{j},{k}" for j in range(1, n + 1) for k in range(j + 1, n + 1)]
     [row] = hj_defect_grid(h_exprs, n, d, [[*point.times, *point.state()]], h).tolist()
-    return DefectReport(dict(zip(keys, row)), h)
+    return DefectReport(dict(zip(pair_keys(n), row)), h)
 
 
 @functools.lru_cache(maxsize=64)
@@ -476,10 +475,12 @@ def hj_trajectories_foliation(s: HJFunction, fol: Foliation,
 def foliation_compare(s: HJFunction, foliations: Sequence[Foliation],
                       init_positions: np.ndarray, s_span: tuple[float, float],
                       ds: float, tolerance: float = FOLIATION_INDEPENDENCE_TOL,
-                      ) -> DivergenceReport:
+                      ) -> dict:
     """Pairwise sup-distance between the trajectory families extracted
     under each foliation, compared as point sets on a common time grid of
-    ``COMPARE_GRID_POINTS`` points; ValueError for a bad ``tolerance``."""
+    ``COMPARE_GRID_POINTS`` points; ValueError for a bad ``tolerance``.
+    The dict holds ``labels``, ``distances`` (symmetric), ``tolerance`` and
+    ``foliation_independent``: whether each distance is below it."""
     check_count(len(foliations), 2, "foliations")
     check_positive(tolerance, "tolerance")
     paths = [hj_trajectories_foliation(s, fol, init_positions, s_span, ds)
@@ -491,19 +492,12 @@ def foliation_compare(s: HJFunction, foliations: Sequence[Foliation],
             worst = 0.0
             for j in range(1, s.n + 1):
                 la, lb = paths[a].line(j), paths[b].line(j)
-                lo = max(la.t_min, lb.t_min)
-                hi = min(la.t_max, lb.t_max)
+                lo, hi = max(la.t_min, lb.t_min), min(la.t_max, lb.t_max)
                 if hi <= lo:
-                    raise FoliationError(
-                        f"no common time window for particle {j}")
+                    raise FoliationError(f"no common time window for particle {j}")
                 grid = np.linspace(lo, hi, COMPARE_GRID_POINTS)
                 worst = max(worst, float(np.max(np.abs(la.x_at(grid) - lb.x_at(grid)))))
             dist[a][b] = dist[b][a] = worst
-    independent = all(dist[a][b] < tolerance for a in range(m)
-                      for b in range(a + 1, m))
-    return DivergenceReport(
-        labels=[fol.label() for fol in foliations],
-        distances=dist,
-        foliation_independent=independent,
-        tolerance=tolerance,
-    )
+    independent = all(dist[a][b] < tolerance for a in range(m) for b in range(a + 1, m))
+    return {"labels": [fol.label() for fol in foliations], "distances": dist,
+            "foliation_independent": independent, "tolerance": tolerance}

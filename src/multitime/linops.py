@@ -51,10 +51,11 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a.conj(), -1, -2)
 
 
-def norm_inf(a: np.ndarray) -> float:
-    """Induced infinity norm (max absolute row sum)."""
-    a = np.atleast_2d(a)
-    return float(np.abs(a).sum(axis=1).max())
+def norm_inf(a: np.ndarray) -> float | np.ndarray:
+    """Induced infinity norm (max absolute row sum) of a matrix, a float,
+    or of each matrix of a stack, an array."""
+    norms = np.abs(np.atleast_2d(a)).sum(axis=-1).max(axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def is_hermitian(a: np.ndarray) -> bool:
@@ -63,9 +64,10 @@ def is_hermitian(a: np.ndarray) -> bool:
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    """ab - ba of two matrices, or of two stacks (a matrix broadcasts)."""
+    a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-2:] != b.shape[-2:] or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected square matrices of one dim, got {a.shape} and {b.shape}")
     return a @ b - b @ a
 
 

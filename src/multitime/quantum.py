@@ -5,16 +5,17 @@ coordinate, acting on an n-fold tensor product of local dimension k, each
 given by its (operator, coefficient) terms.  The module computes the
 commutator consistency defect
 
-    C_jk = dH_k/dt_j - dH_j/dt_k + i [H_j, H_k],
+    C_jk = dH_k/dt_j - dH_j/dt_k + i [H_j, H_k]
 
+on stacks of Hamiltonians at the rows of an array of time tuples; it
 evolves states along axis-aligned staircases (lists of ``Segment``s) with
 midpoint-frozen exponential propagators, measures rectangle holonomies,
 and reduces to single-time evolution on the time diagonal.  A leg whose
 Hamiltonian cannot change (a numeric row, not moved along t1 under a
 frame) builds one Hamiltonian and one propagator; every other leg builds
-its midpoint Hamiltonians as stacks of at most ``STACK_BYTES``, one
-``eigh`` call each.  ``path_substeps`` counts an evolution's propagators
-and refuses more than ``expr.MAX_STEPS`` before it starts.
+its midpoint Hamiltonians in stacks of ``_chunks``, one ``eigh`` call
+each.  ``path_substeps`` counts an evolution's propagators and refuses
+more than ``expr.MAX_STEPS`` before it starts.
 """
 
 from __future__ import annotations
@@ -22,14 +23,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import linops
 from .expr import (Expression, Num, binding_names, bound_steps, check_count, check_finite,
                    check_positive, check_steps, compile_function, parse_expression)
-from .reports import DefectReport
+from .reports import DefectReport, pair_keys
 
 __all__ = [
     "PartialHamiltonianSet",
@@ -37,6 +38,7 @@ __all__ = [
     "Segment",
     "consistency_defect_matrix",
     "quantum_consistency_defect",
+    "quantum_defect_grid",
     "path_substeps",
     "evolve_staircase",
     "rectangle_staircases",
@@ -47,7 +49,7 @@ __all__ = [
 ]
 
 #: the most bytes of Hamiltonians that an evolution stacks for one ``eigh``
-#: call (a stack holds at least one matrix)
+#: call, or a defect grid for one pass (a stack holds at least one matrix)
 STACK_BYTES = 2 ** 16
 
 
@@ -62,10 +64,11 @@ def _require_operator(m, what: str, dim: int) -> np.ndarray:
     return m
 
 
-def _sum(ops: Sequence[np.ndarray], coefficients, dim: int) -> np.ndarray:
-    h = np.zeros((dim, dim), dtype=np.complex128)
-    for op, c in zip(ops, coefficients):
-        h = h + c * op
+def _sum(ops: Sequence[np.ndarray], c: np.ndarray, dim: int) -> np.ndarray:
+    """Zeros plus each c[..., i] * ops[i] in turn, c shaped (..., len(ops))."""
+    h = np.zeros((*c.shape[:-1], dim, dim), dtype=np.complex128)
+    for i, op in enumerate(ops):
+        h = h + c[..., i, None, None] * op
     return h
 
 
@@ -95,7 +98,8 @@ class PartialHamiltonianSet:
             ops = [_require_operator(op, f"operator of terms[{j}][{i}]", dim)
                    for i, (op, _) in enumerate(row)]
             if not any(isinstance(c, (str, Expression)) for _, c in row):
-                self._rows.append((_sum(ops, [float(c) for _, c in row], dim), None, None))
+                self._rows.append((_sum(ops, np.array([float(c) for _, c in row]), dim),
+                                   None, None))
                 continue
             coeffs = [parse_expression(c) if isinstance(c, str)
                       else c if isinstance(c, Expression) else Num(float(c))
@@ -115,23 +119,23 @@ class PartialHamiltonianSet:
     def hamiltonians(self, j: int, times: np.ndarray) -> np.ndarray:
         """H_j at each row of the (m, n) array ``times``, as an (m, dim, dim)
         stack; a numeric row without a ``base`` gives its one matrix, which
-        broadcasts as the stack.  A row with expression coefficients calls
-        them per row and sums c * O in the order of its terms."""
-        if not 1 <= j <= self.n:
-            raise ValueError(f"index {j} outside 1..{self.n}")
-        if times.shape[1] != self.n:
-            raise ValueError(f"time tuple length {times.shape[1]} != n = {self.n}")
+        broadcasts as the stack.  Expression coefficients are called per row."""
+        self._check(times, j)
         k, ops, f = self._rows[j - 1]
         if k is None:
-            c = np.array([f(t) for t in times.tolist()])
-            k = np.zeros((len(times), self.dim, self.dim), dtype=np.complex128)
-            for i, op in enumerate(ops):
-                k = k + c[:, i, None, None] * op
+            k = _sum(ops, np.array([f(t) for t in times.tolist()]), self.dim)
         if self._frame is None:
             return k
         w, v, vd = self._frame
         u = (v * np.exp(-1j * w * times[:, :1])[:, None, :]) @ vd
         return u @ k @ linops.dagger(u)
+
+    def _check(self, times: np.ndarray, *js: int) -> None:
+        """ValueError unless each of ``js`` is in 1..n and ``times`` is (m, n)."""
+        if bad := [j for j in js if not 1 <= j <= self.n]:
+            raise ValueError(f"index {bad[0]} outside 1..{self.n}")
+        if times.ndim != 2 or times.shape[1] != self.n:
+            raise ValueError(f"times: expected shape (m, {self.n}), got {times.shape}")
 
     def _is_constant(self, j: int, axes: Sequence[int]) -> bool:
         """Whether H_j stays one matrix while the times ``axes`` (1-based)
@@ -166,46 +170,68 @@ class Segment:
         check_count(self.substeps, 1, "substeps")
 
 
+def _chunks(count: int, dim: int) -> Iterator[slice]:
+    """Slices of range(count), each of at most ``STACK_BYTES`` of matrices, or one."""
+    step = max(1, STACK_BYTES // (16 * dim * dim))
+    return (slice(i, min(i + step, count)) for i in range(0, count, step))
+
+
 def _total_hamiltonians(sys: PartialHamiltonianSet, times: np.ndarray) -> np.ndarray:
     """H_1 + ... + H_n at each row of the (m, n) array ``times``."""
-    h = np.zeros((len(times), sys.dim, sys.dim), dtype=np.complex128)
-    for j in range(1, sys.n + 1):
-        h = h + sys.hamiltonians(j, times)
-    return h
+    return sum((sys.hamiltonians(j, times) for j in range(1, sys.n + 1)),
+               np.zeros((len(times), sys.dim, sys.dim), dtype=np.complex128))
 
 
-def _dh(sys: PartialHamiltonianSet, k: int, axis: int,
-        times: Sequence[float], h: float) -> np.ndarray:
-    """Central difference of H_k along time coordinate ``axis``."""
-    tp = np.array(times, dtype=float)
-    check_steps(h, binding_names("t", len(tp))[axis - 1:axis], [tp[axis - 1]])
-    tm = tp.copy()
-    tp[axis - 1] += h
-    tm[axis - 1] -= h
-    return (sys.hamiltonian(k, tp) - sys.hamiltonian(k, tm)) / (2.0 * h)
+def _defects(sys: PartialHamiltonianSet, times: np.ndarray, pairs: Sequence[tuple[int, int]],
+             h: float) -> Iterator[tuple[slice, int, np.ndarray]]:
+    """(rows, i, C) for each of the ``_chunks`` of ``times`` and each (j, k) =
+    pairs[i]: C_jk at those rows, a stack, or one matrix where it is the same
+    at every row.  Before any H is built, a bad step, what ``sys._check``
+    refuses and the first row and time at which h rounds away are refused."""
+    axes = list(dict.fromkeys(ax for pair in pairs for ax in pair))
+    check_positive(h, "h")
+    sys._check(times, *axes)
+    t = times[:, [ax - 1 for ax in axes]]
+    if (rounds := ((t + h == t) | (t - h == t)).any(axis=1)).any():
+        check_steps(h, [f"t{ax}" for ax in axes], t[rounds.argmax()].tolist())
+
+    def dh(rows: slice, k: int, axis: int) -> np.ndarray:
+        up, down = times[rows].copy(), times[rows].copy()
+        up[:, axis - 1] += h
+        down[:, axis - 1] -= h
+        return (sys.hamiltonians(k, up) - sys.hamiltonians(k, down)) / (2.0 * h)
+
+    for rows in _chunks(len(times), sys.dim):
+        hs = {j: sys.hamiltonians(j, times[rows]) for j in axes}
+        for i, (j, k) in enumerate(pairs):
+            yield rows, i, dh(rows, k, j) - dh(rows, j, k) + 1j * linops.commutator(hs[j], hs[k])
+
+
+def quantum_defect_grid(sys: PartialHamiltonianSet, times: np.ndarray,
+                        h: float = 1e-4) -> np.ndarray:
+    """||C_jk||_inf at every row of the (m, n) array ``times`` (``_defects``):
+    an (m, pairs) array, one column per pair j < k in the order 1,2 .. n-1,n."""
+    times = np.asarray(times, dtype=float)
+    pairs = [(j, k) for j in range(1, sys.n + 1) for k in range(j + 1, sys.n + 1)]
+    grid = np.empty((len(times), len(pairs)))
+    for rows, i, c in _defects(sys, times, pairs, h):
+        grid[rows, i] = linops.norm_inf(c)
+    return grid
 
 
 def consistency_defect_matrix(sys: PartialHamiltonianSet, times: Sequence[float],
                               j: int, k: int, h: float = 1e-4) -> np.ndarray:
-    """C_jk = dH_k/dt_j - dH_j/dt_k + i [H_j, H_k] at the time tuple, the
-    derivatives central differences at the step ``h`` (``check_steps``)."""
-    check_steps(h, (), ())
-    hj = sys.hamiltonian(j, times)
-    hk = sys.hamiltonian(k, times)
-    return _dh(sys, k, j, times, h) - _dh(sys, j, k, times, h) \
-        + 1j * linops.commutator(hj, hk)
+    """C_jk = dH_k/dt_j - dH_j/dt_k + i [H_j, H_k] at the time tuple: the
+    one-row case of ``quantum_defect_grid``'s matrices."""
+    [(_, _, c)] = _defects(sys, np.array([times], dtype=float), [(j, k)], h)
+    return np.reshape(c, (sys.dim, sys.dim))
 
 
-def quantum_consistency_defect(sys: PartialHamiltonianSet,
-                               times: Sequence[float],
+def quantum_consistency_defect(sys: PartialHamiltonianSet, times: Sequence[float],
                                h: float = 1e-4) -> DefectReport:
-    """Infinity norms of C_jk for all pairs j < k, plus the maximum."""
-    pairs = {}
-    for j in range(1, sys.n + 1):
-        for k in range(j + 1, sys.n + 1):
-            c = consistency_defect_matrix(sys, times, j, k, h=h)
-            pairs[f"{j},{k}"] = linops.norm_inf(c)
-    return DefectReport(pairs=pairs, h=h)
+    """The one-row case of ``quantum_defect_grid``, the pairs keyed ``"j,k"``."""
+    [row] = quantum_defect_grid(sys, [times], h).tolist()
+    return DefectReport(dict(zip(pair_keys(sys.n), row)), h)
 
 
 def path_substeps(segments: Sequence[Segment]) -> int:
@@ -243,9 +269,8 @@ def _propagate(phi: np.ndarray, hamiltonians: Callable[[np.ndarray], np.ndarray]
     applies exp(-i H delta), H the matrix that ``hamiltonians`` gives for
     its midpoint tuple, start + (i + 1/2) delta on ``axes``.  A ``constant``
     H, the same at every tuple of the leg, is built at ``start`` and
-    exponentiated once.  Otherwise the midpoints go in chunks of at most
-    ``STACK_BYTES`` of matrices, one stack and one propagator call per
-    chunk."""
+    exponentiated once.  Otherwise the midpoints go in ``_chunks``, one
+    stack and one propagator call each."""
     dim = len(phi)
     if constant:
         h = np.reshape(hamiltonians(start[None, :]), (dim, dim))
@@ -254,11 +279,9 @@ def _propagate(phi: np.ndarray, hamiltonians: Callable[[np.ndarray], np.ndarray]
             phi = u @ phi
         return phi
     cols = [ax - 1 for ax in axes]
-    chunk = max(1, STACK_BYTES // (16 * dim * dim))
-    for i0 in range(0, steps, chunk):
-        i1 = min(i0 + chunk, steps)
-        mids = np.repeat(start[None, :], i1 - i0, axis=0)
-        mids[:, cols] += (np.arange(i0, i1) + 0.5)[:, None] * delta
+    for rows in _chunks(steps, dim):
+        mids = np.repeat(start[None, :], rows.stop - rows.start, axis=0)
+        mids[:, cols] += (np.arange(rows.start, rows.stop) + 0.5)[:, None] * delta
         for u in linops.hermitian_propagator(hamiltonians(mids), delta):
             phi = u @ phi
     return phi

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
-__all__ = ["DefectReport", "DivergenceReport", "write_csv"]
+__all__ = ["DefectReport", "pair_keys", "write_csv"]
 
 
 def write_csv(path: str, columns: list[str], rows: list[list]) -> None:
@@ -16,6 +16,11 @@ def write_csv(path: str, columns: list[str], rows: list[list]) -> None:
         writer = csv.writer(fh)
         writer.writerow(columns)
         writer.writerows(rows)
+
+
+def pair_keys(n: int) -> list[str]:
+    """The keys ``"j,k"`` of a defect grid's columns: 1,2 1,3 .. n-1,n."""
+    return [f"{j},{k}" for j in range(1, n + 1) for k in range(j + 1, n + 1)]
 
 
 @dataclass
@@ -35,23 +40,3 @@ class DefectReport:
         pair's NaN where there is one, as a grid row's numpy maximum reads."""
         values = self.pairs.values()
         return next(filter(math.isnan, values), max(values, default=0.0))
-
-    def to_dict(self) -> dict:
-        return {
-            "pairs": dict(sorted(self.pairs.items())),
-            "max_defect": self.max_defect,
-            "h": self.h,
-        }
-
-
-@dataclass
-class DivergenceReport:
-    """Pairwise sup-distances between trajectory families."""
-
-    labels: list[str]
-    distances: list[list[float]]
-    foliation_independent: bool
-    tolerance: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)

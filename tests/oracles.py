@@ -54,6 +54,12 @@ single draws are pinned against.  ``defect_grid_oracle`` and
 they were before both grids took and returned arrays: one
 ``DefectReport`` per point.  ``phase_points`` turns the rows of a samples
 array into the points they take.
+
+``defect_matrix_oracle`` and ``quantum_defect_oracle`` are the quantum
+defect as it was before it was taken on stacks: one time tuple and one
+pair at a time, each Hamiltonian built alone by ``hamiltonian`` and each
+central difference checked for its step where it is taken.  The grid and
+the one-point defects are pinned against them bit for bit.
 """
 
 import functools
@@ -66,6 +72,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from multitime import classical, hj
+from multitime.linops import commutator, norm_inf
 from multitime.expr import (_ONE, _ZERO, FUNCTIONS, STEP_TIME, BinOp, Call, Expression,
                             ExpressionError, Neg, Num, Var, _add, _define, _domain_error,
                             _indent, _is_num, _pow, _reader,
@@ -839,3 +846,29 @@ def validity_tuples_oracle(count: int, window: float, lo: float, hi: float, n: i
         tup = base + rng.uniform(-window, window, size=n)
         tuples.append(np.clip(tup, lo, hi).tolist())
     return tuples
+
+
+def _dh_oracle(sys, k: int, axis: int, times: Sequence[float], h: float) -> np.ndarray:
+    """Central difference of H_k along time coordinate ``axis``."""
+    tp = np.array(times, dtype=float)
+    check_steps(h, binding_names("t", len(tp))[axis - 1:axis], [tp[axis - 1]])
+    tm = tp.copy()
+    tp[axis - 1] += h
+    tm[axis - 1] -= h
+    return (sys.hamiltonian(k, tp) - sys.hamiltonian(k, tm)) / (2.0 * h)
+
+
+def defect_matrix_oracle(sys, times: Sequence[float], j: int, k: int,
+                         h: float = 1e-4) -> np.ndarray:
+    """C_jk = dH_k/dt_j - dH_j/dt_k + i [H_j, H_k] at the time tuple."""
+    check_steps(h, (), ())
+    hj = sys.hamiltonian(j, times)
+    hk = sys.hamiltonian(k, times)
+    return _dh_oracle(sys, k, j, times, h) - _dh_oracle(sys, j, k, times, h) \
+        + 1j * commutator(hj, hk)
+
+
+def quantum_defect_oracle(sys, times: Sequence[float], h: float = 1e-4) -> dict[str, float]:
+    """Infinity norms of C_jk for all pairs j < k, keyed ``"j,k"``."""
+    return {f"{j},{k}": norm_inf(defect_matrix_oracle(sys, times, j, k, h=h))
+            for j in range(1, sys.n + 1) for k in range(j + 1, sys.n + 1)}

@@ -320,7 +320,7 @@ def test_criterion_07_hj_sector(capsys):
     rep_free = foliation_compare(
         s_free, [Foliation([0.0]), Foliation([0.3]), Foliation([-0.5])],
         [[-1.0], [1.0]], (-1.0, 1.0), 0.01)
-    dist_free = max(max(row) for row in rep_free.distances)
+    dist_free = max(max(row) for row in rep_free["distances"])
 
     s_cpl = HJFunction(COUPLED_S, 2, 1, [1.0, 1.0], HJ_CONSTS)
     vel_cpl = hj_velocity_consistency_defect(s_cpl, [0.4, 0.1],
@@ -330,11 +330,11 @@ def test_criterion_07_hj_sector(capsys):
     checks = [
         (max(res) < 1e-7, f"free residuals max {max(res):.2e} < 1e-7"),
         (vel_free < 1e-7, f"free velocity defect {vel_free:.2e} < 1e-7"),
-        (rep_free.foliation_independent and dist_free < 1e-6,
+        (rep_free["foliation_independent"] and dist_free < 1e-6,
          f"free family foliation-independent (sup {dist_free:.2e} < 1e-6)"),
         (vel_cpl > 1e-3, f"coupled defect {vel_cpl:.2e} > 1e-3"),
-        (rep_cpl.distances[0][1] > 1e-3,
-         f"coupled foliation distance {rep_cpl.distances[0][1]:.2e} > 1e-3"),
+        (rep_cpl["distances"][0][1] > 1e-3,
+         f"coupled foliation distance {rep_cpl['distances'][0][1]:.2e} > 1e-3"),
     ]
     _report(capsys, 7, checks, time.monotonic() - start, 20.0)
 

@@ -17,8 +17,8 @@ from multitime import classical, cli, expr, hj, linops, quantum
 from multitime.cli import (_SUBCOMMAND_KINDS, ConfigError, _sample_phase_points, main,
                            run_config)
 from multitime.configs import EXAMPLE_CONFIGS, write_examples
-from oracles import (defect_oracle, hj_defect_oracle, phase_points, sample_points_oracle,
-                     validity_tuples_oracle, with_constants)
+from oracles import (defect_oracle, hj_defect_oracle, phase_points, quantum_defect_oracle,
+                     sample_points_oracle, validity_tuples_oracle, with_constants)
 
 KIND_SUBCOMMAND = {kind: sub for sub, kinds in _SUBCOMMAND_KINDS.items()
                    for kind in kinds}
@@ -48,7 +48,7 @@ def no_numerics(monkeypatch):
         raise AssertionError("numerics ran before the config was checked")
 
     for module, names in [
-        (quantum, ["quantum_consistency_defect", "evolve_staircase",
+        (quantum, ["quantum_consistency_defect", "quantum_defect_grid", "evolve_staircase",
                    "diagonal_evolution", "rectangle_holonomy",
                    "consistency_defect_matrix"]),
         (classical, ["classical_consistency_defect", "classical_defect_grid",
@@ -88,6 +88,31 @@ class TestSubcommands:
         assert code == 0
         # the commutator term gives ||C_12|| = g = 0.5 exactly
         assert rep["results"]["max_defect"] == pytest.approx(0.5, abs=1e-6)
+
+    def test_check_three_times(self, tmp_path):
+        # n = 3: every point lists the pairs 1,2 1,3 2,3, each the per-point
+        # oracle's norm bit for bit, and the largest as its maximum
+        terms = [[{"op": "ZII", "coeff": "t2"}, {"op": "XXI", "coeff": 0.5}],
+                 [{"op": "IXI", "coeff": 1.0}, {"op": "IZZ", "coeff": "sin(t3)"}],
+                 [{"op": "IIY", "coeff": "t1*t3"}]]
+        cfg = {"formalism": "quantum", "system": {"n": 3, "local_dim": 2, "hamiltonians": {
+            "type": "pauli_terms", "terms": terms}}, "experiment": {
+            "kind": "defect-grid", "h": 1e-3,
+            "grid": {"t_min": -0.5, "t_max": 0.5, "points_per_axis": 2}}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, rep = run_cli(["check", "--config", str(path)], tmp_path)
+        assert code == 0
+        sys_q = cli.build_quantum_system(cfg["system"], "/system")
+        points = rep["results"]["points"]
+        assert [p["times"] for p in points] == [[a, b, c] for a in (-0.5, 0.5)
+                                                 for b in (-0.5, 0.5) for c in (-0.5, 0.5)]
+        for point in points:
+            want = quantum_defect_oracle(sys_q, point["times"], h=1e-3)
+            assert sorted(point) == ["h", "max_defect", "pairs", "times"]
+            assert point["pairs"] == want and list(want) == ["1,2", "1,3", "2,3"]
+            assert point["max_defect"] == max(want.values()) and point["h"] == 1e-3
+        assert rep["results"]["max_defect"] == max(p["max_defect"] for p in points) > 0.1
 
     def test_holonomy_area_law(self, config_dir, tmp_path):
         code, rep = run_cli(

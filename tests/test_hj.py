@@ -284,15 +284,15 @@ class TestFoliations:
         rep = foliation_compare(s, [Foliation([0.0]), Foliation([0.3]),
                                     Foliation([-0.5])],
                                 [[-1.0], [1.0]], (-1.0, 1.0), 0.01)
-        assert rep.foliation_independent
-        assert max(max(row) for row in rep.distances) < 1e-6
+        assert rep["foliation_independent"]
+        assert max(max(row) for row in rep["distances"]) < 1e-6
 
     def test_coupled_s_foliation_dependent(self):
         s = coupled_hj()
         rep = foliation_compare(s, [Foliation([0.0]), Foliation([0.3])],
                                 [[-1.0], [1.0]], (-1.0, 1.0), 0.01)
-        assert not rep.foliation_independent
-        assert rep.distances[0][1] > 0.01
+        assert not rep["foliation_independent"]
+        assert rep["distances"][0][1] > 0.01
 
     def test_degenerate_foliation_detected(self):
         # v = 2 along u = 0.6 makes 1 - u.v < 0 on every leaf

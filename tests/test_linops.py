@@ -35,6 +35,21 @@ class TestBasics:
         with pytest.raises(ValueError):
             commutator(SIGMA_X, np.eye(4))
 
+    def test_stacks_match_one_matrix_at_a_time(self):
+        # a stack, or a stack against one matrix, gives each matrix's
+        # commutator and norm bit for bit
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=(2, 6, 4, 4)) + 1j * rng.normal(size=(2, 6, 4, 4))
+        got = commutator(a, b)
+        assert all(np.array_equal(got[i], commutator(a[i], b[i])) for i in range(6))
+        assert all(np.array_equal(commutator(a, b[0])[i], commutator(a[i], b[0]))
+                   for i in range(6))
+        assert norm_inf(got).tolist() == [norm_inf(c) for c in got]
+        with pytest.raises(ValueError, match="square matrices of one dim"):
+            commutator(a, np.eye(2))
+        with pytest.raises(ValueError, match="square matrices of one dim"):
+            commutator(np.ones((6, 4, 3)), np.ones((6, 4, 3)))
+
     def test_pauli_string(self):
         assert np.allclose(pauli_string("ZI"), np.kron(SIGMA_Z, np.eye(2)))
         assert np.allclose(pauli_string("XY"), np.kron(SIGMA_X, SIGMA_Y))

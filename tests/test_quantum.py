@@ -1,11 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import diagonal_oracle, staircase_oracle
+from oracles import (defect_matrix_oracle, diagonal_oracle, quantum_defect_oracle,
+                     staircase_oracle)
 
-from multitime import classical, cli, linops, quantum
+from multitime import classical, cli, expr, linops, quantum
 from multitime.configs import EXAMPLE_CONFIGS
 from multitime.linops import (
     SIGMA_Y,
@@ -24,6 +26,7 @@ from multitime.quantum import (
     evolve_staircase,
     path_substeps,
     quantum_consistency_defect,
+    quantum_defect_grid,
     random_staircase,
     rectangle_holonomy,
     rectangle_staircases,
@@ -75,8 +78,7 @@ class TestDefect:
                    quantum_consistency_defect(
                        PartialHamiltonianSet([[(SIGMA_Z, 1.0)]], 2), [0.2])]
         for rep in reports:
-            assert rep.pairs == {} and rep.max_defect == 0.0
-            assert rep.to_dict() == {"pairs": {}, "max_defect": 0.0, "h": 1e-4}
+            assert rep.pairs == {} and rep.max_defect == 0.0 and rep.h == 1e-4
 
     def test_free_defect_zero(self):
         rep = quantum_consistency_defect(free_qubits(), [0.3, -0.7])
@@ -424,6 +426,108 @@ class TestStackedPropagation:
         stacks = [min(per_stack, 1000 - i) for i in range(0, 1000, per_stack)]
         assert built == [(1, m) for m in stacks] + [(2, 1)]
         assert propagators == stacks + [1]
+
+
+def defect_system(seed: int, n: int, expressions: bool,
+                  base: bool) -> PartialHamiltonianSet:
+    """A seeded random system of n qubit times: 1-3 random Hermitian
+    operators per row, with numbers and (``expressions``) some coefficients
+    of ``COEFFICIENTS``, and a random ``base`` or none."""
+    rng = np.random.default_rng(seed)
+    dim = 2 ** n
+
+    def hermitian():
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        return a + a.conj().T
+
+    def coefficient():
+        if not expressions or rng.random() < 0.3:
+            return float(rng.uniform(-2.0, 2.0))
+        k, m = rng.integers(1, n + 1, size=2)
+        return COEFFICIENTS[rng.integers(len(COEFFICIENTS))].format(k=k, m=m)
+
+    terms = [[(hermitian(), coefficient()) for _ in range(rng.integers(1, 4))]
+             for _ in range(n)]
+    return PartialHamiltonianSet(terms, 2, base=hermitian() if base else None)
+
+
+class TestDefectGrid:
+    """The stacked grid, ``consistency_defect_matrix`` and
+    ``quantum_consistency_defect`` equal the per-point, per-pair defect of
+    ``oracles`` bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("expressions", [False, True])
+    @pytest.mark.parametrize("base", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_point_oracle(self, n, expressions, base, seed):
+        sys = defect_system(seed, n, expressions, base)
+        rng = np.random.default_rng(100 + seed)
+        times = rng.uniform(-1.0, 1.0, size=(5, n))
+        for h in (1e-4, 1e-3, 2.5e-2):
+            grid = quantum_defect_grid(sys, times, h)
+            assert grid.shape == (5, n * (n - 1) // 2)
+            for row, tt in zip(grid.tolist(), times):
+                want = quantum_defect_oracle(sys, tt, h=h)
+                assert row == list(want.values())
+                assert quantum_consistency_defect(sys, tt, h=h).pairs == want
+            for j, k in [(1, n), (n, 1), (n, n)]:
+                assert np.array_equal(consistency_defect_matrix(sys, times[0], j, k, h=h),
+                                      defect_matrix_oracle(sys, times[0], j, k, h=h))
+
+    def test_grid_longer_than_a_stack(self, monkeypatch):
+        # 300 rows at dim 4: stacks of 256 and 44 rows, each building H_1 and
+        # H_2 once and each one up and down along the other's time
+        sys = defect_system(7, 2, True, True)
+        times = np.random.default_rng(8).uniform(-1.0, 1.0, size=(300, 2))
+        built = []
+        hamiltonians = PartialHamiltonianSet.hamiltonians
+
+        def counting_hamiltonians(self, j, times):
+            built.append(len(times))
+            return hamiltonians(self, j, times)
+
+        monkeypatch.setattr(PartialHamiltonianSet, "hamiltonians", counting_hamiltonians)
+        grid = quantum_defect_grid(sys, times)
+        assert built == [256] * 6 + [44] * 6
+        built.clear()  # n = 3: three H_j, then four builds for each of three pairs
+        quantum_defect_grid(defect_system(7, 3, True, False), np.zeros((5, 3)))
+        assert built == [5] * 15
+        monkeypatch.undo()
+        want = [list(quantum_defect_oracle(sys, tt).values()) for tt in times]
+        assert grid.tolist() == want
+
+    def test_one_time_has_no_column(self):
+        sys = PartialHamiltonianSet([[(SIGMA_Z, "t1")]], 2)
+        assert quantum_defect_grid(sys, np.zeros((3, 1))).shape == (3, 0)
+
+    def test_step_that_rounds_away_refused_before_any_hamiltonian(self, monkeypatch):
+        # row 0 leaves the domain of sqrt; row 1 has t2 = 1e20, where
+        # t2 +- h == t2: the step is refused first, and no H is built
+        sys = PartialHamiltonianSet([[(pauli_string("ZI"), "sqrt(t1)")],
+                                     [(pauli_string("IX"), 1.0)]], 2)
+        times = np.array([[-1.0, 0.0], [0.5, 1e20]])
+        with pytest.raises(expr.DomainError):
+            quantum_defect_grid(sys, times[:1])
+
+        def no_hamiltonians(*args):
+            raise AssertionError("a Hamiltonian was built")
+
+        monkeypatch.setattr(PartialHamiltonianSet, "hamiltonians", no_hamiltonians)
+        with pytest.raises(FloatingPointError,
+                           match=r"h = 0.0001 rounds away at t2 = 1e\+20"):
+            quantum_defect_grid(sys, times)
+        with pytest.raises(FloatingPointError, match="rounds away at t2 = 1e"):
+            consistency_defect_matrix(sys, times[1], 2, 1)
+
+    @pytest.mark.parametrize("times", [np.array([0.1, 0.2]), np.zeros((1, 1, 2)),
+                                       np.zeros((2, 3))])
+    def test_times_not_shaped_m_by_n_refused(self, times):
+        message = "^" + re.escape(f"times: expected shape (m, 2), got {times.shape}") + "$"
+        for call in (lambda: free_qubits().hamiltonians(1, times),
+                     lambda: quantum_defect_grid(free_qubits(), times)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 class TestHolonomy:

@@ -38,6 +38,8 @@ ROWS = np.array([[0.0, 0.0, -1.0, 1.0, 0.1, 0.2]])
 PAIR = HamiltonianPair(["p1_1^2/2", "p2_1^2/2"], 2, 1)
 QUBITS = PartialHamiltonianSet([[(pauli_string("ZI"), 1.0)],
                                 [(pauli_string("IX"), 1.0)]], 2)
+#: one time, which has no pair: the step is refused all the same
+QUBIT = PartialHamiltonianSet([[(pauli_string("Z"), "t1")]], 2)
 PHI = np.array([1, 0, 0, 0], complex)
 S = HJFunction("0.3*x1_1 - 0.045*t1 - 0.2*x2_1 - 0.02*t2", 2, 1, [1.0, 1.0])
 H_LIST = ["p1_1^2/2", "p2_1^2/2"]
@@ -95,6 +97,12 @@ CASES = [
      lambda v: quantum.consistency_defect_matrix(QUBITS, [0.1, 0.2], 1, 2, h=v)),
     ("quantum-defect-h", "h", POSITIVE,
      lambda v: quantum.quantum_consistency_defect(QUBITS, [0.1, 0.2], h=v)),
+    ("quantum-defect-one-time-h", "h", POSITIVE,
+     lambda v: quantum.quantum_consistency_defect(QUBIT, [0.1], h=v)),
+    ("quantum-defect-grid-h", "h", POSITIVE,
+     lambda v: quantum.quantum_defect_grid(QUBITS, np.array([[0.1, 0.2]]), v)),
+    ("quantum-defect-grid-one-time-h", "h", POSITIVE,
+     lambda v: quantum.quantum_defect_grid(QUBIT, np.array([[0.1]]), v)),
     ("segment-duration", "duration", FINITE, lambda v: Segment(1, v, 1)),
     ("segment-substeps", "substeps", COUNT, lambda v: Segment(1, 0.5, v)),
     ("staircase-max_dt", "max_dt", POSITIVE,
