@@ -19,7 +19,13 @@ Prints, for each config and ``SRC``, the median wall time and the median
 CPU time of the child (user + sys, from ``os.wait4``), in seconds; then
 the median of the rounds' totals; then each round's total CPU time, and
 in how many rounds each other ``SRC``'s total is below the first's.
-Two checkouts compare in one run:
+Last, for each ``SRC``, the median cumulative ``-X importtime`` of
+``multitime.cli``, of the package within it (``expr`` and ``reports``,
+free of numpy's import time) and of each formalism module, in
+milliseconds: every round runs ``import multitime.cli,
+multitime.<formalism>`` in a fresh interpreter per formalism and ``SRC``,
+so a formalism's time is what a run of it loads beyond the CLI.  Two
+checkouts compare in one run:
 
     python scripts/cold_cli.py src ../parent/src
 """
@@ -51,6 +57,10 @@ print(json.dumps([multitime.__file__,
 """
 
 
+#: the formalism modules whose import time is reported after ``multitime.cli``'s
+FORMALISMS = ("multitime.classical", "multitime.hj", "multitime.quantum")
+
+
 def child_env(src: Path) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(src), *filter(None, [env.get("PYTHONPATH")])])
@@ -80,6 +90,18 @@ def run(src: Path, subcommand: str, config: Path, report: Path) -> tuple[int, fl
     return os.waitstatus_to_exitcode(status), wall, usage.ru_utime + usage.ru_stime
 
 
+def import_times(src: Path, formalism: str) -> dict[str, float]:
+    """The cumulative ``-X importtime`` of the package, of ``multitime.cli``
+    and of ``formalism`` imported after it, in a fresh interpreter, in ms."""
+    done = subprocess.run([sys.executable, "-X", "importtime", "-c",
+                           f"import multitime.cli, {formalism}"],
+                          env=child_env(src), capture_output=True, text=True, check=True)
+    rows = [line.split("|") for line in done.stderr.splitlines()
+            if line.startswith("import time:")]
+    return {name.strip(): int(cumulative) / 1000 for _, cumulative, name in rows
+            if name.strip() in ("multitime", "multitime.cli", formalism)}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rounds", type=int, default=5)
@@ -96,8 +118,11 @@ def main() -> None:
         dirs = [Path(tmp) / str(i) for i in range(len(srcs))]
         subcommands = [configs(src, d) for src, d in zip(srcs, dirs)]
         names = sorted(set().union(*subcommands))
-        # times[i][name]: (wall, cpu) of each run; totals[i]: (wall, cpu) per round
+        # times[i][name]: (wall, cpu) of each run; totals[i]: (wall, cpu) per round;
+        # imports[i][module]: its import times in ms
         times = [{name: [] for name in names} for _ in srcs]
+        imports = [{module: [] for module in ("multitime.cli", "multitime", *FORMALISMS)}
+                   for _ in srcs]
         totals = [[] for _ in srcs]
         failed = []
         runs = 0
@@ -120,6 +145,14 @@ def main() -> None:
                     round_sums[i][1] += cpu
             for i, sums in enumerate(round_sums):
                 totals[i].append(tuple(sums))
+            for formalism in FORMALISMS:
+                order = list(range(len(srcs)))
+                if runs % 2:
+                    order.reverse()
+                runs += 1
+                for i in order:
+                    for module, ms in import_times(srcs[i], formalism).items():
+                        imports[i][module].append(ms)
 
     def medians(samples):
         if not samples:
@@ -137,6 +170,11 @@ def main() -> None:
     for i in range(1, len(srcs)):
         wins = sum(b[1] < a[1] for a, b in zip(totals[0], totals[i]))
         print(f"[{i + 1}] cpu below [1] in {wins} of {args.rounds} rounds")
+    print(f"cumulative import time, median ms over {args.rounds} rounds "
+          f"({len(FORMALISMS)} processes a round for multitime.cli and the package)")
+    for module in imports[0]:
+        print(f"{module:34}" + "".join(f"  [{i}] {statistics.median(imp[module]):7.1f}"
+                                       for i, imp in enumerate(imports, 1)))
     if failed:
         sys.exit("failed runs:\n" + "\n".join(failed))
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,7 +42,7 @@ import numpy as np
 from .expr import (_ZERO, STEP_TIME, BinOp, Expression, Neg, Var, _neg, binding_names,
                    bound_steps, check_count, check_finite, check_masses, check_positive,
                    check_span, check_steps, compile_function, compile_rk4, derivative,
-                   free_variables, parse_expression, substitute)
+                   free_variables, parse_expression, phase_names, substitute)
 from .paths import NPath, WorldLine
 from .reports import DefectReport
 
@@ -65,20 +64,18 @@ __all__ = [
 ]
 
 
-@dataclass
 class PhasePoint:
-    """Positions and momenta of all particles plus the time tuple."""
+    """Positions and momenta of all particles plus the time tuple: times
+    (n,), x and p (n, d)."""
 
-    times: np.ndarray  # (n,)
-    x: np.ndarray  # (n, d)
-    p: np.ndarray  # (n, d)
-
-    def __post_init__(self):
-        self.times = np.atleast_1d(np.asarray(self.times, float))
-        self.x = np.atleast_2d(np.asarray(self.x, float))
-        self.p = np.atleast_2d(np.asarray(self.p, float))
+    def __init__(self, times: np.ndarray, x: np.ndarray, p: np.ndarray):
+        self.times = np.atleast_1d(np.asarray(times, float))
+        self.x = np.atleast_2d(np.asarray(x, float))
+        self.p = np.atleast_2d(np.asarray(p, float))
         if not (len(self.times) == self.x.shape[0] == self.p.shape[0]):
             raise ValueError("inconsistent particle count in PhasePoint")
+        if self.p.shape != self.x.shape:
+            raise ValueError(f"p: expected the shape of x, {self.x.shape}, got {self.p.shape}")
 
     @property
     def n(self) -> int:
@@ -98,25 +95,18 @@ class PhasePoint:
 RHS = Callable[[Sequence[float], Sequence[float]], tuple[float, ...]]
 
 
-def _state_names(n: int, d: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The names of a time tuple and of a flat state (x rows, p rows)."""
-    return binding_names("t", n), binding_names("x", n, d) + binding_names("p", n, d)
-
-
 @functools.lru_cache(maxsize=64)
 def _rhs(exprs: tuple[Expression, ...], n: int, d: int) -> RHS:
-    return compile_function(exprs, _state_names(n, d))
+    return compile_function(exprs, phase_names(n, d))
 
 
-@dataclass
 class PhaseVectorField:
     """The fields (v_1, w_1, .., v_n, w_n): ``exprs`` holds the components
     of v_1..v_n and then of w_1..w_n, d each, as expressions in t1..tn,
     xJ_D and pJ_D."""
 
-    n: int
-    d: int
-    exprs: tuple[Expression, ...]
+    def __init__(self, n: int, d: int, exprs: tuple[Expression, ...]):
+        self.n, self.d, self.exprs = n, d, exprs
 
     @property
     def rhs(self) -> RHS:
@@ -155,7 +145,7 @@ class PhaseVectorField:
 
 
 def _check_vars(expr: Expression, n: int, d: int) -> None:
-    times, state = _state_names(n, d)
+    times, state = phase_names(n, d)
     extra = free_variables(expr) - set(times) - set(state)
     if extra:
         raise ValueError(f"undeclared variables {sorted(extra)} in field expression")
@@ -194,7 +184,7 @@ def hamiltonian_vector_field(h_exprs: str | Expression | Sequence[str | Expressi
 def _defects(exprs: tuple[Expression, ...], n: int, d: int, h: float) -> Callable:
     """``(times, (x, p)) ->`` D_j c = dc/dt_j + v_j . grad_{x_j} c +
     w_j . grad_{p_j} c for each j and each component c of ``exprs``."""
-    times, state = _state_names(n, d)
+    times, state = phase_names(n, d)
     grad, nd, outputs = derivative(h), n * d, []
     for j in range(n):
         at = j * d  # exprs[at + dd] is in v_j, exprs[nd + at + dd] in w_j
@@ -236,7 +226,7 @@ def _defect_values(compiled: Callable[[], Callable], outputs: int, samples: np.n
     f = compiled() if stop else None
     values = [f(ts, y) for ts, y in zip(samples[:stop, :n].tolist(), samples[:stop, n:].tolist())]
     if stop < len(samples):
-        check_steps(h, sum(_state_names(n, d), ()), samples[stop].tolist())
+        check_steps(h, sum(phase_names(n, d), ()), samples[stop].tolist())
     return np.abs(np.reshape(values, (stop, outputs)))
 
 
@@ -277,7 +267,7 @@ def _rk4_loop(exprs: tuple[Expression, ...], n: int, d: int,
     the rates (equal-time evolution); else t_{axis+1} follows it, the other
     times are fixed arguments and the loop returns the packed state at
     the start and at the end of every leg it is given (full-grid legs)."""
-    times, state = _state_names(n, d)
+    times, state = phase_names(n, d)
     follow = times if axis is None else times[axis:axis + 1]
     fixed = [t for t in times if t not in follow]
     step_time = {t: Var(STEP_TIME) for t in follow}
@@ -300,6 +290,14 @@ def equal_time_steps(t_span: tuple[float, float], dt: float) -> int:
     return max(1, int(round(steps)))
 
 
+def _start(init: PhasePoint, n: int, d: int) -> bytes:
+    """The packed flat state of ``init``, whose x and p must be (n, d)."""
+    if init.x.shape != (n, d):
+        raise ValueError(f"initial point: expected x and p of shape {(n, d)}, "
+                         f"got {init.x.shape}")
+    return init.state().tobytes()
+
+
 def evolve_equal_time(field: PhaseVectorField, init: PhasePoint,
                       t_span: tuple[float, float], dt: float) -> NPath:
     """RK4 on the joint system with all time coordinates advanced together
@@ -311,7 +309,7 @@ def evolve_equal_time(field: PhaseVectorField, init: PhasePoint,
     steps = equal_time_steps(t_span, dt)
     dt = (t1 - t0) / steps
     ts = _node_times(t0, dt, steps)
-    rows = _rk4_loop(field.exprs, n, d, None)(init.state().tobytes(), ts, [dt] * steps)
+    rows = _rk4_loop(field.exprs, n, d, None)(_start(init, n, d), ts, [dt] * steps)
     # (sample, state|rate, x|p, particle, d) -> contiguous
     # (state|rate, x|p, particle, sample, d); joined into a bytearray, so
     # that every array read from it is writable
@@ -343,6 +341,8 @@ def validity_residual(field: PhaseVectorField, npath: NPath,
     if any(len(sample) != field.n for sample in samples):
         raise ValueError("sample tuple length does not match n")
     n, d = field.n, field.d
+    if (npath.n, npath.d) != (n, d):
+        raise ValueError(f"n-path: expected (n, d) = {(n, d)}, got {(npath.n, npath.d)}")
     tuples = np.reshape(np.asarray(samples, float), (len(samples), n))
 
     # one query per world line and quantity, each (sample, particle, d)
@@ -389,14 +389,12 @@ class HamiltonianPair:
         self.fields = [hamiltonian_vector_field(e, n, d, h=h) for e in h_exprs]
 
 
-@dataclass
 class GridSolution:
-    """States x_j(t1,t2), p_j(t1,t2) stored on a rectangular grid."""
+    """States x_j(t1,t2), p_j(t1,t2) stored on a rectangular grid: x and p
+    (n, N1, N2, d)."""
 
-    t1: np.ndarray
-    t2: np.ndarray
-    x: np.ndarray  # (n, N1, N2, d)
-    p: np.ndarray
+    def __init__(self, t1: np.ndarray, t2: np.ndarray, x: np.ndarray, p: np.ndarray):
+        self.t1, self.t2, self.x, self.p = t1, t2, x, p
 
     def csv_table(self) -> tuple[list[str], list[list]]:
         """The full-grid CSV layout: columns t1, t2, then x and p of every
@@ -465,7 +463,7 @@ def evolve_full_grid(hpair: HamiltonianPair, init: PhasePoint,
     legs = _grid_legs(hpair)
     plan1, plan2 = (_leg_plan(ts[:-1], [b - a for a, b in zip(ts, ts[1:])], substeps)
                     for ts in (t1s, t2s))
-    column = legs(2, plan2, init.state().tobytes(), t1s[0])
+    column = legs(2, plan2, _start(init, n, d), t1s[0])
     # nodes[i2 * len(t1s) + i1] is the state row at (t1s[i1], t2s[i2])
     nodes = [y for y0, t2 in zip(column, t2s) for y in legs(1, plan1, y0, t2)]
     # (t2, t1, x|p, particle, d) -> contiguous (x|p, particle, t1, t2, d)
@@ -496,10 +494,10 @@ def grid_path_independence(hpair: HamiltonianPair, init: PhasePoint,
     leg first and the t2 leg first."""
     dt1, dt2 = rectangle
     m1, m2 = rectangle_steps(rectangle, dt)
+    y0 = _start(init, hpair.n, hpair.d)
     if m1 == 0:
         return 0.0
     t0 = init.times.tolist()
-    y0 = init.state().tobytes()
     legs = _grid_legs(hpair)
     leg1, leg2 = _leg_plan([t0[0]], [dt1], m1), _leg_plan([t0[1]], [dt2], m2)
 

@@ -269,8 +269,7 @@ def _build_field(field_cfg: dict, path: str, n: int, d: int, grid: bool = False)
     if grid and ftype != "partial_hamiltonians":
         raise ConfigError(f"{path}/type", "the grid experiments need field "
                                           "type 'partial_hamiltonians'")
-    names = (binding_names("t", n) + binding_names("x", n, d)
-             + binding_names("p", n, d))
+    names = sum(expr.phase_names(n, d), ())
     rows, step = (_REQ, _each, n, _each, d, _expr, names), (None, _positive)
     try:
         if ftype == "expressions":

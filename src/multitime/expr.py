@@ -10,12 +10,15 @@ Grammar (standard precedence, ``^`` right-associative and tighter than
     power  := atom ('^' unary)?
     atom   := number | name | name '(' expr ')' | '(' expr ')'
 
-Known functions: sin, cos, exp, log, sqrt, abs, tanh.
+Known functions: sin, cos, exp, log, sqrt, abs, tanh.  A tree's nodes
+(``Num``, ``Var``, ``Neg``, ``BinOp``, ``Call``) are immutable values that
+compare and hash by their structure, a number by its bits.
 
 Variable naming convention used throughout the package: time variables
 ``t1..tn``; position components ``xJ_D`` and momentum components ``pJ_D``
 for particle ``J`` in 1..n and dimension ``D`` in 1..d.  The single-time
-forms additionally use the bare variable ``t``.
+forms additionally use the bare variable ``t``.  ``binding_names`` builds
+them, and ``phase_names`` those of a time tuple and of a flat state.
 
 The code generator has two entry points: ``compile_function`` lowers a
 system of ASTs to one Python function of positional float sequences that
@@ -54,7 +57,6 @@ import operator
 import re
 import struct
 import sys
-from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NoReturn, Sequence
 
 __all__ = [
@@ -73,6 +75,7 @@ __all__ = [
     "evaluate",
     "free_variables",
     "binding_names",
+    "phase_names",
     "compile_function",
     "STEP_TIME",
     "compile_rk4",
@@ -123,12 +126,31 @@ class FoliationError(RuntimeError):
 
 
 class _Node:
-    """Base of the AST node classes.  ``function`` is the tree's variables,
-    left to right, and their ``compile_function``, built on first access
-    and kept in the instance ``__dict__`` (outside the dataclass fields, so
-    eq, hash and repr ignore it); it is freed with the tree.  Equal trees
-    compile alike, because numbers compare by their bits: ``Num(0.0) !=
-    Num(-0.0)``, so a memo keyed on trees is sound."""
+    """Base of the node kinds: an immutable value (assigning or deleting a
+    field raises AttributeError) that compares and hashes by its kind and
+    one key fixed at construction, the fields named by ``__match_args__``,
+    or a number's bits: ``Num(0.0) != Num(-0.0)``, so equal trees compile
+    alike.  ``function`` is the tree's variables, left to right, and their
+    ``compile_function``, built on first access and kept in the instance
+    ``__dict__`` beside the key; it is freed with the tree."""
+
+    def __init__(self, *fields):
+        vars(self).update(zip(self.__match_args__, fields, strict=True), _key=fields)
+
+    def __eq__(self, other):
+        return self._key == other._key if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot change {name!r}: a {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({', '.join(fields)})"
 
     @functools.cached_property
     def function(self) -> tuple[tuple[str, ...], Callable[..., tuple[float, ...]]]:
@@ -136,40 +158,28 @@ class _Node:
         return names, compile_function([self], [names])
 
 
-@dataclass(frozen=True)
 class Num(_Node):
-    value: float
+    __match_args__ = ("value",)
 
-    def __eq__(self, other):
-        if not isinstance(other, Num):
-            return NotImplemented
-        return struct.pack("d", self.value) == struct.pack("d", other.value)
-
-    def __hash__(self):
-        return hash(struct.pack("d", self.value))
+    def __init__(self, value: float):
+        super().__init__(value)
+        vars(self)["_key"] = struct.pack("d", value)
 
 
-@dataclass(frozen=True)
 class Var(_Node):
-    name: str
+    __match_args__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Neg(_Node):
-    arg: "Expression"
+    __match_args__ = ("arg",)
 
 
-@dataclass(frozen=True)
 class BinOp(_Node):
-    op: str  # one of + - * / ^
-    left: "Expression"
-    right: "Expression"
+    __match_args__ = ("op", "left", "right")  # op: one of + - * / ^
 
 
-@dataclass(frozen=True)
 class Call(_Node):
-    func: str
-    arg: "Expression"
+    __match_args__ = ("func", "arg")
 
 
 Expression = Num | Var | Neg | BinOp | Call
@@ -485,14 +495,17 @@ def substitute(expr: Expression, values: Mapping[str, Expression]) -> Expression
     match expr:
         case Var(name) if name in values:
             return values[name]
-        case Neg(arg) | Call(_, arg):
+        case Neg(arg):
             new = substitute(arg, values)
-            return expr if new is arg else replace(expr, arg=new)
+            return expr if new is arg else Neg(new)
+        case Call(func, arg):
+            new = substitute(arg, values)
+            return expr if new is arg else Call(func, new)
         case BinOp(_, left, right):
             new_left, new_right = substitute(left, values), substitute(right, values)
             if new_left is left and new_right is right:
                 return expr
-            return replace(expr, left=new_left, right=new_right)
+            return BinOp(expr.op, new_left, new_right)
     return expr
 
 
@@ -597,6 +610,11 @@ def binding_names(prefix: str, n: int, d: int = 0) -> tuple[str, ...]:
         return tuple(f"{prefix}{j}" for j in range(1, n + 1))
     return tuple(f"{prefix}{j}_{dd}" for j in range(1, n + 1)
                  for dd in range(1, d + 1))
+
+
+def phase_names(n: int, d: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The names of a time tuple, and of a flat state: x rows, then p rows."""
+    return binding_names("t", n), binding_names("x", n, d) + binding_names("p", n, d)
 
 
 def _domain_error(template: str, *args) -> NoReturn:

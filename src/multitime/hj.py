@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Mapping, NoReturn, Sequence
 
 import numpy as np
@@ -29,7 +28,7 @@ from .expr import (STEP_TIME, BinOp, Expression, ExpressionError, FoliationError
                    Num, Var, binding_names, bound_steps, check_count, check_masses,
                    check_positive, check_span, check_steps,
                    _bind, _div, _numbers, compile_function, compile_rk4, derivative, diff,
-                   evaluate, parse_expression, substitute)
+                   evaluate, parse_expression, phase_names, substitute)
 from .numdiff import partial_derivative
 from .paths import NPath, PathRangeError, WorldLine, hermite_at
 from .reports import DefectReport, pair_keys
@@ -62,7 +61,6 @@ def _as_expr(e: str | Expression) -> Expression:
     return parse_expression(e) if isinstance(e, str) else e
 
 
-@dataclass
 class HJFunction:
     """Hamilton-Jacobi function S in the variables t1..tn, xJ_D.
 
@@ -70,11 +68,6 @@ class HJFunction:
     solution) is replaced in S by its value, a number like any other.  A
     list of masses that is not n finite numbers > 0 raises ValueError.
     """
-
-    expr: Expression
-    n: int
-    d: int
-    masses: tuple[float, ...]
 
     def __init__(self, expr: str | Expression, n: int, d: int,
                  masses: Sequence[float], constants: Mapping[str, float] | None = None):
@@ -110,18 +103,15 @@ class HJFunction:
         return self.grad_x(j, times, x, h=h) / self.masses[j - 1]
 
 
-@dataclass(frozen=True)
 class Foliation:
     """Flat spacelike foliation with leaves t = s + u.x, |u| < 1."""
-
-    u: tuple[float, ...]
 
     def __init__(self, u: Sequence[float] | float):
         u = np.atleast_1d(np.asarray(u, float))
         if not (norm := np.linalg.norm(u)) < 1.0:
             why = ">= 1" if norm >= 1.0 else "is not a number"
             raise ValueError(f"|u| = {norm} {why}: leaves not spacelike")
-        object.__setattr__(self, "u", tuple(float(v) for v in u))
+        self.u = tuple(float(v) for v in u)
 
     @property
     def u_vec(self) -> np.ndarray:
@@ -151,7 +141,7 @@ def _bracket(f: Expression, g: Expression, n: int, d: int, h: float | None) -> E
 def poisson_bracket(f: str | Expression, g: str | Expression, n: int, d: int,
                     bindings: Mapping[str, float], h: float | None = None) -> float:
     """{f, g} = sum_j grad_{x_j} f . grad_{p_j} g - grad_{p_j} f . grad_{x_j} g."""
-    moved = binding_names("x", n, d) + binding_names("p", n, d)
+    _, moved = phase_names(n, d)
     check_steps(h, moved, [bindings[v] for v in moved])
     return evaluate(_bracket(_as_expr(f), _as_expr(g), n, d, h), bindings)
 
@@ -185,12 +175,12 @@ def hj_residual_multi(s: HJFunction, h_exprs: Sequence[str | Expression],
 def _poisson_defects(h_exprs: tuple[Expression, ...], n: int, d: int,
                      h: float | None) -> Callable:
     """``(times, (x, p)) -> (P_12, P_13, .., P_{n-1,n})``."""
-    grad, ts = derivative(h), binding_names("t", n)
+    grad, (ts, state) = derivative(h), phase_names(n, d)
     return compile_function(
         [BinOp("-", BinOp("-", grad(h_exprs[k], ts[j]), grad(h_exprs[j], ts[k])),
                _bracket(h_exprs[j], h_exprs[k], n, d, h))
          for j in range(n) for k in range(j + 1, n)],
-        [ts, binding_names("x", n, d) + binding_names("p", n, d)])
+        [ts, state])
 
 
 def hj_defect_grid(h_exprs: Sequence[str | Expression], n: int, d: int,
@@ -216,10 +206,7 @@ def hj_consistency_defect(h_exprs: Sequence[str | Expression], point: PhasePoint
 @functools.lru_cache(maxsize=64)
 def _sum_rule(exprs: tuple[Expression, ...], n: int, d: int, time_var: str) -> Callable:
     """``(times, (x, p), (time_var,)) -> (H_1, .., H_n, H)``."""
-    return compile_function(exprs,
-                            [binding_names("t", n),
-                             binding_names("x", n, d) + binding_names("p", n, d),
-                             (time_var,)])
+    return compile_function(exprs, [*phase_names(n, d), (time_var,)])
 
 
 def equal_time_sum_gap(h_exprs: Sequence[str | Expression],

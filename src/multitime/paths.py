@@ -10,8 +10,6 @@ intervals a query falls in, with the formulas of scipy's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = ["WorldLine", "NPath", "PathRangeError", "hermite_at"]
@@ -21,21 +19,15 @@ class PathRangeError(ValueError):
     """Query time outside the sampled range of a world line."""
 
 
-@dataclass
 class WorldLine:
     """Sampled world line of one particle: t strictly increasing, with
     x, p of shape (len(t), d) and their time derivatives alongside."""
 
-    t: np.ndarray
-    x: np.ndarray
-    p: np.ndarray
-    dxdt: np.ndarray
-    dpdt: np.ndarray
-
-    def __post_init__(self):
-        self.t = np.asarray(self.t, float)
+    def __init__(self, t: np.ndarray, x: np.ndarray, p: np.ndarray, dxdt: np.ndarray,
+                 dpdt: np.ndarray):
+        self.t = np.asarray(t, float)
         self.x, self.p, self.dxdt, self.dpdt = samples = [
-            np.asarray(a, float) for a in (self.x, self.p, self.dxdt, self.dpdt)]
+            np.asarray(a, float) for a in (x, p, dxdt, dpdt)]
         if len(self.t) < 2 or {a.shape for a in samples} != {(len(self.t), self.x.shape[-1])}:
             raise ValueError("a world line needs two or more samples, and x, p, "
                              "dxdt and dpdt of one shape (len(t), d)")
@@ -102,9 +94,11 @@ def hermite_at(t: np.ndarray, y: np.ndarray, dydt: np.ndarray, time,
     return value
 
 
-@dataclass
 class NPath:
-    lines: list[WorldLine]
+    """One world line per particle, ``lines[j - 1]`` for particle j."""
+
+    def __init__(self, lines: list[WorldLine]):
+        self.lines = lines
 
     @property
     def n(self) -> int:

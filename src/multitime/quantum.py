@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -143,31 +142,29 @@ class PartialHamiltonianSet:
         return self._rows[j - 1][0] is not None and (self._frame is None or 1 not in axes)
 
 
-@dataclass
 class MultiTimeState:
-    vector: np.ndarray
-    times: np.ndarray
+    """A state vector at the time tuple ``times``."""
 
-    def __post_init__(self):
-        self.vector = np.asarray(self.vector, dtype=np.complex128)
-        self.times = np.asarray(self.times, dtype=float)
+    def __init__(self, vector: np.ndarray, times: np.ndarray):
+        self.vector = np.asarray(vector, dtype=np.complex128)
+        self.times = np.asarray(times, dtype=float)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.vector))
 
 
-@dataclass(frozen=True)
 class Segment:
     """One axis-aligned leg of a staircase: move time ``axis`` (1-based)
-    by ``duration``, a finite number, in ``substeps`` >= 1 equal substeps."""
+    by ``duration``, a finite number, in ``substeps`` >= 1 equal substeps.
+    Segments are equal when these three are."""
 
-    axis: int
-    duration: float
-    substeps: int = 1
+    def __init__(self, axis: int, duration: float, substeps: int = 1):
+        check_finite(duration, "duration")
+        self.axis, self.duration = axis, duration
+        self.substeps = check_count(substeps, 1, "substeps")
 
-    def __post_init__(self):
-        check_finite(self.duration, "duration")
-        check_count(self.substeps, 1, "substeps")
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is Segment else NotImplemented
 
 
 def _chunks(count: int, dim: int) -> Iterator[slice]:

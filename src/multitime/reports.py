@@ -3,15 +3,16 @@ and the CSV writer for tabular output."""
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
 
 __all__ = ["DefectReport", "pair_keys", "write_csv"]
 
 
 def write_csv(path: str, columns: list[str], rows: list[list]) -> None:
-    """Write a header row and the data rows as CSV."""
+    """Write a header row and the data rows as CSV (``csv`` loads here:
+    only a run that writes one needs it)."""
+    import csv
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
@@ -23,16 +24,19 @@ def pair_keys(n: int) -> list[str]:
     return [f"{j},{k}" for j in range(1, n + 1) for k in range(j + 1, n + 1)]
 
 
-@dataclass
 class DefectReport:
     """Pairwise consistency-defect norms plus their maximum.
 
     ``pairs`` maps ``"j,k"`` (1-based indices) to the defect norm of that
     pair; ``h`` is the step of its central differences (None: exact).
+    Reports are equal when their pairs and steps are.
     """
 
-    pairs: dict[str, float]
-    h: float | None
+    def __init__(self, pairs: dict[str, float], h: float | None):
+        self.pairs, self.h = pairs, h
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is DefectReport else NotImplemented
 
     @property
     def max_defect(self) -> float:

@@ -77,7 +77,7 @@ from multitime.expr import (_ONE, _ZERO, FUNCTIONS, STEP_TIME, BinOp, Call, Expr
                             ExpressionError, Neg, Num, Var, _add, _define, _domain_error,
                             _indent, _is_num, _pow, _reader,
                             binding_names, bound_steps, check_steps, evaluate,
-                            parse_expression, substitute)
+                            parse_expression, phase_names, substitute)
 from multitime.hj import _as_expr, _degenerate, _residuals
 from multitime.paths import NPath, PathRangeError, WorldLine
 from multitime.reports import DefectReport
@@ -765,7 +765,7 @@ def defect_grid_oracle(field, points, h: float | None = 1e-4) -> list[DefectRepo
             values = list(map(abs, defects(ts, y)))
             reports.append(DefectReport({key: max(at(values)) for key, at in pairs}, h))
     if stop < len(points):
-        check_steps(h, sum(classical._state_names(n, d), ()), coords[stop].tolist())
+        check_steps(h, sum(phase_names(n, d), ()), coords[stop].tolist())
     return reports
 
 

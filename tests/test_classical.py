@@ -1,6 +1,7 @@
 import copy
 import functools
 import math
+import re
 import struct
 from unittest import mock
 
@@ -53,6 +54,35 @@ def sample_rows(*points: PhasePoint) -> np.ndarray:
     """The samples array of ``points``: one row of times, x rows and p rows
     each."""
     return np.array([[*pt.times, *pt.state()] for pt in points])
+
+
+class TestPhasePointShapes:
+    """A point whose x and p differ in shape, or whose (n, d) is not the
+    field's, is refused with both shapes named, before any RK4 step (the
+    state used to be packed as it came, and a wrong length died in
+    ``struct``; a right length of a wrong shape ran)."""
+
+    def test_x_and_p_of_different_shapes_refused(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "p: expected the shape of x, (2, 1), got (2, 2)")):
+            PhasePoint([0, 0], [[1], [2]], [[1, 2], [3, 4]])
+
+    POINTS = {"d=2": PhasePoint([0.0, 0.0], [[0.0, 1.0], [1.0, 0.0]], [[0.3, 0.0], [-0.2, 0.0]]),
+              "n=1": PhasePoint([0.0], [[0.0]], [[0.3]]),
+              "n=1,d=2": PhasePoint([0.0], [[0.0, 1.0]], [[0.3, -0.2]])}
+
+    @pytest.mark.parametrize("point", sorted(POINTS))
+    @pytest.mark.parametrize("run", ["equal-time", "full-grid", "path-independence",
+                                     "empty-rectangle"])
+    def test_point_of_another_shape_than_the_field_refused(self, run, point):
+        init, pair = self.POINTS[point], HamiltonianPair(["p1_1^2/2", "p2_1^2/2"], 2, 1)
+        runs = {"equal-time": lambda: evolve_equal_time(free_field(), init, (0.0, 1.0), 0.1),
+                "full-grid": lambda: evolve_full_grid(pair, init, [0.0, 1.0], [0.0, 1.0]),
+                "path-independence": lambda: grid_path_independence(pair, init, (1, 1), 0.1),
+                "empty-rectangle": lambda: grid_path_independence(pair, init, (0, 1), 0.1)}
+        with pytest.raises(ValueError, match=re.escape(
+                f"initial point: expected x and p of shape (2, 1), got {init.x.shape}")):
+            runs[run]()
 
 
 class TestSpacetime:
@@ -486,6 +516,17 @@ class TestValidity:
                     rep["rejected_samples"], rep["accepted_samples"])
 
         assert outcome(validity_residual) == outcome(validity_oracle)
+
+    @pytest.mark.parametrize("n,d", [(2, 2), (3, 1)])
+    def test_path_of_another_shape_refused(self, n, d):
+        # a path of d = 2 on a d = 1 field read its samples two floats apart
+        # and returned a residual of 0.3 for a path of the free field
+        free = PhaseVectorField.free(n, d, [1.0] * n)
+        path = evolve_equal_time(free, PhasePoint([0.0] * n, np.eye(n, d), np.eye(n, d)),
+                                 (0.0, 1.0), 0.1)
+        with pytest.raises(ValueError, match=re.escape(
+                f"n-path: expected (n, d) = (2, 1), got {(n, d)}")):
+            validity_residual(free_field(), path, [[0.5, 0.5]])
 
     def test_sample_length_validated(self):
         fld = free_field()

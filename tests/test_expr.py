@@ -1,5 +1,7 @@
+import copy
 import dis
 import functools
+import itertools
 import math
 import re
 import struct
@@ -112,6 +114,75 @@ class TestParsing:
     def test_round_trip_structural(self, source):
         tree = parse_expression(source)
         assert parse_expression(to_string(tree)) == tree
+
+
+# One tree of each node kind by its fields; each call of ``node`` builds it anew.
+KIND_FIELDS = {
+    "Num": (Num, (2.5,)),
+    "Var": (Var, ("x",)),
+    "Neg": (Neg, (Var("x"),)),
+    "BinOp": (BinOp, ("*", Num(2.0), Var("x"))),
+    "Call": (Call, ("sin", Var("x"))),
+}
+
+
+def node(kind):
+    cls, fields = KIND_FIELDS[kind]
+    return cls(*copy.deepcopy(fields))
+
+
+class TestNodeValues:
+    """Every node kind is an immutable value, whatever implements it."""
+
+    @pytest.mark.parametrize("kind", sorted(KIND_FIELDS))
+    def test_fields_cannot_be_assigned_or_deleted(self, kind):
+        tree = node(kind)
+        for name in [*tree.__match_args__, "other"]:
+            with pytest.raises(AttributeError):
+                setattr(tree, name, Num(1.0))
+            with pytest.raises(AttributeError):
+                delattr(tree, name)
+        assert tree == node(kind)
+
+    @pytest.mark.parametrize("kind", sorted(KIND_FIELDS))
+    def test_built_twice_equal_and_hash_alike(self, kind):
+        a, b = node(kind), node(kind)
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+        assert BinOp("+", a, Var("y")) == BinOp("+", b, Var("y"))
+        assert len({a, b, BinOp("+", a, Var("y")), BinOp("+", b, Var("y"))}) == 2
+
+    def test_kinds_unequal(self):
+        trees = [node(kind) for kind in KIND_FIELDS]
+        # a Var named by Num(2.5)'s bits shares its fields' bytes, not its kind
+        trees += [Var(struct.pack("d", 2.5)), Call("sin", Var("y")), Neg(Num(2.0))]
+        for a, b in itertools.combinations(trees, 2):
+            assert a != b and not a == b
+
+    def test_signed_zeros_unequal(self):
+        assert Num(0.0) != Num(-0.0) and Num(0.0) == Num(0.0)
+        assert Neg(Num(0.0)) != Neg(Num(-0.0))
+
+    @pytest.mark.parametrize("compiled", [False, True], ids=["fresh", "compiled"])
+    @pytest.mark.parametrize("kind", sorted(KIND_FIELDS))
+    def test_deep_copy_equal_and_compiles_alike(self, kind, compiled):
+        tree = BinOp("+", node(kind), Call("exp", Var("y")))
+        at = {"x": 0.75, "y": -0.5}
+        if compiled:
+            evaluate(tree, at)
+        twin = copy.deepcopy(tree)
+        assert twin == tree and hash(twin) == hash(tree)
+        assert struct.pack("d", evaluate(twin, at)) == struct.pack("d", evaluate(tree, at))
+
+    @pytest.mark.parametrize("kind", sorted(KIND_FIELDS))
+    def test_positional_patterns_bind_the_fields(self, kind):
+        match node(kind):
+            case Num(a) | Var(a) | Neg(a):
+                fields = (a,)
+            case BinOp(a, b, c):
+                fields = (a, b, c)
+            case Call(a, b):
+                fields = (a, b)
+        assert fields == KIND_FIELDS[kind][1]
 
 
 class TestEvaluation:
@@ -352,7 +423,7 @@ class TestCompiledExpressions:
         assert twin is not tree
         assert evaluate(twin, {"x": 2.0, "y": 0.0}) == 4.0
         assert len(compiles) == 2 and compiles[1] is twin
-        # the compiled function stays out of the dataclass fields
+        # the compiled function stays out of the key, so out of eq, hash and repr
         assert tree == twin and hash(tree) == hash(twin)
         assert repr(tree) == repr(twin)
 

@@ -184,31 +184,39 @@ FORMALISMS = ["multitime.classical", "multitime.hj", "multitime.linops",
               "multitime.paths", "multitime.quantum"]
 NOT_QUANTUM = ["multitime.classical", "multitime.hj", "multitime.paths",
                "multitime.configs", "multitime.numdiff"]
+#: standard modules that a run without a CSV does not use
+UNUSED = ["csv", "dataclasses"]
 
 
 @pytest.mark.parametrize("args,loaded,absent", [
     (["evolve", "--config", "interaction_picture_staircase.json"],
-     ["multitime.quantum", "multitime.linops"], [*NOT_QUANTUM, "numpy.random"]),
+     ["multitime.quantum", "multitime.linops"], [*NOT_QUANTUM, "numpy.random", *UNUSED]),
     (["holonomy", "--config", "coupled_qubits.json"],
-     ["multitime.quantum", "multitime.linops"], [*NOT_QUANTUM, "numpy.random"]),
+     ["multitime.quantum", "multitime.linops"], [*NOT_QUANTUM, "numpy.random", *UNUSED]),
     (["evolve", "--config", "classical_free_evolve.json"], ["multitime.classical"],
      ["multitime.hj", "multitime.quantum", "multitime.linops", "multitime.configs",
-      "multitime.numdiff", "numpy.random"]),
+      "multitime.numdiff", "numpy.random", *UNUSED]),
+    (["evolve", "--config", "classical_free_evolve.json", "--csv", "lines.csv"],
+     ["multitime.classical", "csv"],
+     ["multitime.hj", "multitime.quantum", "multitime.linops", "multitime.configs",
+      "multitime.numdiff", "numpy.random", "dataclasses"]),
     (["check", "--config", "classical_free_check.json"],
      ["multitime.classical", "numpy.random"],
      ["multitime.hj", "multitime.quantum", "multitime.linops", "multitime.configs",
-      "multitime.numdiff"]),
+      "multitime.numdiff", *UNUSED]),
     (["foliation", "--config", "hj_free_foliations.json"], ["multitime.hj"],
-     ["multitime.quantum", "multitime.linops", "multitime.configs", "numpy.random"]),
+     ["multitime.quantum", "multitime.linops", "multitime.configs", "numpy.random",
+      *UNUSED]),
     (["examples", "--dir", "again"], ["multitime.configs"],
-     [*FORMALISMS, "multitime.numdiff", "numpy.random"]),
-], ids=["quantum-evolve", "quantum-holonomy", "classical-evolve", "classical-check",
-        "hj", "examples"])
+     [*FORMALISMS, "multitime.numdiff", "numpy.random", *UNUSED]),
+], ids=["quantum-evolve", "quantum-holonomy", "classical-evolve", "classical-evolve-csv",
+        "classical-check", "hj", "examples"])
 def test_a_run_loads_only_what_it_uses(tmp_path, args, loaded, absent):
-    """A run loads its formalism and no other, and ``numpy.random`` only
-    when it draws samples."""
+    """A run loads its formalism and no other, ``numpy.random`` only when
+    it draws samples and ``csv`` only when it writes a CSV; no run loads
+    ``dataclasses``."""
     write_examples(str(tmp_path))
-    args = [str(tmp_path / a) if a.endswith(".json") or a == "again" else a
+    args = [str(tmp_path / a) if a.endswith((".json", ".csv")) or a == "again" else a
             for a in args]
     if args[0] != "examples":
         args += ["--out", str(tmp_path / "report.json")]
