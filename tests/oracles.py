@@ -60,12 +60,19 @@ defect as it was before it was taken on stacks: one time tuple and one
 pair at a time, each Hamiltonian built alone by ``hamiltonian`` and each
 central difference checked for its step where it is taken.  The grid and
 the one-point defects are pinned against them bit for bit.
+
+``parse_oracle`` is the recursive-descent parser as it was before its
+precedence levels were read from a table: a cursor class with one method
+per level.  The parser is pinned against it tree for tree and error for
+error on random strings.  It is that parser unchanged, but for the name
+of its entry point.
 """
 
 import functools
 import itertools
 import math
 import operator
+import re
 import struct
 from typing import Callable, Mapping, Sequence
 
@@ -74,7 +81,8 @@ import numpy as np
 from multitime import classical, hj
 from multitime.linops import commutator, norm_inf
 from multitime.expr import (_ONE, _ZERO, FUNCTIONS, STEP_TIME, BinOp, Call, Expression,
-                            ExpressionError, Neg, Num, Var, _add, _define, _domain_error,
+                            ExpressionError, ExpressionSyntaxError, Neg, Num,
+                            UnknownFunctionError, Var, _add, _define, _domain_error,
                             _indent, _is_num, _pow, _reader,
                             binding_names, bound_steps, check_steps, evaluate,
                             parse_expression, phase_names, substitute)
@@ -872,3 +880,128 @@ def quantum_defect_oracle(sys, times: Sequence[float], h: float = 1e-4) -> dict[
     """Infinity norms of C_jk for all pairs j < k, keyed ``"j,k"``."""
     return {f"{j},{k}": norm_inf(defect_matrix_oracle(sys, times, j, k, h=h))
             for j in range(1, sys.n + 1) for k in range(j + 1, sys.n + 1)}
+
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<op>[-+*/^()])
+  | (?P<ws>\s+)
+    """,
+    re.VERBOSE,
+)
+
+
+def _tokenize(source: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(source):
+        m = _TOKEN_RE.match(source, pos)
+        if m is None:
+            raise ExpressionSyntaxError(
+                f"unexpected character {source[pos]!r}", pos + 1
+            )
+        if m.lastgroup != "ws":
+            kind = m.lastgroup
+            tokens.append((kind, m.group(), m.start() + 1))
+        pos = m.end()
+    tokens.append(("end", "", len(source) + 1))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list[tuple[str, str, int]]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
+
+    def advance(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_op(self, op: str) -> None:
+        kind, value, col = self.peek()
+        if kind != "op" or value != op:
+            shown = value if value else "end of input"
+            raise ExpressionSyntaxError(f"expected {op!r}, found {shown!r}", col)
+        self.advance()
+
+    def parse_expr(self) -> Expression:
+        node = self.parse_term()
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value in "+-":
+                self.advance()
+                node = BinOp(value, node, self.parse_term())
+            else:
+                return node
+
+    def parse_term(self) -> Expression:
+        node = self.parse_unary()
+        while True:
+            kind, value, _ = self.peek()
+            if kind == "op" and value in "*/":
+                self.advance()
+                node = BinOp(value, node, self.parse_unary())
+            else:
+                return node
+
+    def parse_unary(self) -> Expression:
+        kind, value, _ = self.peek()
+        if kind == "op" and value == "-":
+            self.advance()
+            return Neg(self.parse_unary())
+        return self.parse_power()
+
+    def parse_power(self) -> Expression:
+        base = self.parse_atom()
+        kind, value, _ = self.peek()
+        if kind == "op" and value == "^":
+            self.advance()
+            return BinOp("^", base, self.parse_unary())
+        return base
+
+    def parse_atom(self) -> Expression:
+        kind, value, col = self.advance()
+        if kind == "num":
+            return Num(float(value))
+        if kind == "name":
+            nkind, nvalue, _ = self.peek()
+            if nkind == "op" and nvalue == "(":
+                if value not in FUNCTIONS:
+                    raise UnknownFunctionError(f"unknown function {value!r}", col)
+                self.advance()
+                arg = self.parse_expr()
+                self.expect_op(")")
+                return Call(value, arg)
+            return Var(value)
+        if kind == "op" and value == "(":
+            node = self.parse_expr()
+            self.expect_op(")")
+            return node
+        shown = value if value else "end of input"
+        raise ExpressionSyntaxError(f"unexpected {shown!r}", col)
+
+
+@functools.lru_cache(maxsize=1024)
+def parse_oracle(source: str) -> Expression:
+    """Parse ``source`` into an immutable AST.
+
+    Raises ExpressionSyntaxError (with 1-based column) on malformed input
+    and UnknownFunctionError on calls outside the supported function set.
+    The ASTs of the last 1024 sources are cached, so a string parsed again
+    returns the same tree, already compiled once it has been evaluated;
+    errors are not cached.
+    """
+    if not source or not source.strip():
+        raise ExpressionSyntaxError("empty expression", 1)
+    parser = _Parser(_tokenize(source))
+    node = parser.parse_expr()
+    kind, value, col = parser.peek()
+    if kind != "end":
+        raise ExpressionSyntaxError(f"unexpected {value!r}", col)
+    return node

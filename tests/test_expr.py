@@ -3,6 +3,7 @@ import dis
 import functools
 import itertools
 import math
+import random
 import re
 import struct
 
@@ -38,8 +39,8 @@ from multitime.hj import FoliationDegeneracyError, hj_consistency_defect
 from multitime.quantum import (MultiTimeState, PartialHamiltonianSet,
                                evolve_staircase, staircase_between)
 from multitime.numdiff import default_step, diff_callable, partial_derivative
-from oracles import (compile_rk4_oracle, diff_unreduced, leaf_rates_oracle, pack, to_string,
-                     unpack_rows)
+from oracles import (compile_rk4_oracle, diff_unreduced, leaf_rates_oracle, pack, parse_oracle,
+                     to_string, unpack_rows)
 
 
 def central_difference(f, x, h):
@@ -67,6 +68,21 @@ class TestParsing:
         with pytest.raises(ExpressionSyntaxError) as exc:
             parse_expression("x1_1 + * 3")
         assert exc.value.column == 8
+
+    @pytest.mark.parametrize("source, message, column", [
+        ("2 $ 3", "unexpected character '$'", 3),
+        ("x@y", "unexpected character '@'", 2),
+        ("sin(x", "expected ')', found 'end of input'", 6),
+        ("(x y)", "expected ')', found 'y'", 4),
+        ("sin x", "unexpected 'x'", 5),
+        ("x +", "unexpected 'end of input'", 4),
+        ("--", "unexpected 'end of input'", 3),
+    ])
+    def test_syntax_error_message(self, source, message, column):
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse_expression(source)
+        assert type(exc.value) is ExpressionSyntaxError
+        assert (str(exc.value), exc.value.column) == (f"{message} (column {column})", column)
 
     def test_unknown_function(self):
         with pytest.raises(UnknownFunctionError):
@@ -114,6 +130,62 @@ class TestParsing:
     def test_round_trip_structural(self, source):
         tree = parse_expression(source)
         assert parse_expression(to_string(tree)) == tree
+
+
+OPERANDS = ["x", "y1_2", "t", "e", "2", "0.5", "1e3", ".5e-1", "3."]
+# what an edit inserts: tokens of every kind, characters outside the
+# language and malformed numbers
+PIECES = [*OPERANDS, "sin", "sinh", "1e", *"+-*/^()", " ", "$", "."]
+
+
+def random_pieces(rng, depth=0):
+    """The pieces of a random expression of the grammar, at most 5 deep."""
+    draw = rng.random()
+    if depth == 5 or draw < 0.3:
+        return [rng.choice(OPERANDS)]
+    inner = random_pieces(rng, depth + 1)
+    if draw < 0.4:
+        return ["-", *inner]
+    if draw < 0.5:
+        return ["(", *inner, ")"]
+    if draw < 0.6:  # a call, or an unknown function
+        return [rng.choice(["sin", "exp", "sinh"]), "(", *inner, ")"]
+    return [*inner, rng.choice("+-*/^"), *random_pieces(rng, depth + 1)]
+
+
+def random_source(rng):
+    """A random expression, spaced at random (so that names merge with
+    what follows: "x" + "2" is a name), then changed by up to 2 edits,
+    each the deletion of a piece or the insertion of one of ``PIECES``."""
+    pieces = random_pieces(rng)
+    for _ in range(rng.randrange(3)):
+        at = rng.randrange(len(pieces) + 1)
+        if pieces and rng.random() < 0.5:
+            del pieces[min(at, len(pieces) - 1)]
+        else:
+            pieces.insert(at, rng.choice(PIECES))
+    return "".join(piece + rng.choice(["", "", " "]) for piece in pieces)
+
+
+def parse_outcome(parse, source):
+    """The tree of ``source``, or its error's class, message and column."""
+    try:
+        return parse(source)
+    except ExpressionSyntaxError as exc:
+        return type(exc), str(exc), exc.column
+
+
+class TestParserOracle:
+    def test_random_sources_match_the_oracle(self):
+        rng = random.Random(20261020)
+        parse = parse_expression.__wrapped__  # the cache would only churn
+        sources = [random_source(rng) for _ in range(100_000)]
+        trees = 0
+        for source in sources:
+            got = parse_outcome(parse, source)
+            assert got == parse_outcome(parse_oracle.__wrapped__, source), source
+            trees += not isinstance(got, tuple)
+        assert 10_000 < trees < 90_000  # both outcomes are drawn often
 
 
 # One tree of each node kind by its fields; each call of ``node`` builds it anew.
