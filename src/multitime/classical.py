@@ -230,6 +230,13 @@ def _defect_values(compiled: Callable[[], Callable], outputs: int, samples: np.n
     return np.abs(np.reshape(values, (stop, outputs)))
 
 
+def _fits(point: PhasePoint, n: int, d: int, what: str) -> PhasePoint:
+    """``point``, if its x and p are (n, d)."""
+    if point.x.shape != (n, d):
+        raise ValueError(f"{what}: expected x and p of shape {(n, d)}, got {point.x.shape}")
+    return point
+
+
 def classical_defect_grid(field: PhaseVectorField, samples: np.ndarray,
                           h: float | None = 1e-4) -> np.ndarray:
     """``classical_consistency_defect`` at every row of ``samples``, an
@@ -252,8 +259,10 @@ def classical_consistency_defect(field: PhaseVectorField, point: PhasePoint,
     defined within h of the point, or DomainError is raised; a coordinate
     at which h rounds away raises FloatingPointError and a step that is
     not a finite number > 0 raises ValueError (``expr.check_steps``).
-    It is the one-row case of ``classical_defect_grid``.
+    It is the one-row case of ``classical_defect_grid``, for a point
+    whose x and p are the field's (n, d).
     """
+    _fits(point, field.n, field.d, "point")
     [row] = classical_defect_grid(field, [[*point.times, *point.state()]], h).tolist()
     return DefectReport(dict(zip(_pair_slots(field.n, field.d)[0], row)), h)
 
@@ -292,10 +301,7 @@ def equal_time_steps(t_span: tuple[float, float], dt: float) -> int:
 
 def _start(init: PhasePoint, n: int, d: int) -> bytes:
     """The packed flat state of ``init``, whose x and p must be (n, d)."""
-    if init.x.shape != (n, d):
-        raise ValueError(f"initial point: expected x and p of shape {(n, d)}, "
-                         f"got {init.x.shape}")
-    return init.state().tobytes()
+    return _fits(init, n, d, "initial point").state().tobytes()
 
 
 def evolve_equal_time(field: PhaseVectorField, init: PhasePoint,

@@ -73,6 +73,14 @@ def _obj(value, path: str) -> dict:
     return value
 
 
+def _tag(value, path: str, key: str) -> str:
+    """The string at ``key`` of the object ``value``, which selects the
+    spec that reads the object; a missing one is a missing required key."""
+    if key not in _obj(value, path):
+        raise ConfigError(path, f"missing required key {key!r}")
+    return _str(value[key], f"{path}/{key}")
+
+
 def _read(value, path: str, spec: dict) -> list:
     """The entries of the object ``value``, read in the order of ``spec``.
     An unknown key is refused first, then a missing required key.  An
@@ -238,7 +246,7 @@ def build_quantum_system(cfg: dict, path: str) -> quantum.PartialHamiltonianSet:
     n, k, ham = _read(cfg, path, {"n": (_REQ, _int, 1), "local_dim": (_REQ, _int, 2),
                                   "hamiltonians": (_REQ, _obj)})
     hpath = f"{path}/hamiltonians"
-    htype = _str(ham.get("type", ""), f"{hpath}/type")
+    htype = _tag(ham, hpath, "type")
     if htype in ("pauli_terms", "interaction_picture") and k != 2:
         raise ConfigError(f"{path}/local_dim", f"{htype} requires local_dim = 2")
     # n capped where 2^n passes the bound, so a huge n costs nothing
@@ -264,8 +272,7 @@ def _build_field(field_cfg: dict, path: str, n: int, d: int, grid: bool = False)
     H_1, H_2 is built instead, with the same ``h_step``."""
     from . import classical
 
-    field_cfg = _obj(field_cfg, path)
-    ftype = _str(field_cfg.get("type", ""), f"{path}/type")
+    ftype = _tag(field_cfg, path, "type")
     if grid and ftype != "partial_hamiltonians":
         raise ConfigError(f"{path}/type", "the grid experiments need field "
                                           "type 'partial_hamiltonians'")
@@ -288,7 +295,8 @@ def _build_field(field_cfg: dict, path: str, n: int, d: int, grid: bool = False)
             return classical.hamiltonian_vector_field(hs, n, d, h=h_step)
     except (ValueError, ExpressionError) as exc:
         raise ConfigError(path, str(exc)) from None
-    raise ConfigError(f"{path}/type", f"unknown field type {ftype!r}")
+    raise ConfigError(f"{path}/type", f"unknown field type {ftype!r} (expected "
+                                      "expressions | hamiltonian | partial_hamiltonians)")
 
 
 def _classical_system(cfg: dict, path: str, grid: bool = False, field: bool = True):
@@ -332,7 +340,7 @@ def build_hj_system(cfg: dict, path: str):
 
 
 def _initial_state(cfg, path: str, dim: int) -> np.ndarray:
-    kind = _str(_obj(cfg, path).get("kind", ""), f"{path}/kind")
+    kind = _tag(cfg, path, "kind")
     if kind == "basis":
         _, idx = _read(cfg, path, {"kind": (_REQ, _str), "index": (0, _int, 0)})
         if idx >= dim:
@@ -343,7 +351,7 @@ def _initial_state(cfg, path: str, dim: int) -> np.ndarray:
     if kind == "plus":
         _read(cfg, path, {"kind": (_REQ, _str)})
         return np.full(dim, 1.0 / np.sqrt(dim), dtype=np.complex128)
-    raise ConfigError(f"{path}/kind", f"unknown state kind {kind!r}")
+    raise ConfigError(f"{path}/kind", f"unknown state kind {kind!r} (expected basis | plus)")
 
 
 def _phase_point(cfg, path: str, n: int, d: int) -> classical.PhasePoint:
@@ -766,9 +774,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError("", f"invalid JSON: {exc}")
     _, _, _, exp = _read(raw, "", {"formalism": (_REQ, _formalism), "system": (_REQ, _obj),
                                    "seed": (0, _int, 0), "experiment": (_REQ, _obj)})
-    if "kind" not in exp:
-        raise ConfigError("/experiment", "missing required key 'kind'")
-    _str(exp["kind"], "/experiment/kind")
+    _tag(exp, "/experiment", "kind")
     return raw
 
 

@@ -10,6 +10,14 @@ Grammar (standard precedence, ``^`` right-associative and tighter than
     power  := atom ('^' unary)?
     atom   := number | name | name '(' expr ')' | '(' expr ')'
 
+The parser reads the left-associative levels, ``expr`` and ``term``, from
+one table, ``_LEVELS``, in one loop, and has one function for ``unary``
+and ``power`` and one for ``atom``.  A source nested deeper than
+``MAX_DEPTH`` levels (brackets, calls, minus signs and powers), or whose
+tree is taller, is an ExpressionSyntaxError at the token that passes the
+bound, so that no pass over a tree derived from one it accepts runs out
+of Python's recursion limit.
+
 Known functions: sin, cos, exp, log, sqrt, abs, tanh.  A tree's nodes
 (``Num``, ``Var``, ``Neg``, ``BinOp``, ``Call``) are immutable values that
 compare and hash by their structure, a number by its bits.
@@ -89,6 +97,7 @@ __all__ = [
     "check_count",
     "check_masses",
     "MAX_STEPS",
+    "MAX_DEPTH",
     "bound_steps",
     "FoliationError",
     "substitute",
@@ -200,122 +209,115 @@ _TOKEN_RE = re.compile(
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op>[-+*/^()])
   | (?P<ws>\s+)
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
+# The left-associative levels of operators, loosest first: the operands
+# that each joins are made of the levels after it, and the last one's of
+# unary minus, powers and atoms.
+_LEVELS = ("+-", "*/")
+
+#: the deepest nesting of a source (brackets, calls, minus signs and
+#: powers) and the tallest tree that the parser builds: every tree derived
+#: from one it accepts (exact and central-difference derivatives, a
+#: field's D_j, the HJ gradients and brackets) is walked within Python's
+#: default recursion limit of 1000 frames; the deepest walk measured, of
+#: the second derivatives of a 64-level power tower, takes about 590
+MAX_DEPTH = 64
+
 
 def _tokenize(source: str) -> list[tuple[str, str, int]]:
+    """The tokens of ``source`` as (kind, text, 1-based column), last first
+    for the parser to ``pop``, behind the end token, whose text its errors
+    show.  No text is empty, so only an operator's is in an operator string."""
     tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ExpressionSyntaxError(
-                f"unexpected character {source[pos]!r}", pos + 1
-            )
+    for m in _TOKEN_RE.finditer(source):
+        if m.lastgroup == "bad":
+            raise ExpressionSyntaxError(f"unexpected character {m.group()!r}", m.start() + 1)
         if m.lastgroup != "ws":
-            kind = m.lastgroup
-            tokens.append((kind, m.group(), m.start() + 1))
-        pos = m.end()
-    tokens.append(("end", "", len(source) + 1))
-    return tokens
+            tokens.append((m.lastgroup, m.group(), m.start() + 1))
+    return [("end", "end of input", len(source) + 1), *reversed(tokens)]
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]]):
-        self.tokens = tokens
-        self.pos = 0
+def _bounded(levels: int, column: int) -> int:
+    """``levels`` of nesting or of tree height, if at most ``MAX_DEPTH``."""
+    if levels > MAX_DEPTH:
+        raise ExpressionSyntaxError(f"the expression nests deeper than {MAX_DEPTH} levels",
+                                    column)
+    return levels
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
 
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _operands(tokens: list, level: int, depth: int) -> tuple[Expression, int]:
+    """The operands of the operators of ``_LEVELS[level]``, joined left to
+    right, or past the last level a unary, at ``depth`` levels of nesting;
+    with the height of the tree."""
+    if level == len(_LEVELS):
+        return _unary(tokens, depth)
+    node, height = _operands(tokens, level + 1, depth)
+    while tokens[-1][1] in _LEVELS[level]:
+        _, op, column = tokens.pop()
+        right, right_height = _operands(tokens, level + 1, depth)
+        node, height = BinOp(op, node, right), _bounded(max(height, right_height) + 1, column)
+    return node, height
 
-    def expect_op(self, op: str) -> None:
-        kind, value, col = self.peek()
-        if kind != "op" or value != op:
-            shown = value if value else "end of input"
-            raise ExpressionSyntaxError(f"expected {op!r}, found {shown!r}", col)
-        self.advance()
 
-    def parse_expr(self) -> Expression:
-        node = self.parse_term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                node = BinOp(value, node, self.parse_term())
-            else:
-                return node
+def _unary(tokens: list, depth: int) -> tuple[Expression, int]:
+    """``'-' unary | atom ('^' unary)?``, with the height of the tree."""
+    if tokens[-1][1] == "-":
+        column = tokens.pop()[2]
+        arg, height = _unary(tokens, _bounded(depth + 1, column))
+        return Neg(arg), _bounded(height + 1, column)
+    base, height = _atom(tokens, depth)
+    if tokens[-1][1] != "^":
+        return base, height
+    column = tokens.pop()[2]
+    exponent, right_height = _unary(tokens, _bounded(depth + 1, column))
+    return BinOp("^", base, exponent), _bounded(max(height, right_height) + 1, column)
 
-    def parse_term(self) -> Expression:
-        node = self.parse_unary()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                node = BinOp(value, node, self.parse_unary())
-            else:
-                return node
 
-    def parse_unary(self) -> Expression:
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
-            return Neg(self.parse_unary())
-        return self.parse_power()
-
-    def parse_power(self) -> Expression:
-        base = self.parse_atom()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            return BinOp("^", base, self.parse_unary())
-        return base
-
-    def parse_atom(self) -> Expression:
-        kind, value, col = self.advance()
-        if kind == "num":
-            return Num(float(value))
-        if kind == "name":
-            nkind, nvalue, _ = self.peek()
-            if nkind == "op" and nvalue == "(":
-                if value not in FUNCTIONS:
-                    raise UnknownFunctionError(f"unknown function {value!r}", col)
-                self.advance()
-                arg = self.parse_expr()
-                self.expect_op(")")
-                return Call(value, arg)
-            return Var(value)
-        if kind == "op" and value == "(":
-            node = self.parse_expr()
-            self.expect_op(")")
-            return node
-        shown = value if value else "end of input"
-        raise ExpressionSyntaxError(f"unexpected {shown!r}", col)
+def _atom(tokens: list, depth: int) -> tuple[Expression, int]:
+    """``number | name | name '(' expr ')' | '(' expr ')'``, with the height
+    of the tree."""
+    kind, text, column = tokens.pop()
+    if kind == "num":
+        return Num(float(text)), 1
+    if kind == "name":
+        if tokens[-1][1] != "(":
+            return Var(text), 1
+        if text not in FUNCTIONS:
+            raise UnknownFunctionError(f"unknown function {text!r}", column)
+        tokens.pop()
+    elif text != "(":
+        raise ExpressionSyntaxError(f"unexpected {text!r}", column)
+    node, height = _operands(tokens, 0, _bounded(depth + 1, column))
+    _, closing, at = tokens.pop()
+    if closing != ")":
+        raise ExpressionSyntaxError(f"expected ')', found {closing!r}", at)
+    if kind == "name":
+        return Call(text, node), _bounded(height + 1, column)
+    return node, height
 
 
 @functools.lru_cache(maxsize=1024)
 def parse_expression(source: str) -> Expression:
     """Parse ``source`` into an immutable AST.
 
-    Raises ExpressionSyntaxError (with 1-based column) on malformed input
-    and UnknownFunctionError on calls outside the supported function set.
+    Raises ExpressionSyntaxError (with 1-based column) on malformed input,
+    on nesting or a tree deeper than ``MAX_DEPTH``, and UnknownFunctionError
+    on calls outside the supported function set.
     The ASTs of the last 1024 sources are cached, so a string parsed again
     returns the same tree, already compiled once it has been evaluated;
     errors are not cached.
     """
     if not source or not source.strip():
         raise ExpressionSyntaxError("empty expression", 1)
-    parser = _Parser(_tokenize(source))
-    node = parser.parse_expr()
-    kind, value, col = parser.peek()
+    tokens = _tokenize(source)
+    node, _ = _operands(tokens, 0, 0)
+    kind, text, column = tokens[-1]
     if kind != "end":
-        raise ExpressionSyntaxError(f"unexpected {value!r}", col)
+        raise ExpressionSyntaxError(f"unexpected {text!r}", column)
     return node
 
 

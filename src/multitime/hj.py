@@ -61,6 +61,26 @@ def _as_expr(e: str | Expression) -> Expression:
     return parse_expression(e) if isinstance(e, str) else e
 
 
+def _hamiltonians(h_exprs: Sequence[str | Expression], n: int) -> tuple[Expression, ...]:
+    """The trees of ``h_exprs``, one partial Hamiltonian per particle."""
+    if len(h_exprs) != n:
+        raise ValueError(f"need {n} partial Hamiltonian functions, got {len(h_exprs)}")
+    return tuple(map(_as_expr, h_exprs))
+
+
+def _point(s: HJFunction, times: Sequence[float], x: np.ndarray,
+           h: float | None) -> tuple[list[float], list[float]]:
+    """The time tuple and the positions, shaped (n,) and (n, d), as flat
+    lists, checked for the step ``h`` by ``check_steps``."""
+    times, x = np.asarray(times, float), np.asarray(x, float)
+    for name, value, shape in (("times", times, (s.n,)), ("x", x, (s.n, s.d))):
+        if value.shape != shape:
+            raise ValueError(f"{name}: expected shape {shape}, got {value.shape}")
+    times, x = times.tolist(), x.ravel().tolist()
+    check_steps(h, binding_names("t", s.n) + binding_names("x", s.n, s.d), times + x)
+    return times, x
+
+
 class HJFunction:
     """Hamilton-Jacobi function S in the variables t1..tn, xJ_D.
 
@@ -161,13 +181,11 @@ def _residuals(s_expr: Expression, h_exprs: tuple[Expression, ...],
 def hj_residual_multi(s: HJFunction, h_exprs: Sequence[str | Expression],
                       times: Sequence[float], x: np.ndarray,
                       h: float | None = None) -> list[float]:
-    """Residuals |dS/dt_j + H_j(t, x, grad_x S)| of the multi-time system."""
-    if len(h_exprs) != s.n:
-        raise ValueError(f"need {s.n} partial Hamiltonian functions")
-    times, x = np.asarray(times, float).tolist(), np.asarray(x, float).ravel().tolist()
-    check_steps(h, binding_names("t", s.n) + binding_names("x", s.n, s.d), times + x)
-    fn = _residuals(s.expr, tuple(map(_as_expr, h_exprs)), binding_names("t", s.n),
-                    s.n, s.d, h)
+    """Residuals |dS/dt_j + H_j(t, x, grad_x S)| of the multi-time system
+    at ``times`` and ``x``, shaped (n,) and (n, d)."""
+    exprs = _hamiltonians(h_exprs, s.n)
+    times, x = _point(s, times, x, h)
+    fn = _residuals(s.expr, exprs, binding_names("t", s.n), s.n, s.d, h)
     return [abs(v) for v in fn(times, x)]
 
 
@@ -189,7 +207,7 @@ def hj_defect_grid(h_exprs: Sequence[str | Expression], n: int, d: int,
     ``samples``, an (m, n + 2·n·d) array of times, x rows and p rows: an
     (m, pairs) array, one column per pair j < k in the order 1,2 1,3 ..
     n-1,n, refused and evaluated as ``classical._defect_values`` does."""
-    exprs = tuple(map(_as_expr, h_exprs))
+    exprs = _hamiltonians(h_exprs, n)
     return _defect_values(functools.partial(_poisson_defects, exprs, n, d, h),
                           n * (n - 1) // 2, samples, n, d, h)
 
@@ -216,7 +234,8 @@ def equal_time_sum_gap(h_exprs: Sequence[str | Expression],
     Hamiltonian functions must add up to the single-time one there)."""
     if not np.allclose(point.times, point.times[0]):
         raise ValueError("sum rule applies at equal times")
-    fn = _sum_rule(tuple(map(_as_expr, (*h_exprs, h_total))), point.n, point.d, time_var)
+    fn = _sum_rule((*_hamiltonians(h_exprs, point.n), _as_expr(h_total)), point.n, point.d,
+                   time_var)
     *parts, total = fn(point.times.tolist(), point.state().tolist(),
                        [float(point.times[0])])
     return abs(sum(parts) - total)
@@ -244,9 +263,9 @@ def hj_velocity_consistency_defect(s: HJFunction, times: Sequence[float],
 
         (d/dt_j + grad_{x_j} S / m_j . grad_{x_j}) grad_{x_k} S
 
-    (0.0 for n = 1, NaN where a component is)."""
-    times, x = np.asarray(times, float).tolist(), np.asarray(x, float).ravel().tolist()
-    check_steps(h, binding_names("t", s.n) + binding_names("x", s.n, s.d), times + x)
+    at ``times`` and ``x``, shaped (n,) and (n, d) (0.0 for n = 1, NaN
+    where a component is)."""
+    times, x = _point(s, times, x, h)
     fn = _velocity_defects(s.expr, s.n, s.d, s.masses, h)
     return float(np.abs(fn(times, x)).max(initial=0.0))
 

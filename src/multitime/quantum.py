@@ -112,7 +112,7 @@ class PartialHamiltonianSet:
 
     def hamiltonian(self, j: int, times: Sequence[float]) -> np.ndarray:
         """H_j at the time tuple; ``j`` is 1-based."""
-        h = self.hamiltonians(j, np.array([times], dtype=float))
+        h = self.hamiltonians(j, self._tuple(times))
         return h if h.ndim == 2 else h[0]
 
     def hamiltonians(self, j: int, times: np.ndarray) -> np.ndarray:
@@ -128,6 +128,13 @@ class PartialHamiltonianSet:
         w, v, vd = self._frame
         u = (v * np.exp(-1j * w * times[:, :1])[:, None, :]) @ vd
         return u @ k @ linops.dagger(u)
+
+    def _tuple(self, times: Sequence[float]) -> np.ndarray:
+        """The time tuple ``times``, of n entries, as a (1, n) array."""
+        row = np.asarray(times, dtype=float)
+        if row.shape != (self.n,):
+            raise ValueError(f"times: expected shape {(self.n,)}, got {row.shape}")
+        return row[None]
 
     def _check(self, times: np.ndarray, *js: int) -> None:
         """ValueError unless each of ``js`` is in 1..n and ``times`` is (m, n)."""
@@ -220,14 +227,14 @@ def consistency_defect_matrix(sys: PartialHamiltonianSet, times: Sequence[float]
                               j: int, k: int, h: float = 1e-4) -> np.ndarray:
     """C_jk = dH_k/dt_j - dH_j/dt_k + i [H_j, H_k] at the time tuple: the
     one-row case of ``quantum_defect_grid``'s matrices."""
-    [(_, _, c)] = _defects(sys, np.array([times], dtype=float), [(j, k)], h)
+    [(_, _, c)] = _defects(sys, sys._tuple(times), [(j, k)], h)
     return np.reshape(c, (sys.dim, sys.dim))
 
 
 def quantum_consistency_defect(sys: PartialHamiltonianSet, times: Sequence[float],
                                h: float = 1e-4) -> DefectReport:
     """The one-row case of ``quantum_defect_grid``, the pairs keyed ``"j,k"``."""
-    [row] = quantum_defect_grid(sys, [times], h).tolist()
+    [row] = quantum_defect_grid(sys, sys._tuple(times), h).tolist()
     return DefectReport(dict(zip(pair_keys(sys.n), row)), h)
 
 

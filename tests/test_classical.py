@@ -67,6 +67,11 @@ class TestPhasePointShapes:
                 "p: expected the shape of x, (2, 1), got (2, 2)")):
             PhasePoint([0, 0], [[1], [2]], [[1, 2], [3, 4]])
 
+    @pytest.mark.parametrize("times,rows", [([0.0, 0.0, 0.0], 2), ([0.0], 2), ([0.0, 0.0], 3)])
+    def test_particle_counts_that_differ_refused(self, times, rows):
+        with pytest.raises(ValueError, match="^inconsistent particle count in PhasePoint$"):
+            PhasePoint(times, [[0.0]] * rows, [[0.0]] * rows)
+
     POINTS = {"d=2": PhasePoint([0.0, 0.0], [[0.0, 1.0], [1.0, 0.0]], [[0.3, 0.0], [-0.2, 0.0]]),
               "n=1": PhasePoint([0.0], [[0.0]], [[0.3]]),
               "n=1,d=2": PhasePoint([0.0], [[0.0, 1.0]], [[0.3, -0.2]])}
@@ -83,6 +88,15 @@ class TestPhasePointShapes:
         with pytest.raises(ValueError, match=re.escape(
                 f"initial point: expected x and p of shape (2, 1), got {init.x.shape}")):
             runs[run]()
+
+
+    @pytest.mark.parametrize("point", sorted(POINTS))
+    def test_defect_at_a_point_of_another_shape_refused(self, point):
+        # it was named as the samples of a grid: (m, 6) against (1, 10) for d = 2
+        init = self.POINTS[point]
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"point: expected x and p of shape (2, 1), got {init.x.shape}") + "$"):
+            classical_consistency_defect(free_field(), init)
 
 
 class TestSpacetime:
@@ -150,6 +164,17 @@ class TestDefect:
         with pytest.raises(ValueError):
             PhaseVectorField.from_expressions(
                 2, 1, [["q1"], ["p2_1"]], [["0"], ["0"]])
+
+    @pytest.mark.parametrize("v,w", [([["p1_1"]], [["0"], ["0"]]),
+                                     ([["p1_1"], ["p2_1"]], [["0"], ["0"], ["0"]])])
+    def test_row_count_checked(self, v, w):
+        with pytest.raises(ValueError, match="^need 2 rows of v and w expressions$"):
+            PhaseVectorField.from_expressions(2, 1, v, w)
+
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_hamiltonian_count_checked(self, count):
+        with pytest.raises(ValueError, match="^need 1 or 2 Hamiltonian expressions$"):
+            hamiltonian_vector_field(["p1_1^2/2"] * count, 2, 1)
 
     def test_row_length_checked(self):
         # a short row would leave the flat state without its rate
@@ -545,6 +570,14 @@ class TestWorldLines:
             line.x_at(1.5)
         with pytest.raises(PathRangeError):
             line.x_at(-0.1)
+
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_particle_outside_the_path_refused(self, j):
+        t = np.linspace(0.0, 1.0, 3)
+        line = WorldLine(t=t, x=t[:, None], p=t[:, None], dxdt=np.ones((3, 1)),
+                         dpdt=np.zeros((3, 1)))
+        with pytest.raises(ValueError, match=f"^particle {j} outside 1..2$"):
+            NPath([line, line]).line(j)
 
     def test_monotone_time_required(self):
         t = np.array([0.0, 0.5, 0.4])

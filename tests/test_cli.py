@@ -31,13 +31,20 @@ def config_dir(tmp_path_factory):
     return d
 
 
+DELETE = object()  # the value of ``set_pointer`` that deletes the entry
+
+
 def set_pointer(cfg, pointer, value):
-    """Set the config entry at a JSON pointer (array indices as digits)."""
+    """Set the config entry at a JSON pointer (array indices as digits),
+    or delete it for the value ``DELETE``."""
     *parents, key = [int(p) if p.isdigit() else p
                      for p in pointer.strip("/").split("/")]
     for part in parents:
         cfg = cfg[part]
-    cfg[key] = value
+    if value is DELETE:
+        del cfg[key]
+    else:
+        cfg[key] = value
 
 
 @pytest.fixture
@@ -138,6 +145,13 @@ class TestSubcommands:
         assert code == 0
         assert rep["results"]["max_residual"] < 1e-8
         assert rep["results"]["accepted_samples"] > 0
+
+    def test_partial_hamiltonians_field_evolves(self):
+        # H_j = p_j^2/2 gives the shipped free field, v_j = p_j and w_j = 0, exactly
+        cfg = copy.deepcopy(EXAMPLE_CONFIGS["classical_free_evolve"])
+        want = run_config(copy.deepcopy(cfg), "evolve")["results"]
+        cfg["system"]["field"] = copy.deepcopy(EXAMPLE_CONFIGS["grid_free"]["system"]["field"])
+        assert run_config(cfg, "evolve")["results"] == want
 
     def test_grid_free(self, config_dir, tmp_path):
         code, rep = run_cli(
@@ -517,6 +531,10 @@ class TestConfigErrors:
         assert self.run_expect_error(tmp_path, cfg) == 2
         assert "/system/field" in capsys.readouterr().err
 
+    def test_missing_experiment_kind(self, config_dir, tmp_path, capsys, no_numerics):
+        self.expect_error(config_dir, tmp_path, capsys, "free_quantum", "check",
+                          "/experiment/kind", DELETE, "/experiment", "missing required key 'kind'")
+
     def test_kind_subcommand_mismatch(self, config_dir, tmp_path, capsys):
         cfg = json.loads((config_dir / "free_quantum.json").read_text())
         assert self.run_expect_error(tmp_path, cfg, subcommand="holonomy") == 2
@@ -895,6 +913,58 @@ class TestConfigErrors:
         pointer = f"/system/constants/{name}"
         self.expect_error(config_dir, tmp_path, capsys, "hj_free_residual", "hj",
                           pointer, 0.5, pointer, "names a variable of the system")
+
+
+def deep(shape: str, depth: int, atom: str) -> str:
+    """An expression of ``atom`` ``depth`` levels deep in one of four shapes."""
+    return {"brackets": "(" * depth + atom + ")" * depth,
+            "sum": " + ".join([atom] * depth),
+            "minus signs": "-" * (depth - 1) + atom,
+            "powers": "^".join([atom] * depth)}[shape]
+
+
+class TestDeepExpressions:
+    """An expression deeper than ``expr.MAX_DEPTH`` exits 2 at its pointer;
+    it used to exhaust the recursion limit and exit 1 with a traceback, in
+    the parser (brackets) or in a pass over the trees built from it."""
+
+    SHAPES = ["brackets", "sum", "minus signs", "powers"]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_ten_thousand_levels_exit_2_at_the_pointer(self, shape, tmp_path, capsys):
+        cfg = copy.deepcopy(EXAMPLE_CONFIGS["classical_free_evolve"])
+        cfg["system"]["field"]["v"][0][0] = deep(shape, 10_000, "p1_1")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["evolve", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: /system/field/v/0/0: bad expression: the "
+                              f"expression nests deeper than {expr.MAX_DEPTH} levels (column ")
+        assert "Traceback" not in err and not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_deepest_accepted_runs_a_check_and_a_residual(self, shape):
+        # every tree derived from it stays within the default recursion limit:
+        # the field's exact gradients and the central differences of its D_j,
+        # its D_j from exact second derivatives, built and then compared with a
+        # memo's (the deepest walk), and the HJ gradients and residuals; one
+        # variable in every leaf gives the deepest derivatives measured
+        h = deep(shape, expr.MAX_DEPTH, "x1_1")
+        check = copy.deepcopy(EXAMPLE_CONFIGS["classical_harmonic_check"])
+        check["system"]["field"] = {"type": "hamiltonian", "h": h}
+        check["experiment"]["samples"].update(count=4, x_box=[0.5, 1.0], p_box=[0.5, 1.0])
+        assert np.isfinite(run_config(check, "check")["results"]["max_defect"])
+        for _ in range(2):  # the second field's trees are equal to the memo's, not the same
+            field = classical.hamiltonian_vector_field(h, 2, 1)
+            grid = classical.classical_defect_grid(field, np.full((1, 6), 0.75), None)
+            assert np.isfinite(grid).all()
+        residual = copy.deepcopy(EXAMPLE_CONFIGS["hj_free_residual"])
+        residual["system"]["S"] = deep(shape, expr.MAX_DEPTH, "x1_1")
+        for point in residual["experiment"]["points"]:
+            point.update(times=[0.5, 0.75], x=[[0.5], [0.75]])
+        for step in ({}, {"h": 1e-4}):  # exact, and central differences
+            residual["experiment"].update(step)
+            assert run_config(copy.deepcopy(residual), "hj")["results"]["max_residual"] >= 0.0
 
 
 class TestNumericalFailures:
@@ -1322,6 +1392,41 @@ class TestReaders:
          "/experiment/foliations/1/u/0: expected a number, got bool"),
         ("classical_free_validity", "/experiment/samples/window", "x",
          "/experiment/samples/window: expected a number, got str"),
+        ("free_quantum", "/system/hamiltonians", "x",
+         "/system/hamiltonians: expected an object, got str"),
+        ("coupled_qubits", "/experiment/sizes", 0.5,
+         "/experiment/sizes: expected an array, got float"),
+        ("free_quantum", "/system/hamiltonians/type", "x", "/system/hamiltonians/type: "
+         "unknown Hamiltonian type 'x' (expected pauli_terms | interaction_picture)"),
+        ("classical_free_check", "/system/field/type", "x", "/system/field/type: "
+         "unknown field type 'x' (expected expressions | hamiltonian | partial_hamiltonians)"),
+        ("coupled_qubits", "/experiment/initial_state/kind", "x",
+         "/experiment/initial_state/kind: unknown state kind 'x' (expected basis | plus)"),
+        ("grid_free", "/system/field/type", "hamiltonian", "/system/field/type: "
+         "the grid experiments need field type 'partial_hamiltonians'"),
+        ("classical_free_check", "/system/d", 4, "/system/d: d up to 3 supported"),
+        ("coupled_qubits", "/experiment/initial_state", {"kind": "basis", "index": 4},
+         "/experiment/initial_state/index: index 4 >= dim 4"),
+        ("free_quantum", "/system/local_dim", 3,
+         "/system/local_dim: pauli_terms requires local_dim = 2"),
+        ("hj_free_foliations", "/experiment", {"kind": "hj-residual", "points": [
+            {"times": [0.0, 0.0], "x": [[-1.0], [1.0]]}]},
+         "/system: hj-residual needs system.hamiltonians"),
+        ("hj_free_foliations", "/experiment", {"kind": "defect-grid", "samples": {
+            "count": 2, "t_box": [0.0, 1.0], "x_box": [-1.0, 1.0], "p_box": [-1.0, 1.0]}},
+         "/system: the HJ defect grid needs system.hamiltonians"),
+        ("hj_free_foliations", "/experiment/foliations", [{"u": [0.0]}],
+         "/experiment/foliations: need >= 2 foliations"),
+        # a missing tag is a missing required key of its block
+        ("free_quantum", "/system/hamiltonians/type", DELETE,
+         "/system/hamiltonians: missing required key 'type'"),
+        ("classical_free_check", "/system/field/type", DELETE,
+         "/system/field: missing required key 'type'"),
+        ("grid_free", "/system/field/type", DELETE, "/system/field: missing required key 'type'"),
+        ("cjs_family", "/experiment/family/2/field/type", DELETE,
+         "/experiment/family/2/field: missing required key 'type'"),
+        ("coupled_qubits", "/experiment/initial_state/kind", DELETE,
+         "/experiment/initial_state: missing required key 'kind'"),
     ])
     def test_nested_pointers_are_exact(self, name, pointer, value, message, no_numerics):
         cfg = copy.deepcopy(EXAMPLE_CONFIGS[name])

@@ -175,6 +175,55 @@ def parse_outcome(parse, source):
         return type(exc), str(exc), exc.column
 
 
+D = expr_module.MAX_DEPTH
+# the deepest source of each shape that the parser accepts, and one level deeper:
+# brackets and calls nest, minus signs and powers nest and make the tree taller,
+# and a sum makes it taller alone
+DEEPEST = {
+    "brackets": "(" * D + "x" + ")" * D,
+    "calls": "sin(" * (D - 1) + "x" + ")" * (D - 1),
+    "minus signs": "-" * (D - 1) + "x",
+    "powers": "^".join(["x"] * D),
+    "sum": " + ".join(["x"] * D),
+    "nested sums": "x + (" * (D - 1) + "x" + ")" * (D - 1),
+}
+TOO_DEEP = {  # with the column of the token whose level or node passes the bound
+    "brackets": ("(" * (D + 1) + "x" + ")" * (D + 1), D + 1),
+    "calls": ("sin(" * D + "x" + ")" * D, 1),
+    "minus signs": ("-" * D + "x", 1),
+    "more minus signs": ("-" * (D + 1) + "x", D + 1),
+    "powers": ("^".join(["x"] * (D + 1)), 2),
+    "more powers": ("^".join(["x"] * (D + 2)), 2 * D + 2),
+    "sum": (" + ".join(["x"] * (D + 1)), 4 * D - 1),
+    "nested sums": ("x + (" * D + "x" + ")" * D, 3),
+}
+
+
+class TestDepthBound:
+    """Nesting and tree height beyond ``MAX_DEPTH`` are a syntax error with a
+    column: a deeper tree used to exhaust Python's recursion limit in the
+    parser or in a pass over the tree, its derivatives or a system's."""
+
+    @pytest.mark.parametrize("shape", sorted(DEEPEST))
+    def test_deepest_accepted_tree_is_the_oracles(self, shape):
+        assert parse_expression.__wrapped__(DEEPEST[shape]) == parse_oracle.__wrapped__(
+            DEEPEST[shape])
+
+    @pytest.mark.parametrize("shape", sorted(TOO_DEEP))
+    def test_one_level_deeper_refused_at_its_token(self, shape):
+        source, column = TOO_DEEP[shape]
+        with pytest.raises(ExpressionSyntaxError) as exc:
+            parse_expression(source)
+        assert (str(exc.value), exc.value.column) == (
+            f"the expression nests deeper than {D} levels (column {column})", column)
+
+    @pytest.mark.parametrize("shape", ["(", "sin(", "-", "x^", "x + "])
+    def test_far_deeper_refused_without_recursion(self, shape):
+        # ten thousand levels, far past Python's recursion limit
+        with pytest.raises(ExpressionSyntaxError, match=f"nests deeper than {D} levels"):
+            parse_expression(shape * 10_000 + "x")
+
+
 class TestParserOracle:
     def test_random_sources_match_the_oracle(self):
         rng = random.Random(20261020)

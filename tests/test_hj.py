@@ -245,6 +245,51 @@ class TestVelocityDefect:
         assert got == pytest.approx(max(cand), abs=1e-8)
 
 
+class TestRefusedShapesAndCounts:
+    """A time tuple or positions not shaped (n,) and (n, d), or another count
+    of Hamiltonians than n, is refused with what was expected and what came:
+    they used to fail in unpacking or past the end of a tuple, or to give a
+    wrong result (3 Hamiltonians for n = 2 read the 1,2 pair alone)."""
+
+    RUNS = {"residual": lambda s, hams, times, x: hj_residual_multi(s, hams, times, x),
+            "velocity": lambda s, hams, times, x: hj_velocity_consistency_defect(s, times, x)}
+
+    @pytest.mark.parametrize("times,x,message", [
+        ([0.0, 0.0, 0.0], [[-1.0], [1.0]], "times: expected shape (2,), got (3,)"),
+        ([0.0], [[-1.0], [1.0]], "times: expected shape (2,), got (1,)"),
+        ([[0.0, 0.0]], [[-1.0], [1.0]], "times: expected shape (2,), got (1, 2)"),
+        ([0.0, 0.0], [[-1.0], [1.0], [2.0]], "x: expected shape (2, 1), got (3, 1)"),
+        ([0.0, 0.0], [[-1.0, 0.0], [1.0, 0.0]], "x: expected shape (2, 1), got (2, 2)"),
+        ([0.0, 0.0], [-1.0, 1.0], "x: expected shape (2, 1), got (2,)"),
+    ])
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_point_of_another_shape(self, run, times, x, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            self.RUNS[run](free_hj(), ["p1_1^2/2", "p2_1^2/2"], times, x)
+
+    POINT = PhasePoint(times=[0.0, 0.0], x=[[-1.0], [1.0]], p=[[0.1], [0.2]])
+    COUNTS = {
+        "residual": lambda hams: hj_residual_multi(free_hj(), hams, [0.0, 0.0], [[-1.0], [1.0]]),
+        "defect": lambda hams: hj_consistency_defect(hams, TestRefusedShapesAndCounts.POINT),
+        "defect-grid": lambda hams: hj_defect_grid(hams, 2, 1, np.zeros((1, 6))),
+        "sum-gap": lambda hams: equal_time_sum_gap(hams, "p1_1^2/2 + p2_1^2/2",
+                                                   TestRefusedShapesAndCounts.POINT)}
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    @pytest.mark.parametrize("run", sorted(COUNTS))
+    def test_hamiltonians_of_another_count(self, run, count):
+        h_exprs = ["p1_1^2/2", "p2_1^2/2", "p3_1^2/2"][:count]
+        with pytest.raises(ValueError, match=f"^need 2 partial Hamiltonian functions, "
+                                             f"got {count}$"):
+            self.COUNTS[run](h_exprs)
+
+    def test_sum_gap_of_a_particle_without_a_hamiltonian(self):
+        # it read 0.0: the third particle's H_3 was never summed
+        point = PhasePoint(times=[0.0] * 3, x=[[0.0]] * 3, p=[[0.1], [0.2], [0.3]])
+        with pytest.raises(ValueError, match="^need 3 partial Hamiltonian functions, got 2$"):
+            equal_time_sum_gap(["p1_1^2/2", "p2_1^2/2"], "p1_1^2/2 + p2_1^2/2", point)
+
+
 class TestMasses:
     @pytest.mark.parametrize("mass", [0.0, -0.0, -1.0, math.inf, math.nan])
     def test_mass_not_positive_and_finite_rejected(self, mass):
@@ -335,6 +380,19 @@ class TestFoliations:
         with pytest.raises(FoliationError, match="do not increase along the leaves"):
             hj_trajectories_foliation(s, Foliation([0.3]), [[-1.0], [1.0]],
                                       (-1.0, 1.0), 0.01)
+
+    def test_families_without_a_common_time_window(self, monkeypatch):
+        # one family's world lines end before the other's begin
+        def family(s, fol, *args):
+            t = np.linspace(-1.0, 0.0, 5) + (fol.u[0] > 0.0) * 2.0
+            line = paths.WorldLine(t=t, x=np.zeros((5, 1)), p=np.zeros((5, 1)),
+                                   dxdt=np.zeros((5, 1)), dpdt=np.zeros((5, 1)))
+            return paths.NPath([line, line])
+
+        monkeypatch.setattr(hj, "hj_trajectories_foliation", family)
+        with pytest.raises(FoliationError, match="^no common time window for particle 1$"):
+            foliation_compare(free_hj(), [Foliation([0.0]), Foliation([0.3])],
+                              [[-1.0], [1.0]], (-1.0, 1.0), 0.01)
 
     def test_leaf_count_bounded_before_the_run(self):
         fol = Foliation([0.3])

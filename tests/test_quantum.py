@@ -530,6 +530,23 @@ class TestDefectGrid:
                 call()
 
 
+    @pytest.mark.parametrize("times", [[0.1, 0.2, 0.3], [0.1], [[0.1, 0.2]], 0.1])
+    def test_time_tuple_not_of_n_times_refused(self, times):
+        # it was named as a grid of one row: (m, 2) against (1, 3)
+        message = "^" + re.escape(f"times: expected shape (2,), got {np.shape(times)}") + "$"
+        for call in (lambda: free_qubits().hamiltonian(1, times),
+                     lambda: consistency_defect_matrix(free_qubits(), times, 1, 2),
+                     lambda: quantum_consistency_defect(free_qubits(), times)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_index_outside_refused(self, j):
+        with pytest.raises(ValueError, match=f"^index {j} outside 1..2$"):
+            free_qubits().hamiltonian(j, [0.1, 0.2])
+
+
 class TestHolonomy:
     def test_holonomy_zero_for_free(self):
         phi = np.array([1, 0, 0, 0], dtype=complex)
