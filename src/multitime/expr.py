@@ -259,7 +259,8 @@ def _operands(tokens: list, level: int, depth: int) -> tuple[Expression, int]:
     while tokens[-1][1] in _LEVELS[level]:
         _, op, column = tokens.pop()
         right, right_height = _operands(tokens, level + 1, depth)
-        node, height = BinOp(op, node, right), _bounded(max(height, right_height) + 1, column)
+        height = _bounded(max(height, right_height) + 1, column)
+        node = BinOp(op, node, right)
     return node, height
 
 
