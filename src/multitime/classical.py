@@ -41,9 +41,9 @@ import numpy as np
 
 from .expr import (_ZERO, STEP_TIME, BinOp, Expression, Neg, Var, _neg, binding_names,
                    bound_steps, check_count, check_finite, check_masses, check_positive,
-                   check_span, check_steps, compile_function, compile_rk4, derivative,
-                   free_variables, parse_expression, phase_names, substitute)
-from .paths import NPath, WorldLine
+                   check_span, compile_function, compile_rk4, derivative, free_variables,
+                   parse_expression, phase_names, substitute)
+from .paths import NPath, PhasePoint, WorldLine, _defect_values
 from .reports import DefectReport
 
 __all__ = [
@@ -62,33 +62,6 @@ __all__ = [
     "grid_path_independence",
     "cjs_demo",
 ]
-
-
-class PhasePoint:
-    """Positions and momenta of all particles plus the time tuple: times
-    (n,), x and p (n, d)."""
-
-    def __init__(self, times: np.ndarray, x: np.ndarray, p: np.ndarray):
-        self.times = np.atleast_1d(np.asarray(times, float))
-        self.x = np.atleast_2d(np.asarray(x, float))
-        self.p = np.atleast_2d(np.asarray(p, float))
-        if not (len(self.times) == self.x.shape[0] == self.p.shape[0]):
-            raise ValueError("inconsistent particle count in PhasePoint")
-        if self.p.shape != self.x.shape:
-            raise ValueError(f"p: expected the shape of x, {self.x.shape}, got {self.p.shape}")
-
-    @property
-    def n(self) -> int:
-        return len(self.times)
-
-    @property
-    def d(self) -> int:
-        return self.x.shape[1]
-
-    def state(self) -> np.ndarray:
-        """The flat state (x, p) the RK4 loops advance; ``reshape(2, n, d)``
-        gives x and p back."""
-        return np.concatenate([self.x.ravel(), self.p.ravel()])
 
 
 # A right-hand side maps a time tuple and a flat state (x, p) to the rates.
@@ -208,28 +181,6 @@ def _pair_slots(n: int, d: int) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(f"{j + 1},{k + 1}" for j, k in pairs), slots
 
 
-def _defect_values(compiled: Callable[[], Callable], outputs: int, samples: np.ndarray,
-                   n: int, d: int, h: float | None) -> np.ndarray:
-    """|f(times, (x, p))| at each row of ``samples`` (times, x rows, p rows),
-    an (m, ``outputs``) array, f the memoised function ``compiled()``.
-    ValueError for a bad step or samples not shaped (m, n + 2·n·d).  A grid
-    raises the error that its rows one by one raise first: one vectorised
-    test finds the first row at which h rounds away, the rows before it are
-    evaluated (a DomainError comes first), then ``check_steps`` raises there."""
-    check_steps(h, (), ())
-    samples, width = np.asarray(samples, float), n + 2 * n * d
-    if samples.ndim != 2 or samples.shape[1] != width:
-        raise ValueError(f"samples: expected shape (m, {width}), got {samples.shape}")
-    rounds = [] if h is None else np.flatnonzero((samples + h == samples)
-                                                 | (samples - h == samples))
-    stop = int(rounds[0]) // width if len(rounds) else len(samples)
-    f = compiled() if stop else None
-    values = [f(ts, y) for ts, y in zip(samples[:stop, :n].tolist(), samples[:stop, n:].tolist())]
-    if stop < len(samples):
-        check_steps(h, sum(phase_names(n, d), ()), samples[stop].tolist())
-    return np.abs(np.reshape(values, (stop, outputs)))
-
-
 def _fits(point: PhasePoint, n: int, d: int, what: str) -> PhasePoint:
     """``point``, if its x and p are (n, d)."""
     if point.x.shape != (n, d):
@@ -243,7 +194,7 @@ def classical_defect_grid(field: PhaseVectorField, samples: np.ndarray,
     (m, n + 2·n·d) array of times, x rows and p rows: the (m, pairs) array
     of the pairs' sup-norms (NaN where a value is), bit for bit, in the
     order of ``_pair_slots``' keys, with the first error of the rows one
-    by one (``_defect_values``)."""
+    by one (``paths._defect_values``)."""
     n, d = field.n, field.d
     values = _defect_values(functools.partial(_defects, field.exprs, n, d, h),
                             2 * n * n * d, samples, n, d, h)

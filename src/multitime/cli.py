@@ -44,7 +44,7 @@ from .expr import (MAX_STEPS, DomainError, ExpressionError, FoliationError,
 from .reports import pair_keys, write_csv
 
 if TYPE_CHECKING:
-    from . import classical, hj, quantum
+    from . import hj, paths, quantum
 
 CSV_FORMAT_VERSION = 1
 #: the most sample points or time tuples one run may draw or build up front
@@ -354,12 +354,12 @@ def _initial_state(cfg, path: str, dim: int) -> np.ndarray:
     raise ConfigError(f"{path}/kind", f"unknown state kind {kind!r} (expected basis | plus)")
 
 
-def _phase_point(cfg, path: str, n: int, d: int) -> classical.PhasePoint:
-    from . import classical
+def _phase_point(cfg, path: str, n: int, d: int) -> paths.PhasePoint:
+    from . import paths
 
     rows = (_REQ, _each, n, _each, d, _num)
     t, x, p = _read(cfg, path, {"t": (_REQ, _num), "x": rows, "p": rows})
-    return classical.PhasePoint(times=np.full(n, t), x=x, p=p)
+    return paths.PhasePoint(times=np.full(n, t), x=x, p=p)
 
 
 def _sample_phase_points(cfg, path: str, n: int, d: int, seed: int) -> np.ndarray:
@@ -657,7 +657,7 @@ def _cjs_demo(system: dict, exp: dict, seed: int):
 
 
 def _hj_residual(system: dict, exp: dict, seed: int):
-    from . import classical, hj
+    from . import hj, paths
 
     s, hams = build_hj_system(system, "/system")
     if hams is None:
@@ -675,7 +675,7 @@ def _hj_residual(system: dict, exp: dict, seed: int):
             row = {"times": times, "residuals": residuals}
             if h_total is not None and np.allclose(times, times[0]):
                 p = np.reshape(s.gradients(step)(times, x.ravel().tolist()), x.shape)
-                point = classical.PhasePoint(times=np.asarray(times), x=x, p=p)
+                point = paths.PhasePoint(times=np.asarray(times), x=x, p=p)
                 row["sum_rule_gap"] = hj.equal_time_sum_gap(h_list, h_total, point)
             rows.append(row)
         worst = max(max(row["residuals"]) for row in rows)  # points has an entry

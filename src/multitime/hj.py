@@ -23,14 +23,13 @@ from typing import Callable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
-from .classical import PhasePoint, _defect_values
 from .expr import (STEP_TIME, BinOp, Expression, ExpressionError, FoliationError,
                    Num, Var, binding_names, bound_steps, check_count, check_masses,
                    check_positive, check_span, check_steps,
                    _bind, _div, _numbers, compile_function, compile_rk4, derivative, diff,
                    evaluate, parse_expression, phase_names, substitute)
 from .numdiff import partial_derivative
-from .paths import NPath, PathRangeError, WorldLine, hermite_at
+from .paths import NPath, PathRangeError, PhasePoint, WorldLine, _defect_values, hermite_at
 from .reports import DefectReport, pair_keys
 
 __all__ = [
@@ -206,7 +205,7 @@ def hj_defect_grid(h_exprs: Sequence[str | Expression], n: int, d: int,
     """|P_jk| with P_jk = dH_k/dt_j - dH_j/dt_k - {H_j, H_k} at every row of
     ``samples``, an (m, n + 2·n·d) array of times, x rows and p rows: an
     (m, pairs) array, one column per pair j < k in the order 1,2 1,3 ..
-    n-1,n, refused and evaluated as ``classical._defect_values`` does."""
+    n-1,n, refused and evaluated as ``paths._defect_values`` does."""
     exprs = _hamiltonians(h_exprs, n)
     return _defect_values(functools.partial(_poisson_defects, exprs, n, d, h),
                           n * (n - 1) // 2, samples, n, d, h)

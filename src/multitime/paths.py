@@ -1,5 +1,7 @@
-"""n-paths: one world line per particle, each a graph over its own time.
+"""Phase points, n-paths and the sample-grid evaluator ``_defect_values``,
+shared by the classical and HJ formalisms.
 
+An n-path is one world line per particle, each a graph over its own time.
 Samples carry the state derivatives, so queries between sample times use
 cubic Hermite interpolation (third-order accurate without re-integration).
 ``hermite_at`` is the one evaluator: it builds the cubic of only the
@@ -10,13 +12,44 @@ intervals a query falls in, with the formulas of scipy's
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-__all__ = ["WorldLine", "NPath", "PathRangeError", "hermite_at"]
+from .expr import check_steps, phase_names
+
+__all__ = ["PhasePoint", "WorldLine", "NPath", "PathRangeError", "hermite_at"]
 
 
 class PathRangeError(ValueError):
     """Query time outside the sampled range of a world line."""
+
+
+class PhasePoint:
+    """Positions and momenta of all particles plus the time tuple: times
+    (n,), x and p (n, d)."""
+
+    def __init__(self, times: np.ndarray, x: np.ndarray, p: np.ndarray):
+        self.times = np.atleast_1d(np.asarray(times, float))
+        self.x = np.atleast_2d(np.asarray(x, float))
+        self.p = np.atleast_2d(np.asarray(p, float))
+        if not (len(self.times) == self.x.shape[0] == self.p.shape[0]):
+            raise ValueError("inconsistent particle count in PhasePoint")
+        if self.p.shape != self.x.shape:
+            raise ValueError(f"p: expected the shape of x, {self.x.shape}, got {self.p.shape}")
+
+    @property
+    def n(self) -> int:
+        return len(self.times)
+
+    @property
+    def d(self) -> int:
+        return self.x.shape[1]
+
+    def state(self) -> np.ndarray:
+        """The flat state (x, p) the RK4 loops advance; ``reshape(2, n, d)``
+        gives x and p back."""
+        return np.concatenate([self.x.ravel(), self.p.ravel()])
 
 
 class WorldLine:
@@ -137,3 +170,25 @@ class NPath:
                 for t, values in zip(line.t.tolist(), np.hstack(
                     [getattr(line, name) for name in names]).tolist())]
         return columns, rows
+
+
+def _defect_values(compiled: Callable[[], Callable], outputs: int, samples: np.ndarray,
+                   n: int, d: int, h: float | None) -> np.ndarray:
+    """|f(times, (x, p))| at each row of ``samples`` (times, x rows, p rows),
+    an (m, ``outputs``) array, f the memoised function ``compiled()``.
+    ValueError for a bad step or samples not shaped (m, n + 2·n·d).  A grid
+    raises the error that its rows one by one raise first: one vectorised
+    test finds the first row at which h rounds away, the rows before it are
+    evaluated (a DomainError comes first), then ``check_steps`` raises there."""
+    check_steps(h, (), ())
+    samples, width = np.asarray(samples, float), n + 2 * n * d
+    if samples.ndim != 2 or samples.shape[1] != width:
+        raise ValueError(f"samples: expected shape (m, {width}), got {samples.shape}")
+    rounds = [] if h is None else np.flatnonzero((samples + h == samples)
+                                                 | (samples - h == samples))
+    stop = int(rounds[0]) // width if len(rounds) else len(samples)
+    f = compiled() if stop else None
+    values = [f(ts, y) for ts, y in zip(samples[:stop, :n].tolist(), samples[:stop, n:].tolist())]
+    if stop < len(samples):
+        check_steps(h, sum(phase_names(n, d), ()), samples[stop].tolist())
+    return np.abs(np.reshape(values, (stop, outputs)))
