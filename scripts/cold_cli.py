@@ -24,8 +24,9 @@ Last, for each ``SRC``, the median cumulative ``-X importtime`` of
 free of numpy's import time) and of each formalism module, in
 milliseconds: every round runs ``import multitime.cli,
 multitime.<formalism>`` in a fresh interpreter per formalism and ``SRC``,
-so a formalism's time is what a run of it loads beyond the CLI.  Two
-checkouts compare in one run:
+so a formalism's time is what a run of it loads beyond the CLI.  Then,
+one line per ``SRC`` and formalism, the sorted ``multitime`` modules that
+such a process has loaded.  Two checkouts compare in one run:
 
     python scripts/cold_cli.py src ../parent/src
 """
@@ -90,16 +91,19 @@ def run(src: Path, subcommand: str, config: Path, report: Path) -> tuple[int, fl
     return os.waitstatus_to_exitcode(status), wall, usage.ru_utime + usage.ru_stime
 
 
-def import_times(src: Path, formalism: str) -> dict[str, float]:
+def import_times(src: Path, formalism: str) -> tuple[dict[str, float], list[str]]:
     """The cumulative ``-X importtime`` of the package, of ``multitime.cli``
-    and of ``formalism`` imported after it, in a fresh interpreter, in ms."""
+    and of ``formalism`` imported after it, in a fresh interpreter, in ms;
+    and the sorted ``multitime`` modules the interpreter loaded."""
     done = subprocess.run([sys.executable, "-X", "importtime", "-c",
                            f"import multitime.cli, {formalism}"],
                           env=child_env(src), capture_output=True, text=True, check=True)
-    rows = [line.split("|") for line in done.stderr.splitlines()
-            if line.startswith("import time:")]
-    return {name.strip(): int(cumulative) / 1000 for _, cumulative, name in rows
-            if name.strip() in ("multitime", "multitime.cli", formalism)}
+    rows = [(name.strip(), cumulative) for _, cumulative, name in
+            (line.split("|") for line in done.stderr.splitlines()
+             if line.startswith("import time:"))]
+    return ({name: int(cumulative) / 1000 for name, cumulative in rows
+             if name in ("multitime", "multitime.cli", formalism)},
+            sorted(name for name, _ in rows if name.partition(".")[0] == "multitime"))
 
 
 def main() -> None:
@@ -119,10 +123,12 @@ def main() -> None:
         subcommands = [configs(src, d) for src, d in zip(srcs, dirs)]
         names = sorted(set().union(*subcommands))
         # times[i][name]: (wall, cpu) of each run; totals[i]: (wall, cpu) per round;
-        # imports[i][module]: its import times in ms
+        # imports[i][module]: its import times in ms; loaded[i][formalism]: the
+        # multitime modules loaded with it
         times = [{name: [] for name in names} for _ in srcs]
         imports = [{module: [] for module in ("multitime.cli", "multitime", *FORMALISMS)}
                    for _ in srcs]
+        loaded = [{} for _ in srcs]
         totals = [[] for _ in srcs]
         failed = []
         runs = 0
@@ -151,7 +157,8 @@ def main() -> None:
                     order.reverse()
                 runs += 1
                 for i in order:
-                    for module, ms in import_times(srcs[i], formalism).items():
+                    ms_by_module, loaded[i][formalism] = import_times(srcs[i], formalism)
+                    for module, ms in ms_by_module.items():
                         imports[i][module].append(ms)
 
     def medians(samples):
@@ -175,6 +182,10 @@ def main() -> None:
     for module in imports[0]:
         print(f"{module:34}" + "".join(f"  [{i}] {statistics.median(imp[module]):7.1f}"
                                        for i, imp in enumerate(imports, 1)))
+    print("multitime modules loaded by import multitime.cli, <formalism>")
+    for i, by_formalism in enumerate(loaded, 1):
+        for formalism, modules in by_formalism.items():
+            print(f"[{i}] {formalism:30} " + " ".join(modules))
     if failed:
         sys.exit("failed runs:\n" + "\n".join(failed))
 

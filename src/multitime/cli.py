@@ -8,11 +8,13 @@ CSV, and the function that checks its config and builds its system.
 That function returns a closure that does only the numerics.  It bounds
 the run's work with the library's plan functions, which the run itself
 counts with, and picks the pointer to blame; it sums only a holonomy's
-staircases over its sizes and path-independence's levels.  A run
-imports only the formalism it uses (``quantum`` with ``linops``,
-``classical``, or ``hj``), inside the functions of that formalism, and
-``numpy.random`` only if it draws samples; ``examples`` imports only the
-configs.
+staircases over its sizes and path-independence's levels.  A formalism
+module imports only the shared layer (``expr``, ``reports``, ``paths``,
+``numdiff``, ``linops``), never another formalism, and a run imports only
+the formalism it uses (``quantum`` with ``linops``, ``classical`` with
+``paths``, or ``hj`` with ``paths`` and ``numdiff``), inside the functions
+of that formalism, and ``numpy.random`` only if it draws samples;
+``examples`` imports only the configs.
 
 Exit codes: 0 success, 2 config error or output error (a report, CSV
 or examples path that cannot be written, or a report that cannot be
@@ -301,11 +303,14 @@ def _build_field(field_cfg: dict, path: str, n: int, d: int, grid: bool = False)
 
 def _classical_system(cfg: dict, path: str, grid: bool = False, field: bool = True):
     """n, d and the checked field: the ``HamiltonianPair`` for the grid
-    kinds, and None without ``field`` (cjs-demo's fields are its family's)."""
+    kinds, whose n must be 2, and None without ``field`` (cjs-demo's fields
+    are its family's)."""
     spec = {"n": (_REQ, _int, 1), "d": (_REQ, _int, 1)}
     if field:
         spec["field"] = (_REQ, _obj)
     n, d, *field_cfg = _read(cfg, path, spec)
+    if grid and n != 2:
+        raise ConfigError(f"{path}/n", "the full-grid system is implemented for n = 2")
     if d > 3:
         raise ConfigError(f"{path}/d", "d up to 3 supported")
     if not field:

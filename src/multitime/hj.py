@@ -27,7 +27,7 @@ from .expr import (STEP_TIME, BinOp, Expression, ExpressionError, FoliationError
                    Num, Var, binding_names, bound_steps, check_count, check_masses,
                    check_positive, check_span, check_steps,
                    _bind, _div, _numbers, compile_function, compile_rk4, derivative, diff,
-                   evaluate, parse_expression, phase_names, substitute)
+                   evaluate, free_variables, parse_expression, phase_names, substitute)
 from .numdiff import partial_derivative
 from .paths import NPath, PathRangeError, PhasePoint, WorldLine, _defect_values, hermite_at
 from .reports import DefectReport, pair_keys
@@ -159,10 +159,16 @@ def _bracket(f: Expression, g: Expression, n: int, d: int, h: float | None) -> E
 
 def poisson_bracket(f: str | Expression, g: str | Expression, n: int, d: int,
                     bindings: Mapping[str, float], h: float | None = None) -> float:
-    """{f, g} = sum_j grad_{x_j} f . grad_{p_j} g - grad_{p_j} f . grad_{x_j} g."""
-    _, moved = phase_names(n, d)
-    check_steps(h, moved, [bindings[v] for v in moved])
-    return evaluate(_bracket(_as_expr(f), _as_expr(g), n, d, h), bindings)
+    """{f, g} = sum_j grad_{x_j} f . grad_{p_j} g - grad_{p_j} f . grad_{x_j} g.
+    Only the variables the bracket reads must be bound (``evaluate``'s
+    UnboundVariableError for one that is not), and the step is checked at
+    the positions and momenta among them."""
+    bracket = _bracket(_as_expr(f), _as_expr(g), n, d, h)
+    read = free_variables(bracket)
+    moved = [v for v in phase_names(n, d)[1] if v in read]
+    if read.issubset(bindings):  # else evaluate raises UnboundVariableError
+        check_steps(h, moved, [bindings[v] for v in moved])
+    return evaluate(bracket, bindings)
 
 
 @functools.lru_cache(maxsize=64)

@@ -1405,6 +1405,13 @@ class TestReaders:
         ("grid_free", "/system/field/type", "hamiltonian", "/system/field/type: "
          "the grid experiments need field type 'partial_hamiltonians'"),
         ("classical_free_check", "/system/d", 4, "/system/d: d up to 3 supported"),
+        # n is refused before the field, whose h_list has n entries here
+        ("grid_free", "/system", {"n": 1, "d": 1, "field": {
+            "type": "partial_hamiltonians", "h_list": ["p1_1^2/2"]}},
+         "/system/n: the full-grid system is implemented for n = 2"),
+        ("grid_coupled_pathindep", "/system", {"n": 3, "d": 1, "field": {
+            "type": "partial_hamiltonians", "h_list": ["p1_1^2/2", "p2_1^2/2", "p3_1^2/2"]}},
+         "/system/n: the full-grid system is implemented for n = 2"),
         ("coupled_qubits", "/experiment/initial_state", {"kind": "basis", "index": 4},
          "/experiment/initial_state/index: index 4 >= dim 4"),
         ("free_quantum", "/system/local_dim", 3,

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from multitime import hj, paths
-from multitime.classical import PhasePoint
 from multitime.cli import run_config
 from multitime.configs import EXAMPLE_CONFIGS
 from multitime.expr import (MAX_STEPS, BinOp, Call, DomainError, Num, UnboundVariableError,
@@ -33,6 +32,7 @@ from multitime.hj import (
     poisson_bracket,
 )
 from multitime.numdiff import diff_callable, partial_derivative
+from multitime.paths import PhasePoint
 from oracles import (anchoring_oracle, hj_defect_oracle, hj_residual_single,
                      leaf_table_oracle, pack, phase_points, unpack_rows, variable_bindings,
                      with_constants)
@@ -73,6 +73,23 @@ class TestPoissonBracket:
             b = {"x1_1": x1, "x2_1": x2, "p1_1": p1, "p2_1": p2}
             want = -(x1 - x2) * (p1 + p2)
             assert poisson_bracket(h1, h2, 2, 1, b) == pytest.approx(want, abs=1e-15)
+
+    @pytest.mark.parametrize("h", [None, 1e-3])
+    def test_reads_only_its_variables(self, h):
+        # {x1, p1} of two particles reads neither x2_1 nor p2_1, and the step
+        # is not checked at them
+        b = {"x1_1": 0.0, "p1_1": 0.0}
+        assert poisson_bracket("x1_1", "p1_1", 2, 1, b, h=h) == pytest.approx(1.0, abs=1e-12)
+        if h is not None:
+            assert poisson_bracket("x1_1", "p1_1", 2, 1, {**b, "x2_1": 1e300}, h=h) \
+                == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("h", [None, 1e-3])
+    @pytest.mark.parametrize("f,name", [("t1*x1_1", "t1"), ("x1_1*x2_1", "x2_1")])
+    def test_unbound_variable(self, f, name, h):
+        # a time or a phase variable the bracket reads: evaluate's error, not KeyError
+        with pytest.raises(UnboundVariableError, match=f"^variable '{name}' is not bound$"):
+            poisson_bracket(f, "p1_1", 2, 1, {"x1_1": 0.0, "p1_1": 0.0}, h=h)
 
 
 class TestResiduals:

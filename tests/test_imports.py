@@ -205,12 +205,15 @@ UNUSED = ["csv", "dataclasses"]
      ["multitime.hj", "multitime.quantum", "multitime.linops", "multitime.configs",
       "multitime.numdiff", *UNUSED]),
     (["foliation", "--config", "hj_free_foliations.json"], ["multitime.hj"],
-     ["multitime.quantum", "multitime.linops", "multitime.configs", "numpy.random",
-      *UNUSED]),
+     ["multitime.classical", "multitime.quantum", "multitime.linops", "multitime.configs",
+      "numpy.random", *UNUSED]),
+    (["hj", "--config", "hj_free_residual.json"], ["multitime.hj", "multitime.paths"],
+     ["multitime.classical", "multitime.quantum", "multitime.linops", "multitime.configs",
+      "numpy.random", *UNUSED]),
     (["examples", "--dir", "again"], ["multitime.configs"],
      [*FORMALISMS, "multitime.numdiff", "numpy.random", *UNUSED]),
 ], ids=["quantum-evolve", "quantum-holonomy", "classical-evolve", "classical-evolve-csv",
-        "classical-check", "hj", "examples"])
+        "classical-check", "hj", "hj-residual", "examples"])
 def test_a_run_loads_only_what_it_uses(tmp_path, args, loaded, absent):
     """A run loads its formalism and no other, ``numpy.random`` only when
     it draws samples and ``csv`` only when it writes a CSV; no run loads
@@ -226,6 +229,14 @@ def test_a_run_loads_only_what_it_uses(tmp_path, args, loaded, absent):
     assert code == 0
     assert set(loaded) <= set(modules)
     assert not set(absent) & set(modules)
+
+
+def test_formalisms_share_the_phase_point():
+    """``PhasePoint`` lives in ``paths``, the shared layer, and
+    ``classical`` exports that class."""
+    from multitime import classical, paths
+
+    assert classical.PhasePoint is paths.PhasePoint
 
 
 # ------------------------------------------------------------ the hard exit
