@@ -26,12 +26,22 @@ milliseconds: every round runs ``import multitime.cli,
 multitime.<formalism>`` in a fresh interpreter per formalism and ``SRC``,
 so a formalism's time is what a run of it loads beyond the CLI.  Then,
 one line per ``SRC`` and formalism, the sorted ``multitime`` modules that
-such a process has loaded.  Two checkouts compare in one run:
+such a process has loaded.
+
+Last, the AST nodes (``ast.walk`` of each file) of the ``multitime``
+modules that each config's CLI process has loaded, per ``SRC``, and
+their total over the configs of the benchmark's ``cli-cold`` workload
+(``CLI_COLD``).  Bytecode writes may be off (``PYTHONDONTWRITEBYTECODE``),
+so that a cold process compiles every module it loads from source; the
+count does not depend on the machine or its load.  Each process runs
+``cli.main`` in a fresh interpreter and reads ``sys.modules`` after it,
+once per config and ``SRC``.  Two checkouts compare in one run:
 
     python scripts/cold_cli.py src ../parent/src
 """
 
 import argparse
+import ast
 import json
 import os
 import statistics
@@ -56,6 +66,24 @@ print(json.dumps([multitime.__file__,
                   {name: subcommand[cfg["experiment"]["kind"]]
                    for name, cfg in EXAMPLE_CONFIGS.items()}]))
 """
+
+
+#: run in each tree: ``cli.main`` on argv, then the file of every multitime
+#: module loaded
+LOADED_AFTER_MAIN = """
+import json, sys
+import multitime.cli as cli
+
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, {name: module.__file__ for name, module in sys.modules.items()
+                         if name.partition(".")[0] == "multitime"}]))
+"""
+
+#: the configs of the benchmark's ``cli-cold`` workload (perfbench/workloads.py)
+CLI_COLD = ("free_quantum", "free_quantum_holonomy", "coupled_qubits_check",
+            "coupled_qubits", "interaction_picture_check",
+            "interaction_picture_staircase", "classical_free_check",
+            "classical_harmonic_check", "hj_free_residual")
 
 
 #: the formalism modules whose import time is reported after ``multitime.cli``'s
@@ -104,6 +132,25 @@ def import_times(src: Path, formalism: str) -> tuple[dict[str, float], list[str]
     return ({name: int(cumulative) / 1000 for name, cumulative in rows
              if name in ("multitime", "multitime.cli", formalism)},
             sorted(name for name, _ in rows if name.partition(".")[0] == "multitime"))
+
+
+def ast_nodes(path: str) -> int:
+    return sum(1 for _ in ast.walk(ast.parse(Path(path).read_text(), path)))
+
+
+def loaded_nodes(src: Path, subcommand: str, config: Path, report: Path,
+                 nodes: dict[str, int]) -> tuple[int, int]:
+    """Exit code of ``cli.main`` on ``config`` in a fresh interpreter, and
+    the AST nodes of the multitime modules loaded after it; ``nodes``
+    caches each file's count."""
+    done = subprocess.run([sys.executable, "-c", LOADED_AFTER_MAIN, subcommand,
+                           "--config", str(config), "--out", str(report)],
+                          env=child_env(src), capture_output=True, text=True, check=True)
+    code, files = json.loads(done.stdout.splitlines()[-1])
+    for path in files.values():
+        if path not in nodes:
+            nodes[path] = ast_nodes(path)
+    return code, sum(nodes[path] for path in files.values())
 
 
 def main() -> None:
@@ -160,6 +207,16 @@ def main() -> None:
                     ms_by_module, loaded[i][formalism] = import_times(srcs[i], formalism)
                     for module, ms in ms_by_module.items():
                         imports[i][module].append(ms)
+        # nodes[i][name]: the AST nodes that the config's process loads
+        nodes, counted = [{} for _ in srcs], {}
+        for i, (src, d) in enumerate(zip(srcs, dirs)):
+            for name in names:
+                if name in subcommands[i]:
+                    code, nodes[i][name] = loaded_nodes(
+                        src, subcommands[i][name], d / f"{name}.json", d / "report.json",
+                        counted)
+                    if code != 0:
+                        failed.append(f"[{i + 1}] {name}: exit {code} (node count)")
 
     def medians(samples):
         if not samples:
@@ -186,6 +243,16 @@ def main() -> None:
     for i, by_formalism in enumerate(loaded, 1):
         for formalism, modules in by_formalism.items():
             print(f"[{i}] {formalism:30} " + " ".join(modules))
+    print("AST nodes of the multitime modules that each config's process loads")
+    print(f"{'config':34}" + "".join(f"  [{i}]  nodes" for i in range(1, len(srcs) + 1)))
+    for name in names:
+        print(f"{name:34}" + "".join(f"  {by_name.get(name, '-'):>9}" for by_name in nodes))
+    cold = [sum(by_name.get(name, 0) for name in CLI_COLD) for by_name in nodes]
+    print(f"{f'cli-cold total ({len(CLI_COLD)} configs)':34}"
+          + "".join(f"  {total:>9}" for total in cold))
+    for i, total in enumerate(cold[1:], 2):
+        print(f"[{i}] cli-cold nodes {total - cold[0]:+d} "
+              f"({(total - cold[0]) / cold[0]:+.1%}) against [1]")
     if failed:
         sys.exit("failed runs:\n" + "\n".join(failed))
 
