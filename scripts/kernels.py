@@ -56,9 +56,20 @@ STEPS = 2000
 GRID_KINDS = ("full-grid", "path-independence")
 
 
-def shipped_fields(cli, configs):
+def classical_readers(cli):
+    """The module that holds the CLI's classical config readers
+    (``_classical_system``, ``_build_field``, ``_phase_point``): the reader
+    module ``kinds_classical`` where ``SRC`` has one, else ``cli``."""
+    try:
+        from multitime import kinds_classical
+    except ImportError:
+        return cli
+    return kinds_classical
+
+
+def shipped_fields(kinds, configs):
     """``(label, field)`` of every distinct classical field of the shipped
-    configs, in config order."""
+    configs, in config order, read by the classical readers ``kinds``."""
     fields = {}
     for name, cfg in sorted(configs.items()):
         system, exp = cfg["system"], cfg["experiment"]
@@ -67,14 +78,14 @@ def shipped_fields(cli, configs):
         if exp["kind"] == "cjs-demo":
             n, d = system["n"], system["d"]
             for member in exp["family"]:
-                field = cli._build_field(member["field"], "", n, d)
+                field = kinds._build_field(member["field"], "", n, d)
                 fields.setdefault(field.exprs, (f"{name}:{member['id']}", field))
         elif exp["kind"] in GRID_KINDS:
-            _, _, pair = cli._classical_system(system, "", grid=True)
+            _, _, pair = kinds._classical_system(system, "", grid=True)
             for k, field in enumerate(pair.fields, 1):
                 fields.setdefault(field.exprs, (f"{name}:H{k}", field))
         else:
-            _, _, field = cli._classical_system(system, "")
+            _, _, field = kinds._classical_system(system, "")
             fields.setdefault(field.exprs, (name, field))
     return list(fields.values())
 
@@ -84,12 +95,12 @@ def best(fn, count: int) -> float:
     return min(timeit.repeat(fn, number=1, repeat=REPEAT)) / count * 1e6
 
 
-def validity_inputs(np, classical, cli, cfg):
+def validity_inputs(np, classical, kinds, cfg):
     """The field, n-path and sample tuples of a validity config, drawn as
     the CLI draws them."""
     system, exp = cfg["system"], cfg["experiment"]
-    n, d, field = cli._classical_system(system, "")
-    init = cli._phase_point(exp["init"], "", n, d)
+    n, d, field = kinds._classical_system(system, "")
+    init = kinds._phase_point(exp["init"], "", n, d)
     npath = classical.evolve_equal_time(field, init, tuple(exp["t_span"]), exp["dt"])
     lo, hi = npath.common_time_range()
     window = exp["samples"]["window"]
@@ -190,7 +201,7 @@ def leaf_steps(hj, run) -> int:
     return steps[0]
 
 
-def whole_runs(np, classical, hj, cli, configs, fields) -> None:
+def whole_runs(np, classical, hj, kinds, configs, fields) -> None:
     """The ``evolve equal-time``, ``full grid`` and ``hj foliation`` lines."""
     dt = 1e-3
     for label, field in fields:
@@ -204,8 +215,8 @@ def whole_runs(np, classical, hj, cli, configs, fields) -> None:
     for name, cfg in sorted(configs.items()):
         system, exp = cfg["system"], cfg["experiment"]
         if exp["kind"] == "full-grid":
-            n, d, pair = cli._classical_system(system, "", grid=True)
-            init = cli._phase_point(exp["init"], "", n, d)
+            n, d, pair = kinds._classical_system(system, "", grid=True)
+            init = kinds._phase_point(exp["init"], "", n, d)
             points, sub = exp["points"], exp.get("substeps", 4)
             t1, t2 = (np.linspace(0.0, span, points) for span in (exp["t1_max"], exp["t2_max"]))
             steps = sub * ((points - 1) + points * (points - 1))
@@ -233,7 +244,8 @@ def main(src: str) -> None:
     grid = getattr(classical, "classical_defect_grid", None)
     dt = 1e-3
     ts, hs = [k * dt for k in range(STEPS + 1)], [dt] * STEPS
-    fields = shipped_fields(cli, configs)
+    kinds = classical_readers(cli)
+    fields = shipped_fields(kinds, configs)
     for label, field in fields:
         n, d = field.n, field.d
         y0 = np.linspace(-1.0, 1.0, 2 * n * d).tolist()
@@ -250,11 +262,11 @@ def main(src: str) -> None:
         print(f"defect grid     {shown} us/point   {label}")
     for name, cfg in sorted(configs.items()):
         if cfg["experiment"]["kind"] == "validity":
-            field, npath, tuples = validity_inputs(np, classical, cli, cfg)
+            field, npath, tuples = validity_inputs(np, classical, kinds, cfg)
             cost = best(lambda: classical.validity_residual(field, npath, tuples),
                         len(tuples))
             print(f"validity        {cost:9.3f} us/sample  {name}")
-    whole_runs(np, classical, hj, cli, configs, fields)
+    whole_runs(np, classical, hj, kinds, configs, fields)
     loop_sizes(classical, hj, configs, fields)
 
 

@@ -11,7 +11,7 @@ builds n-paths by equal-time integration, tests their validity at
 spacelike off-diagonal time choices, integrates the two-time full-grid
 variant, and runs the no-interaction demonstration over a field family.
 Every integration here and in the HJ module is one compiled RK4 loop
-(``expr.compile_rk4``) that advances a flat state of floats, with the
+(``codegen.compile_rk4``) that advances a flat state of floats, with the
 field's expressions inlined in every stage.  Each loop is compiled once
 per field and mode (equal-time, or full-grid legs along one time axis)
 and memoised on the field's expressions, and so is the consistency
@@ -39,10 +39,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .codegen import compile_function, compile_rk4
 from .expr import (_ZERO, STEP_TIME, BinOp, Expression, Neg, Var, _neg, binding_names,
                    bound_steps, check_count, check_finite, check_masses, check_positive,
-                   check_span, compile_function, compile_rk4, derivative, free_variables,
-                   parse_expression, phase_names, substitute)
+                   check_span, derivative, free_variables, parse_expression, phase_names,
+                   substitute)
 from .paths import NPath, PhasePoint, WorldLine, _defect_values
 from .reports import DefectReport
 
@@ -86,7 +87,7 @@ class PhaseVectorField:
         """The right-hand side ``(times, y) -> (v_1..v_n, w_1..w_n)``: a
         time tuple and a flat state y = (x, p) of floats in, the 2·n·d
         rates out as one tuple of floats.  It is one compiled function of
-        all components (``expr.compile_function``), compiled once per
+        all components (``codegen.compile_function``), compiled once per
         tuple of expressions, so a field rebuilt from equal ones shares it;
         each rate is bit for bit the component's value.
         """
@@ -222,7 +223,7 @@ def classical_consistency_defect(field: PhaseVectorField, point: PhasePoint,
 def _rk4_loop(exprs: tuple[Expression, ...], n: int, d: int,
               axis: int | None) -> Callable:
     """The compiled RK4 loop of the field with components ``exprs``
-    (``expr.compile_rk4``): with ``axis`` None every time t_j follows the
+    (``codegen.compile_rk4``): with ``axis`` None every time t_j follows the
     step and the loop records every node, one packed row of the state and
     the rates (equal-time evolution); else t_{axis+1} follows it, the other
     times are fixed arguments and the loop returns the packed state at

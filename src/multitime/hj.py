@@ -8,7 +8,7 @@ expressions (exact, or central differences at a step) and compiled once
 per system and step; a parameter of S or of a Hamiltonian is a number in
 its tree (``expr.substitute``).  It extracts world lines on flat
 spacelike foliations t = s + u.x: a sweep is one compiled RK4 loop
-(``expr.compile_rk4``) with the leaf times, exact velocities and leaf
+(``codegen.compile_rk4``) with the leaf times, exact velocities and leaf
 rates V_j / (1 - u.V_j) inlined, and the world lines are anchored at t = 0
 by quasi-Newton (Broyden) steps of the leaf-0 configuration, one sweep of
 every leaf each; the converged sweep builds them.
@@ -23,10 +23,10 @@ from typing import Callable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
+from .codegen import _bind, _numbers, compile_function, compile_rk4
 from .expr import (STEP_TIME, BinOp, Expression, ExpressionError, FoliationError,
                    Num, Var, binding_names, bound_steps, check_count, check_masses,
-                   check_positive, check_span, check_steps,
-                   _bind, _div, _numbers, compile_function, compile_rk4, derivative, diff,
+                   check_positive, check_span, check_steps, _div, derivative, diff,
                    evaluate, free_variables, parse_expression, phase_names, substitute)
 from .numdiff import partial_derivative
 from .paths import NPath, PathRangeError, PhasePoint, WorldLine, _defect_values, hermite_at
@@ -281,7 +281,7 @@ def _degenerate(j: int, gamma: float, s_par: float) -> NoReturn:
 
 
 def _leaf_rates(u: tuple[float, ...], n: int, d: int) -> Callable:
-    """The ``rates`` hook of ``expr.compile_rk4`` on the leaves t = s + u.x:
+    """The ``rates`` hook of ``codegen.compile_rk4`` on the leaves t = s + u.x:
     dx_j/ds = V_j / gamma_j with gamma_j = 1 - u.V_j, for every particle j,
     and FoliationDegeneracyError where gamma_j <= 0, whose message alone
     computes the leaf s of the stage.  Where V_j is numbers, its rates are
@@ -317,7 +317,7 @@ def _leaf_rates(u: tuple[float, ...], n: int, d: int) -> Callable:
 def _leaf_loop(s_expr: Expression, n: int, d: int, masses: tuple[float, ...],
                u: tuple[float, ...]) -> Callable:
     """The compiled RK4 loop of a sweep over the leaves t = s + u.x
-    (``expr.compile_rk4``), ``(x, s_vals, steps) -> rows``, one packed row
+    (``codegen.compile_rk4``), ``(x, s_vals, steps) -> rows``, one packed row
     of the positions and then the velocities per leaf:
     on leaf s particle j sits at t_j = s + u.x_j and moves with the
     velocity V_j = grad_{x_j} S / m_j, exact.  The sums u.x start from 0,

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import linops
 from .expr import (Expression, Num, binding_names, bound_steps, check_count, check_finite,
-                   check_positive, check_steps, compile_function, parse_expression)
+                   check_positive, check_steps, parse_expression)
 from .reports import DefectReport, pair_keys
 
 __all__ = [
@@ -103,6 +103,8 @@ class PartialHamiltonianSet:
             coeffs = [parse_expression(c) if isinstance(c, str)
                       else c if isinstance(c, Expression) else Num(float(c))
                       for _, c in row]
+            from .codegen import compile_function  # a numeric system never loads it
+
             f = compile_function(coeffs, [binding_names("t", n)])
             self._rows.append((None, ops, f))
         self._frame = None

@@ -80,10 +80,10 @@ import numpy as np
 
 from multitime import classical, hj
 from multitime.linops import commutator, norm_inf
+from multitime.codegen import _define, _indent, _reader
 from multitime.expr import (_ONE, _ZERO, FUNCTIONS, STEP_TIME, BinOp, Call, Expression,
                             ExpressionError, ExpressionSyntaxError, Neg, Num,
-                            UnknownFunctionError, Var, _add, _define, _domain_error,
-                            _indent, _is_num, _pow, _reader,
+                            UnknownFunctionError, Var, _add, _domain_error, _is_num, _pow,
                             binding_names, bound_steps, check_steps, evaluate,
                             parse_expression, phase_names, substitute)
 from multitime.hj import _as_expr, _degenerate, _residuals

@@ -23,9 +23,10 @@ from multitime.classical import (
     validity_residual,
 )
 from multitime.cli import run_config
+from multitime.codegen import compile_function
 from multitime.configs import EXAMPLE_CONFIGS
 from multitime.expr import (FUNCTIONS, BinOp, Call, DomainError, Num, Var,
-                            binding_names, compile_function, evaluate)
+                            binding_names, evaluate)
 from multitime.numdiff import diff_callable
 from multitime.paths import NPath, PathRangeError, WorldLine
 from multitime.reports import DefectReport, write_csv

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multitime import classical, cli, expr, hj, linops, quantum
+from multitime import (classical, cli, expr, hj, kinds_classical, kinds_hj, kinds_quantum,
+                       linops, quantum)
 from multitime.cli import (_SUBCOMMAND_KINDS, ConfigError, _sample_phase_points, main,
                            run_config)
 from multitime.configs import EXAMPLE_CONFIGS, write_examples
@@ -110,7 +111,7 @@ class TestSubcommands:
         path.write_text(json.dumps(cfg))
         code, rep = run_cli(["check", "--config", str(path)], tmp_path)
         assert code == 0
-        sys_q = cli.build_quantum_system(cfg["system"], "/system")
+        sys_q = kinds_quantum.build_quantum_system(cfg["system"], "/system")
         points = rep["results"]["points"]
         assert [p["times"] for p in points] == [[a, b, c] for a in (-0.5, 0.5)
                                                  for b in (-0.5, 0.5) for c in (-0.5, 0.5)]
@@ -358,7 +359,7 @@ class TestRandomDraws:
     def test_classical_defect_grid_config(self):
         cfg = copy.deepcopy(EXAMPLE_CONFIGS["classical_harmonic_check"])
         samples, h = cfg["experiment"]["samples"], 1e-4
-        field = cli._classical_system(cfg["system"], "/system")[2]
+        field = kinds_classical._classical_system(cfg["system"], "/system")[2]
         want = [defect_oracle(field, pt, h).max_defect for pt in phase_points(
             sample_points_oracle(samples["count"], samples["t_box"], samples["x_box"],
                                  samples["p_box"], 2, 1, cfg["seed"]), 2, 1)]
@@ -378,8 +379,8 @@ class TestRandomDraws:
         exp["init"] = {"t": 0.0, "x": [[4.0 * j] for j in range(n)], "p": [[0.1]] * n}
         exp["samples"] = {"count": count, "window": window}
         rows = run_config(copy.deepcopy(cfg), "validity")["results"]["rows"]
-        field = cli._classical_system(cfg["system"], "/system")[2]
-        init = cli._phase_point(exp["init"], "", n, 1)
+        field = kinds_classical._classical_system(cfg["system"], "/system")[2]
+        init = kinds_classical._phase_point(exp["init"], "", n, 1)
         lo, hi = classical.evolve_equal_time(field, init, tuple(exp["t_span"]),
                                              exp["dt"]).common_time_range()
         assert [row["times"] for row in rows] == validity_tuples_oracle(
@@ -1288,8 +1289,9 @@ def spec_tables(configs, monkeypatch, tmp_path):
     path below its block, with ``*`` for an array index."""
     calls = []
     read = cli._read
-    monkeypatch.setattr(cli, "_read", lambda value, path, spec: (
-        calls.append((path, spec)), read(value, path, spec))[1])
+    for module in (cli, kinds_quantum, kinds_classical, kinds_hj):  # each reads specs
+        monkeypatch.setattr(module, "_read", lambda value, path, spec: (
+            calls.append((path, spec)), read(value, path, spec))[1])
     tables = {}
     for cfg in configs:
         path = tmp_path / "cfg.json"

@@ -6,12 +6,14 @@ import math
 import random
 import re
 import struct
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multitime import classical, cli, expr as expr_module, hj, quantum
+from multitime import classical, codegen, expr as expr_module, hj, kinds_classical, quantum
+from multitime.codegen import compile_function
 from multitime.classical import (HamiltonianPair, PhasePoint, PhaseVectorField,
                                  evolve_equal_time, evolve_full_grid,
                                  grid_path_independence, hamiltonian_vector_field,
@@ -27,7 +29,6 @@ from multitime.expr import (
     UnboundVariableError,
     UnknownFunctionError,
     Var,
-    compile_function,
     diff,
     evaluate,
     free_variables,
@@ -490,6 +491,15 @@ def evaluate_outcome(tree, bindings):
     return outcome(lambda: reference_evaluate(tree, bindings))
 
 
+def calling_module() -> str:
+    """The name of the module whose call reached the wrapper of this file
+    that runs this, past the other wrappers of this file."""
+    frame = sys._getframe(2)
+    while frame.f_globals["__name__"] == __name__:
+        frame = frame.f_back
+    return frame.f_globals["__name__"]
+
+
 class TestCompiledExpressions:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(tree=trees, b=bindings)
@@ -520,16 +530,18 @@ class TestCompiledExpressions:
     def compiles(self, monkeypatch):
         """The trees that ``evaluate`` compiles while the test runs, in
         order: those that a tree's ``function`` passes to
-        ``expr.compile_function``.  The parse cache is emptied first, so
+        ``codegen.compile_function``.  The parse cache is emptied first, so
         sources parsed by earlier tests are parsed and compiled again here."""
         parse_expression.cache_clear()
         seen = []
+        real = codegen.compile_function
 
         def counting(outputs, *args):
-            seen.extend(outputs)
-            return compile_function(outputs, *args)
+            if calling_module() == expr_module.__name__:
+                seen.extend(outputs)
+            return real(outputs, *args)
 
-        monkeypatch.setattr(expr_module, "compile_function", counting)
+        monkeypatch.setattr(codegen, "compile_function", counting)
         return seen
 
     def test_compiled_once_per_tree(self, compiles):
@@ -551,17 +563,26 @@ class TestCompiledExpressions:
     @pytest.fixture
     def fused(self, monkeypatch):
         """The outputs of every ``compile_function`` call that the
-        classical, quantum and HJ modules make while the test runs.  It
-        wraps the imported ``compile_function``, not ``expr``'s, which the
-        ``compiles`` fixture may have replaced."""
+        classical, quantum and HJ modules make while the test runs.  The
+        classical and HJ modules call the name they imported, which is
+        wrapped; the quantum module looks it up in ``codegen`` at the call,
+        where it is wrapped over what the ``compiles`` fixture may have put
+        there, and counted for the quantum module's calls alone."""
         seen = []
+        real = codegen.compile_function
 
         def counting(outputs, *args):
             seen.append(tuple(outputs))
             return compile_function(outputs, *args)
 
-        for module in (classical, quantum, hj):
+        def quantum_counting(outputs, *args):
+            if calling_module() == quantum.__name__:
+                seen.append(tuple(outputs))
+            return real(outputs, *args)
+
+        for module in (classical, hj):
             monkeypatch.setattr(module, "compile_function", counting)
+        monkeypatch.setattr(codegen, "compile_function", quantum_counting)
         return seen
 
     @pytest.fixture
@@ -569,7 +590,7 @@ class TestCompiledExpressions:
         """The outputs of every ``compile_rk4`` call that the classical and
         HJ modules make while the test runs, from empty loop memos."""
         seen = []
-        real = expr_module.compile_rk4
+        real = codegen.compile_rk4
 
         def counting(outputs, *args, **kwargs):
             seen.append(tuple(outputs))
@@ -929,7 +950,7 @@ class TestReducedDerivatives:
         ("grid_free", [["p1_1", "0", "-0", "-0"], ["0", "p2_1", "-0", "-0"]]),
     ])
     def test_shipped_grid_fields(self, config, fields):
-        _, _, pair = cli._classical_system(EXAMPLE_CONFIGS[config]["system"], "", grid=True)
+        _, _, pair = kinds_classical._classical_system(EXAMPLE_CONFIGS[config]["system"], "", grid=True)
         assert [list(field.exprs) for field in pair.fields] == [
             [parse_expression(source) for source in row] for row in fields]
 
@@ -1166,11 +1187,11 @@ def rk4_cases(draw):
 
 
 def compile_unpacked(outputs, state, fixed=(), *, record=True, rates=None):
-    """``expr.compile_rk4`` as the oracle's loop is called: a state of
+    """``codegen.compile_rk4`` as the oracle's loop is called: a state of
     floats in, every node kept without ``record`` (each step a leg), and
     its packed rows out as the states and the records, or the states, each
     a tuple of floats."""
-    loop = expr_module.compile_rk4(outputs, state, fixed, record=record, rates=rates)
+    loop = codegen.compile_rk4(outputs, state, fixed, record=record, rates=rates)
     if record:
         return lambda y, *args: unpack_rows(loop(pack(y), *args), len(state))
     return lambda y, ts, hs, *fixed_values: unpack_rows(
@@ -1231,7 +1252,7 @@ class TestCompiledRk4:
                                      ([BinOp("*", Var(expr_module.STEP_TIME), y)], None, 3 + 2)):
             Times.reads = 0
             for record in (True, False):
-                loop = expr_module.compile_rk4(outputs, ["y1"], record=record, rates=hook)
+                loop = codegen.compile_rk4(outputs, ["y1"], record=record, rates=hook)
                 loop(pack([1.0]), Times([0.0, 0.1, 0.2]), [0.1, 0.1], *[] if record else [[range(2)]])
             assert Times.reads == reads
 
@@ -1241,10 +1262,10 @@ class TestCompiledRk4:
         # state itself first
         outputs, y0 = [BinOp("*", Num(-0.5), Var("y1")), Var("y2")], pack([1.0, 2.0])
         ts, hs = [0.0, 0.1, 0.2, 0.3], [0.1] * 3
-        recorded = expr_module.compile_rk4(outputs, ["y1", "y2"])(y0, ts, hs)
+        recorded = codegen.compile_rk4(outputs, ["y1", "y2"])(y0, ts, hs)
         assert [struct.unpack("4d", row) for row in recorded[:1]] == [(1.0, 2.0, -0.5, 2.0)]
         assert len(recorded) == 4 and len(recorded[1]) == 4 * 8
-        leg = expr_module.compile_rk4(outputs, ["y1", "y2"], record=False)
+        leg = codegen.compile_rk4(outputs, ["y1", "y2"], record=False)
         states = leg(y0, ts, hs, [range(1), range(1, 3)])
         assert len(states) == 3 and states[0] is y0
         assert states[1:] == [recorded[1][:2 * 8], recorded[3][:2 * 8]]
@@ -1337,12 +1358,12 @@ def shipped_loops() -> list[tuple[str, object]]:
                 loops.append((f"{name}:{u}", hj._leaf_loop(s.expr, s.n, s.d, s.masses, u)))
         elif cfg["formalism"] == "classical":
             if exp["kind"] == "cjs-demo":
-                fields = [cli._build_field(member["field"], "", system["n"], system["d"])
+                fields = [kinds_classical._build_field(member["field"], "", system["n"], system["d"])
                           for member in exp["family"]]
             elif exp["kind"] in ("full-grid", "path-independence"):
-                fields = cli._classical_system(system, "", grid=True)[2].fields
+                fields = kinds_classical._classical_system(system, "", grid=True)[2].fields
             else:
-                fields = [cli._classical_system(system, "")[2]]
+                fields = [kinds_classical._classical_system(system, "")[2]]
             for field in fields:
                 for axis in (None, *range(field.n)):
                     loop = classical._rk4_loop(field.exprs, field.n, field.d, axis)
@@ -1380,7 +1401,7 @@ class TestLeanLoops:
         for v in DIVIDENDS:
             assert same_as_before(outputs, ("y1", "y2"), record, [v, 0.5])
             assert same_as_before(outputs, ("y1", "y2"), record, [0.5, v])
-        loop = expr_module.compile_rk4(outputs, ["y1", "y2"], record=record)
+        loop = codegen.compile_rk4(outputs, ["y1", "y2"], record=record)
         assert sorted(number_divisors(loop)) == sorted([6.0] + ([] if c in PRODUCT_DIVISORS
                                                                else [c] * 8))
 
@@ -1391,7 +1412,7 @@ class TestLeanLoops:
         outputs = [Num(0.5), Num(-2.0), Num(1e308)]
         for y0 in ([1.0, -0.0, 2.0], [5e-324, 0.0, -1e308], [0.0, 0.0, 1e308]):
             assert same_as_before(outputs, ("y1", "y2", "y3"), record, y0)
-        loop = expr_module.compile_rk4(outputs, ["y1", "y2", "y3"], record=record)
+        loop = codegen.compile_rk4(outputs, ["y1", "y2", "y3"], record=record)
         assert stage_states(loop) == [] and "h2" not in loop.__code__.co_varnames
         # (n + 1 nodes,) h / 6.0, the three steps and their finiteness checks;
         # then, on the error path alone, each component's check and its step
@@ -1408,7 +1429,7 @@ class TestLeanLoops:
         outputs = [y3, Neg(y1), BinOp("*", y3, t)]
         for y0 in ([1.0, -0.0, 2.0], [1e308, 0.0, -1e308], [0.5, math.inf, 0.5]):
             assert same_as_before(outputs, ("y1", "y2", "y3"), record, y0)
-        loop = expr_module.compile_rk4(outputs, ["y1", "y2", "y3"], record=record)
+        loop = codegen.compile_rk4(outputs, ["y1", "y2", "y3"], record=record)
         assert stage_states(loop) == ["a_0", "a_2", "b_0", "b_2", "e_0", "e_2"]
 
     @pytest.mark.parametrize("record", [True, False])
@@ -1417,13 +1438,13 @@ class TestLeanLoops:
         # V = 2 gives gamma = 1 - 0.5 * 2 = 0 and V = 3 gives -0.5, each
         # degenerate at the first stage
         one, two, three = Num(1.0), Num(2.0), Num(3.0)
-        folded = expr_module.compile_rk4([one, one], ["y1", "y2"], record=record,
+        folded = codegen.compile_rk4([one, one], ["y1", "y2"], record=record,
                                          rates=hj._leaf_rates((0.5,), 2, 1))
         assert "_degenerate" not in folded.__code__.co_names and stage_states(folded) == []
         for outputs in ([one, one], [one, two], [two, one], [three, one], [Var("y2"), two]):
             for y0 in ([1.0, -0.5], [1e308, 0.0]):
                 assert same_as_before(outputs, ("y1", "y2"), record, y0, ((0.5,), 2, 1))
-        degenerate = expr_module.compile_rk4([one, two], ["y1", "y2"], record=record,
+        degenerate = codegen.compile_rk4([one, two], ["y1", "y2"], record=record,
                                              rates=hj._leaf_rates((0.5,), 2, 1))
         with pytest.raises(FoliationDegeneracyError,
                            match=re.escape("1 - u.V_2 = 0 <= 0 at leaf s = 0")):
@@ -1431,14 +1452,14 @@ class TestLeanLoops:
                        *[] if record else [[range(1)]])
 
     def test_free_equal_time_loop_has_no_position_stage_state(self):
-        n, d, field = cli._classical_system(EXAMPLE_CONFIGS["classical_free_evolve"]["system"], "")
+        n, d, field = kinds_classical._classical_system(EXAMPLE_CONFIGS["classical_free_evolve"]["system"], "")
         loop = classical._rk4_loop(field.exprs, n, d, None)
         # the rates v = p read the momenta alone, which follow the positions
         momenta = range(n * d, 2 * n * d)
         assert stage_states(loop) == [f"{s}_{i}" for s in "abe" for i in momenta]
 
     def test_free_grid_leg_has_one_stage_state_per_stage(self):
-        _, _, pair = cli._classical_system(EXAMPLE_CONFIGS["grid_free"]["system"], "",
+        _, _, pair = kinds_classical._classical_system(EXAMPLE_CONFIGS["grid_free"]["system"], "",
                                            grid=True)
         loop = classical._rk4_loop(pair.fields[0].exprs, pair.n, pair.d, 0)
         assert [name[0] for name in stage_states(loop)] == ["a", "b", "e"]

@@ -5,8 +5,10 @@ thread, and a CLI process, run by either entry point, runs numpy's BLAS
 in one thread (``OPENBLAS_NUM_THREADS=1``, unless the user set it), so it
 has no native thread beside its main one either.  An import of the
 package changes no environment variable.  A CLI process loads only the
-formalism its config uses, and ends with a hard exit that leaves its
-outputs whole, keeps its exit codes and runs its atexit callbacks.
+formalism its config uses, with that formalism's reader module, and the
+code generator only where it compiles an expression; it ends with a hard
+exit that leaves its outputs whole, keeps its exit codes and runs its
+atexit callbacks.
 
 The runs need a fresh interpreter, because this test process has long
 since imported scipy and every module of the package through other tests.
@@ -54,6 +56,16 @@ import multitime.cli as cli
 
 code = cli.main(sys.argv[1:])
 print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+MODULES_AFTER_IMPORT = """
+import importlib.util, json, sys
+
+import multitime.cli
+
+print(json.dumps([sorted(name for name in sys.modules if name.partition(".")[0] == "multitime"),
+                  [importlib.util.find_spec(name) is not None for name in sys.argv[1:]]]))
 """
 
 
@@ -182,41 +194,59 @@ def test_config_runs_without_scipy(exit_codes, name):
 
 FORMALISMS = ["multitime.classical", "multitime.hj", "multitime.linops",
               "multitime.paths", "multitime.quantum"]
+#: the reader module of each formalism's kinds, and the code generator
+READERS = {"quantum": "multitime.kinds_quantum", "classical": "multitime.kinds_classical",
+           "hj": "multitime.kinds_hj"}
+CODEGEN = "multitime.codegen"
 NOT_QUANTUM = ["multitime.classical", "multitime.hj", "multitime.paths",
-               "multitime.configs", "multitime.numdiff"]
+               "multitime.configs", "multitime.numdiff", READERS["classical"],
+               READERS["hj"]]
 #: standard modules that a run without a CSV does not use
 UNUSED = ["csv", "dataclasses"]
 
 
 @pytest.mark.parametrize("args,loaded,absent", [
     (["evolve", "--config", "interaction_picture_staircase.json"],
-     ["multitime.quantum", "multitime.linops"], [*NOT_QUANTUM, "numpy.random", *UNUSED]),
+     ["multitime.quantum", "multitime.linops", READERS["quantum"]],
+     [*NOT_QUANTUM, CODEGEN, "numpy.random", *UNUSED]),
     (["holonomy", "--config", "coupled_qubits.json"],
-     ["multitime.quantum", "multitime.linops"], [*NOT_QUANTUM, "numpy.random", *UNUSED]),
-    (["evolve", "--config", "classical_free_evolve.json"], ["multitime.classical"],
+     ["multitime.quantum", "multitime.linops", READERS["quantum"]],
+     [*NOT_QUANTUM, CODEGEN, "numpy.random", *UNUSED]),
+    (["check", "--config", "free_quantum.json"],
+     ["multitime.quantum", "multitime.linops", READERS["quantum"]],
+     [*NOT_QUANTUM, CODEGEN, "numpy.random", *UNUSED]),
+    (["evolve", "--config", "classical_free_evolve.json"],
+     ["multitime.classical", READERS["classical"], CODEGEN],
      ["multitime.hj", "multitime.quantum", "multitime.linops", "multitime.configs",
-      "multitime.numdiff", "numpy.random", *UNUSED]),
+      "multitime.numdiff", READERS["quantum"], READERS["hj"], "numpy.random", *UNUSED]),
     (["evolve", "--config", "classical_free_evolve.json", "--csv", "lines.csv"],
-     ["multitime.classical", "csv"],
+     ["multitime.classical", READERS["classical"], CODEGEN, "csv"],
      ["multitime.hj", "multitime.quantum", "multitime.linops", "multitime.configs",
-      "multitime.numdiff", "numpy.random", "dataclasses"]),
+      "multitime.numdiff", READERS["quantum"], READERS["hj"], "numpy.random",
+      "dataclasses"]),
     (["check", "--config", "classical_free_check.json"],
-     ["multitime.classical", "numpy.random"],
+     ["multitime.classical", READERS["classical"], CODEGEN, "numpy.random"],
      ["multitime.hj", "multitime.quantum", "multitime.linops", "multitime.configs",
-      "multitime.numdiff", *UNUSED]),
-    (["foliation", "--config", "hj_free_foliations.json"], ["multitime.hj"],
+      "multitime.numdiff", READERS["quantum"], READERS["hj"], *UNUSED]),
+    (["foliation", "--config", "hj_free_foliations.json"],
+     ["multitime.hj", READERS["hj"], CODEGEN],
      ["multitime.classical", "multitime.quantum", "multitime.linops", "multitime.configs",
-      "numpy.random", *UNUSED]),
-    (["hj", "--config", "hj_free_residual.json"], ["multitime.hj", "multitime.paths"],
+      READERS["quantum"], READERS["classical"], "numpy.random", *UNUSED]),
+    (["hj", "--config", "hj_free_residual.json"],
+     ["multitime.hj", "multitime.paths", READERS["hj"], CODEGEN],
      ["multitime.classical", "multitime.quantum", "multitime.linops", "multitime.configs",
-      "numpy.random", *UNUSED]),
+      READERS["quantum"], READERS["classical"], "numpy.random", *UNUSED]),
     (["examples", "--dir", "again"], ["multitime.configs"],
-     [*FORMALISMS, "multitime.numdiff", "numpy.random", *UNUSED]),
-], ids=["quantum-evolve", "quantum-holonomy", "classical-evolve", "classical-evolve-csv",
-        "classical-check", "hj", "hj-residual", "examples"])
+     [*FORMALISMS, "multitime.numdiff", *READERS.values(), CODEGEN, "numpy.random",
+      *UNUSED]),
+], ids=["quantum-evolve", "quantum-holonomy", "quantum-check", "classical-evolve",
+        "classical-evolve-csv", "classical-check", "hj", "hj-residual", "examples"])
 def test_a_run_loads_only_what_it_uses(tmp_path, args, loaded, absent):
-    """A run loads its formalism and no other, ``numpy.random`` only when
-    it draws samples and ``csv`` only when it writes a CSV; no run loads
+    """A run loads its formalism and its reader module and no other
+    formalism's, the code generator only where it compiles an expression
+    (every classical and HJ run; no shipped quantum config, whose
+    coefficients are all numbers), ``numpy.random`` only when it draws
+    samples and ``csv`` only when it writes a CSV; no run loads
     ``dataclasses``."""
     write_examples(str(tmp_path))
     args = [str(tmp_path / a) if a.endswith((".json", ".csv")) or a == "again" else a
@@ -229,6 +259,33 @@ def test_a_run_loads_only_what_it_uses(tmp_path, args, loaded, absent):
     assert code == 0
     assert set(loaded) <= set(modules)
     assert not set(absent) & set(modules)
+
+
+def test_an_expression_coefficient_loads_the_generator(tmp_path):
+    """A quantum coefficient given as an expression is compiled, so that
+    run loads the code generator, and still no other formalism's reader."""
+    cfg = json.loads(json.dumps(EXAMPLE_CONFIGS["free_quantum"]))
+    cfg["system"]["hamiltonians"]["terms"][0][0]["coeff"] = "cos(t1)"
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    done = fresh("-c", MODULES_AFTER_MAIN, "check", "--config", str(tmp_path / "cfg.json"),
+                 "--out", str(tmp_path / "report.json"))
+    assert done.returncode == 0, done.stderr
+    code, modules = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0
+    assert {"multitime.quantum", READERS["quantum"], CODEGEN} <= set(modules)
+    assert not {READERS["classical"], READERS["hj"], "multitime.classical",
+                "multitime.hj"} & set(modules)
+
+
+def test_the_cli_import_loads_no_reader_and_no_generator():
+    """``import multitime.cli`` loads the CLI, the parser and the reports
+    alone: no formalism, no reader module and no code generator, each of
+    which is a module of the package that a run loads when it needs it."""
+    done = fresh("-c", MODULES_AFTER_IMPORT, *READERS.values(), CODEGEN)
+    assert done.returncode == 0, done.stderr
+    modules, found = json.loads(done.stdout)
+    assert modules == ["multitime", "multitime.cli", "multitime.expr", "multitime.reports"]
+    assert found == [True] * (len(READERS) + 1)
 
 
 def test_formalisms_share_the_phase_point():
@@ -340,12 +397,15 @@ DEGENERATE_FOLIATION = {
     ("unwritable-out", 2, "output error: "),
     ("closed-stdout", 2, "output error: [Errno 32] Broken pipe"),
     ("numerical-failure", 3, "numerical failure: 1 - u.V_1 = -0.2 <= 0"),
+    ("reader-config-error", 2, "config error: /experiment/sizes: expected >= 1, got 0"),
 ])
 def test_hard_exit_keeps_codes_and_messages(configs, tmp_path, entry, case, code,
                                             message):
     """Exits 2 and 3 keep their codes and their one-line messages.  A
     report that cannot be printed, here on a pipe whose reader has closed,
-    is an output error, and its flush at the exit prints nothing more."""
+    is an output error, and its flush at the exit prints nothing more.  A
+    config error that a formalism's reader module raises is caught as the
+    CLI's own, also where the CLI runs as ``__main__``."""
     quantum = str(configs / "free_quantum.json")
     stdout = subprocess.PIPE
     if case == "missing-config":
@@ -356,6 +416,11 @@ def test_hard_exit_keeps_codes_and_messages(configs, tmp_path, entry, case, code
         args = ["check", "--config", quantum]
         read_end, stdout = os.pipe()
         os.close(read_end)
+    elif case == "reader-config-error":  # raised in the quantum reader module
+        cfg = json.loads((configs / "coupled_qubits.json").read_text())
+        cfg["experiment"]["sizes"] = []
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        args = ["holonomy", "--config", str(tmp_path / "cfg.json")]
     else:
         (tmp_path / "cfg.json").write_text(json.dumps(DEGENERATE_FOLIATION))
         args = ["foliation", "--config", str(tmp_path / "cfg.json")]

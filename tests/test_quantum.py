@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (defect_matrix_oracle, diagonal_oracle, quantum_defect_oracle,
                      staircase_oracle)
 
-from multitime import classical, cli, expr, linops, quantum
+from multitime import classical, expr, kinds_quantum, linops, quantum
 from multitime.configs import EXAMPLE_CONFIGS
 from multitime.linops import (
     SIGMA_Y,
@@ -402,7 +402,7 @@ class TestStackedPropagation:
         # Hamiltonians go in full stacks; under the frame, H_2 has a numeric
         # row and does not depend on t2, so its leg builds one H and one U
         cfg = EXAMPLE_CONFIGS["interaction_picture_staircase"]
-        sys = cli.build_quantum_system(cfg["system"], "/system")
+        sys = kinds_quantum.build_quantum_system(cfg["system"], "/system")
         exp = cfg["experiment"]
         built, propagators = [], []
         hamiltonians = PartialHamiltonianSet.hamiltonians
