@@ -44,7 +44,7 @@ from .expr import (_ZERO, STEP_TIME, BinOp, Expression, Neg, Var, _neg, binding_
                    bound_steps, check_count, check_finite, check_masses, check_positive,
                    check_span, derivative, free_variables, parse_expression, phase_names,
                    substitute)
-from .paths import NPath, PhasePoint, WorldLine, _defect_values
+from .paths import NPath, PhasePoint, WorldLine, _defect_values, _scaled_norms
 from .reports import DefectReport
 
 __all__ = [
@@ -281,8 +281,23 @@ def evolve_equal_time(field: PhaseVectorField, init: PhasePoint,
 
 def _squares(vectors: np.ndarray) -> np.ndarray:
     """``v @ v`` of every vector v along the last axis, bit for bit as
-    ``v @ v`` computes each on its own (stacked matmul takes the same dot)."""
-    return np.matmul(vectors[..., None, :], vectors[..., :, None])[..., 0, 0]
+    ``v @ v`` computes each on its own (stacked matmul takes the same dot);
+    one that overflows reads inf, without a warning."""
+    with np.errstate(over="ignore"):
+        return np.matmul(vectors[..., None, :], vectors[..., :, None])[..., 0, 0]
+
+
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """|v| of every vector v along the last axis, ``sqrt(v @ v)`` as
+    np.linalg.norm takes it where ``v @ v`` is finite; where it overflows
+    and v is finite, ``paths._scaled_norms``, so that only a norm beyond
+    the float range reads inf."""
+    norms = np.sqrt(_squares(vectors))
+    over = np.isinf(norms) & np.isfinite(vectors).all(axis=-1)
+    if over.any():
+        with np.errstate(over="ignore"):
+            norms[over] = _scaled_norms(vectors[over])
+    return norms
 
 
 def validity_residual(field: PhaseVectorField, npath: NPath,
@@ -313,17 +328,25 @@ def validity_residual(field: PhaseVectorField, npath: NPath,
     spacelike = np.ones(len(tuples), bool)
     for i, j in itertools.combinations(range(n), 2):
         at = np.flatnonzero(spacelike)
-        dt = tuples[at, i] - tuples[at, j]
-        spacelike[at] = ~(dt * dt >= _squares(xs[at, i] - xs[at, j]))
+        with np.errstate(over="ignore"):  # an infinite gap or square decides as it is
+            dt, gaps = tuples[at, i] - tuples[at, j], xs[at, i] - xs[at, j]
+            dt2, gap2 = dt * dt, _squares(gaps)
+        timelike = dt2 >= gap2
+        # where both squares overflow, the lengths decide, the gap's scaled
+        both = np.isinf(dt2) & np.isinf(gap2)
+        timelike[both] = np.abs(dt[both]) >= _norms(gaps[both])
+        spacelike[at] = ~timelike
     accepted = np.flatnonzero(spacelike)
     states = np.concatenate([xs[accepted].reshape(-1, n * d),
                              ps[accepted].reshape(-1, n * d)], axis=1)
     rhs = field.rhs
     rates = np.reshape([rhs(times, y) for times, y in
                         zip(tuples[accepted].tolist(), states.tolist())], (-1, 2, n, d))
-    # |dx_j/dt_j - v_j| + |dp_j/dt_j - w_j|, each norm as np.linalg.norm takes it
-    residuals = (np.sqrt(_squares(dxs[accepted] - rates[:, 0]))
-                 + np.sqrt(_squares(dps[accepted] - rates[:, 1])))
+    # |dx_j/dt_j - v_j| + |dp_j/dt_j - w_j|, each norm as np.linalg.norm takes
+    # it; a difference or a sum beyond the float range reads inf, for the caller
+    with np.errstate(over="ignore"):
+        residuals = (_norms(dxs[accepted] - rates[:, 0])
+                     + _norms(dps[accepted] - rates[:, 1]))
     rows = [{"times": times, "spacelike": False} for times in tuples.tolist()]
     for i, row in zip(accepted.tolist(), residuals.tolist()):
         rows[i].update(spacelike=True, residuals=row)

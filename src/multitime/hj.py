@@ -438,7 +438,8 @@ def hj_trajectories_foliation(s: HJFunction, fol: Foliation,
     converge raises the last such error, else FoliationError.  A bad
     ``anchor_tol`` or ``max_anchor_iters``, or a bad ``s_span`` or ``ds`` or
     too many steps (``foliation_leaves``), raises ValueError before any
-    sweep."""
+    sweep.  A converged world line whose momentum or momentum rate is not
+    finite raises FloatingPointError."""
     if not anchor_tol >= 0.0:
         raise ValueError(f"anchor_tol must be a number >= 0, got {anchor_tol}")
     check_count(max_anchor_iters, 1, "max_anchor_iters")
@@ -477,10 +478,18 @@ def hj_trajectories_foliation(s: HJFunction, fol: Foliation,
     else:
         raise failure
     times, xs, vs = records
-    ps = [vs[:, j] * mass for j, mass in enumerate(s.masses)]
-    return NPath([WorldLine(t=t, x=xs[:, j], p=p, dxdt=vs[:, j],
-                            dpdt=np.gradient(p, t, axis=0))
-                  for j, (t, p) in enumerate(zip(times, ps))])
+    # a momentum beyond the float range, or leaf steps so fine that
+    # np.gradient's products of them underflow, leave a world line that is
+    # not finite: a numerical failure, not a sample error
+    with np.errstate(all="ignore"):
+        ps = [vs[:, j] * mass for j, mass in enumerate(s.masses)]
+        dps = [np.gradient(p, t, axis=0) for t, p in zip(times, ps)]
+    for j, (p, dp) in enumerate(zip(ps, dps), 1):
+        if not (np.isfinite(p).all() and np.isfinite(dp).all()):
+            raise FloatingPointError(f"non-finite momentum or momentum rate on the world "
+                                     f"line of particle {j} on the foliation {fol.label()}")
+    return NPath([WorldLine(t=t, x=xs[:, j], p=p, dxdt=vs[:, j], dpdt=dp)
+                  for j, (t, p, dp) in enumerate(zip(times, ps, dps))])
 
 
 def foliation_compare(s: HJFunction, foliations: Sequence[Foliation],

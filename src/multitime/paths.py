@@ -66,7 +66,7 @@ class WorldLine:
                              "dxdt and dpdt of one shape (len(t), d)")
         if not all(np.isfinite(a).all() for a in [self.t, *samples]):
             raise ValueError("world line samples must be finite")
-        if np.any(np.diff(self.t) <= 0):
+        if np.any(self.t[1:] <= self.t[:-1]):  # no difference, which may overflow
             raise ValueError("sample times must be strictly increasing")
 
     @property
@@ -100,7 +100,10 @@ def hermite_at(t: np.ndarray, y: np.ndarray, dydt: np.ndarray, time,
 
     Each query's interval [t[i], t[i+1]] gets the coefficients of s^3,
     s^2, s, 1 (s = time - t[i]) of the cubic that matches y and dydt at
-    both ends, summed as scipy's ``PPoly`` sums them."""
+    both ends, summed as scipy's ``PPoly`` sums them.  Where that overflows
+    (rates near the largest float, which the RK4 loops step), the entry is
+    taken again in scaled form (``_hermite_scaled``), finite wherever the
+    interpolant is well inside the float range."""
     times = np.asarray(time, float)
     lo, hi = float(t[0]), float(t[-1])
     # not "inside", so that a NaN time, which fails both tests, is outside
@@ -124,7 +127,49 @@ def hermite_at(t: np.ndarray, y: np.ndarray, dydt: np.ndarray, time,
         for c in pieces[-2::-1]:
             power = power * s
             value = value + c * power
+        if not np.isfinite(value).all():
+            scaled = _hermite_scaled(dt, y[i], y[i + 1], dydt[i], dydt[i + 1], s, derivative)
+            value = np.where(np.isfinite(value), value, scaled)
     return value
+
+
+def _hermite_scaled(dt, y0, y1, d0, d1, s, derivative: bool) -> np.ndarray:
+    """``hermite_at``'s cubic on the interval of length ``dt`` from y0 to
+    y1 with the end rates d0, d1, at s from its start (or its derivative),
+    with no intermediate overflow: in u = s / dt it is y0 + s * P(u) with
+    P(u) = d0 + B u + C u^2, B = 2(m - d0) + (m - d1) and
+    C = (d0 - m) + (d1 - m), m the slope (y1 - y0) / dt, so that each
+    coefficient of s is divided by dt before the terms are added.  The
+    rates are scaled by a power of two 2^k near the largest of them and the
+    slope, and the sum with y0 by one near the larger term, so that only a
+    result outside the float range overflows.  Where m, d0 and d1 are equal
+    the derivative is d0 exactly."""
+    dt_m, dt_e = np.frexp(dt)
+    quarter = y1 / 4.0 - y0 / 4.0  # (y1 - y0) / 4, which cannot overflow
+    k = np.maximum(np.maximum(np.frexp(d0)[1], np.frexp(d1)[1]),
+                   np.frexp(quarter)[1] + 3 - dt_e)
+    m = np.ldexp(quarter / dt_m, 2 - dt_e - k)
+    r0, r1 = np.ldexp(d0, -k), np.ldexp(d1, -k)
+    b, c = 2.0 * (m - r0) + (m - r1), (r0 - m) + (r1 - m)
+    u = s / dt
+    if derivative:
+        return np.ldexp(r0 + u * (2.0 * b + 3.0 * u * c), k)
+    s_m, s_e = np.frexp(s)
+    step = (r0 + u * (b + u * c)) * s_m  # s * P(u) / 2^(k + s_e)
+    j = np.maximum(np.frexp(y0)[1], np.frexp(step)[1] + k + s_e + 1)
+    value = np.ldexp(np.ldexp(y0, -j) + np.ldexp(step, k + s_e - j), j)
+    return np.where(step == 0.0, y0, value)
+
+
+def _scaled_norms(vectors: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each vector along the last axis, each taken of
+    the vector divided by its largest |component| and multiplied back
+    (Blue, ACM TOMS 4, 1978), so that it overflows only where the norm
+    does: the fallback of a norm whose squares overflow.  Every vector has
+    a finite nonzero component."""
+    scale = np.max(np.abs(vectors), axis=-1)
+    unit = vectors / scale[..., None]
+    return scale * np.sqrt(np.sum(unit * unit, axis=-1))
 
 
 class NPath:
@@ -154,10 +199,19 @@ class NPath:
 
     def max_speed(self) -> float:
         """Largest sampled |dx/dt|; >= 1 means a non-timelike sample.  A
-        speed whose square overflows reads inf, without a warning."""
-        with np.errstate(over="ignore"):
-            return max(float(np.max(np.linalg.norm(line.dxdt, axis=1)))
-                       for line in self.lines)
+        speed whose square overflows is taken again by ``_scaled_norms``,
+        without a warning, so only a speed beyond the float range reads
+        inf."""
+        speeds = []
+        for line in self.lines:
+            with np.errstate(over="ignore"):
+                norms = np.linalg.norm(line.dxdt, axis=1)
+            over = ~np.isfinite(norms)  # the samples are finite
+            if over.any():
+                with np.errstate(over="ignore"):
+                    norms[over] = _scaled_norms(line.dxdt[over])
+            speeds.append(float(np.max(norms)))
+        return max(speeds)
 
     def csv_table(self) -> tuple[list[str], list[list]]:
         """The n-path CSV layout: columns, then one row per sample of each

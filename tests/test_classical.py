@@ -3,11 +3,13 @@ import functools
 import math
 import re
 import struct
+import sys
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from multitime import classical
 from multitime.classical import (
@@ -28,7 +30,7 @@ from multitime.configs import EXAMPLE_CONFIGS
 from multitime.expr import (FUNCTIONS, BinOp, Call, DomainError, Num, Var,
                             binding_names, evaluate)
 from multitime.numdiff import diff_callable
-from multitime.paths import NPath, PathRangeError, WorldLine
+from multitime.paths import NPath, PathRangeError, WorldLine, hermite_at
 from multitime.reports import DefectReport, write_csv
 from oracles import (defect_grid_oracle, defect_oracle, full_grid_oracle, is_spacelike, pack,
                      path_independence_oracle, phase_points, rk4_oracle, table_oracle,
@@ -682,6 +684,97 @@ class TestWorldLines:
         text = out.read_text().splitlines()
         assert text[0].startswith("particle,t,x_1")
         assert len(text) == 1 + 2 * 5  # header + two lines of five samples
+
+
+#: the largest float, and the smallest subnormal as an absolute floor of
+#: the tolerances below (an operation on subnormals rounds to it)
+MAX_FLOAT = Fraction(sys.float_info.max)
+TINY = Fraction(math.ulp(0.0))
+
+
+@st.composite
+def magnitudes(draw, zero=True, least=-323, most=307):
+    """A float from 10^least (a subnormal by default) up to 10^(most + 1)
+    (1e308) in size, either sign, or zero."""
+    if zero and draw(st.integers(0, 9)) == 0:
+        return 0.0
+    value = draw(st.floats(1.0, 9.99)) * 10.0 ** draw(st.integers(least, most))
+    assume(value != 0.0)
+    return value if draw(st.booleans()) else -value
+
+
+def within(got: float, want: Fraction, scale: Fraction, floor: Fraction = TINY) -> bool:
+    """``got`` is finite and within 1e-12 of ``scale``, plus 8 ``floor``,
+    from the exact ``want``."""
+    return math.isfinite(got) and abs(Fraction(got) - want) <= scale / 10**12 + 8 * floor
+
+
+class TestNearTheLargestFloat:
+    """The world-line helpers on values from subnormals up to 1e308: today's
+    formulas where they are finite, their scaled forms where they overflow.
+    Where the exact value (``fractions.Fraction``) is in the float range and
+    the terms it sums are too, the helper's is finite and within 1e-12 of
+    the largest term; where it is beyond the range, it reads inf or NaN."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.tuples(magnitudes(), magnitudes(), magnitudes(), magnitudes()),
+           magnitudes(zero=False, least=-100, most=99), st.floats(0.0, 1.0))
+    @example((0.0, 1e-290, 1e308, -1e308), 1e-300, 0.5)
+    @example((-1e308, 1e308, 1e308, 1e308), 1e-300, 0.25)
+    @example((0.0, 1e297, 1e308, 1e308), 1e-11, 0.637)
+    def test_hermite_matches_the_exact_interpolant(self, samples, dt, u):
+        """Intervals from 1e-100 to 1e100 drawn, and three of 1e-11 or less
+        given.  Where it is finite, the power-basis sum is kept, which
+        rounds a subnormal coefficient or power of s to the smallest
+        subnormal: that error, times up to dt^3, is allowed.  Below 1e-100
+        it would grow past the bound through s^3 alone."""
+        y0, y1, d0, d1 = samples
+        t = np.array([0.0, abs(dt)])
+        time = float(u * t[1])
+        exact = [Fraction(v) for v in (t[1], y0, y1, d0, d1, time)]
+        h, fy0, fy1, fd0, fd1, fs = exact
+        m = (fy1 - fy0) / h
+        b, c, w = 3 * m - 2 * fd0 - fd1, fd0 + fd1 - 2 * m, fs / h
+        y, dydt = np.array([[y0], [y1]]), np.array([[d0], [d1]])
+        for derivative, want, terms, floor in (
+                (False, fy0 + fs * (fd0 + w * (b + w * c)),
+                 [fy0, fs * fd0, fs * m, fs * fd1], TINY * max(1, h) ** 3),
+                (True, fd0 + w * (2 * b + 3 * w * c), [fd0, fd1, m], TINY * max(1, h) ** 2)):
+            got = float(hermite_at(t, y, dydt, time, derivative)[0])
+            scale = max(abs(term) for term in terms)
+            if abs(want) > MAX_FLOAT * (1 + Fraction(1, 10**12)):
+                assert not math.isfinite(got)
+            elif 8 * scale <= MAX_FLOAT and abs(want) < MAX_FLOAT * (1 - Fraction(1, 10**12)):
+                assert within(got, want, scale, floor), (derivative, got, float(want))
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.lists(magnitudes(), min_size=1, max_size=3), magnitudes())
+    def test_norms_and_the_spacelike_test_match_exact_squares(self, gap, dt):
+        """``classical._norms`` and ``NPath.max_speed`` against the exact
+        |v|^2; the spacelike test of ``validity_residual`` against the exact
+        (dt)^2 < |gap|^2, on two resting particles at that gap whose times
+        differ by dt."""
+        squares = sum(Fraction(v) ** 2 for v in gap)
+        t = np.array([-abs(dt) / 2, abs(dt) / 2]) if dt else np.array([-1.0, 1.0])
+        rest = np.zeros((2, len(gap)))
+        speed = NPath([WorldLine(t=t, x=rest, p=rest, dxdt=np.array([gap, gap]),
+                                 dpdt=rest)]).max_speed()
+        for got in (float(classical._norms(np.array([gap]))[0]), speed):
+            if squares > MAX_FLOAT ** 2 * (1 + Fraction(1, 10**12)):
+                assert got == math.inf
+            elif squares < MAX_FLOAT ** 2 * (1 - Fraction(1, 10**12)):
+                assert math.isfinite(got), got
+                assert abs(Fraction(got) ** 2 - squares) <= squares / 10**12 + 8 * TINY
+        dt2 = (Fraction(t[1]) - Fraction(t[0])) ** 2
+        assume(abs(dt2 - squares) > squares / 10**12)  # no rounding decides it
+        assume(max(dt2, squares) > Fraction(2.0 ** -968))  # nor an underflow of both
+        lines = [WorldLine(t=t, x=rest, p=rest, dxdt=rest, dpdt=rest),
+                 WorldLine(t=t, x=np.array([gap, gap]), p=rest, dxdt=rest, dpdt=rest)]
+        field = PhaseVectorField.from_expressions(
+            2, len(gap), [["0"] * len(gap)] * 2, [["0"] * len(gap)] * 2)
+        report = validity_residual(field, NPath(lines), [[t[1], t[0]]])
+        assert report["rows"][0]["spacelike"] == (dt2 < squares)
+        assert report["max_residual"] == 0.0
 
 
 class TestFullGrid:
