@@ -68,6 +68,9 @@ __all__ = [
 # A right-hand side maps a time tuple and a flat state (x, p) to the rates.
 RHS = Callable[[Sequence[float], Sequence[float]], tuple[float, ...]]
 
+#: the smallest normal float: a square below it has rounded to fewer bits
+_NORMAL_FLOAT = np.finfo(float).tiny
+
 
 @functools.lru_cache(maxsize=64)
 def _rhs(exprs: tuple[Expression, ...], n: int, d: int) -> RHS:
@@ -335,6 +338,14 @@ def validity_residual(field: PhaseVectorField, npath: NPath,
         # where both squares overflow, the lengths decide, the gap's scaled
         both = np.isinf(dt2) & np.isinf(gap2)
         timelike[both] = np.abs(dt[both]) >= _norms(gaps[both])
+        # where both fall below the normal range, rounded to a few bits or to
+        # 0, and the gap is not zero, the squares of both divided by the
+        # larger length decide
+        small = np.flatnonzero((np.maximum(dt2, gap2) < _NORMAL_FLOAT)
+                               & gaps.any(axis=-1))
+        scale = np.maximum(np.abs(dt[small]), np.max(np.abs(gaps[small]), axis=-1))
+        timelike[small] = ((dt[small] / scale) ** 2
+                           >= _squares(gaps[small] / scale[:, None]))
         spacelike[at] = ~timelike
     accepted = np.flatnonzero(spacelike)
     states = np.concatenate([xs[accepted].reshape(-1, n * d),

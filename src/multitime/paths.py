@@ -101,9 +101,11 @@ def hermite_at(t: np.ndarray, y: np.ndarray, dydt: np.ndarray, time,
     Each query's interval [t[i], t[i+1]] gets the coefficients of s^3,
     s^2, s, 1 (s = time - t[i]) of the cubic that matches y and dydt at
     both ends, summed as scipy's ``PPoly`` sums them.  Where that overflows
-    (rates near the largest float, which the RK4 loops step), the entry is
-    taken again in scaled form (``_hermite_scaled``), finite wherever the
-    interpolant is well inside the float range."""
+    (rates near the largest float, which the RK4 loops step), or where a
+    coefficient of s^3 or s^2 is subnormal or the time is within 2^-340
+    (about 4e-103) of its knot, so that a power of s may be, the entry is
+    taken again in scaled form (``_hermite_scaled``): finite and accurate
+    wherever the interpolant is well inside the float range."""
     times = np.asarray(time, float)
     lo, hi = float(t[0]), float(t[-1])
     # not "inside", so that a NaN time, which fails both tests, is outside
@@ -120,6 +122,9 @@ def hermite_at(t: np.ndarray, y: np.ndarray, dydt: np.ndarray, time,
         slope = (y[i + 1] - y[i]) / dt
         curve = (dydt[i] + dydt[i + 1] - 2 * slope) / dt
         pieces = [curve / dt, (slope - dydt[i]) / dt - curve, dydt[i], y[i]]
+        # the binary exponents of the coefficients of s^3 and s^2: below
+        # -1021, a subnormal
+        exponents = np.frexp(np.stack(pieces[:2]))[1]
         if derivative:
             pieces = [3.0 * pieces[0], 2.0 * pieces[1], pieces[2]]
         s = (times - t[i])[..., None]
@@ -127,9 +132,14 @@ def hermite_at(t: np.ndarray, y: np.ndarray, dydt: np.ndarray, time,
         for c in pieces[-2::-1]:
             power = power * s
             value = value + c * power
-        if not np.isfinite(value).all():
+        # taken again: a value not finite, or summed from a subnormal
+        # coefficient or a power of s that may be one (|s| < 2^-340), which
+        # keeps fewer bits
+        redo = (~np.isfinite(value) | (np.frexp(s)[1] <= -340)
+                | (exponents < -1021).any(axis=0))
+        if redo.any():
             scaled = _hermite_scaled(dt, y[i], y[i + 1], dydt[i], dydt[i + 1], s, derivative)
-            value = np.where(np.isfinite(value), value, scaled)
+            value = np.where(redo, scaled, value)
     return value
 
 
@@ -145,10 +155,15 @@ def _hermite_scaled(dt, y0, y1, d0, d1, s, derivative: bool) -> np.ndarray:
     result outside the float range overflows.  Where m, d0 and d1 are equal
     the derivative is d0 exactly."""
     dt_m, dt_e = np.frexp(dt)
-    quarter = y1 / 4.0 - y0 / 4.0  # (y1 - y0) / 4, which cannot overflow
+    # y1 - y0 as rise_m * 2^rise_e, halved first where it overflows
+    rise = y1 - y0
+    over = np.isinf(rise)
+    rise_m, rise_e = np.frexp(np.where(over, y1 * 0.5 - y0 * 0.5, rise))
+    rise_e = rise_e + over
+    # 2^k at or above each nonzero rate and the slope (a zero gives 2^0)
     k = np.maximum(np.maximum(np.frexp(d0)[1], np.frexp(d1)[1]),
-                   np.frexp(quarter)[1] + 3 - dt_e)
-    m = np.ldexp(quarter / dt_m, 2 - dt_e - k)
+                   np.where(rise == 0.0, 0, rise_e + 1 - dt_e))
+    m = np.ldexp(rise_m / dt_m, rise_e - dt_e - k)
     r0, r1 = np.ldexp(d0, -k), np.ldexp(d1, -k)
     b, c = 2.0 * (m - r0) + (m - r1), (r0 - m) + (r1 - m)
     u = s / dt
