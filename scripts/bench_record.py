@@ -1,12 +1,12 @@
 """Append one record of this checkout's performance to the trajectory
 ``BENCH_<k>.json`` at the root of the checkout.
 
-    python scripts/bench_record.py [--seed N] [--seconds S] [--rounds R] [--note TEXT]
+    python scripts/bench_record.py [--note TEXT]
 
 A record holds, for this checkout as it stands:
 
 * ``perfbench``: for each workload of ``BENCHMARK.json``, the lines that
-  ``perfbench/run.py --workload W --seed N --seconds S --trace 0`` prints,
+  ``perfbench/run.py --workload W --seed 1 --seconds S --trace 0`` prints,
   run unchanged as a subprocess from the root of the checkout: its
   per-pass line (``measured``, ``reference_speed``, ``probes``,
   ``config_s``) and its result line, each as printed, with its exit code.
@@ -14,12 +14,13 @@ A record holds, for this checkout as it stands:
   their place: the pass count, the first pass's ``reference_speed``
   ``pass_s`` (which includes every generated loop's compilation on the
   in-process workloads) and the median of the later passes (None with
-  one pass).  ``--seconds`` defaults to the benchmark's ``run_seconds``.
+  one pass).  ``S`` is the benchmark's ``run_seconds``, and the seed is
+  always 1, so that every record compares with the others.
 * ``tier1``: the ROADMAP's Tier-1 command with ``--durations=5``: its
   wall time, its exit code, the counts of its summary line and its five
   slowest test phases.
 * ``kernels`` and ``cold_cli``: the lines that ``scripts/kernels.py`` and
-  ``scripts/cold_cli.py --rounds R`` print, with their exit codes, and
+  ``scripts/cold_cli.py`` (its own rounds) print, with their exit codes, and
   the AST nodes that each config's cold CLI process compiles, with their
   total over the benchmark's ``cli-cold`` configs, read from the latter.
 * the commit, the paths that ``git status --porcelain`` lists (none when
@@ -51,6 +52,8 @@ ROOT = Path(__file__).resolve().parents[1]
 #: the Tier-1 command of ROADMAP.md, with the five slowest test phases
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "--durations=5"]
+#: the seed of every perfbench run, the one all records of the trajectory use
+SEED = 1
 #: the fields of a record's machine that say whether cold processes compile
 BYTECODE = ("dont_write_bytecode", "PYTHONDONTWRITEBYTECODE", "src_bytecode")
 
@@ -62,9 +65,9 @@ def run(argv: list[str], env: dict | None = None) -> tuple[int, list[str], float
     return done.returncode, done.stdout.splitlines(), time.perf_counter() - start
 
 
-def perfbench(workload: str, seed: int, seconds: float) -> dict:
+def perfbench(workload: str, seconds: float) -> dict:
     code, lines, _ = run([sys.executable, "perfbench/run.py", "--workload", workload,
-                          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"])
+                          "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"])
     printed = [json.loads(line) for line in lines if line.startswith("{")]
     passes = next((p["reference_speed"]["pass_s"] for p in printed
                    if "reference_speed" in p), [])
@@ -92,8 +95,8 @@ def script(name: str, *args: str) -> dict:
     return {"exit": code, "lines": lines}
 
 
-def cold_cli(rounds: int) -> dict:
-    out = script("cold_cli.py", "--rounds", str(rounds))
+def cold_cli() -> dict:
+    out = script("cold_cli.py")
     lines = out["lines"]
     start = next((i for i, line in enumerate(lines) if line.startswith("AST nodes")), None)
     nodes = {}
@@ -134,9 +137,6 @@ def trajectory(record: dict) -> Path:
 def main() -> None:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
-    parser.add_argument("--rounds", type=int, default=5, help="cold_cli.py's rounds")
     parser.add_argument("--note", default="")
     args = parser.parse_args()
     record = {
@@ -145,12 +145,12 @@ def main() -> None:
         "time": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "note": args.note,
         "machine": machine(),
-        "perfbench": {"seed": args.seed, "seconds": args.seconds, "workloads": {
-            w["name"]: perfbench(w["name"], args.seed, args.seconds)
+        "perfbench": {"seed": SEED, "seconds": bench["run_seconds"], "workloads": {
+            w["name"]: perfbench(w["name"], bench["run_seconds"])
             for w in bench["workloads"]}},
         "tier1": tier1(),
         "kernels": script("kernels.py"),
-        "cold_cli": cold_cli(args.rounds),
+        "cold_cli": cold_cli(),
     }
     path = trajectory(record)
     records = json.loads(path.read_text()) if path.exists() else []

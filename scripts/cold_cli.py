@@ -30,10 +30,11 @@ such a process has loaded.
 
 Last, the AST nodes (``ast.walk`` of each file) of the ``multitime``
 modules that each config's CLI process has loaded, per ``SRC``, and
-their total over the configs of the benchmark's ``cli-cold`` workload
-(``CLI_COLD``).  Bytecode writes may be off (``PYTHONDONTWRITEBYTECODE``),
-so that a cold process compiles every module it loads from source; the
-count does not depend on the machine or its load.  Each process runs
+their total over the configs of the benchmark's ``cli-cold`` workload,
+read from ``perfbench/workloads.py``.  Bytecode writes may be off
+(``PYTHONDONTWRITEBYTECODE``), so that a cold process compiles every
+module it loads from source; the count does not depend on the machine
+or its load.  Each process runs
 ``cli.main`` in a fresh interpreter and reads ``sys.modules`` after it,
 once per config and ``SRC``.  Two checkouts compare in one run:
 
@@ -50,6 +51,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
 
 #: run in each tree: write the shipped configs into the directory argv[1],
 #: print where multitime was imported from and each config's subcommand
@@ -78,12 +81,6 @@ code = cli.main(sys.argv[1:])
 print(json.dumps([code, {name: module.__file__ for name, module in sys.modules.items()
                          if name.partition(".")[0] == "multitime"}]))
 """
-
-#: the configs of the benchmark's ``cli-cold`` workload (perfbench/workloads.py)
-CLI_COLD = ("free_quantum", "free_quantum_holonomy", "coupled_qubits_check",
-            "coupled_qubits", "interaction_picture_check",
-            "interaction_picture_staircase", "classical_free_check",
-            "classical_harmonic_check", "hj_free_residual")
 
 
 #: the formalism modules whose import time is reported after ``multitime.cli``'s
@@ -157,7 +154,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("src", nargs="*", type=Path,
-                        default=[Path(__file__).resolve().parents[1] / "src"])
+                        default=[ROOT / "src"])
     args = parser.parse_args()
     srcs = [src.resolve() for src in args.src]
     blas = os.environ.get("OPENBLAS_NUM_THREADS")
@@ -247,8 +244,12 @@ def main() -> None:
     print(f"{'config':34}" + "".join(f"  [{i}]  nodes" for i in range(1, len(srcs) + 1)))
     for name in names:
         print(f"{name:34}" + "".join(f"  {by_name.get(name, '-'):>9}" for by_name in nodes))
-    cold = [sum(by_name.get(name, 0) for name in CLI_COLD) for by_name in nodes]
-    print(f"{f'cli-cold total ({len(CLI_COLD)} configs)':34}"
+    sys.path.insert(0, str(ROOT))
+    from perfbench.workloads import WORKLOADS
+
+    cli_cold = WORKLOADS["cli-cold"].configs
+    cold = [sum(by_name.get(name, 0) for name in cli_cold) for by_name in nodes]
+    print(f"{f'cli-cold total ({len(cli_cold)} configs)':34}"
           + "".join(f"  {total:>9}" for total in cold))
     for i, total in enumerate(cold[1:], 2):
         print(f"[{i}] cli-cold nodes {total - cold[0]:+d} "

@@ -460,7 +460,9 @@ if __name__ == "__main__":
     from . import _exit
 
     # the kind readers import this module by its name: give them this run's
-    # names (its ConfigError is the one main catches), not a second copy
+    # names (its ConfigError is the one main catches), not a second copy.
+    # They go into a new module: under cProfile (runpy without alter_sys)
+    # no module holds this namespace.  No name here is rebound after this.
     sys.modules[__spec__.name] = module = type(sys)(__spec__.name)
     vars(module).update((k, v) for k, v in globals().items() if not k.startswith("__"))
     sys.exit(_exit(main()))

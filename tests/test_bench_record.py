@@ -35,6 +35,9 @@ def test_every_record_has_the_recorders_keys(path):
         assert set(record) == RECORD
         assert set(record["machine"]) == MACHINE
         assert set(record["perfbench"]) == {"seed", "seconds", "workloads"}
+        # one seed and run length for the whole trajectory, so records compare
+        assert record["perfbench"]["seed"] == 1
+        assert record["perfbench"]["seconds"] == BENCHMARK["run_seconds"]
         workloads = record["perfbench"]["workloads"]
         assert list(workloads) == [w["name"] for w in BENCHMARK["workloads"]]
         for run in workloads.values():
