@@ -122,9 +122,7 @@ def hermite_at(t: np.ndarray, y: np.ndarray, dydt: np.ndarray, time,
         slope = (y[i + 1] - y[i]) / dt
         curve = (dydt[i] + dydt[i + 1] - 2 * slope) / dt
         pieces = [curve / dt, (slope - dydt[i]) / dt - curve, dydt[i], y[i]]
-        # the binary exponents of the coefficients of s^3 and s^2: below
-        # -1021, a subnormal
-        exponents = np.frexp(np.stack(pieces[:2]))[1]
+        cubic, square = pieces[:2]  # the coefficients of s^3 and s^2
         if derivative:
             pieces = [3.0 * pieces[0], 2.0 * pieces[1], pieces[2]]
         s = (times - t[i])[..., None]
@@ -133,10 +131,10 @@ def hermite_at(t: np.ndarray, y: np.ndarray, dydt: np.ndarray, time,
             power = power * s
             value = value + c * power
         # taken again: a value not finite, or summed from a subnormal
-        # coefficient or a power of s that may be one (|s| < 2^-340), which
-        # keeps fewer bits
+        # coefficient (binary exponent below -1021) or from a power of s that
+        # may be one (|s| < 2^-340), which keeps fewer bits
         redo = (~np.isfinite(value) | (np.frexp(s)[1] <= -340)
-                | (exponents < -1021).any(axis=0))
+                | (np.frexp(cubic)[1] < -1021) | (np.frexp(square)[1] < -1021))
         if redo.any():
             scaled = _hermite_scaled(dt, y[i], y[i + 1], dydt[i], dydt[i + 1], s, derivative)
             value = np.where(redo, scaled, value)
