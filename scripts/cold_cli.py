@@ -34,9 +34,9 @@ their total over the configs of the benchmark's ``cli-cold`` workload,
 read from ``perfbench/workloads.py``.  Bytecode writes may be off
 (``PYTHONDONTWRITEBYTECODE``), so that a cold process compiles every
 module it loads from source; the count does not depend on the machine
-or its load.  Each process runs
-``cli.main`` in a fresh interpreter and reads ``sys.modules`` after it,
-once per config and ``SRC``.  Two checkouts compare in one run:
+or its load.  Each process runs ``cli.main`` in a fresh interpreter and
+reads ``sys.modules`` after it, once per config and ``SRC``.  Two
+checkouts compare in one run:
 
     python scripts/cold_cli.py src ../parent/src
 """
