@@ -4,8 +4,8 @@
 
 For each ``SRC`` (default: this checkout's ``src``), writes the shipped
 configs with that tree's ``multitime examples`` and takes each config's
-subcommand from that tree's ``cli._SUBCOMMAND_KINDS``.  Then, ``N``
-rounds over the configs, runs
+subcommand from that tree's ``cli._KINDS``.  Then, ``N`` rounds over the
+configs, runs
 
     python -m multitime.cli <subcommand> --config F --out R
 
@@ -63,10 +63,8 @@ from multitime import cli
 from multitime.configs import EXAMPLE_CONFIGS, write_examples
 
 write_examples(sys.argv[1])
-subcommand = {kind: sub for sub, kinds in cli._SUBCOMMAND_KINDS.items()
-              for kind in kinds}
 print(json.dumps([multitime.__file__,
-                  {name: subcommand[cfg["experiment"]["kind"]]
+                  {name: cli._KINDS[cfg["formalism"], cfg["experiment"]["kind"]].subcommand
                    for name, cfg in EXAMPLE_CONFIGS.items()}]))
 """
 

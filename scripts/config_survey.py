@@ -88,8 +88,6 @@ def main(src: str) -> None:
     # run_config looks each kind up in _KINDS at the call
     cli._KINDS = {key: entry._replace(prepare=stop(entry.prepare))
                   for key, entry in cli._KINDS.items()}
-    subcommand = {kind: sub for sub, kinds in cli._SUBCOMMAND_KINDS.items()
-                  for kind in kinds}
     configs = dict(EXAMPLE_CONFIGS)
     configs["hj_defect_grid"] = {**copy.deepcopy(EXAMPLE_CONFIGS["hj_free_residual"]),
                                  "experiment": {"kind": "defect-grid", "samples": {
@@ -98,7 +96,7 @@ def main(src: str) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         for name, cfg in sorted(configs.items()):
-            sub = subcommand[cfg["experiment"]["kind"]]
+            sub = cli._KINDS[cfg["formalism"], cfg["experiment"]["kind"]].subcommand
             for pointer, label, mutated in [("", "unchanged", cfg), *_mutations(cfg)]:
                 with open(path, "w") as fh:
                     json.dump(mutated, fh)

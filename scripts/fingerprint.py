@@ -4,8 +4,8 @@
 
 Runs every shipped config once through ``multitime.cli.run_config`` and
 prints one SHA-256 per config of ``json.dumps(results, sort_keys=True)``,
-then one per CSV of the configs that write the bulk tables.  ``SRC`` is
-the ``src`` directory to import ``multitime`` from (default: this
+each followed by one of its CSV where its kind writes CSV (``cli._KINDS``).
+``SRC`` is the ``src`` directory to import ``multitime`` from (default: this
 checkout's).  Two checkouts give the same results and CSVs byte for byte
 exactly when their outputs are equal:
 
@@ -20,23 +20,17 @@ import sys
 import tempfile
 from pathlib import Path
 
-#: the configs whose CSV is fingerprinted as well as their results
-CSV_CONFIGS = ("classical_free_evolve", "grid_free", "grid_coupled",
-               "hj_free_trajectories")
-
 
 def main(src: str) -> None:
     sys.path.insert(0, src)
     from multitime import cli
     from multitime.configs import EXAMPLE_CONFIGS
 
-    subcommand = {kind: sub for sub, kinds in cli._SUBCOMMAND_KINDS.items()
-                  for kind in kinds}
     with tempfile.TemporaryDirectory() as tmp:
         for name, cfg in sorted(EXAMPLE_CONFIGS.items()):
-            csv_path = str(Path(tmp) / f"{name}.csv") if name in CSV_CONFIGS else None
-            kind = cfg["experiment"]["kind"]
-            report = cli.run_config(copy.deepcopy(cfg), subcommand[kind], csv_path=csv_path)
+            entry = cli._KINDS[cfg["formalism"], cfg["experiment"]["kind"]]
+            csv_path = str(Path(tmp) / f"{name}.csv") if entry.csv else None
+            report = cli.run_config(copy.deepcopy(cfg), entry.subcommand, csv_path=csv_path)
             text = json.dumps(report["results"], sort_keys=True)
             print(hashlib.sha256(text.encode()).hexdigest(), name)
             if csv_path:

@@ -34,14 +34,12 @@ def main(src: str) -> None:
     from multitime import cli
     from multitime.configs import EXAMPLE_CONFIGS
 
-    subcommand = {kind: sub for sub, kinds in cli._SUBCOMMAND_KINDS.items()
-                  for kind in kinds}
     golden = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name in CSV_CONFIGS:
             cfg, csv_path = EXAMPLE_CONFIGS[name], Path(tmp) / f"{name}.csv"
-            cli.run_config(copy.deepcopy(cfg), subcommand[cfg["experiment"]["kind"]],
-                           csv_path=str(csv_path))
+            entry = cli._KINDS[cfg["formalism"], cfg["experiment"]["kind"]]
+            cli.run_config(copy.deepcopy(cfg), entry.subcommand, csv_path=str(csv_path))
             with open(csv_path, newline="") as fh:
                 columns, *rows = csv.reader(fh)
             every = max(1, len(rows) // SAMPLES)

@@ -13,8 +13,7 @@ checkout's ``src``) and prints, in microseconds:
   every node is recorded) and as a full-grid leg along t1;
 * ``defect point`` and ``defect grid``: one point of the classical
   consistency defect, by one ``classical_consistency_defect`` call per
-  point and by one ``classical_defect_grid`` call for all points ("-"
-  where ``SRC`` has no such function);
+  point and by one ``classical_defect_grid`` call for all points;
 * ``validity``: one sample of ``validity_residual`` on the n-path and
   the sample times of each shipped validity config;
 * ``evolve equal-time``: one RK4 step of a whole ``evolve_equal_time``
@@ -30,14 +29,14 @@ checkout's ``src``) and prints, in microseconds:
   along each time) and of each shipped foliation's leaf loop, a count
   that does not depend on the machine or its load.
 
-The ``rk4`` lines call a compiled loop directly, with the start state in
-the form its checkout's loops take: packed doubles, or a list of floats.
-The grid leg runs all ``STEPS`` steps as one leg, as a path around a
-rectangle does, and keeps its end alone where the checkout's leg loops
-take their legs; an older loop keeps every node.  The whole-run lines
-call public functions only, so they read the same on any checkout.  Each timed figure is the best of ``REPEAT`` timed runs,
-divided by the steps, points or samples of one run.  Two checkouts
-compare line by line:
+The ``rk4`` lines call a compiled loop directly, from a start state of
+packed doubles.  The grid leg runs all ``STEPS`` steps as one leg, as a
+path around a rectangle does, and keeps its end alone.  The configs are
+read, and the samples drawn, by the CLI's classical reader module
+``kinds_classical``, which ``SRC`` must have.  The whole-run lines call
+public functions only.  Each timed figure is the best of ``REPEAT``
+timed runs, divided by the steps, points or samples of one run.  Two
+checkouts compare line by line:
 
     diff <(python scripts/kernels.py) <(python scripts/kernels.py ../parent/src)
 """
@@ -54,17 +53,6 @@ REPEAT = 7
 #: RK4 steps of one timed loop call
 STEPS = 2000
 GRID_KINDS = ("full-grid", "path-independence")
-
-
-def classical_readers(cli):
-    """The module that holds the CLI's classical config readers
-    (``_classical_system``, ``_build_field``, ``_phase_point``): the reader
-    module ``kinds_classical`` where ``SRC`` has one, else ``cli``."""
-    try:
-        from multitime import kinds_classical
-    except ImportError:
-        return cli
-    return kinds_classical
 
 
 def shipped_fields(kinds, configs):
@@ -112,29 +100,15 @@ def validity_inputs(np, classical, kinds, cfg):
     return field, npath, tuples
 
 
-def defect_inputs(classical, cli, samples, n: int, d: int):
-    """``(points, grid_input)`` of a samples block, drawn as the CLI draws
-    it: the ``PhasePoint`` of every sample, for the one-point calls, and
-    what the checkout's ``classical_defect_grid`` takes, the CLI's draw
-    itself: the (count, n + 2·n·d) array of the samples' rows, or, on a
-    checkout whose draw is a list of points, that list."""
-    drawn = cli._sample_phase_points(samples, "", n, d, 0)
-    if isinstance(drawn, list):
-        return drawn, drawn
+def defect_inputs(classical, kinds, samples, n: int, d: int):
+    """``(points, drawn)`` of a samples block, drawn as the CLI draws it:
+    the ``PhasePoint`` of every sample, for the one-point calls, and the
+    (count, n + 2·n·d) array of the samples' rows, which
+    ``classical_defect_grid`` takes."""
+    drawn = kinds._sample_phase_points(samples, "", n, d, 0)
     nd = n * d
     return [classical.PhasePoint(times=row[:n], x=row[n:n + nd].reshape(n, d),
                                  p=row[n + nd:].reshape(n, d)) for row in drawn], drawn
-
-
-def start_state(loop, values, *fixed):
-    """``values`` as ``loop`` takes its start state: packed doubles, or, on
-    a checkout whose loops unpack a sequence of floats, the list itself."""
-    packed = struct.pack(f"{len(values)}d", *values)
-    try:
-        loop(packed, [0.0, 1e-3], [1e-3], *fixed)
-    except ValueError:  # a list-taking loop unpacks the bytes one by one
-        return values
-    return packed
 
 
 def shipped_foliations(hj, configs):
@@ -148,19 +122,6 @@ def shipped_foliations(hj, configs):
                           system.get("constants"))
         for fc in exp.get("foliations", [exp.get("foliation")]):
             yield name, s, hj.Foliation(fc["u"]), exp
-
-
-def leg_call(leg, values):
-    """``(ts, hs) -> rows``: one call of the grid-leg loop ``leg`` from the
-    state ``values``, the other time 0, that runs all steps as one leg and
-    keeps its end where the loop takes its legs, else keeps every node."""
-    packed = struct.pack(f"{len(values)}d", *values)
-    try:
-        leg(packed, [0.0, 1e-3], [1e-3], [range(1)], 0.0)
-    except TypeError:  # a loop that takes no legs
-        y = start_state(leg, values, 0.0)
-        return lambda ts, hs: leg(y, ts, hs, 0.0)
-    return lambda ts, hs: leg(packed, ts, hs, [range(len(hs))], 0.0)
 
 
 def instructions(function) -> int:
@@ -236,30 +197,30 @@ def main(src: str) -> None:
     sys.path.insert(0, src)
     import numpy as np
 
-    from multitime import classical, cli, hj
+    from multitime import classical, hj
+    from multitime import kinds_classical as kinds
     from multitime.configs import EXAMPLE_CONFIGS
 
     configs = copy.deepcopy(EXAMPLE_CONFIGS)
     samples = configs["classical_harmonic_check"]["experiment"]["samples"]
-    grid = getattr(classical, "classical_defect_grid", None)
     dt = 1e-3
     ts, hs = [k * dt for k in range(STEPS + 1)], [dt] * STEPS
-    kinds = classical_readers(cli)
     fields = shipped_fields(kinds, configs)
     for label, field in fields:
         n, d = field.n, field.d
-        y0 = np.linspace(-1.0, 1.0, 2 * n * d).tolist()
+        y0 = np.linspace(-1.0, 1.0, 2 * n * d)
+        y = struct.pack(f"{len(y0)}d", *y0)  # the loops' start state: packed doubles
         equal, leg = (classical._rk4_loop(field.exprs, n, d, axis) for axis in (None, 0))
-        ye, run_leg = start_state(equal, y0), leg_call(leg, y0)
-        points, grid_input = defect_inputs(classical, cli, samples, n, d)
-        print(f"rk4 equal-time  {best(lambda: equal(ye, ts, hs), STEPS):9.3f} us/step    {label}")
-        print(f"rk4 grid-leg    {best(lambda: run_leg(ts, hs), STEPS):9.3f} us/step    {label}")
+        points, drawn = defect_inputs(classical, kinds, samples, n, d)
+        print(f"rk4 equal-time  {best(lambda: equal(y, ts, hs), STEPS):9.3f} us/step    {label}")
+        # all steps as one leg along t1, the other time 0: the leg keeps its end alone
+        cost = best(lambda: leg(y, ts, hs, [range(STEPS)], 0.0), STEPS)
+        print(f"rk4 grid-leg    {cost:9.3f} us/step    {label}")
         point = best(lambda: [classical.classical_consistency_defect(field, pt)
                               for pt in points], len(points))
         print(f"defect point    {point:9.3f} us/point   {label}")
-        shown = (f"{best(lambda: grid(field, grid_input), len(points)):9.3f}" if grid
-                 else f"{'-':>9}")
-        print(f"defect grid     {shown} us/point   {label}")
+        grid = best(lambda: classical.classical_defect_grid(field, drawn), len(points))
+        print(f"defect grid     {grid:9.3f} us/point   {label}")
     for name, cfg in sorted(configs.items()):
         if cfg["experiment"]["kind"] == "validity":
             field, npath, tuples = validity_inputs(np, classical, kinds, cfg)

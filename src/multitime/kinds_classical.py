@@ -3,9 +3,9 @@ block and its field (``_classical_system``, ``_build_field``) and of a
 phase point, and the kind functions ``_classical_defect_grid``,
 ``_equal_time_evolve``, ``_validity``, ``_full_grid``,
 ``_path_independence`` and ``_cjs_demo``, each of which checks its config
-in full and returns its run (see ``cli``).  ``cli._KINDS`` loads this
-module at the first call of a classical kind; it loads ``classical`` and
-``paths`` in its functions.
+in full and returns its run (see ``cli``); it imports ``spec``, never
+``cli``.  ``cli._KINDS`` loads this module at the first call of a
+classical kind; it loads ``classical`` and ``paths`` in its functions.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import expr
-from .cli import (_E, _KIND, _REQ, MAX_POINTS, ConfigError, _blame, _defect_summary, _each,
-                  _expr, _int, _num, _obj, _positive, _read, _sample_phase_points, _some,
-                  _span, _str, _tag)
+from .spec import (_E, _KIND, _REQ, MAX_POINTS, ConfigError, _blame, _defect_summary,
+                   _each, _expr, _int, _num, _obj, _positive, _read, _sample_phase_points,
+                   _some, _span, _str, _tag)
 from .expr import ExpressionError
 
 if TYPE_CHECKING:

@@ -2,8 +2,9 @@
 ``build_hj_system``, with those of a foliation and of its leaves, and the
 kind functions ``_hj_residual``, ``_hj_defect_grid``, ``_trajectories``
 and ``_foliation_compare``, each of which checks its config in full and
-returns its run (see ``cli``).  ``cli._KINDS`` loads this module at the
-first call of an HJ kind; it loads ``hj`` and ``paths`` in its functions.
+returns its run (see ``cli``); it imports ``spec``, never ``cli``.
+``cli._KINDS`` loads this module at the first call of an HJ kind; it
+loads ``hj`` and ``paths`` in its functions.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import expr
-from .cli import (_E, _KIND, _REQ, ConfigError, _blame, _defect_summary, _each, _expr,
-                  _int, _list, _num, _obj, _positive, _read, _sample_phase_points, _some,
-                  _span, _str)
+from .spec import (_E, _KIND, _REQ, ConfigError, _blame, _defect_summary, _each, _expr,
+                   _int, _list, _num, _obj, _positive, _read, _sample_phase_points, _some,
+                   _span, _str)
 from .expr import binding_names
 
 if TYPE_CHECKING:

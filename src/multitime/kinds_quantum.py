@@ -1,9 +1,9 @@
 """The quantum kinds of the CLI: the reader of a quantum system block,
 ``build_quantum_system``, and the kind functions ``_quantum_defect_grid``,
 ``_staircase`` and ``_holonomy``, each of which checks its config in full
-and returns its run (see ``cli``).  ``cli._KINDS`` loads this module at
-the first call of a quantum kind; it loads ``quantum`` and ``linops`` in
-its functions.
+and returns its run (see ``cli``); it imports ``spec``, never ``cli``.
+``cli._KINDS`` loads this module at the first call of a quantum kind; it
+loads ``quantum`` and ``linops`` in its functions.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import expr
-from .cli import (_E, _KIND, _REQ, MAX_POINTS, ConfigError, _axes, _blame, _bool, _each,
-                  _expr, _int, _num, _obj, _positive, _read, _some, _str, _tag)
+from .spec import (_E, _KIND, _REQ, MAX_POINTS, ConfigError, _axes, _blame, _bool,
+                   _each, _expr, _int, _num, _obj, _positive, _read, _some, _str, _tag)
 from .expr import MAX_STEPS, binding_names
 from .reports import pair_keys
 

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multitime import (classical, cli, expr, hj, kinds_classical, kinds_hj, kinds_quantum,
-                       linops, quantum)
-from multitime.cli import (_SUBCOMMAND_KINDS, ConfigError, _sample_phase_points, main,
-                           run_config)
+                       linops, quantum, spec)
+from multitime.cli import _SUBCOMMAND_KINDS, main, run_config
 from multitime.configs import EXAMPLE_CONFIGS, write_examples
+from multitime.spec import ConfigError, _sample_phase_points
 from oracles import (defect_oracle, hj_defect_oracle, phase_points, quantum_defect_oracle,
                      sample_points_oracle, validity_tuples_oracle, with_constants)
 
@@ -783,6 +783,13 @@ class TestConfigErrors:
         assert main(["check", "--config", str(p)]) == 2
         assert "config error: /: invalid JSON" in capsys.readouterr().err
 
+    def test_nesting_beyond_decoder_limit(self, tmp_path, capsys):
+        """The JSON decoder's RecursionError is a config error, not a traceback."""
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 200000 + "]" * 200000)
+        assert main(["check", "--config", str(p)]) == 2
+        assert capsys.readouterr().err.startswith("config error: /: invalid JSON: ")
+
     @pytest.mark.parametrize("pointer", ["/system/hamiltonians/base",
                                          "/system/hamiltonians/k/1"])
     def test_empty_pauli_sum_is_zero(self, config_dir, pointer):
@@ -1300,14 +1307,14 @@ def block_title(block, value, formalism):
 
 
 def spec_tables(configs, monkeypatch, tmp_path):
-    """``{title: {key: default}}`` of every spec that ``cli._read`` is given
+    """``{title: {key: default}}`` of every spec that ``spec._read`` is given
     while each of ``configs`` is loaded and prepared; a key is named by its
     path below its block, with ``*`` for an array index."""
     calls = []
-    read = cli._read
-    for module in (cli, kinds_quantum, kinds_classical, kinds_hj):  # each reads specs
-        monkeypatch.setattr(module, "_read", lambda value, path, spec: (
-            calls.append((path, spec)), read(value, path, spec))[1])
+    read = spec._read
+    for module in (cli, spec, kinds_quantum, kinds_classical, kinds_hj):  # each reads specs
+        monkeypatch.setattr(module, "_read", lambda value, path, entries: (
+            calls.append((path, entries)), read(value, path, entries))[1])
     tables = {}
     for cfg in configs:
         path = tmp_path / "cfg.json"
@@ -1316,7 +1323,7 @@ def spec_tables(configs, monkeypatch, tmp_path):
         cfg = cli._load_config(str(path))
         formalism, exp = cfg["formalism"], cfg["experiment"]
         cli._KINDS[formalism, exp["kind"]].prepare(cfg["system"], exp, cfg["seed"])
-        for pointer, spec in calls:
+        for pointer, entries in calls:
             parts = pointer.split("/")[1:]
             norm = "".join("/*" if part.isdigit() else f"/{part}" for part in parts)
             block = next(b for b in SPEC_BLOCKS if f"{norm}/".startswith(f"{b}/") and not (
@@ -1326,8 +1333,8 @@ def spec_tables(configs, monkeypatch, tmp_path):
                 node = node[int(part) if isinstance(node, list) else part]
             table = tables.setdefault(block_title(block, node, formalism), {})
             below = norm[len(block) + 1:]
-            for key, entry in spec.items():
-                default = ("required" if entry[0] is cli._REQ else
+            for key, entry in entries.items():
+                default = ("required" if entry[0] is spec._REQ else
                            "optional" if entry[0] is None else json.dumps(entry[0]))
                 assert table.setdefault(f"{below}/{key}" if below else key, default) == default
     return tables
@@ -1360,14 +1367,14 @@ def test_docs_key_tables_match_the_specs(monkeypatch, tmp_path):
 
 
 class TestReaders:
-    """``cli._read`` reads one block by its spec, ``cli._each`` one array."""
+    """``spec._read`` reads one block by its spec, ``spec._each`` one array."""
 
     def test_unknown_key_before_missing_required_key(self):
-        spec = {"a": (cli._REQ, cli._num), "b": (cli._REQ, cli._num)}
+        entries = {"a": (spec._REQ, spec._num), "b": (spec._REQ, spec._num)}
         with pytest.raises(ConfigError, match=r"^/block/c: unknown key \(strict schema\)$"):
-            cli._read({"c": 1.0}, "/block", spec)
+            spec._read({"c": 1.0}, "/block", entries)
         with pytest.raises(ConfigError, match=r"^/block: missing required key 'a'$"):
-            cli._read({}, "/block", spec)
+            spec._read({}, "/block", entries)
         cfg = copy.deepcopy(EXAMPLE_CONFIGS["classical_free_check"])
         cfg["experiment"]["sample"] = cfg["experiment"].pop("samples")
         with pytest.raises(ConfigError) as exc:
@@ -1376,9 +1383,9 @@ class TestReaders:
 
     def test_defaults_read_recorded_and_none_left_out(self):
         obj = {"a": 2}
-        got = cli._read(obj, "", {
-            "a": (cli._REQ, cli._int), "b": (None, cli._num), "c": (0.5, cli._positive),
-            "d": ([1, 2], cli._each, 2, cli._num)})
+        got = spec._read(obj, "", {
+            "a": (spec._REQ, spec._int), "b": (None, spec._num), "c": (0.5, spec._positive),
+            "d": ([1, 2], spec._each, 2, spec._num)})
         assert got == [2, None, 0.5, [1.0, 2.0]] and obj == {"a": 2, "c": 0.5, "d": [1, 2]}
 
     @pytest.mark.parametrize("name,block,key", [

@@ -14,6 +14,7 @@ The runs need a fresh interpreter, because this test process has long
 since imported scipy and every module of the package through other tests.
 """
 
+import ast
 import json
 import os
 import pathlib
@@ -278,14 +279,89 @@ def test_an_expression_coefficient_loads_the_generator(tmp_path):
 
 
 def test_the_cli_import_loads_no_reader_and_no_generator():
-    """``import multitime.cli`` loads the CLI, the parser and the reports
-    alone: no formalism, no reader module and no code generator, each of
-    which is a module of the package that a run loads when it needs it."""
+    """``import multitime.cli`` loads the CLI, its config-spec layer, the
+    parser and the reports alone: no formalism, no reader module and no
+    code generator, each of which is a module of the package that a run
+    loads when it needs it."""
     done = fresh("-c", MODULES_AFTER_IMPORT, *READERS.values(), CODEGEN)
     assert done.returncode == 0, done.stderr
     modules, found = json.loads(done.stdout)
-    assert modules == ["multitime", "multitime.cli", "multitime.expr", "multitime.reports"]
+    assert modules == ["multitime", "multitime.cli", "multitime.expr", "multitime.reports",
+                       "multitime.spec"]
     assert found == [True] * (len(READERS) + 1)
+
+
+def cli_imports(path: pathlib.Path) -> list[str]:
+    """The function (or ``<module>``) of each import of ``multitime.cli``
+    in the package module at ``path``, in any of its forms."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):  # from . import cli, from .cli import ..
+                module = child.module or ""
+                names = [module, *(f"{module}.{alias.name}" for alias in child.names)]
+            else:
+                names = []
+            if any("cli" in name.split(".") for name in names):
+                found.append(where)
+            visit(child, where)
+
+    visit(ast.parse(path.read_text(), str(path)), "<module>")
+    return found
+
+
+def test_only_the_console_script_imports_the_cli():
+    """No module of the package imports ``cli`` but the console script,
+    ``multitime.main``: the reader modules take ``ConfigError`` and the spec
+    primitives from ``spec``, so the CLI layer has no import cycle."""
+    imports = {path.name: cli_imports(path)
+               for path in sorted((SRC / "multitime").glob("*.py"))}
+    assert {name: where for name, where in imports.items() if where} == {
+        "__init__.py": ["main"]}
+
+
+CLI_MODULE_AT_EXIT = """
+import atexit, json, runpy, sys
+
+out = sys.argv[1]
+
+
+def record():  # run by the CLI's hard exit, with the run's modules still loaded
+    with open(out, "w") as fh:
+        json.dump(sorted(name for name in sys.modules
+                         if name.partition(".")[0] == "multitime"), fh)
+
+
+atexit.register(record)
+sys.argv = ["multitime", *sys.argv[2:]]
+runpy.run_module("multitime.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("formalism,args", [
+    ("quantum", ["holonomy", "--config", "coupled_qubits.json"]),
+    ("classical", ["check", "--config", "classical_free_check.json"]),
+    ("hj", ["hj", "--config", "hj_free_residual.json"]),
+])
+def test_a_main_run_registers_no_second_cli(tmp_path, formalism, args):
+    """Run as ``python -m multitime.cli`` (here by runpy, as ``-m`` runs
+    it), the CLI is ``__main__`` alone: a run of a reader kind of each
+    formalism ends, at its atexit callbacks, with its reader module loaded
+    and no ``multitime.cli`` module in ``sys.modules``."""
+    write_examples(str(tmp_path))
+    args = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
+    out = tmp_path / "modules.json"
+    done = fresh("-c", CLI_MODULE_AT_EXIT, str(out), *args,
+                 "--out", str(tmp_path / "report.json"))
+    assert done.returncode == 0, done.stderr
+    modules = json.loads(out.read_text())
+    assert READERS[formalism] in modules and "multitime.cli" not in modules
 
 
 def test_formalisms_share_the_phase_point():
