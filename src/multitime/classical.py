@@ -483,7 +483,8 @@ def rectangle_steps(rectangle: tuple[float, float], dt: float) -> tuple[int, int
 def grid_path_independence(hpair: HamiltonianPair, init: PhasePoint,
                            rectangle: tuple[float, float], dt: float) -> float:
     """Phase-space distance at the far corner between integrating the t1
-    leg first and the t2 leg first."""
+    leg first and the t2 leg first; where its squares overflow, taken again
+    by ``_scaled_norms``, so only a distance beyond the float range is inf."""
     dt1, dt2 = rectangle
     m1, m2 = rectangle_steps(rectangle, dt)
     y0 = _start(init, hpair.n, hpair.d)
@@ -499,8 +500,13 @@ def grid_path_independence(hpair: HamiltonianPair, init: PhasePoint,
     yb = legs(2, leg2, y0, t0[0])[-1]
     yb = legs(1, leg1, yb, t0[1] + dt2)[-1]
 
-    gx, gp = np.subtract(np.frombuffer(ya), np.frombuffer(yb)).reshape(2, hpair.n, hpair.d)
-    return float(np.sqrt(np.sum(gx ** 2) + np.sum(gp ** 2)))
+    with np.errstate(over="ignore"):
+        gap = np.subtract(np.frombuffer(ya), np.frombuffer(yb))
+        gx, gp = gap.reshape(2, hpair.n, hpair.d)
+        distance = float(np.sqrt(np.sum(gx ** 2) + np.sum(gp ** 2)))
+        if distance == math.inf and np.isfinite(gap).all():
+            distance = float(_scaled_norms(gap))
+    return distance
 
 
 def _chord_deviation(npath: NPath) -> float:

@@ -10,8 +10,10 @@ operations of each tree in evaluation order, left operand before right,
 with no rewriting but two that keep every bit: a subtree of numbers only
 is folded into the number that the same Python operation gives, unless
 it raises or gives no finite float, and a division by ±2^k with a finite
-inverse is a product.  An RK4 loop computes a stage state only where an
-output reads it, and folds constant rates.  A variable is an argument of
+inverse is a product.  An RK4 loop computes a stage state only where a
+tree reads it, and folds constant rates.  It is the only module that
+writes source: the HJ leaf rates and their degeneracy guards come to
+``compile_rk4`` as trees.  A variable is an argument of
 the generated function, and every number, a literal or a parameter's
 value put into the tree by ``expr.substitute``, is bound one way: as a
 global of it.
@@ -55,7 +57,9 @@ def _exact_inverse(c: float) -> float | None:
 
 
 def _emit(outputs: Sequence[Expression], read: Callable[[str], str],
-          namespace: dict[str, object], lines: list[str]) -> list[str]:
+          namespace: dict[str, object], lines: list[str],
+          names: dict[tuple, str] | None = None,
+          positive: frozenset[str] = frozenset()) -> list[str]:
     """Append to ``lines`` the straight-line statements that compute every
     tree of ``outputs``; return the name holding each output's value.
 
@@ -82,9 +86,11 @@ def _emit(outputs: Sequence[Expression], read: Callable[[str], str],
     operator and the names of their operands, numbers by their bits.  The
     reused value is the one the repeated operations would give, and the
     first error raised is the one of evaluating the outputs one by one,
-    because a repeat only skips statements that already ran.
+    because a repeat only skips statements that already ran.  Calls that
+    pass one memo ``names`` act as one call.  A division by a name in
+    ``positive``, a value tested > 0 (or NaN), gets no zero check either.
     """
-    names: dict[tuple, str] = {}
+    names = {} if names is None else names
 
     def emit(node: Expression) -> str:
         match node:
@@ -129,9 +135,10 @@ def _emit(outputs: Sequence[Expression], read: Callable[[str], str],
                     divisor, = _numbers((c,), namespace) or (0.0,)
                     if (inverse := _exact_inverse(divisor)) is not None:
                         lines.append(f"{out} = {a} * {emit(Num(inverse))}")
-                    else:  # a number other than zero needs no check
+                    else:  # a number other than zero, or a tested value, needs no check
                         lines.append((f"if {c} == 0.0:\n _domain_error('division by zero')\n"
-                                      if divisor == 0.0 else "") + f"{out} = {a} / {c}")
+                                      if divisor == 0.0 and c not in positive else "")
+                                     + f"{out} = {a} / {c}")
                 else:
                     # a float to an integral float power is never complex
                     exponent, = _numbers((c,), namespace) or (0.5,)
@@ -246,22 +253,22 @@ _TIME_SOURCE = {"t": "ts[i]", "t_half": "ts[i] + h2", "t_end": "ts[i] + h"}
 def compile_rk4(outputs: Sequence[Expression], state: Sequence[str],
                 fixed: Sequence[str] = (), *,
                 record: bool = True,
-                rates: Callable[[list[str], str, list[str], dict], list[str]] | None = None,
+                rates: Sequence[Expression] | None = None,
+                guards: Sequence[tuple[Expression, Callable[[float, float], object]]] = (),
                 ) -> Callable:
     """One compiled function that runs a whole RK4 integration of
     dy/dt = k(t, y), the right-hand side inlined in every stage.
 
     The flat state y holds the variables ``state``.  ``outputs`` are
     expressions in them, in ``STEP_TIME`` (the time of the stage), in the
-    ``fixed`` variables.  The rates k are the outputs, or what the hook
-    ``rates(values, time, lines, namespace)`` makes of them: it appends to
-    ``lines`` the statements that turn the names ``values`` (the outputs
-    of one stage) into the rates, and returns the rates' names, naming
-    each new value ``r{len(lines)}`` before it appends the statement, as
-    ``_emit`` does, and binding each number it folds by ``_bind``.
-    ``time`` is the source of an expression that computes the stage's time
-    in the loop body (``ts[i] + h2``); a hook that reads it only on an
-    error path costs nothing per step.
+    ``fixed`` variables.  The rates k are the outputs, or the trees
+    ``rates`` in the same variables.  Each of ``guards`` is a tree g and
+    its ``fail``: at every stage, after the outputs and before the rates,
+    the loop calls ``fail(g, time)`` where g <= 0, with the stage's time,
+    which only that error path computes.  A guard that folds to a number
+    > 0 is no test, and a rate's division by a guard's value has no zero
+    check.  A stage's outputs, guards and rates share one memo (``_emit``),
+    so a subtree among them is computed once and a variable read once.
 
     The function is ``integrate(y, ts, hs, *fixed_values)``, or
     ``integrate(y, ts, hs, legs, *fixed_values)`` without ``record``: from
@@ -288,7 +295,7 @@ def compile_rk4(outputs: Sequence[Expression], state: Sequence[str],
     step starts from its own ``ts[i]``, not from the step before it.
 
     The loop computes only what it uses: a stage state only for a state
-    variable that an output reads, the node time ``ts[i]``, the stage
+    variable that a tree reads, the node time ``ts[i]``, the stage
     times and h/2 only where a statement reads them, and the sum
     ``((k1 + 2*k2) + 2*k3) + k4`` of a component whose rates are numbers
     folded, by the same float operations.  Its own coefficients are float
@@ -298,42 +305,42 @@ def compile_rk4(outputs: Sequence[Expression], state: Sequence[str],
     namespace: dict[str, object] = {"_domain_error": _domain_error}
     fixed_locals = {name: f"f_{i}" for i, name in enumerate(fixed)}
     lines: list[str] = []  # the loop body
-    times_read: set[str] = set()  # the stage times that a statement reads
-    read_names = frozenset().union(*map(free_variables, outputs))  # none folded away
+    rates = outputs if rates is None else rates
+    namespace.update((f"_fail{i}", fail) for i, (_, fail) in enumerate(guards))
+    read_names = frozenset().union(  # none folded away, each read at every stage
+        *map(free_variables, [*outputs, *rates, *(tree for tree, _ in guards)]))
+    timed = STEP_TIME in read_names
 
-    def outputs_at(values: Sequence[str], time: str) -> list[str]:
-        """Emit the outputs at the state held in ``values`` and the time
-        held in ``time``; return their names."""
+    def stage_at(values: Sequence[str], time: str) -> list[str]:
+        """Emit a stage at the state held in ``values`` and the time held in
+        ``time``, with one memo: the outputs, at a recorded node their row,
+        then the guards' tests and the rates; return the rates' names."""
         read = _reader({**dict(zip(state, values)), STEP_TIME: time, **fixed_locals})
-
-        def reading(name: str) -> str:
-            if name == STEP_TIME:
-                times_read.add(time)
-            return read(name)
-
-        return _emit(outputs, reading, namespace, lines)
-
-    def rates_at(values: Sequence[str], time: str) -> list[str]:
-        return rates(values, _TIME_SOURCE[time], lines, namespace) if rates else values
+        memo, tested = {}, []
+        node = _emit(outputs, read, namespace, lines, memo)
+        if record and time == "t":
+            lines.append(f"add_row(pack({', '.join([*values, *node])}))\n"
+                         "if i == n:\n break")
+        for i, (tree, _) in enumerate(guards):
+            g, = _emit([tree], read, namespace, lines, memo)
+            if not (c := _numbers((g,), namespace)) or c[0] <= 0.0:
+                lines.append(f"if {g} <= 0.0:\n _fail{i}({g}, {_TIME_SOURCE[time]})")
+            tested.append(g)
+        return _emit(rates, read, namespace, lines, memo, frozenset(tested))
 
     ys = [f"y_{i}" for i in range(len(state))]
-    node = outputs_at(ys, "t")
-    if record:
-        lines.append(f"add_row(pack({', '.join(ys + node)}))\n"
-                     "if i == n:\n break")
-    ks = [rates_at(node, "t")]
+    ks = [stage_at(ys, "t")]
     scaffold = len(lines)
     lines.append("")  # the step's scaffold, once the stages' reads are known
     for prefix, time, factor in _STAGES:
         stage = [f"{prefix}_{i}" for i in range(len(state))]
         lines += [f"{s} = {y} + {factor} * {k}" for s, y, k, name
                   in zip(stage, ys, ks[-1], state) if name in read_names]
-        ks.append(rates_at(outputs_at(stage, time), time))
+        ks.append(stage_at(stage, time))
     stage_times = {time: factor for _, time, factor in _STAGES}
-    half = read_names.intersection(state) or "t_half" in times_read
+    half = read_names.intersection(state) or timed
     lines[scaffold] = "\n".join(["h = hs[i]"] + ["h2 = h * 0.5"] * bool(half) + [
-        f"{time} = t + {factor}" for time, factor in stage_times.items()
-        if time in times_read])
+        f"{time} = t + {factor}" for time, factor in stage_times.items() if timed])
     ends = [f"z_{i}" for i in range(len(state))]
     lines.append("h6 = h / 6.0")
     rescue = []  # a sum of rates that overflows before h6 scales it, each rate scaled first
@@ -349,9 +356,9 @@ def compile_rk4(outputs: Sequence[Expression], state: Sequence[str],
     lines.append(f"if {failed}:\n" + "\n".join(rescue) + f"\n if {failed}:\n"
                  "  raise FloatingPointError(f'non-finite state at t = {ts[i] + h}')")
     lines += [f"{y} = {z}" for y, z in zip(ys, ends)]
-    namespace["pack"] = struct.Struct(f"{len(ys) + (len(node) if record else 0)}d").pack
+    namespace["pack"] = struct.Struct(f"{len(ys) + (len(outputs) if record else 0)}d").pack
     namespace["unpack"] = struct.Struct(f"{len(ys)}d").unpack
-    body = _indent(_indent([*(["t = ts[i]"] if times_read else []), *lines]))
+    body = _indent(_indent([*(["t = ts[i]"] if timed else []), *lines]))
     return _define([
         f"def integrate(y, ts, hs{'' if record else ', legs'}"
         f"{''.join(', ' + f for f in fixed_locals.values())}):",

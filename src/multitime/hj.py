@@ -8,8 +8,9 @@ expressions (exact, or central differences at a step) and compiled once
 per system and step; a parameter of S or of a Hamiltonian is a number in
 its tree (``expr.substitute``).  It extracts world lines on flat
 spacelike foliations t = s + u.x: a sweep is one compiled RK4 loop
-(``codegen.compile_rk4``) with the leaf times, exact velocities and leaf
-rates V_j / (1 - u.V_j) inlined, and the world lines are anchored at t = 0
+(``codegen.compile_rk4``) with the leaf times, exact velocities, leaf
+rates V_j / (1 - u.V_j) and degeneracy guards 1 - u.V_j > 0 inlined,
+given to it as trees, and the world lines are anchored at t = 0
 by quasi-Newton (Broyden) steps of the leaf-0 configuration, one sweep of
 every leaf each; the converged sweep builds them.
 """
@@ -23,7 +24,7 @@ from typing import Callable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
-from .codegen import _bind, _numbers, compile_function, compile_rk4
+from .codegen import compile_function, compile_rk4
 from .expr import (STEP_TIME, BinOp, Expression, ExpressionError, FoliationError,
                    Num, Var, binding_names, bound_steps, check_count, check_masses,
                    check_positive, check_span, check_steps, _div, derivative, diff,
@@ -280,37 +281,22 @@ def _degenerate(j: int, gamma: float, s_par: float) -> NoReturn:
         f"1 - u.V_{j} = {gamma:.3g} <= 0 at leaf s = {s_par:.6g}")
 
 
-def _leaf_rates(u: tuple[float, ...], n: int, d: int) -> Callable:
-    """The ``rates`` hook of ``codegen.compile_rk4`` on the leaves t = s + u.x:
-    dx_j/ds = V_j / gamma_j with gamma_j = 1 - u.V_j, for every particle j,
-    and FoliationDegeneracyError where gamma_j <= 0, whose message alone
-    computes the leaf s of the stage.  Where V_j is numbers, its rates are
-    folded by the statements' float operations, unless gamma_j is not a
-    finite number > 0 or a rate not finite: then the statements stay."""
-    def emit(values: list[str], time: str, lines: list[str], namespace: dict) -> list[str]:
-        namespace["_degenerate"] = _degenerate
-        namespace.update((f"_u{k}", uk) for k, uk in enumerate(u))
-        rates = []
-        for j in range(n):
-            vj = values[j * d:(j + 1) * d]
-            if (vs := _numbers(vj, namespace)) is not None:
-                gamma = 1.0 - functools.reduce(lambda dot, k: dot + u[k] * vs[k], range(d), 0.0)
-                folded = [v / gamma for v in vs] if 0.0 < gamma < math.inf else [math.nan]
-                if all(map(math.isfinite, folded)):
-                    rates += [_bind(r, namespace) for r in folded]
-                    continue
-            gamma = f"r{len(lines)}"
-            # u.V_j as sum() adds it up: from 0, left to right (0.0, the
-            # same float, skips the int-and-float path)
-            dot = "".join(f" + _u{k} * {v}" for k, v in enumerate(vj))
-            lines.append(f"{gamma} = 1.0 - (0.0{dot})\n"
-                         f"if {gamma} <= 0.0:\n _degenerate({j + 1}, {gamma}, {time})")
-            for v in vj:
-                rates.append(f"r{len(lines)}")
-                lines.append(f"{rates[-1]} = {v} / {gamma}")
-        return rates
-
-    return emit
+def _leaf_rates(velocities: Sequence[Expression], u: tuple[float, ...], n: int,
+                d: int) -> tuple[list[Expression], list[tuple[Expression, Callable]]]:
+    """The ``rates`` and ``guards`` of ``codegen.compile_rk4`` on the leaves
+    t = s + u.x for the ``velocities`` V_j of each particle j: the rates
+    V_j / gamma_j, and the guard gamma_j = 1 - u.V_j, which raises
+    FoliationDegeneracyError at the stage's leaf s.  u.V_j is summed left to
+    right from its first term, not from 0: 1 - (±0) = 1 drops the change."""
+    rates, guards = [], []
+    for j in range(n):
+        vj = velocities[j * d:(j + 1) * d]
+        dot = functools.reduce(functools.partial(BinOp, "+"),
+                               [BinOp("*", Num(uk), v) for uk, v in zip(u, vj)])
+        gamma = BinOp("-", Num(1.0), dot)
+        guards.append((gamma, functools.partial(_degenerate, j + 1)))
+        rates += [BinOp("/", v, gamma) for v in vj]
+    return rates, guards
 
 
 @functools.lru_cache(maxsize=64)
@@ -330,7 +316,8 @@ def _leaf_loop(s_expr: Expression, n: int, d: int, masses: tuple[float, ...],
         leaf_time[t] = BinOp("+", Var(STEP_TIME), dot)
     velocities = [_div(substitute(diff(s_expr, x), leaf_time), Num(masses[i // d]))
                   for i, x in enumerate(xs)]
-    return compile_rk4(velocities, xs, rates=_leaf_rates(u, n, d))
+    rates, guards = _leaf_rates(velocities, u, n, d)
+    return compile_rk4(velocities, xs, rates=rates, guards=guards)
 
 
 def _leaf_sweep(s: HJFunction, fol: Foliation, s_lo: float, s_hi: float,

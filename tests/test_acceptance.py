@@ -26,7 +26,7 @@ from multitime.classical import (
     grid_path_independence,
     validity_residual,
 )
-from multitime.cli import _SUBCOMMAND_KINDS, run_config
+from multitime.cli import _KINDS, run_config
 from multitime.configs import EXAMPLE_CONFIGS
 from multitime.hj import (
     Foliation,
@@ -70,7 +70,11 @@ GOLDEN_REL, GOLDEN_ABS = 1e-9, 1e-10
 #: CSV, written by ``scripts/golden_csv.py``; any change is explained in
 #: CHANGES.md
 GOLDEN_CSV = json.loads((Path(__file__).parent / "golden_csv.json").read_text())
-KIND_SUBCOMMAND = {k: sub for sub, kinds in _SUBCOMMAND_KINDS.items() for k in kinds}
+
+
+def subcommand_of(cfg: dict) -> str:
+    """The subcommand that runs ``cfg``, as the CLI's table of kinds names it."""
+    return _KINDS[cfg["formalism"], cfg["experiment"]["kind"]].subcommand
 
 
 def _golden_drift(got, want, pointer: str = "") -> list[str]:
@@ -93,7 +97,7 @@ def test_bulk_csv_matches_golden(tmp_path, name):
     """Column names and row count exactly, the sampled rows within the
     tolerance of the golden results."""
     cfg, want = EXAMPLE_CONFIGS[name], GOLDEN_CSV[name]
-    run_config(copy.deepcopy(cfg), KIND_SUBCOMMAND[cfg["experiment"]["kind"]],
+    run_config(copy.deepcopy(cfg), subcommand_of(cfg),
                csv_path=str(tmp_path / "out.csv"))
     with open(tmp_path / "out.csv", newline="") as fh:
         columns, *rows = csv.reader(fh)
@@ -410,7 +414,7 @@ def test_criterion_10_determinism_and_convergence(capsys):
     drifted = [f"{name} (no golden results)"
                for name in EXAMPLE_CONFIGS if name not in GOLDEN]
     for name, cfg in EXAMPLE_CONFIGS.items():
-        sub = KIND_SUBCOMMAND[cfg["experiment"]["kind"]]
+        sub = subcommand_of(cfg)
         texts = []
         for _ in range(2):
             rep = run_config(copy.deepcopy(cfg), sub)

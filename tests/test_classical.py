@@ -32,7 +32,8 @@ from multitime.expr import (FUNCTIONS, BinOp, Call, DomainError, Num, Var,
 from multitime.numdiff import diff_callable
 from multitime.paths import NPath, PathRangeError, WorldLine, hermite_at
 from multitime.reports import DefectReport, write_csv
-from oracles import (defect_grid_oracle, defect_oracle, full_grid_oracle, is_spacelike, pack,
+from oracles import (_grid_leg, defect_grid_oracle, defect_oracle, full_grid_oracle,
+                     is_spacelike, pack,
                      path_independence_oracle, phase_points, rk4_oracle, table_oracle,
                      unpack_rows, validity_oracle, variable_bindings)
 
@@ -832,6 +833,19 @@ class TestFullGrid:
         assert gaps[0] > 1e-4
         for a, b in zip(gaps, gaps[1:]):
             assert 0.8 * 4 < a / b < 1.2 * 4
+
+    def test_path_independence_squares_that_overflow(self):
+        # from x = 1e200 the corners differ by about 1e198 in each position:
+        # a distance in the float range whose squares overflow, taken again
+        # scaled, with no numpy warning (the suite makes one an error)
+        hp = HamiltonianPair(["p1_1^2/2 + p2_1^2/2", "p1_1^2/2 + p2_1^2/2 + x1_1*x2_1"], 2, 1)
+        init = PhasePoint(times=[0.0, 0.0], x=[[1e200], [1e200]], p=[[0.0], [0.0]])
+        gap = grid_path_independence(hp, init, (0.1, 0.1), 0.05)
+        y0 = init.state().tolist()
+        ya = _grid_leg(hp, 2, [0.1, 0.0], _grid_leg(hp, 1, [0.0, 0.0], y0, 0.1, 2), 0.1, 2)
+        yb = _grid_leg(hp, 1, [0.0, 0.1], _grid_leg(hp, 2, [0.0, 0.0], y0, 0.1, 2), 0.1, 2)
+        want = math.hypot(*(a - b for a, b in zip(ya, yb)))
+        assert 1e198 < want < 2e198 and gap == pytest.approx(want, rel=1e-15)
 
     def test_n_must_be_two(self):
         with pytest.raises(ValueError):

@@ -21,8 +21,10 @@ from multitime.spec import ConfigError, _sample_phase_points
 from oracles import (defect_oracle, hj_defect_oracle, phase_points, quantum_defect_oracle,
                      sample_points_oracle, validity_tuples_oracle, with_constants)
 
-KIND_SUBCOMMAND = {kind: sub for sub, kinds in _SUBCOMMAND_KINDS.items()
-                   for kind in kinds}
+
+def subcommand_of(cfg: dict) -> str:
+    """The subcommand that runs ``cfg``, as the CLI's table of kinds names it."""
+    return cli._KINDS[cfg["formalism"], cfg["experiment"]["kind"]].subcommand
 
 
 @pytest.fixture(scope="module")
@@ -306,7 +308,7 @@ class TestHJConstants:
         if hams:
             hams["h_list"] = [inline(e) for e in hams["h_list"]]
             hams["h_total"] = inline(hams["h_total"])
-        subcommand = KIND_SUBCOMMAND[cfg["experiment"]["kind"]]
+        subcommand = subcommand_of(cfg)
         texts = [json.dumps(run_config(c, subcommand)["results"], sort_keys=True)
                  for c in (cfg, inlined)]
         assert texts[0] == texts[1]
@@ -319,7 +321,7 @@ class TestPlannedWork:
 
     @pytest.mark.parametrize("name", ["interaction_picture_staircase", "coupled_qubits"])
     def test_run_executes_the_bounded_plan(self, monkeypatch, name):
-        subcommand = KIND_SUBCOMMAND[EXAMPLE_CONFIGS[name]["experiment"]["kind"]]
+        subcommand = subcommand_of(EXAMPLE_CONFIGS[name])
         evolve, segments = quantum.evolve_staircase, []
 
         def record(sys_q, state, path):
@@ -850,7 +852,7 @@ class TestConfigErrors:
     def test_too_many_rk4_steps(self, config_dir, tmp_path, capsys, no_numerics,
                                 name, key, value, pointer, steps):
         # each would keep the states of a practically endless run in memory
-        subcommand = KIND_SUBCOMMAND[EXAMPLE_CONFIGS[name]["experiment"]["kind"]]
+        subcommand = subcommand_of(EXAMPLE_CONFIGS[name])
         self.expect_error(config_dir, tmp_path, capsys, name, subcommand, key, value,
                           pointer, f"the run takes {steps} RK4 steps; at most "
                                    "1000000 are allowed")
@@ -864,7 +866,7 @@ class TestConfigErrors:
                                    name, pointer, value):
         # classical masses were never read (a field carries its own), and
         # the cjs-demo kind builds only the fields of its family
-        subcommand = KIND_SUBCOMMAND[EXAMPLE_CONFIGS[name]["experiment"]["kind"]]
+        subcommand = subcommand_of(EXAMPLE_CONFIGS[name])
         self.expect_error(config_dir, tmp_path, capsys, name, subcommand,
                           pointer, value, pointer, "unknown key")
 
@@ -901,7 +903,7 @@ class TestConfigErrors:
     def test_undeclared_variable(self, config_dir, tmp_path, capsys, no_numerics,
                                  name, pointer, value):
         # each of these used to fail only once the numerics ran
-        subcommand = KIND_SUBCOMMAND[EXAMPLE_CONFIGS[name]["experiment"]["kind"]]
+        subcommand = subcommand_of(EXAMPLE_CONFIGS[name])
         self.expect_error(config_dir, tmp_path, capsys, name, subcommand,
                           pointer, value, pointer, "undeclared variables")
 
@@ -1132,6 +1134,20 @@ class TestNumericalFailures:
             assert results["accepted_samples"] == 3
             assert 0.0 <= results["max_residual"] <= 8 * math.ulp(1e308)
 
+    def test_path_independence_gap_whose_squares_overflow(self, config_dir, tmp_path):
+        # corners about 1e198 apart in each position: a finite gap at every
+        # level, where the sum of its squares used to read inf (exit 3)
+        cfg = json.loads((config_dir / "grid_coupled_pathindep.json").read_text())
+        cfg["system"]["field"]["h_list"] = ["p1_1^2/2 + p2_1^2/2",
+                                            "p1_1^2/2 + p2_1^2/2 + x1_1*x2_1"]
+        cfg["experiment"].update(init={"t": 0.0, "x": [[1e200], [1e200]], "p": [[0.0], [0.0]]},
+                                 rectangle=[0.1, 0.1], dt=0.05, refinements=0)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["grid", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 0
+        [row] = json.loads((tmp_path / "r.json").read_text())["results"]["table"]
+        assert 1e198 < row["gap"] < 2e198
+
     def test_subnormal_t2_gaps_exit_code(self, config_dir, tmp_path, capsys):
         # distinct t2 nodes whose gaps multiply to 0 in np.gradient
         cfg = json.loads((config_dir / "grid_free.json").read_text())
@@ -1216,7 +1232,7 @@ def test_mutated_config_exits_cleanly(mutation):
     name, pointer, value = mutation
     cfg = copy.deepcopy(EXAMPLE_CONFIGS[name])
     set_pointer(cfg, pointer, value)
-    subcommand = KIND_SUBCOMMAND[EXAMPLE_CONFIGS[name]["experiment"]["kind"]]
+    subcommand = subcommand_of(EXAMPLE_CONFIGS[name])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -1251,7 +1267,7 @@ def test_mass_leaf_exits_cleanly(name, pointer, value, tmp_path, capsys,
     set_pointer(cfg, pointer, value)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    code = main([KIND_SUBCOMMAND[cfg["experiment"]["kind"]], "--config", str(path),
+    code = main([subcommand_of(cfg), "--config", str(path),
                  "--out", str(tmp_path / "report.json")])
     err = capsys.readouterr().err
     assert code == 2 and "Traceback" not in err
@@ -1268,7 +1284,7 @@ def test_empty_array_exits_2_at_its_pointer(name, key, tmp_path, capsys):
     cfg["experiment"][key] = []
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    code = main([KIND_SUBCOMMAND[cfg["experiment"]["kind"]], "--config", str(path),
+    code = main([subcommand_of(cfg), "--config", str(path),
                  "--out", str(tmp_path / "report.json")])
     err = capsys.readouterr().err
     assert code == 2 and "Traceback" not in err
@@ -1464,7 +1480,7 @@ class TestReaders:
         cfg = copy.deepcopy(EXAMPLE_CONFIGS[name])
         set_pointer(cfg, pointer, value)
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-            run_config(cfg, KIND_SUBCOMMAND[cfg["experiment"]["kind"]])
+            run_config(cfg, subcommand_of(cfg))
 
     def test_a_default_is_never_shared_between_reports(self):
         cfg = copy.deepcopy(EXAMPLE_CONFIGS["free_quantum_holonomy"])

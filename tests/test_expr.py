@@ -1,6 +1,7 @@
 import copy
 import dis
 import functools
+import hashlib
 import itertools
 import math
 import random
@@ -1164,18 +1165,18 @@ def rk4_trees(names: tuple[str, ...]):
 def rk4_cases(draw):
     """A loop to compile twice and one call of it: outputs over a state of
     one to three variables, an optional fixed variable and the step time;
-    the mode; with the HJ leaf hook or without; the initial state, the node
+    the mode; on the HJ leaves or not; the initial state, the node
     times, the steps and the fixed value."""
     size = draw(st.integers(1, 3))
     state = tuple(f"y{i}" for i in range(1, size + 1))
     fixed = ("f1",) if draw(st.booleans()) else ()
     trees = rk4_trees(state + fixed + (expr_module.STEP_TIME,))
     outputs = draw(st.lists(trees, min_size=size, max_size=size))
-    hook = None
+    leaves = None
     if not fixed and draw(st.booleans()):
         # the leaves t = s + u.x of ``size`` particles in one dimension
-        hook = (tuple(draw(st.lists(st.sampled_from([0.0, 0.3, -0.6]),
-                                    min_size=1, max_size=1))), size, 1)
+        leaves = (tuple(draw(st.lists(st.sampled_from([0.0, 0.3, -0.6]),
+                                      min_size=1, max_size=1))), size, 1)
     y0 = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.0, 0.25, 1e300]) |
                        st.floats(-3.0, 3.0), min_size=size, max_size=size))
     hs = draw(st.lists(st.sampled_from([0.1, 0.25, -0.1, 1e-3]), min_size=1, max_size=4))
@@ -1183,28 +1184,42 @@ def rk4_cases(draw):
     for h in hs:
         ts.append(ts[-1] + h)
     values = [draw(st.floats(-2.0, 2.0))] if fixed else []
-    return outputs, state, fixed, draw(st.booleans()), hook, y0, ts, hs, values
+    return outputs, state, fixed, draw(st.booleans()), leaves, y0, ts, hs, values
 
 
-def compile_unpacked(outputs, state, fixed=(), *, record=True, rates=None):
-    """``codegen.compile_rk4`` as the oracle's loop is called: a state of
-    floats in, every node kept without ``record`` (each step a leg), and
-    its packed rows out as the states and the records, or the states, each
-    a tuple of floats."""
-    loop = codegen.compile_rk4(outputs, state, fixed, record=record, rates=rates)
+def leaf_loop(outputs, state, fixed=(), *, record=True, leaves=None):
+    """``codegen.compile_rk4`` of ``outputs``, or with ``leaves``, the
+    ``(u, n, d)`` of ``hj._leaf_rates``, of the velocities ``outputs`` on
+    those leaves."""
+    rates, guards = hj._leaf_rates(outputs, *leaves) if leaves else (None, ())
+    return codegen.compile_rk4(outputs, state, fixed, record=record, rates=rates, guards=guards)
+
+
+def compile_unpacked(outputs, state, fixed=(), *, record=True, leaves=None):
+    """``leaf_loop`` as the oracle's loop is called: a state of floats in,
+    every node kept without ``record`` (each step a leg), and its packed
+    rows out as the states and the records, or the states, each a tuple of
+    floats."""
+    loop = leaf_loop(outputs, state, fixed, record=record, leaves=leaves)
     if record:
         return lambda y, *args: unpack_rows(loop(pack(y), *args), len(state))
     return lambda y, ts, hs, *fixed_values: unpack_rows(
         loop(pack(y), ts, hs, [range(i, i + 1) for i in range(len(hs))], *fixed_values))
 
 
-def loop_outcome(compile_loop, case, rates_hook):
+def compile_oracle(outputs, state, fixed=(), *, record=True, leaves=None):
+    """``oracles.compile_rk4_oracle`` with the hook ``leaf_rates_oracle``
+    on the ``leaves`` of ``compile_unpacked``."""
+    return compile_rk4_oracle(outputs, state, fixed, record=record,
+                              rates=leaf_rates_oracle(*leaves) if leaves else None)
+
+
+def loop_outcome(compile_loop, case):
     """The bits of every state and record of one loop call, or the class
     and message of its error."""
-    outputs, state, fixed, record, hook, y0, ts, hs, values = case
+    outputs, state, fixed, record, leaves, y0, ts, hs, values = case
     try:
-        loop = compile_loop(outputs, state, fixed, record=record,
-                            rates=rates_hook(*hook) if hook else None)
+        loop = compile_loop(outputs, state, fixed, record=record, leaves=leaves)
         result = loop(y0, ts, hs, *values)
         rows = [*result[0], *result[1]] if record else result
         return "values", [struct.pack("d", v) for row in rows for v in row]
@@ -1219,8 +1234,8 @@ class TestCompiledRk4:
         # float literals in the scaffold, the stage times only where read
         # and no complex check after an integral power change no bit and
         # no error
-        assert loop_outcome(compile_unpacked, case, hj._leaf_rates) == \
-            loop_outcome(compile_rk4_oracle, case, leaf_rates_oracle)
+        assert loop_outcome(compile_unpacked, case) == \
+            loop_outcome(compile_oracle, case)
 
     @pytest.mark.parametrize("source", [
         "y1 / 0", "y1 / -0", "y1 / (y1 - y1)", "y1 / 4",  # division by a number or zero
@@ -1232,8 +1247,8 @@ class TestCompiledRk4:
         # y1 = 1 at the start, and a step's stages move it away from 1
         tree = substitute(parse_expression(source), {"t1": Var(expr_module.STEP_TIME)})
         case = ([tree], ("y1",), (), record, None, [1.0], [0.0, 0.5, 1.0], [0.5, 0.5], [])
-        assert loop_outcome(compile_unpacked, case, hj._leaf_rates) == \
-            loop_outcome(compile_rk4_oracle, case, leaf_rates_oracle)
+        assert loop_outcome(compile_unpacked, case) == \
+            loop_outcome(compile_oracle, case)
 
     def test_autonomous_loop_never_reads_the_times(self):
         class Times(list):
@@ -1245,14 +1260,14 @@ class TestCompiledRk4:
 
         # two steps: a time-dependent loop reads the three node times when it
         # records and the two steps' start times when it does not; the HJ
-        # leaf hook reads a time only to report a degenerate leaf
+        # leaf guards read a time only to report a degenerate leaf
         y = Var("y1")
-        for outputs, hook, reads in (([BinOp("*", Num(-0.5), y)], None, 0),
-                                     ([BinOp("*", Num(-0.5), y)], hj._leaf_rates((0.5,), 1, 1), 0),
-                                     ([BinOp("*", Var(expr_module.STEP_TIME), y)], None, 3 + 2)):
+        for outputs, leaves, reads in (([BinOp("*", Num(-0.5), y)], None, 0),
+                                       ([BinOp("*", Num(-0.5), y)], ((0.5,), 1, 1), 0),
+                                       ([BinOp("*", Var(expr_module.STEP_TIME), y)], None, 3 + 2)):
             Times.reads = 0
             for record in (True, False):
-                loop = codegen.compile_rk4(outputs, ["y1"], record=record, rates=hook)
+                loop = leaf_loop(outputs, ["y1"], record=record, leaves=leaves)
                 loop(pack([1.0]), Times([0.0, 0.1, 0.2]), [0.1, 0.1], *[] if record else [[range(2)]])
             assert Times.reads == reads
 
@@ -1371,12 +1386,12 @@ def shipped_loops() -> list[tuple[str, object]]:
     return loops
 
 
-def same_as_before(outputs, state, record, y0, hook=None):
+def same_as_before(outputs, state, record, y0, leaves=None):
     """One call of the loop of ``outputs`` over two steps, and of the loop
     before the leaner one, give the same bits or the same error."""
-    case = (outputs, state, (), record, hook, y0, [0.0, 0.25, 0.5], [0.25, 0.25], [])
-    return (loop_outcome(compile_unpacked, case, hj._leaf_rates)
-            == loop_outcome(compile_rk4_oracle, case, leaf_rates_oracle))
+    case = (outputs, state, (), record, leaves, y0, [0.0, 0.25, 0.5], [0.25, 0.25], [])
+    return (loop_outcome(compile_unpacked, case)
+            == loop_outcome(compile_oracle, case))
 
 
 class TestLeanLoops:
@@ -1438,14 +1453,13 @@ class TestLeanLoops:
         # V = 2 gives gamma = 1 - 0.5 * 2 = 0 and V = 3 gives -0.5, each
         # degenerate at the first stage
         one, two, three = Num(1.0), Num(2.0), Num(3.0)
-        folded = codegen.compile_rk4([one, one], ["y1", "y2"], record=record,
-                                         rates=hj._leaf_rates((0.5,), 2, 1))
-        assert "_degenerate" not in folded.__code__.co_names and stage_states(folded) == []
+        folded = leaf_loop([one, one], ["y1", "y2"], record=record, leaves=((0.5,), 2, 1))
+        assert not any(name.startswith("_fail") for name in folded.__code__.co_names)
+        assert stage_states(folded) == []
         for outputs in ([one, one], [one, two], [two, one], [three, one], [Var("y2"), two]):
             for y0 in ([1.0, -0.5], [1e308, 0.0]):
                 assert same_as_before(outputs, ("y1", "y2"), record, y0, ((0.5,), 2, 1))
-        degenerate = codegen.compile_rk4([one, two], ["y1", "y2"], record=record,
-                                             rates=hj._leaf_rates((0.5,), 2, 1))
+        degenerate = leaf_loop([one, two], ["y1", "y2"], record=record, leaves=((0.5,), 2, 1))
         with pytest.raises(FoliationDegeneracyError,
                            match=re.escape("1 - u.V_2 = 0 <= 0 at leaf s = 0")):
             degenerate(pack([1.0, -0.5]), [0.0, 0.25], [0.25],
@@ -1482,4 +1496,105 @@ class TestLeanLoops:
         s = hj.HJFunction(system["S"], system["n"], system["d"], system["masses"],
                           system["constants"])
         loop = hj._leaf_loop(s.expr, s.n, s.d, s.masses, (0.3,))
-        assert "_degenerate" not in loop.__code__.co_names and stage_states(loop) == []
+        assert not any(name.startswith("_fail") for name in loop.__code__.co_names)
+        assert stage_states(loop) == []
+
+
+# ------------------------------------------------- guards of a loop of no foliation
+
+class GuardFailed(Exception):
+    """The error of ``guard_failed``: the guard's value and the stage's time."""
+
+
+def guard_failed(g, time):
+    raise GuardFailed(g, time)
+
+
+def compare_ops(function) -> list[str]:
+    """The operators of the ``COMPARE_OP`` instructions of ``function``."""
+    return [op.argrepr for op in dis.get_instructions(function) if op.opname == "COMPARE_OP"]
+
+
+#: the sha256 of the generated source of every shipped classical loop, in the
+#: order of ``shipped_loops``: a classical loop has neither rates nor guards,
+#: so the guards leave its source as it was
+CLASSICAL_LOOP_SOURCES = "e16cf7f0902fddccc9ae88a0c1d3b216668a5d091ff555e4f073ea47d99a1e8d"
+
+
+class TestGuards:
+    @pytest.mark.parametrize("record", [True, False])
+    def test_guard_fires_with_the_stage_time(self, record):
+        # dy1/dt = 1 from y1 = 1 at t = 0.5: the guard 1.1 - y1 is 0.1 at the
+        # node and 1.1 - 1.125 at the first half stage, t = 0.5 + 0.125; the
+        # outputs read no state, the guard reads y1
+        y1 = Var("y1")
+        loop = codegen.compile_rk4([Num(1.0)], ["y1"], record=record,
+                                   guards=[(BinOp("-", Num(1.1), y1), guard_failed)])
+        with pytest.raises(GuardFailed) as failed:
+            loop(pack([1.0]), [0.5, 0.75], [0.25], *[] if record else [[range(1)]])
+        assert failed.value.args == (1.1 - 1.125, 0.5 + 0.25 * 0.5)
+        assert stage_states(loop) == ["a_0", "b_0", "e_0"]
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_constant_guard_above_zero_is_no_test(self, record):
+        y1 = Var("y1")
+        plain = codegen.compile_rk4([Neg(y1)], ["y1"], record=record)
+        for guard in (Num(0.5), BinOp("-", Num(1.0), Num(0.5))):
+            loop = codegen.compile_rk4([Neg(y1)], ["y1"], record=record,
+                                       guards=[(guard, guard_failed)])
+            assert not any(name.startswith("_fail") for name in loop.__code__.co_names)
+            assert [op.opname for op in dis.get_instructions(loop)] == \
+                [op.opname for op in dis.get_instructions(plain)]
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("value", [0.0, -0.0, -1.0])
+    def test_constant_guard_at_most_zero_fails_at_the_first_stage(self, record, value):
+        loop = codegen.compile_rk4([Neg(Var("y1"))], ["y1"], record=record,
+                                   guards=[(BinOp("-", Num(1.0), Num(1.0 - value)),
+                                            guard_failed)])
+        with pytest.raises(GuardFailed) as failed:
+            loop(pack([1.0]), [0.5, 0.75], [0.25], *[] if record else [[range(1)]])
+        assert failed.value.args == (1.0 - (1.0 - value), 0.5)
+
+    def test_guarded_divisor_has_no_zero_check(self):
+        # y1 / (1 + y2): a zero check at each of the four stages, or none
+        # where a guard has tested the divisor; the same bits where it passes
+        y1, y2 = Var("y1"), Var("y2")
+        divisor = BinOp("+", Num(1.0), y2)
+        outputs, rates = [y2, y1], [BinOp("/", y1, divisor), y1]
+        plain = codegen.compile_rk4(outputs, ["y1", "y2"], record=False, rates=rates)
+        guarded = codegen.compile_rk4(outputs, ["y1", "y2"], record=False, rates=rates,
+                                      guards=[(divisor, guard_failed)])
+        assert compare_ops(plain).count("==") == 4 and "==" not in compare_ops(guarded)
+        ts, hs = [0.0, 0.1, 0.2], [0.1, 0.1]
+        assert guarded(pack([1.0, 0.5]), ts, hs, [range(2)]) == \
+            plain(pack([1.0, 0.5]), ts, hs, [range(2)])
+        with pytest.raises(GuardFailed) as failed:
+            guarded(pack([1.0, -1.0]), ts, hs, [range(2)])
+        assert failed.value.args == (0.0, 0.0)
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_output_error_comes_before_a_guard(self, record):
+        # log(y1 - 2) at y1 = 1 fails in the outputs, before the failing guard
+        loop = codegen.compile_rk4([Call("log", BinOp("-", Var("y1"), Num(2.0)))], ["y1"],
+                                   record=record, guards=[(Num(-1.0), guard_failed)])
+        with pytest.raises(DomainError, match=re.escape("log of non-positive value -1.0")):
+            loop(pack([1.0]), [0.5, 0.75], [0.25], *[] if record else [[range(1)]])
+
+    def test_classical_loops_keep_their_source(self, monkeypatch):
+        sources = []
+        define = codegen._define
+
+        def capture(source, name, namespace):
+            sources.append("\n".join(source))
+            return define(source, name, namespace)
+
+        monkeypatch.setattr(codegen, "_define", capture)
+        # every loop compiled here, none taken from the memos
+        monkeypatch.setattr(classical, "_rk4_loop", classical._rk4_loop.__wrapped__)
+        monkeypatch.setattr(hj, "_leaf_loop", hj._leaf_loop.__wrapped__)
+        loops = shipped_loops()
+        assert len(sources) == len(loops)
+        text = "\n".join(source for (label, _), source in zip(loops, sources)
+                         if EXAMPLE_CONFIGS[label.split(":")[0]]["formalism"] == "classical")
+        assert hashlib.sha256(text.encode()).hexdigest() == CLASSICAL_LOOP_SOURCES

@@ -38,11 +38,9 @@ from multitime.configs import EXAMPLE_CONFIGS, write_examples
 
 directory = sys.argv[1]
 write_examples(directory)
-subcommand = {kind: sub for sub, kinds in cli._SUBCOMMAND_KINDS.items()
-              for kind in kinds}
 codes = {}
 for name, cfg in EXAMPLE_CONFIGS.items():
-    codes[name] = cli.main([subcommand[cfg["experiment"]["kind"]],
+    codes[name] = cli.main([cli._KINDS[cfg["formalism"], cfg["experiment"]["kind"]].subcommand,
                             "--config", f"{directory}/{name}.json",
                             "--out", f"{directory}/{name}.report.json"])
 print(json.dumps(codes))
