@@ -16,6 +16,11 @@ checkout's ``src``) and prints, in microseconds:
   point and by one ``classical_defect_grid`` call for all points;
 * ``validity``: one sample of ``validity_residual`` on the n-path and
   the sample times of each shipped validity config;
+* ``spline query``: one ``hermite_at`` query of the first world line of
+  the shipped ``hj_free_trajectories`` run, at ``QUERIES`` evenly spaced
+  times across its samples: a value query and a derivative query at one
+  time (a float) each, and one point of a query at all the times at once
+  (an array);
 * ``evolve equal-time``: one RK4 step of a whole ``evolve_equal_time``
   run of each field, tables and world lines included;
 * ``full grid``: one RK4 step of a whole ``evolve_full_grid`` run of each
@@ -52,6 +57,8 @@ from pathlib import Path
 REPEAT = 7
 #: RK4 steps of one timed loop call
 STEPS = 2000
+#: query times of the ``spline query`` lines
+QUERIES = 200
 GRID_KINDS = ("full-grid", "path-independence")
 
 
@@ -162,6 +169,24 @@ def leaf_steps(hj, run) -> int:
     return steps[0]
 
 
+def spline_queries(np, hj, configs) -> None:
+    """The ``spline query`` lines."""
+    name = "hj_free_trajectories"
+    system, exp = configs[name]["system"], configs[name]["experiment"]
+    s = hj.HJFunction(system["S"], system["n"], system["d"], system["masses"],
+                      system.get("constants"))
+    line = hj.hj_trajectories_foliation(s, hj.Foliation(exp["foliation"]["u"]),
+                                        exp["init_positions"], tuple(exp["s_span"]),
+                                        exp["ds"]).line(1)
+    times = np.linspace(line.t_min, line.t_max, QUERIES)
+    scalars = times.tolist()
+    for label, query in (("value", line.x_at), ("derivative", line.dxdt_at)):
+        cost = best(lambda: [query(time) for time in scalars], QUERIES)
+        print(f"spline query    {cost:9.3f} us/query   {name}:{label}")
+    cost = best(lambda: line.x_at(times), QUERIES)
+    print(f"spline query    {cost:9.3f} us/point   {name}:array-{QUERIES}")
+
+
 def whole_runs(np, classical, hj, kinds, configs, fields) -> None:
     """The ``evolve equal-time``, ``full grid`` and ``hj foliation`` lines."""
     dt = 1e-3
@@ -227,6 +252,7 @@ def main(src: str) -> None:
             cost = best(lambda: classical.validity_residual(field, npath, tuples),
                         len(tuples))
             print(f"validity        {cost:9.3f} us/sample  {name}")
+    spline_queries(np, hj, configs)
     whole_runs(np, classical, hj, kinds, configs, fields)
     loop_sizes(classical, hj, configs, fields)
 
