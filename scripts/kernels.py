@@ -172,11 +172,9 @@ def leaf_steps(hj, run) -> int:
 def spline_queries(np, hj, configs) -> None:
     """The ``spline query`` lines."""
     name = "hj_free_trajectories"
-    system, exp = configs[name]["system"], configs[name]["experiment"]
-    s = hj.HJFunction(system["S"], system["n"], system["d"], system["masses"],
-                      system.get("constants"))
-    line = hj.hj_trajectories_foliation(s, hj.Foliation(exp["foliation"]["u"]),
-                                        exp["init_positions"], tuple(exp["s_span"]),
+    s, fol, exp = next((s, fol, exp) for config, s, fol, exp in shipped_foliations(hj, configs)
+                       if config == name)
+    line = hj.hj_trajectories_foliation(s, fol, exp["init_positions"], tuple(exp["s_span"]),
                                         exp["ds"]).line(1)
     times = np.linspace(line.t_min, line.t_max, QUERIES)
     scalars = times.tolist()

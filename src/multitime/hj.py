@@ -378,7 +378,8 @@ def _at_zero(times: list[np.ndarray], xs: np.ndarray, vs: np.ndarray, fol: Folia
              derivative: bool = False) -> np.ndarray:
     """x_j(0), or dx_j/dt(0) with ``derivative``, of the world lines of a
     sweep's records, flat, by ``paths.hermite_at``; FoliationError for a
-    world line that misses t = 0."""
+    world line that misses t = 0.  Each query is at the one float time 0.0,
+    so it takes ``hermite_at``'s float route, with the array route's bits."""
     values = []
     for j, t in enumerate(times):
         try:

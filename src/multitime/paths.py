@@ -7,11 +7,16 @@ cubic Hermite interpolation (third-order accurate without re-integration).
 ``hermite_at`` is the one evaluator: it builds the cubic of only the
 intervals a query falls in, with the formulas of scipy's
 ``CubicHermiteSpline`` element by element, and sums it as scipy's
-``PPoly`` does, so values match scipy's bit for bit.
+``PPoly`` does, so values match scipy's bit for bit.  It has two routes
+that agree bit for bit: an array of times goes through numpy, and one
+time (a Python float or int) through the same operations in the same
+order in Python floats, free of numpy's fixed cost per call; a time the
+float route does not clear takes the array route.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -105,7 +110,16 @@ def hermite_at(t: np.ndarray, y: np.ndarray, dydt: np.ndarray, time,
     coefficient of s^3 or s^2 is subnormal or the time is within 2^-340
     (about 4e-103) of its knot, so that a power of s may be, the entry is
     taken again in scaled form (``_hermite_scaled``): finite and accurate
-    wherever the interpolant is well inside the float range."""
+    wherever the interpolant is well inside the float range.
+
+    One time given as a Python float or int is first tried by
+    ``_hermite_float``, which gives the same bits at a fraction of the
+    cost; where it would raise or take an entry again, the array route
+    below does, as for any other time."""
+    if isinstance(time, (int, float)):
+        value = _hermite_float(t, y, dydt, float(time), derivative)
+        if value is not None:
+            return value
     times = np.asarray(time, float)
     lo, hi = float(t[0]), float(t[-1])
     # not "inside", so that a NaN time, which fails both tests, is outside
@@ -139,6 +153,38 @@ def hermite_at(t: np.ndarray, y: np.ndarray, dydt: np.ndarray, time,
             scaled = _hermite_scaled(dt, y[i], y[i + 1], dydt[i], dydt[i + 1], s, derivative)
             value = np.where(redo, scaled, value)
     return value
+
+
+def _hermite_float(t: np.ndarray, y: np.ndarray, dydt: np.ndarray, time: float,
+                   derivative: bool) -> np.ndarray | None:
+    """``hermite_at`` at the one time ``time``, its interval's knot rows read
+    as Python floats and its cubic summed component by component with the
+    array route's operations in their order, so with its bits; None, for
+    the array route to take, where that route raises (a time out of range
+    or NaN) or takes an entry again."""
+    if not float(t[0]) - 1e-12 <= time <= float(t[-1]) + 1e-12:
+        return None
+    i = int(t[1:-1].searchsorted(time, side="right"))
+    t0, t1 = t[i:i + 2].tolist()
+    dt, s = t1 - t0, time - t0
+    if dt == 0.0 or math.frexp(s)[1] <= -340:  # a zero dt would raise in floats
+        return None
+    (y0s, y1s), (d0s, d1s) = y[i:i + 2].tolist(), dydt[i:i + 2].tolist()
+    values = []
+    for y0, y1, d0, d1 in zip(y0s, y1s, d0s, d1s):
+        slope = (y1 - y0) / dt
+        curve = (d0 + d1 - 2 * slope) / dt
+        cubic, square = curve / dt, (slope - d0) / dt - curve
+        if math.frexp(cubic)[1] < -1021 or math.frexp(square)[1] < -1021:
+            return None
+        if derivative:
+            value = 0.0 + d0 + 2.0 * square * s + 3.0 * cubic * (s * s)
+        else:
+            value = 0.0 + y0 + d0 * s + square * (s * s) + cubic * (s * s * s)
+        if not math.isfinite(value):
+            return None
+        values.append(value)
+    return np.array(values)
 
 
 def _hermite_scaled(dt, y0, y1, d0, d1, s, derivative: bool) -> np.ndarray:

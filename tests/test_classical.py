@@ -636,6 +636,26 @@ class TestWorldLines:
                 query(np.array([0.5, np.nan, 2.0]))
             assert str(array.value) == "time nan outside sampled range [0.0, 1.0]"
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.0 + 2e-12,
+                                     -2e-12, -0.5])
+    def test_both_routes_refuse_a_time_outside_alike(self, bad):
+        t = np.linspace(0.0, 1.0, 11)
+        y, dydt = t[:, None], np.ones((11, 1))
+        for derivative in (False, True):
+            for query in (bad, np.array([bad])):
+                with pytest.raises(PathRangeError) as refused:
+                    hermite_at(t, y, dydt, query, derivative)
+                assert str(refused.value) == f"time {bad} outside sampled range [0.0, 1.0]"
+
+    def test_an_int_time_is_a_float_time(self):
+        t = np.linspace(0.0, 2.0, 5)
+        y, dydt = (t**3)[:, None], (3 * t**2)[:, None]
+        for derivative in (False, True):
+            assert (hermite_at(t, y, dydt, 1, derivative).tobytes()
+                    == hermite_at(t, y, dydt, np.array([1.0]), derivative)[0].tobytes())
+        with pytest.raises(OverflowError, match="^int too large to convert to float$"):
+            hermite_at(t, y, dydt, 10**400)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_bit_for_bit_scipy_cubic_hermite(self, seed):
         interpolate = pytest.importorskip("scipy.interpolate")
@@ -704,6 +724,19 @@ def magnitudes(draw, zero=True, least=-323, most=307):
     return value if draw(st.booleans()) else -value
 
 
+@st.composite
+def hermite_lines(draw):
+    """``(t, y, dydt, time)``: 2 to 6 knots of ``magnitudes()``, strictly
+    increasing, samples of d = 1 to 3 components and a time in the range."""
+    m, d = draw(st.integers(2, 6)), draw(st.integers(1, 3))
+    t = sorted(draw(st.lists(magnitudes(), min_size=m, max_size=m, unique=True)))
+    y, dydt = (np.reshape(draw(st.lists(magnitudes(), min_size=m * d, max_size=m * d)),
+                          (m, d)) for _ in range(2))
+    k, u = draw(st.integers(0, m - 2)), draw(st.floats(0.0, 1.0))
+    time = min(max(t[k] * (1 - u) + t[k + 1] * u, t[0]), t[-1])
+    return np.array(t), y, dydt, time
+
+
 def within(got: float, want: Fraction, scale: Fraction, floor: Fraction = TINY) -> bool:
     """``got`` is finite and within 1e-12 of ``scale``, plus 8 ``floor``,
     from the exact ``want``."""
@@ -750,12 +783,46 @@ class TestNearTheLargestFloat:
                 (False, fy0 + fs * (fd0 + w * (b + w * c)),
                  [fy0, fs * fd0, fs * m, fs * fd1], TINY * max(1, h) ** 3),
                 (True, fd0 + w * (2 * b + 3 * w * c), [fd0, fd1, m], TINY * max(1, h) ** 2)):
-            got = float(hermite_at(t, y, dydt, time, derivative)[0])
             scale = max(abs(term) for term in terms)
-            if abs(want) > MAX_FLOAT * (1 + Fraction(1, 10**12)) + scale / 10**12:
-                assert not math.isfinite(got)
-            elif 8 * scale <= MAX_FLOAT and abs(want) < MAX_FLOAT * (1 - Fraction(1, 10**12)):
-                assert within(got, want, scale, floor), (derivative, got, float(want))
+            for query in (time, np.array([time])):  # the float and the array route
+                got = float(np.ravel(hermite_at(t, y, dydt, query, derivative))[0])
+                if abs(want) > MAX_FLOAT * (1 + Fraction(1, 10**12)) + scale / 10**12:
+                    assert not math.isfinite(got)
+                elif (8 * scale <= MAX_FLOAT
+                      and abs(want) < MAX_FLOAT * (1 - Fraction(1, 10**12))):
+                    assert within(got, want, scale, floor), (derivative, got, float(want))
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(hermite_lines())
+    # taken again: a subnormal coefficient of s^3 and s^2, of s^2 alone, of
+    # s^3 alone; a time within 2^-340 of its knot; a sum that overflows
+    @example((np.array([0.0, 1.0]), np.array([[0.0], [1e-310]]), np.zeros((2, 1)), 0.5))
+    @example((np.array([0.0, 1e100]), np.array([[0.0], [3e-110]]),
+              np.array([[0.0], [6e-210]]), 5e99))
+    @example((np.array([0.0, 1.0]), np.zeros((2, 1)),
+              np.array([[1e-300], [-1e-300 + 1e-310]]), 0.5))
+    @example((np.array([0.0, 1.0]), np.array([[1.0], [2.0]]), np.ones((2, 1)), 1e-104))
+    @example((np.array([0.0, 1.0]), np.array([[-1e308], [1e308]]),
+              np.array([[1e308], [1e308]]), 0.25))
+    # a sum of negative zeros, which the 0.0 it starts from makes +0.0
+    @example((np.array([0.0, 1.0]), np.array([[-0.0, 0.0], [-3.0, -1.0]]),
+              np.array([[-1.0, -0.0], [-6.0, -2.5]]), 0.0))
+    # a time at a knot, a time 1e-12 before the first, a line of two knots
+    @example((np.array([0.0, 1.0, 2.0]), np.array([[0.0], [1.0], [3.0]]),
+              np.array([[1.0], [2.0], [1.0]]), 1.0))
+    @example((np.array([0.0, 1.0]), np.array([[0.0], [1.0]]), np.array([[1.0], [2.0]]),
+              -1e-12))
+    @example((np.array([-1.0, 2.0]), np.array([[0.5, -1.0, 3.0], [2.0, 0.0, -3.0]]),
+              np.array([[1.0, 0.25, -1.0], [-2.0, 1.0, 4.0]]), 0.3))
+    def test_float_and_array_routes_agree(self, line):
+        """One time as a float and the same time as a one-element array give
+        the same bits, values and rates, wherever the entry is taken again."""
+        t, y, dydt, time = line
+        for derivative in (False, True):
+            one = hermite_at(t, y, dydt, time, derivative)
+            many = hermite_at(t, y, dydt, np.array([time]), derivative)
+            assert one.shape == (y.shape[1],) and many.shape == (1, y.shape[1])
+            assert np.array_equal(one.view(np.int64), many[0].view(np.int64))
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(st.lists(magnitudes(), min_size=1, max_size=3), magnitudes())

@@ -1032,6 +1032,20 @@ class TestNumericalFailures:
             assert err == "" and 1e154 < speed < math.inf
         assert "Traceback" not in err
 
+    def test_anchor_time_missed_message(self, config_dir, tmp_path, capsys):
+        # the anchoring's scalar query at t = 0 refuses as an array query does
+        cfg = json.loads((config_dir / "hj_free_trajectories.json").read_text())
+        cfg["system"]["masses"][1] = 1e-3
+        cfg["experiment"]["foliation"] = {"u": [0.3]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["foliation", "--config", str(path), "--out",
+                     str(tmp_path / "r.json")]) == 3
+        err = capsys.readouterr().err
+        assert err == ("numerical failure: world line 2 misses the anchor time t = 0 on "
+                       "the foliation u=0.3: time 0.0 outside sampled range "
+                       "[0.28360655737704854, 0.31639344262295055]\n")
+
     # H_1 = t2 ZI, H_2 = ZI: C_12 = -dH_1/dt2 = -ZI, of norm 1 at every t
     STEPPED_QUANTUM = {
         "formalism": "quantum",
