@@ -21,7 +21,8 @@ equal-time run is one loop call; a full grid is one call per column or
 row, all its legs in a row, and a path around a rectangle one per leg.
 A field's right-hand side ``PhaseVectorField.rhs``, one compiled
 function of the time tuple and the state memoised the same way, serves
-the validity residuals, which are taken on arrays over all samples.
+the validity residuals, which are taken on arrays over all samples, their
+norms and spacelike tests by the power-of-two scale of ``paths``.
 A loop writes one packed row per node, ``bytes`` of native doubles: an
 equal-time node's state (x, p) and then its rates, a grid leg's end its
 state alone, and a state row starts the next leg as it is.  Numpy arrays
@@ -44,7 +45,7 @@ from .expr import (_ZERO, STEP_TIME, BinOp, Expression, Neg, Var, _neg, binding_
                    bound_steps, check_count, check_finite, check_masses, check_positive,
                    check_span, derivative, free_variables, parse_expression, phase_names,
                    substitute)
-from .paths import NPath, PhasePoint, WorldLine, _defect_values, _scaled_norms
+from .paths import NPath, PhasePoint, WorldLine, _defect_values, _norms, _scaled, _squares
 from .reports import DefectReport
 
 __all__ = [
@@ -67,9 +68,6 @@ __all__ = [
 
 # A right-hand side maps a time tuple and a flat state (x, p) to the rates.
 RHS = Callable[[Sequence[float], Sequence[float]], tuple[float, ...]]
-
-#: the smallest normal float: a square below it has rounded to fewer bits
-_NORMAL_FLOAT = np.finfo(float).tiny
 
 
 @functools.lru_cache(maxsize=64)
@@ -282,27 +280,6 @@ def evolve_equal_time(field: PhaseVectorField, init: PhasePoint,
                   for j in range(n)])
 
 
-def _squares(vectors: np.ndarray) -> np.ndarray:
-    """``v @ v`` of every vector v along the last axis, bit for bit as
-    ``v @ v`` computes each on its own (stacked matmul takes the same dot);
-    one that overflows reads inf, without a warning."""
-    with np.errstate(over="ignore"):
-        return np.matmul(vectors[..., None, :], vectors[..., :, None])[..., 0, 0]
-
-
-def _norms(vectors: np.ndarray) -> np.ndarray:
-    """|v| of every vector v along the last axis, ``sqrt(v @ v)`` as
-    np.linalg.norm takes it where ``v @ v`` is finite; where it overflows
-    and v is finite, ``paths._scaled_norms``, so that only a norm beyond
-    the float range reads inf."""
-    norms = np.sqrt(_squares(vectors))
-    over = np.isinf(norms) & np.isfinite(vectors).all(axis=-1)
-    if over.any():
-        with np.errstate(over="ignore"):
-            norms[over] = _scaled_norms(vectors[over])
-    return norms
-
-
 def validity_residual(field: PhaseVectorField, npath: NPath,
                       samples: Sequence[Sequence[float]]) -> dict:
     """Check the multi-time equations on the n-path at each time tuple.
@@ -326,35 +303,23 @@ def validity_residual(field: PhaseVectorField, npath: NPath,
                                   for j in range(n)], axis=1)
                         for query in ("x_at", "p_at", "dxdt_at", "dpdt_at")]
     # a sample is spacelike when every pair of its events is strictly so,
-    # (dt)^2 < |dx|^2 (c = 1): its pairs in turn, each on the samples that
-    # passed the pairs before it
+    # (dt)^2 < |dx|^2 (c = 1), of their gap (dt, dx) ``paths._scaled``, negated
+    # so that a NaN gap counts as spacelike and reaches the residuals: its
+    # pairs in turn, each on the samples that passed the pairs before it
+    events = np.concatenate([tuples[:, :, None], xs], axis=2)  # (sample, particle, 1 + d)
     spacelike = np.ones(len(tuples), bool)
     for i, j in itertools.combinations(range(n), 2):
         at = np.flatnonzero(spacelike)
-        with np.errstate(over="ignore"):  # an infinite gap or square decides as it is
-            dt, gaps = tuples[at, i] - tuples[at, j], xs[at, i] - xs[at, j]
-            dt2, gap2 = dt * dt, _squares(gaps)
-        timelike = dt2 >= gap2
-        # where both squares overflow, the lengths decide, the gap's scaled
-        both = np.isinf(dt2) & np.isinf(gap2)
-        timelike[both] = np.abs(dt[both]) >= _norms(gaps[both])
-        # where both fall below the normal range, rounded to a few bits or to
-        # 0, and the gap is not zero, the squares of both divided by the
-        # larger length decide
-        small = np.flatnonzero((np.maximum(dt2, gap2) < _NORMAL_FLOAT)
-                               & gaps.any(axis=-1))
-        scale = np.maximum(np.abs(dt[small]), np.max(np.abs(gaps[small]), axis=-1))
-        timelike[small] = ((dt[small] / scale) ** 2
-                           >= _squares(gaps[small] / scale[:, None]))
-        spacelike[at] = ~timelike
+        with np.errstate(over="ignore"):  # an infinite gap decides as it is
+            gap = _scaled(events[at, i] - events[at, j])[0]
+        spacelike[at] = ~(gap[:, 0] * gap[:, 0] >= _squares(gap[:, 1:]))
     accepted = np.flatnonzero(spacelike)
     states = np.concatenate([xs[accepted].reshape(-1, n * d),
                              ps[accepted].reshape(-1, n * d)], axis=1)
     rhs = field.rhs
     rates = np.reshape([rhs(times, y) for times, y in
                         zip(tuples[accepted].tolist(), states.tolist())], (-1, 2, n, d))
-    # |dx_j/dt_j - v_j| + |dp_j/dt_j - w_j|, each norm as np.linalg.norm takes
-    # it; a difference or a sum beyond the float range reads inf, for the caller
+    # |dx_j/dt_j - v_j| + |dp_j/dt_j - w_j|: one beyond the floats is inf, for the caller
     with np.errstate(over="ignore"):
         residuals = (_norms(dxs[accepted] - rates[:, 0])
                      + _norms(dps[accepted] - rates[:, 1]))
@@ -483,8 +448,8 @@ def rectangle_steps(rectangle: tuple[float, float], dt: float) -> tuple[int, int
 def grid_path_independence(hpair: HamiltonianPair, init: PhasePoint,
                            rectangle: tuple[float, float], dt: float) -> float:
     """Phase-space distance at the far corner between integrating the t1
-    leg first and the t2 leg first; where its squares overflow, taken again
-    by ``_scaled_norms``, so only a distance beyond the float range is inf."""
+    leg first and the t2 leg first, of the gap ``paths._scaled`` and scaled
+    back, position squares summed first: inf only beyond the float range."""
     dt1, dt2 = rectangle
     m1, m2 = rectangle_steps(rectangle, dt)
     y0 = _start(init, hpair.n, hpair.d)
@@ -501,12 +466,9 @@ def grid_path_independence(hpair: HamiltonianPair, init: PhasePoint,
     yb = legs(1, leg1, yb, t0[1] + dt2)[-1]
 
     with np.errstate(over="ignore"):
-        gap = np.subtract(np.frombuffer(ya), np.frombuffer(yb))
+        gap, k = _scaled(np.subtract(np.frombuffer(ya), np.frombuffer(yb)))
         gx, gp = gap.reshape(2, hpair.n, hpair.d)
-        distance = float(np.sqrt(np.sum(gx ** 2) + np.sum(gp ** 2)))
-        if distance == math.inf and np.isfinite(gap).all():
-            distance = float(_scaled_norms(gap))
-    return distance
+        return float(np.ldexp(np.sqrt(np.sum(gx ** 2) + np.sum(gp ** 2)), k))
 
 
 def _chord_deviation(npath: NPath) -> float:

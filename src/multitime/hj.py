@@ -30,7 +30,7 @@ from .expr import (STEP_TIME, BinOp, Expression, ExpressionError, FoliationError
                    check_positive, check_span, check_steps, _div, derivative, diff,
                    evaluate, free_variables, parse_expression, phase_names, substitute)
 from .numdiff import partial_derivative
-from .paths import NPath, PathRangeError, PhasePoint, WorldLine, _defect_values, hermite_at
+from .paths import NPath, PathRangeError, PhasePoint, WorldLine, _defect_values, _norms, hermite_at
 from .reports import DefectReport, pair_keys
 
 __all__ = [
@@ -128,7 +128,7 @@ class Foliation:
 
     def __init__(self, u: Sequence[float] | float):
         u = np.atleast_1d(np.asarray(u, float))
-        if not (norm := np.linalg.norm(u)) < 1.0:
+        if not (norm := float(_norms(u))) < 1.0:
             why = ">= 1" if norm >= 1.0 else "is not a number"
             raise ValueError(f"|u| = {norm} {why}: leaves not spacelike")
         self.u = tuple(float(v) for v in u)

@@ -68,7 +68,8 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a, b = np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-2:] != b.shape[-2:] or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected square matrices of one dim, got {a.shape} and {b.shape}")
-    return a @ b - b @ a
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, for the caller to refuse
+        return a @ b - b @ a
 
 
 def hermitian_propagator(h: np.ndarray, dt: float) -> np.ndarray:

@@ -1,5 +1,7 @@
-"""Phase points, n-paths and the sample-grid evaluator ``_defect_values``,
-shared by the classical and HJ formalisms.
+"""Phase points, n-paths, the sample-grid evaluator ``_defect_values`` and
+the one Euclidean norm ``_norms``, shared by the classical and HJ
+formalisms.  Every norm and light-cone test takes the exact power-of-two
+scale of ``_scaled``, so that only a norm beyond the float range overflows.
 
 An n-path is one world line per particle, each a graph over its own time.
 Samples carry the state derivatives, so queries between sample times use
@@ -220,15 +222,31 @@ def _hermite_scaled(dt, y0, y1, d0, d1, s, derivative: bool) -> np.ndarray:
     return np.where(step == 0.0, y0, value)
 
 
-def _scaled_norms(vectors: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each vector along the last axis, each taken of
-    the vector divided by its largest |component| and multiplied back
-    (Blue, ACM TOMS 4, 1978), so that it overflows only where the norm
-    does: the fallback of a norm whose squares overflow.  Every vector has
-    a finite nonzero component."""
-    scale = np.max(np.abs(vectors), axis=-1)
-    unit = vectors / scale[..., None]
-    return scale * np.sqrt(np.sum(unit * unit, axis=-1))
+def _squares(vectors: np.ndarray) -> np.ndarray:
+    """``v @ v`` of every vector v along the last axis, bit for bit as
+    ``v @ v`` computes each on its own (stacked matmul takes the same dot);
+    one that overflows reads inf, without a warning."""
+    with np.errstate(over="ignore"):
+        return np.matmul(vectors[..., None, :], vectors[..., :, None])[..., 0, 0]
+
+
+def _scaled(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each vector along the last axis times 2^-k, and k, the binary exponent
+    of its largest |component| (an infinite one stays so): a power of two
+    scales every square, sum and root exactly, and the scaled squares
+    neither overflow nor, where they decide, fall below the normal range."""
+    top = np.minimum(np.max(np.abs(vectors), axis=-1, initial=0.0), np.finfo(float).max)
+    k = np.frexp(top)[1]
+    return np.ldexp(vectors, -k[..., None]), k
+
+
+def _norms(vectors: np.ndarray) -> np.ndarray:
+    """|v| of every vector v along the last axis, ``sqrt(v @ v)`` of v
+    ``_scaled`` by 2^-k and scaled back: bit for bit that wherever its squares
+    are normal and finite, and inf, without a warning, only beyond the floats."""
+    unit, k = _scaled(vectors)
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.sqrt(_squares(unit)), k)
 
 
 class NPath:
@@ -257,20 +275,9 @@ class NPath:
         return lo, hi
 
     def max_speed(self) -> float:
-        """Largest sampled |dx/dt|; >= 1 means a non-timelike sample.  A
-        speed whose square overflows is taken again by ``_scaled_norms``,
-        without a warning, so only a speed beyond the float range reads
-        inf."""
-        speeds = []
-        for line in self.lines:
-            with np.errstate(over="ignore"):
-                norms = np.linalg.norm(line.dxdt, axis=1)
-            over = ~np.isfinite(norms)  # the samples are finite
-            if over.any():
-                with np.errstate(over="ignore"):
-                    norms[over] = _scaled_norms(line.dxdt[over])
-            speeds.append(float(np.max(norms)))
-        return max(speeds)
+        """Largest sampled |dx/dt|, each by ``_norms``; >= 1 means a
+        non-timelike sample."""
+        return max(float(np.max(_norms(line.dxdt))) for line in self.lines)
 
     def csv_table(self) -> tuple[list[str], list[list]]:
         """The n-path CSV layout: columns, then one row per sample of each

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from multitime import classical
+from multitime import classical, paths
 from multitime.classical import (
     HamiltonianPair,
     PhasePoint,
@@ -826,11 +826,15 @@ class TestNearTheLargestFloat:
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(st.lists(magnitudes(), min_size=1, max_size=3), magnitudes())
-    # both squares underflow to 0, or round to a few bits
+    # both squares underflow to 0, or round to a few bits; both overflow;
+    # only (dt)^2 overflows; a zero gap at a dt whose square underflows
     @example([-1e-162], 1e-163)
     @example([-1.5e-323, -1.5e-323], -2e-323)
+    @example([1e200, -1e200], 1.5e200)
+    @example([1.0], 1e300)
+    @example([0.0, 0.0], 1e-300)
     def test_norms_and_the_spacelike_test_match_exact_squares(self, gap, dt):
-        """``classical._norms`` and ``NPath.max_speed`` against the exact
+        """``paths._norms`` and ``NPath.max_speed`` against the exact
         |v|^2; the spacelike test of ``validity_residual`` against the exact
         (dt)^2 < |gap|^2, on two resting particles at that gap whose times
         differ by dt, wherever the two differ by more than 1e-12."""
@@ -839,7 +843,7 @@ class TestNearTheLargestFloat:
         rest = np.zeros((2, len(gap)))
         speed = NPath([WorldLine(t=t, x=rest, p=rest, dxdt=np.array([gap, gap]),
                                  dpdt=rest)]).max_speed()
-        for got in (float(classical._norms(np.array([gap]))[0]), speed):
+        for got in (float(paths._norms(np.array([gap]))[0]), speed):
             if squares > MAX_FLOAT ** 2 * (1 + Fraction(1, 10**12)):
                 assert got == math.inf
             elif squares < MAX_FLOAT ** 2 * (1 - Fraction(1, 10**12)):
@@ -854,6 +858,31 @@ class TestNearTheLargestFloat:
         report = validity_residual(field, NPath(lines), [[t[1], t[0]]])
         assert report["rows"][0]["spacelike"] == (dt2 < squares)
         assert report["max_residual"] == 0.0
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.lists(magnitudes(), min_size=1, max_size=3))
+    def test_norms_are_the_plain_norm_where_its_squares_are_normal(self, vector):
+        """Wherever every nonzero square is normal (|v_i| >= 2^-511) and
+        ``v @ v`` is finite, ``paths._norms(v)`` is ``np.sqrt(v @ v)`` bit for
+        bit: its power-of-two scale changes no rounding."""
+        v = np.array(vector)
+        with np.errstate(over="ignore"):
+            plain = v @ v
+        assume(np.isfinite(plain) and all(x == 0.0 or abs(x) >= 2.0 ** -511 for x in vector))
+        assert np.sqrt(plain).view(np.int64) == paths._norms(v).view(np.int64)
+
+    def test_spacelike_at_equal_times_and_at_a_gap_beyond_the_float_range(self):
+        # a gap of 1e-300 at equal times, whose square underflows to 0, and a
+        # gap of 2e308, which overflows to inf, at dt = 1e300, whose square
+        # overflows too: both spacelike
+        field = PhaseVectorField.from_expressions(2, 1, [["0"]] * 2, [["0"]] * 2)
+        for t, x1, x2, times in (([-1.0, 1.0], 0.0, 1e-300, [0.5, 0.5]),
+                                 ([-1e300, 1e300], -1e308, 1e308, [1e300, 0.0])):
+            rest, t = np.zeros((2, 1)), np.array(t)
+            lines = [WorldLine(t=t, x=np.full((2, 1), x), p=rest, dxdt=rest, dpdt=rest)
+                     for x in (x1, x2)]
+            report = validity_residual(field, NPath(lines), [times])
+            assert report["rows"][0]["spacelike"] and report["max_residual"] == 0.0
 
 
 class TestFullGrid:

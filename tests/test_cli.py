@@ -995,6 +995,33 @@ class TestNumericalFailures:
         assert main(["foliation", "--config", str(p)]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_tilt_whose_square_overflows_exits_2(self, config_dir, tmp_path, capsys):
+        # |u|^2 overflows, with no numpy warning on the way
+        cfg = json.loads((config_dir / "hj_free_trajectories.json").read_text())
+        cfg["experiment"]["foliation"]["u"] = [1e200]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["foliation", "--config", str(path), "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == ("config error: /experiment/foliation/u: "
+                                           "|u| = 1e+200 >= 1: leaves not spacelike\n")
+
+    @pytest.mark.parametrize("name,subcommand,pointer", [
+        ("coupled_qubits", "holonomy", "defect_vector_norm"),
+        ("coupled_qubits_check", "check", "points/0/pairs/1,2"),
+    ])
+    def test_commutator_that_overflows_exit_code(self, config_dir, tmp_path, capsys, name,
+                                                 subcommand, pointer):
+        # both first coefficients 1e300: the commutator's products overflow
+        # to a NaN, with no numpy warning on the way
+        cfg = json.loads((config_dir / f"{name}.json").read_text())
+        for terms in cfg["system"]["hamiltonians"]["terms"]:
+            terms[0]["coeff"] = 1e300
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main([subcommand, "--config", str(path), "--out", str(tmp_path / "r.json")]) == 3
+        assert capsys.readouterr().err == (
+            f"numerical failure: non-finite result at /results/{pointer}: nan\n")
+
     def test_anchoring_failure_exit_code(self, config_dir, capsys, monkeypatch):
         # one anchoring iteration cannot reach the t = 0 anchors on the
         # boosted foliations of this config

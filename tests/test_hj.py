@@ -331,6 +331,13 @@ class TestFoliations:
         with pytest.raises(ValueError, match=re.escape("|u| = 1.0 >= 1: leaves not spacelike")):
             Foliation([1.0])  # the message the CLI shows is unchanged
 
+    def test_tilt_whose_square_overflows_rejected(self):
+        # |u|^2 overflows, |u| does not: no numpy warning (the suite makes one
+        # an error), and the message names |u|
+        with pytest.raises(ValueError,
+                           match=re.escape("|u| = 1e+200 >= 1: leaves not spacelike")):
+            Foliation([1e200])
+
     def test_free_trajectories_straight(self):
         s = free_hj()
         path = hj_trajectories_foliation(s, Foliation([0.3]),
