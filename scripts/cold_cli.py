@@ -20,11 +20,12 @@ CPU time of the child (user + sys, from ``os.wait4``), in seconds; then
 the median of the rounds' totals; then each round's total CPU time, and
 in how many rounds each other ``SRC``'s total is below the first's.
 Last, for each ``SRC``, the median cumulative ``-X importtime`` of
-``multitime.cli``, of the package within it (``expr`` and ``reports``,
-free of numpy's import time) and of each formalism module, in
-milliseconds: every round runs ``import multitime.cli,
-multitime.<formalism>`` in a fresh interpreter per formalism and ``SRC``,
-so a formalism's time is what a run of it loads beyond the CLI.  Then,
+``multitime.cli``, of the package within it (``expr`` and ``reports``)
+and of each formalism module, in milliseconds: every round runs
+``import multitime.cli, multitime.<formalism>`` in a fresh interpreter
+per formalism and ``SRC``, so a formalism's time is what a run of it
+loads beyond the CLI.  ``multitime.cli`` loads no numpy, so numpy's
+import time is in each formalism's row and not in the CLI's.  Then,
 one line per ``SRC`` and formalism, the sorted ``multitime`` modules that
 such a process has loaded.
 

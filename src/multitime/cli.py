@@ -22,7 +22,9 @@ only the shared layer (``expr``, ``reports``, ``paths``, ``numdiff``,
 its formalism's reader module and the formalism itself: ``quantum`` with
 ``linops``, and ``codegen``, the code generator, only for a coefficient
 given as an expression; ``classical`` with ``paths`` and ``codegen``; or
-``hj`` with ``paths``, ``numdiff`` and ``codegen``.  It loads
+``hj`` with ``paths``, ``numdiff`` and ``codegen``.  numpy loads with
+the reader module: ``import multitime.cli``, ``examples``, ``--help`` and
+a config refused before its kind runs load no numpy.  A run loads
 ``numpy.random`` only if it draws samples; ``examples`` loads only the
 configs.
 
@@ -44,12 +46,10 @@ import sys
 import time
 from typing import Callable, NamedTuple, Sequence
 
-if __name__ == "__main__":  # ``python -m multitime.cli``: before numpy loads its BLAS
+if __name__ == "__main__":  # ``python -m multitime.cli``: before a reader module loads numpy
     from . import _one_blas_thread
 
     _one_blas_thread()
-
-import numpy as np
 
 from .expr import DomainError, ExpressionError, FoliationError
 from .reports import write_csv
@@ -218,6 +218,14 @@ def _print(text: str) -> None:
         raise
 
 
+def _numerical_errors() -> tuple[type[Exception], ...]:
+    """The exceptions that exit 3, built when one is matched: numpy's
+    ``LinAlgError`` only if numpy is loaded, as it is once a kind runs."""
+    numpy = sys.modules.get("numpy")
+    linalg = (numpy.linalg.LinAlgError,) if numpy is not None else ()
+    return (FloatingPointError, OverflowError, FoliationError, DomainError, *linalg)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="multitime",
@@ -258,8 +266,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             if args.csv and os.path.isfile(args.csv) and not os.path.islink(args.csv):
                 os.remove(args.csv)
             raise
-    except (FloatingPointError, OverflowError, FoliationError,
-            DomainError, np.linalg.LinAlgError) as exc:
+    except _numerical_errors() as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, ExpressionError) as exc:  # DomainError is caught above

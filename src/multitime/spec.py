@@ -6,12 +6,13 @@ and it imports neither, so the CLI layer has no import cycle."""
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import expr
 from .expr import ExpressionError, free_variables
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: the most sample points or time tuples one run may draw or build up front
 MAX_POINTS = 10 ** 6
@@ -179,6 +180,8 @@ def _expr(value, path: str, names: Sequence[str], numbers: dict | None = None):
 def _sample_phase_points(cfg, path: str, n: int, d: int, seed: int) -> np.ndarray:
     """The (count, n + 2·n·d) array of the sampled phase points, one row
     each: its times, then its x rows, then its p rows."""
+    import numpy as np  # loaded by the reader module that calls this
+
     count, t_box, x_box, p_box = _read(cfg, path, {
         "count": (_REQ, _int, 1, MAX_POINTS), "t_box": (_REQ, _box),
         "x_box": (_REQ, _box), "p_box": (_REQ, _box)})

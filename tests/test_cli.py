@@ -1022,6 +1022,19 @@ class TestNumericalFailures:
         assert capsys.readouterr().err == (
             f"numerical failure: non-finite result at /results/{pointer}: nan\n")
 
+    def test_linalg_error_exit_code(self, config_dir, tmp_path, capsys, monkeypatch):
+        # an eigendecomposition that does not converge, in the propagators of
+        # a holonomy run: exit 3 with its message, and no report left behind
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        out = tmp_path / "r.json"
+        code = main(["holonomy", "--config", str(config_dir / "coupled_qubits.json"),
+                     "--out", str(out)])
+        assert code == 3 and not out.exists()
+        assert capsys.readouterr().err == "numerical failure: Eigenvalues did not converge\n"
+
     def test_anchoring_failure_exit_code(self, config_dir, capsys, monkeypatch):
         # one anchoring iteration cannot reach the t = 0 anchors on the
         # boosted foliations of this config

@@ -64,7 +64,8 @@ import importlib.util, json, sys
 import multitime.cli
 
 print(json.dumps([sorted(name for name in sys.modules if name.partition(".")[0] == "multitime"),
-                  [importlib.util.find_spec(name) is not None for name in sys.argv[1:]]]))
+                  [importlib.util.find_spec(name) is not None for name in sys.argv[1:]],
+                  "numpy" in sys.modules]))
 """
 
 
@@ -98,6 +99,7 @@ try:
 except SystemExit as exc:
     code = exc.code
 
+numpy_loaded = "numpy" in sys.modules  # before this script imports it to ask for its BLAS
 import numpy as np
 
 try:
@@ -108,7 +110,8 @@ threads = None
 if os.path.exists("/proc/self/status"):
     with open("/proc/self/status") as fh:
         threads = next(int(line.split()[1]) for line in fh if line.startswith("Threads:"))
-print(json.dumps([code, exits, os.environ.get("OPENBLAS_NUM_THREADS"), blas, threads]))
+print(json.dumps([code, exits, os.environ.get("OPENBLAS_NUM_THREADS"), blas, threads,
+                  numpy_loaded]))
 """
 
 
@@ -171,13 +174,15 @@ def test_cli_runs_one_blas_thread(tmp_path, entry, given, kept):
     """Either entry point sets ``OPENBLAS_NUM_THREADS=1`` before numpy
     loads its BLAS, unless the user set it; OpenBLAS then starts no thread.
     The entry's hard exit is stubbed to raise SystemExit, so that the
-    threads can be counted after the run; the stub must be reached."""
+    threads can be counted after the run; the stub must be reached.  The
+    run is ``examples``, which loads no numpy by either entry point: the
+    script imports it after the run."""
     entry = console_script() if entry == "console-script" else entry
     done = fresh("-c", BLAS_AFTER_RUN, entry, str(tmp_path / "configs"),
                  OPENBLAS_NUM_THREADS=given)
     assert done.returncode == 0, done.stderr
-    code, exits, value, blas, threads = json.loads(done.stdout.splitlines()[-1])
-    assert code == 0 and exits == [0] and value == kept
+    code, exits, value, blas, threads, numpy_loaded = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0 and exits == [0] and value == kept and not numpy_loaded
     if kept == "1" and threads is not None and blas and "openblas" in blas.lower():
         assert threads == 1
 
@@ -206,37 +211,37 @@ UNUSED = ["csv", "dataclasses"]
 
 @pytest.mark.parametrize("args,loaded,absent", [
     (["evolve", "--config", "interaction_picture_staircase.json"],
-     ["multitime.quantum", "multitime.linops", READERS["quantum"]],
+     ["numpy", "multitime.quantum", "multitime.linops", READERS["quantum"]],
      [*NOT_QUANTUM, CODEGEN, "numpy.random", *UNUSED]),
     (["holonomy", "--config", "coupled_qubits.json"],
-     ["multitime.quantum", "multitime.linops", READERS["quantum"]],
+     ["numpy", "multitime.quantum", "multitime.linops", READERS["quantum"]],
      [*NOT_QUANTUM, CODEGEN, "numpy.random", *UNUSED]),
     (["check", "--config", "free_quantum.json"],
-     ["multitime.quantum", "multitime.linops", READERS["quantum"]],
+     ["numpy", "multitime.quantum", "multitime.linops", READERS["quantum"]],
      [*NOT_QUANTUM, CODEGEN, "numpy.random", *UNUSED]),
     (["evolve", "--config", "classical_free_evolve.json"],
-     ["multitime.classical", READERS["classical"], CODEGEN],
+     ["numpy", "multitime.classical", READERS["classical"], CODEGEN],
      ["multitime.hj", "multitime.quantum", "multitime.linops", "multitime.configs",
       "multitime.numdiff", READERS["quantum"], READERS["hj"], "numpy.random", *UNUSED]),
     (["evolve", "--config", "classical_free_evolve.json", "--csv", "lines.csv"],
-     ["multitime.classical", READERS["classical"], CODEGEN, "csv"],
+     ["numpy", "multitime.classical", READERS["classical"], CODEGEN, "csv"],
      ["multitime.hj", "multitime.quantum", "multitime.linops", "multitime.configs",
       "multitime.numdiff", READERS["quantum"], READERS["hj"], "numpy.random",
       "dataclasses"]),
     (["check", "--config", "classical_free_check.json"],
-     ["multitime.classical", READERS["classical"], CODEGEN, "numpy.random"],
+     ["numpy", "multitime.classical", READERS["classical"], CODEGEN, "numpy.random"],
      ["multitime.hj", "multitime.quantum", "multitime.linops", "multitime.configs",
       "multitime.numdiff", READERS["quantum"], READERS["hj"], *UNUSED]),
     (["foliation", "--config", "hj_free_foliations.json"],
-     ["multitime.hj", READERS["hj"], CODEGEN],
+     ["numpy", "multitime.hj", READERS["hj"], CODEGEN],
      ["multitime.classical", "multitime.quantum", "multitime.linops", "multitime.configs",
       READERS["quantum"], READERS["classical"], "numpy.random", *UNUSED]),
     (["hj", "--config", "hj_free_residual.json"],
-     ["multitime.hj", "multitime.paths", READERS["hj"], CODEGEN],
+     ["numpy", "multitime.hj", "multitime.paths", READERS["hj"], CODEGEN],
      ["multitime.classical", "multitime.quantum", "multitime.linops", "multitime.configs",
       READERS["quantum"], READERS["classical"], "numpy.random", *UNUSED]),
     (["examples", "--dir", "again"], ["multitime.configs"],
-     [*FORMALISMS, "multitime.numdiff", *READERS.values(), CODEGEN, "numpy.random",
+     [*FORMALISMS, "multitime.numdiff", *READERS.values(), CODEGEN, "numpy",
       *UNUSED]),
 ], ids=["quantum-evolve", "quantum-holonomy", "quantum-check", "classical-evolve",
         "classical-evolve-csv", "classical-check", "hj", "hj-residual", "examples"])
@@ -244,9 +249,9 @@ def test_a_run_loads_only_what_it_uses(tmp_path, args, loaded, absent):
     """A run loads its formalism and its reader module and no other
     formalism's, the code generator only where it compiles an expression
     (every classical and HJ run; no shipped quantum config, whose
-    coefficients are all numbers), ``numpy.random`` only when it draws
-    samples and ``csv`` only when it writes a CSV; no run loads
-    ``dataclasses``."""
+    coefficients are all numbers), numpy with its reader module (so not
+    for ``examples``), ``numpy.random`` only when it draws samples and
+    ``csv`` only when it writes a CSV; no run loads ``dataclasses``."""
     write_examples(str(tmp_path))
     args = [str(tmp_path / a) if a.endswith((".json", ".csv")) or a == "again" else a
             for a in args]
@@ -278,15 +283,32 @@ def test_an_expression_coefficient_loads_the_generator(tmp_path):
 
 def test_the_cli_import_loads_no_reader_and_no_generator():
     """``import multitime.cli`` loads the CLI, its config-spec layer, the
-    parser and the reports alone: no formalism, no reader module and no
-    code generator, each of which is a module of the package that a run
-    loads when it needs it."""
+    parser and the reports alone: no formalism, no reader module, no code
+    generator and no numpy, each of which a run loads when it needs it."""
     done = fresh("-c", MODULES_AFTER_IMPORT, *READERS.values(), CODEGEN)
     assert done.returncode == 0, done.stderr
-    modules, found = json.loads(done.stdout)
+    modules, found, numpy_loaded = json.loads(done.stdout)
     assert modules == ["multitime", "multitime.cli", "multitime.expr", "multitime.reports",
                        "multitime.spec"]
     assert found == [True] * (len(READERS) + 1)
+    assert not numpy_loaded
+
+
+@pytest.mark.parametrize("args,message", [
+    (["check", "--config", "missing.json"], "config error: /: cannot read config: "),
+    (["evolve", "--config", "coupled_qubits.json"],
+     "config error: /experiment/kind: kind 'holonomy' not valid for subcommand 'evolve'"),
+], ids=["unreadable", "kind-mismatch"])
+def test_a_refused_config_loads_no_numpy(tmp_path, args, message):
+    """A config that the loader or ``run_config``'s kind check refuses
+    exits 2 before any reader module, and so numpy, loads."""
+    write_examples(str(tmp_path))
+    args = [str(tmp_path / a) if a.endswith(".json") else a for a in args]
+    done = fresh("-c", MODULES_AFTER_MAIN, *args, "--out", str(tmp_path / "report.json"))
+    assert done.returncode == 0, done.stderr
+    code, modules = json.loads(done.stdout.splitlines()[-1])
+    assert code == 2 and done.stderr.startswith(message)
+    assert not {"numpy", *READERS.values()} & set(modules)
 
 
 def cli_imports(path: pathlib.Path) -> list[str]:
